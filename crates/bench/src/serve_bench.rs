@@ -223,7 +223,12 @@ fn serve_one_job(engine: &ServeEngine, job: &[Read]) -> Vec<ServeResponse> {
                 Ok(()) => break,
                 Err(SubmitError::Backpressure { read, retry_after, .. }) => {
                     responses.append(&mut engine.drain());
-                    std::thread::sleep(retry_after);
+                    // The hint is how long one worker takes over a quarter
+                    // of the queue, and all `NP` workers drain at once: a
+                    // client that slept that long would find the queue
+                    // empty and the burst would measure the client, not
+                    // the engine. Poll sooner.
+                    std::thread::sleep(retry_after.min(Duration::from_micros(200)));
                     pending = read;
                 }
                 Err(SubmitError::Closed(_)) => panic!("serve engine closed mid-benchmark"),

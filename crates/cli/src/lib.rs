@@ -19,7 +19,9 @@ use reptile::ReptileParams;
 use reptile_dist::{HeuristicConfig, RecoveryPolicy};
 
 /// A minimal argument cursor: positionals in order, `--key value` and
-/// `--flag` options anywhere.
+/// `--flag` options anywhere. Only the options in [`VALUED`] and
+/// [`FLAGS`] exist; anything else is a [`UsageError`], so a misspelt
+/// heuristic flag cannot silently run the job in base mode.
 pub struct ArgParser {
     positionals: Vec<String>,
     options: Vec<(String, Option<String>)>,
@@ -37,7 +39,7 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// Option names that take a value; everything else `--x` is a flag.
+/// Option names that take a value.
 const VALUED: &[&str] = &[
     "np",
     "engine",
@@ -61,6 +63,18 @@ const VALUED: &[&str] = &[
     "serve-batch",
 ];
 
+/// Option names that are plain switches.
+const FLAGS: &[&str] = &[
+    "universal",
+    "batch-reads",
+    "read-tables",
+    "cache-remote",
+    "aggregate",
+    "no-load-balance",
+    "steal",
+    "report",
+];
+
 impl ArgParser {
     /// Parse raw arguments (without the program name).
     pub fn parse(args: &[String]) -> Result<ArgParser, UsageError> {
@@ -69,13 +83,22 @@ impl ArgParser {
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if let Some((k, v)) = name.split_once('=') {
-                    options.push((k.to_string(), Some(v.to_string())));
-                } else if VALUED.contains(&name) {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| UsageError(format!("--{name} requires a value")))?;
-                    options.push((name.to_string(), Some(v.clone())));
+                let (name, inline) = match name.split_once('=') {
+                    Some((k, v)) => (k, Some(v)),
+                    None => (name, None),
+                };
+                if VALUED.contains(&name) {
+                    let v = match inline {
+                        Some(v) => v,
+                        None => it
+                            .next()
+                            .ok_or_else(|| UsageError(format!("--{name} requires a value")))?,
+                    };
+                    options.push((name.to_string(), Some(v.to_string())));
+                } else if !FLAGS.contains(&name) {
+                    return Err(UsageError(format!("unknown option --{name}")));
+                } else if inline.is_some() {
+                    return Err(UsageError(format!("--{name} takes no value")));
                 } else {
                     options.push((name.to_string(), None));
                 }
@@ -308,6 +331,68 @@ mod tests {
         let err =
             ArgParser::parse(&["--np".to_string()]).err().expect("np without value must fail");
         assert!(err.0.contains("--np"));
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        ArgParser::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+            .err()
+            .expect("must be rejected")
+            .0
+    }
+
+    /// The typo that used to run base mode with exit 0.
+    #[test]
+    fn misspelt_flag_is_rejected_by_name() {
+        assert_eq!(
+            parse_err(&["run.config", "--np", "4", "--agregate"]),
+            "unknown option --agregate"
+        );
+    }
+
+    #[test]
+    fn unknown_valued_option_is_rejected_by_name() {
+        assert_eq!(parse_err(&["run.config", "--threads=4"]), "unknown option --threads");
+    }
+
+    #[test]
+    fn switch_given_a_value_is_rejected() {
+        assert_eq!(parse_err(&["run.config", "--aggregate=yes"]), "--aggregate takes no value");
+    }
+
+    /// Every option `correct.rs` documents still parses, in both the
+    /// `--key value` and the `--key=value` form.
+    #[test]
+    fn every_documented_option_parses() {
+        let mut line = vec!["run.config".to_string()];
+        for name in VALUED {
+            line.extend([format!("--{name}"), "1".to_string(), format!("--{name}=1")]);
+        }
+        line.extend(FLAGS.iter().map(|name| format!("--{name}")));
+        let a = ArgParser::parse(&line).expect("documented options");
+        assert_eq!(a.n_positionals(), 1);
+        assert!(VALUED.iter().all(|name| a.value(name) == Some("1")));
+        assert!(FLAGS.iter().all(|name| a.has(name)));
+        let doc = include_str!("bin/correct.rs");
+        for name in VALUED.iter().chain(FLAGS) {
+            assert!(doc.contains(&format!("//!   --{name} ")), "--{name} is not documented");
+        }
+        let documented = doc.lines().filter(|l| l.starts_with("//!   --")).count();
+        assert_eq!(documented, VALUED.len() + FLAGS.len(), "a documented option does not parse");
+    }
+
+    /// The command lines the repo benchmark builds.
+    #[test]
+    fn benchmark_command_lines_parse() {
+        for flags in [
+            vec!["--np", "4"],
+            vec!["--np", "4", "--aggregate"],
+            vec!["--np", "2", "--replicate", "both"],
+            vec!["--np", "2", "--replicate", "both", "--parity", "1", "--spectrum-out", "snap"],
+        ] {
+            let a = parse(&[&["run.config"], flags.as_slice()].concat());
+            assert_eq!(a.int("np", 8).unwrap().to_string(), flags[1]);
+            assert_eq!(a.has("aggregate"), flags.contains(&"--aggregate"));
+        }
     }
 
     #[test]

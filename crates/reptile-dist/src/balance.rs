@@ -129,8 +129,8 @@ pub const HISTOGRAM_SAMPLE_READS: usize = 4096;
 /// Per-owner lookup-volume histogram, sampled from (a bounded prefix of)
 /// this rank's reads. Counts the *backbone* keys — every k-mer and tile
 /// occurrence the corrector's verification pass looks up — and leaves
-/// out the speculative mutation-neighbor candidates the prefetch also
-/// enumerates: those are near-uniform by hash construction, so folding
+/// out the mutation-neighbor candidates of the windows that are not
+/// solid: those are near-uniform by hash construction, so folding
 /// them in would only dilute the signal. Occurrences are counted raw —
 /// *not* deduplicated — because the skew of a repeat-heavy genome lives
 /// exactly in how often the same few keys recur.

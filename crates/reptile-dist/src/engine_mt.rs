@@ -34,10 +34,11 @@ use crate::heuristics::HeuristicConfig;
 use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use crate::protocol::{
-    count_to_wire, decode_response, decode_steal_ack, decode_steal_request, encode_response_into,
-    encode_steal_ack, encode_steal_request, wire_to_count, BatchRequest, BatchResponse,
-    LookupRequest, StealResponse, MAX_BATCH_KEYS, TAG_BATCH_REQ, TAG_BATCH_RESP, TAG_KMER_REQ,
-    TAG_RESP, TAG_STEAL_ACK, TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_TILE_REQ, TAG_UNIVERSAL,
+    batch_ranges, count_to_wire, decode_response, decode_steal_ack, decode_steal_request,
+    encode_batch_request_into, encode_response_into, encode_steal_ack, encode_steal_request,
+    wire_to_count, BatchRequest, BatchResponse, LookupRequest, StealResponse, TAG_BATCH_REQ,
+    TAG_BATCH_RESP, TAG_KMER_REQ, TAG_RESP, TAG_STEAL_ACK, TAG_STEAL_REQ, TAG_STEAL_RESP,
+    TAG_TILE_REQ, TAG_UNIVERSAL,
 };
 use crate::report::{LookupStats, RankReport, RunReport};
 use crate::snapshot;
@@ -49,7 +50,11 @@ use dnaseq::{FxHashMap, Read};
 use mpisim::message::WireWriter;
 use mpisim::{Comm, Source, TagSel, TraceLog, Universe};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
-use reptile::{correct_read, CorrectionStats, Normalized, ReptileParams, SpectrumAccess};
+use reptile::{
+    correct_in_waves, correct_read_with, CorrectionStats, Normalized, PrefetchKeys, ReadOutcome,
+    ReptileParams, SpectrumAccess, WalkScratch, WaveCache, WaveScratch, WaveSource,
+};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -338,20 +343,8 @@ pub(crate) fn run_rank(
     // reads tables during correction; construction-time footprint is what
     // Fig 5 compares).
     let spectrum_bytes = tables.memory_bytes();
-    let RankTables {
-        owners,
-        hash_kmers,
-        hash_tiles,
-        reads_kmers,
-        reads_tiles,
-        replicated_kmers,
-        replicated_tiles,
-        group_kmers,
-        group_tiles,
-        hot_kmers,
-        hot_tiles,
-        hot_owners,
-    } = tables;
+    // the worker owns (and `cache_remote` grows) the reads tables
+    let (reads_kmers, reads_tiles) = (tables.reads_kmers.take(), tables.reads_tiles.take());
     let mut corrected = my_reads;
     let mut correction = CorrectionStats::default();
     let mut lookups = LookupStats::default();
@@ -383,50 +376,20 @@ pub(crate) fn run_rank(
             s.spawn(|| {
                 comm_thread(
                     comm,
-                    &hash_kmers,
-                    &hash_tiles,
+                    &tables.hash_kmers,
+                    &tables.hash_tiles,
                     cfg.heuristics.universal,
                     steal_state.as_ref(),
                     &shutdown,
                 )
             })
         });
-        let mut access = DistAccess {
-            comm,
-            me,
-            owners: &owners,
-            hash_kmers: &hash_kmers,
-            hash_tiles: &hash_tiles,
-            reads_kmers,
-            reads_tiles,
-            replicated_kmers: &replicated_kmers,
-            replicated_tiles: &replicated_tiles,
-            group_kmers: &group_kmers,
-            group_tiles: &group_tiles,
-            hot_kmers: &hot_kmers,
-            hot_tiles: &hot_tiles,
-            hot_owners: &hot_owners,
-            heur: cfg.heuristics,
-            lookup_deadline: cfg.lookup_deadline,
-            retry_budget: cfg.retry_budget,
-            next_seq: 1,
-            batch_stash: FxHashMap::default(),
-            prefetch_kmers: FxHashMap::default(),
-            prefetch_tiles: FxHashMap::default(),
-            scratch: WireWriter::with_capacity(64),
-            stats: LookupStats::default(),
-            comm_secs: 0.0,
+        let mut access =
+            DistAccess { reads_kmers, reads_tiles, ..DistAccess::for_tables(comm, &tables, cfg) };
+        let mut correct_chunk = |access: &mut DistAccess, chunk: &mut [Read]| {
+            access.correct_chunk(chunk, &cfg.params, |_, outcome, _| correction.absorb(&outcome));
         };
         if let Some(state) = &steal_state {
-            let mut correct_chunk = |access: &mut DistAccess, chunk: &mut [Read]| {
-                if cfg.heuristics.aggregate_lookups {
-                    access.prefetch(chunk, &cfg.params);
-                }
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
-            };
             // own queue first: pop chunks off the front while the comm
             // thread hands the back out to thieves. Never hold the lock
             // while correcting — the comm thread must stay responsive.
@@ -463,20 +426,10 @@ pub(crate) fn run_rank(
                     corrected.extend(chunk);
                 }
             }
-        } else if cfg.heuristics.aggregate_lookups {
-            // aggregate mode: one batched prefetch round per chunk, then
-            // correct the chunk against the filled cache
-            for chunk in corrected.chunks_mut(chunk_unit) {
-                access.prefetch(chunk, &cfg.params);
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, &mut access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
-            }
         } else {
-            for read in corrected.iter_mut() {
-                let outcome = correct_read(read, &mut access, &cfg.params);
-                correction.absorb(&outcome);
+            // aggregate mode fetches per chunk; base mode does not care
+            for chunk in corrected.chunks_mut(chunk_unit) {
+                correct_chunk(&mut access, chunk);
             }
         }
         // Once every worker has passed this barrier no rank can issue a
@@ -713,13 +666,16 @@ pub(crate) struct DistAccess<'a> {
     next_seq: u64,
     /// Batch responses that arrived while awaiting a different sequence
     /// number — reordered or duplicated deliveries parked until their
-    /// own await comes around. Cleared at the end of each prefetch.
+    /// own await comes around. Cleared at the end of each wave.
     batch_stash: FxHashMap<u64, BatchResponse>,
-    /// Per-chunk prefetch cache (aggregate mode), filled from batch
-    /// responses with counts normalized like the single-key path
-    /// (nonexistent key → 0).
-    prefetch_kmers: FxHashMap<u64, u32>,
-    prefetch_tiles: FxHashMap<u128, u32>,
+    /// Aggregate mode: the wave driver's state, its fetched-count cache
+    /// included, reused chunk after chunk.
+    wave: WaveScratch,
+    /// Aggregate mode: one wave's missing keys split by owning rank;
+    /// the buffers are reused across waves and chunks.
+    wave_keys: Vec<PrefetchKeys>,
+    /// Base mode: the window walk's buffers.
+    walk: WalkScratch,
     /// Reused encode buffer — no fresh `Vec` per request.
     scratch: WireWriter,
     pub(crate) stats: LookupStats,
@@ -731,8 +687,8 @@ impl<'a> DistAccess<'a> {
     /// serve plane's constructor. The reads tables stay `None` (a
     /// long-lived service has no fixed read set to scan), so the caller
     /// must have rejected `keep_read_tables`/`cache_remote` up front.
-    /// The prefetch maps, wire scratch and batch stash allocated here
-    /// live as long as the access: reusing one `DistAccess` across many
+    /// The wave state, wire scratch and batch stash allocated here live
+    /// as long as the access: reusing one `DistAccess` across many
     /// serve micro-batches is what makes repeat jobs allocate ~zero.
     pub(crate) fn for_tables(
         comm: &'a Comm,
@@ -759,8 +715,9 @@ impl<'a> DistAccess<'a> {
             retry_budget: cfg.retry_budget,
             next_seq: 1,
             batch_stash: FxHashMap::default(),
-            prefetch_kmers: FxHashMap::default(),
-            prefetch_tiles: FxHashMap::default(),
+            wave: WaveScratch::default(),
+            wave_keys: vec![PrefetchKeys::default(); comm.size()],
+            walk: WalkScratch::default(),
             scratch: WireWriter::with_capacity(64),
             stats: LookupStats::default(),
             comm_secs: 0.0,
@@ -845,122 +802,61 @@ impl DistAccess<'_> {
         }
     }
 
-    /// Owner of a k-mer key that would need a remote message right now —
-    /// `None` when the lookup chain resolves it locally. Mirrors
-    /// [`SpectrumAccess::kmer_count`]'s chain.
-    fn remote_kmer_owner(&self, key: Normalized<u64>) -> Option<usize> {
-        if self.replicated_kmers.is_some() {
-            return None;
-        }
-        let owner = self.owners.kmer_owner_at(key);
-        if self.group_kmers.is_some() {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                return None;
+    /// Correct a chunk of reads in place, calling `done(index, outcome,
+    /// degraded)` once per read, as soon as it is finished. Base mode
+    /// corrects read by read, every non-local lookup a round trip of its
+    /// own; aggregate mode hands the chunk to the wave driver, which learns
+    /// from the walk itself which counts to fetch and gets them through
+    /// [`WaveSource::fetch`] — no single-key request is ever sent.
+    ///
+    /// `degraded` says whether a count the read's walk saw may have been
+    /// a degraded one: in base mode, one of its own lookups degraded; in
+    /// aggregate mode, a key of the chunk had degraded by the time the
+    /// read finished (a walk sees nothing fetched later).
+    pub(crate) fn correct_chunk(
+        &mut self,
+        reads: &mut [Read],
+        params: &ReptileParams,
+        mut done: impl FnMut(usize, ReadOutcome, bool),
+    ) {
+        if self.heur.aggregate_lookups {
+            let mut wave = std::mem::take(&mut self.wave);
+            let before = self.stats.keys_degraded;
+            let waves = correct_in_waves(reads, params, &mut wave, self, |access, i, outcome| {
+                done(i, outcome, access.stats.keys_degraded > before)
+            });
+            self.wave = wave;
+            self.stats.add_wave_hits(&waves);
+        } else {
+            let mut walk = std::mem::take(&mut self.walk);
+            for (i, read) in reads.iter_mut().enumerate() {
+                let before = self.stats.keys_degraded;
+                let outcome = correct_read_with(read, self, params, &mut walk);
+                done(i, outcome, self.stats.keys_degraded > before);
             }
-        } else if owner == self.me {
-            return None;
+            self.walk = walk;
         }
-        if self.hot_owners.get(owner) == Some(&true) {
-            return None;
-        }
-        if let Some(rk) = &self.reads_kmers {
-            if rk.get_at(key).is_some() {
-                return None;
-            }
-        }
-        Some(owner)
-    }
-
-    /// Tile twin of [`Self::remote_kmer_owner`].
-    fn remote_tile_owner(&self, key: Normalized<u128>) -> Option<usize> {
-        if self.replicated_tiles.is_some() {
-            return None;
-        }
-        let owner = self.owners.tile_owner_at(key);
-        if self.group_tiles.is_some() {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                return None;
-            }
-        } else if owner == self.me {
-            return None;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            return None;
-        }
-        if let Some(rt) = &self.reads_tiles {
-            if rt.get_at(key).is_some() {
-                return None;
-            }
-        }
-        Some(owner)
-    }
-
-    /// Aggregate-lookups prefetch: enumerate every key `reads` can
-    /// request, keep the remote-destined ones, and fetch their counts
-    /// with one vectorized round trip per owning rank (split at
-    /// [`MAX_BATCH_KEYS`]). All batches go out before any response is
-    /// received: sends are buffered and comm threads always answer, so
-    /// this cannot deadlock. Responses are matched by sequence number
-    /// (reordered deliveries park in [`DistAccess::batch_stash`]), so
-    /// arrival order does not matter.
-    pub(crate) fn prefetch(&mut self, reads: &[Read], params: &ReptileParams) {
-        self.prefetch_kmers.clear();
-        self.prefetch_tiles.clear();
-        let keys = reptile::prefetch_keys(reads, params);
-        // `clear` keeps the allocation across chunks; reserving the
-        // worst case (every enumerated key remote) up front means the
-        // inserts while responses drain never rehash mid-round. After
-        // the first chunk this is a no-op for same-sized chunks.
-        self.prefetch_kmers.reserve(keys.kmers.len());
-        self.prefetch_tiles.reserve(keys.tiles.len());
-        let t = Instant::now();
-        let mut per_owner: Vec<BatchRequest> = vec![BatchRequest::default(); self.owners.np()];
-        for &k in &keys.kmers {
-            if let Some(owner) = self.remote_kmer_owner(Normalized::assume(k)) {
-                per_owner[owner].kmers.push(k);
-            }
-        }
-        for &tl in &keys.tiles {
-            if let Some(owner) = self.remote_tile_owner(Normalized::assume(tl)) {
-                per_owner[owner].tiles.push(tl);
-            }
-        }
-        let mut sent: Vec<(usize, BatchRequest, u64)> = Vec::new();
-        for (owner, mut req) in per_owner.into_iter().enumerate() {
-            while req.len() > MAX_BATCH_KEYS {
-                let take_k = req.kmers.len().min(MAX_BATCH_KEYS);
-                let part = BatchRequest {
-                    kmers: req.kmers.drain(..take_k).collect(),
-                    tiles: req.tiles.drain(..MAX_BATCH_KEYS - take_k).collect(),
-                };
-                let seq = self.send_batch(owner, &part);
-                sent.push((owner, part, seq));
-            }
-            if !req.is_empty() {
-                let seq = self.send_batch(owner, &req);
-                sent.push((owner, req, seq));
-            }
-        }
-        for (owner, req, seq) in sent {
-            self.await_batch_response(owner, &req, seq);
-        }
-        self.batch_stash.clear();
-        self.comm_secs += t.elapsed().as_secs_f64();
     }
 
     /// Resolve one in-flight batch: match its response by sequence
     /// number, retrying with backoff on missed deadlines; once the
     /// budget is spent, degrade every key in the batch to absent.
-    fn await_batch_response(&mut self, owner: usize, req: &BatchRequest, seq: u64) {
+    fn await_batch_response(
+        &mut self,
+        owner: usize,
+        kmers: &[u64],
+        tiles: &[u128],
+        seq: u64,
+        cache: &mut WaveCache,
+    ) {
         let resp = 'resolve: {
             if let Some(r) = self.batch_stash.remove(&seq) {
                 break 'resolve Some(r);
             }
             for attempt in 0..=self.retry_budget {
                 if attempt > 0 {
-                    self.resend_batch(owner, req, seq);
+                    self.send_batch(owner, kmers, tiles, seq);
+                    self.stats.requests_retried += 1;
                 }
                 let start = Instant::now();
                 let deadline = attempt_deadline(self.lookup_deadline, attempt);
@@ -994,26 +890,28 @@ impl DistAccess<'_> {
             None
         };
         match resp {
+            // counts normalized like the single-key path (nonexistent
+            // key → 0)
             Some(resp) => {
-                debug_assert_eq!(resp.kmer_counts.len(), req.kmers.len());
-                debug_assert_eq!(resp.tile_counts.len(), req.tiles.len());
-                for (&k, &c) in req.kmers.iter().zip(&resp.kmer_counts) {
-                    self.prefetch_kmers.insert(k, wire_to_count(c).unwrap_or(0));
+                debug_assert_eq!(resp.kmer_counts.len(), kmers.len());
+                debug_assert_eq!(resp.tile_counts.len(), tiles.len());
+                for (&k, &c) in kmers.iter().zip(&resp.kmer_counts) {
+                    cache.put_kmer(k, wire_to_count(c).unwrap_or(0));
                 }
-                for (&tl, &c) in req.tiles.iter().zip(&resp.tile_counts) {
-                    self.prefetch_tiles.insert(tl, wire_to_count(c).unwrap_or(0));
+                for (&tl, &c) in tiles.iter().zip(&resp.tile_counts) {
+                    cache.put_tile(tl, wire_to_count(c).unwrap_or(0));
                 }
             }
             None => {
                 // budget exhausted: every key in the batch reads as
                 // absent — the paper's degradation semantics
-                for &k in &req.kmers {
-                    self.prefetch_kmers.insert(k, 0);
+                for &k in kmers {
+                    cache.put_kmer(k, 0);
                 }
-                for &tl in &req.tiles {
-                    self.prefetch_tiles.insert(tl, 0);
+                for &tl in tiles {
+                    cache.put_tile(tl, 0);
                 }
-                self.stats.keys_degraded += req.len() as u64;
+                self.stats.keys_degraded += (kmers.len() + tiles.len()) as u64;
             }
         }
     }
@@ -1069,32 +967,20 @@ impl DistAccess<'_> {
         outcome.and_then(|resp| resp.chunk)
     }
 
-    fn send_batch(&mut self, owner: usize, req: &BatchRequest) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn send_batch(&mut self, owner: usize, kmers: &[u64], tiles: &[u128], seq: u64) {
         self.scratch.reset();
-        let tag = req.encode_into(seq, &mut self.scratch);
+        let tag = encode_batch_request_into(seq, kmers, tiles, &mut self.scratch);
         self.comm.send_from_slice(owner, tag, self.scratch.payload());
-        self.stats.batches_sent += 1;
-        self.stats.batched_keys += req.len() as u64;
-        self.stats.remote_messages += 1;
-        seq
     }
 
-    fn resend_batch(&mut self, owner: usize, req: &BatchRequest, seq: u64) {
-        self.scratch.reset();
-        let tag = req.encode_into(seq, &mut self.scratch);
-        self.comm.send_from_slice(owner, tag, self.scratch.payload());
-        self.stats.requests_retried += 1;
-    }
-}
-
-impl SpectrumAccess for DistAccess<'_> {
-    fn kmer_count(&mut self, code: u64) -> u32 {
+    /// The lookup chain of §III step IV up to the point where it would
+    /// leave the rank: replicated table → owned (or group) table → hot
+    /// replica → reads table. `Err` names the key and the owner to ask.
+    fn local_kmer(&mut self, code: u64) -> Result<u32, (Normalized<u64>, usize)> {
         let key = self.owners.kmer_key(code);
         if let Some(rep) = self.replicated_kmers {
             self.stats.local_kmer_lookups += 1;
-            return rep.count_at(key);
+            return Ok(rep.count_at(key));
         }
         let owner = self.owners.kmer_owner_at(key);
         if let Some(group) = self.group_kmers {
@@ -1102,11 +988,11 @@ impl SpectrumAccess for DistAccess<'_> {
             let g = self.heur.partial_group;
             if owner / g == self.me / g {
                 self.stats.local_kmer_lookups += 1;
-                return group.count_at(key);
+                return Ok(group.count_at(key));
             }
         } else if owner == self.me {
             self.stats.local_kmer_lookups += 1;
-            return self.hash_kmers.count_at(key);
+            return Ok(self.hash_kmers.count_at(key));
         }
         if self.hot_owners.get(owner) == Some(&true) {
             if let Some(hk) = self.hot_kmers {
@@ -1114,21 +1000,103 @@ impl SpectrumAccess for DistAccess<'_> {
                 // count a remote request would return
                 self.stats.local_kmer_lookups += 1;
                 self.stats.hot_shard_hits += 1;
-                return hk.count_at(key);
+                return Ok(hk.count_at(key));
             }
         }
         if let Some(rk) = &self.reads_kmers {
             if let Some(c) = rk.get_at(key) {
                 self.stats.local_kmer_lookups += 1;
                 self.stats.cache_hits += 1;
-                return c;
+                return Ok(c);
             }
         }
-        if let Some(&c) = self.prefetch_kmers.get(&key.key()) {
-            self.stats.local_kmer_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return c;
+        Err((key, owner))
+    }
+
+    /// Tile twin of [`Self::local_kmer`].
+    fn local_tile(&mut self, code: u128) -> Result<u32, (Normalized<u128>, usize)> {
+        let key = self.owners.tile_key(code);
+        if let Some(rep) = self.replicated_tiles {
+            self.stats.local_tile_lookups += 1;
+            return Ok(rep.count_at(key));
         }
+        let owner = self.owners.tile_owner_at(key);
+        if let Some(group) = self.group_tiles {
+            let g = self.heur.partial_group;
+            if owner / g == self.me / g {
+                self.stats.local_tile_lookups += 1;
+                return Ok(group.count_at(key));
+            }
+        } else if owner == self.me {
+            self.stats.local_tile_lookups += 1;
+            return Ok(self.hash_tiles.count_at(key));
+        }
+        if self.hot_owners.get(owner) == Some(&true) {
+            if let Some(ht) = self.hot_tiles {
+                self.stats.local_tile_lookups += 1;
+                self.stats.hot_shard_hits += 1;
+                return Ok(ht.count_at(key));
+            }
+        }
+        if let Some(rt) = &self.reads_tiles {
+            if let Some(c) = rt.get_at(key) {
+                self.stats.local_tile_lookups += 1;
+                self.stats.cache_hits += 1;
+                return Ok(c);
+            }
+        }
+        Err((key, owner))
+    }
+}
+
+impl WaveSource for DistAccess<'_> {
+    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
+        self.local_kmer(key).ok()
+    }
+
+    fn resident_tile(&mut self, key: u128) -> Option<u32> {
+        self.local_tile(key).ok()
+    }
+
+    /// One wave: split the missing keys by owning rank and fetch each
+    /// owner's share with one vectorized round trip (more only past
+    /// `MAX_BATCH_KEYS`, see [`batch_ranges`]). All batches go out before
+    /// any response is received: sends are buffered and comm threads
+    /// always answer, so this cannot deadlock. Responses are matched by sequence number
+    /// (reordered deliveries park in [`DistAccess::batch_stash`]), so
+    /// arrival order does not matter.
+    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
+        let t = Instant::now();
+        let mut per_owner = std::mem::take(&mut self.wave_keys);
+        self.owners.split_by_owner(missing, &mut per_owner);
+        let mut sent: Vec<(usize, Range<usize>, Range<usize>, u64)> = Vec::new();
+        for (owner, keys) in per_owner.iter().enumerate() {
+            for (k, tl) in batch_ranges(keys.kmers.len(), keys.tiles.len()) {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.send_batch(owner, &keys.kmers[k.clone()], &keys.tiles[tl.clone()], seq);
+                self.stats.batches_sent += 1;
+                self.stats.batched_keys += (k.len() + tl.len()) as u64;
+                self.stats.remote_messages += 1;
+                sent.push((owner, k, tl, seq));
+            }
+        }
+        for (owner, k, tl, seq) in sent {
+            let keys = &per_owner[owner];
+            self.await_batch_response(owner, &keys.kmers[k], &keys.tiles[tl], seq, cache);
+        }
+        self.batch_stash.clear();
+        self.wave_keys = per_owner;
+        self.comm_secs += t.elapsed().as_secs_f64();
+    }
+}
+
+impl SpectrumAccess for DistAccess<'_> {
+    fn kmer_count(&mut self, code: u64) -> u32 {
+        let (key, owner) = match self.local_kmer(code) {
+            Ok(count) => return count,
+            Err(remote) => remote,
+        };
         self.stats.remote_kmer_lookups += 1;
         let count = self.remote_lookup(LookupRequest::Kmer(key.key()), owner);
         if self.heur.cache_remote {
@@ -1141,41 +1109,10 @@ impl SpectrumAccess for DistAccess<'_> {
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
-        let key = self.owners.tile_key(code);
-        if let Some(rep) = self.replicated_tiles {
-            self.stats.local_tile_lookups += 1;
-            return rep.count_at(key);
-        }
-        let owner = self.owners.tile_owner_at(key);
-        if let Some(group) = self.group_tiles {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                self.stats.local_tile_lookups += 1;
-                return group.count_at(key);
-            }
-        } else if owner == self.me {
-            self.stats.local_tile_lookups += 1;
-            return self.hash_tiles.count_at(key);
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            if let Some(ht) = self.hot_tiles {
-                self.stats.local_tile_lookups += 1;
-                self.stats.hot_shard_hits += 1;
-                return ht.count_at(key);
-            }
-        }
-        if let Some(rt) = &self.reads_tiles {
-            if let Some(c) = rt.get_at(key) {
-                self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
-                return c;
-            }
-        }
-        if let Some(&c) = self.prefetch_tiles.get(&key.key()) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return c;
-        }
+        let (key, owner) = match self.local_tile(code) {
+            Ok(count) => return count,
+            Err(remote) => remote,
+        };
         self.stats.remote_tile_lookups += 1;
         let count = self.remote_lookup(LookupRequest::Tile(key.key()), owner);
         if self.heur.cache_remote {
@@ -1326,7 +1263,7 @@ mod tests {
 
         // batch accounting: every batch sent is served exactly once, the
         // per-key serve count covers singles + batched keys, and the bulk
-        // of lookups resolve from the prefetch cache
+        // of lookups resolve from the fetched counts
         let sum = |f: &dyn Fn(&LookupStats) -> u64, out: &RunOutput| -> u64 {
             out.report.ranks.iter().map(|r| f(&r.lookups)).sum()
         };

@@ -38,14 +38,17 @@ use crate::balance::{
 use crate::engine::{EngineConfig, EngineError, RunOutput};
 use crate::heuristics::HeuristicConfig;
 use crate::owner::OwnerMap;
-use crate::protocol::{MAX_BATCH_KEYS, RESPONSE_BYTES};
+use crate::protocol::{batch_ranges, RESPONSE_BYTES};
 use crate::report::{LookupStats, RankReport, RunReport};
 use crate::snapshot;
 use crate::spectrum::BuildStats;
 use dnaseq::{FxHashSet, Read};
 use mpisim::{CostModel, FaultPlan, TraceLog};
 use reptile::spectrum::{KmerSpectrum, LocalSpectra, TileSpectrum};
-use reptile::{correct_read, CorrectionStats, Normalized, ReptileParams, SpectrumAccess};
+use reptile::{
+    correct_in_waves, correct_read_with, CorrectionStats, Normalized, PrefetchKeys, SpectrumAccess,
+    WalkScratch, WaveCache, WaveScratch, WaveSource,
+};
 
 /// Execute the distributed algorithm on `cfg.np` logical ranks.
 pub fn run_virtual(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
@@ -160,6 +163,12 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         .map(|r| r.len().div_ceil(cfg.chunk_size).max(1) as u64)
         .max()
         .unwrap_or(1);
+    // correction scratch shared by every logical rank: the window walk's
+    // buffers, the wave driver's state, one wave's keys split by owner
+    let mut walk = WalkScratch::default();
+    let mut wave = WaveScratch::default();
+    let mut wave_keys =
+        vec![PrefetchKeys::default(); if cfg.heuristics.aggregate_lookups { np } else { 0 }];
     let mut ranks = Vec::with_capacity(np);
     let mut rank_bases = Vec::with_capacity(np);
     let mut corrected_all = Vec::with_capacity(reads.len());
@@ -256,6 +265,8 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             heur: cfg.heuristics,
             cost: *cost,
             fault: cfg.fault,
+            rpn,
+            probe_extra,
             deadline_ns,
             retry_budget: cfg.retry_budget,
             edge_req_seq: vec![0u64; np],
@@ -274,26 +285,24 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             cached_tiles: FxHashSet::default(),
             degraded_kmers: FxHashSet::default(),
             degraded_tiles: FxHashSet::default(),
-            prefetch_kmers: FxHashSet::default(),
-            prefetch_tiles: FxHashSet::default(),
-            degraded_prefetch_kmers: FxHashSet::default(),
-            degraded_prefetch_tiles: FxHashSet::default(),
+            wave_keys: &mut wave_keys,
             batch_comm_ns: 0.0,
             stats: LookupStats::default(),
         };
         let mut correction = CorrectionStats::default();
         let mut corrected = mine;
         if cfg.heuristics.aggregate_lookups {
+            // the same waves the threaded engine runs, per chunk
             for chunk in corrected.chunks_mut(cfg.chunk_size.max(1)) {
-                access.prefetch(chunk, &cfg.params, np, rpn, probe_extra);
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, &mut access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
+                let waves =
+                    correct_in_waves(chunk, &cfg.params, &mut wave, &mut access, |_, _, o| {
+                        correction.absorb(&o)
+                    });
+                access.stats.add_wave_hits(&waves);
             }
         } else {
             for read in corrected.iter_mut() {
-                let outcome = correct_read(read, &mut access, &cfg.params);
+                let outcome = correct_read_with(read, &mut access, &cfg.params, &mut walk);
                 correction.absorb(&outcome);
             }
         }
@@ -641,6 +650,10 @@ struct VirtualAccess<'a> {
     heur: HeuristicConfig,
     cost: CostModel,
     fault: FaultPlan,
+    /// Ranks per node, for the modeled round trip of a batch.
+    rpn: usize,
+    /// Modeled owner-side tag probe per request (0 in universal mode).
+    probe_extra: f64,
     /// Base lookup deadline in modeled nanoseconds (0 = none).
     deadline_ns: f64,
     retry_budget: u32,
@@ -661,15 +674,8 @@ struct VirtualAccess<'a> {
     /// caching the absent answer in its reads table.
     degraded_kmers: FxHashSet<u64>,
     degraded_tiles: FxHashSet<u128>,
-    /// Aggregate mode: keys whose counts the current chunk's batch round
-    /// fetched (counts come from the global spectra either way, so only
-    /// membership must be modeled).
-    prefetch_kmers: FxHashSet<u64>,
-    prefetch_tiles: FxHashSet<u128>,
-    /// Keys of the current chunk whose batch exhausted its retry budget:
-    /// present in the prefetch cache, but as the degraded 0.
-    degraded_prefetch_kmers: FxHashSet<u64>,
-    degraded_prefetch_tiles: FxHashSet<u128>,
+    /// Aggregate mode: one wave's missing keys split by owning rank.
+    wave_keys: &'a mut [PrefetchKeys],
     /// Modeled nanoseconds spent on batch round trips.
     batch_comm_ns: f64,
     stats: LookupStats,
@@ -712,96 +718,10 @@ impl VirtualAccess<'_> {
         answered
     }
 
-    /// Whether the lookup chain would resolve this k-mer key without a
-    /// message right now (mirrors `kmer_count` up to the remote branch).
-    fn kmer_is_local(&self, key: Normalized<u64>) -> bool {
-        let owner = self.owners.kmer_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        self.heur.replicate_kmers
-            || in_group
-            || self.hot_owners.get(owner) == Some(&true)
-            || self.own_kmer_keys.is_some_and(|keys| keys.contains(&key.key()))
-            || (self.heur.cache_remote && self.cached_kmers.contains(&key.key()))
-    }
-
-    /// Tile twin of [`Self::kmer_is_local`].
-    fn tile_is_local(&self, key: Normalized<u128>) -> bool {
-        let owner = self.owners.tile_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        self.heur.replicate_tiles
-            || in_group
-            || self.hot_owners.get(owner) == Some(&true)
-            || self.own_tile_keys.is_some_and(|keys| keys.contains(&key.key()))
-            || (self.heur.cache_remote && self.cached_tiles.contains(&key.key()))
-    }
-
-    /// Modeled counterpart of `engine_mt`'s batched prefetch: enumerate
-    /// the chunk's keys, keep the remote-destined ones, fill the prefetch
-    /// sets, and charge one vectorized round trip per owner (split at
-    /// [`MAX_BATCH_KEYS`], same peel order as the threaded engine). A
-    /// batch that exhausts its retry budget degrades its exact key list.
-    fn prefetch(
-        &mut self,
-        reads: &[Read],
-        params: &ReptileParams,
-        np: usize,
-        rpn: usize,
-        probe_extra: f64,
-    ) {
-        self.prefetch_kmers.clear();
-        self.prefetch_tiles.clear();
-        self.degraded_prefetch_kmers.clear();
-        self.degraded_prefetch_tiles.clear();
-        let keys = reptile::prefetch_keys(reads, params);
-        let mut per_owner_k: Vec<Vec<u64>> = vec![Vec::new(); np];
-        let mut per_owner_t: Vec<Vec<u128>> = vec![Vec::new(); np];
-        for &k in &keys.kmers {
-            let key = Normalized::assume(k);
-            if !self.kmer_is_local(key) {
-                per_owner_k[self.owners.kmer_owner_at(key)].push(k);
-                self.prefetch_kmers.insert(k);
-            }
-        }
-        for &tl in &keys.tiles {
-            let key = Normalized::assume(tl);
-            if !self.tile_is_local(key) {
-                per_owner_t[self.owners.tile_owner_at(key)].push(tl);
-                self.prefetch_tiles.insert(tl);
-            }
-        }
-        for owner in 0..np {
-            let (nk, nt) = (per_owner_k[owner].len(), per_owner_t[owner].len());
-            let (mut off_k, mut off_t) = (0usize, 0usize);
-            while off_k < nk || off_t < nt {
-                let take_k = (nk - off_k).min(MAX_BATCH_KEYS);
-                let take_t = (nt - off_t).min(MAX_BATCH_KEYS - take_k);
-                let req_bytes = 16 + 8 * take_k + 16 * take_t;
-                let resp_bytes = 16 + 8 * (take_k + take_t);
-                self.batch_comm_ns +=
-                    self.cost.avg_lookup_roundtrip_ns(req_bytes, resp_bytes, np, rpn) + probe_extra;
-                self.stats.batches_sent += 1;
-                self.stats.batched_keys += (take_k + take_t) as u64;
-                self.stats.remote_messages += 1;
-                if !self.simulate_request(owner) {
-                    for &k in &per_owner_k[owner][off_k..off_k + take_k] {
-                        self.degraded_prefetch_kmers.insert(k);
-                    }
-                    for &tl in &per_owner_t[owner][off_t..off_t + take_t] {
-                        self.degraded_prefetch_tiles.insert(tl);
-                    }
-                    self.stats.keys_degraded += (take_k + take_t) as u64;
-                }
-                off_k += take_k;
-                off_t += take_t;
-            }
-        }
-    }
-}
-
-impl SpectrumAccess for VirtualAccess<'_> {
-    fn kmer_count(&mut self, code: u64) -> u32 {
+    /// The lookup chain up to the point where it would send a message.
+    /// `Err` carries the key, its owner and its true count (the virtual
+    /// engine answers from the global spectrum either way).
+    fn local_kmer(&mut self, code: u64) -> Result<u32, (u64, usize, u32)> {
         let key = self.owners.kmer_key(code);
         let count = self.spectra.kmers.count_at(key);
         let owner = self.owners.kmer_owner_at(key);
@@ -809,38 +729,120 @@ impl SpectrumAccess for VirtualAccess<'_> {
         let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
         if self.heur.replicate_kmers || in_group {
             self.stats.local_kmer_lookups += 1;
-            return count;
+            return Ok(count);
         }
         if self.hot_owners.get(owner) == Some(&true) {
             // hot-shard replica: the same count a remote request returns
             self.stats.local_kmer_lookups += 1;
             self.stats.hot_shard_hits += 1;
-            return count;
+            return Ok(count);
         }
         if let Some(keys) = self.own_kmer_keys {
             if keys.contains(&key.key()) {
                 self.stats.local_kmer_lookups += 1;
                 self.stats.cache_hits += 1;
-                return count;
+                return Ok(count);
             }
         }
         if self.heur.cache_remote && self.cached_kmers.contains(&key.key()) {
             self.stats.local_kmer_lookups += 1;
             self.stats.cache_hits += 1;
-            return if self.degraded_kmers.contains(&key.key()) { 0 } else { count };
+            return Ok(if self.degraded_kmers.contains(&key.key()) { 0 } else { count });
         }
-        if self.prefetch_kmers.contains(&key.key()) {
-            self.stats.local_kmer_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return if self.degraded_prefetch_kmers.contains(&key.key()) { 0 } else { count };
+        Err((key.key(), owner, count))
+    }
+
+    /// Tile twin of [`Self::local_kmer`].
+    fn local_tile(&mut self, code: u128) -> Result<u32, (u128, usize, u32)> {
+        let key = self.owners.tile_key(code);
+        let count = self.spectra.tiles.count_at(key);
+        let owner = self.owners.tile_owner_at(key);
+        let g = self.heur.partial_group;
+        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
+        if self.heur.replicate_tiles || in_group {
+            self.stats.local_tile_lookups += 1;
+            return Ok(count);
         }
+        if self.hot_owners.get(owner) == Some(&true) {
+            self.stats.local_tile_lookups += 1;
+            self.stats.hot_shard_hits += 1;
+            return Ok(count);
+        }
+        if let Some(keys) = self.own_tile_keys {
+            if keys.contains(&key.key()) {
+                self.stats.local_tile_lookups += 1;
+                self.stats.cache_hits += 1;
+                return Ok(count);
+            }
+        }
+        if self.heur.cache_remote && self.cached_tiles.contains(&key.key()) {
+            self.stats.local_tile_lookups += 1;
+            self.stats.cache_hits += 1;
+            return Ok(if self.degraded_tiles.contains(&key.key()) { 0 } else { count });
+        }
+        Err((key.key(), owner, count))
+    }
+}
+
+impl WaveSource for VirtualAccess<'_> {
+    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
+        self.local_kmer(key).ok()
+    }
+
+    fn resident_tile(&mut self, key: u128) -> Option<u32> {
+        self.local_tile(key).ok()
+    }
+
+    /// Modeled counterpart of `engine_mt`'s wave fetch: split the missing
+    /// keys by owner and charge one vectorized round trip per owner
+    /// ([`batch_ranges`], the threaded engine's split). A batch that exhausts its retry budget degrades its
+    /// exact key list to count 0.
+    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
+        let np = self.wave_keys.len();
+        self.owners.split_by_owner(missing, self.wave_keys);
+        for owner in 0..np {
+            let (nk, nt) = (self.wave_keys[owner].kmers.len(), self.wave_keys[owner].tiles.len());
+            for (k, tl) in batch_ranges(nk, nt) {
+                let keys = (k.len() + tl.len()) as u64;
+                let req_bytes = 16 + 8 * k.len() + 16 * tl.len();
+                let resp_bytes = 16 + 8 * (k.len() + tl.len());
+                self.batch_comm_ns +=
+                    self.cost.avg_lookup_roundtrip_ns(req_bytes, resp_bytes, np, self.rpn)
+                        + self.probe_extra;
+                self.stats.batches_sent += 1;
+                self.stats.batched_keys += keys;
+                self.stats.remote_messages += 1;
+                let answered = self.simulate_request(owner);
+                if !answered {
+                    self.stats.keys_degraded += keys;
+                }
+                let share = &self.wave_keys[owner];
+                for &key in &share.kmers[k] {
+                    let count = self.spectra.kmers.count_at(Normalized::assume(key));
+                    cache.put_kmer(key, if answered { count } else { 0 });
+                }
+                for &key in &share.tiles[tl] {
+                    let count = self.spectra.tiles.count_at(Normalized::assume(key));
+                    cache.put_tile(key, if answered { count } else { 0 });
+                }
+            }
+        }
+    }
+}
+
+impl SpectrumAccess for VirtualAccess<'_> {
+    fn kmer_count(&mut self, code: u64) -> u32 {
+        let (key, owner, count) = match self.local_kmer(code) {
+            Ok(count) => return count,
+            Err(remote) => remote,
+        };
         self.stats.remote_kmer_lookups += 1;
         self.stats.remote_messages += 1;
         if !self.simulate_request(owner) {
             self.stats.keys_degraded += 1;
             if self.heur.cache_remote {
-                self.cached_kmers.insert(key.key());
-                self.degraded_kmers.insert(key.key());
+                self.cached_kmers.insert(key);
+                self.degraded_kmers.insert(key);
                 self.stats.cached_answers += 1;
             }
             return 0;
@@ -849,51 +851,24 @@ impl SpectrumAccess for VirtualAccess<'_> {
             self.stats.remote_kmer_misses += 1;
         }
         if self.heur.cache_remote {
-            self.cached_kmers.insert(key.key());
+            self.cached_kmers.insert(key);
             self.stats.cached_answers += 1;
         }
         count
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
-        let key = self.owners.tile_key(code);
-        let count = self.spectra.tiles.count_at(key);
-        let owner = self.owners.tile_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        if self.heur.replicate_tiles || in_group {
-            self.stats.local_tile_lookups += 1;
-            return count;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.hot_shard_hits += 1;
-            return count;
-        }
-        if let Some(keys) = self.own_tile_keys {
-            if keys.contains(&key.key()) {
-                self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
-                return count;
-            }
-        }
-        if self.heur.cache_remote && self.cached_tiles.contains(&key.key()) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.cache_hits += 1;
-            return if self.degraded_tiles.contains(&key.key()) { 0 } else { count };
-        }
-        if self.prefetch_tiles.contains(&key.key()) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return if self.degraded_prefetch_tiles.contains(&key.key()) { 0 } else { count };
-        }
+        let (key, owner, count) = match self.local_tile(code) {
+            Ok(count) => return count,
+            Err(remote) => remote,
+        };
         self.stats.remote_tile_lookups += 1;
         self.stats.remote_messages += 1;
         if !self.simulate_request(owner) {
             self.stats.keys_degraded += 1;
             if self.heur.cache_remote {
-                self.cached_tiles.insert(key.key());
-                self.degraded_tiles.insert(key.key());
+                self.cached_tiles.insert(key);
+                self.degraded_tiles.insert(key);
                 self.stats.cached_answers += 1;
             }
             return 0;
@@ -902,7 +877,7 @@ impl SpectrumAccess for VirtualAccess<'_> {
             self.stats.remote_tile_misses += 1;
         }
         if self.heur.cache_remote {
-            self.cached_tiles.insert(key.key());
+            self.cached_tiles.insert(key);
             self.stats.cached_answers += 1;
         }
         count
@@ -913,7 +888,7 @@ impl SpectrumAccess for VirtualAccess<'_> {
 mod tests {
     use super::*;
     use mpisim::Topology;
-    use reptile::correct_dataset;
+    use reptile::{correct_dataset, ReptileParams};
     use std::time::Duration;
 
     fn params() -> ReptileParams {
@@ -1103,7 +1078,7 @@ mod tests {
             comm(&base)
         );
         let hits: u64 = agg.report.ranks.iter().map(|r| r.lookups.prefetch_hits).sum();
-        assert!(hits > 0, "prefetch cache must serve lookups");
+        assert!(hits > 0, "fetched counts must serve lookups");
         let batches: u64 = agg.report.ranks.iter().map(|r| r.lookups.batches_sent).sum();
         let served: u64 = agg.report.ranks.iter().map(|r| r.lookups.batches_served).sum();
         assert!(batches > 0);

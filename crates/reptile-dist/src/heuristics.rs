@@ -45,13 +45,12 @@ pub struct HeuristicConfig {
     /// ranks, besides the k-mers and the tiles the rank owns."
     pub partial_group: usize,
     /// *Aggregate lookups* (extension beyond the paper, after diBELLA's
-    /// per-destination request aggregation): before correcting a chunk
-    /// of reads, enumerate every key the corrector can touch
-    /// (`reptile::prefetch`), and fetch all counts owned by each remote
-    /// rank with **one** vectorized `TAG_BATCH_REQ` round trip instead
-    /// of a synchronous round trip per key. Answers land in a prefetch
-    /// cache consulted before the single-key fallback; output stays
-    /// bit-identical.
+    /// per-destination request aggregation): correct each chunk of
+    /// reads in waves (`reptile::prefetch`). The corrector's own window
+    /// walk names the keys it finds missing, each wave fetches them with
+    /// **one** vectorized `TAG_BATCH_REQ` round trip per owning rank, and
+    /// the walk resumes on the fetched counts — no synchronous round
+    /// trip per key is ever made; output stays bit-identical.
     pub aggregate_lookups: bool,
     /// *Top-K hot-shard replication* (adaptive balancing, beyond the
     /// paper): after the build, ranks allgather per-owner lookup-volume

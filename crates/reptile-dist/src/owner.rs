@@ -8,7 +8,7 @@
 //! canonical) code, since that is the spectrum key.
 
 use dnaseq::Read;
-use reptile::{Normalized, ReptileParams};
+use reptile::{Normalized, PrefetchKeys, ReptileParams};
 
 /// Owner assignment for one universe size and one parameter set.
 #[derive(Clone, Copy, Debug)]
@@ -73,6 +73,18 @@ impl OwnerMap {
     #[inline]
     pub fn tile_owner_at(&self, key: Normalized<u128>) -> usize {
         dnaseq::hashing::owner_of_u128(key.key(), self.np)
+    }
+
+    /// Split normalized `keys` by owning rank into `per_owner` (one slot
+    /// per rank, emptied first; the allocations are kept).
+    pub fn split_by_owner(&self, keys: &PrefetchKeys, per_owner: &mut [PrefetchKeys]) {
+        per_owner.iter_mut().for_each(PrefetchKeys::clear);
+        for &k in &keys.kmers {
+            per_owner[self.kmer_owner_at(Normalized::assume(k))].kmers.push(k);
+        }
+        for &t in &keys.tiles {
+            per_owner[self.tile_owner_at(Normalized::assume(t))].tiles.push(t);
+        }
     }
 
     /// Owning rank of a read under the load-balancing policy.

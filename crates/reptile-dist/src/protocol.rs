@@ -221,11 +221,49 @@ pub fn wire_to_count(v: i64) -> Option<u32> {
     }
 }
 
-/// A batched key request: every key one chunk of reads can touch at a
-/// single owning rank, in one message.
+/// Encode a batch request straight from borrowed key lists (the sender
+/// keeps its keys in reused buffers; [`BatchRequest`] is what the owner
+/// decodes); returns [`TAG_BATCH_REQ`].
+pub fn encode_batch_request_into(
+    seq: u64,
+    kmers: &[u64],
+    tiles: &[u128],
+    w: &mut WireWriter,
+) -> u32 {
+    assert!(kmers.len() + tiles.len() <= MAX_BATCH_KEYS, "batch exceeds MAX_BATCH_KEYS; split it");
+    w.put_u64(seq);
+    w.put_u64s(kmers);
+    w.put_u128s(tiles);
+    TAG_BATCH_REQ
+}
+
+/// Split one owner's share of a wave — `kmers` k-mer keys and `tiles`
+/// tile keys — into batches of at most [`MAX_BATCH_KEYS`] keys, k-mers
+/// first: the `(k-mer range, tile range)` of each batch. Both engines
+/// peel with this, so their batch counts and per-edge message indices
+/// agree.
+pub fn batch_ranges(
+    kmers: usize,
+    tiles: usize,
+) -> impl Iterator<Item = (std::ops::Range<usize>, std::ops::Range<usize>)> {
+    let (mut k0, mut t0) = (0, 0);
+    std::iter::from_fn(move || {
+        if k0 == kmers && t0 == tiles {
+            return None;
+        }
+        let k1 = kmers.min(k0 + MAX_BATCH_KEYS);
+        let t1 = tiles.min(t0 + MAX_BATCH_KEYS - (k1 - k0));
+        let batch = (k0..k1, t0..t1);
+        (k0, t0) = (k1, t1);
+        Some(batch)
+    })
+}
+
+/// A batched key request: the keys one wave of a chunk of reads needs
+/// from a single owning rank, in one message.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchRequest {
-    /// Normalized k-mer keys (the sender keeps them sorted/deduped).
+    /// Normalized k-mer keys (the sender keeps them deduplicated).
     pub kmers: Vec<u64>,
     /// Normalized tile keys.
     pub tiles: Vec<u128>,
@@ -240,22 +278,6 @@ impl BatchRequest {
     /// Whether the batch carries no keys.
     pub fn is_empty(&self) -> bool {
         self.kmers.is_empty() && self.tiles.is_empty()
-    }
-
-    /// Encode into a reusable scratch writer; returns [`TAG_BATCH_REQ`].
-    pub fn encode_into(&self, seq: u64, w: &mut WireWriter) -> u32 {
-        assert!(self.len() <= MAX_BATCH_KEYS, "batch exceeds MAX_BATCH_KEYS; split it");
-        w.put_u64(seq);
-        w.put_u64s(&self.kmers);
-        w.put_u128s(&self.tiles);
-        TAG_BATCH_REQ
-    }
-
-    /// Encode to an owned payload: `(TAG_BATCH_REQ, payload)`.
-    pub fn encode(&self, seq: u64) -> (u32, Vec<u8>) {
-        let mut w = WireWriter::with_capacity(self.wire_bytes());
-        let tag = self.encode_into(seq, &mut w);
-        (tag, w.finish())
     }
 
     /// Decode a batch request payload: `(seq, request)`.
@@ -405,6 +427,13 @@ impl StealResponse {
 mod tests {
     use super::*;
 
+    /// What a sender puts on the wire for `req`: `(tag, payload)`.
+    fn encode_batch(req: &BatchRequest, seq: u64) -> (u32, Vec<u8>) {
+        let mut w = WireWriter::with_capacity(req.wire_bytes());
+        let tag = encode_batch_request_into(seq, &req.kmers, &req.tiles, &mut w);
+        (tag, w.finish())
+    }
+
     #[test]
     fn tagged_round_trip() {
         for req in [LookupRequest::Kmer(0xABCD), LookupRequest::Tile(1u128 << 90)] {
@@ -451,7 +480,7 @@ mod tests {
             let (t, p) = LookupRequest::Tile(5).encode_universal(seq);
             assert_eq!(LookupRequest::decode(t, &p).0, seq);
             assert_eq!(decode_response(&encode_response(seq, Some(1))).0, seq);
-            let (_, p) = BatchRequest { kmers: vec![1], tiles: vec![] }.encode(seq);
+            let (_, p) = encode_batch(&BatchRequest { kmers: vec![1], tiles: vec![] }, seq);
             assert_eq!(BatchRequest::decode(&p).0, seq);
             let (_, p) = BatchResponse { kmer_counts: vec![1], tile_counts: vec![] }.encode(seq);
             assert_eq!(BatchResponse::decode(&p).0, seq);
@@ -470,7 +499,7 @@ mod tests {
             kmers: vec![0, 1, u64::MAX, 0xDEAD_BEEF],
             tiles: vec![u128::MAX, 1u128 << 100],
         };
-        let (tag, payload) = req.encode(11);
+        let (tag, payload) = encode_batch(&req, 11);
         assert_eq!(tag, TAG_BATCH_REQ);
         assert_eq!(payload.len(), req.wire_bytes());
         assert_eq!(BatchRequest::decode(&payload), (11, req.clone()));
@@ -491,7 +520,7 @@ mod tests {
     fn empty_batch_round_trip() {
         let req = BatchRequest::default();
         assert!(req.is_empty());
-        let (_, payload) = req.encode(0);
+        let (_, payload) = encode_batch(&req, 0);
         assert_eq!(payload.len(), 16, "seq header + two empty length prefixes");
         assert_eq!(BatchRequest::decode(&payload), (0, req));
         let resp = BatchResponse::default();
@@ -502,7 +531,7 @@ mod tests {
     #[test]
     fn max_batch_is_encodable() {
         let req = BatchRequest { kmers: (0..MAX_BATCH_KEYS as u64).collect(), tiles: vec![] };
-        let (_, payload) = req.encode(1);
+        let (_, payload) = encode_batch(&req, 1);
         assert_eq!(payload.len(), 16 + 8 * MAX_BATCH_KEYS);
         assert_eq!(BatchRequest::decode(&payload).1.kmers.len(), MAX_BATCH_KEYS);
     }
@@ -511,7 +540,7 @@ mod tests {
     #[should_panic(expected = "batch exceeds MAX_BATCH_KEYS")]
     fn oversized_batch_rejected() {
         let req = BatchRequest { kmers: vec![0; MAX_BATCH_KEYS], tiles: vec![1] };
-        let _ = req.encode(0);
+        let _ = encode_batch(&req, 0);
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct LookupStats {
     pub batches_sent: u64,
     /// Keys shipped inside those batches.
     pub batched_keys: u64,
-    /// Lookups answered from the prefetch cache filled by batch
-    /// responses (counted as local, not remote).
+    /// Lookups answered from the counts the fetch waves brought in
+    /// (counted as local, not remote). A key probed again on a later
+    /// pass of the walk counts again.
     pub prefetch_hits: u64,
     /// Batched requests this rank's comm thread answered for others.
     pub batches_served: u64,
@@ -76,12 +77,14 @@ impl LookupStats {
         self.batched_keys as f64 / self.batches_sent as f64
     }
 
-    /// Messages the aggregation saved: each prefetch hit would have been
-    /// a request + response round trip in base mode, minus the two
-    /// messages each batch actually cost. Saturating — tiny workloads
-    /// can batch more keys than they end up using.
-    pub fn messages_saved(&self) -> u64 {
-        (2 * self.prefetch_hits).saturating_sub(2 * self.batches_sent)
+    /// Count the lookups one `correct_in_waves` call answered from
+    /// fetched counts: local, and prefetch hits. Re-probes on later
+    /// passes are included: they are hash probes the rank really makes
+    /// (the virtual engine charges `hash_lookup_ns` for each).
+    pub(crate) fn add_wave_hits(&mut self, waves: &reptile::WaveStats) {
+        self.local_kmer_lookups += waves.kmer_hits;
+        self.local_tile_lookups += waves.tile_hits;
+        self.prefetch_hits += waves.kmer_hits + waves.tile_hits;
     }
 
     /// Merge counters (worker + server sides of one rank).
@@ -535,18 +538,8 @@ mod tests {
 
     #[test]
     fn batch_stat_derivations() {
-        let s = LookupStats {
-            batches_sent: 4,
-            batched_keys: 100,
-            prefetch_hits: 60,
-            ..Default::default()
-        };
+        let s = LookupStats { batches_sent: 4, batched_keys: 100, ..Default::default() };
         assert_eq!(s.keys_per_batch(), 25.0);
-        assert_eq!(s.messages_saved(), 2 * 60 - 2 * 4);
-        let none = LookupStats::default();
-        assert_eq!(none.keys_per_batch(), 0.0);
-        assert_eq!(none.messages_saved(), 0);
-        let wasteful = LookupStats { batches_sent: 5, prefetch_hits: 1, ..Default::default() };
-        assert_eq!(wasteful.messages_saved(), 0, "saturates instead of underflowing");
+        assert_eq!(LookupStats::default().keys_per_batch(), 0.0);
     }
 }

@@ -5,13 +5,13 @@
 //! up `np` rank threads exactly once, loads the specstore snapshot (or
 //! builds the spectrum from seed reads) exactly once, and keeps every
 //! piece of Step-IV state — comm threads, owner maps, heuristic side
-//! tables, prefetch maps, wire buffers — warm for the engine's whole
+//! tables, wave caches, wire buffers — warm for the engine's whole
 //! lifetime. Individual reads are then corrected as *requests* through
 //! a bounded multi-producer admission queue:
 //!
 //! ```text
 //!  submit() ──► [admission queue] ──► rank workers (micro-batches)
-//!     │              │ high-water        │ prefetch → correct
+//!     │              │ high-water        │ correct (in fetch waves)
 //!     ▼              ▼                   ▼
 //!  Backpressure   bounded depth     [completion buffer] ──► drain()
 //!  (retry-after)
@@ -26,11 +26,11 @@
 //!
 //! **Adaptive micro-batching.** Each rank worker takes *everything*
 //! queued up to `ServeConfig::max_batch` in one lock acquisition, then
-//! runs one aggregate-lookups prefetch round for the whole micro-batch.
-//! Under light load batches degenerate to single requests (lowest
-//! latency); as load grows the batch size grows with the queue, so the
-//! per-owner round trips of the PR-1 aggregation amortize over more and
-//! more requests — the same messages serve a bigger batch.
+//! corrects the whole micro-batch in aggregate-lookups waves. Under
+//! light load batches degenerate to single requests (lowest latency);
+//! as load grows the batch size grows with the queue, so the per-owner
+//! round trips of each wave amortize over more and more requests — the
+//! same messages serve a bigger batch.
 //!
 //! **Faults.** The worker loop contains no collectives, so a killed or
 //! stalled rank can never wedge the queue: its own requests degrade
@@ -49,7 +49,7 @@ use crate::snapshot;
 use crate::spectrum::{build_distributed, derive_heuristic_tables, BuildStats, RankTables};
 use dnaseq::Read;
 use mpisim::{Comm, Universe};
-use reptile::{correct_read, CorrectionStats};
+use reptile::CorrectionStats;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,7 +62,7 @@ pub struct ServeConfig {
     /// with backpressure once this many requests are waiting.
     pub queue_depth: usize,
     /// Most requests a worker coalesces into one micro-batch (one
-    /// owner-batched prefetch round trip).
+    /// owner-batched round trip per fetch wave).
     pub max_batch: usize,
 }
 
@@ -114,15 +114,14 @@ pub struct ServeResponse {
     /// Time spent waiting in the admission queue (enqueue → dequeue).
     pub queue: Duration,
     /// Time from dequeue to this request's correction finishing
-    /// (includes its share of the micro-batch prefetch and the requests
-    /// corrected before it in the same batch).
+    /// (includes the fetch waves of its micro-batch up to the one that
+    /// completed it, and the requests corrected before it).
     pub service: Duration,
     /// Size of the micro-batch this request rode in.
     pub batch_len: usize,
     /// Whether any lookup this request's micro-batch depended on
     /// degraded to "absent everywhere" (fault plan active). Batch-level
-    /// attribution: a degraded prefetch round marks every request in
-    /// the batch.
+    /// attribution: a degraded lookup marks every request in the batch.
     pub degraded: bool,
 }
 
@@ -503,7 +502,7 @@ fn serve_rank(
         });
         // Hoisted per-run scratch (the old per-job serve loop rebuilt
         // all of this for every batch file): the lookup chain with its
-        // prefetch maps and wire buffers, plus the micro-batch staging
+        // wave cache and wire buffers, plus the micro-batch staging
         // vectors, all reused for the engine's lifetime.
         let mut access = DistAccess::for_tables(comm, &tables, cfg);
         let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(shared.max_batch);
@@ -531,21 +530,14 @@ fn serve_rank(
                 }
             }
             let dequeued = Instant::now();
-            let deg0 = access.stats.keys_degraded;
-            if cfg.heuristics.aggregate_lookups {
-                access.prefetch(&reads, &cfg.params);
-            }
-            let batch_degraded = access.stats.keys_degraded > deg0;
-            for read in reads.iter_mut() {
-                let before = access.stats.keys_degraded;
-                let outcome = correct_read(read, &mut access, &cfg.params);
-                done.correction.absorb(&outcome);
-                stamps.push((
-                    dequeued.elapsed(),
-                    batch_degraded || access.stats.keys_degraded > before,
-                ));
-            }
             let n = reads.len();
+            stamps.resize(n, (Duration::ZERO, false));
+            // aggregate mode finishes the reads of a micro-batch in wave
+            // order, not queue order: each is stamped as it completes
+            access.correct_chunk(&mut reads, &cfg.params, |i, outcome, degraded| {
+                done.correction.absorb(&outcome);
+                stamps[i] = (dequeued.elapsed(), degraded);
+            });
             let per_req_ns = (dequeued.elapsed().as_nanos() as u64 / n as u64).max(1);
             let old = shared.ewma_ns.load(Ordering::Relaxed);
             shared.ewma_ns.store(

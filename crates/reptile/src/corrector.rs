@@ -27,7 +27,11 @@
 //!
 //! All spectrum access goes through [`SpectrumAccess`], which the
 //! distributed engine implements with the paper's
-//! `hashKmer → readsKmer → remote request` chain.
+//! `hashKmer → readsKmer → remote request` chain. The walk itself is
+//! written once, against [`PartialAccess`], whose lookups may answer
+//! "not resident": [`correct_read`] is its always-resident instance, and
+//! [`crate::prefetch`] drives the same walk in waves to learn which
+//! counts a chunk of reads needs fetched.
 
 use crate::params::ReptileParams;
 use crate::spectrum::LocalSpectra;
@@ -143,6 +147,266 @@ impl CorrectionStats {
     }
 }
 
+/// Spectrum lookups that may answer "not resident" — what the window
+/// walk is written against.
+///
+/// `None` means the count is not available on this rank right now; the
+/// access has noted the key as wanted, and the window that asked is
+/// deferred until a later pass finds it resident. [`correct_read`] runs
+/// the walk over an access that is always resident.
+pub trait PartialAccess {
+    /// Count of a normalized k-mer key, or `None` when not resident.
+    fn kmer(&mut self, key: u64) -> Option<u32>;
+    /// Count of a normalized tile key, or `None` when not resident.
+    fn tile(&mut self, key: u128) -> Option<u32>;
+}
+
+/// Every [`SpectrumAccess`] is a [`PartialAccess`] that never defers.
+struct Resident<'a, A>(&'a mut A);
+
+impl<A: SpectrumAccess> PartialAccess for Resident<'_, A> {
+    #[inline]
+    fn kmer(&mut self, key: u64) -> Option<u32> {
+        Some(self.0.kmer_count(key))
+    }
+
+    #[inline]
+    fn tile(&mut self, key: u128) -> Option<u32> {
+        Some(self.0.tile_count(key))
+    }
+}
+
+/// Buffers of the window walk, held by the caller so one allocation
+/// serves every window of every read (and every wave) it corrects.
+#[derive(Debug, Default)]
+pub struct WalkScratch {
+    positions: Vec<usize>,
+    /// `(code, count, distance)` of the solid neighbours of one window.
+    candidates: Vec<(TileCode, u32, usize)>,
+}
+
+/// How far the walk over one read has got: windows before `next` are
+/// final (their commits are in the read, their counters in `outcome`).
+#[derive(Debug, Default)]
+pub(crate) struct WalkProgress {
+    next: usize,
+    pub(crate) outcome: ReadOutcome,
+}
+
+/// The parameters and codecs one walk needs, derived once per caller.
+pub(crate) struct Walk<'a> {
+    params: &'a ReptileParams,
+    tcodec: dnaseq::TileCodec,
+    kcodec: dnaseq::KmerCodec,
+}
+
+/// What the walk decided about one window.
+enum Verdict {
+    /// The window contains `N`.
+    Skipped,
+    Solid,
+    Uncorrectable,
+    Ambiguous,
+    /// Rewrite the window's tile `raw` as `winner`.
+    Fix {
+        raw: TileCode,
+        winner: TileCode,
+    },
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(params: &'a ReptileParams) -> Walk<'a> {
+        Walk { params, tcodec: params.tile_codec(), kcodec: params.kmer_codec() }
+    }
+
+    /// Tile windows of a read of `read_len` bases: one per stride, plus
+    /// the window anchored at the read end when the stride does not land
+    /// on it (so 3' bases are correctable).
+    pub(crate) fn windows(&self, read_len: usize) -> usize {
+        let Some(last_start) = read_len.checked_sub(self.tcodec.len()) else { return 0 };
+        last_start.div_ceil(self.tcodec.stride()) + 1
+    }
+
+    /// Start of window `w` of a read of `read_len` bases.
+    fn start(&self, w: usize, read_len: usize) -> usize {
+        (w * self.tcodec.stride()).min(read_len - self.tcodec.len())
+    }
+
+    /// Ask `access` for the keys of every window of `read` that can be
+    /// named without knowing a count: what [`Walk::pass`] asks for when
+    /// nothing is resident.
+    pub(crate) fn name_keys(&self, read: &Read, access: &mut impl PartialAccess) {
+        let mut scratch = WalkScratch::default();
+        for w in 0..self.windows(read.len()) {
+            self.evaluate(read, self.start(w, read.len()), access, &mut scratch, false);
+        }
+    }
+
+    /// One left-to-right pass over the windows of `read` that are not
+    /// final yet. Returns whether the read is finished.
+    ///
+    /// A window that finds a key not resident is *deferred*: its verdict,
+    /// and so the bases inside it, are unknown until a later pass. From
+    /// there on nothing is final, but the pass keeps going to name the
+    /// keys the next one will need: a window that overlaps a deferred one
+    /// would probably see other bases, so it asks only for the keys that
+    /// do not depend on counts and waits; a window clear of every deferred
+    /// one reads the bases it will most likely be evaluated on (a commit
+    /// rewrites bases inside its own window only) and is evaluated in
+    /// full, neighbour search included. A pass that defers nothing has
+    /// made every verdict on final bases, in order: it is the sequential
+    /// correction.
+    pub(crate) fn pass(
+        &self,
+        read: &mut Read,
+        progress: &mut WalkProgress,
+        access: &mut impl PartialAccess,
+        scratch: &mut WalkScratch,
+    ) -> bool {
+        let tile_len = self.tcodec.len();
+        let windows = self.windows(read.len());
+        // no window so far was deferred: verdicts are final
+        let mut settled = true;
+        // end of the rightmost window whose bases may yet be rewritten
+        let mut unsettled_end = 0usize;
+        for w in progress.next..windows {
+            let start = self.start(w, read.len());
+            let waiting = start < unsettled_end;
+            let verdict = self.evaluate(read, start, access, scratch, !waiting);
+            match verdict {
+                Some(verdict) if settled => {
+                    self.settle(read, start, verdict, &mut progress.outcome);
+                    progress.next = w + 1;
+                }
+                None | Some(Verdict::Fix { .. }) if !waiting => {
+                    settled = false;
+                    unsettled_end = start + tile_len;
+                }
+                // not final, and no likelier to rewrite bases than not
+                _ => {}
+            }
+        }
+        settled
+    }
+
+    /// Decide one window from the bases as they stand, or return `None`
+    /// when a key it needs is not resident (every such key has then been
+    /// asked for). With `search` off the window stops short of the
+    /// neighbour search, asking only for its tile and k-mer keys.
+    #[inline]
+    fn evaluate(
+        &self,
+        read: &Read,
+        start: usize,
+        access: &mut impl PartialAccess,
+        scratch: &mut WalkScratch,
+        search: bool,
+    ) -> Option<Verdict> {
+        let (params, tcodec, kcodec) = (self.params, &self.tcodec, &self.kcodec);
+        let tile_len = tcodec.len();
+        let Some(raw_tile) = tcodec.encode(&read.seq[start..start + tile_len]) else {
+            return Some(Verdict::Skipped);
+        };
+        let kmer_keys = || {
+            let (first, second) = tcodec.to_kmers(raw_tile);
+            (kmer_key(kcodec, first, params.canonical), kmer_key(kcodec, second, params.canonical))
+        };
+        let Some(tile_count) = access.tile(tile_key(tcodec, raw_tile, params.canonical)) else {
+            // the k-mers are wanted unless the tile turns out solid; ask
+            // now rather than spend a pass finding out
+            let (first_key, second_key) = kmer_keys();
+            access.kmer(first_key);
+            access.kmer(second_key);
+            return None;
+        };
+        if tile_count >= params.tile_threshold {
+            return Some(Verdict::Solid);
+        }
+        // --- candidate positions ---
+        let WalkScratch { positions, candidates } = scratch;
+        positions.clear();
+        collect_positions(&read.qual[start..start + tile_len], params, positions);
+        if positions.is_empty() {
+            return Some(Verdict::Uncorrectable);
+        }
+        // --- k-mer prescreen: restrict to the weak half when unambiguous ---
+        let (first_key, second_key) = kmer_keys();
+        let (first_count, second_count) = (access.kmer(first_key), access.kmer(second_key));
+        let first_solid = first_count? >= params.kmer_threshold;
+        let second_solid = second_count? >= params.kmer_threshold;
+        if !search {
+            return None;
+        }
+        if first_solid && !second_solid {
+            // error likely in the second k-mer's exclusive tail
+            positions.retain(|&p| p >= kcodec.k());
+        } else if !first_solid && second_solid {
+            // error likely in the first k-mer's exclusive head
+            positions.retain(|&p| p < tcodec.stride());
+        }
+        if positions.is_empty() {
+            return Some(Verdict::Uncorrectable);
+        }
+        // --- neighbour search ---
+        candidates.clear();
+        let mut resident = true;
+        visit_neighbors(
+            raw_tile,
+            tile_len,
+            positions,
+            params.max_errors_per_tile,
+            &mut |cand, d| match access.tile(tile_key(tcodec, cand, params.canonical)) {
+                Some(count) if count >= params.tile_threshold => candidates.push((cand, count, d)),
+                Some(_) => {}
+                None => resident = false,
+            },
+        );
+        if !resident {
+            return None;
+        }
+        if candidates.is_empty() {
+            return Some(Verdict::Uncorrectable);
+        }
+        if candidates.len() > params.max_candidates {
+            return Some(Verdict::Ambiguous);
+        }
+        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0)));
+        if candidates.len() > 1 && candidates[0].1 < params.dominance * candidates[1].1 {
+            return Some(Verdict::Ambiguous);
+        }
+        Some(Verdict::Fix { raw: raw_tile, winner: candidates[0].0 })
+    }
+
+    /// Make a verdict final: count it, and write a fix into the read so
+    /// later (overlapping) windows see it.
+    #[inline]
+    fn settle(&self, read: &mut Read, start: usize, verdict: Verdict, out: &mut ReadOutcome) {
+        out.tiles_evaluated += 1;
+        match verdict {
+            Verdict::Skipped => out.tiles_skipped += 1,
+            Verdict::Solid => out.tiles_solid += 1,
+            Verdict::Uncorrectable => out.tiles_uncorrectable += 1,
+            Verdict::Ambiguous => out.tiles_ambiguous += 1,
+            Verdict::Fix { raw, winner } => {
+                for p in 0..self.tcodec.len() {
+                    let newb = self.tcodec.base_at(winner, p);
+                    if newb != self.tcodec.base_at(raw, p) {
+                        let pos = start + p;
+                        let fix = BaseFix {
+                            pos: pos as u32,
+                            from: read.seq[pos],
+                            to: Base::from_code(newb).to_ascii(),
+                        };
+                        read.seq[pos] = fix.to;
+                        out.fixes.push(fix);
+                    }
+                }
+                out.tiles_corrected += 1;
+            }
+        }
+    }
+}
+
 /// Correct one read in place. Deterministic: same read + same counts ⇒
 /// same fixes, on any rank layout.
 pub fn correct_read(
@@ -150,134 +414,28 @@ pub fn correct_read(
     access: &mut impl SpectrumAccess,
     params: &ReptileParams,
 ) -> ReadOutcome {
-    let tcodec = params.tile_codec();
-    let kcodec = params.kmer_codec();
-    let tile_len = tcodec.len();
-    let stride = tcodec.stride();
-    let mut out = ReadOutcome::default();
-    if read.len() < tile_len {
-        return out;
-    }
-    let last_start = read.len() - tile_len;
-    let mut start = 0usize;
-    // reusable buffers (hot loop; see perf-book "reusing collections")
-    let mut positions: Vec<usize> = Vec::with_capacity(params.max_positions_per_tile);
-    while start <= last_start {
-        step_window(read, start, access, params, &tcodec, &kcodec, &mut positions, &mut out);
-        start += stride;
-    }
-    // Cover the final window when the stride does not land on it: Reptile
-    // anchors the last tile at the read end so 3' bases are correctable.
-    if !last_start.is_multiple_of(stride) {
-        step_window(read, last_start, access, params, &tcodec, &kcodec, &mut positions, &mut out);
-    }
-    out
+    correct_read_with(read, access, params, &mut WalkScratch::default())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step_window(
+/// [`correct_read`] with caller-held buffers, for loops over many reads.
+pub fn correct_read_with(
     read: &mut Read,
-    start: usize,
     access: &mut impl SpectrumAccess,
     params: &ReptileParams,
-    tcodec: &dnaseq::TileCodec,
-    kcodec: &dnaseq::KmerCodec,
-    positions: &mut Vec<usize>,
-    out: &mut ReadOutcome,
-) {
-    let tile_len = tcodec.len();
-    let window = &read.seq[start..start + tile_len];
-    out.tiles_evaluated += 1;
-    let raw_tile = match tcodec.encode(window) {
-        Some(t) => t,
-        None => {
-            out.tiles_skipped += 1;
-            return;
-        }
-    };
-    if access.tile_count(tile_key(tcodec, raw_tile, params.canonical)) >= params.tile_threshold {
-        out.tiles_solid += 1;
-        return;
-    }
-    // --- candidate positions ---
-    positions.clear();
-    collect_positions(&read.qual[start..start + tile_len], params, positions);
-    if positions.is_empty() {
-        out.tiles_uncorrectable += 1;
-        return;
-    }
-    // --- k-mer prescreen: restrict to the weak half when unambiguous ---
-    let (first_kmer, second_kmer) = tcodec.to_kmers(raw_tile);
-    let first_solid =
-        access.kmer_count(kmer_key(kcodec, first_kmer, params.canonical)) >= params.kmer_threshold;
-    let second_solid =
-        access.kmer_count(kmer_key(kcodec, second_kmer, params.canonical)) >= params.kmer_threshold;
-    let stride = tcodec.stride();
-    if first_solid && !second_solid {
-        // error likely in the second k-mer's exclusive tail
-        positions.retain(|&p| p >= kcodec.k());
-    } else if !first_solid && second_solid {
-        // error likely in the first k-mer's exclusive head
-        positions.retain(|&p| p < stride);
-    }
-    if positions.is_empty() {
-        out.tiles_uncorrectable += 1;
-        return;
-    }
-    // --- neighbour search ---
-    // (code, count, distance); kept sorted implicitly via final sort
-    let mut candidates: Vec<(TileCode, u32, usize)> = Vec::new();
-    visit_neighbors(raw_tile, tile_len, positions, params.max_errors_per_tile, &mut |cand, d| {
-        let count = access.tile_count(tile_key(tcodec, cand, params.canonical));
-        if count >= params.tile_threshold {
-            candidates.push((cand, count, d));
-        }
-    });
-    if candidates.is_empty() {
-        out.tiles_uncorrectable += 1;
-        return;
-    }
-    if candidates.len() > params.max_candidates {
-        out.tiles_ambiguous += 1;
-        return;
-    }
-    candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0)));
-    if candidates.len() > 1 && candidates[0].1 < params.dominance * candidates[1].1 {
-        out.tiles_ambiguous += 1;
-        return;
-    }
-    // --- commit ---
-    let winner = candidates[0].0;
-    for p in 0..tile_len {
-        let newb = tcodec.base_at(winner, p);
-        let oldb = tcodec.base_at(raw_tile, p);
-        if newb != oldb {
-            let pos = start + p;
-            let fix = BaseFix {
-                pos: pos as u32,
-                from: read.seq[pos],
-                to: Base::from_code(newb).to_ascii(),
-            };
-            read.seq[pos] = fix.to;
-            out.fixes.push(fix);
-        }
-    }
-    out.tiles_corrected += 1;
+    scratch: &mut WalkScratch,
+) -> ReadOutcome {
+    let mut progress = WalkProgress::default();
+    let finished = Walk::new(params).pass(read, &mut progress, &mut Resident(access), scratch);
+    debug_assert!(finished, "an always-resident access defers nothing");
+    progress.outcome
 }
 
 /// Candidate positions within a window: strictly-below-threshold
 /// qualities; optional relaxation to the lowest-quality bases; capped at
 /// `max_positions_per_tile` keeping the lowest qualities (ties: leftmost).
 ///
-/// Shared with the prefetch key enumeration (`crate::prefetch`), which
-/// must see the *same* candidate positions to cover every tile
-/// neighbour the corrector can probe. Depends only on qualities, which
-/// corrections never change, so it is stable across commits.
-pub(crate) fn collect_positions(
-    quals: &[Phred],
-    params: &ReptileParams,
-    positions: &mut Vec<usize>,
-) {
+/// Depends only on qualities, which corrections never change.
+fn collect_positions(quals: &[Phred], params: &ReptileParams, positions: &mut Vec<usize>) {
     for (i, &q) in quals.iter().enumerate() {
         if q < params.q_threshold {
             positions.push(i);
@@ -295,7 +453,7 @@ pub(crate) fn collect_positions(
 }
 
 #[inline]
-pub(crate) fn tile_key(codec: &dnaseq::TileCodec, code: u128, canonical: bool) -> u128 {
+fn tile_key(codec: &dnaseq::TileCodec, code: u128, canonical: bool) -> u128 {
     if canonical {
         codec.canonical(code)
     } else {
@@ -304,7 +462,7 @@ pub(crate) fn tile_key(codec: &dnaseq::TileCodec, code: u128, canonical: bool) -
 }
 
 #[inline]
-pub(crate) fn kmer_key(codec: &dnaseq::KmerCodec, code: u64, canonical: bool) -> u64 {
+fn kmer_key(codec: &dnaseq::KmerCodec, code: u64, canonical: bool) -> u64 {
     if canonical {
         codec.canonical(code)
     } else {
@@ -337,11 +495,12 @@ pub(crate) fn kmer_key(codec: &dnaseq::KmerCodec, code: u64, canonical: bool) ->
 pub fn correct_dataset(reads: &[Read], params: &ReptileParams) -> (Vec<Read>, CorrectionStats) {
     let mut spectra = LocalSpectra::build(reads, params);
     let mut stats = CorrectionStats::default();
+    let mut scratch = WalkScratch::default();
     let corrected = reads
         .iter()
         .map(|r| {
             let mut read = r.clone();
-            let outcome = correct_read(&mut read, &mut spectra, params);
+            let outcome = correct_read_with(&mut read, &mut spectra, params, &mut scratch);
             stats.absorb(&outcome);
             read
         })

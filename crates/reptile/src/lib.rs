@@ -33,12 +33,18 @@ pub mod radix;
 pub mod spectrum;
 
 pub use bloom_build::{build_with_bloom, BloomBuildStats};
-pub use corrector::{correct_dataset, correct_read, CorrectionStats, ReadOutcome, SpectrumAccess};
+pub use corrector::{
+    correct_dataset, correct_read, correct_read_with, CorrectionStats, ReadOutcome, SpectrumAccess,
+    WalkScratch,
+};
 pub use eval::AccuracyReport;
 pub use flat::{FlatKmerTable, FlatTileTable, KmerTableParts, TileTableParts, HASH_SEED};
 pub use histogram::CountHistogram;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;
 pub use pipeline::{Pipeline, PipelineResult};
-pub use prefetch::{enumerate_read_keys, prefetch_keys, PrefetchKeys};
+pub use prefetch::{
+    correct_in_waves, enumerate_read_keys, PrefetchKeys, WaveCache, WaveScratch, WaveSource,
+    WaveStats,
+};
 pub use spectrum::{KmerSpectrum, LocalSpectra, Normalized, TileSpectrum};

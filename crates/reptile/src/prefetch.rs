@@ -1,43 +1,37 @@
-//! Lookup-key enumeration for batched (aggregated) remote lookups.
+//! Demand-driven wave prefetch for batched (aggregated) remote lookups.
 //!
 //! The distributed engine's base mode resolves every non-local spectrum
 //! count with a synchronous one-key round trip, so a read with `m`
 //! missing keys pays `m` network latencies. Systems that scale past
 //! this (diBELLA, the Extreme-Scale Metagenome Assembly work) aggregate
-//! requests per destination rank into vectorized messages. This module
-//! provides the enumeration half of that optimisation: *before*
-//! correcting a read (or a whole chunk of reads), list every k-mer and
-//! tile key the corrector **can** touch, so the counts can be fetched
-//! in one batch per owning rank and served from a local prefetch cache.
+//! requests per destination rank into vectorized messages — and they
+//! aggregate the lookups a pass has *shown* it needs, not every lookup
+//! it could conceivably make.
 //!
-//! The enumeration mirrors [`correct_read`](crate::correct_read)'s tile
-//! walk exactly — same windows (stride `k − overlap` plus the anchored
-//! final window), same candidate positions
-//! ([`collect_positions`](crate::corrector::collect_positions) depends
-//! only on qualities, which corrections never change), same Hamming
-//! neighbour generation — but **over-approximates** on purpose:
+//! [`correct_in_waves`] does that with the corrector's own window walk
+//! ([`crate::corrector`]): it walks every unfinished read of a chunk
+//! against the counts resident so far; a window that finds a key missing
+//! names it and is deferred; the deduplicated missing keys of the whole
+//! chunk go to the engine's [`WaveSource::fetch`] in one round; and the
+//! walk resumes. Which keys are asked for is decided by the counts
+//! already known: neighbours only of windows that are not solid, only
+//! at the positions the k-mer prescreen leaves. A read whose pass defers
+//! nothing is corrected: that pass is
+//! [`correct_read`](crate::correct_read).
 //!
-//! - it includes both constituent k-mers and all neighbours even for
-//!   windows the corrector will find solid (counts are unknown at
-//!   enumeration time);
-//! - it ignores the k-mer prescreen, which can only *shrink* the
-//!   corrector's position set.
-//!
-//! The result is a superset guarantee **for the read as it currently
-//! reads**: until the corrector commits a fix, every key it requests is
-//! in the enumeration. Once a fix rewrites bases, later overlapping
-//! windows may probe novel keys; those simply miss the prefetch cache
-//! and fall back to the engine's single-key path, preserving
-//! bit-identical output. Corrections are rare relative to lookups, so
-//! the bulk of the traffic still collapses into batches.
+//! Termination is structural, not a cap: a window is evaluated on final
+//! bases once every window before it is final, and from then on it can
+//! be deferred at most twice (once for its tile and k-mer keys, once for
+//! its neighbours), because every key it names is resident on the next
+//! pass. A chunk whose longest read has `w` windows therefore needs at
+//! most `2w` fetch rounds.
 
-use crate::corrector::{collect_positions, kmer_key, tile_key};
+use crate::corrector::{PartialAccess, ReadOutcome, Walk, WalkProgress, WalkScratch};
 use crate::params::ReptileParams;
-use dnaseq::neighbors::visit_neighbors;
-use dnaseq::Read;
+use dnaseq::{FxHashMap, Read};
+use std::collections::hash_map::Entry;
 
-/// Every spectrum key a correction pass over some reads can request,
-/// deduplicated and sorted, normalized exactly like the corrector's own
+/// Spectrum keys to fetch, normalized exactly like the corrector's own
 /// lookups (canonical when `params.canonical`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PrefetchKeys {
@@ -65,72 +59,198 @@ impl PrefetchKeys {
         self.tiles.sort_unstable();
         self.tiles.dedup();
     }
+
+    /// Empty both key lists, keeping their allocations.
+    pub fn clear(&mut self) {
+        self.kmers.clear();
+        self.tiles.clear();
+    }
 }
 
-/// Append every key [`correct_read`](crate::correct_read) can request
-/// for `read` (as currently written) to `out`. Keys are appended raw —
-/// call [`PrefetchKeys::finish`] afterwards to dedup.
+/// Append the first wave of `read` to `out`: what [`correct_in_waves`]
+/// asks for when nothing is resident, which is every window's tile key
+/// and its two k-mer keys — the keys that can be named without knowing a
+/// count. Neighbour keys are asked for in later waves, once the counts
+/// say which windows need them. Keys are appended raw — call
+/// [`PrefetchKeys::finish`] afterwards to dedup.
 pub fn enumerate_read_keys(read: &Read, params: &ReptileParams, out: &mut PrefetchKeys) {
-    let tcodec = params.tile_codec();
-    let kcodec = params.kmer_codec();
-    let tile_len = tcodec.len();
-    let stride = tcodec.stride();
-    if read.len() < tile_len {
-        return;
-    }
-    let last_start = read.len() - tile_len;
-    let mut positions: Vec<usize> = Vec::with_capacity(params.max_positions_per_tile);
-    let mut window = |start: usize, out: &mut PrefetchKeys| {
-        let raw_tile = match tcodec.encode(&read.seq[start..start + tile_len]) {
-            Some(t) => t,
-            None => return, // corrector skips N windows without lookups
-        };
-        out.tiles.push(tile_key(&tcodec, raw_tile, params.canonical));
-        let (first_kmer, second_kmer) = tcodec.to_kmers(raw_tile);
-        out.kmers.push(kmer_key(&kcodec, first_kmer, params.canonical));
-        out.kmers.push(kmer_key(&kcodec, second_kmer, params.canonical));
-        positions.clear();
-        collect_positions(&read.qual[start..start + tile_len], params, &mut positions);
-        if positions.is_empty() {
-            return;
+    struct NothingResident<'a>(&'a mut PrefetchKeys);
+
+    impl PartialAccess for NothingResident<'_> {
+        fn kmer(&mut self, key: u64) -> Option<u32> {
+            self.0.kmers.push(key);
+            None
         }
-        visit_neighbors(
-            raw_tile,
-            tile_len,
-            &positions,
-            params.max_errors_per_tile,
-            &mut |cand, _| {
-                out.tiles.push(tile_key(&tcodec, cand, params.canonical));
-            },
-        );
-    };
-    let mut start = 0usize;
-    while start <= last_start {
-        window(start, out);
-        start += stride;
+
+        fn tile(&mut self, key: u128) -> Option<u32> {
+            self.0.tiles.push(key);
+            None
+        }
     }
-    if !last_start.is_multiple_of(stride) {
-        window(last_start, out);
+
+    Walk::new(params).name_keys(read, &mut NothingResident(out));
+}
+
+/// What [`correct_in_waves`] needs from an engine: the counts it can
+/// answer without communication, and a way to fetch the rest.
+pub trait WaveSource {
+    /// Count of a normalized k-mer key if this rank holds it.
+    fn resident_kmer(&mut self, key: u64) -> Option<u32>;
+    /// Count of a normalized tile key if this rank holds it.
+    fn resident_tile(&mut self, key: u128) -> Option<u32>;
+    /// Fetch one wave: store the count of every key of `missing` (no
+    /// duplicates, none resident, none fetched before) into `cache`. A
+    /// key that cannot be fetched is stored as 0, the paper's "absent
+    /// everywhere" answer.
+    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache);
+}
+
+/// The counts fetched so far for one chunk. `None` marks a key that has
+/// been asked for in the current wave and not answered yet, so that no
+/// key is asked for twice.
+#[derive(Debug, Default)]
+pub struct WaveCache {
+    kmers: FxHashMap<u64, Option<u32>>,
+    tiles: FxHashMap<u128, Option<u32>>,
+}
+
+impl WaveCache {
+    /// Store the fetched count of a k-mer key.
+    pub fn put_kmer(&mut self, key: u64, count: u32) {
+        self.kmers.insert(key, Some(count));
+    }
+
+    /// Store the fetched count of a tile key.
+    pub fn put_tile(&mut self, key: u128, count: u32) {
+        self.tiles.insert(key, Some(count));
     }
 }
 
-/// Enumerate, deduplicate, and sort the keys for a chunk of reads.
-pub fn prefetch_keys(reads: &[Read], params: &ReptileParams) -> PrefetchKeys {
-    let mut out = PrefetchKeys::default();
-    for read in reads {
-        enumerate_read_keys(read, params, &mut out);
+/// Everything [`correct_in_waves`] allocates, held by the caller so that
+/// successive chunks reuse it.
+#[derive(Debug, Default)]
+pub struct WaveScratch {
+    cache: WaveCache,
+    missing: PrefetchKeys,
+    progress: Vec<WalkProgress>,
+    /// Indices of the reads not finished yet.
+    active: Vec<usize>,
+    walk: WalkScratch,
+}
+
+/// What one [`correct_in_waves`] call did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WaveStats {
+    /// Fetch rounds.
+    pub waves: u32,
+    /// K-mer lookups answered from fetched counts.
+    pub kmer_hits: u64,
+    /// Tile lookups answered from fetched counts.
+    pub tile_hits: u64,
+}
+
+/// The walk's view of one wave: resident counts first, then fetched
+/// ones; anything else is noted in `missing`, once.
+struct WaveLookup<'a, S> {
+    source: &'a mut S,
+    cache: &'a mut WaveCache,
+    missing: &'a mut PrefetchKeys,
+    stats: &'a mut WaveStats,
+}
+
+/// Look `key` up among the fetched counts; a key seen for the first time
+/// is marked as asked for and appended to `missing`.
+fn fetched<K: Copy + Eq + std::hash::Hash>(
+    cache: &mut FxHashMap<K, Option<u32>>,
+    missing: &mut Vec<K>,
+    hits: &mut u64,
+    key: K,
+) -> Option<u32> {
+    match cache.entry(key) {
+        Entry::Occupied(e) => {
+            *hits += u64::from(e.get().is_some());
+            *e.get()
+        }
+        Entry::Vacant(e) => {
+            e.insert(None);
+            missing.push(key);
+            None
+        }
     }
-    out.finish();
-    out
+}
+
+impl<S: WaveSource> PartialAccess for WaveLookup<'_, S> {
+    fn kmer(&mut self, key: u64) -> Option<u32> {
+        self.source.resident_kmer(key).or_else(|| {
+            fetched(&mut self.cache.kmers, &mut self.missing.kmers, &mut self.stats.kmer_hits, key)
+        })
+    }
+
+    fn tile(&mut self, key: u128) -> Option<u32> {
+        self.source.resident_tile(key).or_else(|| {
+            fetched(&mut self.cache.tiles, &mut self.missing.tiles, &mut self.stats.tile_hits, key)
+        })
+    }
+}
+
+/// Correct a chunk of reads in place against a spectrum that is only
+/// partly resident, fetching the rest in waves (see the module docs).
+/// `done(source, index, outcome)` is called once per read, as soon as it
+/// is finished, with the source as it stands then: the read has seen
+/// nothing fetched later. Bytes and [`ReadOutcome`] equal what
+/// [`correct_read`](crate::correct_read) produces over the full spectrum.
+pub fn correct_in_waves<S: WaveSource>(
+    reads: &mut [Read],
+    params: &ReptileParams,
+    scratch: &mut WaveScratch,
+    source: &mut S,
+    mut done: impl FnMut(&S, usize, ReadOutcome),
+) -> WaveStats {
+    let walk = Walk::new(params);
+    let WaveScratch { cache, missing, progress, active, walk: buffers } = scratch;
+    cache.kmers.clear();
+    cache.tiles.clear();
+    missing.clear();
+    progress.clear();
+    progress.resize_with(reads.len(), WalkProgress::default);
+    active.clear();
+    active.extend(0..reads.len());
+    let most_windows = reads.iter().map(|r| walk.windows(r.len())).max().unwrap_or(0);
+    let mut stats = WaveStats::default();
+    loop {
+        let mut lookup = WaveLookup {
+            source: &mut *source,
+            cache: &mut *cache,
+            missing: &mut *missing,
+            stats: &mut stats,
+        };
+        active.retain(|&i| {
+            let finished = walk.pass(&mut reads[i], &mut progress[i], &mut lookup, buffers);
+            if finished {
+                done(lookup.source, i, std::mem::take(&mut progress[i].outcome));
+            }
+            !finished
+        });
+        if active.is_empty() {
+            return stats;
+        }
+        stats.waves += 1;
+        assert!(
+            stats.waves as usize <= 2 * most_windows,
+            "wave {} over a chunk of at most {most_windows} windows per read: \
+             a fetch left a requested key unanswered",
+            stats.waves
+        );
+        source.fetch(missing, cache);
+        missing.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corrector::correct_read;
     use crate::spectrum::LocalSpectra;
-    use crate::SpectrumAccess;
-    use dnaseq::{FxHashSet, Read};
+    use crate::{correct_read, Normalized};
 
     fn params() -> ReptileParams {
         ReptileParams {
@@ -142,31 +262,12 @@ mod tests {
         }
     }
 
-    /// Records every key the corrector requests from the wrapped spectra.
-    struct Recording<'a> {
-        inner: &'a mut LocalSpectra,
-        kmers: FxHashSet<u64>,
-        tiles: FxHashSet<u128>,
-    }
-
-    impl SpectrumAccess for Recording<'_> {
-        fn kmer_count(&mut self, code: u64) -> u32 {
-            self.kmers.insert(code);
-            self.inner.kmer_count(code)
-        }
-
-        fn tile_count(&mut self, code: u128) -> u32 {
-            self.tiles.insert(code);
-            self.inner.tile_count(code)
-        }
-    }
-
     fn dataset() -> Vec<Read> {
         let genome: Vec<u8> =
-            (0..240).map(|i| [b'A', b'C', b'G', b'T'][(i * 7 + i / 3) % 4]).collect();
-        (0..40u64)
+            (0..200).map(|i| [b'A', b'C', b'G', b'T'][(dnaseq::mix64(i) % 4) as usize]).collect();
+        (0..90u64)
             .map(|i| {
-                let start = (i as usize * 13) % (genome.len() - 30);
+                let start = (i as usize * 7) % (genome.len() - 30);
                 let mut seq = genome[start..start + 30].to_vec();
                 let mut qual = vec![35u8; 30];
                 if i % 3 == 0 {
@@ -184,94 +285,99 @@ mod tests {
             .collect()
     }
 
-    /// Until a fix is committed, the corrector only requests enumerated
-    /// keys. Reads the corrector leaves untouched exercise the full walk
-    /// (solid, uncorrectable, and ambiguous windows), so checking the
-    /// superset on unmodified reads covers every lookup site.
-    #[test]
-    fn enumeration_covers_all_lookups_of_unmodified_reads() {
-        for canonical in [false, true] {
-            let p = ReptileParams { canonical, ..params() };
-            let reads = dataset();
-            let mut spectra = LocalSpectra::build(&reads, &p);
-            let mut covered = 0;
-            for r in &reads {
-                let keys = prefetch_keys(std::slice::from_ref(r), &p);
-                let mut rec = Recording {
-                    inner: &mut spectra,
-                    kmers: FxHashSet::default(),
-                    tiles: FxHashSet::default(),
-                };
-                let mut read = r.clone();
-                let out = correct_read(&mut read, &mut rec, &p);
-                if out.corrected() {
-                    continue; // post-commit windows may probe novel keys
-                }
-                covered += 1;
-                for k in &rec.kmers {
-                    assert!(keys.kmers.binary_search(k).is_ok(), "kmer {k:#x} not enumerated");
-                }
-                for t in &rec.tiles {
-                    assert!(keys.tiles.binary_search(t).is_ok(), "tile {t:#x} not enumerated");
-                }
+    /// Nothing resident; every fetch is answered from the full spectra
+    /// and logged.
+    struct Remote<'a> {
+        spectra: &'a LocalSpectra,
+        waves: Vec<PrefetchKeys>,
+    }
+
+    impl WaveSource for Remote<'_> {
+        fn resident_kmer(&mut self, _: u64) -> Option<u32> {
+            None
+        }
+
+        fn resident_tile(&mut self, _: u128) -> Option<u32> {
+            None
+        }
+
+        fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
+            for &k in &missing.kmers {
+                cache.put_kmer(k, self.spectra.kmers.count_at(Normalized::assume(k)));
             }
-            assert!(covered > 10, "expected mostly-clean reads, got {covered}");
+            for &t in &missing.tiles {
+                cache.put_tile(t, self.spectra.tiles.count_at(Normalized::assume(t)));
+            }
+            self.waves.push(missing.clone());
         }
     }
 
     #[test]
-    fn keys_are_sorted_and_deduplicated() {
-        let p = params();
-        let reads = dataset();
-        let keys = prefetch_keys(&reads, &p);
-        assert!(!keys.is_empty());
-        assert_eq!(keys.len(), keys.kmers.len() + keys.tiles.len());
-        assert!(keys.kmers.windows(2).all(|w| w[0] < w[1]));
-        assert!(keys.tiles.windows(2).all(|w| w[0] < w[1]));
+    fn waves_reproduce_correct_read_and_the_first_wave_is_the_enumeration() {
+        for canonical in [false, true] {
+            let p = ReptileParams { canonical, ..params() };
+            let reads = dataset();
+            let mut spectra = LocalSpectra::build(&reads, &p);
+            let mut expected = reads.clone();
+            let outcomes: Vec<ReadOutcome> =
+                expected.iter_mut().map(|r| correct_read(r, &mut spectra, &p)).collect();
+            assert!(outcomes.iter().any(ReadOutcome::corrected), "dataset must exercise commits");
+
+            let mut chunk = reads.clone();
+            let mut source = Remote { spectra: &spectra, waves: Vec::new() };
+            let mut got = vec![None; reads.len()];
+            let stats = correct_in_waves(
+                &mut chunk,
+                &p,
+                &mut WaveScratch::default(),
+                &mut source,
+                |_, i, o| {
+                    assert!(got[i].replace(o).is_none(), "read {i} finished twice");
+                },
+            );
+            assert_eq!(chunk, expected);
+            assert_eq!(got.into_iter().map(Option::unwrap).collect::<Vec<_>>(), outcomes);
+            assert_eq!(stats.waves as usize, source.waves.len());
+            assert!(stats.kmer_hits + stats.tile_hits > 0);
+
+            let mut first = PrefetchKeys::default();
+            for r in &reads {
+                enumerate_read_keys(r, &p, &mut first);
+            }
+            first.finish();
+            source.waves[0].finish();
+            assert_eq!(source.waves[0], first);
+        }
     }
 
     #[test]
-    fn short_and_empty_reads_enumerate_nothing() {
+    fn short_and_empty_reads_need_no_keys() {
         let p = params();
-        let keys = prefetch_keys(
-            &[Read::new(1, b"ACGT".to_vec(), vec![35; 4]), Read::new(2, Vec::new(), Vec::new())],
-            &p,
-        );
+        let mut keys = PrefetchKeys::default();
+        for read in [Read::new(1, b"ACGT".to_vec(), vec![35; 4]), Read::new(2, vec![], vec![])] {
+            enumerate_read_keys(&read, &p, &mut keys);
+        }
         assert!(keys.is_empty());
     }
 
-    /// A read length that is not a multiple of the stride still covers
-    /// the anchored final window.
+    /// Three keys per window, the anchored final window included, and
+    /// none for a window with an `N`.
     #[test]
-    fn anchored_final_window_is_enumerated() {
+    fn first_wave_names_tile_and_kmers_of_every_window() {
         let p = params(); // tile_len 9, stride 3
-        let reads = dataset();
-        let r = &reads[0];
-        let truncated = Read::new(1, r.seq[..28].to_vec(), r.qual[..28].to_vec());
-        let keys = prefetch_keys(std::slice::from_ref(&truncated), &p);
+        let r = &dataset()[0];
+        let mut read = Read::new(1, r.seq[..28].to_vec(), r.qual[..28].to_vec());
+        let mut keys = PrefetchKeys::default();
+        enumerate_read_keys(&read, &p, &mut keys);
+        // starts 0, 3, .., 18 and the anchored 19
+        assert_eq!((keys.tiles.len(), keys.kmers.len()), (8, 16));
         let tcodec = p.tile_codec();
-        let last = tcodec.encode(&truncated.seq[28 - tcodec.len()..]).unwrap();
-        let key = crate::corrector::tile_key(&tcodec, last, p.canonical);
-        assert!(keys.tiles.binary_search(&key).is_ok());
-    }
+        let last = tcodec.encode(&read.seq[28 - tcodec.len()..]).unwrap();
+        assert_eq!(keys.tiles.last(), Some(&last));
 
-    /// Neighbour keys of low-quality windows are part of the enumeration.
-    #[test]
-    fn neighbours_of_weak_windows_are_enumerated() {
-        // relax_quality off so an all-high-quality read has no candidate
-        // positions and therefore no neighbour keys
-        let p = ReptileParams { relax_quality: false, ..params() };
-        let seq = b"ACGTACGTACGTACGTACGT".to_vec();
-        let mut qual = vec![35u8; seq.len()];
-        qual[4] = 5; // below q_threshold: a candidate position
-        let read = Read::new(1, seq.clone(), qual.clone());
-        let clean = prefetch_keys(&[Read::new(1, seq, vec![35; 20])], &p);
-        let weak = prefetch_keys(std::slice::from_ref(&read), &p);
-        assert!(
-            weak.tiles.len() > clean.tiles.len(),
-            "Hamming neighbours must add tile keys ({} vs {})",
-            weak.tiles.len(),
-            clean.tiles.len()
-        );
+        read.seq[26] = b'N'; // inside the windows at 18 and 19 only
+        let mut keys = PrefetchKeys::default();
+        enumerate_read_keys(&read, &p, &mut keys);
+        assert_eq!((keys.tiles.len(), keys.kmers.len()), (6, 12));
     }
 }

@@ -32,7 +32,7 @@ pub struct Normalized<K>(K);
 
 impl<K: Copy> Normalized<K> {
     /// Wrap a key that is known to be normalized already (wire-decoded
-    /// requests, spectrum-iterator output, prefetch key lists). The call
+    /// requests, spectrum-iterator output, fetch-wave key lists). The call
     /// site is the audit point: use it only where normalization is
     /// guaranteed by construction.
     #[inline]

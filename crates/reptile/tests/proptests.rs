@@ -1,8 +1,12 @@
 //! Property tests for the Reptile corrector and spectra.
 
+use dnaseq::{mix64, FxHashSet, Read};
 use proptest::prelude::*;
 use reptile::spectrum::LocalSpectra;
-use reptile::{correct_read, ReptileParams};
+use reptile::{
+    correct_in_waves, correct_read, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
+    SpectrumAccess, WaveCache, WaveScratch, WaveSource,
+};
 
 fn params() -> ReptileParams {
     ReptileParams {
@@ -39,8 +43,184 @@ fn reads_strategy() -> impl Strategy<Value = Vec<dnaseq::Read>> {
     })
 }
 
+/// Which keys are resident: an arbitrary `pct` percent of them.
+#[derive(Clone, Copy)]
+struct Residency {
+    salt: u64,
+    pct: u64,
+}
+
+impl Residency {
+    fn kmer(&self, key: u64) -> bool {
+        mix64(key ^ self.salt) % 100 < self.pct
+    }
+
+    fn tile(&self, key: u128) -> bool {
+        mix64((key as u64) ^ ((key >> 64) as u64) ^ self.salt) % 100 < self.pct
+    }
+}
+
+/// A spectrum of which only part is resident; the rest must be fetched,
+/// and a fetch reveals exactly the keys it is asked for.
+struct SplitSpectrum<'a> {
+    spectra: &'a LocalSpectra,
+    resident: Residency,
+    requested_kmers: FxHashSet<u64>,
+    requested_tiles: FxHashSet<u128>,
+    /// First rule a fetch broke, if any.
+    violation: Option<String>,
+}
+
+impl WaveSource for SplitSpectrum<'_> {
+    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
+        self.resident.kmer(key).then(|| self.spectra.kmers.count_at(Normalized::assume(key)))
+    }
+
+    fn resident_tile(&mut self, key: u128) -> Option<u32> {
+        self.resident.tile(key).then(|| self.spectra.tiles.count_at(Normalized::assume(key)))
+    }
+
+    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
+        if missing.is_empty() {
+            self.violation.get_or_insert("a fetch with no keys".into());
+        }
+        for &k in &missing.kmers {
+            if self.resident.kmer(k) || !self.requested_kmers.insert(k) {
+                self.violation.get_or_insert(format!("k-mer {k:#x} resident or requested twice"));
+            }
+            cache.put_kmer(k, self.spectra.kmers.count_at(Normalized::assume(k)));
+        }
+        for &t in &missing.tiles {
+            if self.resident.tile(t) || !self.requested_tiles.insert(t) {
+                self.violation.get_or_insert(format!("tile {t:#x} resident or requested twice"));
+            }
+            cache.put_tile(t, self.spectra.tiles.count_at(Normalized::assume(t)));
+        }
+    }
+}
+
+/// Records every key `correct_read` probes.
+struct Probed<'a> {
+    spectra: &'a mut LocalSpectra,
+    kmers: FxHashSet<u64>,
+    tiles: FxHashSet<u128>,
+}
+
+impl SpectrumAccess for Probed<'_> {
+    fn kmer_count(&mut self, code: u64) -> u32 {
+        self.kmers.insert(code);
+        self.spectra.kmer_count(code)
+    }
+
+    fn tile_count(&mut self, code: u128) -> u32 {
+        self.tiles.insert(code);
+        self.spectra.tile_count(code)
+    }
+}
+
+/// One wave-driver case, everything drawn from `seed` (call this with a
+/// failing seed to replay it): reads with `N`s, reads shorter than a
+/// tile, lengths the stride does not divide, either strand handling,
+/// strict or relaxed quality, and any share of the spectrum resident.
+fn wave_case(seed: u64) -> Result<(), String> {
+    let mut state = seed;
+    let mut draw = |n: u64| {
+        state = mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+        state % n
+    };
+    let p = ReptileParams {
+        canonical: draw(2) == 0,
+        relax_quality: draw(2) == 0,
+        ..params() // tile_len 9, stride 3
+    };
+    let genome: Vec<u8> = (0..60 + draw(90)).map(|_| b"ACGT"[draw(4) as usize]).collect();
+    let reads: Vec<Read> = (0..20 + draw(40))
+        .map(|id| {
+            let len = (4 + draw(37) as usize).min(genome.len());
+            let at = draw((genome.len() - len + 1) as u64) as usize;
+            let mut seq = genome[at..at + len].to_vec();
+            let mut qual = vec![35u8; len];
+            for _ in 0..draw(3) {
+                let pos = draw(len as u64) as usize;
+                seq[pos] = b"ACGTN"[draw(5) as usize];
+                qual[pos] = [4, 12, 30][draw(3) as usize];
+            }
+            Read::new(id + 1, seq, qual)
+        })
+        .collect();
+    let mut spectra = LocalSpectra::build(&reads, &p);
+
+    let mut chunk = reads.clone();
+    let resident = Residency { salt: draw(u64::MAX), pct: [0, 30, 70, 95][draw(4) as usize] };
+    let mut source = SplitSpectrum {
+        spectra: &spectra,
+        resident,
+        requested_kmers: FxHashSet::default(),
+        requested_tiles: FxHashSet::default(),
+        violation: None,
+    };
+    let mut outcomes: Vec<Option<ReadOutcome>> = vec![None; reads.len()];
+    let stats = correct_in_waves(
+        &mut chunk,
+        &p,
+        &mut WaveScratch::default(),
+        &mut source,
+        |_, i, outcome| {
+            outcomes[i] = Some(outcome);
+        },
+    );
+    if let Some(violation) = source.violation {
+        return Err(violation);
+    }
+    let most_windows = reads
+        .iter()
+        .filter(|r| r.len() >= p.tile_len())
+        .map(|r| (r.len() - p.tile_len()).div_ceil(3) + 1)
+        .max()
+        .unwrap_or(0);
+    // the pass that finishes the last read follows the last fetch
+    if stats.waves as usize + 1 > 2 * most_windows + 1 {
+        return Err(format!("{} waves for at most {most_windows} windows", stats.waves));
+    }
+    let (requested_kmers, requested_tiles) = (source.requested_kmers, source.requested_tiles);
+    for ((original, got), outcome) in reads.iter().zip(&chunk).zip(outcomes) {
+        let mut probed = Probed {
+            spectra: &mut spectra,
+            kmers: FxHashSet::default(),
+            tiles: FxHashSet::default(),
+        };
+        let mut want = original.clone();
+        let want_outcome = correct_read(&mut want, &mut probed, &p);
+        if *got != want || outcome.as_ref() != Some(&want_outcome) {
+            return Err(format!("read {} differs: {got:?} {outcome:?} vs {want:?}", want.id));
+        }
+        if let Some(k) =
+            probed.kmers.iter().find(|&&k| !resident.kmer(k) && !requested_kmers.contains(&k))
+        {
+            return Err(format!("read {}: k-mer {k:#x} probed, never resident", want.id));
+        }
+        if let Some(t) =
+            probed.tiles.iter().find(|&&t| !resident.tile(t) && !requested_tiles.contains(&t))
+        {
+            return Err(format!("read {}: tile {t:#x} probed, never resident", want.id));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The wave driver over a partly resident spectrum is `correct_read`
+    /// over the full one: same bytes, same `ReadOutcome`; every key the
+    /// corrector probes was resident or fetched; no key is fetched twice
+    /// or needlessly; the wave count respects the structural bound. A
+    /// failure (a panic included) reports the seed to replay.
+    #[test]
+    fn waves_equal_correct_read(seed in any::<u64>()) {
+        let result = std::panic::catch_unwind(|| wave_case(seed));
+        prop_assert!(matches!(result, Ok(Ok(()))), "wave_case({seed:#x}): {result:?}");
+    }
 
     /// Correction never changes read length or identity, and every fix is
     /// a real substitution at a valid position.

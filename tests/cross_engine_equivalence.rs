@@ -63,6 +63,7 @@ fn virtual_engine_matches_sequential_across_rank_counts() {
 fn virtual_and_threaded_agree_under_heuristics() {
     let ds = dataset(3, false);
     let p = params(false);
+    let (seq, _) = correct_dataset(&ds.reads, &p);
     let matrix = [
         HeuristicConfig::base(),
         HeuristicConfig { universal: true, ..Default::default() },
@@ -71,6 +72,8 @@ fn virtual_and_threaded_agree_under_heuristics() {
         HeuristicConfig::paper_production(),
         HeuristicConfig { load_balance: false, ..Default::default() },
         HeuristicConfig { partial_group: 2, ..Default::default() },
+        HeuristicConfig { aggregate_lookups: true, ..Default::default() },
+        HeuristicConfig { aggregate_lookups: true, partial_group: 2, ..Default::default() },
     ];
     for heur in matrix {
         let mut mt_cfg = EngineConfig::new(4, p);
@@ -81,7 +84,16 @@ fn virtual_and_threaded_agree_under_heuristics() {
         v_cfg.heuristics = heur;
         v_cfg.chunk_size = 300;
         let virt = run_virtual(&v_cfg, &ds.reads);
-        assert_eq!(mt.corrected, virt.corrected, "heur={}", heur.label());
+        assert_eq!(mt.corrected, seq, "heur={}", heur.label());
+        assert_eq!(virt.corrected, seq, "heur={}", heur.label());
+        if heur.aggregate_lookups {
+            // the waves fetch everything the walk asks for: fault-free,
+            // no lookup falls back to a single-key round trip
+            for run in [&mt, &virt] {
+                assert_eq!(run.report.remote_lookups(), 0, "heur={}", heur.label());
+                assert!(run.report.ranks.iter().all(|r| r.lookups.batches_sent > 0));
+            }
+        }
     }
 }
 

@@ -187,20 +187,47 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
         }
     }
 
-    // --- the kill column: a dead owner degrades, never hangs ---
+    // --- the aggregate columns: every chunk is corrected in several
+    // fetch waves, each one batch per owner under the same retry
+    // protocol. Lossy and slow waves are masked; a dead owner degrades,
+    // never hangs (each wave waits out at most deadline x budget) ---
     for engine_name in ["mt", "virtual"] {
         let engine = engine_by_name(engine_name).unwrap();
         let np = 3;
-        let cfg = EngineConfig {
-            fault: FaultPlan::parse("seed=3,kill=1").unwrap(),
+        let aggregate = |fault: &str, retry_budget: u32| EngineConfig {
+            fault: FaultPlan::parse(fault).unwrap(),
             lookup_deadline: Some(Duration::from_millis(2)),
-            retry_budget: 2,
+            retry_budget,
             heuristics: reptile_dist::HeuristicConfig {
                 aggregate_lookups: true,
                 ..Default::default()
             },
             ..config(engine_name, np)
         };
+        let clean =
+            engine.run(&EngineConfig { lookup_deadline: None, ..aggregate("", 0) }, &ds.reads);
+        let faulted = engine.run(&aggregate("seed=12,drop=0.1,delay=0.2:200us", 10), &ds.reads);
+        assert_bit_identical(&format!("{engine_name} aggregate drop+delay"), &clean, &faulted);
+        for r in &faulted.report.ranks {
+            let chunks = r.reads_processed.div_ceil(120);
+            assert!(
+                r.lookups.batches_sent > chunks * (np as u64 - 1),
+                "{engine_name}: rank {} must need more than one wave per chunk",
+                r.rank
+            );
+        }
+        let (retried, deadline_misses, keys_degraded) = counters(&faulted);
+        assert!(retried > 0, "{engine_name}: aggregate drop run never retried");
+        rows.push(MatrixRow {
+            engine: engine_name,
+            np,
+            fault: "aggregate drop+delay",
+            retried,
+            deadline_misses,
+            keys_degraded,
+        });
+
+        let cfg = aggregate("seed=3,kill=1", 2);
         let out = engine.run(&cfg, &ds.reads);
         assert_eq!(out.corrected.len(), ds.reads.len(), "{engine_name}: kill must not lose reads");
         let (_, _, keys_degraded) = counters(&out);
@@ -210,7 +237,7 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
             "{engine_name}: the killed rank serves nothing"
         );
         rows.push(MatrixRow {
-            engine: if engine_name == "mt" { "mt" } else { "virtual" },
+            engine: engine_name,
             np,
             fault: "kill",
             retried: counters(&out).0,
