@@ -17,30 +17,30 @@
 //! severs a rank's message plane: the barrier is a collective, and
 //! collectives stay reliable under every fault except a stall.
 //!
-//! Reliability: every request carries a sequence number that its
-//! response echoes. When a lookup deadline is configured, requests that
-//! miss it are retried with exponential backoff — resending the *same*
-//! sequence number, so duplicated requests are idempotent and stale or
-//! duplicated responses are recognized and discarded. Once the retry
-//! budget is exhausted the key degrades to the paper's "absent
-//! everywhere" answer (count 0) and the degradation is counted in
-//! [`LookupStats`]. With no faults injected the protocol is pure
-//! overhead-free bookkeeping: the output is bit-identical to a run
-//! without it.
+//! Reliability: the worker's lookups go through the shared
+//! `LookupRouter` (`router.rs`), which stamps every request with a
+//! sequence number and drives the deadline/retry/degrade protocol; this
+//! module supplies its wire side, `WireTransport`. A retried request
+//! is resent under the *same* sequence number, which its response
+//! echoes, so duplicated requests are idempotent and stale or
+//! duplicated responses are recognized and discarded. With no faults
+//! injected the protocol is pure overhead-free bookkeeping: the output
+//! is bit-identical to a run without it.
 
 use crate::balance::{owner_volume_histogram, select_hot_owners, shuffle_reads, sum_histograms};
 use crate::engine::{EngineConfig, EngineError, RunOutput};
-use crate::heuristics::HeuristicConfig;
 use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use crate::protocol::{
-    batch_ranges, count_to_wire, decode_response, decode_steal_ack, decode_steal_request,
-    encode_batch_request_into, encode_response_into, encode_steal_ack, encode_steal_request,
-    wire_to_count, BatchRequest, BatchResponse, LookupRequest, StealResponse, TAG_BATCH_REQ,
-    TAG_BATCH_RESP, TAG_KMER_REQ, TAG_RESP, TAG_STEAL_ACK, TAG_STEAL_REQ, TAG_STEAL_RESP,
-    TAG_TILE_REQ, TAG_UNIVERSAL,
+    decode_response, decode_steal_ack, decode_steal_request, encode_batch_request_into,
+    encode_response_into, encode_steal_ack, BatchRequest, BatchResponse, LookupRequest,
+    StealResponse, TAG_BATCH_REQ, TAG_BATCH_RESP, TAG_KMER_REQ, TAG_RESP, TAG_STEAL_ACK,
+    TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_TILE_REQ, TAG_UNIVERSAL,
 };
 use crate::report::{LookupStats, RankReport, RunReport};
+use crate::router::{
+    owner_batch, owner_count, LookupRouter, Reply, Request, RouterScratch, Tiers, Transport,
+};
 use crate::snapshot;
 use crate::spectrum::{
     build_distributed, build_distributed_spillable, derive_heuristic_tables, replicate_hot_shards,
@@ -50,11 +50,7 @@ use dnaseq::{FxHashMap, Read};
 use mpisim::message::WireWriter;
 use mpisim::{Comm, Source, TagSel, TraceLog, Universe};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
-use reptile::{
-    correct_in_waves, correct_read_with, CorrectionStats, Normalized, PrefetchKeys, ReadOutcome,
-    ReptileParams, SpectrumAccess, WalkScratch, WaveCache, WaveScratch, WaveSource,
-};
-use std::ops::Range;
+use reptile::CorrectionStats;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -384,10 +380,11 @@ pub(crate) fn run_rank(
                 )
             })
         });
-        let mut access =
-            DistAccess { reads_kmers, reads_tiles, ..DistAccess::for_tables(comm, &tables, cfg) };
-        let mut correct_chunk = |access: &mut DistAccess, chunk: &mut [Read]| {
-            access.correct_chunk(chunk, &cfg.params, |_, outcome, _| correction.absorb(&outcome));
+        let mut router = LookupRouter::over_wire(comm, &tables, cfg);
+        router.tiers.kmers.reads = reads_kmers;
+        router.tiers.tiles.reads = reads_tiles;
+        let mut correct_chunk = |router: &mut LookupRouter<WireTransport>, chunk: &mut [Read]| {
+            router.correct_chunk(chunk, &cfg.params, |_, outcome, _| correction.absorb(&outcome));
         };
         if let Some(state) = &steal_state {
             // own queue first: pop chunks off the front while the comm
@@ -396,7 +393,7 @@ pub(crate) fn run_rank(
             loop {
                 let chunk = state.lock().expect("steal lock").pop_front();
                 let Some(mut chunk) = chunk else { break };
-                correct_chunk(&mut access, &mut chunk);
+                correct_chunk(&mut router, &mut chunk);
                 corrected.extend(chunk);
             }
             // At-least-once under faults: a handed-out chunk whose ACK
@@ -409,7 +406,7 @@ pub(crate) fn run_rank(
                     st.handed_out.drain(..).map(|(_, _, c)| c).collect()
                 };
                 for mut chunk in adopted {
-                    correct_chunk(&mut access, &mut chunk);
+                    correct_chunk(&mut router, &mut chunk);
                     corrected.extend(chunk);
                 }
             }
@@ -420,16 +417,15 @@ pub(crate) fn run_rank(
                 (0..comm.size()).filter(|&r| r != me && loads[r] > 0).collect();
             victims.sort_by_key(|&r| (std::cmp::Reverse(loads[r]), r));
             for victim in victims {
-                while let Some(mut chunk) = access.steal_from(victim) {
-                    access.stats.chunks_stolen += 1;
-                    correct_chunk(&mut access, &mut chunk);
+                while let Some(mut chunk) = router.steal_from(victim) {
+                    correct_chunk(&mut router, &mut chunk);
                     corrected.extend(chunk);
                 }
             }
         } else {
             // aggregate mode fetches per chunk; base mode does not care
             for chunk in corrected.chunks_mut(chunk_unit) {
-                correct_chunk(&mut access, chunk);
+                correct_chunk(&mut router, chunk);
             }
         }
         // Once every worker has passed this barrier no rank can issue a
@@ -437,8 +433,8 @@ pub(crate) fn run_rank(
         // duplicates) is drained by the servers before they exit.
         comm.barrier();
         shutdown.store(true, Ordering::Release);
-        lookups = access.stats;
-        comm_secs = access.comm_secs;
+        lookups = router.stats;
+        comm_secs = router.transport.comm_secs;
         if let Some(server) = server {
             served = server.join().expect("comm thread panicked");
         }
@@ -597,18 +593,7 @@ pub(crate) fn comm_thread(
         if msg.tag == TAG_BATCH_REQ {
             // one sweep over the owned tables answers the whole batch
             let (seq, req) = BatchRequest::decode(&msg.payload);
-            let resp = BatchResponse {
-                kmer_counts: req
-                    .kmers
-                    .iter()
-                    .map(|&k| count_to_wire(hash_kmers.get_at(Normalized::assume(k))))
-                    .collect(),
-                tile_counts: req
-                    .tiles
-                    .iter()
-                    .map(|&t| count_to_wire(hash_tiles.get_at(Normalized::assume(t))))
-                    .collect(),
-            };
+            let resp = owner_batch(&req.kmers, &req.tiles, hash_kmers, hash_tiles);
             scratch.reset();
             let tag = resp.encode_into(seq, &mut scratch);
             comm.send_from_slice(msg.src, tag, scratch.payload());
@@ -617,12 +602,8 @@ pub(crate) fn comm_thread(
             continue;
         }
         let (seq, req) = LookupRequest::decode(msg.tag, &msg.payload);
-        let count = match req {
-            LookupRequest::Kmer(code) => hash_kmers.get_at(Normalized::assume(code)),
-            LookupRequest::Tile(code) => hash_tiles.get_at(Normalized::assume(code)),
-        };
         scratch.reset();
-        encode_response_into(seq, count, &mut scratch);
+        encode_response_into(seq, owner_count(req, hash_kmers, hash_tiles), &mut scratch);
         comm.send_from_slice(msg.src, TAG_RESP, scratch.payload());
         served.keys += 1;
     }
@@ -635,501 +616,140 @@ fn attempt_deadline(base: Option<Duration>, attempt: u32) -> Option<Duration> {
     base.map(|d| d.saturating_mul(1u32 << attempt.min(16)))
 }
 
-/// The worker-side lookup chain of §III step IV:
-/// replicated table → owned table → reads table → remote request.
-pub(crate) struct DistAccess<'a> {
+/// The wire side of the lookup router: requests encoded into a reused
+/// buffer and sent through the [`Comm`]; replies matched to the request
+/// by the sequence number they echo.
+pub(crate) struct WireTransport<'a> {
     comm: &'a Comm,
-    me: usize,
-    owners: &'a OwnerMap,
-    hash_kmers: &'a KmerSpectrum,
-    hash_tiles: &'a TileSpectrum,
-    reads_kmers: Option<KmerSpectrum>,
-    reads_tiles: Option<TileSpectrum>,
-    replicated_kmers: &'a Option<KmerSpectrum>,
-    replicated_tiles: &'a Option<TileSpectrum>,
-    group_kmers: &'a Option<KmerSpectrum>,
-    group_tiles: &'a Option<TileSpectrum>,
-    hot_kmers: &'a Option<KmerSpectrum>,
-    hot_tiles: &'a Option<TileSpectrum>,
-    /// Hot-owner flags (length `np`, or empty when adaptive replication
-    /// is off / found no skew); a hot owner's keys resolve from the
-    /// local replica instead of the wire.
-    hot_owners: &'a [bool],
-    heur: HeuristicConfig,
+    /// Single-key requests travel in the self-describing encoding.
+    universal: bool,
     /// Base per-request deadline; `None` = block indefinitely (the
     /// fault-free fast path).
     lookup_deadline: Option<Duration>,
-    /// Retries after the first missed deadline before a key degrades.
-    retry_budget: u32,
-    /// Next request sequence number (monotonic per worker, echoed by
-    /// responses; never reused, so stale responses are recognizable).
-    next_seq: u64,
-    /// Batch responses that arrived while awaiting a different sequence
-    /// number — reordered or duplicated deliveries parked until their
-    /// own await comes around. Cleared at the end of each wave.
+    /// Batch responses that arrived while awaiting an earlier sequence
+    /// number — a later batch of the same wave, reordered ahead or sent
+    /// to the same owner — parked until their own await comes around.
+    /// Every batch in flight is awaited, so a wave leaves this empty.
     batch_stash: FxHashMap<u64, BatchResponse>,
-    /// Aggregate mode: the wave driver's state, its fetched-count cache
-    /// included, reused chunk after chunk.
-    wave: WaveScratch,
-    /// Aggregate mode: one wave's missing keys split by owning rank;
-    /// the buffers are reused across waves and chunks.
-    wave_keys: Vec<PrefetchKeys>,
-    /// Base mode: the window walk's buffers.
-    walk: WalkScratch,
     /// Reused encode buffer — no fresh `Vec` per request.
     scratch: WireWriter,
-    pub(crate) stats: LookupStats,
+    /// Seconds spent sending and awaiting.
     pub(crate) comm_secs: f64,
 }
 
-impl<'a> DistAccess<'a> {
-    /// Build the lookup chain over a rank's intact [`RankTables`] — the
-    /// serve plane's constructor. The reads tables stay `None` (a
-    /// long-lived service has no fixed read set to scan), so the caller
-    /// must have rejected `keep_read_tables`/`cache_remote` up front.
-    /// The wave state, wire scratch and batch stash allocated here live
-    /// as long as the access: reusing one `DistAccess` across many
-    /// serve micro-batches is what makes repeat jobs allocate ~zero.
-    pub(crate) fn for_tables(
-        comm: &'a Comm,
-        tables: &'a RankTables,
-        cfg: &EngineConfig,
-    ) -> DistAccess<'a> {
-        DistAccess {
-            comm,
-            me: comm.rank(),
-            owners: &tables.owners,
-            hash_kmers: &tables.hash_kmers,
-            hash_tiles: &tables.hash_tiles,
-            reads_kmers: None,
-            reads_tiles: None,
-            replicated_kmers: &tables.replicated_kmers,
-            replicated_tiles: &tables.replicated_tiles,
-            group_kmers: &tables.group_kmers,
-            group_tiles: &tables.group_tiles,
-            hot_kmers: &tables.hot_kmers,
-            hot_tiles: &tables.hot_tiles,
-            hot_owners: &tables.hot_owners,
-            heur: cfg.heuristics,
-            lookup_deadline: cfg.lookup_deadline,
-            retry_budget: cfg.retry_budget,
-            next_seq: 1,
-            batch_stash: FxHashMap::default(),
-            wave: WaveScratch::default(),
-            wave_keys: vec![PrefetchKeys::default(); comm.size()],
-            walk: WalkScratch::default(),
-            scratch: WireWriter::with_capacity(64),
-            stats: LookupStats::default(),
-            comm_secs: 0.0,
-        }
-    }
-}
-
-impl DistAccess<'_> {
-    /// One remote lookup under the retry protocol: send, await the
-    /// response matching our sequence number, resend with exponential
-    /// backoff on every missed deadline, and degrade to "absent
-    /// everywhere" (count 0) once the budget is spent.
-    fn remote_lookup(&mut self, req: LookupRequest, owner: usize) -> u32 {
+impl Transport for WireTransport<'_> {
+    fn send(&mut self, to: usize, seq: u64, req: Request<'_>, _attempt: u32) {
         let t = Instant::now();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut outcome = None;
-        for attempt in 0..=self.retry_budget {
-            self.scratch.reset();
-            let tag = if self.heur.universal {
-                req.encode_universal_into(seq, &mut self.scratch)
-            } else {
-                req.encode_tagged_into(seq, &mut self.scratch)
-            };
-            self.comm.send_from_slice(owner, tag, self.scratch.payload());
-            if attempt == 0 {
-                self.stats.remote_messages += 1;
-            } else {
-                self.stats.requests_retried += 1;
+        self.scratch.reset();
+        let tag = match req {
+            Request::Key(key) if self.universal => {
+                key.encode_universal_into(seq, &mut self.scratch)
             }
-            match self.await_response(owner, seq, attempt_deadline(self.lookup_deadline, attempt)) {
-                Some(count) => {
-                    outcome = Some(count);
-                    break;
-                }
-                // only reachable with a configured deadline: without one
-                // await_response blocks until an answer arrives
-                None => self.stats.deadline_misses += 1,
+            Request::Key(key) => key.encode_tagged_into(seq, &mut self.scratch),
+            Request::Batch { kmers, tiles } => {
+                encode_batch_request_into(seq, kmers, tiles, &mut self.scratch)
             }
-        }
-        self.comm_secs += t.elapsed().as_secs_f64();
-        match outcome {
-            Some(count) => {
-                match (&req, count) {
-                    (LookupRequest::Kmer(_), None) => self.stats.remote_kmer_misses += 1,
-                    (LookupRequest::Tile(_), None) => self.stats.remote_tile_misses += 1,
-                    _ => {}
-                }
-                count.unwrap_or(0)
+            Request::Steal => {
+                // a steal request is its seq header alone
+                // (`protocol::decode_steal_request`)
+                self.scratch.put_u64(seq);
+                TAG_STEAL_REQ
             }
-            None => {
-                self.stats.keys_degraded += 1;
-                0
-            }
-        }
-    }
-
-    /// Wait up to `deadline` for the response stamped `seq` from
-    /// `owner`, discarding responses to requests this worker already
-    /// resolved or gave up on. Returns `None` on timeout; the inner
-    /// `Option` is the key's count (None = absent on the owner).
-    fn await_response(
-        &mut self,
-        owner: usize,
-        seq: u64,
-        deadline: Option<Duration>,
-    ) -> Option<Option<u32>> {
-        let start = Instant::now();
-        loop {
-            let msg = match deadline {
-                None => self.comm.recv(Source::Rank(owner), TagSel::Tag(TAG_RESP)),
-                Some(d) => {
-                    let left = d.checked_sub(start.elapsed()).unwrap_or(Duration::ZERO);
-                    self.comm.recv_deadline(Source::Rank(owner), TagSel::Tag(TAG_RESP), left)?
-                }
-            };
-            let (rseq, count) = decode_response(&msg.payload);
-            if rseq == seq {
-                return Some(count);
-            }
-            // stale or duplicated response for another sequence — drop it
-        }
-    }
-
-    /// Correct a chunk of reads in place, calling `done(index, outcome,
-    /// degraded)` once per read, as soon as it is finished. Base mode
-    /// corrects read by read, every non-local lookup a round trip of its
-    /// own; aggregate mode hands the chunk to the wave driver, which learns
-    /// from the walk itself which counts to fetch and gets them through
-    /// [`WaveSource::fetch`] — no single-key request is ever sent.
-    ///
-    /// `degraded` says whether a count the read's walk saw may have been
-    /// a degraded one: in base mode, one of its own lookups degraded; in
-    /// aggregate mode, a key of the chunk had degraded by the time the
-    /// read finished (a walk sees nothing fetched later).
-    pub(crate) fn correct_chunk(
-        &mut self,
-        reads: &mut [Read],
-        params: &ReptileParams,
-        mut done: impl FnMut(usize, ReadOutcome, bool),
-    ) {
-        if self.heur.aggregate_lookups {
-            let mut wave = std::mem::take(&mut self.wave);
-            let before = self.stats.keys_degraded;
-            let waves = correct_in_waves(reads, params, &mut wave, self, |access, i, outcome| {
-                done(i, outcome, access.stats.keys_degraded > before)
-            });
-            self.wave = wave;
-            self.stats.add_wave_hits(&waves);
-        } else {
-            let mut walk = std::mem::take(&mut self.walk);
-            for (i, read) in reads.iter_mut().enumerate() {
-                let before = self.stats.keys_degraded;
-                let outcome = correct_read_with(read, self, params, &mut walk);
-                done(i, outcome, self.stats.keys_degraded > before);
-            }
-            self.walk = walk;
-        }
-    }
-
-    /// Resolve one in-flight batch: match its response by sequence
-    /// number, retrying with backoff on missed deadlines; once the
-    /// budget is spent, degrade every key in the batch to absent.
-    fn await_batch_response(
-        &mut self,
-        owner: usize,
-        kmers: &[u64],
-        tiles: &[u128],
-        seq: u64,
-        cache: &mut WaveCache,
-    ) {
-        let resp = 'resolve: {
-            if let Some(r) = self.batch_stash.remove(&seq) {
-                break 'resolve Some(r);
-            }
-            for attempt in 0..=self.retry_budget {
-                if attempt > 0 {
-                    self.send_batch(owner, kmers, tiles, seq);
-                    self.stats.requests_retried += 1;
-                }
-                let start = Instant::now();
-                let deadline = attempt_deadline(self.lookup_deadline, attempt);
-                loop {
-                    let msg = match deadline {
-                        None => self.comm.recv(Source::Rank(owner), TagSel::Tag(TAG_BATCH_RESP)),
-                        Some(d) => {
-                            let left = d.checked_sub(start.elapsed()).unwrap_or(Duration::ZERO);
-                            match self.comm.recv_deadline(
-                                Source::Rank(owner),
-                                TagSel::Tag(TAG_BATCH_RESP),
-                                left,
-                            ) {
-                                Some(m) => m,
-                                None => {
-                                    self.stats.deadline_misses += 1;
-                                    break;
-                                }
-                            }
-                        }
-                    };
-                    let (rseq, resp) = BatchResponse::decode(&msg.payload);
-                    if rseq == seq {
-                        break 'resolve Some(resp);
-                    }
-                    // response to a different batch from this owner —
-                    // reordered ahead of ours or a duplicate; park it
-                    self.batch_stash.insert(rseq, resp);
-                }
-            }
-            None
         };
-        match resp {
-            // counts normalized like the single-key path (nonexistent
-            // key → 0)
-            Some(resp) => {
-                debug_assert_eq!(resp.kmer_counts.len(), kmers.len());
-                debug_assert_eq!(resp.tile_counts.len(), tiles.len());
-                for (&k, &c) in kmers.iter().zip(&resp.kmer_counts) {
-                    cache.put_kmer(k, wire_to_count(c).unwrap_or(0));
-                }
-                for (&tl, &c) in tiles.iter().zip(&resp.tile_counts) {
-                    cache.put_tile(tl, wire_to_count(c).unwrap_or(0));
-                }
-            }
-            None => {
-                // budget exhausted: every key in the batch reads as
-                // absent — the paper's degradation semantics
-                for &k in kmers {
-                    cache.put_kmer(k, 0);
-                }
-                for &tl in tiles {
-                    cache.put_tile(tl, 0);
-                }
-                self.stats.keys_degraded += (kmers.len() + tiles.len()) as u64;
-            }
-        }
+        self.comm.send_from_slice(to, tag, self.scratch.payload());
+        self.comm_secs += t.elapsed().as_secs_f64();
     }
 
-    /// One steal round trip: ask `victim` for a chunk off the back of
-    /// its queue, await the seq-matched response (retrying with backoff
-    /// under a deadline, like every other request on the service plane),
-    /// and acknowledge receipt. Returns `None` when the victim is
-    /// drained — or when the retry budget ran out, which a thief treats
-    /// the same way: stop stealing from that victim.
-    fn steal_from(&mut self, victim: usize) -> Option<Vec<Read>> {
-        let t = Instant::now();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut outcome = None;
-        'attempts: for attempt in 0..=self.retry_budget {
-            self.comm.send_from_slice(victim, TAG_STEAL_REQ, &encode_steal_request(seq));
-            if attempt > 0 {
-                self.stats.requests_retried += 1;
-            }
+    /// Receive from `from` on the reply tag of `req` until the reply
+    /// stamped `seq` arrives or the attempt's deadline passes. Anything
+    /// else on that tag answers a request this worker already resolved
+    /// or gave up on (duplicated, or late) and is dropped — except a
+    /// batch response to a *later* sequence number, which is parked.
+    fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
+        let start = Instant::now();
+        let reply = 'matched: {
+            let tag = match req {
+                Request::Key(_) => TAG_RESP,
+                Request::Batch { .. } => {
+                    if let Some(parked) = self.batch_stash.remove(&seq) {
+                        break 'matched Some(Reply::Batch(parked));
+                    }
+                    TAG_BATCH_RESP
+                }
+                Request::Steal => TAG_STEAL_RESP,
+            };
             let deadline = attempt_deadline(self.lookup_deadline, attempt);
-            let start = Instant::now();
             loop {
                 let msg = match deadline {
-                    None => self.comm.recv(Source::Rank(victim), TagSel::Tag(TAG_STEAL_RESP)),
+                    None => self.comm.recv(Source::Rank(from), TagSel::Tag(tag)),
                     Some(d) => {
-                        let left = d.checked_sub(start.elapsed()).unwrap_or(Duration::ZERO);
-                        match self.comm.recv_deadline(
-                            Source::Rank(victim),
-                            TagSel::Tag(TAG_STEAL_RESP),
-                            left,
-                        ) {
-                            Some(m) => m,
-                            None => {
-                                self.stats.deadline_misses += 1;
-                                continue 'attempts;
-                            }
+                        let left = d.saturating_sub(start.elapsed());
+                        match self.comm.recv_deadline(Source::Rank(from), TagSel::Tag(tag), left) {
+                            Some(msg) => msg,
+                            None => break 'matched None,
                         }
                     }
                 };
-                let (rseq, resp) = StealResponse::decode(&msg.payload);
-                if rseq == seq {
-                    self.comm.send_from_slice(victim, TAG_STEAL_ACK, &encode_steal_ack(seq));
-                    outcome = Some(resp);
-                    break 'attempts;
+                match req {
+                    Request::Key(_) => {
+                        let (rseq, count) = decode_response(&msg.payload);
+                        if rseq == seq {
+                            break 'matched Some(Reply::Count(count));
+                        }
+                    }
+                    Request::Batch { .. } => {
+                        let (rseq, resp) = BatchResponse::decode(&msg.payload);
+                        if rseq == seq {
+                            break 'matched Some(Reply::Batch(resp));
+                        }
+                        if rseq > seq {
+                            self.batch_stash.insert(rseq, resp);
+                        }
+                    }
+                    Request::Steal => {
+                        // a response to an earlier steal round is safe to
+                        // drop: the victim's resend cache answers a retry
+                        // with the same chunk
+                        let (rseq, resp) = StealResponse::decode(&msg.payload);
+                        if rseq == seq {
+                            self.comm.send_from_slice(from, TAG_STEAL_ACK, &encode_steal_ack(seq));
+                            break 'matched Some(Reply::Chunk(resp.chunk));
+                        }
+                    }
                 }
-                // response to an earlier steal round (duplicate or
-                // reordered) — the victim's resend cache makes dropping
-                // it safe
             }
-        }
-        self.comm_secs += t.elapsed().as_secs_f64();
-        outcome.and_then(|resp| resp.chunk)
-    }
-
-    fn send_batch(&mut self, owner: usize, kmers: &[u64], tiles: &[u128], seq: u64) {
-        self.scratch.reset();
-        let tag = encode_batch_request_into(seq, kmers, tiles, &mut self.scratch);
-        self.comm.send_from_slice(owner, tag, self.scratch.payload());
-    }
-
-    /// The lookup chain of §III step IV up to the point where it would
-    /// leave the rank: replicated table → owned (or group) table → hot
-    /// replica → reads table. `Err` names the key and the owner to ask.
-    fn local_kmer(&mut self, code: u64) -> Result<u32, (Normalized<u64>, usize)> {
-        let key = self.owners.kmer_key(code);
-        if let Some(rep) = self.replicated_kmers {
-            self.stats.local_kmer_lookups += 1;
-            return Ok(rep.count_at(key));
-        }
-        let owner = self.owners.kmer_owner_at(key);
-        if let Some(group) = self.group_kmers {
-            // §V partial replication: in-group owners are local
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                self.stats.local_kmer_lookups += 1;
-                return Ok(group.count_at(key));
-            }
-        } else if owner == self.me {
-            self.stats.local_kmer_lookups += 1;
-            return Ok(self.hash_kmers.count_at(key));
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            if let Some(hk) = self.hot_kmers {
-                // exact copy of the hot owner's pruned table: the same
-                // count a remote request would return
-                self.stats.local_kmer_lookups += 1;
-                self.stats.hot_shard_hits += 1;
-                return Ok(hk.count_at(key));
-            }
-        }
-        if let Some(rk) = &self.reads_kmers {
-            if let Some(c) = rk.get_at(key) {
-                self.stats.local_kmer_lookups += 1;
-                self.stats.cache_hits += 1;
-                return Ok(c);
-            }
-        }
-        Err((key, owner))
-    }
-
-    /// Tile twin of [`Self::local_kmer`].
-    fn local_tile(&mut self, code: u128) -> Result<u32, (Normalized<u128>, usize)> {
-        let key = self.owners.tile_key(code);
-        if let Some(rep) = self.replicated_tiles {
-            self.stats.local_tile_lookups += 1;
-            return Ok(rep.count_at(key));
-        }
-        let owner = self.owners.tile_owner_at(key);
-        if let Some(group) = self.group_tiles {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                self.stats.local_tile_lookups += 1;
-                return Ok(group.count_at(key));
-            }
-        } else if owner == self.me {
-            self.stats.local_tile_lookups += 1;
-            return Ok(self.hash_tiles.count_at(key));
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            if let Some(ht) = self.hot_tiles {
-                self.stats.local_tile_lookups += 1;
-                self.stats.hot_shard_hits += 1;
-                return Ok(ht.count_at(key));
-            }
-        }
-        if let Some(rt) = &self.reads_tiles {
-            if let Some(c) = rt.get_at(key) {
-                self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
-                return Ok(c);
-            }
-        }
-        Err((key, owner))
+        };
+        self.comm_secs += start.elapsed().as_secs_f64();
+        reply
     }
 }
 
-impl WaveSource for DistAccess<'_> {
-    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
-        self.local_kmer(key).ok()
-    }
-
-    fn resident_tile(&mut self, key: u128) -> Option<u32> {
-        self.local_tile(key).ok()
-    }
-
-    /// One wave: split the missing keys by owning rank and fetch each
-    /// owner's share with one vectorized round trip (more only past
-    /// `MAX_BATCH_KEYS`, see [`batch_ranges`]). All batches go out before
-    /// any response is received: sends are buffered and comm threads
-    /// always answer, so this cannot deadlock. Responses are matched by sequence number
-    /// (reordered deliveries park in [`DistAccess::batch_stash`]), so
-    /// arrival order does not matter.
-    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
-        let t = Instant::now();
-        let mut per_owner = std::mem::take(&mut self.wave_keys);
-        self.owners.split_by_owner(missing, &mut per_owner);
-        let mut sent: Vec<(usize, Range<usize>, Range<usize>, u64)> = Vec::new();
-        for (owner, keys) in per_owner.iter().enumerate() {
-            for (k, tl) in batch_ranges(keys.kmers.len(), keys.tiles.len()) {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.send_batch(owner, &keys.kmers[k.clone()], &keys.tiles[tl.clone()], seq);
-                self.stats.batches_sent += 1;
-                self.stats.batched_keys += (k.len() + tl.len()) as u64;
-                self.stats.remote_messages += 1;
-                sent.push((owner, k, tl, seq));
-            }
-        }
-        for (owner, k, tl, seq) in sent {
-            let keys = &per_owner[owner];
-            self.await_batch_response(owner, &keys.kmers[k], &keys.tiles[tl], seq, cache);
-        }
-        self.batch_stash.clear();
-        self.wave_keys = per_owner;
-        self.comm_secs += t.elapsed().as_secs_f64();
-    }
-}
-
-impl SpectrumAccess for DistAccess<'_> {
-    fn kmer_count(&mut self, code: u64) -> u32 {
-        let (key, owner) = match self.local_kmer(code) {
-            Ok(count) => return count,
-            Err(remote) => remote,
+impl<'a> LookupRouter<'a, WireTransport<'a>> {
+    /// The threaded engine's router over a rank's intact [`RankTables`] —
+    /// also the serve plane's constructor. The reads tables stay `None`
+    /// (a long-lived service has no fixed read set to scan, so the caller
+    /// must have rejected `keep_read_tables`/`cache_remote` up front); a
+    /// run moves its own in afterwards.
+    pub(crate) fn over_wire(comm: &'a Comm, tables: &'a RankTables, cfg: &EngineConfig) -> Self {
+        let transport = WireTransport {
+            comm,
+            universal: cfg.heuristics.universal,
+            lookup_deadline: cfg.lookup_deadline,
+            batch_stash: FxHashMap::default(),
+            scratch: WireWriter::with_capacity(64),
+            comm_secs: 0.0,
         };
-        self.stats.remote_kmer_lookups += 1;
-        let count = self.remote_lookup(LookupRequest::Kmer(key.key()), owner);
-        if self.heur.cache_remote {
-            if let Some(rk) = &mut self.reads_kmers {
-                rk.add_count(key, count);
-                self.stats.cached_answers += 1;
-            }
-        }
-        count
-    }
-
-    fn tile_count(&mut self, code: u128) -> u32 {
-        let (key, owner) = match self.local_tile(code) {
-            Ok(count) => return count,
-            Err(remote) => remote,
-        };
-        self.stats.remote_tile_lookups += 1;
-        let count = self.remote_lookup(LookupRequest::Tile(key.key()), owner);
-        if self.heur.cache_remote {
-            if let Some(rt) = &mut self.reads_tiles {
-                rt.add_count(key, count);
-                self.stats.cached_answers += 1;
-            }
-        }
-        count
+        let tiers = Tiers::of_tables(tables, comm.rank(), &cfg.heuristics);
+        LookupRouter::new(tiers, transport, cfg, RouterScratch::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::HeuristicConfig;
     use mpisim::FaultPlan;
-    use reptile::correct_dataset;
+    use reptile::{correct_dataset, ReptileParams};
 
     fn params() -> ReptileParams {
         ReptileParams { k: 6, tile_overlap: 3, ..ReptileParams::for_tests() }
@@ -1376,6 +996,71 @@ mod tests {
         assert_eq!(faulted.corrected, clean.corrected);
         let degraded: u64 = faulted.report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
         assert_eq!(degraded, 0);
+    }
+
+    /// The wire transport against a scripted owner: two batches of one
+    /// wave in flight to the same owner answered in reverse order, the
+    /// early one twice; then a late duplicate of the first wave ahead of
+    /// the second wave's answer. Every key gets its own batch's count,
+    /// nothing retries, nothing degrades, and the stash ends empty.
+    #[test]
+    fn wire_transport_matches_reordered_and_duplicated_batches_by_seq() {
+        use crate::protocol::MAX_BATCH_KEYS;
+        use mpisim::Message;
+        use reptile::{PrefetchKeys, WaveCache, WaveSource};
+        let p = ReptileParams { k: 12, tile_overlap: 6, ..ReptileParams::for_tests() };
+        let owners = OwnerMap::new(2, &p);
+        let keys: Vec<u64> =
+            (0u64..).filter(|&c| owners.kmer_owner(c) == 1).take(MAX_BATCH_KEYS + 10).collect();
+        let count_of = |key: u64| (key % 7) as u32;
+        let answer = |msg: &Message| {
+            let (seq, req) = BatchRequest::decode(&msg.payload);
+            let kmer_counts = req.kmers.iter().map(|&k| i64::from(count_of(k))).collect();
+            BatchResponse { kmer_counts, tile_counts: Vec::new() }.encode(seq).1
+        };
+        let cfg = EngineConfig::new(2, p);
+        Universe::new(2).run(|comm| {
+            if comm.rank() == 1 {
+                let from_worker = |tag| comm.recv(Source::Rank(0), TagSel::Tag(tag));
+                let (first, second) = (from_worker(TAG_BATCH_REQ), from_worker(TAG_BATCH_REQ));
+                for msg in [&second, &second, &first] {
+                    comm.send(0, TAG_BATCH_RESP, answer(msg));
+                }
+                let third = from_worker(TAG_BATCH_REQ);
+                for msg in [&second, &third] {
+                    comm.send(0, TAG_BATCH_RESP, answer(msg));
+                }
+                return;
+            }
+            let tables = RankTables {
+                owners,
+                hash_kmers: KmerSpectrum::new(p.kmer_codec(), p.canonical),
+                hash_tiles: TileSpectrum::new(p.tile_codec(), p.canonical),
+                reads_kmers: None,
+                reads_tiles: None,
+                replicated_kmers: None,
+                replicated_tiles: None,
+                group_kmers: None,
+                group_tiles: None,
+                hot_kmers: None,
+                hot_tiles: None,
+                hot_owners: Vec::new(),
+            };
+            let mut router = LookupRouter::over_wire(comm, &tables, &cfg);
+            let mut cache = WaveCache::default();
+            let (wave1, wave2) = keys.split_at(MAX_BATCH_KEYS + 5);
+            for wave in [wave1, wave2] {
+                let missing = PrefetchKeys { kmers: wave.to_vec(), tiles: Vec::new() };
+                router.fetch(&missing, &mut cache);
+                assert!(router.transport.batch_stash.is_empty(), "a wave empties the stash");
+            }
+            for &key in &keys {
+                assert_eq!(cache.kmer(key), Some(count_of(key)), "key {key}");
+            }
+            let s = router.stats;
+            assert_eq!((s.batches_sent, s.batched_keys), (3, keys.len() as u64));
+            assert_eq!((s.requests_retried, s.deadline_misses, s.keys_degraded), (0, 0, 0));
+        });
     }
 
     /// Killing an owner rank: the run still completes, its keys degrade

@@ -18,14 +18,17 @@
 //! figures hinge on, come out exactly, not approximately: they are
 //! counted while running the real corrector on the rank's real reads.
 //!
-//! Faults are replayed analytically: each modeled request consults the
+//! The lookup chain is not re-implemented here: each logical rank runs
+//! the threaded engine's `LookupRouter` (`router.rs`) over the global
+//! spectrum, with `ModelTransport` in place of the wire. Faults are
+//! replayed analytically: each attempt of a modeled request consults the
 //! same seeded per-edge [`FaultPlan`] decisions the threaded engine's
-//! message plane applies physically, walks the same retry/backoff state
-//! machine, charges the missed-deadline waits to the modeled clock
-//! ([`CostModel::retry_wait_ns`]), and degrades keys to the paper's
-//! "absent everywhere" answer when the budget runs out. A kill severs
-//! the rank's p2p plane both directions, so every lookup it owns (and
-//! every lookup it issues) degrades — exactly the threaded semantics.
+//! message plane applies physically, the router walks its one
+//! retry/backoff state machine, the missed-deadline waits go on the
+//! modeled clock ([`CostModel::retry_wait_ns`]), and keys degrade to the
+//! paper's "absent everywhere" answer when the budget runs out. A kill
+//! severs the rank's p2p plane both directions, so every lookup it owns
+//! (and every lookup it issues) degrades — exactly the threaded semantics.
 //!
 //! `scale` linearly extrapolates modeled times from a scaled-down dataset
 //! to paper-scale counts (per-rank work and traffic are linear in reads
@@ -36,19 +39,19 @@ use crate::balance::{
     sum_histograms,
 };
 use crate::engine::{EngineConfig, EngineError, RunOutput};
-use crate::heuristics::HeuristicConfig;
 use crate::owner::OwnerMap;
-use crate::protocol::{batch_ranges, RESPONSE_BYTES};
-use crate::report::{LookupStats, RankReport, RunReport};
+use crate::protocol::RESPONSE_BYTES;
+use crate::report::{RankReport, RunReport};
+use crate::router::{
+    owner_batch, owner_count, Key, KindTiers, LookupRouter, Reply, Request, RouterScratch, Tiers,
+    Transport,
+};
 use crate::snapshot;
-use crate::spectrum::BuildStats;
+use crate::spectrum::{BuildStats, CountSpectrum};
 use dnaseq::{FxHashSet, Read};
 use mpisim::{CostModel, FaultPlan, TraceLog};
 use reptile::spectrum::{KmerSpectrum, LocalSpectra, TileSpectrum};
-use reptile::{
-    correct_in_waves, correct_read_with, CorrectionStats, Normalized, PrefetchKeys, SpectrumAccess,
-    WalkScratch, WaveCache, WaveScratch, WaveSource,
-};
+use reptile::{CorrectionStats, Normalized};
 
 /// Execute the distributed algorithm on `cfg.np` logical ranks.
 pub fn run_virtual(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
@@ -163,12 +166,8 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         .map(|r| r.len().div_ceil(cfg.chunk_size).max(1) as u64)
         .max()
         .unwrap_or(1);
-    // correction scratch shared by every logical rank: the window walk's
-    // buffers, the wave driver's state, one wave's keys split by owner
-    let mut walk = WalkScratch::default();
-    let mut wave = WaveScratch::default();
-    let mut wave_keys =
-        vec![PrefetchKeys::default(); if cfg.heuristics.aggregate_lookups { np } else { 0 }];
+    // correction scratch handed from each logical rank's router to the next
+    let mut scratch = RouterScratch::default();
     let mut ranks = Vec::with_capacity(np);
     let mut rank_bases = Vec::with_capacity(np);
     let mut corrected_all = Vec::with_capacity(reads.len());
@@ -255,61 +254,59 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             (owned_kmers[me], owned_tiles[me])
         };
 
-        // --- correction (the real corrector, counted lookups) ---
-        let probe_extra = if cfg.heuristics.universal { 0.0 } else { cost.probe_ns };
-        let mut access = VirtualAccess {
-            spectra: &spectra,
+        // --- correction (the real corrector, counted lookups): the same
+        // router the threaded engine runs, over the global spectrum ---
+        let heur = &cfg.heuristics;
+        let hot = !hot_owners.is_empty();
+        let tiers = Tiers {
             owners: &owners,
-            hot_owners: &hot_owners,
             me,
-            heur: cfg.heuristics,
-            cost: *cost,
-            fault: cfg.fault,
+            group: heur.partial_group,
+            hot_owners: &hot_owners,
+            kmers: KindTiers {
+                replicated: heur.replicate_kmers.then_some(&spectra.kmers),
+                local: &spectra.kmers,
+                hot: hot.then_some(&spectra.kmers),
+                reads: heur.keep_read_tables.then(|| {
+                    let empty = KmerSpectrum::new(kcodec, cfg.params.canonical);
+                    reads_table(empty, &nonowned_kmers, &spectra.kmers)
+                }),
+            },
+            tiles: KindTiers {
+                replicated: heur.replicate_tiles.then_some(&spectra.tiles),
+                local: &spectra.tiles,
+                hot: hot.then_some(&spectra.tiles),
+                reads: heur.keep_read_tables.then(|| {
+                    let empty = TileSpectrum::new(tcodec, cfg.params.canonical);
+                    reads_table(empty, &nonowned_tiles, &spectra.tiles)
+                }),
+            },
+        };
+        let transport = ModelTransport {
+            spectra: &spectra,
+            me,
+            cost,
+            fault: &cfg.fault,
             rpn,
-            probe_extra,
+            probe_extra: if heur.universal { 0.0 } else { cost.probe_ns },
             deadline_ns,
-            retry_budget: cfg.retry_budget,
             edge_req_seq: vec![0u64; np],
             retry_wait_ns: 0.0,
-            own_kmer_keys: if cfg.heuristics.keep_read_tables {
-                Some(&nonowned_kmers)
-            } else {
-                None
-            },
-            own_tile_keys: if cfg.heuristics.keep_read_tables {
-                Some(&nonowned_tiles)
-            } else {
-                None
-            },
-            cached_kmers: FxHashSet::default(),
-            cached_tiles: FxHashSet::default(),
-            degraded_kmers: FxHashSet::default(),
-            degraded_tiles: FxHashSet::default(),
-            wave_keys: &mut wave_keys,
             batch_comm_ns: 0.0,
-            stats: LookupStats::default(),
         };
+        let mut router = LookupRouter::new(tiers, transport, cfg, std::mem::take(&mut scratch));
         let mut correction = CorrectionStats::default();
         let mut corrected = mine;
-        if cfg.heuristics.aggregate_lookups {
-            // the same waves the threaded engine runs, per chunk
-            for chunk in corrected.chunks_mut(cfg.chunk_size.max(1)) {
-                let waves =
-                    correct_in_waves(chunk, &cfg.params, &mut wave, &mut access, |_, _, o| {
-                        correction.absorb(&o)
-                    });
-                access.stats.add_wave_hits(&waves);
-            }
-        } else {
-            for read in corrected.iter_mut() {
-                let outcome = correct_read_with(read, &mut access, &cfg.params, &mut walk);
-                correction.absorb(&outcome);
-            }
+        // aggregate mode fetches per chunk; base mode does not care
+        for chunk in corrected.chunks_mut(cfg.chunk_size.max(1)) {
+            router.correct_chunk(chunk, &cfg.params, |_, outcome, _| correction.absorb(&outcome));
         }
-        let lookups = access.stats;
-        let retry_wait_ns = access.retry_wait_ns;
-        let cached_kmer_entries = access.cached_kmers.len() as u64;
-        let cached_tile_entries = access.cached_tiles.len() as u64;
+        let lookups = router.stats;
+        let ModelTransport { probe_extra, retry_wait_ns, batch_comm_ns, .. } = router.transport;
+        // cache_remote grows the reads tables in place
+        let reads_kmer_entries = router.tiers.kmers.reads.as_ref().map_or(0, |r| r.len()) as u64;
+        let reads_tile_entries = router.tiers.tiles.reads.as_ref().map_or(0, |r| r.len()) as u64;
+        scratch = router.scratch;
 
         // --- time model ---
         let construct_ns = if let Some((per_rank_bytes, resharded, per_rank_repair)) = &load_info {
@@ -382,7 +379,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             + lookups.remote_tile_lookups as f64
                 * (cost.avg_lookup_roundtrip_ns(tile_req_bytes, RESPONSE_BYTES, np, rpn)
                     + probe_extra)
-            + access.batch_comm_ns
+            + batch_comm_ns
             + retry_wait_ns;
         let correct_ns = (compute_ns + comm_ns) * smt;
 
@@ -403,10 +400,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             spectrum_bytes += kmer_bytes(group_kmer_entries) + tile_bytes(group_tile_entries);
         }
         if cfg.heuristics.keep_read_tables {
-            // cache_remote grows the reads tables in place (validate()
-            // guarantees keep_read_tables here)
-            spectrum_bytes += kmer_bytes(nonowned_kmers.len() as u64 + cached_kmer_entries)
-                + tile_bytes(nonowned_tiles.len() as u64 + cached_tile_entries);
+            spectrum_bytes += kmer_bytes(reads_kmer_entries) + tile_bytes(reads_tile_entries);
         }
         if cfg.heuristics.replicate_kmers {
             spectrum_bytes += kmer_bytes(spectra.kmers.len() as u64);
@@ -637,256 +631,98 @@ fn distribute_service_counts(ranks: &mut [RankReport], fault: &FaultPlan) {
     }
 }
 
-/// Lookup chain of the virtual engine — mirrors `engine_mt::DistAccess`
-/// but answers remote lookups from the global spectrum while counting
-/// them as messages and replaying the fault plan's per-edge decisions.
-struct VirtualAccess<'a> {
+/// The reads table the build's `keep_read_tables` exchange would have
+/// resolved: the global count of every non-owned key of the rank's reads
+/// (0 = known absent).
+fn reads_table<K: Key>(
+    mut table: K::Spectrum,
+    keys: &FxHashSet<K>,
+    global: &K::Spectrum,
+) -> K::Spectrum {
+    table.reserve_entries(keys.len());
+    for &key in keys {
+        table.add_entry(key, global.entry(key).unwrap_or(0));
+    }
+    table
+}
+
+/// The modeled side of the lookup router: a request is answered from the
+/// global spectrum (which *is* its owner's table, see the module docs)
+/// while its cost goes on the rank's modeled clock and the seeded fault
+/// plan decides, per edge and per attempt, whether the round trip is lost.
+struct ModelTransport<'a> {
     spectra: &'a LocalSpectra,
-    owners: &'a OwnerMap,
-    /// Hot-shard replication routing table (empty = no replication):
-    /// lookups owned by a flagged rank resolve from the local replica.
-    hot_owners: &'a [bool],
     me: usize,
-    heur: HeuristicConfig,
-    cost: CostModel,
-    fault: FaultPlan,
+    cost: &'a CostModel,
+    fault: &'a FaultPlan,
     /// Ranks per node, for the modeled round trip of a batch.
     rpn: usize,
     /// Modeled owner-side tag probe per request (0 in universal mode).
     probe_extra: f64,
     /// Base lookup deadline in modeled nanoseconds (0 = none).
     deadline_ns: f64,
-    retry_budget: u32,
     /// Per-destination count of modeled p2p requests sent by this rank —
     /// the per-edge message index feeding the seeded fault decisions
     /// (mirrors the threaded message plane's per-edge counters).
     edge_req_seq: Vec<u64>,
     /// Modeled nanoseconds spent waiting out missed deadlines.
     retry_wait_ns: f64,
-    /// keep_read_tables: the non-owned keys this rank saw in its reads
-    /// (global counts are resolved, so hits are local).
-    own_kmer_keys: Option<&'a FxHashSet<u64>>,
-    own_tile_keys: Option<&'a FxHashSet<u128>>,
-    cached_kmers: FxHashSet<u64>,
-    cached_tiles: FxHashSet<u128>,
-    /// cache_remote under faults: keys whose remote lookup degraded; the
-    /// cached answer is the degraded 0, exactly like the threaded engine
-    /// caching the absent answer in its reads table.
-    degraded_kmers: FxHashSet<u64>,
-    degraded_tiles: FxHashSet<u128>,
-    /// Aggregate mode: one wave's missing keys split by owning rank.
-    wave_keys: &'a mut [PrefetchKeys],
     /// Modeled nanoseconds spent on batch round trips.
     batch_comm_ns: f64,
-    stats: LookupStats,
 }
 
-impl VirtualAccess<'_> {
-    /// Replay the retry protocol for one modeled request to `owner`:
-    /// walk the seeded per-edge fault decisions attempt by attempt,
-    /// charging a missed deadline per lost round trip, until an attempt
-    /// survives or the budget runs out. Returns `false` when the key
-    /// degrades. The fault-free path costs one branch.
-    fn simulate_request(&mut self, owner: usize) -> bool {
-        if self.fault.is_none() {
-            return true;
+impl Transport for ModelTransport<'_> {
+    /// Charge a batch's round trip when it first goes out. Single-key
+    /// round trips all cost the same and are priced from the lookup
+    /// counters in the time model; a retry costs its deadline wait.
+    fn send(&mut self, _to: usize, _seq: u64, req: Request<'_>, attempt: u32) {
+        if let (Request::Batch { kmers, tiles }, 0) = (req, attempt) {
+            let req_bytes = 16 + 8 * kmers.len() + 16 * tiles.len();
+            let resp_bytes = 16 + 8 * (kmers.len() + tiles.len());
+            let np = self.edge_req_seq.len();
+            self.batch_comm_ns +=
+                self.cost.avg_lookup_roundtrip_ns(req_bytes, resp_bytes, np, self.rpn)
+                    + self.probe_extra;
         }
-        let severed = self.fault.severed(self.me, owner) || self.fault.severed(owner, self.me);
-        let mut failed = 0u32;
-        let mut answered = false;
-        for attempt in 0..=self.retry_budget {
-            if attempt > 0 {
-                self.stats.requests_retried += 1;
-            }
-            let lost = severed || {
-                let n = self.edge_req_seq[owner];
-                self.edge_req_seq[owner] += 1;
-                let d = self.fault.decide(self.me, owner, n);
+    }
+
+    /// One attempt of the modeled round trip: lost when the edge is
+    /// severed or the fault plan drops this edge's next message, which
+    /// costs the attempt's (doubling) deadline; answered otherwise. The
+    /// fault-free path costs one branch.
+    fn recv(&mut self, from: usize, _seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
+        if !self.fault.is_none() {
+            let lost = self.fault.severed(self.me, from) || {
+                let n = self.edge_req_seq[from];
+                self.edge_req_seq[from] += 1;
+                let d = self.fault.decide(self.me, from, n);
                 if d.delayed {
                     self.retry_wait_ns += self.fault.delay.as_nanos() as f64;
                 }
                 d.dropped
             };
-            if !lost {
-                answered = true;
-                break;
-            }
-            failed += 1;
-            self.stats.deadline_misses += 1;
-        }
-        self.retry_wait_ns += self.cost.retry_wait_ns(self.deadline_ns, failed);
-        answered
-    }
-
-    /// The lookup chain up to the point where it would send a message.
-    /// `Err` carries the key, its owner and its true count (the virtual
-    /// engine answers from the global spectrum either way).
-    fn local_kmer(&mut self, code: u64) -> Result<u32, (u64, usize, u32)> {
-        let key = self.owners.kmer_key(code);
-        let count = self.spectra.kmers.count_at(key);
-        let owner = self.owners.kmer_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        if self.heur.replicate_kmers || in_group {
-            self.stats.local_kmer_lookups += 1;
-            return Ok(count);
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            // hot-shard replica: the same count a remote request returns
-            self.stats.local_kmer_lookups += 1;
-            self.stats.hot_shard_hits += 1;
-            return Ok(count);
-        }
-        if let Some(keys) = self.own_kmer_keys {
-            if keys.contains(&key.key()) {
-                self.stats.local_kmer_lookups += 1;
-                self.stats.cache_hits += 1;
-                return Ok(count);
+            if lost {
+                // `CostModel::retry_wait_ns` is the running total over
+                // the failed attempts; this miss adds its increment
+                self.retry_wait_ns += self.cost.retry_wait_ns(self.deadline_ns, attempt + 1)
+                    - self.cost.retry_wait_ns(self.deadline_ns, attempt);
+                return None;
             }
         }
-        if self.heur.cache_remote && self.cached_kmers.contains(&key.key()) {
-            self.stats.local_kmer_lookups += 1;
-            self.stats.cache_hits += 1;
-            return Ok(if self.degraded_kmers.contains(&key.key()) { 0 } else { count });
-        }
-        Err((key.key(), owner, count))
-    }
-
-    /// Tile twin of [`Self::local_kmer`].
-    fn local_tile(&mut self, code: u128) -> Result<u32, (u128, usize, u32)> {
-        let key = self.owners.tile_key(code);
-        let count = self.spectra.tiles.count_at(key);
-        let owner = self.owners.tile_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        if self.heur.replicate_tiles || in_group {
-            self.stats.local_tile_lookups += 1;
-            return Ok(count);
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.hot_shard_hits += 1;
-            return Ok(count);
-        }
-        if let Some(keys) = self.own_tile_keys {
-            if keys.contains(&key.key()) {
-                self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
-                return Ok(count);
-            }
-        }
-        if self.heur.cache_remote && self.cached_tiles.contains(&key.key()) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.cache_hits += 1;
-            return Ok(if self.degraded_tiles.contains(&key.key()) { 0 } else { count });
-        }
-        Err((key.key(), owner, count))
-    }
-}
-
-impl WaveSource for VirtualAccess<'_> {
-    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
-        self.local_kmer(key).ok()
-    }
-
-    fn resident_tile(&mut self, key: u128) -> Option<u32> {
-        self.local_tile(key).ok()
-    }
-
-    /// Modeled counterpart of `engine_mt`'s wave fetch: split the missing
-    /// keys by owner and charge one vectorized round trip per owner
-    /// ([`batch_ranges`], the threaded engine's split). A batch that exhausts its retry budget degrades its
-    /// exact key list to count 0.
-    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
-        let np = self.wave_keys.len();
-        self.owners.split_by_owner(missing, self.wave_keys);
-        for owner in 0..np {
-            let (nk, nt) = (self.wave_keys[owner].kmers.len(), self.wave_keys[owner].tiles.len());
-            for (k, tl) in batch_ranges(nk, nt) {
-                let keys = (k.len() + tl.len()) as u64;
-                let req_bytes = 16 + 8 * k.len() + 16 * tl.len();
-                let resp_bytes = 16 + 8 * (k.len() + tl.len());
-                self.batch_comm_ns +=
-                    self.cost.avg_lookup_roundtrip_ns(req_bytes, resp_bytes, np, self.rpn)
-                        + self.probe_extra;
-                self.stats.batches_sent += 1;
-                self.stats.batched_keys += keys;
-                self.stats.remote_messages += 1;
-                let answered = self.simulate_request(owner);
-                if !answered {
-                    self.stats.keys_degraded += keys;
-                }
-                let share = &self.wave_keys[owner];
-                for &key in &share.kmers[k] {
-                    let count = self.spectra.kmers.count_at(Normalized::assume(key));
-                    cache.put_kmer(key, if answered { count } else { 0 });
-                }
-                for &key in &share.tiles[tl] {
-                    let count = self.spectra.tiles.count_at(Normalized::assume(key));
-                    cache.put_tile(key, if answered { count } else { 0 });
-                }
-            }
-        }
-    }
-}
-
-impl SpectrumAccess for VirtualAccess<'_> {
-    fn kmer_count(&mut self, code: u64) -> u32 {
-        let (key, owner, count) = match self.local_kmer(code) {
-            Ok(count) => return count,
-            Err(remote) => remote,
-        };
-        self.stats.remote_kmer_lookups += 1;
-        self.stats.remote_messages += 1;
-        if !self.simulate_request(owner) {
-            self.stats.keys_degraded += 1;
-            if self.heur.cache_remote {
-                self.cached_kmers.insert(key);
-                self.degraded_kmers.insert(key);
-                self.stats.cached_answers += 1;
-            }
-            return 0;
-        }
-        if count == 0 {
-            self.stats.remote_kmer_misses += 1;
-        }
-        if self.heur.cache_remote {
-            self.cached_kmers.insert(key);
-            self.stats.cached_answers += 1;
-        }
-        count
-    }
-
-    fn tile_count(&mut self, code: u128) -> u32 {
-        let (key, owner, count) = match self.local_tile(code) {
-            Ok(count) => return count,
-            Err(remote) => remote,
-        };
-        self.stats.remote_tile_lookups += 1;
-        self.stats.remote_messages += 1;
-        if !self.simulate_request(owner) {
-            self.stats.keys_degraded += 1;
-            if self.heur.cache_remote {
-                self.cached_tiles.insert(key);
-                self.degraded_tiles.insert(key);
-                self.stats.cached_answers += 1;
-            }
-            return 0;
-        }
-        if count == 0 {
-            self.stats.remote_tile_misses += 1;
-        }
-        if self.heur.cache_remote {
-            self.cached_tiles.insert(key);
-            self.stats.cached_answers += 1;
-        }
-        count
+        let LocalSpectra { kmers, tiles } = self.spectra;
+        Some(match req {
+            Request::Key(key) => Reply::Count(owner_count(key, kmers, tiles)),
+            Request::Batch { kmers: k, tiles: t } => Reply::Batch(owner_batch(k, t, kmers, tiles)),
+            // chunk stealing is leveled analytically (`model_chunk_stealing`)
+            Request::Steal => Reply::Chunk(None),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::HeuristicConfig;
     use mpisim::Topology;
     use reptile::{correct_dataset, ReptileParams};
     use std::time::Duration;

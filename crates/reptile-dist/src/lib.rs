@@ -18,16 +18,20 @@
 //!   *universal* struct), designed for idempotent retries;
 //! * [`engine`] — the unified entry point: [`Engine`] trait,
 //!   validating [`EngineConfig`] builder, [`RunOutput`];
+//! * `router` (crate-private) — Step IV's lookup rule, stated once: the
+//!   routing order over a rank's tables, the sequence-stamped
+//!   deadline/retry/degrade driver and the per-owner wave fetch, generic
+//!   over a transport; both engines and the serve plane run it;
 //! * [`engine_mt`] — Step IV on the threaded [`mpisim`] runtime: a worker
 //!   thread correcting reads + a communication thread serving lookups,
-//!   per rank, with deadline/retry/degradation handling against the
-//!   runtime's injected fault plan;
+//!   per rank; the router's wire transport, against the runtime's
+//!   injected fault plan;
 //! * [`engine_virtual`] — the same logical algorithm executed
 //!   deterministically for thousands of logical ranks, with per-rank
 //!   work/traffic counters mapped to modeled BG/Q seconds through
 //!   [`mpisim::CostModel`] (this is what regenerates the paper's
-//!   figures at 1024–32768 ranks), replaying the same fault plans
-//!   analytically;
+//!   figures at 1024–32768 ranks); the router's modeled transport,
+//!   replaying the same fault plans analytically;
 //! * [`serve`] — the long-lived correction service: a persistent
 //!   [`ServeEngine`] that loads the snapshot once and keeps the Step-IV
 //!   service plane warm, fronted by a bounded admission queue with
@@ -39,9 +43,10 @@
 //!   rebuilding — build once, correct many;
 //! * [`report`] — per-rank and aggregate run reports.
 //!
-//! The corrector itself is [`reptile`]'s — both engines implement
-//! [`reptile::SpectrumAccess`], so sequential, threaded-distributed and
-//! virtual-distributed runs produce bit-identical corrected reads.
+//! The corrector itself is [`reptile`]'s — the router implements
+//! [`reptile::SpectrumAccess`] for both engines, so sequential,
+//! threaded-distributed and virtual-distributed runs produce
+//! bit-identical corrected reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +63,7 @@ pub mod owner;
 pub mod prior_art;
 pub mod protocol;
 pub mod report;
+mod router;
 pub mod serve;
 pub mod snapshot;
 pub mod spectrum;

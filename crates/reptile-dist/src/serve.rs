@@ -42,9 +42,10 @@
 //! delays them.
 
 use crate::engine::{ConfigError, EngineConfig, EngineError};
-use crate::engine_mt::{comm_thread, root_cause, DistAccess, ServedCounts};
+use crate::engine_mt::{comm_thread, root_cause, ServedCounts};
 use crate::owner::OwnerMap;
 use crate::report::LookupStats;
+use crate::router::LookupRouter;
 use crate::snapshot;
 use crate::spectrum::{build_distributed, derive_heuristic_tables, BuildStats, RankTables};
 use dnaseq::Read;
@@ -501,10 +502,10 @@ fn serve_rank(
             })
         });
         // Hoisted per-run scratch (the old per-job serve loop rebuilt
-        // all of this for every batch file): the lookup chain with its
+        // all of this for every batch file): the lookup router with its
         // wave cache and wire buffers, plus the micro-batch staging
         // vectors, all reused for the engine's lifetime.
-        let mut access = DistAccess::for_tables(comm, &tables, cfg);
+        let mut router = LookupRouter::over_wire(comm, &tables, cfg);
         let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(shared.max_batch);
         let mut reads: Vec<Read> = Vec::with_capacity(shared.max_batch);
         let mut stamps: Vec<(Duration, bool)> = Vec::with_capacity(shared.max_batch);
@@ -534,7 +535,7 @@ fn serve_rank(
             stamps.resize(n, (Duration::ZERO, false));
             // aggregate mode finishes the reads of a micro-batch in wave
             // order, not queue order: each is stamped as it completes
-            access.correct_chunk(&mut reads, &cfg.params, |i, outcome, degraded| {
+            router.correct_chunk(&mut reads, &cfg.params, |i, outcome, degraded| {
                 done.correction.absorb(&outcome);
                 stamps[i] = (dequeued.elapsed(), degraded);
             });
@@ -569,7 +570,7 @@ fn serve_rank(
         // stragglers and exit on their first quiet poll.
         comm.barrier();
         shutdown.store(true, Ordering::Release);
-        done.lookups = std::mem::take(&mut access.stats);
+        done.lookups = std::mem::take(&mut router.stats);
         if let Some(server) = server {
             served = server.join().expect("serve comm thread panicked");
         }

@@ -1138,10 +1138,13 @@ pub(crate) fn replicate_hot_shards(
     stats.table_bytes = tables.memory_bytes();
 }
 
-/// Key-type-generic view of a spectrum for [`merge_gathered_parts`].
-trait CountSpectrum<K> {
+/// Key-type-generic view of a spectrum, for [`merge_gathered_parts`] and
+/// the lookup router's tiers. Keys are normalized spectrum keys.
+pub(crate) trait CountSpectrum<K> {
     fn reserve_entries(&mut self, additional: usize);
     fn add_entry(&mut self, key: K, count: u32);
+    /// Stored count of `key`, `None` when absent.
+    fn entry(&self, key: K) -> Option<u32>;
 }
 
 impl CountSpectrum<u64> for KmerSpectrum {
@@ -1151,6 +1154,10 @@ impl CountSpectrum<u64> for KmerSpectrum {
     fn add_entry(&mut self, key: u64, count: u32) {
         self.add_count(Normalized::assume(key), count);
     }
+    #[inline]
+    fn entry(&self, key: u64) -> Option<u32> {
+        self.get_at(Normalized::assume(key))
+    }
 }
 
 impl CountSpectrum<u128> for TileSpectrum {
@@ -1159,6 +1166,10 @@ impl CountSpectrum<u128> for TileSpectrum {
     }
     fn add_entry(&mut self, key: u128, count: u32) {
         self.add_count(Normalized::assume(key), count);
+    }
+    #[inline]
+    fn entry(&self, key: u128) -> Option<u32> {
+        self.get_at(Normalized::assume(key))
     }
 }
 

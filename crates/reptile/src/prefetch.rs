@@ -124,6 +124,16 @@ impl WaveCache {
     pub fn put_tile(&mut self, key: u128, count: u32) {
         self.tiles.insert(key, Some(count));
     }
+
+    /// The fetched count of a k-mer key, `None` until it is answered.
+    pub fn kmer(&self, key: u64) -> Option<u32> {
+        self.kmers.get(&key).copied().flatten()
+    }
+
+    /// The fetched count of a tile key, `None` until it is answered.
+    pub fn tile(&self, key: u128) -> Option<u32> {
+        self.tiles.get(&key).copied().flatten()
+    }
 }
 
 /// Everything [`correct_in_waves`] allocates, held by the caller so that

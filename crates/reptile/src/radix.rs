@@ -149,8 +149,7 @@ mod tests {
         // Pairs sharing a key must keep their input order (stability is
         // what lets callers sort (hash, index) pairs and rely on a
         // deterministic placement order).
-        let mut v: Vec<(u64, u32)> =
-            (0..5000u32).map(|i| ((mix(i as u64) % 97) as u64, i)).collect();
+        let mut v: Vec<(u64, u32)> = (0..5000u32).map(|i| (mix(i as u64) % 97, i)).collect();
         let want = {
             let mut w = v.clone();
             w.sort_by_key(|&(k, _)| k);

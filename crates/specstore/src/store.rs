@@ -744,9 +744,9 @@ mod tests {
         assert_eq!(manifest.parity, 2);
         assert_eq!(manifest.parity_shards.len(), 4);
         let mut r = SnapshotReader::open(&dir, &fp(), RecoveryPolicy::Strict).unwrap();
-        for rank in 0..3 {
+        for (rank, (kmers, _)) in tables.iter().enumerate() {
             let loaded = r.load_kmer(rank).unwrap();
-            assert_tables_match(&loaded, &tables[rank].0, rank as u64);
+            assert_tables_match(&loaded, kmers, rank as u64);
             r.load_tile(rank).unwrap();
         }
         assert_eq!(r.stats(), RepairStats::default());
@@ -813,9 +813,9 @@ mod tests {
         }
         let policy = RecoveryPolicy::Repair { max_lost: 2, rewrite: false };
         let mut r = SnapshotReader::open(&dir, &fp(), policy).unwrap();
-        for rank in 0..3 {
+        for (rank, (kmers, _)) in tables.iter().enumerate() {
             let loaded = r.load_kmer(rank).unwrap();
-            assert_tables_match(&loaded, &tables[rank].0, rank as u64);
+            assert_tables_match(&loaded, kmers, rank as u64);
         }
         // one classification pass repaired both, first failing load
         assert_eq!(r.stats().shards_repaired, 2);

@@ -5,7 +5,7 @@
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, ReptileParams};
 use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig, LookupStats};
 
 fn dataset(seed: u64, both_strands: bool) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -86,6 +86,23 @@ fn virtual_and_threaded_agree_under_heuristics() {
         let virt = run_virtual(&v_cfg, &ds.reads);
         assert_eq!(mt.corrected, seq, "heur={}", heur.label());
         assert_eq!(virt.corrected, seq, "heur={}", heur.label());
+        // one router under both engines: fault-free, each rank routes
+        // every lookup the same way, so its counters agree exactly
+        for (m, v) in mt.report.ranks.iter().zip(&virt.report.ranks) {
+            // excluded: the owner-side serve counts. The threaded comm
+            // thread counts the requests it answered; the virtual engine
+            // has no per-owner request log and spreads the totals by
+            // owned-entry share (`distribute_service_counts`).
+            let routed =
+                |l: &LookupStats| LookupStats { requests_served: 0, batches_served: 0, ..*l };
+            assert_eq!(
+                routed(&m.lookups),
+                routed(&v.lookups),
+                "heur={} rank {}",
+                heur.label(),
+                m.rank
+            );
+        }
         if heur.aggregate_lookups {
             // the waves fetch everything the walk asks for: fault-free,
             // no lookup falls back to a single-key round trip

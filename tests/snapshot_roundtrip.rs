@@ -14,8 +14,14 @@ use specstore::{fnv1a, Manifest, ShardKind, SnapshotError, MANIFEST_NAME};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+/// A fresh directory per call: tests run concurrently in one process and
+/// two of them build the same tag (the lose-k smoke cells are also grid
+/// cells), so the pid alone would let one wipe the other's snapshot.
 fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("reptile-snap-{tag}-{}", std::process::id()));
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("reptile-snap-{tag}-{}-{seq}", std::process::id()));
     if dir.exists() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
