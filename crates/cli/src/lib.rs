@@ -19,8 +19,8 @@ use reptile::ReptileParams;
 use reptile_dist::{HeuristicConfig, RecoveryPolicy};
 
 /// A minimal argument cursor: positionals in order, `--key value` and
-/// `--flag` options anywhere. Only the options in [`VALUED`] and
-/// [`FLAGS`] exist; anything else is a [`UsageError`], so a misspelt
+/// `--flag` options anywhere. Only the options in `VALUED` and
+/// `FLAGS` exist; anything else is a [`UsageError`], so a misspelt
 /// heuristic flag cannot silently run the job in base mode.
 pub struct ArgParser {
     positionals: Vec<String>,

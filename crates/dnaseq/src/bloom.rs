@@ -7,7 +7,7 @@
 //! the counting tables saves the bulk of construction memory. The
 //! standard scheme: on first sight a code only sets bits in the filter;
 //! it enters the counting table when seen again. See
-//! [`reptile::spectrum`]'s `build_with_bloom` for the integration.
+//! `reptile::bloom_build::build_with_bloom` for the integration.
 //!
 //! Implementation: double hashing (`h1 + i·h2` over `m` bits) with the
 //! [`crate::mix64`] finalizer — the classic Kirsch–Mitzenmacher

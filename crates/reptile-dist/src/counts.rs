@@ -28,6 +28,7 @@
 //! total occurrences.
 
 use reptile::radix::lsd_sort_by;
+use reptile::SpectrumKey;
 
 /// Direct counting above this key width would outgrow the last-level
 /// cache (`2^22` u32 counters = 16 MiB); wider keys partition instead.
@@ -44,8 +45,6 @@ const COMPACT_RAW: usize = 1 << 22;
 /// Software-prefetch lookahead for the direct-count increment loop.
 const COUNT_AHEAD: usize = 16;
 
-/// A spectrum key type the accumulator can tally: an unsigned integer
-/// wide enough for the declared key bits.
 /// Bytes of the direct strategy's fixed `2^bits` count array, 0 for
 /// widths that use a buffered strategy. This is the irreducible
 /// accumulator floor a memory budget must cover: the array cannot spill
@@ -55,36 +54,6 @@ pub(crate) fn direct_array_bytes(bits: u32) -> u64 {
         4u64 << bits
     } else {
         0
-    }
-}
-
-pub(crate) trait AccKey: Copy + Ord {
-    /// Widen to the common arithmetic type.
-    fn to_u128(self) -> u128;
-    /// Narrow from the common arithmetic type (the value fits by
-    /// construction: it was produced under the accumulator's key bits).
-    fn from_u128(x: u128) -> Self;
-}
-
-impl AccKey for u64 {
-    #[inline(always)]
-    fn to_u128(self) -> u128 {
-        self as u128
-    }
-    #[inline(always)]
-    fn from_u128(x: u128) -> Self {
-        x as u64
-    }
-}
-
-impl AccKey for u128 {
-    #[inline(always)]
-    fn to_u128(self) -> u128 {
-        self
-    }
-    #[inline(always)]
-    fn from_u128(x: u128) -> Self {
-        x
     }
 }
 
@@ -139,7 +108,7 @@ pub(crate) struct CountAcc<K> {
     runs: Vec<(K, u32)>,
 }
 
-impl<K: AccKey> CountAcc<K> {
+impl<K: SpectrumKey> CountAcc<K> {
     /// An empty tally for keys of the given width.
     pub(crate) fn new(bits: u32) -> CountAcc<K> {
         assert!((1..=128).contains(&bits));
@@ -363,7 +332,7 @@ impl<K: AccKey> CountAcc<K> {
 }
 
 /// Sort `runs` by key and fold duplicates in place (saturating).
-fn fold_sorted<K: AccKey>(runs: &mut Vec<(K, u32)>) {
+fn fold_sorted<K: SpectrumKey>(runs: &mut Vec<(K, u32)>) {
     runs.sort_unstable_by_key(|e| e.0);
     runs.dedup_by(|cur, acc| {
         if acc.0 == cur.0 {
@@ -376,7 +345,7 @@ fn fold_sorted<K: AccKey>(runs: &mut Vec<(K, u32)>) {
 }
 
 /// Two-pointer merge of two sorted distinct entry lists (saturating).
-fn merge_entry_runs<K: AccKey>(a: Vec<(K, u32)>, b: Vec<(K, u32)>) -> Vec<(K, u32)> {
+fn merge_entry_runs<K: SpectrumKey>(a: Vec<(K, u32)>, b: Vec<(K, u32)>) -> Vec<(K, u32)> {
     if a.is_empty() {
         return b;
     }
@@ -452,7 +421,7 @@ impl PartWord for u128 {
 /// each bucket's low bits in a cache-resident `2^PART_LOW_BITS` array.
 /// Buckets ascend by the high bits and each bucket emits ascending low
 /// bits, so the concatenation is globally sorted.
-fn partition_count<K: AccKey, W: PartWord>(raw: &mut [W], bits: u32) -> Vec<(K, u32)> {
+fn partition_count<K: SpectrumKey, W: PartWord>(raw: &mut [W], bits: u32) -> Vec<(K, u32)> {
     if raw.is_empty() {
         return Vec::new();
     }
@@ -506,7 +475,7 @@ fn partition_count<K: AccKey, W: PartWord>(raw: &mut [W], bits: u32) -> Vec<(K, 
 
 /// Count keys by LSD radix sort plus a run-length sweep — the fully
 /// general strategy for keys too wide to partition.
-fn sort_rle<K: AccKey, W: PartWord + reptile::radix::RadixWord + Ord>(
+fn sort_rle<K: SpectrumKey, W: PartWord + reptile::radix::RadixWord + Ord>(
     raw: &mut Vec<W>,
     bits: u32,
 ) -> Vec<(K, u32)> {
@@ -530,7 +499,7 @@ fn sort_rle<K: AccKey, W: PartWord + reptile::radix::RadixWord + Ord>(
 /// `(key, count)` entries — the per-batch pre-aggregation the exchange
 /// path runs on non-owned buckets before shipping them. Same adaptive
 /// strategies as [`CountAcc`], via a throwaway accumulator.
-pub(crate) fn aggregate_occurrences<'p, K: AccKey + 'p>(
+pub(crate) fn aggregate_occurrences<'p, K: SpectrumKey + 'p>(
     parts: impl Iterator<Item = &'p Vec<K>>,
     bits: u32,
 ) -> Vec<(K, u32)> {
@@ -545,7 +514,7 @@ pub(crate) fn aggregate_occurrences<'p, K: AccKey + 'p>(
 mod tests {
     use super::*;
 
-    fn reference<K: AccKey + std::hash::Hash>(keys: &[K], runs: &[(K, u32)]) -> Vec<(K, u32)> {
+    fn reference<K: SpectrumKey>(keys: &[K], runs: &[(K, u32)]) -> Vec<(K, u32)> {
         let mut map: dnaseq::FxHashMap<K, u32> = dnaseq::FxHashMap::default();
         for &k in keys {
             let c = map.entry(k).or_insert(0);

@@ -47,10 +47,10 @@ use crate::router::{
     Transport,
 };
 use crate::snapshot;
-use crate::spectrum::{BuildStats, CountSpectrum};
+use crate::spectrum::BuildStats;
 use dnaseq::{FxHashSet, Read};
 use mpisim::{CostModel, FaultPlan, TraceLog};
-use reptile::spectrum::{KmerSpectrum, LocalSpectra, TileSpectrum};
+use reptile::spectrum::{KmerSpectrum, LocalSpectra, Spectrum, TileSpectrum};
 use reptile::{CorrectionStats, Normalized};
 
 /// Execute the distributed algorithm on `cfg.np` logical ranks.
@@ -635,13 +635,14 @@ fn distribute_service_counts(ranks: &mut [RankReport], fault: &FaultPlan) {
 /// resolved: the global count of every non-owned key of the rank's reads
 /// (0 = known absent).
 fn reads_table<K: Key>(
-    mut table: K::Spectrum,
+    mut table: Spectrum<K>,
     keys: &FxHashSet<K>,
-    global: &K::Spectrum,
-) -> K::Spectrum {
-    table.reserve_entries(keys.len());
+    global: &Spectrum<K>,
+) -> Spectrum<K> {
+    table.reserve(keys.len());
     for &key in keys {
-        table.add_entry(key, global.entry(key).unwrap_or(0));
+        let key = Normalized::assume(key);
+        table.add_count(key, global.count_at(key));
     }
     table
 }

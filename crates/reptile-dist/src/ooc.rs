@@ -36,7 +36,7 @@
 //!
 //! The trigger arithmetic that keeps the peak under the budget: the
 //! exchange drain absorbs incoming runs in
-//! [`ABSORB_CHUNK_ENTRIES`]-entry sub-chunks with a spill check after
+//! `ABSORB_CHUNK_ENTRIES`-entry sub-chunks with a spill check after
 //! each, so pending entry bytes at spill time never exceed
 //! `trigger + one chunk`; the trigger sits at a *quarter* of the
 //! headroom (`budget - fixed_floor`) because a drain transiently holds
@@ -63,21 +63,20 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use reptile::flat::{FlatKmerTable, FlatTileTable};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
-use reptile::ReptileParams;
+use reptile::{FlatTable, ReptileParams, SpectrumKey};
 use specstore::spill::{
-    write_run, RunMerger, RunReader, SpillError, SpillKey, DEFAULT_SPILL_BUF_BYTES,
-    MIN_SPILL_BUF_BYTES,
+    write_run, RunMerger, RunReader, SpillError, DEFAULT_SPILL_BUF_BYTES, MIN_SPILL_BUF_BYTES,
 };
 
 use crate::counts::{direct_array_bytes, CountAcc};
+use crate::router::Key;
 use crate::spectrum::BuildStats;
 
 /// Entries per chunk of the merge→table stream (bounded scratch, small
 /// next to any realistic budget: 4096 × 12 B = 48 KB for k-mers).
 /// Budgeted merges scale this down toward
-/// [`MIN_STREAM_CHUNK_ENTRIES`] when the headroom is tight.
+/// `MIN_STREAM_CHUNK_ENTRIES` when the headroom is tight.
 pub const STREAM_CHUNK_ENTRIES: usize = 4096;
 
 /// Floor for the budget-scaled merge stream chunk: small enough that
@@ -148,8 +147,10 @@ pub(crate) struct OocBuild {
     /// are inside the measured `memory_bytes` figures, and adding them
     /// again would double-count).
     buf_overhead: u64,
-    kmer_runs: Vec<PathBuf>,
-    tile_runs: Vec<PathBuf>,
+    /// K-mer run files, in spill order.
+    pub(crate) kmer_runs: Vec<PathBuf>,
+    /// Tile run files, in spill order.
+    pub(crate) tile_runs: Vec<PathBuf>,
     /// First spill failure hit inside the batch loop, deferred until
     /// the post-loop resolution point: the loop's collective schedule
     /// (one exchange per batch, uniform across ranks) must not be cut
@@ -253,14 +254,11 @@ impl OocBuild {
     /// `other_resident` is the sibling accumulator's resident bytes —
     /// it stays allocated while this kind drains, so the transient
     /// charge must carry it too.
-    fn spill_kind<K>(
+    fn spill_kind<K: Key>(
         &mut self,
         acc: &mut CountAcc<K>,
         other_resident: u64,
-    ) -> Result<(), SpillError>
-    where
-        K: SpillAccKey + SpillKey,
-    {
+    ) -> Result<(), SpillError> {
         let before = acc.memory_bytes() as u64;
         let entries = acc.finalize();
         if entries.is_empty() {
@@ -272,7 +270,7 @@ impl OocBuild {
         let entry_bytes = (entries.len() * std::mem::size_of::<(K, u32)>()) as u64;
         self.charge(other_resident + before.max(acc.memory_bytes() as u64 + entry_bytes));
         let seq = K::runs(self).len();
-        let path = self.dir.join(format!("rank{:05}.{}{seq:04}.run", self.rank, K::KIND));
+        let path = self.dir.join(format!("rank{:05}.{}{seq:04}.run", self.rank, K::NAME));
         let meta = write_run(&path, &entries, DEFAULT_SPILL_BUF_BYTES)?;
         K::runs(self).push(path);
         self.spill_runs += 1;
@@ -280,12 +278,9 @@ impl OocBuild {
         Ok(())
     }
 
-    /// Materialize the final pruned spectra. Kinds that never spilled
-    /// take the in-memory finalize path verbatim (zero IO); spilled
-    /// kinds drain once more, then run the two-pass k-way merge: pass 1
-    /// counts post-prune survivors (fixing the table geometry exactly
-    /// as the in-memory `reserve` does), pass 2 streams them into the
-    /// table. Fills the spill counters and `merge_ns` of `stats`.
+    /// Materialize the final pruned spectra ([`OocBuild::materialize`]
+    /// per kind, k-mers first), after one last drain of every kind that
+    /// spilled. Fills the spill counters and `merge_ns` of `stats`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_spectra(
         &mut self,
@@ -323,110 +318,12 @@ impl OocBuild {
         }
 
         let t_merge = Instant::now();
-        let kmer_table = if acc_kmers.is_direct() {
-            // A direct kind never spilled: its array is already the
-            // sorted aggregation, so stream it straight into the table
-            // — exact survivor reserve, chunk-bounded transient, zero
-            // IO.
-            debug_assert!(self.kmer_runs.is_empty());
-            let threshold = params.kmer_threshold;
-            let survivors = acc_kmers.iter_direct().filter(|&(_, c)| c >= threshold).count();
-            let chunk = self.stream_chunk::<u64>();
-            let mut t = FlatKmerTable::new();
-            t.bulk_load_sorted_stream(
-                survivors,
-                chunk,
-                acc_kmers.iter_direct().filter(|&(_, c)| c >= threshold),
-            );
-            self.charge(
-                (chunk * std::mem::size_of::<(u64, u32)>()) as u64
-                    + t.memory_bytes() as u64
-                    + acc_tiles.memory_bytes() as u64,
-            );
-            t
-        } else if self.kmer_runs.is_empty() {
-            let mut entries = acc_kmers.finalize();
-            acc_kmers.release_buffers();
-            entries.retain(|&(_, c)| c >= params.kmer_threshold);
-            self.charge(
-                (entries.len() * std::mem::size_of::<(u64, u32)>()) as u64
-                    + FlatKmerTable::bytes_for_entries(entries.len()) as u64
-                    + acc_tiles.memory_bytes() as u64,
-            );
-            let mut t = FlatKmerTable::new();
-            t.reserve(entries.len());
-            t.merge_sorted(&entries);
-            t
-        } else {
-            let runs = self.kmer_runs.clone();
-            let survivors = self.count_survivors::<u64>(
-                &runs,
-                params.kmer_threshold,
-                acc_tiles.memory_bytes() as u64,
-            )?;
-            let mut merger = self.open_merger::<u64>(&runs, params.kmer_threshold)?;
-            let mut t = FlatKmerTable::new();
-            t.bulk_load_sorted_stream(
-                survivors,
-                self.stream_chunk::<u64>(),
-                std::iter::from_fn(|| merger.next().expect("verified spill run failed mid-merge")),
-            );
-            self.charge(
-                self.merge_overhead::<u64>(runs.len())
-                    + t.memory_bytes() as u64
-                    + acc_tiles.memory_bytes() as u64,
-            );
-            t
-        };
+        let kmer_table =
+            self.materialize(acc_kmers, params.kmer_threshold, acc_tiles.memory_bytes() as u64)?;
         // The k-mer table stays resident while the tile merge runs, so
         // every tile-phase charge carries it.
-        let kmer_resident = kmer_table.memory_bytes() as u64;
-        let tile_table = if acc_tiles.is_direct() {
-            debug_assert!(self.tile_runs.is_empty());
-            let threshold = params.tile_threshold;
-            let survivors = acc_tiles.iter_direct().filter(|&(_, c)| c >= threshold).count();
-            let chunk = self.stream_chunk::<u128>();
-            let mut t = FlatTileTable::new();
-            t.bulk_load_sorted_stream(
-                survivors,
-                chunk,
-                acc_tiles.iter_direct().filter(|&(_, c)| c >= threshold),
-            );
-            self.charge(
-                (chunk * std::mem::size_of::<(u128, u32)>()) as u64
-                    + t.memory_bytes() as u64
-                    + kmer_resident,
-            );
-            t
-        } else if self.tile_runs.is_empty() {
-            let mut entries = acc_tiles.finalize();
-            acc_tiles.release_buffers();
-            entries.retain(|&(_, c)| c >= params.tile_threshold);
-            self.charge(
-                (entries.len() * std::mem::size_of::<(u128, u32)>()) as u64
-                    + FlatTileTable::bytes_for_entries(entries.len()) as u64
-                    + kmer_resident,
-            );
-            let mut t = FlatTileTable::new();
-            t.reserve(entries.len());
-            t.merge_sorted(&entries);
-            t
-        } else {
-            let runs = self.tile_runs.clone();
-            let survivors =
-                self.count_survivors::<u128>(&runs, params.tile_threshold, kmer_resident)?;
-            let mut merger = self.open_merger::<u128>(&runs, params.tile_threshold)?;
-            let mut t = FlatTileTable::new();
-            t.bulk_load_sorted_stream(
-                survivors,
-                self.stream_chunk::<u128>(),
-                std::iter::from_fn(|| merger.next().expect("verified spill run failed mid-merge")),
-            );
-            self.charge(
-                self.merge_overhead::<u128>(runs.len()) + t.memory_bytes() as u64 + kmer_resident,
-            );
-            t
-        };
+        let tile_table =
+            self.materialize(acc_tiles, params.tile_threshold, kmer_table.memory_bytes() as u64)?;
         stats.merge_ns += t_merge.elapsed().as_nanos() as u64;
         stats.spill_runs = self.spill_runs;
         stats.spill_bytes = self.spill_bytes;
@@ -444,6 +341,63 @@ impl OocBuild {
         ))
     }
 
+    /// Materialize one kind's pruned table. A direct kind streams its
+    /// array straight in; a kind that never spilled takes the in-memory
+    /// finalize path verbatim (zero IO); a spilled kind runs the two-pass
+    /// k-way merge — pass 1 counts post-prune survivors (fixing the table
+    /// geometry exactly as the in-memory `reserve` does), pass 2 streams
+    /// them into the table. `other_resident` is what stays allocated
+    /// meanwhile (the sibling accumulator, or the finished k-mer table)
+    /// and is charged on top of every transient.
+    fn materialize<K: Key>(
+        &mut self,
+        acc: &mut CountAcc<K>,
+        threshold: u32,
+        other_resident: u64,
+    ) -> Result<FlatTable<K>, SpillError> {
+        let entry = std::mem::size_of::<(K, u32)>();
+        let mut t = FlatTable::new();
+        if acc.is_direct() {
+            // A direct kind never spilled: its array is already the
+            // sorted aggregation, so stream it straight into the table
+            // — exact survivor reserve, chunk-bounded transient, zero
+            // IO.
+            debug_assert!(K::runs(self).is_empty());
+            let survivors = acc.iter_direct().filter(|&(_, c)| c >= threshold).count();
+            let chunk = self.stream_chunk::<K>();
+            t.bulk_load_sorted_stream(
+                survivors,
+                chunk,
+                acc.iter_direct().filter(|&(_, c)| c >= threshold),
+            );
+            self.charge((chunk * entry) as u64 + t.memory_bytes() as u64 + other_resident);
+        } else if K::runs(self).is_empty() {
+            let mut entries = acc.finalize();
+            acc.release_buffers();
+            entries.retain(|&(_, c)| c >= threshold);
+            self.charge(
+                (entries.len() * entry) as u64
+                    + FlatTable::<K>::bytes_for_entries(entries.len()) as u64
+                    + other_resident,
+            );
+            t.reserve(entries.len());
+            t.merge_sorted(&entries);
+        } else {
+            let runs = K::runs(self).clone();
+            let survivors = self.count_survivors::<K>(&runs, threshold, other_resident)?;
+            let mut merger = self.open_merger::<K>(&runs, threshold)?;
+            t.bulk_load_sorted_stream(
+                survivors,
+                self.stream_chunk::<K>(),
+                std::iter::from_fn(|| merger.next().expect("verified spill run failed mid-merge")),
+            );
+            self.charge(
+                self.merge_overhead::<K>(runs.len()) + t.memory_bytes() as u64 + other_resident,
+            );
+        }
+        Ok(t)
+    }
+
     /// Per-run reader buffer for a `k`-way merge: the readers together
     /// get at most a quarter of the budget headroom, clamped to the
     /// run format's floor. A floor-budget build that spilled many runs
@@ -459,14 +413,14 @@ impl OocBuild {
     /// [`STREAM_CHUNK_ENTRIES`]), so readers + chunk together stay
     /// within half the headroom and the other half is left for the
     /// tables being built.
-    fn stream_chunk<K: SpillKey>(&self) -> usize {
+    fn stream_chunk<K: SpectrumKey>(&self) -> usize {
         let entry = std::mem::size_of::<(K, u32)>();
         ((self.headroom / 4) as usize / entry).clamp(MIN_STREAM_CHUNK_ENTRIES, STREAM_CHUNK_ENTRIES)
     }
 
     /// Accounted transient bytes of a `k`-way merge pass: per-run
     /// reader buffers plus the stream chunk.
-    fn merge_overhead<K: SpillKey>(&self, k: usize) -> u64 {
+    fn merge_overhead<K: SpectrumKey>(&self, k: usize) -> u64 {
         (k * self.reader_buf(k)) as u64
             + (self.stream_chunk::<K>() * std::mem::size_of::<(K, u32)>()) as u64
     }
@@ -475,7 +429,7 @@ impl OocBuild {
     /// geometry input). Every run is checksum-verified on open, so a
     /// chopped or flipped file is a typed error here, before any table
     /// exists.
-    fn count_survivors<K: SpillKey>(
+    fn count_survivors<K: SpectrumKey>(
         &mut self,
         runs: &[PathBuf],
         threshold: u32,
@@ -491,7 +445,7 @@ impl OocBuild {
     }
 
     /// Open (and thereby fully verify) every run and build the merger.
-    fn open_merger<K: SpillKey>(
+    fn open_merger<K: SpectrumKey>(
         &self,
         runs: &[PathBuf],
         threshold: u32,
@@ -500,28 +454,5 @@ impl OocBuild {
         let readers =
             runs.iter().map(|p| RunReader::open(p, buf)).collect::<Result<Vec<_>, _>>()?;
         RunMerger::new(readers, threshold)
-    }
-}
-
-/// Key-width-specific plumbing of [`OocBuild`]: which run list a kind
-/// appends to and how its files are named.
-pub(crate) trait SpillAccKey: crate::counts::AccKey {
-    /// File-name tag ("kmer"/"tile").
-    const KIND: &'static str;
-    /// The run list for this kind.
-    fn runs(state: &mut OocBuild) -> &mut Vec<PathBuf>;
-}
-
-impl SpillAccKey for u64 {
-    const KIND: &'static str = "kmer";
-    fn runs(state: &mut OocBuild) -> &mut Vec<PathBuf> {
-        &mut state.kmer_runs
-    }
-}
-
-impl SpillAccKey for u128 {
-    const KIND: &'static str = "tile";
-    fn runs(state: &mut OocBuild) -> &mut Vec<PathBuf> {
-        &mut state.tile_runs
     }
 }

@@ -34,16 +34,18 @@
 
 use crate::engine::EngineConfig;
 use crate::heuristics::HeuristicConfig;
+use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use crate::protocol::{batch_ranges, count_to_wire, wire_to_count, BatchResponse, LookupRequest};
 use crate::report::LookupStats;
-use crate::spectrum::{CountSpectrum, RankTables};
+use crate::spectrum::RankTables;
 use dnaseq::Read;
-use reptile::spectrum::{KmerSpectrum, TileSpectrum};
+use reptile::spectrum::{KmerSpectrum, Spectrum, TileSpectrum};
 use reptile::{
     correct_in_waves, correct_read_with, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
-    SpectrumAccess, WalkScratch, WaveCache, WaveScratch, WaveSource,
+    SpectrumAccess, SpectrumKey, WalkScratch, WaveCache, WaveScratch, WaveSource,
 };
+use std::path::PathBuf;
 
 /// One request of the Step IV service plane, before encoding.
 #[derive(Clone, Copy, Debug)]
@@ -117,18 +119,18 @@ pub(crate) fn owner_batch(
 }
 
 /// The tables of one key kind, nearest first.
-pub(crate) struct KindTiers<'a, S> {
+pub(crate) struct KindTiers<'a, K: SpectrumKey> {
     /// The whole pruned spectrum, under `replicate_kmers`/`_tiles`.
-    pub(crate) replicated: Option<&'a S>,
+    pub(crate) replicated: Option<&'a Spectrum<K>>,
     /// The table that answers for this rank's group: the merged group
     /// table under partial replication (§V), else the owned table.
-    pub(crate) local: &'a S,
+    pub(crate) local: &'a Spectrum<K>,
     /// Exact copies of the hot owners' tables (adaptive balancing).
-    pub(crate) hot: Option<&'a S>,
+    pub(crate) hot: Option<&'a Spectrum<K>>,
     /// The reads table (`keep_read_tables`): global counts of the
     /// non-owned keys of this rank's reads, 0 = known absent. Owned by
     /// the router because `cache_remote` adds remote answers to it.
-    pub(crate) reads: Option<S>,
+    pub(crate) reads: Option<Spectrum<K>>,
 }
 
 /// Which table holds a key, on one rank.
@@ -142,9 +144,9 @@ pub(crate) struct Tiers<'a> {
     /// Owners whose keys the `hot` tables hold (length `np`, or empty).
     pub(crate) hot_owners: &'a [bool],
     /// K-mer tables.
-    pub(crate) kmers: KindTiers<'a, KmerSpectrum>,
+    pub(crate) kmers: KindTiers<'a, u64>,
     /// Tile tables.
-    pub(crate) tiles: KindTiers<'a, TileSpectrum>,
+    pub(crate) tiles: KindTiers<'a, u128>,
 }
 
 impl<'a> Tiers<'a> {
@@ -179,11 +181,10 @@ pub(crate) struct KindCounters<'s> {
     remote_misses: &'s mut u64,
 }
 
-/// A spectrum key kind — `u64` k-mer codes or `u128` tile codes: what
-/// the router needs to know to treat the two alike.
-pub(crate) trait Key: Copy {
-    /// The table type that counts this kind.
-    type Spectrum: CountSpectrum<Self> + 'static;
+/// What the engines need of a key kind beyond what [`SpectrumKey`]
+/// states for the storage stack: ownership, the wire request, which
+/// tables and counters are the kind's, and its spill-run list.
+pub(crate) trait Key: SpectrumKey {
     /// The spectrum key of a code.
     fn normalize(self, owners: &OwnerMap) -> Normalized<Self>;
     /// The rank that owns a key.
@@ -191,14 +192,14 @@ pub(crate) trait Key: Copy {
     /// The single-key request for a key.
     fn request(key: Normalized<Self>) -> LookupRequest;
     /// This kind's tables.
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, Self::Spectrum>;
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, Self>;
     /// This kind's counters.
     fn counters(stats: &mut LookupStats) -> KindCounters<'_>;
+    /// This kind's spill runs in an out-of-core build.
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf>;
 }
 
 impl Key for u64 {
-    type Spectrum = KmerSpectrum;
-
     #[inline]
     fn normalize(self, owners: &OwnerMap) -> Normalized<u64> {
         owners.kmer_key(self)
@@ -214,7 +215,7 @@ impl Key for u64 {
     }
 
     #[inline]
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, KmerSpectrum> {
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u64> {
         &mut tiers.kmers
     }
 
@@ -226,11 +227,13 @@ impl Key for u64 {
             remote_misses: &mut stats.remote_kmer_misses,
         }
     }
+
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
+        &mut ooc.kmer_runs
+    }
 }
 
 impl Key for u128 {
-    type Spectrum = TileSpectrum;
-
     #[inline]
     fn normalize(self, owners: &OwnerMap) -> Normalized<u128> {
         owners.tile_key(self)
@@ -246,7 +249,7 @@ impl Key for u128 {
     }
 
     #[inline]
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, TileSpectrum> {
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u128> {
         &mut tiers.tiles
     }
 
@@ -257,6 +260,10 @@ impl Key for u128 {
             remote: &mut stats.remote_tile_lookups,
             remote_misses: &mut stats.remote_tile_misses,
         }
+    }
+
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
+        &mut ooc.tile_runs
     }
 }
 
@@ -328,22 +335,22 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         let stats = &mut self.stats;
         if let Some(replicated) = tiers.replicated {
             *K::counters(stats).local += 1;
-            return Ok(replicated.entry(key.key()).unwrap_or(0));
+            return Ok(replicated.count_at(key));
         }
         let owner = K::owner(key, owners);
         let in_group = if group > 1 { owner / group == me / group } else { owner == me };
         if in_group {
             *K::counters(stats).local += 1;
-            return Ok(tiers.local.entry(key.key()).unwrap_or(0));
+            return Ok(tiers.local.count_at(key));
         }
         if let (Some(hot), Some(&true)) = (tiers.hot, hot_owners.get(owner)) {
             // exact copy of the hot owner's pruned table: the same count
             // a remote request would return
             *K::counters(stats).local += 1;
             stats.hot_shard_hits += 1;
-            return Ok(hot.entry(key.key()).unwrap_or(0));
+            return Ok(hot.count_at(key));
         }
-        if let Some(count) = tiers.reads.as_ref().and_then(|reads| reads.entry(key.key())) {
+        if let Some(count) = tiers.reads.as_ref().and_then(|reads| reads.get_at(key)) {
             *K::counters(stats).local += 1;
             stats.cache_hits += 1;
             return Ok(count);
@@ -372,7 +379,7 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         };
         if self.cache_remote {
             if let Some(reads) = &mut K::tiers(&mut self.tiers).reads {
-                reads.add_entry(key.key(), count);
+                reads.add_count(key, count);
                 self.stats.cached_answers += 1;
             }
         }
@@ -549,8 +556,8 @@ mod tests {
         let p = params();
         let mut k = KmerSpectrum::new(p.kmer_codec(), p.canonical);
         let mut t = TileSpectrum::new(p.tile_codec(), p.canonical);
-        kmers.iter().for_each(|&(key, count)| k.add_entry(key, count));
-        tiles.iter().for_each(|&(key, count)| t.add_entry(key, count));
+        kmers.iter().for_each(|&(key, count)| k.add_count(Normalized::assume(key), count));
+        tiles.iter().for_each(|&(key, count)| t.add_count(Normalized::assume(key), count));
         (k, t)
     }
 
@@ -597,7 +604,7 @@ mod tests {
         me: usize,
         empty: &'a (KmerSpectrum, TileSpectrum),
     ) -> Tiers<'a> {
-        fn kind<S>(local: &S) -> KindTiers<'_, S> {
+        fn kind<K: SpectrumKey>(local: &Spectrum<K>) -> KindTiers<'_, K> {
             KindTiers { replicated: None, local, hot: None, reads: None }
         }
         Tiers {
@@ -726,7 +733,7 @@ mod tests {
         replicated: bool,
         group: usize,
         hot: bool,
-        reads: Option<&'t K::Spectrum>,
+        reads: Option<&'t Spectrum<K>>,
         cache_remote: bool,
         /// The count returned and every counter that moved.
         want: (u32, LookupStats),
@@ -737,12 +744,10 @@ mod tests {
     /// counters move. `kind(local, remote, remote_misses)` is the key
     /// kind's share of the stats.
     fn routing_order<K: Key + TryFrom<u32>>(
-        table: impl Fn(&[(K, u32)]) -> K::Spectrum,
+        table: impl Fn(&[(K, u32)]) -> Spectrum<K>,
         count_of: impl Fn(&mut LookupRouter<Scripted>, K) -> u32,
         kind: impl Fn(u64, u64, u64) -> LookupStats,
-    ) where
-        K::Spectrum: Clone,
-    {
+    ) {
         let owners = OwnerMap::new(4, &params());
         let (mine, near) = (owned_by::<K>(&owners, 0, 1)[0], owned_by::<K>(&owners, 1, 1)[0]);
         let [far, absent] = owned_by::<K>(&owners, 2, 2)[..] else { unreachable!() };
@@ -752,8 +757,8 @@ mod tests {
         // the owner's answer, whichever kind `K` is
         let mut remote = tables(&[], &[]);
         match K::request(far.normalize(&owners)) {
-            LookupRequest::Kmer(code) => remote.0.add_entry(code, 5),
-            LookupRequest::Tile(code) => remote.1.add_entry(code, 5),
+            LookupRequest::Kmer(code) => remote.0.add_count(Normalized::assume(code), 5),
+            LookupRequest::Tile(code) => remote.1.add_count(Normalized::assume(code), 5),
         }
         let empty = tables(&[], &[]);
         let hot_owners = [false, false, true, false];

@@ -14,7 +14,7 @@
 //!   tables probe identically to the freshly built ones.
 //! * **Different `np`** — new rank `r` loads the shards of every old
 //!   rank `o` with `o % np == r` and streams the entries through the
-//!   build's own count exchange ([`exchange_counts`]), which re-owns
+//!   build's own count exchange (`spectrum::exchange_counts`), which re-owns
 //!   every key under the new [`OwnerMap`]. Counts are already global and
 //!   pruned, and shard key sets are disjoint, so the merged result is
 //!   exactly what a fresh build at the new `np` owns.
@@ -37,10 +37,11 @@
 //! detected (and under `Repair`, mended) before a table is adopted.
 
 use crate::owner::OwnerMap;
+use crate::router::Key;
 use crate::spectrum::{exchange_counts, BuildStats};
 use mpisim::Comm;
-use reptile::spectrum::{KmerSpectrum, Normalized, TileSpectrum};
-use reptile::{FlatKmerTable, FlatTileTable, ReptileParams};
+use reptile::spectrum::{KmerSpectrum, Normalized, Spectrum, TileSpectrum};
+use reptile::{FlatKmerTable, FlatTable, FlatTileTable, ReptileParams, SpectrumKey};
 use specstore::{
     ConfigFingerprint, LoadedShard, RecoveryPolicy, RepairStats, ShardKind, ShardRecord,
     SnapshotError, SnapshotReader, SnapshotWriter,
@@ -127,8 +128,8 @@ pub fn save_snapshot(
     let fp = ConfigFingerprint::for_params(params);
     let local: Result<(SnapshotWriter, ShardRecord, ShardRecord), SnapshotError> = (|| {
         let mut w = SnapshotWriter::create(dir, &fp, np, parity)?;
-        let kr = w.write_kmer(me, kmers.table())?;
-        let tr = w.write_tile(me, tiles.table())?;
+        let kr = w.write_shard(me, kmers.table())?;
+        let tr = w.write_shard(me, tiles.table())?;
         Ok((w, kr, tr))
     })();
     let failed = gather_failures(comm, local.is_err());
@@ -201,24 +202,12 @@ fn load_shard_pair(
     Ok((k, t))
 }
 
-/// Merge a loaded shard pair into staging spectra. Key sets are disjoint
+/// Merge a loaded shard into a staging spectrum. Key sets are disjoint
 /// across shards of one snapshot, so this is a pure union.
-fn merge_pair(
-    params: &ReptileParams,
-    k: LoadedShard<FlatKmerTable>,
-    t: LoadedShard<FlatTileTable>,
-    into_k: &mut KmerSpectrum,
-    into_t: &mut TileSpectrum,
-) {
-    let ks = KmerSpectrum::from_table(params.kmer_codec(), params.canonical, k.table);
-    into_k.reserve(ks.len());
-    for (code, count) in ks.iter() {
-        into_k.add_count(Normalized::assume(code), count);
-    }
-    let ts = TileSpectrum::from_table(params.tile_codec(), params.canonical, t.table);
-    into_t.reserve(ts.len());
-    for (code, count) in ts.iter() {
-        into_t.add_count(Normalized::assume(code), count);
+fn merge_shard<K: SpectrumKey>(shard: LoadedShard<FlatTable<K>>, into: &mut Spectrum<K>) {
+    into.reserve(shard.table.len());
+    for (code, count) in shard.table.iter() {
+        into.add_count(Normalized::assume(code), count);
     }
 }
 
@@ -278,7 +267,8 @@ pub fn load_snapshot(
     let mut staged_k = KmerSpectrum::new(params.kmer_codec(), params.canonical);
     let mut staged_t = TileSpectrum::new(params.tile_codec(), params.canonical);
     for (k, t) in loaded {
-        merge_pair(params, k, t, &mut staged_k, &mut staged_t);
+        merge_shard(k, &mut staged_k);
+        merge_shard(t, &mut staged_t);
     }
     let mut kmers = KmerSpectrum::new(params.kmer_codec(), params.canonical);
     let mut tiles = TileSpectrum::new(params.tile_codec(), params.canonical);
@@ -302,48 +292,39 @@ pub fn save_snapshot_serial(
 ) -> Result<Vec<u64>, SnapshotError> {
     let fp = ConfigFingerprint::for_params(params);
     let owners = OwnerMap::new(np, params);
-    // Counting pass so every per-rank table is sized exactly once.
-    let mut kmer_sizes = vec![0usize; np];
-    for (code, _) in kmers.iter() {
-        kmer_sizes[owners.kmer_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut tile_sizes = vec![0usize; np];
-    for (code, _) in tiles.iter() {
-        tile_sizes[owners.tile_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut rank_kmers: Vec<KmerSpectrum> = kmer_sizes
-        .into_iter()
-        .map(|n| {
-            let mut s = KmerSpectrum::new(params.kmer_codec(), params.canonical);
-            s.reserve(n);
-            s
-        })
-        .collect();
-    let mut rank_tiles: Vec<TileSpectrum> = tile_sizes
-        .into_iter()
-        .map(|n| {
-            let mut s = TileSpectrum::new(params.tile_codec(), params.canonical);
-            s.reserve(n);
-            s
-        })
-        .collect();
-    for (code, count) in kmers.iter() {
-        let key = Normalized::assume(code);
-        rank_kmers[owners.kmer_owner_at(key)].add_count(key, count);
-    }
-    for (code, count) in tiles.iter() {
-        let key = Normalized::assume(code);
-        rank_tiles[owners.tile_owner_at(key)].add_count(key, count);
-    }
+    let rank_kmers = split_by_owner(kmers, &owners);
+    let rank_tiles = split_by_owner(tiles, &owners);
     let mut writer = SnapshotWriter::create(dir, &fp, np, parity)?;
     let mut per_rank = vec![0u64; np];
     for rank in 0..np {
-        let kr = writer.write_kmer(rank, rank_kmers[rank].table())?;
-        let tr = writer.write_tile(rank, rank_tiles[rank].table())?;
+        let kr = writer.write_shard(rank, rank_kmers[rank].table())?;
+        let tr = writer.write_shard(rank, rank_tiles[rank].table())?;
         per_rank[rank] = kr.bytes + tr.bytes;
     }
     per_rank[0] += writer.finish()?;
     Ok(per_rank)
+}
+
+/// `spec`'s entries bucketed into one spectrum per owner rank, each
+/// sized exactly once by a counting pass.
+fn split_by_owner<K: Key>(spec: &Spectrum<K>, owners: &OwnerMap) -> Vec<Spectrum<K>> {
+    let mut sizes = vec![0usize; owners.np()];
+    for (code, _) in spec.iter() {
+        sizes[K::owner(Normalized::assume(code), owners)] += 1;
+    }
+    let mut parts: Vec<Spectrum<K>> = sizes
+        .into_iter()
+        .map(|n| {
+            let mut part = Spectrum::new(spec.codec(), spec.canonical());
+            part.reserve(n);
+            part
+        })
+        .collect();
+    for (code, count) in spec.iter() {
+        let key = Normalized::assume(code);
+        parts[K::owner(key, owners)].add_count(key, count);
+    }
+    parts
 }
 
 /// Single-process snapshot load (the virtual engine): read every shard
@@ -377,7 +358,8 @@ pub fn load_snapshot_serial(
             }
             let (k, t) = load_shard_pair(&mut reader, old_rank)?;
             per_rank_bytes[me] += k.bytes_read + t.bytes_read;
-            merge_pair(params, k, t, &mut kmers, &mut tiles);
+            merge_shard(k, &mut kmers);
+            merge_shard(t, &mut tiles);
         }
         per_rank_repair[me] = reader.stats().since(&before);
     }

@@ -77,8 +77,8 @@ use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use dnaseq::{FusedScratch, Read, TileCodec};
 use mpisim::{Comm, PendingAlltoallv};
-use reptile::spectrum::{KmerSpectrum, Normalized, TileSpectrum};
-use reptile::ReptileParams;
+use reptile::spectrum::{KmerSpectrum, Normalized, Spectrum, TileSpectrum};
+use reptile::{ReptileParams, SpectrumKey};
 use specstore::spill::SpillError;
 use std::sync::mpsc;
 use std::time::Instant;
@@ -1138,56 +1138,21 @@ pub(crate) fn replicate_hot_shards(
     stats.table_bytes = tables.memory_bytes();
 }
 
-/// Key-type-generic view of a spectrum, for [`merge_gathered_parts`] and
-/// the lookup router's tiers. Keys are normalized spectrum keys.
-pub(crate) trait CountSpectrum<K> {
-    fn reserve_entries(&mut self, additional: usize);
-    fn add_entry(&mut self, key: K, count: u32);
-    /// Stored count of `key`, `None` when absent.
-    fn entry(&self, key: K) -> Option<u32>;
-}
-
-impl CountSpectrum<u64> for KmerSpectrum {
-    fn reserve_entries(&mut self, additional: usize) {
-        self.reserve(additional);
-    }
-    fn add_entry(&mut self, key: u64, count: u32) {
-        self.add_count(Normalized::assume(key), count);
-    }
-    #[inline]
-    fn entry(&self, key: u64) -> Option<u32> {
-        self.get_at(Normalized::assume(key))
-    }
-}
-
-impl CountSpectrum<u128> for TileSpectrum {
-    fn reserve_entries(&mut self, additional: usize) {
-        self.reserve(additional);
-    }
-    fn add_entry(&mut self, key: u128, count: u32) {
-        self.add_count(Normalized::assume(key), count);
-    }
-    #[inline]
-    fn entry(&self, key: u128) -> Option<u32> {
-        self.get_at(Normalized::assume(key))
-    }
-}
-
 /// Merge allgathered per-owner spectrum parts into `spec`, keeping only
 /// entries matching `keep`. Owners hold disjoint key sets, so the
 /// filtered part lengths sum to the exact final entry count — the table
 /// is pre-sized once instead of growing through every `add_count`, and
 /// the final geometry still matches `bytes_for_entries`.
-fn merge_gathered_parts<K: Copy, S: CountSpectrum<K>>(
-    spec: &mut S,
+fn merge_gathered_parts<K: SpectrumKey>(
+    spec: &mut Spectrum<K>,
     parts: Vec<Vec<(K, u32)>>,
     keep: impl Fn(K) -> bool,
 ) {
     let matching = parts.iter().flatten().filter(|&&(key, _)| keep(key)).count();
-    spec.reserve_entries(matching);
+    spec.reserve(matching);
     for (key, count) in parts.into_iter().flatten() {
         if keep(key) {
-            spec.add_entry(key, count);
+            spec.add_count(Normalized::assume(key), count);
         }
     }
 }

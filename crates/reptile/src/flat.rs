@@ -9,23 +9,27 @@
 //! used by RECKONER, the distributed tables of the Extreme-Scale
 //! Metagenome Assembly work) all converge on the same layout instead:
 //! a flat power-of-two array of packed key+count slots with linear
-//! probing. This module implements that layout twice:
+//! probing, parameterised by key width. This module implements that
+//! layout once, as [`FlatTable`] over the key kind ([`SpectrumKey`]),
+//! with two instances:
 //!
-//! * [`FlatKmerTable`] — `u64` keys, parallel `keys`/`counts` arrays,
-//!   12 bytes per slot;
-//! * [`FlatTileTable`] — `u128` keys split into `lo`/`hi` halves so no
+//! * [`FlatKmerTable`] — `u64` keys, one key lane + counts, 12 bytes per
+//!   slot;
+//! * [`FlatTileTable`] — `u128` keys split into two `u64` lanes so no
 //!   slot needs 16-byte alignment, 20 bytes per slot (a `(u128, u32)`
 //!   pair would pad to 32).
 //!
-//! Shared design:
+//! Design:
 //!
 //! * capacity is always a power of two; the probe sequence starts at
-//!   the top `log2(capacity)` bits of a Fibonacci multiply (every input
-//!   bit influences them, and golden-ratio spacing scatters similar
-//!   codes) and steps linearly — cache-friendly for the batch sweeps;
-//! * the all-ones key (`u64::MAX` / `u128::MAX`) is the reserved empty
-//!   sentinel. It is still a *legal* code (k=32 poly-T), so its count
-//!   lives in a side field instead of a slot;
+//!   the top `log2(capacity)` bits of a Fibonacci multiply of the key's
+//!   [`probe_hash`](SpectrumKey::probe_hash) (every input bit influences
+//!   them, and golden-ratio spacing scatters similar codes) and steps
+//!   linearly — cache-friendly for the batch sweeps;
+//! * the all-ones key ([`SpectrumKey::SENTINEL`]) is the reserved empty
+//!   marker, and a slot is vacant only when every lane is all-ones. The
+//!   sentinel is still a *legal* code (k=32 poly-T), so its count lives
+//!   in a side field instead of a slot;
 //! * growth doubles when an insert would push occupancy past the
 //!   configurable max load factor (default 3/4), giving amortized O(1)
 //!   inserts;
@@ -34,15 +38,15 @@
 //!   map — pruning singletons actually returns their memory. This is
 //!   the operating point Fig 5's peak-memory series measures;
 //! * counts saturate at `u32::MAX` instead of wrapping;
-//! * [`FlatKmerTable::memory_bytes`] is exact (slot arrays + header),
-//!   and the static [`FlatKmerTable::bytes_for_entries`] geometry
-//!   predicts it from an entry count alone, which is what lets the
-//!   virtual engine model per-table bytes without building tables.
+//! * [`FlatTable::memory_bytes`] is exact (slot arrays + header), and
+//!   the static [`FlatTable::bytes_for_entries`] geometry predicts it
+//!   from an entry count alone, which is what lets the virtual engine
+//!   model per-table bytes without building tables.
 
 use std::sync::Arc;
 
-/// Reserved empty-slot marker for 64-bit keys.
-const EMPTY_U64: u64 = u64::MAX;
+use crate::key::SpectrumKey;
+
 /// Smallest allocated capacity (power of two).
 const MIN_CAPACITY: usize = 16;
 /// Default max load factor numerator/denominator: 3/4. At 7/8 the
@@ -63,6 +67,9 @@ const PREFETCH_GROUP: usize = 16;
 /// (4 G slots = 48 GB — far past any rank budget this code targets).
 const BULK_LOAD_MAX_CAPACITY: usize = u32::MAX as usize;
 
+/// The Fibonacci multiplier of the probe start: 2^64/φ.
+const FIB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Probe-start slot: Fibonacci (multiplicative) hashing — one multiply
 /// by 2^64/φ, keeping the top log2(capacity) bits, which every input
 /// bit influences. Golden-ratio spacing scatters near-identical codes
@@ -71,25 +78,18 @@ const BULK_LOAD_MAX_CAPACITY: usize = u32::MAX as usize;
 #[inline]
 fn probe_start(h: u64, mask: usize) -> usize {
     debug_assert!((mask + 1).is_power_of_two());
-    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> ((mask as u64 + 1).leading_zeros() + 1)) as usize
-}
-
-/// Fold a split 128-bit tile key to 64 bits for [`probe_start`]: one
-/// multiply keeps the halves asymmetric (swapping `lo`/`hi` lands
-/// elsewhere) without `mix128_parts`'s six-multiply chain.
-#[inline]
-fn fold_tile(lo: u64, hi: u64) -> u64 {
-    lo ^ hi.wrapping_mul(0xA24B_AED4_963E_E407)
+    (h.wrapping_mul(FIB_MUL) >> ((mask as u64 + 1).leading_zeros() + 1)) as usize
 }
 
 /// Fingerprint of the probe-function family: the Fibonacci multiplier of
-/// [`probe_start`] folded with the tile-key mixing constant of
-/// [`fold_tile`]. Slot arrays dumped to disk are only probe-ready again
-/// if the loading build uses the *same* probe functions, so snapshot
-/// headers record this value and reject a mismatch instead of returning
-/// garbage lookups. Changing either constant changes the seed and
-/// invalidates old snapshots, which is exactly the point.
-pub const HASH_SEED: u64 = 0x9E37_79B9_7F4A_7C15 ^ 0xA24B_AED4_963E_E407;
+/// the probe start folded with the tile-key mixing constant of
+/// [`SpectrumKey::probe_hash`]. Slot arrays dumped to disk are only
+/// probe-ready again if the loading build uses the *same* probe
+/// functions, so snapshot headers record this value and reject a
+/// mismatch instead of returning garbage lookups. Changing either
+/// constant changes the seed and invalidates old snapshots, which is
+/// exactly the point.
+pub const HASH_SEED: u64 = FIB_MUL ^ crate::key::TILE_FOLD_MUL;
 
 /// Slot-array backing: owned and mutable, or a shared slab adopted from a
 /// loaded snapshot. The mapped form is the borrowed half of the Cow-style
@@ -119,6 +119,16 @@ impl<T: Copy> Slab<T> {
             Slab::Mapped(a) => a.to_vec(),
         }
     }
+
+    /// Copy a mapped slab into owned storage — once per table, so kept
+    /// out of line from the hot mutable accesses.
+    #[cold]
+    #[inline(never)]
+    fn detach(&mut self) {
+        if let Slab::Mapped(a) = self {
+            *self = Slab::Owned(a.to_vec());
+        }
+    }
 }
 
 impl<T: Copy> Default for Slab<T> {
@@ -129,6 +139,7 @@ impl<T: Copy> Default for Slab<T> {
 
 impl<T: Copy> std::ops::Deref for Slab<T> {
     type Target = [T];
+    #[inline]
     fn deref(&self) -> &[T] {
         match self {
             Slab::Owned(v) => v,
@@ -140,15 +151,29 @@ impl<T: Copy> std::ops::Deref for Slab<T> {
 impl<T: Copy> std::ops::DerefMut for Slab<T> {
     /// Copy-on-write: mutable access to a mapped slab detaches it into
     /// owned storage first.
+    #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
-        if let Slab::Mapped(a) = self {
-            *self = Slab::Owned(a.to_vec());
+        if self.is_mapped() {
+            self.detach();
         }
         match self {
             Slab::Owned(v) => v,
             Slab::Mapped(_) => unreachable!("mapped slab detached above"),
         }
     }
+}
+
+/// The occupied `(key, count)` slots of raw slot arrays, in slot order:
+/// every slot whose lanes are not all all-ones.
+fn occupied<'a, K: SpectrumKey, L: std::ops::Deref<Target = [u64]>>(
+    lanes: &'a [L],
+    counts: &'a [u32],
+) -> impl Iterator<Item = (K, u32)> + 'a {
+    counts
+        .iter()
+        .enumerate()
+        .map(move |(i, &c)| (K::from_lanes(|l| lanes[l][i]), c))
+        .filter(|&(k, _)| k != K::SENTINEL)
 }
 
 /// Smallest power-of-two capacity holding `n` entries at load
@@ -161,19 +186,20 @@ fn capacity_for(n: usize, num: usize, den: usize) -> usize {
     needed.next_power_of_two().max(MIN_CAPACITY)
 }
 
-/// Open-addressing `u64` → `u32` count table (k-mer spectra).
+/// Open-addressing key → `u32` count table over a key kind `K`.
 #[derive(Clone, Debug)]
-pub struct FlatKmerTable {
-    /// Slot keys; `EMPTY_U64` marks a vacant slot. Length is the
-    /// capacity (a power of two) or 0 before the first insert.
-    keys: Slab<u64>,
-    /// Slot counts, parallel to `keys`.
+pub struct FlatTable<K: SpectrumKey> {
+    /// Slot keys, one array per key lane (lane 0 = low 64 bits); a slot
+    /// is vacant when every lane holds all-ones. Each array's length is
+    /// the capacity (a power of two) or 0 before the first insert.
+    lanes: K::Lanes<Slab<u64>>,
+    /// Slot counts, parallel to the lanes.
     counts: Slab<u32>,
     /// Occupied slots (excludes the sentinel key).
     len: usize,
     /// `capacity - 1`; 0 when unallocated.
     mask: usize,
-    /// Count stored for the reserved key `u64::MAX` itself.
+    /// Count stored for the reserved all-ones key itself.
     sentinel_count: Option<u32>,
     /// Max load factor numerator.
     load_num: usize,
@@ -181,23 +207,32 @@ pub struct FlatKmerTable {
     load_den: usize,
 }
 
-impl Default for FlatKmerTable {
-    fn default() -> FlatKmerTable {
-        FlatKmerTable::new()
+/// The k-mer count table: `u64` keys, 12 bytes per slot.
+pub type FlatKmerTable = FlatTable<u64>;
+
+/// The tile count table: `u128` keys in two lanes, 20 bytes per slot.
+pub type FlatTileTable = FlatTable<u128>;
+
+impl<K: SpectrumKey> Default for FlatTable<K> {
+    fn default() -> FlatTable<K> {
+        FlatTable::new()
     }
 }
 
-impl FlatKmerTable {
+impl<K: SpectrumKey> FlatTable<K> {
+    /// Bytes per slot: one `u64` per lane plus the `u32` count.
+    const SLOT_BYTES: usize = K::BYTES + 4;
+
     /// Empty table (no allocation until the first insert).
-    pub fn new() -> FlatKmerTable {
-        FlatKmerTable::with_max_load(DEFAULT_LOAD.0, DEFAULT_LOAD.1)
+    pub fn new() -> FlatTable<K> {
+        FlatTable::with_max_load(DEFAULT_LOAD.0, DEFAULT_LOAD.1)
     }
 
     /// Empty table with max load factor `num/den` (e.g. 3, 4).
-    pub fn with_max_load(num: usize, den: usize) -> FlatKmerTable {
+    pub fn with_max_load(num: usize, den: usize) -> FlatTable<K> {
         assert!(num > 0 && num < den, "load factor must be in (0, 1)");
-        FlatKmerTable {
-            keys: Slab::default(),
+        FlatTable {
+            lanes: K::lanes_from(|_| Slab::default()),
             counts: Slab::default(),
             len: 0,
             mask: 0,
@@ -209,7 +244,7 @@ impl FlatKmerTable {
 
     /// Allocated slot count (a power of two, or 0 before first insert).
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.counts.len()
     }
 
     /// Number of distinct keys stored (sentinel included).
@@ -224,29 +259,58 @@ impl FlatKmerTable {
 
     /// Exact resident bytes: slot arrays plus the table header.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<FlatKmerTable>() + self.keys.len() * 8 + self.counts.len() * 4
+        std::mem::size_of::<FlatTable<K>>() + self.capacity() * Self::SLOT_BYTES
     }
 
     /// Bytes a table holding `n` entries occupies at the default max
     /// load — the same geometry (smallest fitting power-of-two capacity
-    /// × 12 bytes/slot + header) `memory_bytes` reports after building
-    /// or pruning to `n` entries. The virtual engine's memory model is
+    /// × bytes/slot + header) `memory_bytes` reports after building or
+    /// pruning to `n` entries. The virtual engine's memory model is
     /// built on this.
     pub fn bytes_for_entries(n: usize) -> usize {
-        std::mem::size_of::<FlatKmerTable>() + capacity_for(n, DEFAULT_LOAD.0, DEFAULT_LOAD.1) * 12
+        std::mem::size_of::<FlatTable<K>>()
+            + capacity_for(n, DEFAULT_LOAD.0, DEFAULT_LOAD.1) * Self::SLOT_BYTES
     }
 
-    /// Slot index where `key` lives, or the vacant slot where it would
-    /// be inserted. Capacity must be nonzero.
+    /// What slot `idx` holds, for a key (never the sentinel) split into
+    /// `want`: `Some(true)` that key, `Some(false)` nothing — every lane
+    /// all-ones — and `None` another key. Each lane is read once, in
+    /// order, and the answer `None` is given at the first lane that
+    /// shows it, so a probe step past a foreign tile reads only its low
+    /// lane.
     #[inline]
-    fn probe(&self, key: u64) -> usize {
-        debug_assert!(!self.keys.is_empty());
-        debug_assert_ne!(key, EMPTY_U64);
-        let mut idx = probe_start(key, self.mask);
+    fn slot_state(&self, idx: usize, want: &K::Lanes<u64>) -> Option<bool> {
+        let (mut holds, mut vacant) = (true, true);
+        for (lane, &w) in self.lanes.as_ref().iter().zip(want.as_ref()) {
+            let v = lane[idx];
+            holds &= v == w;
+            vacant &= v == u64::MAX;
+            if !holds && !vacant {
+                return None;
+            }
+        }
+        Some(holds)
+    }
+
+    #[inline]
+    fn set_slot(&mut self, idx: usize, key: K, count: u32) {
+        for (l, lane) in self.lanes.as_mut().iter_mut().enumerate() {
+            lane[idx] = key.lane(l);
+        }
+        self.counts[idx] = count;
+    }
+
+    /// The slot where `key` lives (`true`), or the vacant slot where it
+    /// would be inserted (`false`). Capacity must be nonzero.
+    #[inline]
+    fn probe(&self, key: K) -> (usize, bool) {
+        debug_assert!(self.capacity() > 0);
+        debug_assert_ne!(key, K::SENTINEL);
+        let want = key.lanes();
+        let mut idx = probe_start(key.probe_hash(), self.mask);
         loop {
-            let slot = self.keys[idx];
-            if slot == key || slot == EMPTY_U64 {
-                return idx;
+            if let Some(found) = self.slot_state(idx, &want) {
+                return (idx, found);
             }
             idx = (idx + 1) & self.mask;
         }
@@ -254,53 +318,40 @@ impl FlatKmerTable {
 
     /// Stored count for `key`, `None` when absent.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u32> {
-        if key == EMPTY_U64 {
+    pub fn get(&self, key: K) -> Option<u32> {
+        if key == K::SENTINEL {
             return self.sentinel_count;
         }
         if self.len == 0 {
             return None;
         }
-        // Fused probe: the counts array is only touched on a hit, so a
-        // miss stays within the keys array (one cache stream).
-        let mut idx = probe_start(key, self.mask);
-        loop {
-            let slot = self.keys[idx];
-            if slot == key {
-                return Some(self.counts[idx]);
-            }
-            if slot == EMPTY_U64 {
-                return None;
-            }
-            idx = (idx + 1) & self.mask;
-        }
+        // The counts array is only touched on a hit, so a miss stays
+        // within the key lanes (one cache stream per lane).
+        let (idx, found) = self.probe(key);
+        found.then(|| self.counts[idx])
     }
 
     /// Add `count` to `key`'s tally (saturating), inserting if absent.
-    pub fn add_count(&mut self, key: u64, count: u32) {
-        if key == EMPTY_U64 {
+    pub fn add_count(&mut self, key: K, count: u32) {
+        if key == K::SENTINEL {
             let prev = self.sentinel_count.unwrap_or(0);
             self.sentinel_count = Some(prev.saturating_add(count));
             return;
         }
-        if self.keys.is_empty() {
-            self.rehash(MIN_CAPACITY);
+        if self.capacity() == 0 {
+            self.rehash(MIN_CAPACITY, 0);
         }
-        let idx = self.probe(key);
-        if self.keys[idx] == key {
+        let (mut idx, found) = self.probe(key);
+        if found {
             self.counts[idx] = self.counts[idx].saturating_add(count);
             return;
         }
         // Grow *before* inserting so occupancy never exceeds the bound.
-        if (self.len + 1) * self.load_den > self.keys.len() * self.load_num {
-            self.rehash(self.keys.len() * 2);
-            let idx = self.probe(key);
-            self.keys[idx] = key;
-            self.counts[idx] = count;
-        } else {
-            self.keys[idx] = key;
-            self.counts[idx] = count;
+        if (self.len + 1) * self.load_den > self.capacity() * self.load_num {
+            self.rehash(self.capacity() * 2, 0);
+            idx = self.probe(key).0;
         }
+        self.set_slot(idx, key, count);
         self.len += 1;
     }
 
@@ -309,11 +360,11 @@ impl FlatKmerTable {
     /// target is the capacity incremental growth to `len() + additional`
     /// entries would land on, so when the estimate is exact (e.g. the
     /// disjoint owner parts of an allgathered spectrum) the final
-    /// geometry still matches [`FlatKmerTable::bytes_for_entries`].
+    /// geometry still matches [`FlatTable::bytes_for_entries`].
     pub fn reserve(&mut self, additional: usize) {
         let want = capacity_for(self.len + additional, self.load_num, self.load_den);
-        if want > self.keys.len() {
-            self.rehash(want);
+        if want > self.capacity() {
+            self.rehash(want, 0);
         }
     }
 
@@ -323,13 +374,12 @@ impl FlatKmerTable {
     /// adds commute, so the result is order-independent); debug builds
     /// verify the run is strictly ascending.
     ///
-    /// On an **empty** table the whole run is placed by
-    /// [`FlatKmerTable::bulk_load`] — exact-capacity allocation and a
-    /// single probe-start-ordered sweep, several times faster than
-    /// per-key probing. Otherwise pair with [`FlatKmerTable::reserve`]
-    /// when the number of *new* keys is known, to skip incremental
-    /// growth.
-    pub fn merge_sorted(&mut self, entries: &[(u64, u32)]) {
+    /// On an **empty** table the whole run is placed by a one-sweep bulk
+    /// load — exact-capacity allocation and a single probe-start-ordered
+    /// sweep, several times faster than per-key probing. Otherwise pair
+    /// with [`FlatTable::reserve`] when the number of *new* keys is
+    /// known, to skip incremental growth.
+    pub fn merge_sorted(&mut self, entries: &[(K, u32)]) {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "merge_sorted requires strictly ascending keys"
@@ -351,12 +401,12 @@ impl FlatKmerTable {
     /// wrap-around boundary spill to a regular probe afterwards (a
     /// handful at most: only the final cluster can cross). Content,
     /// `len`, and capacity match an `add_count` loop exactly.
-    fn bulk_load(&mut self, entries: &[(u64, u32)]) {
+    fn bulk_load(&mut self, entries: &[(K, u32)]) {
         debug_assert!(self.len == 0 && self.sentinel_count.is_none());
         // The sentinel key is the all-ones pattern, so a sorted run can
         // only carry it last; its count lives in the side field.
         let (entries, sentinel) = match entries.split_last() {
-            Some((&(EMPTY_U64, c), rest)) => (rest, Some(c)),
+            Some((&(key, c), rest)) if key == K::SENTINEL => (rest, Some(c)),
             _ => (entries, None),
         };
         self.sentinel_count = sentinel;
@@ -364,7 +414,7 @@ impl FlatKmerTable {
             return;
         }
         self.reserve(entries.len());
-        let cap = self.keys.len();
+        let cap = self.capacity();
         if cap > BULK_LOAD_MAX_CAPACITY {
             self.insert_batch(entries);
             return;
@@ -375,66 +425,86 @@ impl FlatKmerTable {
         let mut order: Vec<u64> = entries
             .iter()
             .enumerate()
-            .map(|(i, &(k, _))| ((probe_start(k, self.mask) as u64) << 32) | i as u64)
+            .map(|(i, &(k, _))| ((probe_start(k.probe_hash(), self.mask) as u64) << 32) | i as u64)
             .collect();
         let mut tmp: Vec<u64> = Vec::new();
         crate::radix::lsd_sort_by(&mut order, &mut tmp, cap.trailing_zeros(), |&p| {
             (p >> 32) as u32
         });
+        // The freshly reserved slot arrays are owned; place into plain
+        // vectors so the sweep indexes them without a per-write
+        // copy-on-write check, then hand them back.
+        let mut lanes = K::lanes_from(|l| std::mem::take(&mut self.lanes.as_mut()[l]).into_vec());
+        let mut counts = std::mem::take(&mut self.counts).into_vec();
         let mut spill: Vec<u32> = Vec::new();
         let mut cursor = 0usize;
-        {
-            let keys = &mut self.keys[..];
-            let counts = &mut self.counts[..];
-            // The placement gather (`entries[i]`) is the only random
-            // access left; its indices are known well ahead, so keep a
-            // window of them prefetched.
-            const AHEAD: usize = 16;
-            for (j, &p) in order.iter().enumerate() {
-                if let Some(&np) = order.get(j + AHEAD) {
-                    dnaseq::simd::prefetch_read(entries, np as u32 as usize);
-                }
-                let (h, i) = ((p >> 32) as usize, p as u32);
-                let slot = cursor.max(h);
-                if slot >= cap {
-                    spill.push(i);
-                    continue;
-                }
-                let (key, count) = entries[i as usize];
-                keys[slot] = key;
-                counts[slot] = count;
-                cursor = slot + 1;
+        // The placement gather (`entries[i]`) is the only random access
+        // left; its indices are known well ahead, so keep a window of
+        // them prefetched.
+        const AHEAD: usize = 16;
+        for (j, &p) in order.iter().enumerate() {
+            if let Some(&np) = order.get(j + AHEAD) {
+                dnaseq::simd::prefetch_read(entries, np as u32 as usize);
             }
+            let (h, i) = ((p >> 32) as usize, p as u32);
+            let slot = cursor.max(h);
+            if slot >= cap {
+                spill.push(i);
+                continue;
+            }
+            let (key, count) = entries[i as usize];
+            for (l, lane) in lanes.as_mut().iter_mut().enumerate() {
+                lane[slot] = key.lane(l);
+            }
+            counts[slot] = count;
+            cursor = slot + 1;
         }
+        self.lanes = K::lanes_from(|l| Slab::owned(std::mem::take(&mut lanes.as_mut()[l])));
+        self.counts = Slab::owned(counts);
         // Spilled keys probe from their start, wrapping into the front
         // of the array; every slot they skip is occupied, preserving the
         // probe-path invariant for lookups.
         for i in spill {
             let (key, count) = entries[i as usize];
-            let idx = self.probe(key);
-            debug_assert_eq!(self.keys[idx], EMPTY_U64);
-            self.keys[idx] = key;
-            self.counts[idx] = count;
+            let (idx, found) = self.probe(key);
+            debug_assert!(!found);
+            self.set_slot(idx, key, count);
         }
         self.len = entries.len();
     }
 
     /// Bulk add with a software-prefetch pipeline: entries are processed
-    /// in probe groups of [`PREFETCH_GROUP`]; while one group inserts,
-    /// the probe-start cache lines of the *next* group are prefetched, so
-    /// the dependent random loads of up to a whole group are in flight at
-    /// once instead of serializing one miss at a time. Insertion order
-    /// and growth schedule are exactly those of `add_count` per pair.
-    /// Unlike [`merge_sorted`] this accepts arbitrary (unsorted,
-    /// duplicated) pairs.
-    ///
-    /// [`PREFETCH_GROUP`]: PREFETCH_GROUP
-    /// [`merge_sorted`]: FlatKmerTable::merge_sorted
-    pub fn insert_batch(&mut self, entries: &[(u64, u32)]) {
-        self.insert_pipelined(entries);
+    /// in probe groups of `PREFETCH_GROUP`; while one group inserts, the
+    /// probe-start cache lines of the *next* group are prefetched in
+    /// every lane, so the dependent random loads of up to a whole group
+    /// are in flight at once instead of serializing one miss at a time.
+    /// Insertion order and growth schedule are exactly those of
+    /// `add_count` per pair. Unlike [`FlatTable::merge_sorted`] this
+    /// accepts arbitrary (unsorted, duplicated) pairs.
+    pub fn insert_batch(&mut self, entries: &[(K, u32)]) {
+        let mut at = 0;
+        while at < entries.len() {
+            let next = (at + PREFETCH_GROUP).min(entries.len());
+            // Hints target the current geometry; a growth rehash while
+            // the current group inserts merely wastes them.
+            if self.capacity() > 0 {
+                for &(key, _) in &entries[next..(next + PREFETCH_GROUP).min(entries.len())] {
+                    if key != K::SENTINEL {
+                        let idx = probe_start(key.probe_hash(), self.mask);
+                        for lane in self.lanes.as_ref() {
+                            dnaseq::simd::prefetch_read(lane, idx);
+                        }
+                    }
+                }
+            }
+            for &(key, count) in &entries[at..next] {
+                self.add_count(key, count);
+            }
+            at = next;
+        }
     }
 
-    /// Streaming counterpart of [`FlatKmerTable::merge_sorted`] for the
+    /// Streaming counterpart of [`FlatTable::merge_sorted`] for the
     /// out-of-core build: the distinct-survivor count is known up front
     /// (the run merge's counting pass) but the survivors arrive as a
     /// stream, never materialized whole. Reserves for `entries` exactly
@@ -449,13 +519,13 @@ impl FlatKmerTable {
         &mut self,
         entries: usize,
         chunk: usize,
-        iter: impl IntoIterator<Item = (u64, u32)>,
+        iter: impl IntoIterator<Item = (K, u32)>,
     ) {
         assert!(self.is_empty(), "bulk_load_sorted_stream requires an empty table");
         assert!(chunk > 0, "chunk must be nonzero");
         self.reserve(entries);
-        let mut buf: Vec<(u64, u32)> = Vec::with_capacity(chunk.min(entries.max(1)));
-        let mut last: Option<u64> = None;
+        let mut buf: Vec<(K, u32)> = Vec::with_capacity(chunk.min(entries.max(1)));
+        let mut last: Option<K> = None;
         let mut seen = 0usize;
         for (key, count) in iter {
             debug_assert!(
@@ -464,7 +534,7 @@ impl FlatKmerTable {
             );
             last = Some(key);
             seen += 1;
-            if key == EMPTY_U64 {
+            if key == K::SENTINEL {
                 self.sentinel_count = Some(count);
                 continue;
             }
@@ -480,43 +550,23 @@ impl FlatKmerTable {
         debug_assert_eq!(seen, entries, "stream length must match the declared count");
     }
 
-    /// The prefetch-pipelined `insert_batch` loop.
-    fn insert_pipelined(&mut self, entries: &[(u64, u32)]) {
-        let mut at = 0;
-        while at < entries.len() {
-            let next = (at + PREFETCH_GROUP).min(entries.len());
-            // Hints target the current geometry; a growth rehash while
-            // the current group inserts merely wastes them.
-            if !self.keys.is_empty() {
-                for &(key, _) in &entries[next..(next + PREFETCH_GROUP).min(entries.len())] {
-                    if key != EMPTY_U64 {
-                        dnaseq::simd::prefetch_read(&self.keys, probe_start(key, self.mask));
-                    }
-                }
+    /// Rebuild every occupied slot whose count reaches `threshold` (0
+    /// keeps them all) into fresh arrays of `new_cap` slots — growth,
+    /// reserve and prune alike. `len` is the caller's to keep: growth
+    /// keeps every entry, prune knows its survivors.
+    fn rehash(&mut self, new_cap: usize, threshold: u32) {
+        let old_lanes = K::lanes_from(|l| {
+            let fresh = Slab::owned(vec![u64::MAX; new_cap]);
+            std::mem::replace(&mut self.lanes.as_mut()[l], fresh).into_vec()
+        });
+        let old_counts = std::mem::replace(&mut self.counts, Slab::owned(vec![0; new_cap]));
+        let old_counts = old_counts.into_vec();
+        self.mask = new_cap.saturating_sub(1);
+        for (key, count) in occupied::<K, _>(old_lanes.as_ref(), &old_counts) {
+            if count >= threshold {
+                let idx = self.probe(key).0;
+                self.set_slot(idx, key, count);
             }
-            for &(key, count) in &entries[at..next] {
-                self.add_count(key, count);
-            }
-            at = next;
-        }
-    }
-
-    /// Rehash every occupied slot into a fresh array of `new_cap` slots.
-    fn rehash(&mut self, new_cap: usize) {
-        debug_assert!(
-            new_cap.is_power_of_two() && new_cap * self.load_num >= self.len * self.load_den
-        );
-        let old_keys = std::mem::replace(&mut self.keys, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_counts = std::mem::take(&mut self.counts);
-        self.counts = Slab::owned(vec![0; new_cap]);
-        self.mask = new_cap - 1;
-        for (key, count) in old_keys.into_vec().into_iter().zip(old_counts.into_vec()) {
-            if key == EMPTY_U64 {
-                continue;
-            }
-            let idx = self.probe(key);
-            self.keys[idx] = key;
-            self.counts[idx] = count;
         }
     }
 
@@ -528,61 +578,44 @@ impl FlatKmerTable {
         if self.sentinel_count.is_some_and(|c| c < threshold) {
             self.sentinel_count = None;
         }
-        let survivors = self
-            .keys
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|&(&k, &c)| k != EMPTY_U64 && c >= threshold)
+        let survivors = occupied::<K, _>(self.raw_parts().lanes.as_ref(), &self.counts)
+            .filter(|&(_, c)| c >= threshold)
             .count();
-        let new_cap = capacity_for(survivors, self.load_num, self.load_den);
-        let old_keys = std::mem::replace(&mut self.keys, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_counts = std::mem::take(&mut self.counts);
-        self.counts = Slab::owned(vec![0; new_cap]);
-        self.mask = new_cap.saturating_sub(1);
+        self.rehash(capacity_for(survivors, self.load_num, self.load_den), threshold);
         self.len = survivors;
-        for (key, count) in old_keys.into_vec().into_iter().zip(old_counts.into_vec()) {
-            if key == EMPTY_U64 || count < threshold {
-                continue;
-            }
-            let idx = self.probe(key);
-            self.keys[idx] = key;
-            self.counts[idx] = count;
-        }
     }
 
     /// Iterate `(key, count)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.keys
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|&(&k, _)| k != EMPTY_U64)
-            .map(|(&k, &c)| (k, c))
-            .chain(self.sentinel_count.map(|c| (EMPTY_U64, c)))
+    pub fn iter(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+        occupied(self.lanes.as_ref(), &self.counts)
+            .chain(self.sentinel_count.map(|c| (K::SENTINEL, c)))
     }
 
     /// Consume into `(key, count)` pairs.
-    pub fn into_entries(self) -> impl Iterator<Item = (u64, u32)> {
-        let sentinel = self.sentinel_count.map(|c| (EMPTY_U64, c));
-        self.keys
+    pub fn into_entries(mut self) -> impl Iterator<Item = (K, u32)> {
+        let sentinel = self.sentinel_count.map(|c| (K::SENTINEL, c));
+        let lanes = K::lanes_from(|l| std::mem::take(&mut self.lanes.as_mut()[l]).into_vec());
+        self.counts
             .into_vec()
             .into_iter()
-            .zip(self.counts.into_vec())
-            .filter(|&(k, _)| k != EMPTY_U64)
+            .enumerate()
+            .map(move |(i, c)| (K::from_lanes(|l| lanes.as_ref()[l][i]), c))
+            .filter(|&(k, _)| k != K::SENTINEL)
             .chain(sentinel)
     }
 
     /// True when the slot arrays are snapshot-mapped (shared, not yet
     /// detached by a mutation).
     pub fn is_mapped(&self) -> bool {
-        self.keys.is_mapped() || self.counts.is_mapped()
+        self.lanes.as_ref().iter().any(Slab::is_mapped) || self.counts.is_mapped()
     }
 
     /// Borrow the raw slot arrays and geometry — the exact bytes a
     /// snapshot shard persists. Probing a table rebuilt from these parts
-    /// via [`FlatKmerTable::from_mapped_parts`] visits identical slots.
-    pub fn raw_parts(&self) -> KmerTableParts<'_> {
-        KmerTableParts {
-            keys: &self.keys,
+    /// via [`FlatTable::from_mapped_parts`] visits identical slots.
+    pub fn raw_parts(&self) -> TableParts<'_, K> {
+        TableParts {
+            lanes: K::lanes_from(|l| &*self.lanes.as_ref()[l]),
             counts: &self.counts,
             entries: self.len,
             sentinel_count: self.sentinel_count,
@@ -595,36 +628,35 @@ impl FlatKmerTable {
     /// no rehash: the arrays must be a verbatim dump of a table built by
     /// this module (same probe family — callers check [`HASH_SEED`]
     /// before trusting the layout). Validates geometry and recounts
-    /// occupancy so a corrupted-but-checksummed dump cannot fabricate an
+    /// occupancy — a slot is occupied unless every lane is all-ones — so
+    /// a corrupted-but-checksummed dump cannot fabricate an
     /// out-of-bounds mask or an impossible load factor.
     pub fn from_mapped_parts(
-        keys: Arc<[u64]>,
+        lanes: K::Lanes<Arc<[u64]>>,
         counts: Arc<[u32]>,
         sentinel_count: Option<u32>,
         load_num: usize,
         load_den: usize,
-    ) -> Result<FlatKmerTable, String> {
+    ) -> Result<FlatTable<K>, String> {
         if load_num == 0 || load_num >= load_den {
             return Err(format!("load factor {load_num}/{load_den} not in (0, 1)"));
         }
-        if keys.len() != counts.len() {
-            return Err(format!(
-                "slot arrays disagree: {} keys vs {} counts",
-                keys.len(),
-                counts.len()
-            ));
+        let cap = counts.len();
+        let lanes = lanes.as_ref();
+        if lanes.iter().any(|lane| lane.len() != cap) {
+            let lens: Vec<usize> = lanes.iter().map(|lane| lane.len()).collect();
+            return Err(format!("slot arrays disagree: lanes of {lens:?} slots vs {cap} counts"));
         }
-        let cap = keys.len();
         if cap != 0 && (!cap.is_power_of_two() || cap < MIN_CAPACITY) {
             return Err(format!("capacity {cap} is not 0 or a power of two ≥ {MIN_CAPACITY}"));
         }
-        let len = keys.iter().filter(|&&k| k != EMPTY_U64).count();
+        let len = (0..cap).filter(|&i| lanes.iter().any(|lane| lane[i] != u64::MAX)).count();
         if len * load_den > cap * load_num {
             return Err(format!("{len} entries exceed the {load_num}/{load_den} bound at {cap}"));
         }
-        Ok(FlatKmerTable {
+        Ok(FlatTable {
             mask: cap.saturating_sub(1),
-            keys: Slab::Mapped(keys),
+            lanes: K::lanes_from(|l| Slab::Mapped(lanes[l].clone())),
             counts: Slab::Mapped(counts),
             len,
             sentinel_count,
@@ -634,479 +666,14 @@ impl FlatKmerTable {
     }
 }
 
-/// Borrowed view of a [`FlatKmerTable`]'s slot arrays and geometry — the
+/// Borrowed view of a [`FlatTable`]'s slot arrays and geometry — the
 /// persistence boundary for snapshot shards.
-#[derive(Clone, Copy, Debug)]
-pub struct KmerTableParts<'a> {
-    /// Slot keys, `EMPTY_U64` marking vacancies; length is the capacity.
-    pub keys: &'a [u64],
-    /// Slot counts, parallel to `keys`.
-    pub counts: &'a [u32],
-    /// Occupied slots (sentinel excluded).
-    pub entries: usize,
-    /// Side-field count for the reserved all-ones key.
-    pub sentinel_count: Option<u32>,
-    /// Max load factor numerator.
-    pub load_num: usize,
-    /// Max load factor denominator.
-    pub load_den: usize,
-}
-
-/// Open-addressing `u128` → `u32` count table (tile spectra).
-///
-/// Keys are stored split into 64-bit halves in parallel arrays, so a
-/// slot is 8 + 8 + 4 = 20 bytes with no 16-byte alignment padding
-/// (a `(u128, u32)` pair is 32 bytes). The empty sentinel is
-/// `u128::MAX` — both halves all-ones.
 #[derive(Clone, Debug)]
-pub struct FlatTileTable {
-    /// Low 64 bits of each slot key.
-    lo: Slab<u64>,
-    /// High 64 bits of each slot key.
-    hi: Slab<u64>,
-    /// Slot counts, parallel to `lo`/`hi`.
-    counts: Slab<u32>,
-    /// Occupied slots (excludes the sentinel key).
-    len: usize,
-    /// `capacity - 1`; 0 when unallocated.
-    mask: usize,
-    /// Count stored for the reserved key `u128::MAX` itself.
-    sentinel_count: Option<u32>,
-    /// Max load factor numerator.
-    load_num: usize,
-    /// Max load factor denominator.
-    load_den: usize,
-}
-
-impl Default for FlatTileTable {
-    fn default() -> FlatTileTable {
-        FlatTileTable::new()
-    }
-}
-
-impl FlatTileTable {
-    /// Empty table (no allocation until the first insert).
-    pub fn new() -> FlatTileTable {
-        FlatTileTable::with_max_load(DEFAULT_LOAD.0, DEFAULT_LOAD.1)
-    }
-
-    /// Empty table with max load factor `num/den`.
-    pub fn with_max_load(num: usize, den: usize) -> FlatTileTable {
-        assert!(num > 0 && num < den, "load factor must be in (0, 1)");
-        FlatTileTable {
-            lo: Slab::default(),
-            hi: Slab::default(),
-            counts: Slab::default(),
-            len: 0,
-            mask: 0,
-            sentinel_count: None,
-            load_num: num,
-            load_den: den,
-        }
-    }
-
-    /// Allocated slot count (a power of two, or 0 before first insert).
-    pub fn capacity(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Number of distinct keys stored (sentinel included).
-    pub fn len(&self) -> usize {
-        self.len + self.sentinel_count.is_some() as usize
-    }
-
-    /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact resident bytes: slot arrays plus the table header.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<FlatTileTable>()
-            + self.lo.len() * 8
-            + self.hi.len() * 8
-            + self.counts.len() * 4
-    }
-
-    /// Bytes a table holding `n` entries occupies at the default max
-    /// load (see [`FlatKmerTable::bytes_for_entries`]).
-    pub fn bytes_for_entries(n: usize) -> usize {
-        std::mem::size_of::<FlatTileTable>() + capacity_for(n, DEFAULT_LOAD.0, DEFAULT_LOAD.1) * 20
-    }
-
-    /// True when slot `idx` holds the vacant marker.
-    #[inline]
-    fn vacant(&self, idx: usize) -> bool {
-        self.lo[idx] == EMPTY_U64 && self.hi[idx] == EMPTY_U64
-    }
-
-    /// Slot index where `(lo, hi)` lives, or its insertion slot.
-    #[inline]
-    fn probe(&self, lo: u64, hi: u64) -> usize {
-        debug_assert!(!self.lo.is_empty());
-        debug_assert!(lo != EMPTY_U64 || hi != EMPTY_U64);
-        let mut idx = probe_start(fold_tile(lo, hi), self.mask);
-        loop {
-            if (self.lo[idx] == lo && self.hi[idx] == hi) || self.vacant(idx) {
-                return idx;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// Stored count for `key`, `None` when absent.
-    #[inline]
-    pub fn get(&self, key: u128) -> Option<u32> {
-        if key == u128::MAX {
-            return self.sentinel_count;
-        }
-        if self.len == 0 {
-            return None;
-        }
-        // Fused probe, as in [`FlatKmerTable::get`].
-        let (lo, hi) = (key as u64, (key >> 64) as u64);
-        let mut idx = probe_start(fold_tile(lo, hi), self.mask);
-        loop {
-            if self.lo[idx] == lo && self.hi[idx] == hi {
-                return Some(self.counts[idx]);
-            }
-            if self.vacant(idx) {
-                return None;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// Add `count` to `key`'s tally (saturating), inserting if absent.
-    pub fn add_count(&mut self, key: u128, count: u32) {
-        if key == u128::MAX {
-            let prev = self.sentinel_count.unwrap_or(0);
-            self.sentinel_count = Some(prev.saturating_add(count));
-            return;
-        }
-        if self.lo.is_empty() {
-            self.rehash(MIN_CAPACITY);
-        }
-        let (lo, hi) = (key as u64, (key >> 64) as u64);
-        let idx = self.probe(lo, hi);
-        if self.lo[idx] == lo && self.hi[idx] == hi {
-            self.counts[idx] = self.counts[idx].saturating_add(count);
-            return;
-        }
-        if (self.len + 1) * self.load_den > self.lo.len() * self.load_num {
-            self.rehash(self.lo.len() * 2);
-            let idx = self.probe(lo, hi);
-            self.set_slot(idx, lo, hi, count);
-        } else {
-            self.set_slot(idx, lo, hi, count);
-        }
-        self.len += 1;
-    }
-
-    #[inline]
-    fn set_slot(&mut self, idx: usize, lo: u64, hi: u64, count: u32) {
-        self.lo[idx] = lo;
-        self.hi[idx] = hi;
-        self.counts[idx] = count;
-    }
-
-    /// Pre-size for `additional` more distinct keys (see
-    /// [`FlatKmerTable::reserve`]).
-    pub fn reserve(&mut self, additional: usize) {
-        let want = capacity_for(self.len + additional, self.load_num, self.load_den);
-        if want > self.lo.len() {
-            self.rehash(want);
-        }
-    }
-
-    /// Bulk-ingest a sorted run of **distinct** `(key, count)` pairs
-    /// (see [`FlatKmerTable::merge_sorted`]). On an empty table the run
-    /// is placed by the one-sweep [`FlatTileTable::bulk_load`].
-    pub fn merge_sorted(&mut self, entries: &[(u128, u32)]) {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "merge_sorted requires strictly ascending keys"
-        );
-        if self.len == 0 && self.sentinel_count.is_none() {
-            self.bulk_load(entries);
-        } else {
-            self.insert_batch(entries);
-        }
-    }
-
-    /// One-sweep construction of an empty table from distinct entries —
-    /// probe-start-ordered monotone-cursor placement, exactly as
-    /// [`FlatKmerTable::bulk_load`].
-    fn bulk_load(&mut self, entries: &[(u128, u32)]) {
-        debug_assert!(self.len == 0 && self.sentinel_count.is_none());
-        let (entries, sentinel) = match entries.split_last() {
-            Some((&(u128::MAX, c), rest)) => (rest, Some(c)),
-            _ => (entries, None),
-        };
-        self.sentinel_count = sentinel;
-        if entries.is_empty() {
-            return;
-        }
-        self.reserve(entries.len());
-        let cap = self.lo.len();
-        if cap > BULK_LOAD_MAX_CAPACITY {
-            self.insert_batch(entries);
-            return;
-        }
-        let mut order: Vec<u64> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, &(k, _))| {
-                ((probe_start(fold_tile(k as u64, (k >> 64) as u64), self.mask) as u64) << 32)
-                    | i as u64
-            })
-            .collect();
-        let mut tmp: Vec<u64> = Vec::new();
-        crate::radix::lsd_sort_by(&mut order, &mut tmp, cap.trailing_zeros(), |&p| {
-            (p >> 32) as u32
-        });
-        let mut spill: Vec<u32> = Vec::new();
-        let mut cursor = 0usize;
-        {
-            let lo_slots = &mut self.lo[..];
-            let hi_slots = &mut self.hi[..];
-            let counts = &mut self.counts[..];
-            const AHEAD: usize = 16;
-            for (j, &p) in order.iter().enumerate() {
-                if let Some(&np) = order.get(j + AHEAD) {
-                    dnaseq::simd::prefetch_read(entries, np as u32 as usize);
-                }
-                let (h, i) = ((p >> 32) as usize, p as u32);
-                let slot = cursor.max(h);
-                if slot >= cap {
-                    spill.push(i);
-                    continue;
-                }
-                let (key, count) = entries[i as usize];
-                lo_slots[slot] = key as u64;
-                hi_slots[slot] = (key >> 64) as u64;
-                counts[slot] = count;
-                cursor = slot + 1;
-            }
-        }
-        for i in spill {
-            let (key, count) = entries[i as usize];
-            let (lo, hi) = (key as u64, (key >> 64) as u64);
-            let idx = self.probe(lo, hi);
-            debug_assert!(self.vacant(idx));
-            self.set_slot(idx, lo, hi, count);
-        }
-        self.len = entries.len();
-    }
-
-    /// Bulk add with a software-prefetch pipeline (see
-    /// [`FlatKmerTable::insert_batch`]). Accepts arbitrary pairs.
-    pub fn insert_batch(&mut self, entries: &[(u128, u32)]) {
-        self.insert_pipelined(entries);
-    }
-
-    /// Streaming sorted bulk load for the out-of-core build (see
-    /// [`FlatKmerTable::bulk_load_sorted_stream`]).
-    pub fn bulk_load_sorted_stream(
-        &mut self,
-        entries: usize,
-        chunk: usize,
-        iter: impl IntoIterator<Item = (u128, u32)>,
-    ) {
-        assert!(self.is_empty(), "bulk_load_sorted_stream requires an empty table");
-        assert!(chunk > 0, "chunk must be nonzero");
-        self.reserve(entries);
-        let mut buf: Vec<(u128, u32)> = Vec::with_capacity(chunk.min(entries.max(1)));
-        let mut last: Option<u128> = None;
-        let mut seen = 0usize;
-        for (key, count) in iter {
-            debug_assert!(
-                last.is_none_or(|p| p < key),
-                "bulk_load_sorted_stream requires strictly ascending keys"
-            );
-            last = Some(key);
-            seen += 1;
-            if key == u128::MAX {
-                self.sentinel_count = Some(count);
-                continue;
-            }
-            buf.push((key, count));
-            if buf.len() == chunk {
-                self.insert_batch(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            self.insert_batch(&buf);
-        }
-        debug_assert_eq!(seen, entries, "stream length must match the declared count");
-    }
-
-    /// The prefetch-pipelined `insert_batch` loop.
-    fn insert_pipelined(&mut self, entries: &[(u128, u32)]) {
-        let mut at = 0;
-        while at < entries.len() {
-            let next = (at + PREFETCH_GROUP).min(entries.len());
-            if !self.lo.is_empty() {
-                for &(key, _) in &entries[next..(next + PREFETCH_GROUP).min(entries.len())] {
-                    if key != u128::MAX {
-                        let idx = probe_start(fold_tile(key as u64, (key >> 64) as u64), self.mask);
-                        // The `lo` array is the probe stream; `hi` shares
-                        // the index and usually the same line set.
-                        dnaseq::simd::prefetch_read(&self.lo, idx);
-                        dnaseq::simd::prefetch_read(&self.hi, idx);
-                    }
-                }
-            }
-            for &(key, count) in &entries[at..next] {
-                self.add_count(key, count);
-            }
-            at = next;
-        }
-    }
-
-    /// Rehash every occupied slot into fresh arrays of `new_cap` slots.
-    fn rehash(&mut self, new_cap: usize) {
-        debug_assert!(
-            new_cap.is_power_of_two() && new_cap * self.load_num >= self.len * self.load_den
-        );
-        let old_lo = std::mem::replace(&mut self.lo, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_hi = std::mem::replace(&mut self.hi, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_counts = std::mem::take(&mut self.counts);
-        self.counts = Slab::owned(vec![0; new_cap]);
-        self.mask = new_cap - 1;
-        for ((lo, hi), count) in
-            old_lo.into_vec().into_iter().zip(old_hi.into_vec()).zip(old_counts.into_vec())
-        {
-            if lo == EMPTY_U64 && hi == EMPTY_U64 {
-                continue;
-            }
-            let idx = self.probe(lo, hi);
-            self.set_slot(idx, lo, hi, count);
-        }
-    }
-
-    /// Drop entries with count < `threshold`, then rebuild into the
-    /// smallest capacity that fits the survivors.
-    pub fn prune(&mut self, threshold: u32) {
-        if self.sentinel_count.is_some_and(|c| c < threshold) {
-            self.sentinel_count = None;
-        }
-        let survivors =
-            (0..self.lo.len()).filter(|&i| !self.vacant(i) && self.counts[i] >= threshold).count();
-        let new_cap = capacity_for(survivors, self.load_num, self.load_den);
-        let old_lo = std::mem::replace(&mut self.lo, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_hi = std::mem::replace(&mut self.hi, Slab::owned(vec![EMPTY_U64; new_cap]));
-        let old_counts = std::mem::take(&mut self.counts);
-        self.counts = Slab::owned(vec![0; new_cap]);
-        self.mask = new_cap.saturating_sub(1);
-        self.len = survivors;
-        for ((lo, hi), count) in
-            old_lo.into_vec().into_iter().zip(old_hi.into_vec()).zip(old_counts.into_vec())
-        {
-            if (lo == EMPTY_U64 && hi == EMPTY_U64) || count < threshold {
-                continue;
-            }
-            let idx = self.probe(lo, hi);
-            self.set_slot(idx, lo, hi, count);
-        }
-    }
-
-    /// Iterate `(key, count)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
-        (0..self.lo.len())
-            .filter(|&i| !self.vacant(i))
-            .map(|i| (self.lo[i] as u128 | (self.hi[i] as u128) << 64, self.counts[i]))
-            .chain(self.sentinel_count.map(|c| (u128::MAX, c)))
-    }
-
-    /// Consume into `(key, count)` pairs.
-    pub fn into_entries(self) -> impl Iterator<Item = (u128, u32)> {
-        let sentinel = self.sentinel_count.map(|c| (u128::MAX, c));
-        self.lo
-            .into_vec()
-            .into_iter()
-            .zip(self.hi.into_vec())
-            .zip(self.counts.into_vec())
-            .filter(|&((lo, hi), _)| lo != EMPTY_U64 || hi != EMPTY_U64)
-            .map(|((lo, hi), c)| (lo as u128 | (hi as u128) << 64, c))
-            .chain(sentinel)
-    }
-
-    /// True when the slot arrays are snapshot-mapped (see
-    /// [`FlatKmerTable::is_mapped`]).
-    pub fn is_mapped(&self) -> bool {
-        self.lo.is_mapped() || self.hi.is_mapped() || self.counts.is_mapped()
-    }
-
-    /// Borrow the raw slot arrays and geometry (see
-    /// [`FlatKmerTable::raw_parts`]).
-    pub fn raw_parts(&self) -> TileTableParts<'_> {
-        TileTableParts {
-            lo: &self.lo,
-            hi: &self.hi,
-            counts: &self.counts,
-            entries: self.len,
-            sentinel_count: self.sentinel_count,
-            load_num: self.load_num,
-            load_den: self.load_den,
-        }
-    }
-
-    /// Adopt snapshot-loaded slot arrays with no rehash (see
-    /// [`FlatKmerTable::from_mapped_parts`]). A slot is vacant only when
-    /// *both* halves are all-ones.
-    pub fn from_mapped_parts(
-        lo: Arc<[u64]>,
-        hi: Arc<[u64]>,
-        counts: Arc<[u32]>,
-        sentinel_count: Option<u32>,
-        load_num: usize,
-        load_den: usize,
-    ) -> Result<FlatTileTable, String> {
-        if load_num == 0 || load_num >= load_den {
-            return Err(format!("load factor {load_num}/{load_den} not in (0, 1)"));
-        }
-        if lo.len() != hi.len() || lo.len() != counts.len() {
-            return Err(format!(
-                "slot arrays disagree: {} lo vs {} hi vs {} counts",
-                lo.len(),
-                hi.len(),
-                counts.len()
-            ));
-        }
-        let cap = lo.len();
-        if cap != 0 && (!cap.is_power_of_two() || cap < MIN_CAPACITY) {
-            return Err(format!("capacity {cap} is not 0 or a power of two ≥ {MIN_CAPACITY}"));
-        }
-        let len =
-            lo.iter().zip(hi.iter()).filter(|&(&l, &h)| l != EMPTY_U64 || h != EMPTY_U64).count();
-        if len * load_den > cap * load_num {
-            return Err(format!("{len} entries exceed the {load_num}/{load_den} bound at {cap}"));
-        }
-        Ok(FlatTileTable {
-            mask: cap.saturating_sub(1),
-            lo: Slab::Mapped(lo),
-            hi: Slab::Mapped(hi),
-            counts: Slab::Mapped(counts),
-            len,
-            sentinel_count,
-            load_num,
-            load_den,
-        })
-    }
-}
-
-/// Borrowed view of a [`FlatTileTable`]'s slot arrays and geometry — the
-/// persistence boundary for snapshot shards.
-#[derive(Clone, Copy, Debug)]
-pub struct TileTableParts<'a> {
-    /// Low halves of the slot keys; a slot is vacant when both halves
-    /// are all-ones.
-    pub lo: &'a [u64],
-    /// High halves of the slot keys, parallel to `lo`.
-    pub hi: &'a [u64],
-    /// Slot counts, parallel to `lo`/`hi`.
+pub struct TableParts<'a, K: SpectrumKey> {
+    /// Slot key lanes (lane 0 = low 64 bits), each `capacity` long; a
+    /// slot is vacant when every lane is all-ones.
+    pub lanes: K::Lanes<&'a [u64]>,
+    /// Slot counts, parallel to the lanes.
     pub counts: &'a [u32],
     /// Occupied slots (sentinel excluded).
     pub entries: usize,
@@ -1122,303 +689,284 @@ pub struct TileTableParts<'a> {
 mod tests {
     use super::*;
 
+    /// Key `i` of a kind, low bits only (dense, collision-prone pools).
+    fn key<K: SpectrumKey>(i: u64) -> K {
+        K::from_u128(i as u128)
+    }
+
+    /// Key `i` of a kind, scattered across every lane.
+    fn spread<K: SpectrumKey>(i: u64) -> K {
+        let lo = dnaseq::mix64(i);
+        K::from_u128(((dnaseq::mix64(lo) as u128) << 64) | lo as u128)
+    }
+
+    fn sorted<K: SpectrumKey>(it: impl Iterator<Item = (K, u32)>) -> Vec<(K, u32)> {
+        let mut v: Vec<_> = it.collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Run a generic check for both key kinds.
+    macro_rules! both_kinds {
+        ($check:ident) => {
+            $check::<u64>();
+            $check::<u128>();
+        };
+    }
+
     #[test]
-    fn insert_get_roundtrip_across_growth() {
-        let mut t = FlatKmerTable::new();
+    fn header_sizes_pin_the_memory_model() {
+        // The virtual engine's modeled bytes (and so the figures) are
+        // `bytes_for_entries`: header + capacity × slot bytes.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            (FlatKmerTable::bytes_for_entries(0), FlatTileTable::bytes_for_entries(0)),
+            (88, 112)
+        );
+        assert_eq!(
+            FlatKmerTable::bytes_for_entries(1) - FlatKmerTable::bytes_for_entries(0),
+            16 * 12
+        );
+        assert_eq!(
+            FlatTileTable::bytes_for_entries(1) - FlatTileTable::bytes_for_entries(0),
+            16 * 20
+        );
+    }
+
+    fn insert_get_roundtrip_across_growth<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
         assert_eq!(t.capacity(), 0);
-        for key in 0..1000u64 {
-            t.add_count(key * 7919, (key % 9 + 1) as u32);
+        for i in 0..1000u64 {
+            t.add_count(key(i * 7919), (i % 9 + 1) as u32);
         }
         assert_eq!(t.len(), 1000);
-        for key in 0..1000u64 {
-            assert_eq!(t.get(key * 7919), Some((key % 9 + 1) as u32));
+        for i in 0..1000u64 {
+            assert_eq!(t.get(key(i * 7919)), Some((i % 9 + 1) as u32));
         }
-        assert_eq!(t.get(123_456_789), None);
+        assert_eq!(t.get(key(123_456_789)), None);
         assert!(t.capacity().is_power_of_two());
         // occupancy bound holds after growth
         assert!(t.len() * 4 <= t.capacity() * 3);
     }
 
     #[test]
-    fn sentinel_key_is_a_legal_entry() {
-        let mut t = FlatKmerTable::new();
-        t.add_count(u64::MAX, 3); // k=32 poly-T is a real code
-        t.add_count(u64::MAX, 2);
-        assert_eq!(t.get(u64::MAX), Some(5));
+    fn insert_get_roundtrip_across_growth_both_kinds() {
+        both_kinds!(insert_get_roundtrip_across_growth);
+    }
+
+    fn sentinel_key_is_a_legal_entry<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        t.add_count(K::SENTINEL, 3); // k=32 poly-T is a real code
+        t.add_count(K::SENTINEL, 2);
+        assert_eq!(t.get(K::SENTINEL), Some(5));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(u64::MAX, 5)]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(K::SENTINEL, 5)]);
         t.prune(6);
-        assert_eq!(t.get(u64::MAX), None);
+        assert_eq!(t.get(K::SENTINEL), None);
         assert!(t.is_empty());
     }
 
     #[test]
-    fn counts_saturate_instead_of_wrapping() {
-        let mut t = FlatKmerTable::new();
-        t.add_count(42, u32::MAX - 1);
-        t.add_count(42, 5);
-        assert_eq!(t.get(42), Some(u32::MAX));
-        let mut s = FlatTileTable::new();
-        s.add_count(42, u32::MAX);
-        s.add_count(42, u32::MAX);
-        assert_eq!(s.get(42), Some(u32::MAX));
+    fn sentinel_key_is_a_legal_entry_both_kinds() {
+        both_kinds!(sentinel_key_is_a_legal_entry);
+    }
+
+    fn counts_saturate_instead_of_wrapping<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        t.add_count(key(42), u32::MAX - 1);
+        t.add_count(key(42), 5);
+        assert_eq!(t.get(key(42)), Some(u32::MAX));
+        t.add_count(key(42), u32::MAX);
+        assert_eq!(t.get(key(42)), Some(u32::MAX));
     }
 
     #[test]
-    fn prune_rebuilds_to_smallest_capacity() {
-        let mut t = FlatKmerTable::new();
-        for key in 0..10_000u64 {
-            t.add_count(key, if key < 50 { 3 } else { 1 });
+    fn counts_saturate_instead_of_wrapping_both_kinds() {
+        both_kinds!(counts_saturate_instead_of_wrapping);
+    }
+
+    fn prune_rebuilds_to_smallest_capacity<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        for i in 0..10_000u64 {
+            t.add_count(key(i), if i < 50 { 3 } else { 1 });
         }
         let peak = t.memory_bytes();
         t.prune(2);
         assert_eq!(t.len(), 50);
-        for key in 0..50u64 {
-            assert_eq!(t.get(key), Some(3));
+        for i in 0..50u64 {
+            assert_eq!(t.get(key(i)), Some(3));
         }
-        assert_eq!(t.get(51), None);
+        assert_eq!(t.get(key(51)), None);
         assert!(t.memory_bytes() < peak / 8, "prune must return memory");
-        assert_eq!(t.memory_bytes(), FlatKmerTable::bytes_for_entries(50));
+        assert_eq!(t.memory_bytes(), FlatTable::<K>::bytes_for_entries(50));
     }
 
     #[test]
-    fn geometry_predicts_measured_bytes() {
+    fn prune_rebuilds_to_smallest_capacity_both_kinds() {
+        both_kinds!(prune_rebuilds_to_smallest_capacity);
+    }
+
+    fn geometry_predicts_measured_bytes<K: SpectrumKey>() {
         // 12/13 and 768/769 straddle the 3/4-load growth boundaries
         for n in [0usize, 1, 12, 13, 15, 100, 768, 769, 5000] {
-            let mut t = FlatKmerTable::new();
-            for key in 0..n as u64 {
-                t.add_count(key, 1);
+            let mut t = FlatTable::<K>::new();
+            for i in 0..n as u64 {
+                t.add_count(key(i), 1);
             }
             assert_eq!(
                 t.memory_bytes(),
-                FlatKmerTable::bytes_for_entries(n),
-                "kmer geometry diverges at n={n}"
-            );
-            let mut s = FlatTileTable::new();
-            for key in 0..n as u128 {
-                s.add_count(key, 1);
-            }
-            assert_eq!(
-                s.memory_bytes(),
-                FlatTileTable::bytes_for_entries(n),
-                "tile geometry diverges at n={n}"
+                FlatTable::<K>::bytes_for_entries(n),
+                "{} geometry diverges at n={n}",
+                K::NAME
             );
         }
     }
 
     #[test]
-    fn reserve_preserves_geometry_and_skips_growth() {
+    fn geometry_predicts_measured_bytes_both_kinds() {
+        both_kinds!(geometry_predicts_measured_bytes);
+    }
+
+    fn reserve_preserves_geometry_and_skips_growth<K: SpectrumKey>() {
         for n in [1usize, 12, 13, 100, 769] {
-            let mut t = FlatKmerTable::new();
+            let mut t = FlatTable::<K>::new();
             t.reserve(n);
             let cap = t.capacity();
-            for key in 0..n as u64 {
-                t.add_count(key, 1);
+            for i in 0..n as u64 {
+                t.add_count(key(i), 1);
             }
             assert_eq!(t.capacity(), cap, "no growth after an exact reserve (n={n})");
-            assert_eq!(t.memory_bytes(), FlatKmerTable::bytes_for_entries(n));
-            let mut s = FlatTileTable::new();
-            s.reserve(n);
-            let cap = s.capacity();
-            for key in 0..n as u128 {
-                s.add_count(key, 1);
-            }
-            assert_eq!(s.capacity(), cap);
-            assert_eq!(s.memory_bytes(), FlatTileTable::bytes_for_entries(n));
+            assert_eq!(t.memory_bytes(), FlatTable::<K>::bytes_for_entries(n));
         }
         // reserve(0) on an empty table allocates nothing
-        let mut t = FlatKmerTable::new();
+        let mut t = FlatTable::<K>::new();
         t.reserve(0);
         assert_eq!(t.capacity(), 0);
     }
 
     #[test]
-    fn merge_sorted_equals_per_key_adds() {
-        let run: Vec<(u64, u32)> = (0..500).map(|i| (i * 31, (i % 7 + 1) as u32)).collect();
-        let mut bulk = FlatKmerTable::new();
-        bulk.add_count(93, 5); // pre-existing overlap with the run
+    fn reserve_preserves_geometry_and_skips_growth_both_kinds() {
+        both_kinds!(reserve_preserves_geometry_and_skips_growth);
+    }
+
+    fn merge_sorted_equals_per_key_adds<K: SpectrumKey>() {
+        let run: Vec<(K, u32)> = (0..500).map(|i| (key(i * 31), (i % 7 + 1) as u32)).collect();
+        let mut bulk = FlatTable::<K>::new();
+        bulk.add_count(key(93), 5); // pre-existing overlap with the run
         bulk.reserve(run.len());
         bulk.merge_sorted(&run);
-        let mut serial = FlatKmerTable::new();
-        serial.add_count(93, 5);
+        let mut serial = FlatTable::<K>::new();
+        serial.add_count(key(93), 5);
         for &(k, c) in &run {
             serial.add_count(k, c);
         }
-        let mut a: Vec<_> = bulk.iter().collect();
-        let mut b: Vec<_> = serial.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(sorted(bulk.iter()), sorted(serial.iter()));
         // sentinel key rides through the sorted path too (sorts last)
-        let mut s = FlatTileTable::new();
-        s.merge_sorted(&[(1, 2), (u128::MAX, 9)]);
-        assert_eq!(s.get(u128::MAX), Some(9));
+        let mut s = FlatTable::<K>::new();
+        s.merge_sorted(&[(key(1), 2), (K::SENTINEL, 9)]);
+        assert_eq!(s.get(K::SENTINEL), Some(9));
         assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn insert_batch_equals_per_key_adds_on_unsorted_duplicated_input() {
+    fn merge_sorted_equals_per_key_adds_both_kinds() {
+        both_kinds!(merge_sorted_equals_per_key_adds);
+    }
+
+    fn insert_batch_equals_per_key_adds_on_unsorted_duplicated_input<K: SpectrumKey>() {
         // Unsorted, duplicated, sentinel-laden input crossing several
         // growth rehashes mid-batch: content and geometry must match the
         // plain add_count loop exactly.
-        let entries: Vec<(u64, u32)> = (0..2000u64)
+        let entries: Vec<(K, u32)> = (0..2000u64)
             .map(|i| {
-                let k = dnaseq::mix64(i % 700);
-                let k = if i % 97 == 0 { EMPTY_U64 } else { k };
+                let k = if i % 97 == 0 { K::SENTINEL } else { spread(i % 700) };
                 (k, (i % 5 + 1) as u32)
             })
             .collect();
-        let mut bulk = FlatKmerTable::new();
+        let mut bulk = FlatTable::<K>::new();
         bulk.insert_batch(&entries);
-        let mut serial = FlatKmerTable::new();
+        let mut serial = FlatTable::<K>::new();
         for &(k, c) in &entries {
             serial.add_count(k, c);
         }
         assert_eq!(bulk.capacity(), serial.capacity());
         assert_eq!(bulk.len(), serial.len());
-        assert_eq!(bulk.get(EMPTY_U64), serial.get(EMPTY_U64));
-        let mut a: Vec<_> = bulk.iter().collect();
-        let mut b: Vec<_> = serial.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-
-        let tentries: Vec<(u128, u32)> = (0..2000u64)
-            .map(|i| {
-                let lo = dnaseq::mix64(i % 700);
-                let k = ((dnaseq::mix64(lo) as u128) << 64) | lo as u128;
-                let k = if i % 97 == 0 { u128::MAX } else { k };
-                (k, (i % 5 + 1) as u32)
-            })
-            .collect();
-        let mut bulk = FlatTileTable::new();
-        bulk.insert_batch(&tentries);
-        let mut serial = FlatTileTable::new();
-        for &(k, c) in &tentries {
-            serial.add_count(k, c);
-        }
-        assert_eq!(bulk.capacity(), serial.capacity());
-        assert_eq!(bulk.len(), serial.len());
-        assert_eq!(bulk.get(u128::MAX), serial.get(u128::MAX));
-        let mut a: Vec<_> = bulk.iter().collect();
-        let mut b: Vec<_> = serial.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(bulk.get(K::SENTINEL), serial.get(K::SENTINEL));
+        assert_eq!(sorted(bulk.iter()), sorted(serial.iter()));
     }
 
     #[test]
-    fn bulk_load_matches_per_key_adds() {
+    fn insert_batch_equals_per_key_adds_on_unsorted_duplicated_input_both_kinds() {
+        both_kinds!(insert_batch_equals_per_key_adds_on_unsorted_duplicated_input);
+    }
+
+    fn bulk_load_matches_per_key_adds<K: SpectrumKey>() {
         // merge_sorted on an *empty* table takes the one-sweep bulk-load
         // path; content, geometry, lookups, and the sentinel side field
         // must match the per-key loop. Enough random keys at full target
         // load that probe clusters cross the wrap-around boundary with
         // overwhelming probability, covering the spill path.
         for n in [1usize, 50, 6000, 50_000] {
-            let mut entries: Vec<(u64, u32)> =
-                (0..n as u64).map(|i| (dnaseq::mix64(i), (i % 5 + 1) as u32)).collect();
-            entries.push((EMPTY_U64, 9)); // sentinel sorts last
+            let mut entries: Vec<(K, u32)> =
+                (0..n as u64).map(|i| (spread(i), (i % 5 + 1) as u32)).collect();
+            entries.push((K::SENTINEL, 9)); // sentinel sorts last
             entries.sort_unstable_by_key(|e| e.0);
             entries.dedup_by_key(|e| e.0);
-            let mut bulk = FlatKmerTable::new();
+            let mut bulk = FlatTable::<K>::new();
             bulk.merge_sorted(&entries);
-            let mut serial = FlatKmerTable::new();
+            let mut serial = FlatTable::<K>::new();
             serial.reserve(entries.len() - 1); // same pre-size, sentinel slotless
             for &(k, c) in &entries {
                 serial.add_count(k, c);
             }
             assert_eq!(bulk.capacity(), serial.capacity(), "n={n}");
             assert_eq!(bulk.len(), serial.len());
-            assert_eq!(bulk.get(EMPTY_U64), Some(9));
+            assert_eq!(bulk.get(K::SENTINEL), Some(9));
             for &(k, c) in &entries {
-                assert_eq!(bulk.get(k), Some(c), "n={n} key={k}");
+                assert_eq!(bulk.get(k), Some(c), "n={n} key={k:?}");
             }
-            assert_eq!(bulk.get(dnaseq::mix64(n as u64 + 7)), None);
-            let mut a: Vec<_> = bulk.iter().collect();
-            let mut b: Vec<_> = serial.iter().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(bulk.get(spread(n as u64 + 7)), None);
+            assert_eq!(sorted(bulk.iter()), sorted(serial.iter()));
         }
-
-        let mut tentries: Vec<(u128, u32)> = (0..6000u64)
-            .map(|i| {
-                let lo = dnaseq::mix64(i);
-                ((((dnaseq::mix64(lo) as u128) << 64) | lo as u128), (i % 5 + 1) as u32)
-            })
-            .collect();
-        tentries.push((u128::MAX, 4));
-        tentries.sort_unstable_by_key(|e| e.0);
-        tentries.dedup_by_key(|e| e.0);
-        let mut bulk = FlatTileTable::new();
-        bulk.merge_sorted(&tentries);
-        let mut serial = FlatTileTable::new();
-        serial.reserve(tentries.len() - 1);
-        for &(k, c) in &tentries {
-            serial.add_count(k, c);
-        }
-        assert_eq!(bulk.capacity(), serial.capacity());
-        assert_eq!(bulk.len(), serial.len());
-        assert_eq!(bulk.get(u128::MAX), Some(4));
-        for &(k, c) in &tentries {
-            assert_eq!(bulk.get(k), Some(c));
-        }
-        let mut a: Vec<_> = bulk.iter().collect();
-        let mut b: Vec<_> = serial.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]
-    fn streamed_bulk_load_matches_materialized_merge_sorted() {
+    fn bulk_load_matches_per_key_adds_both_kinds() {
+        both_kinds!(bulk_load_matches_per_key_adds);
+    }
+
+    fn streamed_bulk_load_matches_materialized_merge_sorted<K: SpectrumKey>() {
         // The out-of-core merge feeds this entry; geometry and content
         // must match the in-memory reserve + merge_sorted pair for any
         // chunking, sentinel or not.
         for n in [0usize, 1, 12, 13, 700, 6001] {
             for chunk in [1usize, 7, 256, 1 << 16] {
-                let mut entries: Vec<(u64, u32)> =
-                    (0..n as u64).map(|i| (dnaseq::mix64(i), (i % 9 + 1) as u32)).collect();
+                let mut entries: Vec<(K, u32)> =
+                    (0..n as u64).map(|i| (spread(i), (i % 9 + 1) as u32)).collect();
                 if n % 2 == 1 {
-                    entries.push((EMPTY_U64, 6)); // sentinel rides along on odd sizes
+                    entries.push((K::SENTINEL, 6)); // sentinel rides along on odd sizes
                 }
                 entries.sort_unstable_by_key(|e| e.0);
                 entries.dedup_by_key(|e| e.0);
-                let mut mem = FlatKmerTable::new();
+                let mut mem = FlatTable::<K>::new();
                 mem.reserve(entries.len());
                 mem.merge_sorted(&entries);
-                let mut ooc = FlatKmerTable::new();
+                let mut ooc = FlatTable::<K>::new();
                 ooc.bulk_load_sorted_stream(entries.len(), chunk, entries.iter().copied());
                 assert_eq!(ooc.capacity(), mem.capacity(), "n={n} chunk={chunk}");
                 assert_eq!(ooc.len(), mem.len());
                 assert_eq!(ooc.memory_bytes(), mem.memory_bytes());
-                assert_eq!(ooc.get(EMPTY_U64), mem.get(EMPTY_U64));
+                assert_eq!(ooc.get(K::SENTINEL), mem.get(K::SENTINEL));
                 for &(k, c) in &entries {
-                    assert_eq!(ooc.get(k), Some(c), "n={n} chunk={chunk} key={k}");
+                    assert_eq!(ooc.get(k), Some(c), "n={n} chunk={chunk} key={k:?}");
                 }
             }
         }
-        let mut tentries: Vec<(u128, u32)> = (0..500u64)
-            .map(|i| {
-                let lo = dnaseq::mix64(i);
-                ((((dnaseq::mix64(lo) as u128) << 64) | lo as u128), (i % 4 + 1) as u32)
-            })
-            .collect();
-        tentries.push((u128::MAX, 2));
-        tentries.sort_unstable_by_key(|e| e.0);
-        tentries.dedup_by_key(|e| e.0);
-        let mut mem = FlatTileTable::new();
-        mem.reserve(tentries.len());
-        mem.merge_sorted(&tentries);
-        let mut ooc = FlatTileTable::new();
-        ooc.bulk_load_sorted_stream(tentries.len(), 64, tentries.iter().copied());
-        assert_eq!(ooc.capacity(), mem.capacity());
-        assert_eq!(ooc.len(), mem.len());
-        assert_eq!(ooc.memory_bytes(), mem.memory_bytes());
-        assert_eq!(ooc.get(u128::MAX), Some(2));
-        for &(k, c) in &tentries {
-            assert_eq!(ooc.get(k), Some(c));
-        }
+    }
+
+    #[test]
+    fn streamed_bulk_load_matches_materialized_merge_sorted_both_kinds() {
+        both_kinds!(streamed_bulk_load_matches_materialized_merge_sorted);
     }
 
     #[test]
@@ -1441,7 +989,7 @@ mod tests {
             let in_order = time(&mut || {
                 let mut t = FlatKmerTable::new();
                 t.reserve(entries.len());
-                t.insert_pipelined(&entries);
+                t.insert_batch(&entries);
             });
             let growth = time(&mut || {
                 let mut t = FlatKmerTable::new();
@@ -1472,7 +1020,7 @@ mod tests {
             });
             let t_sort = t1.elapsed().as_nanos() as f64;
             let t2 = std::time::Instant::now();
-            let mut keys = vec![EMPTY_U64; cap];
+            let mut keys = vec![u64::MAX; cap];
             let mut counts = vec![0u32; cap];
             let t_alloc = t2.elapsed().as_nanos() as f64;
             let t3 = std::time::Instant::now();
@@ -1507,30 +1055,41 @@ mod tests {
 
     #[test]
     fn tile_table_distinguishes_halves() {
+        // A slot is vacant only when *both* lanes are all-ones: keys with
+        // one all-ones half are ordinary entries.
+        let half_low = u64::MAX as u128;
+        let half_high = (u64::MAX as u128) << 64;
         let mut t = FlatTileTable::new();
         t.add_count(1u128, 1);
         t.add_count(1u128 << 64, 2);
         t.add_count((1u128 << 64) | 1, 3);
+        t.add_count(half_low, 4);
+        t.add_count(half_high, 5);
         assert_eq!(t.get(1u128), Some(1));
         assert_eq!(t.get(1u128 << 64), Some(2));
         assert_eq!(t.get((1u128 << 64) | 1), Some(3));
-        assert_eq!(t.len(), 3);
-        let mut entries: Vec<_> = t.into_entries().collect();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 1), (1 << 64, 2), ((1 << 64) | 1, 3)]);
+        assert_eq!(t.get(half_low), Some(4));
+        assert_eq!(t.get(half_high), Some(5));
+        assert_eq!(t.get(u128::MAX), None);
+        assert_eq!(t.len(), 5);
+        assert_eq!(remap(&t).get(half_high), Some(5));
+        t.prune(2);
+        assert_eq!((t.get(half_low), t.get(1)), (Some(4), None));
+        let entries = sorted(t.into_entries());
+        assert_eq!(entries, vec![(half_low, 4), (1 << 64, 2), ((1 << 64) | 1, 3), (half_high, 5)]);
+    }
+
+    fn iter_matches_into_entries<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        for k in [key(5), key(9), K::SENTINEL, key(1 << 60), spread(3)] {
+            t.add_count(k, 2);
+        }
+        assert_eq!(sorted(t.iter()), sorted(t.into_entries()));
     }
 
     #[test]
-    fn iter_matches_into_entries() {
-        let mut t = FlatKmerTable::new();
-        for key in [5u64, 9, u64::MAX, 1 << 60] {
-            t.add_count(key, 2);
-        }
-        let mut a: Vec<_> = t.iter().collect();
-        let mut b: Vec<_> = t.into_entries().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+    fn iter_matches_into_entries_both_kinds() {
+        both_kinds!(iter_matches_into_entries);
     }
 
     #[test]
@@ -1545,10 +1104,10 @@ mod tests {
 
     /// Rebuild a table from its raw parts the way a snapshot load does:
     /// copy the slot arrays into shared slabs and adopt them.
-    fn remap_kmer(t: &FlatKmerTable) -> FlatKmerTable {
+    fn remap<K: SpectrumKey>(t: &FlatTable<K>) -> FlatTable<K> {
         let p = t.raw_parts();
-        FlatKmerTable::from_mapped_parts(
-            Arc::from(p.keys),
+        FlatTable::from_mapped_parts(
+            K::lanes_from(|l| Arc::from(p.lanes.as_ref()[l])),
             Arc::from(p.counts),
             p.sentinel_count,
             p.load_num,
@@ -1557,140 +1116,115 @@ mod tests {
         .expect("valid parts")
     }
 
-    fn remap_tile(t: &FlatTileTable) -> FlatTileTable {
-        let p = t.raw_parts();
-        FlatTileTable::from_mapped_parts(
-            Arc::from(p.lo),
-            Arc::from(p.hi),
-            Arc::from(p.counts),
-            p.sentinel_count,
-            p.load_num,
-            p.load_den,
-        )
-        .expect("valid parts")
-    }
-
-    #[test]
-    fn mapped_parts_roundtrip_probes_identically() {
-        let mut t = FlatKmerTable::new();
-        for key in 0..777u64 {
-            t.add_count(key * 31, (key % 5 + 1) as u32);
+    fn mapped_parts_roundtrip_probes_identically<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        for i in 0..777u64 {
+            t.add_count(spread(i), (i % 5 + 1) as u32);
         }
-        t.add_count(u64::MAX, 9);
-        let m = remap_kmer(&t);
+        t.add_count(K::SENTINEL, 9);
+        let m = remap(&t);
         assert!(m.is_mapped());
         assert_eq!(m.len(), t.len());
         assert_eq!(m.capacity(), t.capacity());
-        for key in 0..777u64 {
-            assert_eq!(m.get(key * 31), t.get(key * 31));
+        for i in 0..777u64 {
+            assert_eq!(m.get(spread(i)), t.get(spread(i)));
         }
-        assert_eq!(m.get(u64::MAX), Some(9));
-        assert_eq!(m.get(123_456_789), None);
-
-        let mut s = FlatTileTable::new();
-        for key in 0..777u128 {
-            s.add_count(key << 40, (key % 5 + 1) as u32);
-        }
-        s.add_count(u128::MAX, 4);
-        let m = remap_tile(&s);
-        assert!(m.is_mapped());
-        for key in 0..777u128 {
-            assert_eq!(m.get(key << 40), s.get(key << 40));
-        }
-        assert_eq!(m.get(u128::MAX), Some(4));
+        assert_eq!(m.get(K::SENTINEL), Some(9));
+        assert_eq!(m.get(key(123_456_789)), None);
     }
 
     #[test]
-    fn mapped_table_detaches_on_first_mutation() {
-        let mut t = FlatKmerTable::new();
-        for key in 0..100u64 {
-            t.add_count(key, 1);
-        }
-        let mut m = remap_kmer(&t);
-        assert!(m.is_mapped());
-        m.add_count(7, 1); // existing key: count bump detaches counts
-        assert_eq!(m.get(7), Some(2));
-        m.add_count(5000, 3); // new key: detaches keys too
-        assert!(!m.is_mapped());
-        assert_eq!(m.get(5000), Some(3));
-        assert_eq!(t.get(7), Some(1), "source table unaffected by CoW");
+    fn mapped_parts_roundtrip_probes_identically_both_kinds() {
+        both_kinds!(mapped_parts_roundtrip_probes_identically);
+    }
 
-        let mut s = FlatTileTable::new();
-        s.add_count(11, 2);
-        let mut m = remap_tile(&s);
+    fn mapped_table_detaches_on_first_mutation<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        for i in 0..100u64 {
+            t.add_count(key(i), 1);
+        }
+        let mut m = remap(&t);
+        assert!(m.is_mapped());
+        m.add_count(key(7), 1); // existing key: count bump detaches counts
+        assert_eq!(m.get(key(7)), Some(2));
+        m.add_count(key(5000), 3); // new key: detaches the lanes too
+        assert!(!m.is_mapped());
+        assert_eq!(m.get(key(5000)), Some(3));
+        assert_eq!(t.get(key(7)), Some(1), "source table unaffected by CoW");
+        let mut m = remap(&t);
         m.prune(3);
         assert!(!m.is_mapped());
         assert!(m.is_empty());
-        assert_eq!(s.get(11), Some(2));
+        assert_eq!(t.get(key(11)), Some(1));
     }
 
     #[test]
-    fn mapped_memory_bytes_stays_exact() {
-        let mut t = FlatKmerTable::new();
-        for key in 0..200u64 {
-            t.add_count(key, 1);
+    fn mapped_table_detaches_on_first_mutation_both_kinds() {
+        both_kinds!(mapped_table_detaches_on_first_mutation);
+    }
+
+    fn mapped_memory_bytes_stays_exact<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
+        for i in 0..200u64 {
+            t.add_count(key(i), 1);
         }
-        assert_eq!(remap_kmer(&t).memory_bytes(), t.memory_bytes());
-        let mut s = FlatTileTable::new();
-        for key in 0..200u128 {
-            s.add_count(key, 1);
-        }
-        assert_eq!(remap_tile(&s).memory_bytes(), s.memory_bytes());
+        assert_eq!(remap(&t).memory_bytes(), t.memory_bytes());
     }
 
     #[test]
-    fn invalid_mapped_parts_are_rejected() {
-        let keys: Arc<[u64]> = Arc::from(vec![EMPTY_U64; 16].as_slice());
-        let counts16: Arc<[u32]> = Arc::from(vec![0u32; 16].as_slice());
-        // mismatched lengths
-        let counts8: Arc<[u32]> = Arc::from(vec![0u32; 8].as_slice());
-        assert!(FlatKmerTable::from_mapped_parts(keys.clone(), counts8, None, 3, 4).is_err());
+    fn mapped_memory_bytes_stays_exact_both_kinds() {
+        both_kinds!(mapped_memory_bytes_stays_exact);
+    }
+
+    fn invalid_mapped_parts_are_rejected<K: SpectrumKey>() {
+        let slots = |n: usize| -> Arc<[u64]> { Arc::from(vec![u64::MAX; n].as_slice()) };
+        let counts = |n: usize| -> Arc<[u32]> { Arc::from(vec![0u32; n].as_slice()) };
+        let adopt = |lanes: K::Lanes<Arc<[u64]>>, counts, num, den| {
+            FlatTable::<K>::from_mapped_parts(lanes, counts, None, num, den)
+        };
+        // mismatched lengths: counts vs lanes, and (for tiles) lane vs lane
+        assert!(adopt(K::lanes_from(|_| slots(16)), counts(8), 3, 4).is_err());
+        if K::LANES > 1 {
+            assert!(adopt(K::lanes_from(|l| slots(16 >> l)), counts(16), 3, 4).is_err());
+        }
         // non-power-of-two capacity
-        let keys24: Arc<[u64]> = Arc::from(vec![EMPTY_U64; 24].as_slice());
-        let counts24: Arc<[u32]> = Arc::from(vec![0u32; 24].as_slice());
-        assert!(FlatKmerTable::from_mapped_parts(keys24, counts24, None, 3, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(24)), counts(24), 3, 4).is_err());
         // capacity below the minimum
-        let keys8: Arc<[u64]> = Arc::from(vec![EMPTY_U64; 8].as_slice());
-        let counts8: Arc<[u32]> = Arc::from(vec![0u32; 8].as_slice());
-        assert!(FlatKmerTable::from_mapped_parts(keys8, counts8, None, 3, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(8)), counts(8), 3, 4).is_err());
         // bad load factor
-        assert!(
-            FlatKmerTable::from_mapped_parts(keys.clone(), counts16.clone(), None, 4, 4).is_err()
-        );
-        assert!(
-            FlatKmerTable::from_mapped_parts(keys.clone(), counts16.clone(), None, 0, 4).is_err()
-        );
-        // occupancy above the load bound: 16 slots all full at 3/4
-        let full: Arc<[u64]> = Arc::from((0..16u64).collect::<Vec<_>>().as_slice());
-        assert!(FlatKmerTable::from_mapped_parts(full, counts16.clone(), None, 3, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 4, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 0, 4).is_err());
+        // occupancy above the load bound: 16 slots all full at 3/4 —
+        // a slot with any lane not all-ones counts as occupied
+        let full = |l: usize| -> Arc<[u64]> {
+            Arc::from((0..16u64).map(|i| if l == 0 { i } else { u64::MAX }).collect::<Vec<_>>())
+        };
+        assert!(adopt(K::lanes_from(full), counts(16), 3, 4).is_err());
         // the valid baseline does adopt
-        assert!(
-            FlatKmerTable::from_mapped_parts(keys.clone(), counts16.clone(), None, 3, 4).is_ok()
-        );
-        // tile variant shares the validation
-        let lo: Arc<[u64]> = Arc::from(vec![EMPTY_U64; 16].as_slice());
-        let hi: Arc<[u64]> = Arc::from(vec![EMPTY_U64; 8].as_slice());
-        assert!(
-            FlatTileTable::from_mapped_parts(lo, hi, counts16.clone(), None, 3, 4).is_err(),
-            "mismatched tile halves must be rejected"
-        );
+        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 3, 4).is_ok());
     }
 
     #[test]
-    fn empty_prune_and_get_are_safe() {
-        let mut t = FlatKmerTable::new();
+    fn invalid_mapped_parts_are_rejected_both_kinds() {
+        both_kinds!(invalid_mapped_parts_are_rejected);
+    }
+
+    fn empty_prune_and_get_are_safe<K: SpectrumKey>() {
+        let mut t = FlatTable::<K>::new();
         t.prune(2);
-        assert_eq!(t.get(7), None);
+        assert_eq!(t.get(key(7)), None);
         assert_eq!(t.len(), 0);
         assert_eq!(t.capacity(), 0);
-        let mut s = FlatTileTable::new();
-        s.prune(2);
-        assert_eq!(s.get(7), None);
         // pruning everything returns the allocation entirely
-        s.add_count(9, 1);
-        assert!(s.capacity() > 0);
-        s.prune(2);
-        assert_eq!(s.capacity(), 0);
-        assert_eq!(s.memory_bytes(), FlatTileTable::bytes_for_entries(0));
+        t.add_count(key(9), 1);
+        assert!(t.capacity() > 0);
+        t.prune(2);
+        assert_eq!(t.capacity(), 0);
+        assert_eq!(t.memory_bytes(), FlatTable::<K>::bytes_for_entries(0));
+    }
+
+    #[test]
+    fn empty_prune_and_get_are_safe_both_kinds() {
+        both_kinds!(empty_prune_and_get_are_safe);
     }
 }

@@ -11,8 +11,9 @@
 //!    runs *the same corrector code* with lookups that may leave the
 //!    rank — exactly the structure of the paper's step IV.
 //!
-//! Modules: [`params`] (thresholds and knobs), [`spectrum`] (k-mer and
-//! tile spectra in hash tables, as in the paper §II-B), [`corrector`]
+//! Modules: [`params`] (thresholds and knobs), [`key`] (the two key
+//! kinds), [`flat`] and [`spectrum`] (k-mer and tile spectra in hash
+//! tables, as in the paper §II-B, one type over the key kind), [`corrector`]
 //! (tile-by-tile correction with quality-restricted Hamming-neighbour
 //! search), [`eval`] (accuracy metrics against known ground truth).
 
@@ -24,6 +25,7 @@ pub mod corrector;
 pub mod eval;
 pub mod flat;
 pub mod histogram;
+pub mod key;
 pub mod kmer_corrector;
 pub mod layouts;
 pub mod params;
@@ -38,8 +40,9 @@ pub use corrector::{
     WalkScratch,
 };
 pub use eval::AccuracyReport;
-pub use flat::{FlatKmerTable, FlatTileTable, KmerTableParts, TileTableParts, HASH_SEED};
+pub use flat::{FlatKmerTable, FlatTable, FlatTileTable, TableParts, HASH_SEED};
 pub use histogram::CountHistogram;
+pub use key::SpectrumKey;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;
 pub use pipeline::{Pipeline, PipelineResult};
@@ -47,4 +50,4 @@ pub use prefetch::{
     correct_in_waves, enumerate_read_keys, PrefetchKeys, WaveCache, WaveScratch, WaveSource,
     WaveStats,
 };
-pub use spectrum::{KmerSpectrum, LocalSpectra, Normalized, TileSpectrum};
+pub use spectrum::{KmerSpectrum, LocalSpectra, Normalized, Spectrum, TileSpectrum};

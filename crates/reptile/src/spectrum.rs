@@ -4,13 +4,15 @@
 //! the key and the count of the k-mer as the value. ... The k-mer and
 //! tile spectrum are stored in separate hash tables" (paper §III step II
 //! and §II-B — hash tables instead of the sorted arrays of the earlier
-//! parallelizations). Both spectra sit on the flat open-addressing
-//! tables of [`crate::flat`], which pack key+count slots and report
-//! exact resident bytes (`memory_bytes`).
+//! parallelizations). Both are one [`Spectrum`] type over the key kind,
+//! sitting on the flat open-addressing table of [`crate::flat`], which
+//! packs key+count slots and reports exact resident bytes
+//! (`memory_bytes`).
 
-use crate::flat::{FlatKmerTable, FlatTileTable};
+use crate::flat::FlatTable;
+use crate::key::SpectrumKey;
 use crate::params::ReptileParams;
-use dnaseq::{KmerCodec, Read, TileCodec};
+use dnaseq::Read;
 
 /// A spectrum key that has already been strand-normalized.
 ///
@@ -18,12 +20,12 @@ use dnaseq::{KmerCodec, Read, TileCodec};
 /// must operate on canonicalized keys — the sender normalized before
 /// hashing, and re-normalizing is wasted work while *forgetting* to
 /// normalize silently misses entries. This newtype moves that invariant
-/// from a `debug_assert!` into the type system: [`KmerSpectrum::count_at`],
-/// [`TileSpectrum::get_at`] and the `OwnerMap` raw-owner functions only
+/// from a `debug_assert!` into the type system: [`Spectrum::count_at`],
+/// [`Spectrum::get_at`] and the `OwnerMap` raw-owner functions only
 /// accept `Normalized<K>`, so handing them an unnormalized code is a
 /// compile error rather than a release-mode wrong answer.
 ///
-/// Obtain one from [`KmerSpectrum::normalize`] / [`TileSpectrum::normalize`]
+/// Obtain one from [`Spectrum::normalize`]
 /// (or the `OwnerMap` key functions), or — for keys that arrive over the
 /// wire or out of a spectrum iterator, which are normalized by
 /// construction — via the explicit escape hatch [`Normalized::assume`].
@@ -47,80 +49,88 @@ impl<K: Copy> Normalized<K> {
     }
 }
 
-/// The k-mer spectrum: count per packed k-mer code.
+/// A spectrum of one key kind: count per packed code, on the flat table
+/// of [`crate::flat`]. "The k-mer and tile spectrum are stored in
+/// separate hash tables" — the same table type over a different key
+/// ([`KmerSpectrum`] / [`TileSpectrum`]; "the tile ID is a long
+/// integer", §III step II).
 #[derive(Clone, Debug)]
-pub struct KmerSpectrum {
-    codec: KmerCodec,
+pub struct Spectrum<K: SpectrumKey> {
+    codec: K::Codec,
     canonical: bool,
-    counts: FlatKmerTable,
+    counts: FlatTable<K>,
 }
 
-impl KmerSpectrum {
-    /// Empty spectrum for `k`-mers.
-    pub fn new(codec: KmerCodec, canonical: bool) -> KmerSpectrum {
-        KmerSpectrum { codec, canonical, counts: FlatKmerTable::new() }
+/// The k-mer spectrum: count per packed `u64` k-mer code.
+pub type KmerSpectrum = Spectrum<u64>;
+
+/// The tile spectrum: count per packed `u128` tile code.
+pub type TileSpectrum = Spectrum<u128>;
+
+impl<K: SpectrumKey> Spectrum<K> {
+    /// Empty spectrum under `codec`.
+    pub fn new(codec: K::Codec, canonical: bool) -> Spectrum<K> {
+        Spectrum { codec, canonical, counts: FlatTable::new() }
     }
 
     /// The codec in use.
-    pub fn codec(&self) -> KmerCodec {
+    pub fn codec(&self) -> K::Codec {
         self.codec
     }
 
     /// Canonicalize a code per the spectrum's strand policy.
     #[inline]
-    pub fn normalize(&self, code: u64) -> Normalized<u64> {
-        Normalized(if self.canonical { self.codec.canonical(code) } else { code })
+    pub fn normalize(&self, code: K) -> Normalized<K> {
+        Normalized(if self.canonical { K::canonical(&self.codec, code) } else { code })
     }
 
-    /// Add every k-mer of a read.
+    /// Add every code of this kind in a read.
     pub fn add_read(&mut self, read: &Read) {
-        for (_, code) in self.codec.kmers_of(&read.seq) {
+        for code in K::codes_of(self.codec, &read.seq) {
             let key = self.normalize(code);
             self.counts.add_count(key.0, 1);
         }
     }
 
     /// Add a count for a normalized key (saturating).
-    pub fn add_count(&mut self, key: Normalized<u64>, count: u32) {
+    pub fn add_count(&mut self, key: Normalized<K>, count: u32) {
         self.counts.add_count(key.0, count);
     }
 
     /// Pre-size for `additional` more distinct codes
-    /// ([`FlatKmerTable::reserve`](crate::flat::FlatKmerTable::reserve)):
-    /// an exact estimate keeps the geometry `bytes_for_entries`-exact
-    /// while skipping every incremental growth rehash.
+    /// ([`FlatTable::reserve`]): an exact estimate keeps the geometry
+    /// `bytes_for_entries`-exact while skipping every incremental growth
+    /// rehash.
     pub fn reserve(&mut self, additional: usize) {
         self.counts.reserve(additional);
     }
 
     /// Bulk-ingest a sorted run of distinct (normalized) `(code, count)`
     /// pairs — the pre-aggregated per-owner buckets of the pipelined
-    /// distributed build
-    /// ([`FlatKmerTable::merge_sorted`](crate::flat::FlatKmerTable::merge_sorted)).
-    pub fn merge_sorted(&mut self, entries: &[(u64, u32)]) {
+    /// distributed build ([`FlatTable::merge_sorted`]).
+    pub fn merge_sorted(&mut self, entries: &[(K, u32)]) {
         self.counts.merge_sorted(entries);
     }
 
     /// Bulk add of arbitrary (normalized) `(code, count)` pairs through
-    /// the prefetch-pipelined batch path
-    /// ([`FlatKmerTable::insert_batch`](crate::flat::FlatKmerTable::insert_batch)).
-    pub fn insert_batch(&mut self, entries: &[(u64, u32)]) {
+    /// the prefetch-pipelined batch path ([`FlatTable::insert_batch`]).
+    pub fn insert_batch(&mut self, entries: &[(K, u32)]) {
         self.counts.insert_batch(entries);
     }
 
     /// Count of a code (0 if absent). Normalizes internally.
     #[inline]
-    pub fn count(&self, code: u64) -> u32 {
+    pub fn count(&self, code: K) -> u32 {
         self.counts.get(self.normalize(code).0).unwrap_or(0)
     }
 
-    /// [`count`](KmerSpectrum::count) for a key that is already
-    /// normalized (owner-side paths: keys arriving over the wire or out
-    /// of an `OwnerMap`-keyed batch were canonicalized at the sender).
-    /// Skips the revcomp/min canonicalization, which is idempotent, so
-    /// the answer is identical.
+    /// [`count`](Spectrum::count) for a key that is already normalized
+    /// (owner-side paths: keys arriving over the wire or out of an
+    /// `OwnerMap`-keyed batch were canonicalized at the sender). Skips
+    /// the revcomp/min canonicalization, which is idempotent, so the
+    /// answer is identical.
     #[inline]
-    pub fn count_at(&self, key: Normalized<u64>) -> u32 {
+    pub fn count_at(&self, key: Normalized<K>) -> u32 {
         self.counts.get(key.0).unwrap_or(0)
     }
 
@@ -128,13 +138,13 @@ impl KmerSpectrum {
     /// count 0" entries (resolved reads tables) from missing entries.
     /// Normalizes internally.
     #[inline]
-    pub fn get(&self, code: u64) -> Option<u32> {
+    pub fn get(&self, code: K) -> Option<u32> {
         self.counts.get(self.normalize(code).0)
     }
 
-    /// [`get`](KmerSpectrum::get) for an already normalized key.
+    /// [`get`](Spectrum::get) for an already normalized key.
     #[inline]
-    pub fn get_at(&self, key: Normalized<u64>) -> Option<u32> {
+    pub fn get_at(&self, key: Normalized<K>) -> Option<u32> {
         self.counts.get(key.0)
     }
 
@@ -144,23 +154,23 @@ impl KmerSpectrum {
         self.counts.prune(threshold);
     }
 
-    /// Number of distinct k-mers stored.
+    /// Number of distinct codes stored.
     pub fn len(&self) -> usize {
         self.counts.len()
     }
 
-    /// True when no k-mers are stored.
+    /// True when no codes are stored.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 
     /// Iterate `(code, count)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (K, u32)> + '_ {
         self.counts.iter()
     }
 
     /// Drain into `(code, count)` pairs.
-    pub fn into_entries(self) -> impl Iterator<Item = (u64, u32)> {
+    pub fn into_entries(self) -> impl Iterator<Item = (K, u32)> {
         self.counts.into_entries()
     }
 
@@ -169,10 +179,10 @@ impl KmerSpectrum {
         self.counts.memory_bytes()
     }
 
-    /// Bytes a k-mer spectrum holding `n` entries occupies (flat-table
+    /// Bytes a spectrum holding `n` entries occupies (flat-table
     /// geometry at default max load) — the virtual engine's memory model.
     pub fn bytes_for_entries(n: usize) -> usize {
-        FlatKmerTable::bytes_for_entries(n)
+        FlatTable::<K>::bytes_for_entries(n)
     }
 
     /// Whether this spectrum folds reverse complements.
@@ -181,151 +191,14 @@ impl KmerSpectrum {
     }
 
     /// Borrow the backing table (snapshot save path).
-    pub fn table(&self) -> &FlatKmerTable {
+    pub fn table(&self) -> &FlatTable<K> {
         &self.counts
     }
 
     /// Wrap an existing table (snapshot load path): the table's entries
     /// must already be normalized under the same codec/strand policy.
-    pub fn from_table(codec: KmerCodec, canonical: bool, counts: FlatKmerTable) -> KmerSpectrum {
-        KmerSpectrum { codec, canonical, counts }
-    }
-}
-
-/// The tile spectrum: count per packed tile code (`u128` keys — "the tile
-/// ID is a long integer", §III step II).
-#[derive(Clone, Debug)]
-pub struct TileSpectrum {
-    codec: TileCodec,
-    canonical: bool,
-    counts: FlatTileTable,
-}
-
-impl TileSpectrum {
-    /// Empty spectrum for the given tile shape.
-    pub fn new(codec: TileCodec, canonical: bool) -> TileSpectrum {
-        TileSpectrum { codec, canonical, counts: FlatTileTable::new() }
-    }
-
-    /// The codec in use.
-    pub fn codec(&self) -> TileCodec {
-        self.codec
-    }
-
-    /// Canonicalize a code per the spectrum's strand policy.
-    #[inline]
-    pub fn normalize(&self, code: u128) -> Normalized<u128> {
-        Normalized(if self.canonical { self.codec.canonical(code) } else { code })
-    }
-
-    /// Add every tile of a read.
-    pub fn add_read(&mut self, read: &Read) {
-        for (_, code) in self.codec.tiles_of(&read.seq) {
-            let key = self.normalize(code);
-            self.counts.add_count(key.0, 1);
-        }
-    }
-
-    /// Add a count for a normalized key (saturating).
-    pub fn add_count(&mut self, key: Normalized<u128>, count: u32) {
-        self.counts.add_count(key.0, count);
-    }
-
-    /// Pre-size for `additional` more distinct codes (see
-    /// [`KmerSpectrum::reserve`]).
-    pub fn reserve(&mut self, additional: usize) {
-        self.counts.reserve(additional);
-    }
-
-    /// Bulk-ingest a sorted run of distinct (normalized) `(code, count)`
-    /// pairs (see [`KmerSpectrum::merge_sorted`]).
-    pub fn merge_sorted(&mut self, entries: &[(u128, u32)]) {
-        self.counts.merge_sorted(entries);
-    }
-
-    /// Bulk add of arbitrary (normalized) `(code, count)` pairs (see
-    /// [`KmerSpectrum::insert_batch`]).
-    pub fn insert_batch(&mut self, entries: &[(u128, u32)]) {
-        self.counts.insert_batch(entries);
-    }
-
-    /// Count of a code (0 if absent). Normalizes internally.
-    #[inline]
-    pub fn count(&self, code: u128) -> u32 {
-        self.counts.get(self.normalize(code).0).unwrap_or(0)
-    }
-
-    /// [`count`](TileSpectrum::count) for an already normalized key
-    /// (see [`KmerSpectrum::count_at`]).
-    #[inline]
-    pub fn count_at(&self, key: Normalized<u128>) -> u32 {
-        self.counts.get(key.0).unwrap_or(0)
-    }
-
-    /// Stored count of a code, `None` when absent — distinguishes "known
-    /// count 0" entries (resolved reads tables) from missing entries.
-    /// Normalizes internally.
-    #[inline]
-    pub fn get(&self, code: u128) -> Option<u32> {
-        self.counts.get(self.normalize(code).0)
-    }
-
-    /// [`get`](TileSpectrum::get) for an already normalized key.
-    #[inline]
-    pub fn get_at(&self, key: Normalized<u128>) -> Option<u32> {
-        self.counts.get(key.0)
-    }
-
-    /// Remove entries below `threshold`.
-    pub fn prune(&mut self, threshold: u32) {
-        self.counts.prune(threshold);
-    }
-
-    /// Number of distinct tiles stored.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when no tiles are stored.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Iterate `(code, count)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
-        self.counts.iter()
-    }
-
-    /// Drain into `(code, count)` pairs.
-    pub fn into_entries(self) -> impl Iterator<Item = (u128, u32)> {
-        self.counts.into_entries()
-    }
-
-    /// Exact resident bytes of the backing table (slots + header).
-    pub fn memory_bytes(&self) -> usize {
-        self.counts.memory_bytes()
-    }
-
-    /// Bytes a tile spectrum holding `n` entries occupies (flat-table
-    /// geometry at default max load) — the virtual engine's memory model.
-    pub fn bytes_for_entries(n: usize) -> usize {
-        FlatTileTable::bytes_for_entries(n)
-    }
-
-    /// Whether this spectrum folds reverse complements.
-    pub fn canonical(&self) -> bool {
-        self.canonical
-    }
-
-    /// Borrow the backing table (snapshot save path).
-    pub fn table(&self) -> &FlatTileTable {
-        &self.counts
-    }
-
-    /// Wrap an existing table (snapshot load path): the table's entries
-    /// must already be normalized under the same codec/strand policy.
-    pub fn from_table(codec: TileCodec, canonical: bool, counts: FlatTileTable) -> TileSpectrum {
-        TileSpectrum { codec, canonical, counts }
+    pub fn from_table(codec: K::Codec, canonical: bool, counts: FlatTable<K>) -> Spectrum<K> {
+        Spectrum { codec, canonical, counts }
     }
 }
 

@@ -25,7 +25,9 @@
 //!     84    8 body_bytes        capacity × 12 (kmer) or × 20 (tile)
 //!     92    8 checksum          FNV-1a over header (this field zeroed)
 //!                               then body, in file order
-//!    100      body              kmer: keys[cap] u64, counts[cap] u32
+//!    100      body              one u64 array per key lane, then the
+//!                               counts: kmer: keys[cap] u64,
+//!                                     counts[cap] u32
 //!                               tile: lo[cap] u64, hi[cap] u64,
 //!                                     counts[cap] u32
 //! ```
@@ -37,7 +39,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use reptile::{ReptileParams, HASH_SEED};
+use reptile::{ReptileParams, SpectrumKey, HASH_SEED};
 
 /// File magic: identifies a Reptile spectrum shard.
 pub const MAGIC: [u8; 8] = *b"RPTLSPEC";
@@ -52,17 +54,28 @@ pub const HEADER_BYTES: usize = 100;
 /// Byte offset of the checksum field within the header.
 pub const CHECKSUM_OFFSET: usize = 92;
 
-/// Which flat-table variant a shard holds.
+/// Which key kind's flat table a shard holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShardKind {
-    /// `FlatKmerTable` dump: `u64` keys + `u32` counts, 12 bytes/slot.
+    /// `FlatKmerTable` dump: one `u64` key lane + `u32` counts,
+    /// 12 bytes/slot.
     Kmer,
-    /// `FlatTileTable` dump: split `u64` halves + `u32` counts,
+    /// `FlatTileTable` dump: two `u64` key lanes + `u32` counts,
     /// 20 bytes/slot.
     Tile,
 }
 
 impl ShardKind {
+    /// The kind of the shards holding `K`-keyed tables: a shard's kind is
+    /// its key width.
+    pub fn of<K: SpectrumKey>() -> ShardKind {
+        if K::LANES == 1 {
+            ShardKind::Kmer
+        } else {
+            ShardKind::Tile
+        }
+    }
+
     /// Wire code stored in the header.
     pub fn code(self) -> u32 {
         match self {

@@ -12,10 +12,11 @@
 //! A snapshot directory holds one shard file per `(rank, table-kind)`
 //! plus a [`Manifest`]. A shard is a verbatim little-endian dump of the
 //! flat table's slot arrays behind a fixed-size checksummed header (see
-//! [`format`] for the byte layout), so loading at the same rank count is
+//! [`format`](mod@format) for the byte layout), so loading at the same rank count is
 //! zero-copy in the only sense that matters for a hash table: the slot
 //! arrays are decoded once and adopted *probe-ready* — no rehash, no
-//! re-insertion — via `FlatKmerTable::from_mapped_parts`. Loading at a
+//! re-insertion — via `FlatTable::from_mapped_parts`. One codec writes
+//! and adopts both key kinds, k-mer and tile. Loading at a
 //! different rank count re-owns entries through the caller's exchange
 //! path (`reptile-dist` wires this up).
 //!
@@ -54,7 +55,7 @@ pub use manifest::{Manifest, ParityRecord, ShardRecord, MANIFEST_NAME};
 pub use rs::{RsCode, RsError};
 pub use shard::{LoadedShard, IO_CHUNK};
 pub use spill::{
-    write_run, RunMerger, RunMeta, RunReader, RunWriter, SpillBuffer, SpillError, SpillKey,
+    write_run, RunMerger, RunMeta, RunReader, RunWriter, SpillBuffer, SpillError,
     DEFAULT_SPILL_BUF_BYTES,
 };
 pub use store::{RecoveryPolicy, RepairStats, SnapshotReader, SnapshotWriter};

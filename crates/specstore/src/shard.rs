@@ -1,5 +1,7 @@
 //! Shard file I/O: stream a flat table's slot arrays to disk and adopt
-//! them back as a ready-to-probe mapped table.
+//! them back as a ready-to-probe mapped table — one write path and one
+//! verify-and-adopt path for both key kinds, the shard kind and the body
+//! order (key lanes, then counts) following from the key type.
 //!
 //! The write path never materializes an intermediate full-table copy:
 //! slot arrays stream through one reused `IO_CHUNK`-byte buffer (hashed
@@ -13,7 +15,7 @@
 //! Everything here is crate-internal: callers go through
 //! [`crate::store::SnapshotWriter`] / [`crate::store::SnapshotReader`],
 //! which own the directory layout, manifest, and repair pipeline. The
-//! decode path is split file-vs-bytes so a Reed-Solomon-reconstructed
+//! adopt path takes bytes, not a file, so a Reed-Solomon-reconstructed
 //! shard (which exists only in memory until an optional rewrite) adopts
 //! through the same fully-verifying code as one read from disk.
 
@@ -22,7 +24,7 @@ use std::io::{BufWriter, Seek, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
-use reptile::{FlatKmerTable, FlatTileTable};
+use reptile::{FlatTable, SpectrumKey};
 
 use crate::checksum::Fnv1a;
 use crate::format::{
@@ -69,19 +71,13 @@ impl<'a> BodyWriter<'a> {
         Ok(())
     }
 
-    fn put_u64s(&mut self, words: &[u64]) -> Result<(), SnapshotError> {
-        for &w in words {
-            self.buf.extend_from_slice(&w.to_le_bytes());
-            if self.buf.len() >= IO_CHUNK {
-                self.flush_buf()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn put_u32s(&mut self, words: &[u32]) -> Result<(), SnapshotError> {
-        for &w in words {
-            self.buf.extend_from_slice(&w.to_le_bytes());
+    /// Append little-endian words, flushing at every `IO_CHUNK`.
+    fn put<const N: usize>(
+        &mut self,
+        words: impl Iterator<Item = [u8; N]>,
+    ) -> Result<(), SnapshotError> {
+        for w in words {
+            self.buf.extend_from_slice(&w);
             if self.buf.len() >= IO_CHUNK {
                 self.flush_buf()?;
             }
@@ -102,228 +98,75 @@ impl<'a> BodyWriter<'a> {
     }
 }
 
-/// Write the shard header (with the given checksum value) at the start
-/// of the file.
-fn write_header(
-    out: &mut BufWriter<File>,
-    header: &ShardHeader,
+/// Dump `rank`'s table of key kind `K` as a shard at `path`: the
+/// checksum-zeroed header, then the body streamed lane by lane and the
+/// counts last, then the checksum patched into the header with a single
+/// seek.
+pub(crate) fn write_shard<K: SpectrumKey>(
     path: &Path,
-) -> Result<(), SnapshotError> {
-    out.write_all(&header.encode()).map_err(|e| SnapshotError::io(path, e))
-}
-
-/// Finish a shard: compute the final digest, seek back, and patch the
-/// checksum field.
-fn patch_checksum(
-    out: &mut BufWriter<File>,
-    checksum: u64,
-    path: &Path,
-) -> Result<(), SnapshotError> {
-    out.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64)).map_err(|e| SnapshotError::io(path, e))?;
-    out.write_all(&checksum.to_le_bytes()).map_err(|e| SnapshotError::io(path, e))?;
-    out.flush().map_err(|e| SnapshotError::io(path, e))
-}
-
-/// Shared tail of both writers: given the checksum-zeroed header and a
-/// body-streaming closure, produce the finished file and its record.
-fn write_shard(
-    path: &Path,
-    mut header: ShardHeader,
-    body: impl FnOnce(&mut BodyWriter<'_>) -> Result<(), SnapshotError>,
+    fingerprint: &ConfigFingerprint,
+    rank: usize,
+    np: usize,
+    table: &FlatTable<K>,
 ) -> Result<ShardRecord, SnapshotError> {
-    header.checksum = 0;
-    let file = File::create(path).map_err(|e| SnapshotError::io(path, e))?;
-    let mut out = BufWriter::new(file);
-    write_header(&mut out, &header, path)?;
+    let parts = table.raw_parts();
+    let kind = ShardKind::of::<K>();
+    let capacity = parts.counts.len() as u64;
+    let header = ShardHeader {
+        version: FORMAT_VERSION,
+        kind,
+        fingerprint: *fingerprint,
+        rank: rank as u32,
+        np: np as u32,
+        load_num: parts.load_num as u32,
+        load_den: parts.load_den as u32,
+        sentinel_count: parts.sentinel_count,
+        capacity,
+        entries: parts.entries as u64,
+        body_bytes: capacity * kind.slot_bytes(),
+        checksum: 0,
+    };
+    let io = |e| SnapshotError::io(path, e);
+    let mut out = BufWriter::new(File::create(path).map_err(io)?);
+    out.write_all(&header.encode()).map_err(io)?;
     let mut hash = Fnv1a::new();
     hash.update(&header.encode());
     {
         let mut w = BodyWriter::new(&mut out, &mut hash, path);
-        body(&mut w)?;
+        for lane in parts.lanes.as_ref() {
+            w.put(lane.iter().map(|k| k.to_le_bytes()))?;
+        }
+        w.put(parts.counts.iter().map(|c| c.to_le_bytes()))?;
         w.finish()?;
     }
     let checksum = hash.finish();
-    patch_checksum(&mut out, checksum, path)?;
+    out.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64)).map_err(io)?;
+    out.write_all(&checksum.to_le_bytes()).map_err(io)?;
+    out.flush().map_err(io)?;
     Ok(ShardRecord {
-        rank: header.rank as usize,
-        kind: header.kind,
+        rank,
+        kind,
         file_name: path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default(),
         bytes: HEADER_BYTES as u64 + header.body_bytes,
         checksum,
     })
 }
 
-/// Dump a k-mer table as a shard at `path`.
-pub(crate) fn write_kmer_shard(
-    path: &Path,
-    fingerprint: &ConfigFingerprint,
-    rank: usize,
-    np: usize,
-    table: &FlatKmerTable,
-) -> Result<ShardRecord, SnapshotError> {
-    let parts = table.raw_parts();
-    let header = ShardHeader {
-        version: FORMAT_VERSION,
-        kind: ShardKind::Kmer,
-        fingerprint: *fingerprint,
-        rank: rank as u32,
-        np: np as u32,
-        load_num: parts.load_num as u32,
-        load_den: parts.load_den as u32,
-        sentinel_count: parts.sentinel_count,
-        capacity: parts.keys.len() as u64,
-        entries: parts.entries as u64,
-        body_bytes: parts.keys.len() as u64 * ShardKind::Kmer.slot_bytes(),
-        checksum: 0,
-    };
-    write_shard(path, header, |w| {
-        w.put_u64s(parts.keys)?;
-        w.put_u32s(parts.counts)
-    })
-}
-
-/// Dump a tile table as a shard at `path`.
-pub(crate) fn write_tile_shard(
-    path: &Path,
-    fingerprint: &ConfigFingerprint,
-    rank: usize,
-    np: usize,
-    table: &FlatTileTable,
-) -> Result<ShardRecord, SnapshotError> {
-    let parts = table.raw_parts();
-    let header = ShardHeader {
-        version: FORMAT_VERSION,
-        kind: ShardKind::Tile,
-        fingerprint: *fingerprint,
-        rank: rank as u32,
-        np: np as u32,
-        load_num: parts.load_num as u32,
-        load_den: parts.load_den as u32,
-        sentinel_count: parts.sentinel_count,
-        capacity: parts.lo.len() as u64,
-        entries: parts.entries as u64,
-        body_bytes: parts.lo.len() as u64 * ShardKind::Tile.slot_bytes(),
-        checksum: 0,
-    };
-    write_shard(path, header, |w| {
-        w.put_u64s(parts.lo)?;
-        w.put_u64s(parts.hi)?;
-        w.put_u32s(parts.counts)
-    })
-}
-
-/// A shard read back from disk (or rebuilt in memory), before table
-/// adoption.
-struct RawShard {
-    header: ShardHeader,
-    body: Vec<u8>,
-}
-
-/// Read a shard file fully into memory and verify it. A missing file is
-/// the typed `MissingShard`, not a bare I/O error.
-fn read_shard(
-    path: &Path,
-    expect_kind: ShardKind,
-    expect: &ConfigFingerprint,
-) -> Result<RawShard, SnapshotError> {
-    let bytes = std::fs::read(path).map_err(|e| {
+/// Read a whole shard file. A missing file is the typed `MissingShard`,
+/// not a bare I/O error.
+pub(crate) fn read_shard_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
+    std::fs::read(path).map_err(|e| {
         if e.kind() == std::io::ErrorKind::NotFound {
             SnapshotError::MissingShard { path: path.to_path_buf() }
         } else {
             SnapshotError::io(path, e)
         }
-    })?;
-    decode_shard(&bytes, path, expect_kind, expect)
+    })
 }
 
-/// Fully verify a shard image: magic, version, fingerprint, kind,
-/// declared sizes vs the actual length, and the checksum. Returns the
-/// verified header and body bytes. `path` only names errors — the bytes
-/// may have come from disk or from Reed-Solomon reconstruction.
-fn decode_shard(
-    bytes: &[u8],
-    path: &Path,
-    expect_kind: ShardKind,
-    expect: &ConfigFingerprint,
-) -> Result<RawShard, SnapshotError> {
-    let file_len = bytes.len() as u64;
-    if file_len < HEADER_BYTES as u64 {
-        return Err(SnapshotError::Truncated {
-            path: path.to_path_buf(),
-            expected: HEADER_BYTES as u64,
-            actual: file_len,
-        });
-    }
-    let head: &[u8; HEADER_BYTES] = bytes[..HEADER_BYTES].try_into().unwrap();
-    let header = ShardHeader::decode(head, path)?;
-    header.check_fingerprint(expect, path)?;
-    if header.kind != expect_kind {
-        return Err(SnapshotError::InvalidTable {
-            path: path.to_path_buf(),
-            reason: format!("expected a {expect_kind} shard, found {}", header.kind),
-        });
-    }
-    // checked: a corrupted capacity field can be astronomically large
-    if Some(header.body_bytes) != header.capacity.checked_mul(header.kind.slot_bytes()) {
-        return Err(SnapshotError::InvalidTable {
-            path: path.to_path_buf(),
-            reason: format!(
-                "body_bytes {} inconsistent with capacity {} ({} bytes/slot)",
-                header.body_bytes,
-                header.capacity,
-                header.kind.slot_bytes()
-            ),
-        });
-    }
-    let expected_len = (HEADER_BYTES as u64).saturating_add(header.body_bytes);
-    if file_len < expected_len {
-        return Err(SnapshotError::Truncated {
-            path: path.to_path_buf(),
-            expected: expected_len,
-            actual: file_len,
-        });
-    }
-    if file_len > expected_len {
-        return Err(SnapshotError::InvalidTable {
-            path: path.to_path_buf(),
-            reason: format!("{} trailing bytes after the declared body", file_len - expected_len),
-        });
-    }
-    // Hash the checksum-zeroed header, then the body.
-    let mut hash = Fnv1a::new();
-    let mut zeroed = *head;
-    zeroed[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
-    hash.update(&zeroed);
-    hash.update(&bytes[HEADER_BYTES..]);
-    let computed = hash.finish();
-    if computed != header.checksum {
-        return Err(SnapshotError::Checksum {
-            path: path.to_path_buf(),
-            stored: header.checksum,
-            computed,
-        });
-    }
-    Ok(RawShard { header, body: bytes[HEADER_BYTES..].to_vec() })
-}
-
-/// Decode `n` little-endian u64 words starting at `offset`.
-fn decode_u64s(body: &[u8], offset: usize, n: usize) -> Arc<[u64]> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = offset + i * 8;
-        out.push(u64::from_le_bytes(body[at..at + 8].try_into().unwrap()));
-    }
-    Arc::from(out)
-}
-
-/// Decode `n` little-endian u32 words starting at `offset`.
-fn decode_u32s(body: &[u8], offset: usize, n: usize) -> Arc<[u32]> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = offset + i * 4;
-        out.push(u32::from_le_bytes(body[at..at + 4].try_into().unwrap()));
-    }
-    Arc::from(out)
+/// Little-endian words of `bytes`, decoded once into a shared slab.
+fn decode_words<T, const N: usize>(bytes: &[u8], from_le: fn([u8; N]) -> T) -> Arc<[T]> {
+    bytes.as_chunks::<N>().0.iter().map(|&w| from_le(w)).collect()
 }
 
 /// A verified, adopted shard.
@@ -336,112 +179,105 @@ pub struct LoadedShard<T> {
     pub np: usize,
     /// Total file bytes read (header + body).
     pub bytes_read: u64,
+    /// The shard's checksum, which the reader also matches against the
+    /// manifest's copy.
+    pub checksum: u64,
 }
 
-/// Load a k-mer shard from disk, verifying every corruption class
-/// before adoption.
-pub(crate) fn read_kmer_shard(
-    path: &Path,
-    expect: &ConfigFingerprint,
-) -> Result<LoadedShard<FlatKmerTable>, SnapshotError> {
-    adopt_kmer(read_shard(path, ShardKind::Kmer, expect)?, path)
-}
-
-/// Adopt an in-memory k-mer shard image (e.g. Reed-Solomon
-/// reconstruction output) through the same verification as a file read.
-pub(crate) fn decode_kmer_shard(
+/// Fully verify a shard image of key kind `K` — magic, version,
+/// fingerprint, kind, declared sizes vs the actual length, and the
+/// checksum — and only then adopt its slot arrays (lanes in order, then
+/// the counts) as a mapped table, whose geometry `from_mapped_parts`
+/// validates once more. `path` only names errors: the bytes may have come
+/// from disk or from Reed-Solomon reconstruction, and both take this one
+/// path.
+pub(crate) fn adopt_shard<K: SpectrumKey>(
     bytes: &[u8],
     path: &Path,
     expect: &ConfigFingerprint,
-) -> Result<LoadedShard<FlatKmerTable>, SnapshotError> {
-    adopt_kmer(decode_shard(bytes, path, ShardKind::Kmer, expect)?, path)
-}
-
-fn adopt_kmer(raw: RawShard, path: &Path) -> Result<LoadedShard<FlatKmerTable>, SnapshotError> {
-    let cap = raw.header.capacity as usize;
-    let keys = decode_u64s(&raw.body, 0, cap);
-    let counts = decode_u32s(&raw.body, cap * 8, cap);
-    let table = FlatKmerTable::from_mapped_parts(
-        keys,
-        counts,
-        raw.header.sentinel_count,
-        raw.header.load_num as usize,
-        raw.header.load_den as usize,
-    )
-    .map_err(|reason| SnapshotError::InvalidTable { path: path.to_path_buf(), reason })?;
-    if table.len() != raw.header.entries as usize + raw.header.sentinel_count.is_some() as usize {
-        return Err(SnapshotError::InvalidTable {
+) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
+    let invalid = |reason: String| SnapshotError::InvalidTable { path: path.to_path_buf(), reason };
+    let file_len = bytes.len() as u64;
+    let Some((head, body)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+        return Err(SnapshotError::Truncated {
             path: path.to_path_buf(),
-            reason: format!(
-                "header claims {} entries, slots hold {}",
-                raw.header.entries,
-                table.len() - raw.header.sentinel_count.is_some() as usize
-            ),
+            expected: HEADER_BYTES as u64,
+            actual: file_len,
         });
+    };
+    let header = ShardHeader::decode(head, path)?;
+    header.check_fingerprint(expect, path)?;
+    let kind = ShardKind::of::<K>();
+    if header.kind != kind {
+        return Err(invalid(format!("expected a {kind} shard, found {}", header.kind)));
+    }
+    // checked: a corrupted capacity field can be astronomically large
+    if Some(header.body_bytes) != header.capacity.checked_mul(kind.slot_bytes()) {
+        return Err(invalid(format!(
+            "body_bytes {} inconsistent with capacity {} ({} bytes/slot)",
+            header.body_bytes,
+            header.capacity,
+            kind.slot_bytes()
+        )));
+    }
+    let expected_len = (HEADER_BYTES as u64).saturating_add(header.body_bytes);
+    if file_len < expected_len {
+        return Err(SnapshotError::Truncated {
+            path: path.to_path_buf(),
+            expected: expected_len,
+            actual: file_len,
+        });
+    }
+    if file_len > expected_len {
+        return Err(invalid(format!(
+            "{} trailing bytes after the declared body",
+            file_len - expected_len
+        )));
+    }
+    // Hash the checksum-zeroed header, then the body.
+    let mut hash = Fnv1a::new();
+    let mut zeroed = *head;
+    zeroed[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+    hash.update(&zeroed);
+    hash.update(body);
+    let computed = hash.finish();
+    if computed != header.checksum {
+        return Err(SnapshotError::Checksum {
+            path: path.to_path_buf(),
+            stored: header.checksum,
+            computed,
+        });
+    }
+    let lane_bytes = header.capacity as usize * 8;
+    let (lanes, counts) = body.split_at(K::LANES * lane_bytes);
+    let table = FlatTable::from_mapped_parts(
+        K::lanes_from(|l| decode_words(&lanes[l * lane_bytes..][..lane_bytes], u64::from_le_bytes)),
+        decode_words(counts, u32::from_le_bytes),
+        header.sentinel_count,
+        header.load_num as usize,
+        header.load_den as usize,
+    )
+    .map_err(invalid)?;
+    let slots = table.len() - header.sentinel_count.is_some() as usize;
+    if slots as u64 != header.entries {
+        return Err(invalid(format!(
+            "header claims {} entries, slots hold {slots}",
+            header.entries
+        )));
     }
     Ok(LoadedShard {
         table,
-        rank: raw.header.rank as usize,
-        np: raw.header.np as usize,
-        bytes_read: HEADER_BYTES as u64 + raw.header.body_bytes,
-    })
-}
-
-/// Load a tile shard from disk, verifying every corruption class
-/// before adoption.
-pub(crate) fn read_tile_shard(
-    path: &Path,
-    expect: &ConfigFingerprint,
-) -> Result<LoadedShard<FlatTileTable>, SnapshotError> {
-    adopt_tile(read_shard(path, ShardKind::Tile, expect)?, path)
-}
-
-/// Adopt an in-memory tile shard image (e.g. Reed-Solomon
-/// reconstruction output) through the same verification as a file read.
-pub(crate) fn decode_tile_shard(
-    bytes: &[u8],
-    path: &Path,
-    expect: &ConfigFingerprint,
-) -> Result<LoadedShard<FlatTileTable>, SnapshotError> {
-    adopt_tile(decode_shard(bytes, path, ShardKind::Tile, expect)?, path)
-}
-
-fn adopt_tile(raw: RawShard, path: &Path) -> Result<LoadedShard<FlatTileTable>, SnapshotError> {
-    let cap = raw.header.capacity as usize;
-    let lo = decode_u64s(&raw.body, 0, cap);
-    let hi = decode_u64s(&raw.body, cap * 8, cap);
-    let counts = decode_u32s(&raw.body, cap * 16, cap);
-    let table = FlatTileTable::from_mapped_parts(
-        lo,
-        hi,
-        counts,
-        raw.header.sentinel_count,
-        raw.header.load_num as usize,
-        raw.header.load_den as usize,
-    )
-    .map_err(|reason| SnapshotError::InvalidTable { path: path.to_path_buf(), reason })?;
-    if table.len() != raw.header.entries as usize + raw.header.sentinel_count.is_some() as usize {
-        return Err(SnapshotError::InvalidTable {
-            path: path.to_path_buf(),
-            reason: format!(
-                "header claims {} entries, slots hold {}",
-                raw.header.entries,
-                table.len() - raw.header.sentinel_count.is_some() as usize
-            ),
-        });
-    }
-    Ok(LoadedShard {
-        table,
-        rank: raw.header.rank as usize,
-        np: raw.header.np as usize,
-        bytes_read: HEADER_BYTES as u64 + raw.header.body_bytes,
+        rank: header.rank as usize,
+        np: header.np as usize,
+        bytes_read: HEADER_BYTES as u64 + header.body_bytes,
+        checksum: header.checksum,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reptile::ReptileParams;
+    use reptile::{FlatKmerTable, FlatTileTable, ReptileParams};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("specstore-{tag}-{}", std::process::id()));
@@ -458,54 +294,67 @@ mod tests {
         ConfigFingerprint::for_params(&ReptileParams::for_tests())
     }
 
-    fn sample_kmer() -> FlatKmerTable {
-        let mut t = FlatKmerTable::new();
+    fn load<K: SpectrumKey>(
+        path: &Path,
+        expect: &ConfigFingerprint,
+    ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
+        adopt_shard(&read_shard_file(path)?, path, expect)
+    }
+
+    /// Keys spread across every lane of the kind, plus the sentinel.
+    fn sample<K: SpectrumKey>() -> FlatTable<K> {
+        let mut t = FlatTable::new();
         for key in 0..300u64 {
-            t.add_count(key * 7919, (key % 9 + 1) as u32);
+            let k = K::from_u128(((key as u128 * 7919) << 61) | (key as u128 * 7919));
+            t.add_count(k, (key % 9 + 1) as u32);
         }
-        t.add_count(u64::MAX, 5);
+        t.add_count(K::SENTINEL, 5);
         t
     }
 
-    fn sample_tile() -> FlatTileTable {
-        let mut t = FlatTileTable::new();
-        for key in 0..300u128 {
-            t.add_count(key << 33, (key % 9 + 1) as u32);
-        }
-        t
-    }
-
-    #[test]
-    fn kmer_shard_roundtrip_probes_identically() {
-        let dir = tmpdir("kmer-rt");
-        let path = dir.join(shard_file_name(2, ShardKind::Kmer));
-        let t = sample_kmer();
-        let rec = write_kmer_shard(&path, &fp(), 2, 4, &t).unwrap();
-        assert_eq!(rec.rank, 2);
+    fn shard_roundtrip_probes_identically<K: SpectrumKey>() {
+        let dir = tmpdir(&format!("{}-rt", K::NAME));
+        let path = dir.join(shard_file_name(2, ShardKind::of::<K>()));
+        let t = sample::<K>();
+        let rec = write_shard(&path, &fp(), 2, 4, &t).unwrap();
+        assert_eq!((rec.rank, rec.kind), (2, ShardKind::of::<K>()));
         assert_eq!(rec.bytes, std::fs::metadata(&path).unwrap().len());
-        let loaded = read_kmer_shard(&path, &fp()).unwrap();
+        assert_eq!(rec.bytes, HEADER_BYTES as u64 + t.capacity() as u64 * (K::BYTES as u64 + 4));
+        let loaded = load::<K>(&path, &fp()).unwrap();
         assert_eq!((loaded.rank, loaded.np), (2, 4));
         assert_eq!(loaded.bytes_read, rec.bytes);
         assert!(loaded.table.is_mapped());
         assert_eq!(loaded.table.len(), t.len());
-        for key in 0..300u64 {
-            assert_eq!(loaded.table.get(key * 7919), t.get(key * 7919));
+        for (key, count) in t.iter() {
+            assert_eq!(loaded.table.get(key), Some(count));
         }
-        assert_eq!(loaded.table.get(u64::MAX), Some(5));
+        assert_eq!(loaded.table.get(K::SENTINEL), Some(5));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn tile_shard_roundtrip_probes_identically() {
-        let dir = tmpdir("tile-rt");
-        let path = dir.join(shard_file_name(0, ShardKind::Tile));
-        let t = sample_tile();
-        write_tile_shard(&path, &fp(), 0, 1, &t).unwrap();
-        let loaded = read_tile_shard(&path, &fp()).unwrap();
-        assert!(loaded.table.is_mapped());
-        for key in 0..300u128 {
-            assert_eq!(loaded.table.get(key << 33), t.get(key << 33));
-        }
+    fn shard_roundtrip_probes_identically_both_kinds() {
+        shard_roundtrip_probes_identically::<u64>();
+        shard_roundtrip_probes_identically::<u128>();
+    }
+
+    #[test]
+    fn body_is_key_lanes_then_counts() {
+        // The on-disk body order: every key lane in order (lo before hi),
+        // then the counts — the v1/v2 layout, unchanged.
+        let dir = tmpdir("layout");
+        let path = dir.join("l.tile.shard");
+        let mut t = FlatTileTable::new();
+        t.add_count((7u128 << 64) | 9, 3);
+        write_shard(&path, &fp(), 0, 1, &t).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let body = &bytes[HEADER_BYTES..];
+        let cap = t.capacity();
+        let p = t.raw_parts();
+        let slot = (0..cap).find(|&i| p.counts[i] == 3).unwrap();
+        let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+        assert_eq!((word(slot * 8), word(cap * 8 + slot * 8)), (9, 7));
+        assert_eq!(body[cap * 16 + slot * 4], 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -513,8 +362,8 @@ mod tests {
     fn empty_table_shard_roundtrips() {
         let dir = tmpdir("empty");
         let path = dir.join("empty.kmer.shard");
-        write_kmer_shard(&path, &fp(), 0, 1, &FlatKmerTable::new()).unwrap();
-        let loaded = read_kmer_shard(&path, &fp()).unwrap();
+        write_shard(&path, &fp(), 0, 1, &FlatKmerTable::new()).unwrap();
+        let loaded = load::<u64>(&path, &fp()).unwrap();
         assert!(loaded.table.is_empty());
         assert_eq!(loaded.table.get(42), None);
         std::fs::remove_dir_all(&dir).ok();
@@ -524,13 +373,13 @@ mod tests {
     fn truncation_is_typed() {
         let dir = tmpdir("trunc");
         let path = dir.join("t.kmer.shard");
-        write_kmer_shard(&path, &fp(), 0, 1, &sample_kmer()).unwrap();
+        write_shard(&path, &fp(), 0, 1, &sample::<u64>()).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         chop(&path, full - 10);
-        assert!(matches!(read_kmer_shard(&path, &fp()), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(load::<u64>(&path, &fp()), Err(SnapshotError::Truncated { .. })));
         // chopped inside the header too
         chop(&path, 20);
-        assert!(matches!(read_kmer_shard(&path, &fp()), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(load::<u64>(&path, &fp()), Err(SnapshotError::Truncated { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -538,12 +387,12 @@ mod tests {
     fn body_corruption_is_a_checksum_error() {
         let dir = tmpdir("corrupt");
         let path = dir.join("c.kmer.shard");
-        write_kmer_shard(&path, &fp(), 0, 1, &sample_kmer()).unwrap();
+        write_shard(&path, &fp(), 0, 1, &sample::<u64>()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = HEADER_BYTES + (bytes.len() - HEADER_BYTES) / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_kmer_shard(&path, &fp()), Err(SnapshotError::Checksum { .. })));
+        assert!(matches!(load::<u64>(&path, &fp()), Err(SnapshotError::Checksum { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -551,11 +400,11 @@ mod tests {
     fn wrong_config_is_a_fingerprint_error() {
         let dir = tmpdir("fp");
         let path = dir.join("f.tile.shard");
-        write_tile_shard(&path, &fp(), 0, 1, &sample_tile()).unwrap();
+        write_shard(&path, &fp(), 0, 1, &sample::<u128>()).unwrap();
         let mut other = fp();
         other.k += 1;
         assert!(matches!(
-            read_tile_shard(&path, &other),
+            load::<u128>(&path, &other),
             Err(SnapshotError::FingerprintMismatch { field: "k", .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -565,8 +414,14 @@ mod tests {
     fn kind_mismatch_is_rejected() {
         let dir = tmpdir("kind");
         let path = dir.join("k.shard");
-        write_kmer_shard(&path, &fp(), 0, 1, &sample_kmer()).unwrap();
-        assert!(matches!(read_tile_shard(&path, &fp()), Err(SnapshotError::InvalidTable { .. })));
+        write_shard(&path, &fp(), 0, 1, &sample::<u64>()).unwrap();
+        assert!(matches!(load::<u128>(&path, &fp()), Err(SnapshotError::InvalidTable { .. })));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_file_is_typed() {
+        let path = std::env::temp_dir().join("specstore-no-such-dir/none.kmer.shard");
+        assert!(matches!(load::<u64>(&path, &fp()), Err(SnapshotError::MissingShard { .. })));
     }
 }

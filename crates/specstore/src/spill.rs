@@ -35,6 +35,8 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use reptile::SpectrumKey;
+
 use crate::checksum::Fnv1a;
 
 /// Run-file magic ("ReptiLe RUN v1" — distinct from the snapshot shard
@@ -55,38 +57,6 @@ pub const DEFAULT_SPILL_BUF_BYTES: usize = 64 * 1024;
 /// Public because budget-driven callers scale per-reader merge buffers
 /// down toward this floor when many runs must open at once.
 pub const MIN_SPILL_BUF_BYTES: usize = 4 * 1024;
-
-/// Spill-run key: the two spectrum key widths. Sealed by construction —
-/// the run header records the width so a reader opened at the wrong
-/// type is a typed error, not garbage keys.
-pub trait SpillKey: Copy + Ord {
-    /// Encoded key width in bytes (8 or 16).
-    const KEY_BYTES: usize;
-    /// Encode into `buf[..KEY_BYTES]`, little-endian.
-    fn write_le(self, buf: &mut [u8]);
-    /// Decode from `buf[..KEY_BYTES]`, little-endian.
-    fn read_le(buf: &[u8]) -> Self;
-}
-
-impl SpillKey for u64 {
-    const KEY_BYTES: usize = 8;
-    fn write_le(self, buf: &mut [u8]) {
-        buf[..8].copy_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(buf: &[u8]) -> u64 {
-        u64::from_le_bytes(buf[..8].try_into().unwrap())
-    }
-}
-
-impl SpillKey for u128 {
-    const KEY_BYTES: usize = 16;
-    fn write_le(self, buf: &mut [u8]) {
-        buf[..16].copy_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(buf: &[u8]) -> u128 {
-        u128::from_le_bytes(buf[..16].try_into().unwrap())
-    }
-}
 
 /// Typed failures of the spill plane. Mirrors the snapshot layer's
 /// `SnapshotError` taxonomy: IO is separated from format violations so
@@ -257,8 +227,8 @@ pub struct RunMeta {
 }
 
 /// Encoded size of one `(key, count)` entry for key type `K`.
-fn entry_bytes<K: SpillKey>() -> usize {
-    K::KEY_BYTES + 4
+fn entry_bytes<K: SpectrumKey>() -> usize {
+    K::BYTES + 4
 }
 
 /// Compose the stored checksum from the two streamed digests. FNV-1a is
@@ -288,7 +258,7 @@ fn header_bytes_zeroed(key_bytes: u8, entries: u64) -> [u8; RUN_HEADER_BYTES] {
 /// ascending (the producer is `CountAcc::finalize`, which guarantees
 /// it); violations panic rather than writing an unmergeable file.
 #[derive(Debug)]
-pub struct RunWriter<K: SpillKey> {
+pub struct RunWriter<K: SpectrumKey> {
     file: File,
     path: PathBuf,
     buf: SpillBuffer,
@@ -298,14 +268,14 @@ pub struct RunWriter<K: SpillKey> {
     last: Option<K>,
 }
 
-impl<K: SpillKey> RunWriter<K> {
+impl<K: SpectrumKey> RunWriter<K> {
     /// Create `path` and write the placeholder header. `buf_cap` bounds
     /// the staging buffer.
     pub fn create(path: &Path, buf_cap: usize) -> Result<RunWriter<K>, SpillError> {
         let mut file = File::create(path).map_err(|e| io_err(path, e))?;
         // Placeholder header; entry count and checksum are patched by
         // `finish` once they are known.
-        let header = header_bytes_zeroed(K::KEY_BYTES as u8, 0);
+        let header = header_bytes_zeroed(K::BYTES as u8, 0);
         file.write_all(&header).map_err(|e| io_err(path, e))?;
         Ok(RunWriter {
             file,
@@ -328,8 +298,7 @@ impl<K: SpillKey> RunWriter<K> {
         let at = self.buf.data.len();
         self.buf.data.resize(at + entry_bytes::<K>(), 0);
         key.write_le(&mut self.buf.data[at..]);
-        self.buf.data[at + K::KEY_BYTES..at + K::KEY_BYTES + 4]
-            .copy_from_slice(&count.to_le_bytes());
+        self.buf.data[at + K::BYTES..at + K::BYTES + 4].copy_from_slice(&count.to_le_bytes());
         self.entries += 1;
         Ok(())
     }
@@ -350,7 +319,7 @@ impl<K: SpillKey> RunWriter<K> {
     /// checksum), and return the run's metadata.
     pub fn finish(mut self) -> Result<RunMeta, SpillError> {
         self.flush()?;
-        let mut header = header_bytes_zeroed(K::KEY_BYTES as u8, self.entries);
+        let mut header = header_bytes_zeroed(K::BYTES as u8, self.entries);
         let checksum = compose_checksum(&header, self.body_hash.finish());
         header[24..32].copy_from_slice(&checksum.to_le_bytes());
         self.file.seek(SeekFrom::Start(0)).map_err(|e| io_err(&self.path, e))?;
@@ -366,7 +335,7 @@ impl<K: SpillKey> RunWriter<K> {
 
 /// Write `entries` (strictly ascending, as `CountAcc::finalize`
 /// produces) to `path` as one run file.
-pub fn write_run<K: SpillKey>(
+pub fn write_run<K: SpectrumKey>(
     path: &Path,
     entries: &[(K, u32)],
     buf_cap: usize,
@@ -383,7 +352,7 @@ pub fn write_run<K: SpillKey>(
 /// bounded streaming pass — before the first entry is served, so a
 /// merge over open readers can never adopt corrupt counts.
 #[derive(Debug)]
-pub struct RunReader<K: SpillKey> {
+pub struct RunReader<K: SpectrumKey> {
     file: File,
     path: PathBuf,
     buf: SpillBuffer,
@@ -394,7 +363,7 @@ pub struct RunReader<K: SpillKey> {
     last: Option<K>,
 }
 
-impl<K: SpillKey> RunReader<K> {
+impl<K: SpectrumKey> RunReader<K> {
     /// Open and verify `path`. Every corruption mode is a typed error
     /// here, before any entry is visible.
     pub fn open(path: &Path, buf_cap: usize) -> Result<RunReader<K>, SpillError> {
@@ -417,11 +386,11 @@ impl<K: SpillKey> RunReader<K> {
             return Err(SpillError::VersionSkew { path: path.to_path_buf(), found: version });
         }
         let key_bytes = header[10];
-        if key_bytes as usize != K::KEY_BYTES {
+        if key_bytes as usize != K::BYTES {
             return Err(SpillError::KeyWidth {
                 path: path.to_path_buf(),
                 found: key_bytes,
-                expected: K::KEY_BYTES as u8,
+                expected: K::BYTES as u8,
             });
         }
         let entries = u64::from_le_bytes(header[16..24].try_into().unwrap());
@@ -505,8 +474,7 @@ impl<K: SpillKey> RunReader<K> {
         }
         let at = self.pos;
         let key = K::read_le(&self.buf.data[at..]);
-        let count =
-            u32::from_le_bytes(self.buf.data[at + K::KEY_BYTES..at + need].try_into().unwrap());
+        let count = u32::from_le_bytes(self.buf.data[at + K::BYTES..at + need].try_into().unwrap());
         self.pos += need;
         self.served += 1;
         if self.last.is_some_and(|prev| prev >= key) {
@@ -527,7 +495,7 @@ impl<K: SpillKey> RunReader<K> {
 /// the winner's leaf replays one root path (`⌈log2 k⌉` comparisons)
 /// instead of re-scanning all k heads, the textbook structure for
 /// external merge sort.
-pub struct RunMerger<K: SpillKey> {
+pub struct RunMerger<K: SpectrumKey> {
     readers: Vec<RunReader<K>>,
     /// Current head entry per run; `None` = exhausted.
     heads: Vec<Option<(K, u32)>>,
@@ -542,7 +510,7 @@ pub struct RunMerger<K: SpillKey> {
     pub keys_emitted: u64,
 }
 
-impl<K: SpillKey> RunMerger<K> {
+impl<K: SpectrumKey> RunMerger<K> {
     /// Build the tree over `readers` (already open, hence already
     /// verified); `threshold` is the Step-III prune bound applied
     /// during the merge.
@@ -672,7 +640,7 @@ mod tests {
         dir
     }
 
-    fn merge_all<K: SpillKey>(
+    fn merge_all<K: SpectrumKey>(
         dir: &Path,
         names: &[&str],
         threshold: u32,

@@ -3,7 +3,7 @@
 //! parity encoding, and online shard repair.
 //!
 //! All snapshot I/O goes through these two types — the per-file
-//! functions in [`crate::shard`] are crate-internal. A writer streams
+//! shard codec is crate-internal. A writer streams
 //! each rank's tables into checksummed shard files, then `finish`
 //! encodes `m` Reed-Solomon parity shards per table kind (reading the
 //! just-written data files back in `IO_CHUNK` blocks, so parity never
@@ -38,15 +38,15 @@ use std::io::{BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use reptile::{FlatKmerTable, FlatTileTable};
+use reptile::{FlatKmerTable, FlatTable, FlatTileTable, SpectrumKey};
 
 use crate::checksum::{fnv1a, Fnv1a};
 use crate::format::{ConfigFingerprint, ShardKind, SnapshotError, CHECKSUM_OFFSET, HEADER_BYTES};
 use crate::manifest::{Manifest, ParityRecord, ShardRecord};
 use crate::rs::{RsCode, RsError};
 use crate::shard::{
-    decode_kmer_shard, decode_tile_shard, parity_file_name, read_kmer_shard, read_tile_shard,
-    shard_file_name, write_kmer_shard, write_tile_shard, LoadedShard, IO_CHUNK,
+    adopt_shard, parity_file_name, read_shard_file, shard_file_name, write_shard, LoadedShard,
+    IO_CHUNK,
 };
 
 /// What a loader does when a shard turns out to be corrupt.
@@ -181,29 +181,16 @@ impl SnapshotWriter {
         self.parity
     }
 
-    /// Write `rank`'s k-mer table as a shard; returns its record (also
-    /// retained for `finish`).
-    pub fn write_kmer(
+    /// Write `rank`'s table of either key kind as a shard; returns its
+    /// record (also retained for `finish`).
+    pub fn write_shard<K: SpectrumKey>(
         &mut self,
         rank: usize,
-        table: &FlatKmerTable,
+        table: &FlatTable<K>,
     ) -> Result<ShardRecord, SnapshotError> {
         self.check_rank(rank)?;
-        let path = self.dir.join(shard_file_name(rank, ShardKind::Kmer));
-        let rec = write_kmer_shard(&path, &self.fingerprint, rank, self.np, table)?;
-        self.records.push(rec.clone());
-        Ok(rec)
-    }
-
-    /// Write `rank`'s tile table as a shard; returns its record.
-    pub fn write_tile(
-        &mut self,
-        rank: usize,
-        table: &FlatTileTable,
-    ) -> Result<ShardRecord, SnapshotError> {
-        self.check_rank(rank)?;
-        let path = self.dir.join(shard_file_name(rank, ShardKind::Tile));
-        let rec = write_tile_shard(&path, &self.fingerprint, rank, self.np, table)?;
+        let path = self.dir.join(shard_file_name(rank, ShardKind::of::<K>()));
+        let rec = write_shard(&path, &self.fingerprint, rank, self.np, table)?;
         self.records.push(rec.clone());
         Ok(rec)
     }
@@ -389,25 +376,23 @@ impl SnapshotReader {
         self.stats
     }
 
-    /// Load producing-rank `rank`'s k-mer shard, repairing it from
-    /// parity if it is corrupt and the policy allows.
+    /// Load producing-rank `rank`'s k-mer shard ([`Self::load_shard`]).
     pub fn load_kmer(&mut self, rank: usize) -> Result<LoadedShard<FlatKmerTable>, SnapshotError> {
-        self.load_shard(rank, ShardKind::Kmer, read_kmer_shard, decode_kmer_shard)
+        self.load_shard(rank)
     }
 
-    /// Load producing-rank `rank`'s tile shard, repairing it from
-    /// parity if it is corrupt and the policy allows.
+    /// Load producing-rank `rank`'s tile shard ([`Self::load_shard`]).
     pub fn load_tile(&mut self, rank: usize) -> Result<LoadedShard<FlatTileTable>, SnapshotError> {
-        self.load_shard(rank, ShardKind::Tile, read_tile_shard, decode_tile_shard)
+        self.load_shard(rank)
     }
 
-    fn load_shard<T>(
+    /// Load producing-rank `rank`'s shard of key kind `K`, repairing it
+    /// from parity if it is corrupt and the policy allows.
+    pub fn load_shard<K: SpectrumKey>(
         &mut self,
         rank: usize,
-        kind: ShardKind,
-        from_file: impl Fn(&Path, &ConfigFingerprint) -> Result<LoadedShard<T>, SnapshotError>,
-        from_bytes: impl Fn(&[u8], &Path, &ConfigFingerprint) -> Result<LoadedShard<T>, SnapshotError>,
-    ) -> Result<LoadedShard<T>, SnapshotError> {
+    ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
+        let kind = ShardKind::of::<K>();
         let rec = self
             .manifest
             .shard(rank, kind)
@@ -418,16 +403,17 @@ impl SnapshotReader {
             .clone();
         let path = self.dir.join(&rec.file_name);
         if self.rebuilt.contains_key(&(rank, kind.code())) {
-            return self.adopt_rebuilt(rank, kind, &rec, &path, &from_bytes);
+            return self.adopt_rebuilt(rank, &rec, &path);
         }
-        let attempt = from_file(&path, &self.expect)
+        let attempt = read_shard_file(&path)
+            .and_then(|bytes| adopt_shard(&bytes, &path, &self.expect))
             .and_then(|l| cross_check(l, &rec, rank, self.manifest.np, &path));
         match attempt {
             Ok(loaded) => Ok(loaded),
             Err(e) if is_shard_corruption(&e) && self.policy.repairs() => {
                 self.repair_group(kind)?;
                 if self.rebuilt.contains_key(&(rank, kind.code())) {
-                    self.adopt_rebuilt(rank, kind, &rec, &path, &from_bytes)
+                    self.adopt_rebuilt(rank, &rec, &path)
                 } else {
                     // The file verified raw against the manifest yet
                     // failed decode: the snapshot was *written*
@@ -441,17 +427,15 @@ impl SnapshotReader {
 
     /// Decode a cached rebuilt image through full verification, then
     /// heal the on-disk file if the policy asks for it.
-    fn adopt_rebuilt<T>(
+    fn adopt_rebuilt<K: SpectrumKey>(
         &mut self,
         rank: usize,
-        kind: ShardKind,
         rec: &ShardRecord,
         path: &Path,
-        from_bytes: &impl Fn(&[u8], &Path, &ConfigFingerprint) -> Result<LoadedShard<T>, SnapshotError>,
-    ) -> Result<LoadedShard<T>, SnapshotError> {
+    ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
         let loaded = {
-            let bytes = self.rebuilt.get(&(rank, kind.code())).expect("cached");
-            from_bytes(bytes, path, &self.expect)?
+            let bytes = self.rebuilt.get(&(rank, rec.kind.code())).expect("cached");
+            adopt_shard(bytes, path, &self.expect)?
         };
         let loaded = cross_check(loaded, rec, rank, self.manifest.np, path)?;
         self.rewrite_if_requested(rec, path)?;
@@ -668,6 +652,15 @@ fn cross_check<T>(
             reason: format!("shard is {} bytes, manifest records {}", loaded.bytes_read, rec.bytes),
         });
     }
+    // A header rewritten with a freshly sealed checksum verifies on its
+    // own; the manifest's copy of the checksum is what exposes it.
+    if loaded.checksum != rec.checksum {
+        return Err(SnapshotError::Checksum {
+            path: path.to_path_buf(),
+            stored: rec.checksum,
+            computed: loaded.checksum,
+        });
+    }
     Ok(loaded)
 }
 
@@ -711,8 +704,8 @@ mod tests {
         for rank in 0..3 {
             let kt = kmer_table(rank as u64);
             let tt = tile_table(rank as u64);
-            w.write_kmer(rank, &kt).unwrap();
-            w.write_tile(rank, &tt).unwrap();
+            w.write_shard(rank, &kt).unwrap();
+            w.write_shard(rank, &tt).unwrap();
             tables.push((kt, tt));
         }
         assert!(w.finish().unwrap() > 0);
