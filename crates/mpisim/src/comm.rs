@@ -4,24 +4,34 @@
 //!
 //! * messages between a fixed (src, dst) pair are delivered in send order;
 //! * `recv`/`probe` match on `(Source, TagSel)` selectors, where either
-//!   side may be a wildcard (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`);
+//!   side may be a wildcard (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`); a wildcard
+//!   takes the earliest-arrived matching message;
 //! * [`Comm::probe`] blocks until a matching message is pending and
-//!   returns its envelope without consuming it — exactly what the paper's
+//!   returns its envelope without consuming it — what the paper's
 //!   communication thread does ("the communication thread of each rank
 //!   probes any incoming messages – based on the probe, it first finds
 //!   out the nature of the request", §III step IV);
 //! * a [`Comm`] may be used from several threads of its rank concurrently
 //!   (the worker + communication thread pair of step IV).
+//!
+//! A rank's mailbox keeps its pending messages in one FIFO bucket per
+//! `(source, tag)`, each message stamped with its arrival number: an
+//! exact selector takes its bucket's head without scanning other traffic,
+//! a wildcard or tag set the earliest head among the buckets it matches.
+//! A blocked receive registers its selector and parks; a send wakes only
+//! the waiters whose selector matches the new message, so a reply wakes
+//! the worker and a request the communication thread, never both.
 
 use crate::collectives::CollectiveState;
 use crate::fault::FaultPlan;
 use crate::message::{Message, MessageInfo};
 use crate::stats::RankStats;
 use crate::topology::Topology;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Source selector for receives and probes.
@@ -52,24 +62,248 @@ impl Source {
     }
 }
 
-impl TagSel {
+/// The tags a receive accepts: any, or a set (one tag is a set of one).
+#[derive(Clone, Copy)]
+enum Tags<'a> {
+    Any,
+    Set(&'a [u32]),
+}
+
+impl Tags<'_> {
     #[inline]
     fn matches(self, tag: u32) -> bool {
         match self {
-            TagSel::Any => true,
-            TagSel::Tag(t) => t == tag,
+            Tags::Any => true,
+            Tags::Set(tags) => tags.contains(&tag),
         }
     }
 }
 
+impl TagSel {
+    fn tags(&self) -> Tags<'_> {
+        match self {
+            TagSel::Any => Tags::Any,
+            TagSel::Tag(tag) => Tags::Set(std::slice::from_ref(tag)),
+        }
+    }
+}
+
+/// What a receive or probe matches.
+#[derive(Clone, Copy)]
+struct Selector<'a> {
+    src: Source,
+    tags: Tags<'a>,
+}
+
+/// Tag sets up to this size are matched exactly by a waiting receive's
+/// wake-up filter; a larger set is woken by any tag and re-checks.
+const WAIT_TAGS: usize = 8;
+
+/// A blocked receive, as a sender sees it: what it matches and whom to
+/// wake.
+struct Waiter {
+    id: u64,
+    src: Source,
+    /// `None` = any tag.
+    tags: Option<([u32; WAIT_TAGS], usize)>,
+    thread: Thread,
+}
+
+impl Waiter {
+    fn matches(&self, src: usize, tag: u32) -> bool {
+        self.src.matches(src) && self.tags.is_none_or(|(tags, n)| tags[..n].contains(&tag))
+    }
+}
+
+/// A pending message and its arrival number in this mailbox.
+struct Pending {
+    arrival: u64,
+    msg: Message,
+}
+
+/// The pending messages of one `(source, tag)` stream, oldest first.
+struct Bucket {
+    tag: u32,
+    queue: VecDeque<Pending>,
+}
+
+/// A mailbox's state, under its lock.
+struct Slots {
+    /// Per source rank, one bucket per tag that rank has sent here.
+    from: Vec<Vec<Bucket>>,
+    /// Arrival number of the next message.
+    arrivals: u64,
+    /// Receives and probes parked on this mailbox.
+    waiters: Vec<Waiter>,
+    next_waiter: u64,
+}
+
+impl Slots {
+    /// `(source, bucket)` of the earliest-arrived pending message that
+    /// `sel` matches.
+    fn find(&self, sel: Selector) -> Option<(usize, usize)> {
+        let sources = match sel.src {
+            Source::Any => 0..self.from.len(),
+            Source::Rank(r) => r..r + 1,
+        };
+        let mut best: Option<(u64, usize, usize)> = None;
+        for src in sources {
+            for (b, bucket) in self.from[src].iter().enumerate() {
+                if let Some(head) = bucket.queue.front() {
+                    if sel.tags.matches(bucket.tag) && best.is_none_or(|(a, ..)| head.arrival < a) {
+                        best = Some((head.arrival, src, b));
+                    }
+                }
+            }
+        }
+        best.map(|(_, src, b)| (src, b))
+    }
+
+    fn head(&self, (src, b): (usize, usize)) -> &Message {
+        &self.from[src][b].queue.front().expect("found bucket is non-empty").msg
+    }
+
+    fn take(&mut self, (src, b): (usize, usize)) -> Message {
+        self.from[src][b].queue.pop_front().expect("found bucket is non-empty").msg
+    }
+
+    /// Enqueue `msg` from `src`. A reordered message swaps places (and
+    /// arrival numbers) with the previous pending message of its bucket,
+    /// the only reordering a matcher can observe; a duplicate arrives
+    /// right after it. Returns whether a swap happened.
+    fn push(&mut self, src: usize, msg: Message, reorder: bool, duplicate: bool) -> bool {
+        let arrival = self.arrivals;
+        self.arrivals += 1 + u64::from(duplicate);
+        let buckets = &mut self.from[src];
+        let b = match buckets.iter().position(|b| b.tag == msg.tag) {
+            Some(b) => b,
+            None => {
+                buckets.push(Bucket { tag: msg.tag, queue: VecDeque::new() });
+                buckets.len() - 1
+            }
+        };
+        let queue = &mut buckets[b].queue;
+        let copy = duplicate.then(|| msg.clone());
+        let swapped = match queue.back_mut() {
+            Some(prev) if reorder => {
+                let earlier = std::mem::replace(&mut prev.arrival, arrival);
+                queue.insert(queue.len() - 1, Pending { arrival: earlier, msg });
+                true
+            }
+            _ => {
+                queue.push_back(Pending { arrival, msg });
+                false
+            }
+        };
+        if let Some(msg) = copy {
+            queue.push_back(Pending { arrival: arrival + 1, msg });
+        }
+        swapped
+    }
+
+    fn register(&mut self, sel: Selector) -> u64 {
+        let id = self.next_waiter;
+        self.next_waiter += 1;
+        let tags = match sel.tags {
+            Tags::Set(set) if set.len() <= WAIT_TAGS => {
+                let mut tags = [0; WAIT_TAGS];
+                tags[..set.len()].copy_from_slice(set);
+                Some((tags, set.len()))
+            }
+            _ => None,
+        };
+        self.waiters.push(Waiter { id, src: sel.src, tags, thread: std::thread::current() });
+        id
+    }
+
+    /// Drop waiter `id` if no sender has taken it out yet.
+    fn unregister(&mut self, id: u64) {
+        if let Some(i) = self.waiters.iter().position(|w| w.id == id) {
+            self.waiters.swap_remove(i);
+        }
+    }
+
+    /// Take out the next waiter a message from `src` with `tag` would
+    /// satisfy.
+    fn take_waiter(&mut self, src: usize, tag: u32) -> Option<Thread> {
+        let i = self.waiters.iter().position(|w| w.matches(src, tag))?;
+        Some(self.waiters.swap_remove(i).thread)
+    }
+}
+
 pub(crate) struct Mailbox {
-    queue: Mutex<VecDeque<Message>>,
-    arrived: Condvar,
+    slots: Mutex<Slots>,
+    /// Wake-ups sent to parked receivers.
+    #[cfg(test)]
+    wakes: AtomicU64,
 }
 
 impl Mailbox {
-    fn new() -> Mailbox {
-        Mailbox { queue: Mutex::new(VecDeque::new()), arrived: Condvar::new() }
+    fn new(np: usize) -> Mailbox {
+        Mailbox {
+            slots: Mutex::new(Slots {
+                from: (0..np).map(|_| Vec::new()).collect(),
+                arrivals: 0,
+                waiters: Vec::new(),
+                next_waiter: 0,
+            }),
+            #[cfg(test)]
+            wakes: AtomicU64::new(0),
+        }
+    }
+
+    /// Enqueue a message and wake the receivers it matches — after the
+    /// lock is released, so a woken thread does not block on it.
+    fn deliver(&self, msg: Message, reorder: bool, duplicate: bool) -> bool {
+        let (src, tag) = (msg.src, msg.tag);
+        let mut slots = self.slots.lock();
+        let swapped = slots.push(src, msg, reorder, duplicate);
+        let first = slots.take_waiter(src, tag);
+        let mut rest = Vec::new();
+        if first.is_some() {
+            while let Some(thread) = slots.take_waiter(src, tag) {
+                rest.push(thread);
+            }
+        }
+        drop(slots);
+        for thread in first.into_iter().chain(rest) {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            thread.unpark();
+        }
+        swapped
+    }
+
+    /// Block until `sel` matches a pending message (or `deadline`
+    /// passes: `None`), then apply `f` to it under the lock. Parks, never
+    /// spins: a sender of a matching message wakes this thread.
+    fn wait<R>(
+        &self,
+        sel: Selector,
+        deadline: Option<Instant>,
+        f: impl FnOnce(&mut Slots, (usize, usize)) -> R,
+    ) -> Option<R> {
+        let mut slots = self.slots.lock();
+        loop {
+            if let Some(at) = slots.find(sel) {
+                return Some(f(&mut slots, at));
+            }
+            let timeout = match deadline {
+                None => None,
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return None,
+                },
+            };
+            let id = slots.register(sel);
+            drop(slots);
+            match timeout {
+                None => std::thread::park(),
+                Some(left) => std::thread::park_timeout(left),
+            }
+            slots = self.slots.lock();
+            slots.unregister(id);
+        }
     }
 }
 
@@ -90,7 +324,7 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn new(np: usize, topology: Topology, fault: FaultPlan) -> Shared {
         Shared {
-            mailboxes: (0..np).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..np).map(|_| Mailbox::new(np)).collect(),
             collectives: CollectiveState::new(np),
             stats: (0..np).map(|_| RankStats::default()).collect(),
             topology,
@@ -149,8 +383,9 @@ impl Comm {
     /// small-message `MPI_Send` in practice.
     ///
     /// If the universe carries a [`FaultPlan`], it is applied here: the
-    /// message may be dropped, duplicated, reordered, or delayed, and
-    /// messages on a severed edge (either endpoint killed) are discarded.
+    /// message may be dropped, duplicated, reordered (behind the next
+    /// message of its `(source, tag)` stream), or delayed, and messages on
+    /// a severed edge (either endpoint killed) are discarded.
     pub fn send(&self, dst: usize, tag: u32, payload: Vec<u8>) {
         let nbytes = payload.len();
         let intra = self.shared.topology.same_node(self.rank, dst);
@@ -178,23 +413,13 @@ impl Comm {
             duplicated = d.duplicated;
             reordered = d.reordered;
         }
-        let mailbox = &self.shared.mailboxes[dst];
-        {
-            let mut q = mailbox.queue.lock();
-            let msg = Message { src: self.rank, tag, payload };
-            if duplicated {
-                stats.count_fault_duplicated();
-                q.push_back(msg.clone());
-            }
-            if reordered && !q.is_empty() {
-                stats.count_fault_reordered();
-                let at = q.len() - 1;
-                q.insert(at, msg);
-            } else {
-                q.push_back(msg);
-            }
+        let msg = Message { src: self.rank, tag, payload };
+        if self.shared.mailboxes[dst].deliver(msg, reordered, duplicated) {
+            stats.count_fault_reordered();
         }
-        mailbox.arrived.notify_all();
+        if duplicated {
+            stats.count_fault_duplicated();
+        }
     }
 
     fn edge_tick(&self, dst: usize) -> u64 {
@@ -210,19 +435,22 @@ impl Comm {
         self.send(dst, tag, payload.to_vec());
     }
 
+    fn mailbox(&self) -> &Mailbox {
+        &self.shared.mailboxes[self.rank]
+    }
+
+    /// Receive the first message `sel` matches, waiting at most until
+    /// `deadline` (`None` = forever).
+    fn receive(&self, sel: Selector, deadline: Option<Instant>) -> Option<Message> {
+        let msg = self.mailbox().wait(sel, deadline, Slots::take)?;
+        self.shared.stats[self.rank].count_recv(msg.payload.len());
+        Some(msg)
+    }
+
     /// Blocking receive of the first pending message matching the
     /// selectors (`MPI_Recv`).
     pub fn recv(&self, src: Source, tag: TagSel) -> Message {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        loop {
-            if let Some(i) = q.iter().position(|m| src.matches(m.src) && tag.matches(m.tag)) {
-                let msg = q.remove(i).expect("index valid under lock");
-                self.shared.stats[self.rank].count_recv(msg.payload.len());
-                return msg;
-            }
-            mailbox.arrived.wait(&mut q);
-        }
+        self.receive(Selector { src, tags: tag.tags() }, None).expect("no deadline")
     }
 
     /// Blocking receive with a deadline: like [`recv`](Comm::recv), but
@@ -230,29 +458,34 @@ impl Comm {
     /// This is the primitive under the Step IV retry protocol — an MPI
     /// code expresses it as `MPI_Irecv` + `MPI_Test` in a timed loop.
     pub fn recv_deadline(&self, src: Source, tag: TagSel, timeout: Duration) -> Option<Message> {
-        let deadline = Instant::now() + timeout;
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        loop {
-            if let Some(i) = q.iter().position(|m| src.matches(m.src) && tag.matches(m.tag)) {
-                let msg = q.remove(i).expect("index valid under lock");
-                self.shared.stats[self.rank].count_recv(msg.payload.len());
-                return Some(msg);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            mailbox.arrived.wait_for(&mut q, deadline - now);
-        }
+        self.receive(Selector { src, tags: tag.tags() }, Some(Instant::now() + timeout))
+    }
+
+    /// Receive over a *set* of tags, with a deadline: the first pending
+    /// message carrying any of `tags`, or `None` once `timeout` passes.
+    /// This is how a server thread that must not consume other threads'
+    /// traffic (step IV's communication thread, which leaves count
+    /// responses to the worker) takes its next request in one call, and
+    /// notices its shutdown flag on a quiet mailbox; an MPI code
+    /// expresses the same thing as an `MPI_Iprobe` loop over the tag list
+    /// followed by `MPI_Recv`.
+    pub fn recv_tags_deadline(
+        &self,
+        src: Source,
+        tags: &[u32],
+        timeout: Duration,
+    ) -> Option<Message> {
+        self.receive(Selector { src, tags: Tags::Set(tags) }, Some(Instant::now() + timeout))
     }
 
     /// Non-blocking receive (`MPI_Irecv` + immediate test).
     pub fn try_recv(&self, src: Source, tag: TagSel) -> Option<Message> {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        let i = q.iter().position(|m| src.matches(m.src) && tag.matches(m.tag))?;
-        let msg = q.remove(i).expect("index valid under lock");
+        let sel = Selector { src, tags: tag.tags() };
+        let msg = {
+            let mut slots = self.mailbox().slots.lock();
+            let at = slots.find(sel)?;
+            slots.take(at)
+        };
         self.shared.stats[self.rank].count_recv(msg.payload.len());
         Some(msg)
     }
@@ -260,68 +493,15 @@ impl Comm {
     /// Blocking probe (`MPI_Probe`): wait until a matching message is
     /// pending and describe it without consuming it.
     pub fn probe(&self, src: Source, tag: TagSel) -> MessageInfo {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        loop {
-            if let Some(m) = q.iter().find(|m| src.matches(m.src) && tag.matches(m.tag)) {
-                return MessageInfo { src: m.src, tag: m.tag, len: m.payload.len() };
-            }
-            mailbox.arrived.wait(&mut q);
-        }
-    }
-
-    /// Blocking probe over a *set* of tags: wait until a message with any
-    /// of `tags` is pending. This is how a server thread that must not
-    /// consume other threads' traffic (e.g. step IV's communication
-    /// thread, which must leave count responses to the worker) waits; an
-    /// MPI code expresses the same thing as an `MPI_Iprobe` loop over the
-    /// tag list.
-    pub fn probe_tags(&self, src: Source, tags: &[u32]) -> MessageInfo {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        loop {
-            if let Some(m) = q.iter().find(|m| src.matches(m.src) && tags.contains(&m.tag)) {
-                return MessageInfo { src: m.src, tag: m.tag, len: m.payload.len() };
-            }
-            mailbox.arrived.wait(&mut q);
-        }
-    }
-
-    /// [`probe_tags`](Comm::probe_tags) with a deadline: returns `None`
-    /// if no matching message is pending within `timeout`. The Step IV
-    /// comm thread polls with this so it can notice its shutdown flag
-    /// (or its own death under a fault plan) instead of blocking forever
-    /// on traffic that will never come.
-    pub fn probe_tags_deadline(
-        &self,
-        src: Source,
-        tags: &[u32],
-        timeout: Duration,
-    ) -> Option<MessageInfo> {
-        let deadline = Instant::now() + timeout;
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut q = mailbox.queue.lock();
-        loop {
-            if let Some(m) = q.iter().find(|m| src.matches(m.src) && tags.contains(&m.tag)) {
-                return Some(MessageInfo { src: m.src, tag: m.tag, len: m.payload.len() });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            mailbox.arrived.wait_for(&mut q, deadline - now);
-        }
+        let sel = Selector { src, tags: tag.tags() };
+        self.mailbox().wait(sel, None, |slots, at| info(slots.head(at))).expect("no deadline")
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
     pub fn iprobe(&self, src: Source, tag: TagSel) -> Option<MessageInfo> {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let q = mailbox.queue.lock();
-        q.iter().find(|m| src.matches(m.src) && tag.matches(m.tag)).map(|m| MessageInfo {
-            src: m.src,
-            tag: m.tag,
-            len: m.payload.len(),
-        })
+        let slots = self.mailbox().slots.lock();
+        let at = slots.find(Selector { src, tags: tag.tags() })?;
+        Some(info(slots.head(at)))
     }
 
     /// The fault plan this universe runs under ([`FaultPlan::none`] by
@@ -338,6 +518,10 @@ impl Comm {
     pub(crate) fn shared(&self) -> &Shared {
         &self.shared
     }
+}
+
+fn info(m: &Message) -> MessageInfo {
+    MessageInfo { src: m.src, tag: m.tag, len: m.payload.len() }
 }
 
 #[cfg(test)]
@@ -445,29 +629,29 @@ mod tests {
             const REQ: u32 = 1;
             const RESP: u32 = 2;
             const SHUTDOWN: u32 = 3;
+            const POLL: Duration = Duration::from_millis(1);
             let me = comm.rank();
             let peer = 1 - me;
             let mut answered = 0u32;
             let mut got = Vec::new();
             std::thread::scope(|s| {
                 // communication thread: answer until shutdown. It must
-                // probe only the tags it owns — an ANY_TAG probe would
-                // also surface RESP messages addressed to the worker.
+                // receive only the tags it owns — an ANY_TAG receive would
+                // also take RESP messages addressed to the worker.
                 let server = s.spawn(|| {
                     let mut count = 0;
                     loop {
-                        let info = comm.probe_tags(Source::Any, &[REQ, SHUTDOWN]);
-                        match info.tag {
+                        let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, SHUTDOWN], POLL)
+                        else {
+                            continue;
+                        };
+                        match m.tag {
                             REQ => {
-                                let m = comm.recv(Source::Rank(info.src), TagSel::Tag(REQ));
                                 comm.send(m.src, RESP, vec![m.payload[0] * 2]);
                                 count += 1;
                             }
-                            SHUTDOWN => {
-                                let _ = comm.recv(Source::Rank(info.src), TagSel::Tag(SHUTDOWN));
-                                break;
-                            }
-                            _ => unreachable!("probe_tags filtered"),
+                            SHUTDOWN => break,
+                            _ => unreachable!("recv_tags_deadline filtered"),
                         }
                     }
                     count
@@ -519,20 +703,23 @@ mod tests {
     }
 
     #[test]
-    fn probe_tags_deadline_times_out_without_traffic() {
+    fn recv_tags_deadline_times_out_without_traffic() {
         Universe::new(2).run(|comm| {
             if comm.rank() == 1 {
+                let t0 = Instant::now();
                 assert!(comm
-                    .probe_tags_deadline(Source::Any, &[9], Duration::from_millis(10))
+                    .recv_tags_deadline(Source::Any, &[9, 4], Duration::from_millis(10))
                     .is_none());
+                assert!(t0.elapsed() >= Duration::from_millis(10));
                 comm.barrier();
-                let info = comm
-                    .probe_tags_deadline(Source::Any, &[9], Duration::from_secs(10))
+                let m = comm
+                    .recv_tags_deadline(Source::Any, &[4, 9], Duration::from_secs(10))
                     .expect("pending after barrier");
-                assert_eq!(info.tag, 9);
-                assert!(comm.try_recv(Source::Rank(0), TagSel::Tag(9)).is_some());
+                assert_eq!((m.src, m.tag, m.payload), (0, 9, vec![1]));
+                assert!(comm.try_recv(Source::Any, TagSel::Any).is_some(), "tag 7 left pending");
             } else {
                 comm.barrier();
+                comm.send(1, 7, vec![2]);
                 comm.send(1, 9, vec![1]);
             }
         });
@@ -596,6 +783,137 @@ mod tests {
         // every enqueue after the first jumps ahead of the previous
         // pending message: 1 | 2,1 | 2,3,1
         assert_eq!(results[1], vec![2, 3, 1]);
+    }
+
+    /// Reordering is per `(source, tag)` stream: a message can only
+    /// overtake the previous one of its own stream, and a message with
+    /// nothing to overtake is neither moved nor counted.
+    #[test]
+    fn fault_reorder_swaps_within_a_bucket_only() {
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan { seed: 1, reorder_p: 1.0, ..FaultPlan::none() };
+        let results = Universe::new(2).with_fault_plan(plan).run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 0, vec![1]);
+                comm.send(1, 5, vec![10]);
+                comm.send(1, 0, vec![2]);
+            }
+            comm.barrier();
+            let mut got = Vec::new();
+            while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
+                got.push(m.payload[0]);
+            }
+            (got, comm.stats().faults_reordered)
+        });
+        // 2 overtook 1 and took its place in arrival order; 10 had no
+        // earlier message of its stream to overtake
+        assert_eq!(results[1].0, vec![2, 10, 1]);
+        assert_eq!(results[0].1, 1, "only the swap that happened is counted");
+    }
+
+    /// A receiver parked on one tag is not woken by another tag's
+    /// traffic: only the message it can match wakes it.
+    #[test]
+    fn blocked_receiver_wakes_only_for_its_own_tag() {
+        const NOISE: u8 = 200;
+        let shared = Arc::new(Shared::new(2, Topology::single_node(), FaultPlan::none()));
+        let (sender, receiver) = (Comm::new(0, shared.clone()), Comm::new(1, shared.clone()));
+        let wakes = || shared.mailboxes[1].wakes.load(Ordering::Relaxed);
+        let noise_wakes = std::thread::scope(|s| {
+            let waiting = s.spawn(|| receiver.recv(Source::Rank(0), TagSel::Tag(1)));
+            // test-only wait for the receive to park
+            while shared.mailboxes[1].slots.lock().waiters.is_empty() {
+                std::thread::yield_now();
+            }
+            for i in 0..NOISE {
+                sender.send(1, 2, vec![i]);
+            }
+            let noise_wakes = wakes();
+            sender.send(1, 1, vec![7]);
+            assert_eq!(waiting.join().unwrap().payload, vec![7]);
+            noise_wakes
+        });
+        assert_eq!(noise_wakes, 0, "woken by tag 2 traffic");
+        assert_eq!(wakes(), 1, "one wake-up, for the tag-1 message");
+        let noise: Vec<u8> = std::iter::from_fn(|| receiver.try_recv(Source::Any, TagSel::Any))
+            .map(|m| m.payload[0])
+            .collect();
+        assert_eq!(noise, (0..NOISE).collect::<Vec<_>>());
+    }
+
+    /// The bucketed mailbox against the single-queue linear scan it
+    /// replaced: random interleavings of sends from three ranks and of
+    /// every receive and probe form, over every selector form, return the
+    /// same message every time.
+    #[test]
+    fn buckets_match_like_a_linear_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const NP: usize = 3;
+        const TAGS: u32 = 4;
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shared = Arc::new(Shared::new(NP, Topology::single_node(), FaultPlan::none()));
+            let comms: Vec<Comm> = (0..NP).map(|r| Comm::new(r, shared.clone())).collect();
+            let me = &comms[0];
+            // (src, tag, id) in arrival order; first match wins
+            let mut reference: VecDeque<(usize, u32, u8)> = VecDeque::new();
+            let mut next_id = 0u8;
+            for step in 0..300 {
+                let src = match rng.gen_range(0..=NP) {
+                    NP => Source::Any,
+                    r => Source::Rank(r),
+                };
+                let tag = match rng.gen_range(0..=TAGS) {
+                    TAGS => TagSel::Any,
+                    t => TagSel::Tag(t),
+                };
+                let set: Vec<u32> = (0..TAGS).filter(|_| rng.gen_bool(0.5)).collect();
+                let use_set = rng.gen_bool(0.2);
+                let hit = reference.iter().position(|&(s, t, _)| {
+                    src.matches(s) && if use_set { set.contains(&t) } else { tag.tags().matches(t) }
+                });
+                let want = hit.map(|i| reference[i]);
+                let got = |m: Option<Message>| m.map(|m| (m.src, m.tag, m.payload[0]));
+                let label = format!("seed {seed} step {step}: {src:?} {tag:?} set {set:?}");
+                match rng.gen_range(0..7) {
+                    0 | 1 => {
+                        let (s, t) = (rng.gen_range(0..NP), rng.gen_range(0..TAGS));
+                        comms[s].send(0, t, vec![next_id]);
+                        reference.push_back((s, t, next_id));
+                        next_id = next_id.wrapping_add(1);
+                        continue;
+                    }
+                    2 if use_set => {
+                        let m = me.recv_tags_deadline(src, &set, Duration::ZERO);
+                        assert_eq!(got(m), want, "{label}: recv_tags_deadline");
+                    }
+                    2 => {
+                        let m = me.recv_deadline(src, tag, Duration::ZERO);
+                        assert_eq!(got(m), want, "{label}: recv_deadline");
+                    }
+                    3 if want.is_some() && !use_set => {
+                        assert_eq!(got(Some(me.recv(src, tag))), want, "{label}: recv");
+                    }
+                    4 if want.is_some() && !use_set => {
+                        let info = me.probe(src, tag);
+                        assert_eq!(Some((info.src, info.tag)), want.map(|w| (w.0, w.1)), "{label}");
+                        continue;
+                    }
+                    5 if !use_set => {
+                        let info = me.iprobe(src, tag).map(|i| (i.src, i.tag));
+                        assert_eq!(info, want.map(|w| (w.0, w.1)), "{label}: iprobe");
+                        continue;
+                    }
+                    _ if !use_set => {
+                        assert_eq!(got(me.try_recv(src, tag)), want, "{label}: try_recv");
+                    }
+                    _ => continue,
+                }
+                if let Some(i) = hit {
+                    reference.remove(i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Stress tests: many ranks, mixed traffic, no deadlocks, nothing lost.
 
 use mpisim::{Source, TagSel, Topology, Universe};
+use std::time::Duration;
+
+/// How long a server waits on a quiet mailbox before looking again.
+const POLL: Duration = Duration::from_millis(1);
 
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -75,16 +79,16 @@ fn full_mesh_request_response() {
                 let mut done = 0;
                 let mut served = 0u64;
                 loop {
-                    let info = comm.probe_tags(Source::Any, &[REQ, DONE]);
-                    if info.tag == DONE {
-                        comm.recv(Source::Rank(info.src), TagSel::Tag(DONE));
+                    let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, DONE], POLL) else {
+                        continue;
+                    };
+                    if m.tag == DONE {
                         done += 1;
                         if done == NP {
                             return served;
                         }
                         continue;
                     }
-                    let m = comm.recv(Source::Rank(info.src), TagSel::Tag(REQ));
                     let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
                     comm.send(m.src, RESP, (x * 3).to_le_bytes().to_vec());
                     served += 1;
@@ -110,6 +114,54 @@ fn full_mesh_request_response() {
             assert_eq!(a, i as u64 * 3);
         }
     }
+}
+
+/// Every rank posts thousands of requests before it awaits the first
+/// reply — base-mode Step IV keeping a whole round in flight — while its
+/// server answers everyone else's. Correctness only: each reply answers
+/// its own request, per-peer replies come back in request order, and
+/// nothing is lost or left over.
+#[test]
+fn thousands_of_requests_in_flight_per_rank() {
+    const NP: usize = 4;
+    const POSTED: u64 = 2_000;
+    const REQ: u32 = 1;
+    const RESP: u32 = 2;
+    const DONE: u32 = 3;
+    Universe::new(NP).run(|comm| {
+        let me = comm.rank();
+        let peer_of = |i: u64| (me + 1 + (i as usize % (NP - 1))) % NP;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut done = 0;
+                while done < NP {
+                    let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, DONE], POLL) else {
+                        continue;
+                    };
+                    if m.tag == DONE {
+                        done += 1;
+                        continue;
+                    }
+                    let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                    comm.send(m.src, RESP, (x ^ 0xA5).to_le_bytes().to_vec());
+                }
+            });
+            for i in 0..POSTED {
+                let x = (me as u64) << 32 | i;
+                comm.send(peer_of(i), REQ, x.to_le_bytes().to_vec());
+            }
+            for i in 0..POSTED {
+                let resp = comm.recv(Source::Rank(peer_of(i)), TagSel::Tag(RESP));
+                let x = u64::from_le_bytes(resp.payload[..8].try_into().unwrap());
+                assert_eq!(x ^ 0xA5, (me as u64) << 32 | i, "reply out of order");
+            }
+            for dst in 0..NP {
+                comm.send(dst, DONE, Vec::new());
+            }
+        });
+        comm.barrier();
+        assert!(comm.iprobe(Source::Any, TagSel::Any).is_none(), "stray message");
+    });
 }
 
 /// Collectives interleaved with p2p traffic across a multi-node topology.

@@ -555,15 +555,14 @@ pub(crate) fn comm_thread(
     let mut served = ServedCounts::default();
     let mut scratch = WireWriter::with_capacity(64);
     loop {
-        let Some(info) = comm.probe_tags_deadline(Source::Any, &req_tags, SERVER_POLL) else {
+        let Some(msg) = comm.recv_tags_deadline(Source::Any, &req_tags, SERVER_POLL) else {
             if shutdown.load(Ordering::Acquire) {
                 return served;
             }
             continue;
         };
-        let msg = comm.recv(Source::Rank(info.src), TagSel::Tag(info.tag));
         if msg.tag == TAG_STEAL_REQ {
-            let state = steal.expect("steal tag probed without steal state");
+            let state = steal.expect("steal tag received without steal state");
             let seq = decode_steal_request(&msg.payload);
             let payload = {
                 let mut st = state.lock().expect("steal lock");
@@ -584,7 +583,7 @@ pub(crate) fn comm_thread(
             continue;
         }
         if msg.tag == TAG_STEAL_ACK {
-            let state = steal.expect("steal tag probed without steal state");
+            let state = steal.expect("steal tag received without steal state");
             let seq = decode_steal_ack(&msg.payload);
             let mut st = state.lock().expect("steal lock");
             st.handed_out.retain(|(src, s, _)| !(*src == msg.src && *s == seq));
@@ -626,11 +625,11 @@ pub(crate) struct WireTransport<'a> {
     /// Base per-request deadline; `None` = block indefinitely (the
     /// fault-free fast path).
     lookup_deadline: Option<Duration>,
-    /// Batch responses that arrived while awaiting an earlier sequence
-    /// number — a later batch of the same wave, reordered ahead or sent
-    /// to the same owner — parked until their own await comes around.
-    /// Every batch in flight is awaited, so a wave leaves this empty.
-    batch_stash: FxHashMap<u64, BatchResponse>,
+    /// Replies that arrived while an earlier sequence number was awaited
+    /// — a later request of the same round or wave to the same owner,
+    /// reordered ahead — parked until their own await comes around.
+    /// Every request in flight is awaited, so a round leaves this empty.
+    stash: FxHashMap<u64, Reply>,
     /// Reused encode buffer — no fresh `Vec` per request.
     scratch: WireWriter,
     /// Seconds spent sending and awaiting.
@@ -661,21 +660,22 @@ impl Transport for WireTransport<'_> {
     }
 
     /// Receive from `from` on the reply tag of `req` until the reply
-    /// stamped `seq` arrives or the attempt's deadline passes. Anything
-    /// else on that tag answers a request this worker already resolved
-    /// or gave up on (duplicated, or late) and is dropped — except a
-    /// batch response to a *later* sequence number, which is parked.
+    /// stamped `seq` arrives or the attempt's deadline passes. Requests
+    /// are awaited in sequence order, so a reply to an earlier number
+    /// answers one this worker already resolved or gave up on
+    /// (duplicated, or late) and is dropped, and a reply to a *later*
+    /// number is parked. A response to an earlier steal round is safe to
+    /// drop too: the victim's resend cache answers a retry with the same
+    /// chunk.
     fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
         let start = Instant::now();
         let reply = 'matched: {
+            if let Some(parked) = self.stash.remove(&seq) {
+                break 'matched Some(parked);
+            }
             let tag = match req {
                 Request::Key(_) => TAG_RESP,
-                Request::Batch { .. } => {
-                    if let Some(parked) = self.batch_stash.remove(&seq) {
-                        break 'matched Some(Reply::Batch(parked));
-                    }
-                    TAG_BATCH_RESP
-                }
+                Request::Batch { .. } => TAG_BATCH_RESP,
                 Request::Steal => TAG_STEAL_RESP,
             };
             let deadline = attempt_deadline(self.lookup_deadline, attempt);
@@ -690,35 +690,31 @@ impl Transport for WireTransport<'_> {
                         }
                     }
                 };
-                match req {
+                let (rseq, reply) = match req {
                     Request::Key(_) => {
                         let (rseq, count) = decode_response(&msg.payload);
-                        if rseq == seq {
-                            break 'matched Some(Reply::Count(count));
-                        }
+                        (rseq, Reply::Count(count))
                     }
                     Request::Batch { .. } => {
                         let (rseq, resp) = BatchResponse::decode(&msg.payload);
-                        if rseq == seq {
-                            break 'matched Some(Reply::Batch(resp));
-                        }
-                        if rseq > seq {
-                            self.batch_stash.insert(rseq, resp);
-                        }
+                        (rseq, Reply::Batch(resp))
                     }
                     Request::Steal => {
-                        // a response to an earlier steal round is safe to
-                        // drop: the victim's resend cache answers a retry
-                        // with the same chunk
                         let (rseq, resp) = StealResponse::decode(&msg.payload);
-                        if rseq == seq {
-                            self.comm.send_from_slice(from, TAG_STEAL_ACK, &encode_steal_ack(seq));
-                            break 'matched Some(Reply::Chunk(resp.chunk));
-                        }
+                        (rseq, Reply::Chunk(resp.chunk))
                     }
+                };
+                if rseq == seq {
+                    break 'matched Some(reply);
+                }
+                if rseq > seq {
+                    self.stash.insert(rseq, reply);
                 }
             }
         };
+        if let Some(Reply::Chunk(_)) = reply {
+            self.comm.send_from_slice(from, TAG_STEAL_ACK, &encode_steal_ack(seq));
+        }
         self.comm_secs += start.elapsed().as_secs_f64();
         reply
     }
@@ -735,7 +731,7 @@ impl<'a> LookupRouter<'a, WireTransport<'a>> {
             comm,
             universal: cfg.heuristics.universal,
             lookup_deadline: cfg.lookup_deadline,
-            batch_stash: FxHashMap::default(),
+            stash: FxHashMap::default(),
             scratch: WireWriter::with_capacity(64),
             comm_secs: 0.0,
         };
@@ -1001,8 +997,11 @@ mod tests {
     /// The wire transport against a scripted owner: two batches of one
     /// wave in flight to the same owner answered in reverse order, the
     /// early one twice; then a late duplicate of the first wave ahead of
-    /// the second wave's answer. Every key gets its own batch's count,
-    /// nothing retries, nothing degrades, and the stash ends empty.
+    /// the second wave's answer; then a base-mode round of four
+    /// single-key requests answered out of order, with a duplicate of a
+    /// later reply and a late duplicate of an earlier one. Every key gets
+    /// its own request's count, nothing retries, nothing degrades, and
+    /// the stash ends empty.
     #[test]
     fn wire_transport_matches_reordered_and_duplicated_batches_by_seq() {
         use crate::protocol::MAX_BATCH_KEYS;
@@ -1030,6 +1029,14 @@ mod tests {
                 for msg in [&second, &third] {
                     comm.send(0, TAG_BATCH_RESP, answer(msg));
                 }
+                let singles: Vec<Message> = (0..4).map(|_| from_worker(TAG_KMER_REQ)).collect();
+                for i in [3, 3, 1, 0, 1, 2] {
+                    let (seq, req) = LookupRequest::decode(TAG_KMER_REQ, &singles[i].payload);
+                    let LookupRequest::Kmer(key) = req else { unreachable!("k-mer request") };
+                    let mut reply = WireWriter::default();
+                    encode_response_into(seq, Some(count_of(key)), &mut reply);
+                    comm.send(0, TAG_RESP, reply.finish());
+                }
                 return;
             }
             let tables = RankTables {
@@ -1052,13 +1059,22 @@ mod tests {
             for wave in [wave1, wave2] {
                 let missing = PrefetchKeys { kmers: wave.to_vec(), tiles: Vec::new() };
                 router.fetch(&missing, &mut cache);
-                assert!(router.transport.batch_stash.is_empty(), "a wave empties the stash");
+                assert!(router.transport.stash.is_empty(), "a wave empties the stash");
             }
             for &key in &keys {
                 assert_eq!(cache.kmer(key), Some(count_of(key)), "key {key}");
             }
+            for &key in &keys[..4] {
+                assert_eq!(router.ask_kmer(key), None, "owned by rank 1: a request");
+            }
+            let mut answers = Vec::new();
+            router.exchange(&mut answers);
+            let want: Vec<Option<u32>> = keys[..4].iter().map(|&k| Some(count_of(k))).collect();
+            assert_eq!(answers, want);
+            assert!(router.transport.stash.is_empty(), "a round empties the stash");
             let s = router.stats;
             assert_eq!((s.batches_sent, s.batched_keys), (3, keys.len() as u64));
+            assert_eq!((s.remote_kmer_lookups, s.remote_messages), (4, 7));
             assert_eq!((s.requests_retried, s.deadline_misses, s.keys_degraded), (0, 0, 0));
         });
     }

@@ -36,18 +36,19 @@
 //! the server is stateless and idempotent (lookups are pure reads of an
 //! immutable table) and simply echoes the seq into its response. Under a
 //! fault plan the worker re-sends an unanswered request **with the same
-//! seq** after its deadline (exponential backoff), and discards any
-//! response whose seq is not the one it is currently waiting for — that
-//! single rule dedups responses to duplicated or retried requests and
-//! survives reordering. The fault-free path uses the identical encoding
+//! seq** after its deadline (exponential backoff). Requests are awaited
+//! in seq order, so a response to an earlier seq answers one already
+//! resolved or given up (duplicated, retried, late) and is discarded,
+//! and a response to a later seq is parked until its await comes round —
+//! the rule that dedups responses and survives reordering. The fault-free path uses the identical encoding
 //! (one protocol, no mode split); a run without deadline simply blocks
 //! on the first response, which always has the expected seq because the
 //! per-pair channel is FIFO and nothing is lost.
 //!
 //! Termination is a collective concern, not a p2p one: after its last
 //! read, each worker enters a barrier, then raises its rank's local
-//! shutdown flag; the comm thread polls with
-//! [`mpisim::Comm::probe_tags_deadline`] and exits once the flag is up
+//! shutdown flag; the comm thread takes requests with
+//! [`mpisim::Comm::recv_tags_deadline`] and exits once the flag is up
 //! and its mailbox holds no pending request. (Earlier revisions counted
 //! per-rank `DONE` messages, which cannot survive a fault plan that may
 //! drop, duplicate, or never deliver them.)
@@ -95,7 +96,7 @@ pub const TAG_STEAL_ACK: u32 = 0x19;
 pub const MAX_BATCH_KEYS: usize = 1 << 16;
 
 /// A decoded lookup request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LookupRequest {
     /// K-mer count request (normalized code).
     Kmer(u64),

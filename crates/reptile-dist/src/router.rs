@@ -20,6 +20,9 @@
 //! * the **wave fetch** of aggregate mode: one wave's missing keys split
 //!   by owner, every batch of the wave sent before the first reply is
 //!   awaited, the fetched counts stored in the [`WaveCache`];
+//! * the **round exchange** of base mode: one single-key request per
+//!   non-resident lookup of the sequential walk, the whole round sent
+//!   before the first reply is awaited;
 //! * [`LookupRouter::correct_chunk`], the entry point of the threaded
 //!   engine, the virtual engine and the serve plane.
 //!
@@ -39,12 +42,13 @@ use crate::owner::OwnerMap;
 use crate::protocol::{batch_ranges, count_to_wire, wire_to_count, BatchResponse, LookupRequest};
 use crate::report::LookupStats;
 use crate::spectrum::RankTables;
-use dnaseq::Read;
+use dnaseq::{FxHashMap, Read};
 use reptile::spectrum::{KmerSpectrum, Spectrum, TileSpectrum};
 use reptile::{
-    correct_in_waves, correct_read_with, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
-    SpectrumAccess, SpectrumKey, WalkScratch, WaveCache, WaveScratch, WaveSource,
+    correct_in_waves, Normalized, PrefetchKeys, ReadOutcome, ReptileParams, SpectrumKey, WaveCache,
+    WaveMode, WaveScratch, WaveSource,
 };
+use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 
 /// One request of the Step IV service plane, before encoding.
@@ -267,18 +271,31 @@ impl Key for u128 {
     }
 }
 
+/// One entry of a base-mode round, in ask order.
+#[derive(Clone, Copy, Debug)]
+enum Posted {
+    /// A single-key request to `owner`.
+    Key { owner: usize, req: LookupRequest },
+    /// `cache_remote`: a key this round already requested, at the given
+    /// entry — the reads-table hit the sequential walk would have had.
+    Again(usize),
+}
+
 /// Everything a router allocates while correcting, so that a caller
 /// running many routers one after another (the virtual engine's logical
 /// ranks) can hand the same buffers from one to the next.
 #[derive(Default)]
 pub(crate) struct RouterScratch {
-    /// Aggregate mode: the wave driver's state, its fetched-count cache
-    /// included, reused chunk after chunk.
+    /// The wave driver's state, its fetched-count cache included, reused
+    /// chunk after chunk.
     wave: WaveScratch,
     /// Aggregate mode: one wave's missing keys split by owning rank.
     wave_keys: Vec<PrefetchKeys>,
-    /// Base mode: the window walk's buffers.
-    walk: WalkScratch,
+    /// Base mode: the round being asked for.
+    round: Vec<Posted>,
+    /// Base mode under `cache_remote`: the round's entry for each key
+    /// requested in it.
+    requested: FxHashMap<LookupRequest, usize>,
 }
 
 /// The worker-side lookup chain of §III step IV over a [`Transport`].
@@ -358,32 +375,69 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         Err((key, owner))
     }
 
-    /// The whole chain for one key: local tiers, else a round trip to
-    /// the owner; absent at the owner and degraded both read 0.
-    fn count<K: Key>(&mut self, code: K) -> u32 {
+    /// One lookup of base mode: the local tiers, else one single-key
+    /// request to the owner queued for the round (`None`). Under
+    /// `cache_remote` a key already requested this round is the
+    /// reads-table hit it would be had the first request been answered
+    /// before it was asked again, as the sequential walk does.
+    fn ask<K: Key>(&mut self, code: K) -> Option<u32> {
         let (key, owner) = match self.local(code) {
-            Ok(count) => return count,
+            Ok(count) => return Some(count),
             Err(remote) => remote,
         };
+        let req = K::request(key);
+        let round = &mut self.scratch.round;
+        if self.cache_remote && K::tiers(&mut self.tiers).reads.is_some() {
+            match self.scratch.requested.entry(req) {
+                Entry::Occupied(first) => {
+                    *K::counters(&mut self.stats).local += 1;
+                    self.stats.cache_hits += 1;
+                    round.push(Posted::Again(*first.get()));
+                    return None;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(round.len());
+                }
+            }
+        }
         *K::counters(&mut self.stats).remote += 1;
         self.stats.remote_messages += 1;
-        let seq = self.stamp();
-        let count = match self.round_trip(owner, seq, Request::Key(K::request(key)), false, 1) {
-            Some(Reply::Count(Some(count))) => count,
+        round.push(Posted::Key { owner, req });
+        None
+    }
+
+    /// The reply to single-key request `seq` (attempt 0 already sent),
+    /// counted and cached like the sequential chain does; `None` =
+    /// degraded. Absent at the owner reads 0.
+    fn answer<K: Key>(&mut self, owner: usize, seq: u64, key: Normalized<K>) -> Option<u32> {
+        let count = match self.round_trip(owner, seq, Request::Key(K::request(key)), true, 1) {
+            Some(Reply::Count(Some(count))) => Some(count),
             Some(Reply::Count(None)) => {
                 *K::counters(&mut self.stats).remote_misses += 1;
-                0
+                Some(0)
             }
-            None => 0,
+            None => None,
             Some(other) => unreachable!("{other:?} in reply to a key request"),
         };
         if self.cache_remote {
             if let Some(reads) = &mut K::tiers(&mut self.tiers).reads {
-                reads.add_count(key, count);
+                reads.add_count(key, count.unwrap_or(0));
                 self.stats.cached_answers += 1;
             }
         }
         count
+    }
+
+    /// The sequential chain for one key, the reference the lockstep walk
+    /// is tested against: a lookup that leaves the rank is a round of
+    /// one request.
+    #[cfg(test)]
+    fn count<K: Key>(&mut self, code: K) -> u32 {
+        self.ask(code).unwrap_or_else(|| {
+            let mut answers = Vec::new();
+            self.exchange(&mut answers);
+            answers[0].unwrap_or(0)
+        })
     }
 
     /// The retry protocol for one request: send, await the reply stamped
@@ -434,10 +488,12 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
     }
 
     /// Correct a chunk of reads in place, calling `done(index, outcome,
-    /// degraded)` once per read, as soon as it is finished. Base mode
-    /// corrects read by read, every non-local lookup a round trip of its
-    /// own; aggregate mode hands the chunk to the wave driver, which learns
-    /// from the walk itself which counts to fetch and gets them through
+    /// degraded)` once per read, as soon as it is finished. The wave
+    /// driver walks every read of the chunk in rounds. Base mode asks
+    /// what the sequential walk asks, each non-resident lookup one
+    /// single-key request, and sends a round's requests all before it
+    /// awaits the first ([`WaveSource::exchange`]); aggregate mode learns
+    /// from the walk which counts to fetch and gets them through
     /// [`WaveSource::fetch`] — no single-key request is ever sent.
     ///
     /// `degraded` says whether a count the read's walk saw may have been
@@ -450,23 +506,15 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         params: &ReptileParams,
         mut done: impl FnMut(usize, ReadOutcome, bool),
     ) {
-        if self.aggregate {
-            let mut wave = std::mem::take(&mut self.scratch.wave);
-            let before = self.stats.keys_degraded;
-            let waves = correct_in_waves(reads, params, &mut wave, self, |router, i, outcome| {
-                done(i, outcome, router.stats.keys_degraded > before)
-            });
-            self.scratch.wave = wave;
-            self.stats.add_wave_hits(&waves);
-        } else {
-            let mut walk = std::mem::take(&mut self.scratch.walk);
-            for (i, read) in reads.iter_mut().enumerate() {
-                let before = self.stats.keys_degraded;
-                let outcome = correct_read_with(read, self, params, &mut walk);
-                done(i, outcome, self.stats.keys_degraded > before);
-            }
-            self.scratch.walk = walk;
-        }
+        let aggregate = self.aggregate;
+        let mode = if aggregate { WaveMode::Aggregate } else { WaveMode::Lockstep };
+        let mut wave = std::mem::take(&mut self.scratch.wave);
+        let before = self.stats.keys_degraded;
+        let waves = correct_in_waves(reads, params, mode, &mut wave, self, |router, i, o, own| {
+            done(i, o, own || aggregate && router.stats.keys_degraded > before)
+        });
+        self.scratch.wave = wave;
+        self.stats.add_wave_hits(&waves);
     }
 }
 
@@ -531,9 +579,56 @@ impl<T: Transport> WaveSource for LookupRouter<'_, T> {
         }
         self.scratch.wave_keys = per_owner;
     }
+
+    fn ask_kmer(&mut self, key: u64) -> Option<u32> {
+        self.ask(key)
+    }
+
+    fn ask_tile(&mut self, key: u128) -> Option<u32> {
+        self.ask(key)
+    }
+
+    /// One base-mode round: every queued request goes out, then each is
+    /// awaited in turn, in queue order, under the retry protocol. Sends
+    /// are buffered and owners always answer, so a round cannot deadlock
+    /// however many requests it carries; replies are matched by sequence
+    /// number, so arrival order does not matter.
+    fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
+        let mut round = std::mem::take(&mut self.scratch.round);
+        self.scratch.requested.clear();
+        let mut seqs = self.next_seq..;
+        for posted in &round {
+            if let Posted::Key { owner, req } = *posted {
+                let seq = self.stamp();
+                self.transport.send(owner, seq, Request::Key(req), 0);
+            }
+        }
+        let start = answers.len();
+        for posted in &round {
+            let answer = match *posted {
+                Posted::Key { owner, req } => {
+                    let seq = seqs.next().expect("a sequence number per request");
+                    match req {
+                        LookupRequest::Kmer(key) => {
+                            self.answer(owner, seq, Normalized::assume(key))
+                        }
+                        LookupRequest::Tile(key) => {
+                            self.answer(owner, seq, Normalized::assume(key))
+                        }
+                    }
+                }
+                // not this read's own lookup: a cache hit never degrades
+                Posted::Again(first) => Some(answers[start + first].unwrap_or(0)),
+            };
+            answers.push(answer);
+        }
+        round.clear();
+        self.scratch.round = round;
+    }
 }
 
-impl<T: Transport> SpectrumAccess for LookupRouter<'_, T> {
+#[cfg(test)]
+impl<T: Transport> reptile::SpectrumAccess for LookupRouter<'_, T> {
     fn kmer_count(&mut self, code: u64) -> u32 {
         self.count(code)
     }
@@ -546,6 +641,8 @@ impl<T: Transport> SpectrumAccess for LookupRouter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::HeuristicConfig;
+    use reptile::{correct_read_with, enumerate_read_keys, LocalSpectra, SpectrumAccess};
 
     fn params() -> ReptileParams {
         ReptileParams::for_tests()
@@ -887,5 +984,246 @@ mod tests {
                 ..LookupStats::default()
             },
         );
+    }
+
+    /// Reads over a random genome, everything drawn from `seed`: low- and
+    /// high-quality substitutions, `N`s, reads shorter than a tile and
+    /// lengths the stride does not divide, either strand handling.
+    fn random_reads(seed: u64) -> (Vec<Read>, ReptileParams) {
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = dnaseq::mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state % n
+        };
+        let p = ReptileParams {
+            k: 6,
+            tile_overlap: 3,
+            canonical: draw(2) == 0,
+            ..ReptileParams::for_tests()
+        };
+        let genome: Vec<u8> = (0..80 + draw(120)).map(|_| b"ACGT"[draw(4) as usize]).collect();
+        let reads = (0..40 + draw(60))
+            .map(|id| {
+                let len = (4 + draw(40) as usize).min(genome.len());
+                let at = draw((genome.len() - len + 1) as u64) as usize;
+                let mut seq = genome[at..at + len].to_vec();
+                let mut qual = vec![35u8; len];
+                for _ in 0..draw(4) {
+                    let pos = draw(len as u64) as usize;
+                    seq[pos] = b"ACGTN"[draw(5) as usize];
+                    qual[pos] = [4, 12, 30][draw(3) as usize];
+                }
+                Read::new(id + 1, seq, qual)
+            })
+            .collect();
+        (reads, p)
+    }
+
+    /// A reads table over `reads`: the global count of every key their
+    /// windows name.
+    fn reads_table<K: Key>(
+        mut table: Spectrum<K>,
+        keys: impl Fn(&PrefetchKeys) -> &[K],
+        reads: &[Read],
+        p: &ReptileParams,
+        global: &Spectrum<K>,
+    ) -> Spectrum<K> {
+        let mut named = PrefetchKeys::default();
+        reads.iter().for_each(|r| enumerate_read_keys(r, p, &mut named));
+        named.finish();
+        for &key in keys(&named) {
+            let key = Normalized::assume(key);
+            table.add_count(key, global.count_at(key));
+        }
+        table
+    }
+
+    /// Rank `me`'s tiers under `heur` over the global spectrum: every
+    /// tier a heuristic switches on answers with the global count, the
+    /// way the built tables do for the keys routed to them.
+    fn tiers_over<'a>(
+        owners: &'a OwnerMap,
+        me: usize,
+        heur: &HeuristicConfig,
+        hot_owners: &'a [bool],
+        global: &'a LocalSpectra,
+        mine: &[Read],
+        p: &ReptileParams,
+    ) -> Tiers<'a> {
+        let reads = heur.keep_read_tables;
+        Tiers {
+            owners,
+            me,
+            group: heur.partial_group,
+            hot_owners,
+            kmers: KindTiers {
+                replicated: heur.replicate_kmers.then_some(&global.kmers),
+                local: &global.kmers,
+                hot: Some(&global.kmers),
+                reads: reads.then(|| {
+                    let empty = KmerSpectrum::new(p.kmer_codec(), p.canonical);
+                    reads_table(empty, |k| &k.kmers, mine, p, &global.kmers)
+                }),
+            },
+            tiles: KindTiers {
+                replicated: heur.replicate_tiles.then_some(&global.tiles),
+                local: &global.tiles,
+                hot: Some(&global.tiles),
+                reads: reads.then(|| {
+                    let empty = TileSpectrum::new(p.tile_codec(), p.canonical);
+                    reads_table(empty, |k| &k.tiles, mine, p, &global.tiles)
+                }),
+            },
+        }
+    }
+
+    /// One exactness case: for every rank of `np`, lockstep
+    /// `correct_chunk` over random chunks of the rank's reads against the
+    /// sequential reference — `correct_read_with` over the router itself,
+    /// read after read — gives the same bytes, the same `ReadOutcome`s and
+    /// the same `LookupStats`, whole.
+    fn lockstep_case(
+        seed: u64,
+        np: usize,
+        name: &str,
+        heur: HeuristicConfig,
+    ) -> Result<(), String> {
+        let (reads, p) = random_reads(seed);
+        let global = LocalSpectra::build(&reads, &p);
+        let owners = OwnerMap::new(np, &p);
+        let cfg = EngineConfig { heuristics: heur, ..EngineConfig::new(np, p) };
+        for me in 0..np {
+            let mine: Vec<Read> = reads.iter().skip(me).step_by(np).cloned().collect();
+            // hot shards: one other owner's keys come from a replica
+            let hot_owners: Vec<bool> =
+                (0..np).map(|o| name == "hot" && o == (me + 1) % np).collect();
+            let router = |tiers| {
+                let transport = Scripted {
+                    kmers: &global.kmers,
+                    tiles: &global.tiles,
+                    lose: 0,
+                    chunk: None,
+                    log: Vec::new(),
+                };
+                LookupRouter::new(tiers, transport, &cfg, RouterScratch::default())
+            };
+            let tiers = || tiers_over(&owners, me, &heur, &hot_owners, &global, &mine, &p);
+            let mut sequential = router(tiers());
+            let mut want = mine.clone();
+            let mut scratch = reptile::WalkScratch::default();
+            let want_outcomes: Vec<ReadOutcome> = want
+                .iter_mut()
+                .map(|read| correct_read_with(read, &mut sequential, &p, &mut scratch))
+                .collect();
+
+            let mut lockstep = router(tiers());
+            let mut got = mine.clone();
+            let mut outcomes = vec![None; got.len()];
+            let mut at = 0;
+            let mut chunk_len = 1 + seed as usize % 23;
+            while at < got.len() {
+                let end = (at + chunk_len).min(got.len());
+                lockstep.correct_chunk(&mut got[at..end], &p, |i, outcome, degraded| {
+                    assert!(!degraded, "fault-free");
+                    assert!(outcomes[at + i].replace(outcome).is_none(), "read finished twice");
+                });
+                at = end;
+                chunk_len = chunk_len * 2 + 1;
+            }
+            let label = format!("seed {seed:#x} np {np} {name} rank {me}");
+            if got != want {
+                return Err(format!("{label}: corrected bytes differ"));
+            }
+            if outcomes.into_iter().map(Option::unwrap).ne(want_outcomes) {
+                return Err(format!("{label}: outcomes differ"));
+            }
+            if lockstep.stats != sequential.stats {
+                return Err(format!(
+                    "{label}: stats differ\n lockstep   {:?}\n sequential {:?}",
+                    lockstep.stats, sequential.stats
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Lockstep base mode asks exactly what the sequential walk asks:
+    /// identical bytes, outcomes and per-rank `LookupStats` over random
+    /// reads × np × every heuristic set that shapes the routing order.
+    #[test]
+    fn lockstep_rounds_equal_the_sequential_walk() {
+        let base = HeuristicConfig::base();
+        let read_tables = HeuristicConfig { keep_read_tables: true, ..base };
+        let sets = [
+            ("base", base),
+            ("universal", HeuristicConfig { universal: true, ..base }),
+            ("keep_read_tables", read_tables),
+            ("cache_remote", HeuristicConfig { cache_remote: true, ..read_tables }),
+            ("replicate_kmers", HeuristicConfig { replicate_kmers: true, ..base }),
+            ("replicate_tiles", HeuristicConfig { replicate_tiles: true, ..base }),
+            ("partial_group", HeuristicConfig { partial_group: 2, ..base }),
+            ("hot", HeuristicConfig { hot_shard_k: 1, ..base }),
+        ];
+        for seed in 0..12u64 {
+            let seed = dnaseq::mix64(seed);
+            for np in [2, 3, 4] {
+                for (name, heur) in &sets {
+                    let result = std::panic::catch_unwind(|| lockstep_case(seed, np, name, *heur));
+                    assert!(
+                        matches!(result, Ok(Ok(()))),
+                        "lockstep_case({seed:#x}, {np}, {name:?}): {result:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every send of a base-mode round precedes the round's first await,
+    /// each request is awaited once, in send order, and the round carries
+    /// more than one request: the round trips overlap.
+    #[test]
+    fn a_round_sends_every_request_before_the_first_await() {
+        let (reads, p) = random_reads(7);
+        let global = LocalSpectra::build(&reads, &p);
+        let owners = OwnerMap::new(3, &p);
+        let cfg = EngineConfig::new(3, p);
+        let tiers = tiers_over(&owners, 0, &cfg.heuristics, &[], &global, &reads, &p);
+        let transport = Scripted {
+            kmers: &global.kmers,
+            tiles: &global.tiles,
+            lose: 0,
+            chunk: None,
+            log: Vec::new(),
+        };
+        let mut router = LookupRouter::new(tiers, transport, &cfg, RouterScratch::default());
+        let mut chunk = reads.clone();
+        router.correct_chunk(&mut chunk, &p, |_, _, _| {});
+        let log = &router.transport.log;
+        let mut rounds = 0;
+        let mut at = 0;
+        while at < log.len() {
+            let sends: Vec<_> = log[at..]
+                .iter()
+                .map_while(|e| match *e {
+                    Event::Send { to, seq, attempt: 0 } => Some((to, seq)),
+                    _ => None,
+                })
+                .collect();
+            let awaits: Vec<_> = log[at + sends.len()..]
+                .iter()
+                .map_while(|e| match *e {
+                    Event::Recv { from, seq, attempt: 0 } => Some((from, seq)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!sends.is_empty(), "round {rounds}: an await before any send");
+            assert_eq!(sends, awaits, "round {rounds}: each send awaited once, in order");
+            at += sends.len() + awaits.len();
+            rounds += 1;
+        }
+        let sent = log.len() as u64 / 2;
+        assert_eq!(sent, router.stats.remote_messages);
+        assert_eq!(sent, router.stats.remote_total(), "one message per remote lookup");
+        assert!(sent > 2 * rounds, "{sent} requests in {rounds} rounds: no overlap");
     }
 }

@@ -197,6 +197,8 @@ enum Startup {
 struct Shared {
     queue_depth: usize,
     max_batch: usize,
+    /// Rank workers draining the queue at once.
+    workers: usize,
     queue: Mutex<QueueState>,
     /// Signals workers on admission and close.
     notify: Condvar,
@@ -287,6 +289,7 @@ impl ServeEngine {
         let shared = Arc::new(Shared {
             queue_depth: serve.queue_depth,
             max_batch: serve.max_batch,
+            workers: cfg.np,
             queue: Mutex::new(QueueState { deque: VecDeque::new(), closed: false }),
             notify: Condvar::new(),
             completed: Mutex::new(Vec::new()),
@@ -351,7 +354,7 @@ impl ServeEngine {
             return Err(SubmitError::Backpressure {
                 read,
                 queue_len: len,
-                retry_after: Duration::from_nanos(per_req.saturating_mul(len as u64 / 4 + 1)),
+                retry_after: retry_after(per_req, len, self.shared.workers),
             });
         }
         q.deque.push_back(QueuedRequest { trace_id, enqueued: Instant::now(), read });
@@ -415,6 +418,15 @@ impl Drop for ServeEngine {
             let _ = self.join_driver();
         }
     }
+}
+
+/// The backpressure hint: the time a quarter of a `queue_len` queue
+/// (plus the request in hand) takes to drain at the engine's combined
+/// rate — `workers` ranks pulling micro-batches at once, each taking
+/// `per_req_ns` per request. Never zero.
+fn retry_after(per_req_ns: u64, queue_len: usize, workers: usize) -> Duration {
+    let one_worker = per_req_ns.max(1).saturating_mul(queue_len as u64 / 4 + 1);
+    Duration::from_nanos(one_worker.div_ceil(workers.max(1) as u64))
 }
 
 /// How long a worker sleeps on an empty queue before re-checking the
@@ -681,6 +693,17 @@ mod tests {
                 assert!(report.batches > 0 && report.mean_batch() >= 1.0);
             }
         }
+    }
+
+    /// The hint prices the drain at every worker's rate together: 4
+    /// workers at 8 µs per request clear a quarter of a 40-deep queue
+    /// (plus one) in 11 × 8 / 4 = 22 µs, a quarter of one worker's time.
+    #[test]
+    fn retry_after_prices_the_combined_drain_rate() {
+        assert_eq!(retry_after(8_000, 40, 4), Duration::from_micros(22));
+        assert_eq!(retry_after(8_000, 40, 1), Duration::from_micros(88));
+        assert_eq!(retry_after(8_000, 40, 2), retry_after(8_000, 40, 1) / 2);
+        assert_eq!(retry_after(0, 0, 8), Duration::from_nanos(1), "never zero");
     }
 
     /// The queue is bounded: a burst larger than the high-water mark is

@@ -30,8 +30,8 @@
 //! `hashKmer → readsKmer → remote request` chain. The walk itself is
 //! written once, against [`PartialAccess`], whose lookups may answer
 //! "not resident": [`correct_read`] is its always-resident instance, and
-//! [`crate::prefetch`] drives the same walk in waves to learn which
-//! counts a chunk of reads needs fetched.
+//! [`crate::prefetch`] drives the same walk over a chunk of reads in
+//! rounds, fetching what each round found missing.
 
 use crate::params::ReptileParams;
 use crate::spectrum::LocalSpectra;
@@ -191,6 +191,20 @@ pub struct WalkScratch {
 pub(crate) struct WalkProgress {
     next: usize,
     pub(crate) outcome: ReadOutcome,
+    /// Lockstep walk: the answers window `next` has had, in ask order;
+    /// `None` = asked, answer not in yet.
+    pub(crate) answers: Vec<Option<u32>>,
+    /// Lockstep walk: one of this read's own answers was degraded.
+    pub(crate) degraded: bool,
+}
+
+impl WalkProgress {
+    /// Start a new read, keeping the answer log's allocation.
+    pub(crate) fn reset(&mut self) {
+        let mut answers = std::mem::take(&mut self.answers);
+        answers.clear();
+        *self = WalkProgress { answers, ..WalkProgress::default() };
+    }
 }
 
 /// The parameters and codecs one walk needs, derived once per caller.
@@ -198,6 +212,42 @@ pub(crate) struct Walk<'a> {
     params: &'a ReptileParams,
     tcodec: dnaseq::TileCodec,
     kcodec: dnaseq::KmerCodec,
+    /// Ask only what the sequential walk asks: a missing tile does not
+    /// pull its k-mers forward ([`Walk::pass_lockstep`]).
+    lockstep: bool,
+}
+
+/// The lockstep walk's view of an access: the asks of a window first
+/// replay the answers it already has, and whatever it asks beyond them
+/// goes to the access and is logged.
+struct Replay<'a, A> {
+    answers: &'a mut Vec<Option<u32>>,
+    asked: usize,
+    access: &'a mut A,
+}
+
+impl<A: PartialAccess> Replay<'_, A> {
+    #[inline]
+    fn ask(&mut self, ask: impl FnOnce(&mut A) -> Option<u32>) -> Option<u32> {
+        if self.asked == self.answers.len() {
+            let answer = ask(self.access);
+            self.answers.push(answer);
+        }
+        self.asked += 1;
+        self.answers[self.asked - 1]
+    }
+}
+
+impl<A: PartialAccess> PartialAccess for Replay<'_, A> {
+    #[inline]
+    fn kmer(&mut self, key: u64) -> Option<u32> {
+        self.ask(|access| access.kmer(key))
+    }
+
+    #[inline]
+    fn tile(&mut self, key: u128) -> Option<u32> {
+        self.ask(|access| access.tile(key))
+    }
 }
 
 /// What the walk decided about one window.
@@ -216,7 +266,13 @@ enum Verdict {
 
 impl<'a> Walk<'a> {
     pub(crate) fn new(params: &'a ReptileParams) -> Walk<'a> {
-        Walk { params, tcodec: params.tile_codec(), kcodec: params.kmer_codec() }
+        Walk { params, tcodec: params.tile_codec(), kcodec: params.kmer_codec(), lockstep: false }
+    }
+
+    /// The walk that asks for a key only where the sequential walk does,
+    /// in its order, once: see [`Walk::pass_lockstep`].
+    pub(crate) fn lockstep(params: &'a ReptileParams) -> Walk<'a> {
+        Walk { lockstep: true, ..Walk::new(params) }
     }
 
     /// Tile windows of a read of `read_len` bases: one per stride, plus
@@ -289,6 +345,36 @@ impl<'a> Walk<'a> {
         settled
     }
 
+    /// The lockstep walk's pass: none of [`Walk::pass`]'s looking ahead.
+    /// It stops at the first window that waits, having asked for exactly
+    /// the keys the sequential walk asks next (a window asks in at most
+    /// three groups — its tile, its two k-mers, its neighbour tiles — and
+    /// every member of a group is named before any of its answers is
+    /// needed). The next pass replays that window's answers from
+    /// `progress.answers` instead of asking again. Returns whether the
+    /// read is finished.
+    pub(crate) fn pass_lockstep(
+        &self,
+        read: &mut Read,
+        progress: &mut WalkProgress,
+        access: &mut impl PartialAccess,
+        scratch: &mut WalkScratch,
+    ) -> bool {
+        debug_assert!(self.lockstep, "a lockstep pass of a speculative walk");
+        for w in progress.next..self.windows(read.len()) {
+            let start = self.start(w, read.len());
+            let answers = &mut progress.answers;
+            let mut replay = Replay { answers, asked: 0, access: &mut *access };
+            let Some(verdict) = self.evaluate(read, start, &mut replay, scratch, true) else {
+                return false;
+            };
+            progress.answers.clear();
+            self.settle(read, start, verdict, &mut progress.outcome);
+            progress.next = w + 1;
+        }
+        true
+    }
+
     /// Decide one window from the bases as they stand, or return `None`
     /// when a key it needs is not resident (every such key has then been
     /// asked for). With `search` off the window stops short of the
@@ -312,11 +398,13 @@ impl<'a> Walk<'a> {
             (kmer_key(kcodec, first, params.canonical), kmer_key(kcodec, second, params.canonical))
         };
         let Some(tile_count) = access.tile(tile_key(tcodec, raw_tile, params.canonical)) else {
-            // the k-mers are wanted unless the tile turns out solid; ask
-            // now rather than spend a pass finding out
-            let (first_key, second_key) = kmer_keys();
-            access.kmer(first_key);
-            access.kmer(second_key);
+            // the k-mers are wanted unless the tile turns out solid; the
+            // speculative walk asks now rather than spend a pass finding out
+            if !self.lockstep {
+                let (first_key, second_key) = kmer_keys();
+                access.kmer(first_key);
+                access.kmer(second_key);
+            }
             return None;
         };
         if tile_count >= params.tile_threshold {

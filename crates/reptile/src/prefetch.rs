@@ -1,30 +1,38 @@
-//! Demand-driven wave prefetch for batched (aggregated) remote lookups.
+//! Correcting a chunk of reads against a spectrum that is only partly
+//! resident: the rounds of Step IV.
 //!
-//! The distributed engine's base mode resolves every non-local spectrum
-//! count with a synchronous one-key round trip, so a read with `m`
-//! missing keys pays `m` network latencies. Systems that scale past
-//! this (diBELLA, the Extreme-Scale Metagenome Assembly work) aggregate
-//! requests per destination rank into vectorized messages — and they
-//! aggregate the lookups a pass has *shown* it needs, not every lookup
-//! it could conceivably make.
+//! A read corrected on its own pays one network latency per missing
+//! count. Systems that scale past this (diBELLA, the Extreme-Scale
+//! Metagenome Assembly work) keep many requests in flight, and ask for
+//! the lookups a pass has *shown* it needs, not every lookup it could
+//! conceivably make. [`correct_in_waves`] does that with the corrector's
+//! own window walk ([`crate::corrector`]): it walks every unfinished read
+//! of a chunk against the counts resident so far, a window that finds a
+//! key missing names it and waits, the whole chunk's missing keys go out
+//! in one round, and the walk resumes. A read whose pass waits for
+//! nothing is corrected: that pass is [`correct_read`](crate::correct_read).
+//! Two modes ([`WaveMode`]):
 //!
-//! [`correct_in_waves`] does that with the corrector's own window walk
-//! ([`crate::corrector`]): it walks every unfinished read of a chunk
-//! against the counts resident so far; a window that finds a key missing
-//! names it and is deferred; the deduplicated missing keys of the whole
-//! chunk go to the engine's [`WaveSource::fetch`] in one round; and the
-//! walk resumes. Which keys are asked for is decided by the counts
-//! already known: neighbours only of windows that are not solid, only
-//! at the positions the k-mer prescreen leaves. A read whose pass defers
-//! nothing is corrected: that pass is
-//! [`correct_read`](crate::correct_read).
+//! * **Aggregate** — the chunk's missing keys are deduplicated and
+//!   fetched as one vectorized batch per owner ([`WaveSource::fetch`]).
+//!   The walk looks ahead to fill each wave: a missing tile pulls its
+//!   k-mers along, and windows past a waiting one are evaluated on the
+//!   bases they will most likely see.
+//! * **Lockstep** — the paper's one request per lookup, latency hidden
+//!   instead of paid. Each read asks exactly what the sequential walk
+//!   asks, in its order, each key once ([`WaveSource::ask_kmer`]): its
+//!   pass stops at the first window that waits, and the next pass replays
+//!   that window's answers. The round's single-key requests are all sent
+//!   before the first reply is awaited ([`WaveSource::exchange`]), so the
+//!   message count is the sequential one and only the waiting overlaps.
 //!
 //! Termination is structural, not a cap: a window is evaluated on final
 //! bases once every window before it is final, and from then on it can
-//! be deferred at most twice (once for its tile and k-mer keys, once for
-//! its neighbours), because every key it names is resident on the next
-//! pass. A chunk whose longest read has `w` windows therefore needs at
-//! most `2w` fetch rounds.
+//! wait at most twice in aggregate mode (its tile and k-mer keys, then its
+//! neighbours) and three times in lockstep mode (tile, k-mers,
+//! neighbours), because every key it names is answered by the next pass.
+//! A chunk whose longest read has `w` windows therefore needs at most
+//! `2w` or `3w` rounds.
 
 use crate::corrector::{PartialAccess, ReadOutcome, Walk, WalkProgress, WalkScratch};
 use crate::params::ReptileParams;
@@ -91,18 +99,41 @@ pub fn enumerate_read_keys(read: &Read, params: &ReptileParams, out: &mut Prefet
     Walk::new(params).name_keys(read, &mut NothingResident(out));
 }
 
+/// How [`correct_in_waves`] gets the counts a chunk is missing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaveMode {
+    /// Deduplicated keys, one batch per owner and wave, looked ahead for.
+    Aggregate,
+    /// One single-key request per lookup of the sequential walk, a whole
+    /// round in flight at once.
+    Lockstep,
+}
+
 /// What [`correct_in_waves`] needs from an engine: the counts it can
-/// answer without communication, and a way to fetch the rest.
+/// answer without communication, and a way to get the rest.
 pub trait WaveSource {
-    /// Count of a normalized k-mer key if this rank holds it.
+    /// Aggregate mode: count of a normalized k-mer key if this rank
+    /// holds it. Asked again on every pass that needs the key.
     fn resident_kmer(&mut self, key: u64) -> Option<u32>;
-    /// Count of a normalized tile key if this rank holds it.
+    /// Aggregate mode: count of a normalized tile key if this rank holds
+    /// it.
     fn resident_tile(&mut self, key: u128) -> Option<u32>;
-    /// Fetch one wave: store the count of every key of `missing` (no
-    /// duplicates, none resident, none fetched before) into `cache`. A
-    /// key that cannot be fetched is stored as 0, the paper's "absent
-    /// everywhere" answer.
+    /// Aggregate mode: fetch one wave — store the count of every key of
+    /// `missing` (no duplicates, none resident, none fetched before) into
+    /// `cache`. A key that cannot be fetched is stored as 0, the paper's
+    /// "absent everywhere" answer.
     fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache);
+    /// Lockstep mode: one lookup of the sequential walk, asked once. The
+    /// count if this rank can answer it; otherwise `None`, with one
+    /// request for the key queued for the round.
+    fn ask_kmer(&mut self, key: u64) -> Option<u32>;
+    /// Lockstep mode: [`ask_kmer`](WaveSource::ask_kmer) for a tile key.
+    fn ask_tile(&mut self, key: u128) -> Option<u32>;
+    /// Lockstep mode: send every request queued since the last call, all
+    /// of them before the first reply is awaited, and append one answer
+    /// per request to `answers`, in queue order. `None` = the request
+    /// degraded; the walk reads it as 0, the paper's "absent everywhere".
+    fn exchange(&mut self, answers: &mut Vec<Option<u32>>);
 }
 
 /// The counts fetched so far for one chunk. `None` marks a key that has
@@ -146,6 +177,8 @@ pub struct WaveScratch {
     /// Indices of the reads not finished yet.
     active: Vec<usize>,
     walk: WalkScratch,
+    /// Lockstep mode: one round's answers, in request order.
+    answers: Vec<Option<u32>>,
 }
 
 /// What one [`correct_in_waves`] call did.
@@ -153,10 +186,23 @@ pub struct WaveScratch {
 pub struct WaveStats {
     /// Fetch rounds.
     pub waves: u32,
-    /// K-mer lookups answered from fetched counts.
+    /// Aggregate mode: k-mer lookups answered from fetched counts.
     pub kmer_hits: u64,
-    /// Tile lookups answered from fetched counts.
+    /// Aggregate mode: tile lookups answered from fetched counts.
     pub tile_hits: u64,
+}
+
+/// The lockstep walk's access: every new ask goes to the source.
+struct Ask<'a, S>(&'a mut S);
+
+impl<S: WaveSource> PartialAccess for Ask<'_, S> {
+    fn kmer(&mut self, key: u64) -> Option<u32> {
+        self.0.ask_kmer(key)
+    }
+
+    fn tile(&mut self, key: u128) -> Option<u32> {
+        self.0.ask_tile(key)
+    }
 }
 
 /// The walk's view of one wave: resident counts first, then fetched
@@ -204,55 +250,96 @@ impl<S: WaveSource> PartialAccess for WaveLookup<'_, S> {
 }
 
 /// Correct a chunk of reads in place against a spectrum that is only
-/// partly resident, fetching the rest in waves (see the module docs).
-/// `done(source, index, outcome)` is called once per read, as soon as it
-/// is finished, with the source as it stands then: the read has seen
-/// nothing fetched later. Bytes and [`ReadOutcome`] equal what
-/// [`correct_read`](crate::correct_read) produces over the full spectrum.
+/// partly resident, getting the rest in rounds (see the module docs).
+/// `done(source, index, outcome, degraded)` is called once per read, as
+/// soon as it is finished, with the source as it stands then: the read has
+/// seen nothing fetched later. `degraded` says one of the read's own
+/// lockstep answers degraded (always false in aggregate mode). Bytes and
+/// [`ReadOutcome`] equal what [`correct_read`](crate::correct_read)
+/// produces over the full spectrum.
 pub fn correct_in_waves<S: WaveSource>(
     reads: &mut [Read],
     params: &ReptileParams,
+    mode: WaveMode,
     scratch: &mut WaveScratch,
     source: &mut S,
-    mut done: impl FnMut(&S, usize, ReadOutcome),
+    mut done: impl FnMut(&S, usize, ReadOutcome, bool),
 ) -> WaveStats {
-    let walk = Walk::new(params);
-    let WaveScratch { cache, missing, progress, active, walk: buffers } = scratch;
+    let lockstep = mode == WaveMode::Lockstep;
+    let walk = if lockstep { Walk::lockstep(params) } else { Walk::new(params) };
+    let WaveScratch { cache, missing, progress, active, walk: buffers, answers } = scratch;
     cache.kmers.clear();
     cache.tiles.clear();
     missing.clear();
-    progress.clear();
+    progress.truncate(reads.len());
+    progress.iter_mut().for_each(WalkProgress::reset);
     progress.resize_with(reads.len(), WalkProgress::default);
     active.clear();
     active.extend(0..reads.len());
     let most_windows = reads.iter().map(|r| walk.windows(r.len())).max().unwrap_or(0);
+    let max_waits = if lockstep { 3 } else { 2 };
     let mut stats = WaveStats::default();
     loop {
-        let mut lookup = WaveLookup {
-            source: &mut *source,
-            cache: &mut *cache,
-            missing: &mut *missing,
-            stats: &mut stats,
+        // one pass over every unfinished read; a finished one is handed
+        // back with the source as its walk left it
+        let mut finish = |source: &S, i: usize, progress: &mut WalkProgress| {
+            let outcome = std::mem::take(&mut progress.outcome);
+            done(source, i, outcome, std::mem::take(&mut progress.degraded));
         };
-        active.retain(|&i| {
-            let finished = walk.pass(&mut reads[i], &mut progress[i], &mut lookup, buffers);
-            if finished {
-                done(lookup.source, i, std::mem::take(&mut progress[i].outcome));
-            }
-            !finished
-        });
+        if lockstep {
+            let mut ask = Ask(&mut *source);
+            active.retain(|&i| {
+                let finished =
+                    walk.pass_lockstep(&mut reads[i], &mut progress[i], &mut ask, buffers);
+                if finished {
+                    finish(ask.0, i, &mut progress[i]);
+                }
+                !finished
+            });
+        } else {
+            let mut lookup = WaveLookup {
+                source: &mut *source,
+                cache: &mut *cache,
+                missing: &mut *missing,
+                stats: &mut stats,
+            };
+            active.retain(|&i| {
+                let finished = walk.pass(&mut reads[i], &mut progress[i], &mut lookup, buffers);
+                if finished {
+                    finish(lookup.source, i, &mut progress[i]);
+                }
+                !finished
+            });
+        }
         if active.is_empty() {
             return stats;
         }
         stats.waves += 1;
         assert!(
-            stats.waves as usize <= 2 * most_windows,
-            "wave {} over a chunk of at most {most_windows} windows per read: \
+            stats.waves as usize <= max_waits * most_windows,
+            "round {} over a chunk of at most {most_windows} windows per read: \
              a fetch left a requested key unanswered",
             stats.waves
         );
-        source.fetch(missing, cache);
-        missing.clear();
+        if lockstep {
+            // every unfinished read waits on requests of this round: its
+            // unanswered asks, in the order they were queued
+            answers.clear();
+            source.exchange(answers);
+            let mut replies = answers.iter();
+            for &i in active.iter() {
+                let read = &mut progress[i];
+                for answer in read.answers.iter_mut().filter(|a| a.is_none()) {
+                    let reply = *replies.next().expect("one answer per queued request");
+                    read.degraded |= reply.is_none();
+                    *answer = Some(reply.unwrap_or(0));
+                }
+            }
+            debug_assert!(replies.next().is_none(), "an answer for no queued request");
+        } else {
+            source.fetch(missing, cache);
+            missing.clear();
+        }
     }
 }
 
@@ -296,10 +383,28 @@ mod tests {
     }
 
     /// Nothing resident; every fetch is answered from the full spectra
-    /// and logged.
+    /// and logged, and so is every lockstep round.
     struct Remote<'a> {
         spectra: &'a LocalSpectra,
         waves: Vec<PrefetchKeys>,
+        /// Lockstep: the requests queued for the round in flight.
+        queued: PrefetchKeys,
+        /// Lockstep: the order of `queued` (false = k-mer).
+        queued_tile: Vec<bool>,
+        /// Lockstep: every request, round by round.
+        rounds: Vec<PrefetchKeys>,
+    }
+
+    impl<'a> Remote<'a> {
+        fn new(spectra: &'a LocalSpectra) -> Self {
+            Remote {
+                spectra,
+                waves: Vec::new(),
+                queued: PrefetchKeys::default(),
+                queued_tile: Vec::new(),
+                rounds: Vec::new(),
+            }
+        }
     }
 
     impl WaveSource for Remote<'_> {
@@ -320,6 +425,94 @@ mod tests {
             }
             self.waves.push(missing.clone());
         }
+
+        fn ask_kmer(&mut self, key: u64) -> Option<u32> {
+            self.queued.kmers.push(key);
+            self.queued_tile.push(false);
+            None
+        }
+
+        fn ask_tile(&mut self, key: u128) -> Option<u32> {
+            self.queued.tiles.push(key);
+            self.queued_tile.push(true);
+            None
+        }
+
+        fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
+            let (mut kmers, mut tiles) = (self.queued.kmers.iter(), self.queued.tiles.iter());
+            for &tile in &self.queued_tile {
+                answers.push(Some(if tile {
+                    self.spectra.tiles.count_at(Normalized::assume(*tiles.next().unwrap()))
+                } else {
+                    self.spectra.kmers.count_at(Normalized::assume(*kmers.next().unwrap()))
+                }));
+            }
+            self.queued_tile.clear();
+            self.rounds.push(std::mem::take(&mut self.queued));
+        }
+    }
+
+    /// The sequential walk's lookups, counted.
+    struct Counting<'a>(&'a mut LocalSpectra, PrefetchKeys);
+
+    impl crate::SpectrumAccess for Counting<'_> {
+        fn kmer_count(&mut self, code: u64) -> u32 {
+            self.1.kmers.push(code);
+            self.0.kmer_count(code)
+        }
+
+        fn tile_count(&mut self, code: u128) -> u32 {
+            self.1.tiles.push(code);
+            self.0.tile_count(code)
+        }
+    }
+
+    /// Lockstep rounds reproduce `correct_read` with the sequential
+    /// walk's lookups exactly: the same keys, as many times, each read's
+    /// in its order — only grouped into rounds.
+    #[test]
+    fn lockstep_rounds_ask_exactly_what_the_sequential_walk_asks() {
+        for canonical in [false, true] {
+            let p = ReptileParams { canonical, ..params() };
+            let reads = dataset();
+            let mut spectra = LocalSpectra::build(&reads, &p);
+            let mut expected = reads.clone();
+            let mut sequential = Counting(&mut spectra, PrefetchKeys::default());
+            let outcomes: Vec<ReadOutcome> =
+                expected.iter_mut().map(|r| correct_read(r, &mut sequential, &p)).collect();
+            let mut asked = sequential.1;
+            assert!(outcomes.iter().any(ReadOutcome::corrected), "dataset must exercise commits");
+
+            let mut chunk = reads.clone();
+            let mut source = Remote::new(&spectra);
+            let mut got = vec![None; reads.len()];
+            let stats = correct_in_waves(
+                &mut chunk,
+                &p,
+                WaveMode::Lockstep,
+                &mut WaveScratch::default(),
+                &mut source,
+                |_, i, o, degraded| {
+                    assert!(!degraded);
+                    assert!(got[i].replace(o).is_none(), "read {i} finished twice");
+                },
+            );
+            assert_eq!(chunk, expected);
+            assert_eq!(got.into_iter().map(Option::unwrap).collect::<Vec<_>>(), outcomes);
+            assert_eq!(stats.waves as usize, source.rounds.len());
+            assert!(source.rounds.len() > 1 && source.waves.is_empty());
+            assert!(source.rounds[0].len() >= reads.len(), "round 1 asks every read's first tile");
+            let mut rounds = PrefetchKeys::default();
+            for round in &source.rounds {
+                rounds.kmers.extend(&round.kmers);
+                rounds.tiles.extend(&round.tiles);
+            }
+            for keys in [&mut rounds, &mut asked] {
+                keys.kmers.sort_unstable();
+                keys.tiles.sort_unstable();
+            }
+            assert_eq!(rounds, asked, "canonical={canonical}");
+        }
     }
 
     #[test]
@@ -334,14 +527,15 @@ mod tests {
             assert!(outcomes.iter().any(ReadOutcome::corrected), "dataset must exercise commits");
 
             let mut chunk = reads.clone();
-            let mut source = Remote { spectra: &spectra, waves: Vec::new() };
+            let mut source = Remote::new(&spectra);
             let mut got = vec![None; reads.len()];
             let stats = correct_in_waves(
                 &mut chunk,
                 &p,
+                WaveMode::Aggregate,
                 &mut WaveScratch::default(),
                 &mut source,
-                |_, i, o| {
+                |_, i, o, _| {
                     assert!(got[i].replace(o).is_none(), "read {i} finished twice");
                 },
             );

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use reptile::spectrum::LocalSpectra;
 use reptile::{
     correct_in_waves, correct_read, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
-    SpectrumAccess, WaveCache, WaveScratch, WaveSource,
+    SpectrumAccess, WaveCache, WaveMode, WaveScratch, WaveSource,
 };
 
 fn params() -> ReptileParams {
@@ -67,6 +67,10 @@ struct SplitSpectrum<'a> {
     resident: Residency,
     requested_kmers: FxHashSet<u64>,
     requested_tiles: FxHashSet<u128>,
+    /// Lockstep: every ask, resident or not.
+    asked: PrefetchKeys,
+    /// Lockstep: the answers to the round's queued requests.
+    queued: Vec<u32>,
     /// First rule a fetch broke, if any.
     violation: Option<String>,
 }
@@ -97,23 +101,51 @@ impl WaveSource for SplitSpectrum<'_> {
             cache.put_tile(t, self.spectra.tiles.count_at(Normalized::assume(t)));
         }
     }
+
+    fn ask_kmer(&mut self, key: u64) -> Option<u32> {
+        self.asked.kmers.push(key);
+        let count = self.spectra.kmers.count_at(Normalized::assume(key));
+        self.resident.kmer(key).then_some(count).or_else(|| {
+            self.queued.push(count);
+            None
+        })
+    }
+
+    fn ask_tile(&mut self, key: u128) -> Option<u32> {
+        self.asked.tiles.push(key);
+        let count = self.spectra.tiles.count_at(Normalized::assume(key));
+        self.resident.tile(key).then_some(count).or_else(|| {
+            self.queued.push(count);
+            None
+        })
+    }
+
+    fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
+        if self.queued.is_empty() {
+            self.violation.get_or_insert("a round with no requests".into());
+        }
+        answers.extend(self.queued.drain(..).map(Some));
+    }
 }
 
-/// Records every key `correct_read` probes.
+/// Records every key `correct_read` probes, and every probe.
 struct Probed<'a> {
     spectra: &'a mut LocalSpectra,
     kmers: FxHashSet<u64>,
     tiles: FxHashSet<u128>,
+    every: &'a mut PrefetchKeys,
 }
 
 impl SpectrumAccess for Probed<'_> {
     fn kmer_count(&mut self, code: u64) -> u32 {
         self.kmers.insert(code);
+        self.every.kmers.push(code);
         self.spectra.kmer_count(code)
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
         self.tiles.insert(code);
+        self.every.tiles.push(code);
         self.spectra.tile_count(code)
     }
 }
@@ -121,7 +153,9 @@ impl SpectrumAccess for Probed<'_> {
 /// One wave-driver case, everything drawn from `seed` (call this with a
 /// failing seed to replay it): reads with `N`s, reads shorter than a
 /// tile, lengths the stride does not divide, either strand handling,
-/// strict or relaxed quality, and any share of the spectrum resident.
+/// strict or relaxed quality, any share of the spectrum resident, and
+/// either mode. In lockstep mode the asks are, key for key and as many
+/// times, the lookups of the sequential walk.
 fn wave_case(seed: u64) -> Result<(), String> {
     let mut state = seed;
     let mut draw = |n: u64| {
@@ -152,20 +186,24 @@ fn wave_case(seed: u64) -> Result<(), String> {
 
     let mut chunk = reads.clone();
     let resident = Residency { salt: draw(u64::MAX), pct: [0, 30, 70, 95][draw(4) as usize] };
+    let mode = [WaveMode::Aggregate, WaveMode::Lockstep][draw(2) as usize];
     let mut source = SplitSpectrum {
         spectra: &spectra,
         resident,
         requested_kmers: FxHashSet::default(),
         requested_tiles: FxHashSet::default(),
+        asked: PrefetchKeys::default(),
+        queued: Vec::new(),
         violation: None,
     };
     let mut outcomes: Vec<Option<ReadOutcome>> = vec![None; reads.len()];
     let stats = correct_in_waves(
         &mut chunk,
         &p,
+        mode,
         &mut WaveScratch::default(),
         &mut source,
-        |_, i, outcome| {
+        |_, i, outcome, _| {
             outcomes[i] = Some(outcome);
         },
     );
@@ -179,20 +217,27 @@ fn wave_case(seed: u64) -> Result<(), String> {
         .max()
         .unwrap_or(0);
     // the pass that finishes the last read follows the last fetch
-    if stats.waves as usize + 1 > 2 * most_windows + 1 {
-        return Err(format!("{} waves for at most {most_windows} windows", stats.waves));
+    let max_waits = if mode == WaveMode::Lockstep { 3 } else { 2 };
+    if stats.waves as usize > max_waits * most_windows {
+        return Err(format!("{mode:?}: {} rounds for at most {most_windows} windows", stats.waves));
     }
     let (requested_kmers, requested_tiles) = (source.requested_kmers, source.requested_tiles);
+    let mut asked = source.asked;
+    let mut every = PrefetchKeys::default();
     for ((original, got), outcome) in reads.iter().zip(&chunk).zip(outcomes) {
         let mut probed = Probed {
             spectra: &mut spectra,
             kmers: FxHashSet::default(),
             tiles: FxHashSet::default(),
+            every: &mut every,
         };
         let mut want = original.clone();
         let want_outcome = correct_read(&mut want, &mut probed, &p);
         if *got != want || outcome.as_ref() != Some(&want_outcome) {
             return Err(format!("read {} differs: {got:?} {outcome:?} vs {want:?}", want.id));
+        }
+        if mode == WaveMode::Lockstep {
+            continue; // checked against every probe below
         }
         if let Some(k) =
             probed.kmers.iter().find(|&&k| !resident.kmer(k) && !requested_kmers.contains(&k))
@@ -205,6 +250,21 @@ fn wave_case(seed: u64) -> Result<(), String> {
             return Err(format!("read {}: tile {t:#x} probed, never resident", want.id));
         }
     }
+    if mode == WaveMode::Lockstep {
+        for keys in [&mut asked, &mut every] {
+            keys.kmers.sort_unstable();
+            keys.tiles.sort_unstable();
+        }
+        if asked != every {
+            return Err(format!(
+                "lockstep asked {} k-mers and {} tiles, the sequential walk {} and {}",
+                asked.kmers.len(),
+                asked.tiles.len(),
+                every.kmers.len(),
+                every.tiles.len()
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -212,10 +272,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The wave driver over a partly resident spectrum is `correct_read`
-    /// over the full one: same bytes, same `ReadOutcome`; every key the
-    /// corrector probes was resident or fetched; no key is fetched twice
-    /// or needlessly; the wave count respects the structural bound. A
-    /// failure (a panic included) reports the seed to replay.
+    /// over the full one: same bytes, same `ReadOutcome`; in aggregate
+    /// mode every key the corrector probes was resident or fetched and no
+    /// key is fetched twice or needlessly, in lockstep mode the asks are
+    /// the sequential probes; the round count respects the structural
+    /// bound. A failure (a panic included) reports the seed to replay.
     #[test]
     fn waves_equal_correct_read(seed in any::<u64>()) {
         let result = std::panic::catch_unwind(|| wave_case(seed));
