@@ -21,13 +21,20 @@
 //! A blocked receive registers its selector and parks; a send wakes only
 //! the waiters whose selector matches the new message, so a reply wakes
 //! the worker and a request the communication thread, never both.
+//!
+//! The hand-off is batched below the message count: [`Comm::send_many`]
+//! enqueues a run of frames to one destination under one lock, each
+//! still its own message with its own fault decision, and
+//! [`Comm::drain_tags_deadline`] takes every pending match from one
+//! sender under one lock. A round of R requests to k owners thus takes
+//! about k locks a side, not R.
 
 use crate::collectives::CollectiveState;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultDecision, FaultPlan};
 use crate::message::{Message, MessageInfo};
-use crate::stats::RankStats;
+use crate::stats::{RankStats, SendTally};
 use crate::topology::Topology;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -233,9 +240,6 @@ impl Slots {
 
 pub(crate) struct Mailbox {
     slots: Mutex<Slots>,
-    /// Wake-ups sent to parked receivers.
-    #[cfg(test)]
-    wakes: AtomicU64,
 }
 
 impl Mailbox {
@@ -247,62 +251,87 @@ impl Mailbox {
                 waiters: Vec::new(),
                 next_waiter: 0,
             }),
-            #[cfg(test)]
-            wakes: AtomicU64::new(0),
         }
     }
 
-    /// Enqueue a message and wake the receivers it matches — after the
-    /// lock is released, so a woken thread does not block on it.
-    fn deliver(&self, msg: Message, reorder: bool, duplicate: bool) -> bool {
-        let (src, tag) = (msg.src, msg.tag);
-        let mut slots = self.slots.lock();
-        let swapped = slots.push(src, msg, reorder, duplicate);
-        let first = slots.take_waiter(src, tag);
-        let mut rest = Vec::new();
-        if first.is_some() {
-            while let Some(thread) = slots.take_waiter(src, tag) {
-                rest.push(thread);
-            }
-        }
-        drop(slots);
-        for thread in first.into_iter().chain(rest) {
-            #[cfg(test)]
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            thread.unpark();
-        }
-        swapped
-    }
-
-    /// Block until `sel` matches a pending message (or `deadline`
-    /// passes: `None`), then apply `f` to it under the lock. Parks, never
-    /// spins: a sender of a matching message wakes this thread.
+    /// Block until `sel` matches a pending message (or `timeout` passes:
+    /// `None`), then apply `f` to it under the lock. Parks, never spins:
+    /// a sender of a matching message wakes this thread. The clock is
+    /// read only once the receive has to wait, and a timeout too long to
+    /// reach (`Duration::MAX`) waits forever. Also returns how often the
+    /// lock was taken.
     fn wait<R>(
         &self,
         sel: Selector,
-        deadline: Option<Instant>,
+        timeout: Duration,
         f: impl FnOnce(&mut Slots, (usize, usize)) -> R,
-    ) -> Option<R> {
+    ) -> (Option<R>, u64) {
         let mut slots = self.slots.lock();
+        let mut locks = 1;
+        let mut deadline = None;
         loop {
             if let Some(at) = slots.find(sel) {
-                return Some(f(&mut slots, at));
+                return (Some(f(&mut slots, at)), locks);
             }
-            let timeout = match deadline {
+            let left = match *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout)) {
                 None => None,
                 Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
                     Some(left) if !left.is_zero() => Some(left),
-                    _ => return None,
+                    _ => return (None, locks),
                 },
             };
             let id = slots.register(sel);
             drop(slots);
-            match timeout {
+            match left {
                 None => std::thread::park(),
                 Some(left) => std::thread::park_timeout(left),
             }
             slots = self.slots.lock();
+            locks += 1;
             slots.unregister(id);
+        }
+    }
+}
+
+/// A sender's hold on one destination mailbox for the length of a send
+/// call: the lock is taken for the first frame that reaches the mailbox
+/// and kept for the frames after it, and the receivers they match are
+/// woken only once it is let go — at the end of the call, or before a
+/// delay or stall fault puts the sender to sleep.
+struct Hold<'a> {
+    mailbox: &'a Mailbox,
+    slots: Option<MutexGuard<'a, Slots>>,
+    woken: Vec<Thread>,
+    tally: SendTally,
+}
+
+impl<'a> Hold<'a> {
+    fn new(mailbox: &'a Mailbox) -> Hold<'a> {
+        Hold { mailbox, slots: None, woken: Vec::new(), tally: SendTally::default() }
+    }
+
+    /// Enqueue `msg` (see [`Slots::push`]) and take out the waiters it
+    /// satisfies.
+    fn push(&mut self, msg: Message, reorder: bool, duplicate: bool) {
+        let Hold { mailbox, slots, woken, tally } = self;
+        let slots = slots.get_or_insert_with(|| {
+            tally.locks += 1;
+            mailbox.slots.lock()
+        });
+        let (src, tag) = (msg.src, msg.tag);
+        tally.reordered += u64::from(slots.push(src, msg, reorder, duplicate));
+        tally.duplicated += u64::from(duplicate);
+        while let Some(thread) = slots.take_waiter(src, tag) {
+            woken.push(thread);
+        }
+    }
+
+    /// Drop the lock, then wake the receivers the frames so far matched.
+    fn release(&mut self) {
+        self.slots = None;
+        self.tally.wakes += self.woken.len() as u64;
+        for thread in self.woken.drain(..) {
+            thread.unpark();
         }
     }
 }
@@ -337,15 +366,20 @@ impl Shared {
     /// Apply the stall fault for one operation on `rank` (send or
     /// collective). No-op without a matching stall spec.
     pub(crate) fn stall_tick(&self, rank: usize) {
-        if let Some(st) = self.fault.stall {
-            if st.rank == rank {
-                let n = self.op_seq[rank].fetch_add(1, Ordering::Relaxed);
-                if n.is_multiple_of(st.every) {
-                    self.stats[rank].count_fault_stalled();
-                    std::thread::sleep(st.pause);
-                }
-            }
+        if let Some(pause) = self.stall_due(rank) {
+            std::thread::sleep(pause);
         }
+    }
+
+    /// Count one operation on `rank` against the stall fault's schedule:
+    /// the pause this operation must serve, if any (already counted).
+    fn stall_due(&self, rank: usize) -> Option<Duration> {
+        let st = self.fault.stall.filter(|st| st.rank == rank)?;
+        let n = self.op_seq[rank].fetch_add(1, Ordering::Relaxed);
+        n.is_multiple_of(st.every).then(|| {
+            self.stats[rank].count_fault_stalled();
+            st.pause
+        })
     }
 }
 
@@ -380,46 +414,74 @@ impl Comm {
     }
 
     /// Send `payload` to `dst` with `tag`. Buffered & non-blocking, like a
-    /// small-message `MPI_Send` in practice.
+    /// small-message `MPI_Send` in practice. A [`send_many`] of one frame.
     ///
-    /// If the universe carries a [`FaultPlan`], it is applied here: the
-    /// message may be dropped, duplicated, reordered (behind the next
-    /// message of its `(source, tag)` stream), or delayed, and messages on
-    /// a severed edge (either endpoint killed) are discarded.
+    /// [`send_many`]: Comm::send_many
     pub fn send(&self, dst: usize, tag: u32, payload: Vec<u8>) {
-        let nbytes = payload.len();
-        let intra = self.shared.topology.same_node(self.rank, dst);
-        let stats = &self.shared.stats[self.rank];
-        stats.count_send(nbytes, intra);
-        let fault = &self.shared.fault;
-        let mut duplicated = false;
-        let mut reordered = false;
-        if !fault.is_none() {
-            self.shared.stall_tick(self.rank);
-            if fault.severed(self.rank, dst) {
-                stats.count_fault_dropped();
-                return;
+        let bytes = payload.len();
+        self.post(dst, std::iter::once((tag, payload)), 1, bytes);
+    }
+
+    /// Send every `(tag, payload)` frame of `frames` to `dst`, in order,
+    /// and leave `frames` empty. Each frame is its own message, exactly as
+    /// if it went through its own [`send`](Comm::send) — the same fault
+    /// decision, the same counts — but the whole call takes the
+    /// destination mailbox's lock once and wakes the receivers its frames
+    /// match once, after letting go of it (compare a round of `MPI_Isend`s
+    /// that an MPI runtime coalesces below the application).
+    ///
+    /// If the universe carries a [`FaultPlan`], it is applied per frame,
+    /// in order: the frame may be dropped, duplicated, reordered (ahead
+    /// of the previous pending message of its `(source, tag)` stream), or
+    /// delayed, and frames on a severed edge (either endpoint killed) are
+    /// discarded. A delayed or stalled frame first lets go of the mailbox,
+    /// so the frames before it are delivered before the sender sleeps.
+    pub fn send_many(&self, dst: usize, frames: &mut Vec<(u32, Vec<u8>)>) {
+        let bytes = frames.iter().map(|(_, payload)| payload.len()).sum();
+        let msgs = frames.len();
+        self.post(dst, frames.drain(..), msgs, bytes);
+    }
+
+    /// The one send path: count the traffic, then decide and enqueue each
+    /// frame under one [`Hold`] on `dst`'s mailbox.
+    fn post(
+        &self,
+        dst: usize,
+        frames: impl Iterator<Item = (u32, Vec<u8>)>,
+        msgs: usize,
+        bytes: usize,
+    ) {
+        let shared = &*self.shared;
+        let stats = &shared.stats[self.rank];
+        stats.count_send(msgs, bytes, shared.topology.same_node(self.rank, dst));
+        let fault = &shared.fault;
+        let mut hold = Hold::new(&shared.mailboxes[dst]);
+        for (tag, payload) in frames {
+            let mut d = FaultDecision::default();
+            if !fault.is_none() {
+                if let Some(pause) = shared.stall_due(self.rank) {
+                    hold.release();
+                    std::thread::sleep(pause);
+                }
+                if fault.severed(self.rank, dst) {
+                    hold.tally.dropped += 1;
+                    continue;
+                }
+                d = fault.decide(self.rank, dst, self.edge_tick(dst));
+                if d.delayed {
+                    hold.release();
+                    hold.tally.delayed += 1;
+                    std::thread::sleep(fault.delay);
+                }
+                if d.dropped {
+                    hold.tally.dropped += 1;
+                    continue;
+                }
             }
-            let n = self.edge_tick(dst);
-            let d = fault.decide(self.rank, dst, n);
-            if d.delayed {
-                stats.count_fault_delayed();
-                std::thread::sleep(fault.delay);
-            }
-            if d.dropped {
-                stats.count_fault_dropped();
-                return;
-            }
-            duplicated = d.duplicated;
-            reordered = d.reordered;
+            hold.push(Message { src: self.rank, tag, payload }, d.reordered, d.duplicated);
         }
-        let msg = Message { src: self.rank, tag, payload };
-        if self.shared.mailboxes[dst].deliver(msg, reordered, duplicated) {
-            stats.count_fault_reordered();
-        }
-        if duplicated {
-            stats.count_fault_duplicated();
-        }
+        hold.release();
+        stats.count_sent(&hold.tally);
     }
 
     fn edge_tick(&self, dst: usize) -> u64 {
@@ -427,55 +489,58 @@ impl Comm {
         self.shared.edge_seq[self.rank * np + dst].fetch_add(1, Ordering::Relaxed)
     }
 
-    /// [`send`](Comm::send) from a borrowed buffer: one exact-size copy
-    /// into the transfer payload, so callers can reuse a scratch
-    /// serialization buffer across messages (MPI semantics — the send
-    /// buffer is the caller's to reuse once the call returns).
-    pub fn send_from_slice(&self, dst: usize, tag: u32, payload: &[u8]) {
-        self.send(dst, tag, payload.to_vec());
-    }
-
     fn mailbox(&self) -> &Mailbox {
         &self.shared.mailboxes[self.rank]
-    }
-
-    /// Receive the first message `sel` matches, waiting at most until
-    /// `deadline` (`None` = forever).
-    fn receive(&self, sel: Selector, deadline: Option<Instant>) -> Option<Message> {
-        let msg = self.mailbox().wait(sel, deadline, Slots::take)?;
-        self.shared.stats[self.rank].count_recv(msg.payload.len());
-        Some(msg)
     }
 
     /// Blocking receive of the first pending message matching the
     /// selectors (`MPI_Recv`).
     pub fn recv(&self, src: Source, tag: TagSel) -> Message {
-        self.receive(Selector { src, tags: tag.tags() }, None).expect("no deadline")
+        let sel = Selector { src, tags: tag.tags() };
+        let (msg, locks) = self.mailbox().wait(sel, Duration::MAX, Slots::take);
+        let msg = msg.expect("no deadline");
+        self.shared.stats[self.rank].count_recv(1, msg.payload.len(), locks);
+        msg
     }
 
-    /// Blocking receive with a deadline: like [`recv`](Comm::recv), but
-    /// returns `None` if no matching message arrives within `timeout`.
-    /// This is the primitive under the Step IV retry protocol — an MPI
-    /// code expresses it as `MPI_Irecv` + `MPI_Test` in a timed loop.
-    pub fn recv_deadline(&self, src: Source, tag: TagSel, timeout: Duration) -> Option<Message> {
-        self.receive(Selector { src, tags: tag.tags() }, Some(Instant::now() + timeout))
-    }
-
-    /// Receive over a *set* of tags, with a deadline: the first pending
-    /// message carrying any of `tags`, or `None` once `timeout` passes.
-    /// This is how a server thread that must not consume other threads'
-    /// traffic (step IV's communication thread, which leaves count
-    /// responses to the worker) takes its next request in one call, and
-    /// notices its shutdown flag on a quiet mailbox; an MPI code
-    /// expresses the same thing as an `MPI_Iprobe` loop over the tag list
-    /// followed by `MPI_Recv`.
-    pub fn recv_tags_deadline(
+    /// Take every pending message from one source over a *set* of tags,
+    /// waiting at most `timeout` for the first (`Duration::MAX` waits
+    /// forever). The first is the earliest-arrived message `src` and
+    /// `tags` match; the rest are every other pending message from *its*
+    /// sender that carries one of `tags`, appended to `out` in arrival
+    /// order under the same lock. It never waits for more than the first.
+    /// Returns how many it took: 0 once `timeout` passed with none.
+    ///
+    /// This is how step IV's communication thread takes a requester's
+    /// whole backlog in one call without consuming other threads' traffic
+    /// (it leaves count responses to the worker), answers it, and still
+    /// notices its shutdown flag on a quiet mailbox; and how a worker
+    /// takes every reply an owner has sent it. An MPI code expresses it
+    /// as an `MPI_Iprobe` loop over the tag list followed by `MPI_Recv`s.
+    pub fn drain_tags_deadline(
         &self,
         src: Source,
         tags: &[u32],
         timeout: Duration,
-    ) -> Option<Message> {
-        self.receive(Selector { src, tags: Tags::Set(tags) }, Some(Instant::now() + timeout))
+        out: &mut Vec<Message>,
+    ) -> usize {
+        let tags = Tags::Set(tags);
+        let before = out.len();
+        let (bytes, locks) = self.mailbox().wait(Selector { src, tags }, timeout, |slots, at| {
+            let from = Selector { src: Source::Rank(at.0), tags };
+            let mut bytes = 0;
+            let mut next = Some(at);
+            while let Some(at) = next {
+                let msg = slots.take(at);
+                bytes += msg.payload.len();
+                out.push(msg);
+                next = slots.find(from);
+            }
+            bytes
+        });
+        let taken = out.len() - before;
+        self.shared.stats[self.rank].count_recv(taken, bytes.unwrap_or(0), locks);
+        taken
     }
 
     /// Non-blocking receive (`MPI_Irecv` + immediate test).
@@ -483,25 +548,31 @@ impl Comm {
         let sel = Selector { src, tags: tag.tags() };
         let msg = {
             let mut slots = self.mailbox().slots.lock();
-            let at = slots.find(sel)?;
-            slots.take(at)
+            slots.find(sel).map(|at| slots.take(at))
         };
-        self.shared.stats[self.rank].count_recv(msg.payload.len());
-        Some(msg)
+        let bytes = msg.as_ref().map_or(0, |m| m.payload.len());
+        self.shared.stats[self.rank].count_recv(usize::from(msg.is_some()), bytes, 1);
+        msg
     }
 
     /// Blocking probe (`MPI_Probe`): wait until a matching message is
     /// pending and describe it without consuming it.
     pub fn probe(&self, src: Source, tag: TagSel) -> MessageInfo {
         let sel = Selector { src, tags: tag.tags() };
-        self.mailbox().wait(sel, None, |slots, at| info(slots.head(at))).expect("no deadline")
+        let (info, locks) =
+            self.mailbox().wait(sel, Duration::MAX, |slots, at| info(slots.head(at)));
+        self.shared.stats[self.rank].count_recv(0, 0, locks);
+        info.expect("no deadline")
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
     pub fn iprobe(&self, src: Source, tag: TagSel) -> Option<MessageInfo> {
-        let slots = self.mailbox().slots.lock();
-        let at = slots.find(Selector { src, tags: tag.tags() })?;
-        Some(info(slots.head(at)))
+        let found = {
+            let slots = self.mailbox().slots.lock();
+            slots.find(Selector { src, tags: tag.tags() }).map(|at| info(slots.head(at)))
+        };
+        self.shared.stats[self.rank].count_recv(0, 0, 1);
+        found
     }
 
     /// The fault plan this universe runs under ([`FaultPlan::none`] by
@@ -527,6 +598,7 @@ fn info(m: &Message) -> MessageInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RankStatsSnapshot;
     use crate::universe::Universe;
 
     #[test]
@@ -640,18 +712,24 @@ mod tests {
                 // also take RESP messages addressed to the worker.
                 let server = s.spawn(|| {
                     let mut count = 0;
+                    let (mut inbox, mut replies) = (Vec::new(), Vec::new());
                     loop {
-                        let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, SHUTDOWN], POLL)
-                        else {
-                            continue;
-                        };
-                        match m.tag {
-                            REQ => {
-                                comm.send(m.src, RESP, vec![m.payload[0] * 2]);
-                                count += 1;
+                        comm.drain_tags_deadline(Source::Any, &[REQ, SHUTDOWN], POLL, &mut inbox);
+                        let Some(src) = inbox.first().map(|m| m.src) else { continue };
+                        let mut shutdown = false;
+                        for m in inbox.drain(..) {
+                            match m.tag {
+                                REQ => {
+                                    replies.push((RESP, vec![m.payload[0] * 2]));
+                                    count += 1;
+                                }
+                                SHUTDOWN => shutdown = true,
+                                _ => unreachable!("drain_tags_deadline filtered"),
                             }
-                            SHUTDOWN => break,
-                            _ => unreachable!("recv_tags_deadline filtered"),
+                        }
+                        comm.send_many(src, &mut replies);
+                        if shutdown {
+                            break;
                         }
                     }
                     count
@@ -681,20 +759,20 @@ mod tests {
     }
 
     #[test]
-    fn recv_deadline_times_out_then_delivers() {
+    fn drain_times_out_then_delivers() {
         Universe::new(2).run(|comm| {
             if comm.rank() == 1 {
                 // nothing pending: must time out
-                let t0 = std::time::Instant::now();
-                let none = comm.recv_deadline(Source::Any, TagSel::Any, Duration::from_millis(20));
-                assert!(none.is_none());
-                assert!(t0.elapsed() >= Duration::from_millis(20));
+                let mut got = Vec::new();
+                let t0 = Instant::now();
+                let ms20 = Duration::from_millis(20);
+                assert_eq!(comm.drain_tags_deadline(Source::Any, &[4], ms20, &mut got), 0);
+                assert!(t0.elapsed() >= ms20);
                 comm.barrier();
                 // sender released: must deliver well within the deadline
-                let msg = comm
-                    .recv_deadline(Source::Rank(0), TagSel::Tag(4), Duration::from_secs(10))
-                    .expect("message sent after barrier");
-                assert_eq!(msg.payload, vec![7]);
+                let n = comm.drain_tags_deadline(Source::Rank(0), &[4], Duration::MAX, &mut got);
+                assert_eq!(n, 1, "one message sent after barrier");
+                assert_eq!(got[0].payload, vec![7]);
             } else {
                 comm.barrier();
                 comm.send(1, 4, vec![7]);
@@ -702,25 +780,41 @@ mod tests {
         });
     }
 
+    /// A drain takes the first match's sender's whole backlog over the
+    /// tag set, in arrival order, and nothing from anyone else.
     #[test]
-    fn recv_tags_deadline_times_out_without_traffic() {
-        Universe::new(2).run(|comm| {
+    fn drain_tags_deadline_takes_one_senders_backlog() {
+        Universe::new(3).run(|comm| {
             if comm.rank() == 1 {
+                let mut got = Vec::new();
                 let t0 = Instant::now();
-                assert!(comm
-                    .recv_tags_deadline(Source::Any, &[9, 4], Duration::from_millis(10))
-                    .is_none());
-                assert!(t0.elapsed() >= Duration::from_millis(10));
+                let ms10 = Duration::from_millis(10);
+                assert_eq!(comm.drain_tags_deadline(Source::Any, &[9, 4], ms10, &mut got), 0);
+                assert!(t0.elapsed() >= ms10);
                 comm.barrier();
-                let m = comm
-                    .recv_tags_deadline(Source::Any, &[4, 9], Duration::from_secs(10))
-                    .expect("pending after barrier");
-                assert_eq!((m.src, m.tag, m.payload), (0, 9, vec![1]));
-                assert!(comm.try_recv(Source::Any, TagSel::Any).is_some(), "tag 7 left pending");
+                comm.barrier();
+                comm.barrier();
+                assert_eq!(comm.drain_tags_deadline(Source::Any, &[4, 9], ms10, &mut got), 3);
+                let got: Vec<_> = got.into_iter().map(|m| (m.src, m.tag, m.payload[0])).collect();
+                assert_eq!(got, vec![(0, 9, 1), (0, 4, 3), (0, 9, 4)]);
+                let rest: Vec<_> = std::iter::from_fn(|| comm.try_recv(Source::Any, TagSel::Any))
+                    .map(|m| (m.src, m.tag))
+                    .collect();
+                assert_eq!(rest, vec![(0, 7), (2, 9)], "other tags and senders left pending");
             } else {
+                // rank 0's first tag-9 message arrives before rank 2's
                 comm.barrier();
-                comm.send(1, 7, vec![2]);
-                comm.send(1, 9, vec![1]);
+                if comm.rank() == 0 {
+                    comm.send(1, 7, vec![2]);
+                    comm.send(1, 9, vec![1]);
+                }
+                comm.barrier();
+                if comm.rank() == 0 {
+                    comm.send_many(1, &mut vec![(4, vec![3]), (9, vec![4])]);
+                } else {
+                    comm.send(1, 9, vec![5]);
+                }
+                comm.barrier();
             }
         });
     }
@@ -818,7 +912,7 @@ mod tests {
         const NOISE: u8 = 200;
         let shared = Arc::new(Shared::new(2, Topology::single_node(), FaultPlan::none()));
         let (sender, receiver) = (Comm::new(0, shared.clone()), Comm::new(1, shared.clone()));
-        let wakes = || shared.mailboxes[1].wakes.load(Ordering::Relaxed);
+        let wakes = || sender.stats().mailbox_wakes;
         let noise_wakes = std::thread::scope(|s| {
             let waiting = s.spawn(|| receiver.recv(Source::Rank(0), TagSel::Tag(1)));
             // test-only wait for the receive to park
@@ -842,9 +936,9 @@ mod tests {
     }
 
     /// The bucketed mailbox against the single-queue linear scan it
-    /// replaced: random interleavings of sends from three ranks and of
-    /// every receive and probe form, over every selector form, return the
-    /// same message every time.
+    /// replaced: random interleavings of sends and `send_many` runs from
+    /// three ranks and of every receive, drain and probe form, over every
+    /// selector form, return the same messages every time.
     #[test]
     fn buckets_match_like_a_linear_scan() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -867,39 +961,60 @@ mod tests {
                     TAGS => TagSel::Any,
                     t => TagSel::Tag(t),
                 };
-                let set: Vec<u32> = (0..TAGS).filter(|_| rng.gen_bool(0.5)).collect();
+                // a random tag set, or the set `tag` itself selects
                 let use_set = rng.gen_bool(0.2);
-                let hit = reference.iter().position(|&(s, t, _)| {
-                    src.matches(s) && if use_set { set.contains(&t) } else { tag.tags().matches(t) }
-                });
+                let set: Vec<u32> = match (use_set, tag) {
+                    (true, _) => (0..TAGS).filter(|_| rng.gen_bool(0.5)).collect(),
+                    (false, TagSel::Tag(t)) => vec![t],
+                    (false, TagSel::Any) => (0..TAGS).collect(),
+                };
+                let hit =
+                    reference.iter().position(|&(s, t, _)| src.matches(s) && set.contains(&t));
                 let want = hit.map(|i| reference[i]);
                 let got = |m: Option<Message>| m.map(|m| (m.src, m.tag, m.payload[0]));
                 let label = format!("seed {seed} step {step}: {src:?} {tag:?} set {set:?}");
-                match rng.gen_range(0..7) {
+                match rng.gen_range(0..8) {
                     0 | 1 => {
-                        let (s, t) = (rng.gen_range(0..NP), rng.gen_range(0..TAGS));
-                        comms[s].send(0, t, vec![next_id]);
-                        reference.push_back((s, t, next_id));
-                        next_id = next_id.wrapping_add(1);
+                        let s = rng.gen_range(0..NP);
+                        let mut frames = Vec::new();
+                        for _ in 0..rng.gen_range(1..=4) {
+                            let t = rng.gen_range(0..TAGS);
+                            frames.push((t, vec![next_id]));
+                            reference.push_back((s, t, next_id));
+                            next_id = next_id.wrapping_add(1);
+                        }
+                        match &mut frames[..] {
+                            [(t, one)] if rng.gen_bool(0.5) => comms[s].send(0, *t, one.clone()),
+                            _ => comms[s].send_many(0, &mut frames),
+                        }
                         continue;
                     }
-                    2 if use_set => {
-                        let m = me.recv_tags_deadline(src, &set, Duration::ZERO);
-                        assert_eq!(got(m), want, "{label}: recv_tags_deadline");
-                    }
-                    2 => {
-                        let m = me.recv_deadline(src, tag, Duration::ZERO);
-                        assert_eq!(got(m), want, "{label}: recv_deadline");
-                    }
-                    3 if want.is_some() && !use_set => {
-                        assert_eq!(got(Some(me.recv(src, tag))), want, "{label}: recv");
+                    2 | 3 => {
+                        let mut out = Vec::new();
+                        let n = me.drain_tags_deadline(src, &set, Duration::ZERO, &mut out);
+                        let mut drained = Vec::new();
+                        if let Some((from, ..)) = want {
+                            reference.retain(|&(s, t, id)| {
+                                let take = s == from && set.contains(&t);
+                                if take {
+                                    drained.push((s, t, id));
+                                }
+                                !take
+                            });
+                        }
+                        let out: Vec<_> = out.into_iter().map(|m| got(Some(m)).unwrap()).collect();
+                        assert_eq!((n, out), (drained.len(), drained), "{label}: drain");
+                        continue;
                     }
                     4 if want.is_some() && !use_set => {
+                        assert_eq!(got(Some(me.recv(src, tag))), want, "{label}: recv");
+                    }
+                    5 if want.is_some() && !use_set => {
                         let info = me.probe(src, tag);
                         assert_eq!(Some((info.src, info.tag)), want.map(|w| (w.0, w.1)), "{label}");
                         continue;
                     }
-                    5 if !use_set => {
+                    6 if !use_set => {
                         let info = me.iprobe(src, tag).map(|i| (i.src, i.tag));
                         assert_eq!(info, want.map(|w| (w.0, w.1)), "{label}: iprobe");
                         continue;
@@ -914,6 +1029,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One `send_many` is the same traffic as one `send` per frame, fault
+    /// for fault: under drop, duplicate, reorder, delay, stall and a
+    /// killed rank, the receivers get the same messages in the same
+    /// arrival order and the sender counts the same traffic and faults.
+    #[test]
+    fn send_many_equals_one_send_per_frame_under_faults() {
+        use crate::fault::{KillSpec, StallSpec};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const NP: usize = 4;
+        let plan = FaultPlan {
+            seed: 5,
+            drop_p: 0.2,
+            dup_p: 0.2,
+            reorder_p: 0.3,
+            delay_p: 0.05,
+            delay: Duration::from_micros(20),
+            kill: Some(KillSpec { rank: 3 }),
+            stall: Some(StallSpec { rank: 0, every: 7, pause: Duration::from_micros(20) }),
+            ..FaultPlan::none()
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        // (dst, frames) runs, sent as one call each or frame by frame
+        let runs: Vec<(usize, Vec<_>)> = (0..60)
+            .map(|i| {
+                let dst = rng.gen_range(1..NP);
+                let n = rng.gen_range(1..=8);
+                (dst, (0..n).map(|j| (rng.gen_range(0..3), vec![i as u8, j as u8])).collect())
+            })
+            .collect();
+        let outcome = |batched: bool| {
+            let shared = Arc::new(Shared::new(NP, Topology::new(2), plan));
+            let comms: Vec<Comm> = (0..NP).map(|r| Comm::new(r, shared.clone())).collect();
+            for (dst, frames) in &runs {
+                if batched {
+                    comms[0].send_many(*dst, &mut frames.clone());
+                } else {
+                    for (tag, payload) in frames {
+                        comms[0].send(*dst, *tag, payload.clone());
+                    }
+                }
+            }
+            let arrived: Vec<Vec<(u32, Vec<u8>)>> = comms
+                .iter()
+                .map(|c| {
+                    std::iter::from_fn(|| c.try_recv(Source::Any, TagSel::Any))
+                        .map(|m| (m.tag, m.payload))
+                        .collect()
+                })
+                .collect();
+            let stats = RankStatsSnapshot { mailbox_send_locks: 0, ..comms[0].stats() };
+            (arrived, stats, comms[0].stats().mailbox_send_locks)
+        };
+        let (one_by_one, batched) = (outcome(false), outcome(true));
+        assert_eq!(batched.0, one_by_one.0, "same messages in the same arrival order");
+        assert_eq!(batched.1, one_by_one.1, "same traffic and fault counters");
+        let s = batched.1;
+        assert!(s.faults_dropped * s.faults_duplicated * s.faults_reordered > 0, "{s:?}");
+        assert!(s.faults_delayed * s.faults_stalled > 0, "{s:?}");
+        assert!(batched.2 < one_by_one.2, "fewer locks: {} vs {}", batched.2, one_by_one.2);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! the plan's seed and the message's `(src, dst, per-edge index)`, so a
 //! run with a given plan misbehaves identically every time — faults are
 //! reproducible test inputs, not noise. The plan is installed on the
-//! [`crate::Universe`] and applied inside [`crate::Comm::send`], so
-//! every consumer of the p2p plane inherits it without opting in.
+//! [`crate::Universe`] and applied per message inside
+//! [`crate::Comm::send_many`] (which [`crate::Comm::send`] is one frame
+//! of), so every consumer of the p2p plane inherits it without opting
+//! in.
 //!
 //! Scope: the probabilistic faults and rank kill apply to the mailbox
 //! (point-to-point) plane only. Collectives stay reliable — they are the

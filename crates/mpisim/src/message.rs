@@ -112,19 +112,6 @@ impl WireWriter {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Clear the buffer for reuse, keeping its allocation (hot request/
-    /// response paths reuse one scratch writer instead of allocating
-    /// per message).
-    pub fn reset(&mut self) -> &mut Self {
-        self.buf.clear();
-        self
-    }
-
-    /// The bytes written so far, without consuming the writer.
-    pub fn payload(&self) -> &[u8] {
-        &self.buf
-    }
 }
 
 /// Incremental little-endian reader for wire payloads.
@@ -251,16 +238,5 @@ mod tests {
         assert_eq!(r.get_i64s(), cs);
         assert_eq!(r.get_u64s(), Vec::<u64>::new());
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn reset_keeps_allocation_and_clears_content() {
-        let mut w = WireWriter::with_capacity(8);
-        w.put_u64(7);
-        assert_eq!(w.payload().len(), 8);
-        w.reset();
-        assert_eq!(w.payload(), b"");
-        w.put_u8(1);
-        assert_eq!(w.finish(), vec![1]);
     }
 }

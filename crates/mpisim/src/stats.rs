@@ -22,20 +22,53 @@ pub(crate) struct RankStats {
     faults_reordered: AtomicU64,
     faults_delayed: AtomicU64,
     faults_stalled: AtomicU64,
+    mailbox_send_locks: AtomicU64,
+    mailbox_recv_locks: AtomicU64,
+    mailbox_wakes: AtomicU64,
+}
+
+/// What one send call did beyond its traffic, added to the sender's
+/// counters once per call rather than once per frame.
+#[derive(Default)]
+pub(crate) struct SendTally {
+    pub(crate) locks: u64,
+    pub(crate) wakes: u64,
+    pub(crate) dropped: u64,
+    pub(crate) duplicated: u64,
+    pub(crate) reordered: u64,
+    pub(crate) delayed: u64,
+}
+
+/// Add `n` unless it is zero: most calls leave most counters alone, and
+/// every skipped add is one less write to a line two threads share.
+fn add(counter: &AtomicU64, n: u64) {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 impl RankStats {
-    pub(crate) fn count_send(&self, bytes: usize, intra: bool) {
-        self.p2p_sent_msgs.fetch_add(1, Ordering::Relaxed);
-        self.p2p_sent_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    pub(crate) fn count_send(&self, msgs: usize, bytes: usize, intra: bool) {
+        add(&self.p2p_sent_msgs, msgs as u64);
+        add(&self.p2p_sent_bytes, bytes as u64);
         if intra {
-            self.p2p_sent_intra_node.fetch_add(1, Ordering::Relaxed);
+            add(&self.p2p_sent_intra_node, msgs as u64);
         }
     }
 
-    pub(crate) fn count_recv(&self, bytes: usize) {
-        self.p2p_recv_msgs.fetch_add(1, Ordering::Relaxed);
-        self.p2p_recv_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    pub(crate) fn count_sent(&self, t: &SendTally) {
+        add(&self.mailbox_send_locks, t.locks);
+        add(&self.mailbox_wakes, t.wakes);
+        add(&self.faults_dropped, t.dropped);
+        add(&self.faults_duplicated, t.duplicated);
+        add(&self.faults_reordered, t.reordered);
+        add(&self.faults_delayed, t.delayed);
+    }
+
+    pub(crate) fn count_recv(&self, msgs: usize, bytes: usize, locks: u64) {
+        add(&self.p2p_recv_msgs, msgs as u64);
+        add(&self.p2p_recv_bytes, bytes as u64);
+        add(&self.mailbox_recv_locks, locks);
     }
 
     pub(crate) fn count_collective(&self, bytes_sent: usize) {
@@ -49,22 +82,6 @@ impl RankStats {
     pub(crate) fn count_collective_nonblocking(&self, bytes_sent: usize) {
         self.count_collective(bytes_sent);
         self.nonblocking_collective_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_fault_dropped(&self) {
-        self.faults_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_fault_duplicated(&self) {
-        self.faults_duplicated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_fault_reordered(&self) {
-        self.faults_reordered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_fault_delayed(&self) {
-        self.faults_delayed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn count_fault_stalled(&self) {
@@ -86,6 +103,9 @@ impl RankStats {
             faults_reordered: self.faults_reordered.load(Ordering::Relaxed),
             faults_delayed: self.faults_delayed.load(Ordering::Relaxed),
             faults_stalled: self.faults_stalled.load(Ordering::Relaxed),
+            mailbox_send_locks: self.mailbox_send_locks.load(Ordering::Relaxed),
+            mailbox_recv_locks: self.mailbox_recv_locks.load(Ordering::Relaxed),
+            mailbox_wakes: self.mailbox_wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -121,4 +141,13 @@ pub struct RankStatsSnapshot {
     pub faults_delayed: u64,
     /// Operations on which this rank served a stall pause.
     pub faults_stalled: u64,
+    /// Locks this rank took on destination mailboxes to enqueue its
+    /// sends: one per send call, however many frames it carries (more
+    /// only when a delay or stall fault made it let go in between).
+    pub mailbox_send_locks: u64,
+    /// Locks this rank took on its own mailbox to receive or probe: one
+    /// per call, plus one per wake-up of a receive that had to park.
+    pub mailbox_recv_locks: u64,
+    /// Parked receivers this rank's sends woke.
+    pub mailbox_wakes: u64,
 }

@@ -78,21 +78,22 @@ fn full_mesh_request_response() {
             let server = s.spawn(|| {
                 let mut done = 0;
                 let mut served = 0u64;
-                loop {
-                    let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, DONE], POLL) else {
-                        continue;
-                    };
-                    if m.tag == DONE {
-                        done += 1;
-                        if done == NP {
-                            return served;
+                let (mut inbox, mut replies) = (Vec::new(), Vec::new());
+                while done < NP {
+                    comm.drain_tags_deadline(Source::Any, &[REQ, DONE], POLL, &mut inbox);
+                    let Some(src) = inbox.first().map(|m| m.src) else { continue };
+                    for m in inbox.drain(..) {
+                        if m.tag == DONE {
+                            done += 1;
+                            continue;
                         }
-                        continue;
+                        let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                        replies.push((RESP, (x * 3).to_le_bytes().to_vec()));
+                        served += 1;
                     }
-                    let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
-                    comm.send(m.src, RESP, (x * 3).to_le_bytes().to_vec());
-                    served += 1;
+                    comm.send_many(src, &mut replies);
                 }
+                served
             });
             for i in 0..QUERIES {
                 let peer = (me + 1 + i % (NP - 1)) % NP;
@@ -117,10 +118,11 @@ fn full_mesh_request_response() {
 }
 
 /// Every rank posts thousands of requests before it awaits the first
-/// reply — base-mode Step IV keeping a whole round in flight — while its
-/// server answers everyone else's. Correctness only: each reply answers
-/// its own request, per-peer replies come back in request order, and
-/// nothing is lost or left over.
+/// reply — base-mode Step IV keeping a whole round in flight, one
+/// `send_many` per peer — while its server drains each requester's
+/// backlog and answers it with one `send_many`. Correctness only: each
+/// reply answers its own request, per-peer replies come back in request
+/// order, and nothing is lost or left over.
 #[test]
 fn thousands_of_requests_in_flight_per_rank() {
     const NP: usize = 4;
@@ -134,25 +136,42 @@ fn thousands_of_requests_in_flight_per_rank() {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut done = 0;
+                let (mut inbox, mut replies) = (Vec::new(), Vec::new());
                 while done < NP {
-                    let Some(m) = comm.recv_tags_deadline(Source::Any, &[REQ, DONE], POLL) else {
-                        continue;
-                    };
-                    if m.tag == DONE {
-                        done += 1;
-                        continue;
+                    comm.drain_tags_deadline(Source::Any, &[REQ, DONE], POLL, &mut inbox);
+                    let Some(src) = inbox.first().map(|m| m.src) else { continue };
+                    for m in inbox.drain(..) {
+                        if m.tag == DONE {
+                            done += 1;
+                            continue;
+                        }
+                        let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                        replies.push((RESP, (x ^ 0xA5).to_le_bytes().to_vec()));
                     }
-                    let x = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
-                    comm.send(m.src, RESP, (x ^ 0xA5).to_le_bytes().to_vec());
+                    comm.send_many(src, &mut replies);
                 }
             });
+            let mut outbox: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); NP];
             for i in 0..POSTED {
                 let x = (me as u64) << 32 | i;
-                comm.send(peer_of(i), REQ, x.to_le_bytes().to_vec());
+                outbox[peer_of(i)].push((REQ, x.to_le_bytes().to_vec()));
             }
+            for (peer, frames) in outbox.iter_mut().enumerate() {
+                comm.send_many(peer, frames);
+            }
+            let mut inbox: Vec<Vec<u64>> = vec![Vec::new(); NP];
             for i in 0..POSTED {
-                let resp = comm.recv(Source::Rank(peer_of(i)), TagSel::Tag(RESP));
-                let x = u64::from_le_bytes(resp.payload[..8].try_into().unwrap());
+                let peer = peer_of(i);
+                if inbox[peer].is_empty() {
+                    let mut got = Vec::new();
+                    comm.drain_tags_deadline(Source::Rank(peer), &[RESP], Duration::MAX, &mut got);
+                    let xs = got
+                        .iter()
+                        .rev()
+                        .map(|m| u64::from_le_bytes(m.payload[..8].try_into().unwrap()));
+                    inbox[peer] = xs.collect();
+                }
+                let x = inbox[peer].pop().expect("a drain takes at least one reply");
                 assert_eq!(x ^ 0xA5, (me as u64) << 32 | i, "reply out of order");
             }
             for dst in 0..NP {

@@ -32,8 +32,8 @@ use crate::engine::{EngineConfig, EngineError, RunOutput};
 use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use crate::protocol::{
-    decode_response, decode_steal_ack, decode_steal_request, encode_batch_request_into,
-    encode_response_into, encode_steal_ack, BatchRequest, BatchResponse, LookupRequest,
+    decode_response, decode_steal_ack, decode_steal_request, encode_batch_request, encode_response,
+    encode_steal_ack, encode_steal_request, BatchRequest, BatchResponse, LookupRequest,
     StealResponse, TAG_BATCH_REQ, TAG_BATCH_RESP, TAG_KMER_REQ, TAG_RESP, TAG_STEAL_ACK,
     TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_TILE_REQ, TAG_UNIVERSAL,
 };
@@ -47,8 +47,7 @@ use crate::spectrum::{
     scan_nonowned_keys, BuildStats, RankTables,
 };
 use dnaseq::{FxHashMap, Read};
-use mpisim::message::WireWriter;
-use mpisim::{Comm, Source, TagSel, TraceLog, Universe};
+use mpisim::{Comm, Message, Source, TraceLog, Universe};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
 use reptile::CorrectionStats;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -526,16 +525,25 @@ pub(crate) struct ServedCounts {
 }
 
 /// How long the comm thread waits on an empty mailbox before re-checking
-/// its shutdown flag. Arrival wakes the wait immediately (condvar), so
-/// this bounds only shutdown latency, not serving latency.
+/// its shutdown flag. Arrival unparks the wait immediately, so this
+/// bounds only shutdown latency, not serving latency.
 const SERVER_POLL: Duration = Duration::from_millis(1);
+
+/// Most replies the comm thread holds back before handing them over, so
+/// a requester's first reply waits for at most this many lookups of its
+/// backlog, not the whole of it, and a lookup deadline need not cover
+/// an owner's full per-requester backlog.
+const REPLY_RUN: usize = 256;
 
 /// The communication thread: serve k-mer/tile count lookups against the
 /// *owned* tables until this rank's worker raises `shutdown` after the
 /// end-of-correction barrier. Requesters normalize keys before sending,
 /// so serving assumes the wire keys are spectrum keys. The server is
 /// stateless and idempotent: a duplicated or retried request is simply
-/// answered again, echoing its sequence number.
+/// answered again, echoing its sequence number. It takes one
+/// requester's whole backlog at a time and hands the answers back in
+/// sends of up to [`REPLY_RUN`] replies, so one requester's backlog never
+/// delays another's reply, and its first reply waits for one run only.
 pub(crate) fn comm_thread(
     comm: &Comm,
     hash_kmers: &KmerSpectrum,
@@ -553,58 +561,79 @@ pub(crate) fn comm_thread(
         req_tags.extend([TAG_STEAL_REQ, TAG_STEAL_ACK]);
     }
     let mut served = ServedCounts::default();
-    let mut scratch = WireWriter::with_capacity(64);
+    let mut inbox = Vec::new();
+    let mut replies = Vec::new();
     loop {
-        let Some(msg) = comm.recv_tags_deadline(Source::Any, &req_tags, SERVER_POLL) else {
+        if comm.drain_tags_deadline(Source::Any, &req_tags, SERVER_POLL, &mut inbox) == 0 {
             if shutdown.load(Ordering::Acquire) {
                 return served;
             }
             continue;
-        };
-        if msg.tag == TAG_STEAL_REQ {
+        }
+        let src = inbox[0].src;
+        for msg in inbox.drain(..) {
+            if let Some(reply) = serve(&msg, hash_kmers, hash_tiles, steal, &mut served) {
+                replies.push(reply);
+                if replies.len() == REPLY_RUN {
+                    comm.send_many(src, &mut replies);
+                }
+            }
+        }
+        if !replies.is_empty() {
+            comm.send_many(src, &mut replies);
+        }
+    }
+}
+
+/// The comm thread's answer to one request from `msg.src`, as a
+/// `(tag, payload)` frame; `None` for a steal ACK, which only updates
+/// the steal state.
+fn serve(
+    msg: &Message,
+    hash_kmers: &KmerSpectrum,
+    hash_tiles: &TileSpectrum,
+    steal: Option<&Mutex<StealState>>,
+    served: &mut ServedCounts,
+) -> Option<(u32, Vec<u8>)> {
+    match msg.tag {
+        TAG_STEAL_REQ => {
             let state = steal.expect("steal tag received without steal state");
             let seq = decode_steal_request(&msg.payload);
-            let payload = {
-                let mut st = state.lock().expect("steal lock");
-                match st.served.get(&(msg.src, seq)).cloned() {
-                    Some(p) => p,
-                    None => {
-                        let resp = StealResponse { chunk: st.steal_back() };
-                        let (_, p) = resp.encode(seq);
-                        if let Some(reads) = resp.chunk {
-                            st.handed_out.push((msg.src, seq, reads));
-                        }
-                        st.served.insert((msg.src, seq), p.clone());
-                        p
+            let mut st = state.lock().expect("steal lock");
+            let payload = match st.served.get(&(msg.src, seq)) {
+                Some(p) => p.clone(),
+                None => {
+                    let resp = StealResponse { chunk: st.steal_back() };
+                    let (_, p) = resp.encode(seq);
+                    if let Some(reads) = resp.chunk {
+                        st.handed_out.push((msg.src, seq, reads));
                     }
+                    st.served.insert((msg.src, seq), p.clone());
+                    p
                 }
             };
-            comm.send_from_slice(msg.src, TAG_STEAL_RESP, &payload);
-            continue;
+            Some((TAG_STEAL_RESP, payload))
         }
-        if msg.tag == TAG_STEAL_ACK {
+        TAG_STEAL_ACK => {
             let state = steal.expect("steal tag received without steal state");
             let seq = decode_steal_ack(&msg.payload);
             let mut st = state.lock().expect("steal lock");
             st.handed_out.retain(|(src, s, _)| !(*src == msg.src && *s == seq));
-            continue;
+            None
         }
-        if msg.tag == TAG_BATCH_REQ {
+        TAG_BATCH_REQ => {
             // one sweep over the owned tables answers the whole batch
             let (seq, req) = BatchRequest::decode(&msg.payload);
             let resp = owner_batch(&req.kmers, &req.tiles, hash_kmers, hash_tiles);
-            scratch.reset();
-            let tag = resp.encode_into(seq, &mut scratch);
-            comm.send_from_slice(msg.src, tag, scratch.payload());
             served.keys += req.len() as u64;
             served.batches += 1;
-            continue;
+            Some(resp.encode(seq))
         }
-        let (seq, req) = LookupRequest::decode(msg.tag, &msg.payload);
-        scratch.reset();
-        encode_response_into(seq, owner_count(req, hash_kmers, hash_tiles), &mut scratch);
-        comm.send_from_slice(msg.src, TAG_RESP, scratch.payload());
-        served.keys += 1;
+        tag => {
+            let (seq, req) = LookupRequest::decode(tag, &msg.payload);
+            served.keys += 1;
+            Some((TAG_RESP, encode_response(seq, owner_count(req, hash_kmers, hash_tiles))))
+        }
     }
 }
 
@@ -615,9 +644,10 @@ fn attempt_deadline(base: Option<Duration>, attempt: u32) -> Option<Duration> {
     base.map(|d| d.saturating_mul(1u32 << attempt.min(16)))
 }
 
-/// The wire side of the lookup router: requests encoded into a reused
-/// buffer and sent through the [`Comm`]; replies matched to the request
-/// by the sequence number they echo.
+/// The wire side of the lookup router: requests encoded into
+/// per-destination outboxes, handed to the [`Comm`] one send per owner
+/// when the worker next waits; replies matched to the request by the
+/// sequence number they echo.
 pub(crate) struct WireTransport<'a> {
     comm: &'a Comm,
     /// Single-key requests travel in the self-describing encoding.
@@ -625,71 +655,63 @@ pub(crate) struct WireTransport<'a> {
     /// Base per-request deadline; `None` = block indefinitely (the
     /// fault-free fast path).
     lookup_deadline: Option<Duration>,
+    /// Encoded requests not yet sent, per destination rank. Every router
+    /// send is followed by an await, and an await flushes them all
+    /// before it waits, so nothing waits on a request still queued here.
+    outbox: Vec<Vec<(u32, Vec<u8>)>>,
+    /// Replies taken by the last drain, decoded in place.
+    inbox: Vec<Message>,
     /// Replies that arrived while an earlier sequence number was awaited
     /// — a later request of the same round or wave to the same owner,
-    /// reordered ahead — parked until their own await comes around.
-    /// Every request in flight is awaited, so a round leaves this empty.
+    /// drained with it or reordered ahead — parked until their own await
+    /// comes around. Every request in flight is awaited, so a round
+    /// leaves this empty.
     stash: FxHashMap<u64, Reply>,
-    /// Reused encode buffer — no fresh `Vec` per request.
-    scratch: WireWriter,
-    /// Seconds spent sending and awaiting.
+    /// Seconds spent flushing and waiting for replies.
     pub(crate) comm_secs: f64,
 }
 
-impl Transport for WireTransport<'_> {
-    fn send(&mut self, to: usize, seq: u64, req: Request<'_>, _attempt: u32) {
-        let t = Instant::now();
-        self.scratch.reset();
-        let tag = match req {
-            Request::Key(key) if self.universal => {
-                key.encode_universal_into(seq, &mut self.scratch)
+impl WireTransport<'_> {
+    /// Hand every queued request to the mailbox, one send per owner.
+    fn flush(&mut self) {
+        for (to, frames) in self.outbox.iter_mut().enumerate() {
+            if !frames.is_empty() {
+                self.comm.send_many(to, frames);
             }
-            Request::Key(key) => key.encode_tagged_into(seq, &mut self.scratch),
-            Request::Batch { kmers, tiles } => {
-                encode_batch_request_into(seq, kmers, tiles, &mut self.scratch)
-            }
-            Request::Steal => {
-                // a steal request is its seq header alone
-                // (`protocol::decode_steal_request`)
-                self.scratch.put_u64(seq);
-                TAG_STEAL_REQ
-            }
-        };
-        self.comm.send_from_slice(to, tag, self.scratch.payload());
-        self.comm_secs += t.elapsed().as_secs_f64();
+        }
     }
 
-    /// Receive from `from` on the reply tag of `req` until the reply
-    /// stamped `seq` arrives or the attempt's deadline passes. Requests
-    /// are awaited in sequence order, so a reply to an earlier number
-    /// answers one this worker already resolved or gave up on
+    /// Flush, then drain `from`'s replies on `req`'s reply tag until the
+    /// one stamped `seq` arrives or the attempt's deadline passes.
+    /// Requests are awaited in sequence order, so a reply to an earlier
+    /// number answers one this worker already resolved or gave up on
     /// (duplicated, or late) and is dropped, and a reply to a *later*
     /// number is parked. A response to an earlier steal round is safe to
     /// drop too: the victim's resend cache answers a retry with the same
     /// chunk.
-    fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
+    fn await_reply(
+        &mut self,
+        from: usize,
+        seq: u64,
+        req: Request<'_>,
+        attempt: u32,
+    ) -> Option<Reply> {
         let start = Instant::now();
-        let reply = 'matched: {
-            if let Some(parked) = self.stash.remove(&seq) {
-                break 'matched Some(parked);
+        self.flush();
+        let tag = match req {
+            Request::Key(_) => TAG_RESP,
+            Request::Batch { .. } => TAG_BATCH_RESP,
+            Request::Steal => TAG_STEAL_RESP,
+        };
+        let deadline = attempt_deadline(self.lookup_deadline, attempt);
+        let mut found = None;
+        while found.is_none() {
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_sub(start.elapsed()));
+            if self.comm.drain_tags_deadline(Source::Rank(from), &[tag], left, &mut self.inbox) == 0
+            {
+                break;
             }
-            let tag = match req {
-                Request::Key(_) => TAG_RESP,
-                Request::Batch { .. } => TAG_BATCH_RESP,
-                Request::Steal => TAG_STEAL_RESP,
-            };
-            let deadline = attempt_deadline(self.lookup_deadline, attempt);
-            loop {
-                let msg = match deadline {
-                    None => self.comm.recv(Source::Rank(from), TagSel::Tag(tag)),
-                    Some(d) => {
-                        let left = d.saturating_sub(start.elapsed());
-                        match self.comm.recv_deadline(Source::Rank(from), TagSel::Tag(tag), left) {
-                            Some(msg) => msg,
-                            None => break 'matched None,
-                        }
-                    }
-                };
+            for msg in self.inbox.drain(..) {
                 let (rseq, reply) = match req {
                     Request::Key(_) => {
                         let (rseq, count) = decode_response(&msg.payload);
@@ -705,17 +727,39 @@ impl Transport for WireTransport<'_> {
                     }
                 };
                 if rseq == seq {
-                    break 'matched Some(reply);
-                }
-                if rseq > seq {
+                    found.get_or_insert(reply);
+                } else if rseq > seq {
                     self.stash.insert(rseq, reply);
                 }
             }
-        };
-        if let Some(Reply::Chunk(_)) = reply {
-            self.comm.send_from_slice(from, TAG_STEAL_ACK, &encode_steal_ack(seq));
         }
         self.comm_secs += start.elapsed().as_secs_f64();
+        found
+    }
+}
+
+impl Transport for WireTransport<'_> {
+    fn send(&mut self, to: usize, seq: u64, req: Request<'_>, _attempt: u32) {
+        let frame = match req {
+            Request::Key(key) if self.universal => key.encode_universal(seq),
+            Request::Key(key) => key.encode_tagged(seq),
+            Request::Batch { kmers, tiles } => encode_batch_request(seq, kmers, tiles),
+            // a steal request is its seq header alone
+            Request::Steal => (TAG_STEAL_REQ, encode_steal_request(seq)),
+        };
+        self.outbox[to].push(frame);
+    }
+
+    /// The reply stamped `seq`: from the stash if an earlier await parked
+    /// it there (no clock read, no lock), else by [`Self::await_reply`].
+    fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
+        let reply = match self.stash.remove(&seq) {
+            Some(parked) => Some(parked),
+            None => self.await_reply(from, seq, req, attempt),
+        };
+        if let Some(Reply::Chunk(_)) = reply {
+            self.comm.send(from, TAG_STEAL_ACK, encode_steal_ack(seq));
+        }
         reply
     }
 }
@@ -731,8 +775,9 @@ impl<'a> LookupRouter<'a, WireTransport<'a>> {
             comm,
             universal: cfg.heuristics.universal,
             lookup_deadline: cfg.lookup_deadline,
+            outbox: vec![Vec::new(); comm.size()],
+            inbox: Vec::new(),
             stash: FxHashMap::default(),
-            scratch: WireWriter::with_capacity(64),
             comm_secs: 0.0,
         };
         let tiers = Tiers::of_tables(tables, comm.rank(), &cfg.heuristics);
@@ -1020,7 +1065,7 @@ mod tests {
         let cfg = EngineConfig::new(2, p);
         Universe::new(2).run(|comm| {
             if comm.rank() == 1 {
-                let from_worker = |tag| comm.recv(Source::Rank(0), TagSel::Tag(tag));
+                let from_worker = |tag| comm.recv(Source::Rank(0), mpisim::TagSel::Tag(tag));
                 let (first, second) = (from_worker(TAG_BATCH_REQ), from_worker(TAG_BATCH_REQ));
                 for msg in [&second, &second, &first] {
                     comm.send(0, TAG_BATCH_RESP, answer(msg));
@@ -1033,26 +1078,11 @@ mod tests {
                 for i in [3, 3, 1, 0, 1, 2] {
                     let (seq, req) = LookupRequest::decode(TAG_KMER_REQ, &singles[i].payload);
                     let LookupRequest::Kmer(key) = req else { unreachable!("k-mer request") };
-                    let mut reply = WireWriter::default();
-                    encode_response_into(seq, Some(count_of(key)), &mut reply);
-                    comm.send(0, TAG_RESP, reply.finish());
+                    comm.send(0, TAG_RESP, encode_response(seq, Some(count_of(key))));
                 }
                 return;
             }
-            let tables = RankTables {
-                owners,
-                hash_kmers: KmerSpectrum::new(p.kmer_codec(), p.canonical),
-                hash_tiles: TileSpectrum::new(p.tile_codec(), p.canonical),
-                reads_kmers: None,
-                reads_tiles: None,
-                replicated_kmers: None,
-                replicated_tiles: None,
-                group_kmers: None,
-                group_tiles: None,
-                hot_kmers: None,
-                hot_tiles: None,
-                hot_owners: Vec::new(),
-            };
+            let tables = bare_tables(owners, &p);
             let mut router = LookupRouter::over_wire(comm, &tables, &cfg);
             let mut cache = WaveCache::default();
             let (wave1, wave2) = keys.split_at(MAX_BATCH_KEYS + 5);
@@ -1077,6 +1107,116 @@ mod tests {
             assert_eq!((s.remote_kmer_lookups, s.remote_messages), (4, 7));
             assert_eq!((s.requests_retried, s.deadline_misses, s.keys_degraded), (0, 0, 0));
         });
+    }
+
+    /// A rank's tables holding only `owners`, every spectrum empty.
+    fn bare_tables(owners: OwnerMap, p: &ReptileParams) -> RankTables {
+        RankTables {
+            owners,
+            hash_kmers: KmerSpectrum::new(p.kmer_codec(), p.canonical),
+            hash_tiles: TileSpectrum::new(p.tile_codec(), p.canonical),
+            reads_kmers: None,
+            reads_tiles: None,
+            replicated_kmers: None,
+            replicated_tiles: None,
+            group_kmers: None,
+            group_tiles: None,
+            hot_kmers: None,
+            hot_tiles: None,
+            hot_owners: Vec::new(),
+        }
+    }
+
+    /// The hand-off is batched per owner, not per message: a base-mode
+    /// round of R single-key requests to k owners takes k mailbox locks
+    /// on the worker's send side and at most two per owner on its receive
+    /// side (one, plus one if it had to park), and each owner's comm
+    /// thread answers the round with one send; a lone request takes one
+    /// lock each way. A backlog longer than [`REPLY_RUN`] is answered in
+    /// runs of that many replies, so its first reply does not wait for
+    /// the rest. Message counts stay one per request and per reply.
+    #[test]
+    fn a_base_round_takes_one_mailbox_lock_per_owner() {
+        use reptile::WaveSource;
+        let p = ReptileParams { k: 12, tile_overlap: 6, ..ReptileParams::for_tests() };
+        let owners = OwnerMap::new(3, &p);
+        let owned_by =
+            |r: usize, n: usize| (0u64..).filter(move |&c| owners.kmer_owner(c) == r).take(n);
+        let mut keys: Vec<u64> = owned_by(1, 5).chain(owned_by(2, 3)).collect();
+        keys.sort_unstable();
+        let backlog: Vec<u64> = owned_by(1, REPLY_RUN + 1).collect();
+        let mut all: Vec<u64> = backlog.iter().copied().chain(owned_by(2, 3)).collect();
+        all.sort_unstable();
+        let count_of = |key: u64| (key % 7) as u32 + 1;
+        let cfg = EngineConfig::new(3, p);
+        let stats = Universe::new(3).run(|comm| {
+            let me = comm.rank();
+            let mut tables = bare_tables(owners, &p);
+            let held: Vec<(u64, u32)> = all
+                .iter()
+                .filter(|&&k| owners.kmer_owner(k) == me)
+                .map(|&k| (k, count_of(k)))
+                .collect();
+            tables.hash_kmers.insert_batch(&held);
+            let shutdown = AtomicBool::new(false);
+            let mut rounds = Vec::new();
+            std::thread::scope(|s| {
+                let server = (me != 0).then(|| {
+                    s.spawn(|| {
+                        comm_thread(
+                            comm,
+                            &tables.hash_kmers,
+                            &tables.hash_tiles,
+                            false,
+                            None,
+                            &shutdown,
+                        )
+                    })
+                });
+                if me == 0 {
+                    let mut router = LookupRouter::over_wire(comm, &tables, &cfg);
+                    for round in [&keys[..], &keys[..1], &backlog[..]] {
+                        let before = comm.stats();
+                        for &key in round {
+                            assert_eq!(router.ask_kmer(key), None, "not resident: a request");
+                        }
+                        let mut answers = Vec::new();
+                        router.exchange(&mut answers);
+                        let want: Vec<_> = round.iter().map(|&k| Some(count_of(k))).collect();
+                        assert_eq!(answers, want);
+                        assert!(router.transport.stash.is_empty(), "a round empties the stash");
+                        let after = comm.stats();
+                        rounds.push((
+                            after.p2p_sent_msgs - before.p2p_sent_msgs,
+                            after.p2p_recv_msgs - before.p2p_recv_msgs,
+                            after.mailbox_send_locks - before.mailbox_send_locks,
+                            after.mailbox_recv_locks - before.mailbox_recv_locks,
+                        ));
+                    }
+                }
+                comm.barrier();
+                shutdown.store(true, Ordering::Release);
+                if let Some(server) = server {
+                    server.join().expect("comm thread panicked");
+                }
+            });
+            (comm.stats(), rounds)
+        });
+        let (round, lone, long) = (stats[0].1[0], stats[0].1[1], stats[0].1[2]);
+        let (sent, received, send_locks, recv_locks) = round;
+        assert_eq!((sent, received), (8, 8), "one message per request and per reply");
+        assert_eq!(send_locks, 2, "one send-side lock per owner, not per request");
+        assert!((2..=4).contains(&recv_locks), "{recv_locks} receive-side locks for 2 owners");
+        let (sent, received, send_locks, recv_locks) = lone;
+        assert_eq!((sent, received, send_locks), (1, 1, 1));
+        assert!((1..=2).contains(&recv_locks), "{recv_locks} receive-side locks");
+        let (sent, received, send_locks, _) = long;
+        assert_eq!((sent, received, send_locks), (REPLY_RUN as u64 + 1, REPLY_RUN as u64 + 1, 1));
+        // each owner answered the round with one send, the lone request
+        // with one more, and the long backlog in two runs
+        assert_eq!(stats[1].0.mailbox_send_locks, 4);
+        assert_eq!(stats[2].0.mailbox_send_locks, 1);
+        assert_eq!((stats[1].0.p2p_sent_msgs, stats[2].0.p2p_sent_msgs), (REPLY_RUN as u64 + 7, 3));
     }
 
     /// Killing an owner rank: the run still completes, its keys degrade

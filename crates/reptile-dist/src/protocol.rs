@@ -48,7 +48,7 @@
 //! Termination is a collective concern, not a p2p one: after its last
 //! read, each worker enters a barrier, then raises its rank's local
 //! shutdown flag; the comm thread takes requests with
-//! [`mpisim::Comm::recv_tags_deadline`] and exits once the flag is up
+//! [`mpisim::Comm::drain_tags_deadline`] and exits once the flag is up
 //! and its mailbox holds no pending request. (Earlier revisions counted
 //! per-rank `DONE` messages, which cannot survive a fault plan that may
 //! drop, duplicate, or never deliver them.)
@@ -108,15 +108,8 @@ impl LookupRequest {
     /// Encode for base (tagged) mode: `(tag, payload)`.
     pub fn encode_tagged(&self, seq: u64) -> (u32, Vec<u8>) {
         let mut w = WireWriter::with_capacity(24);
-        let tag = self.encode_tagged_into(seq, &mut w);
-        (tag, w.finish())
-    }
-
-    /// Encode for base (tagged) mode into a reusable scratch writer
-    /// (call [`WireWriter::reset`] first); returns the tag.
-    pub fn encode_tagged_into(&self, seq: u64, w: &mut WireWriter) -> u32 {
         w.put_u64(seq);
-        match *self {
+        let tag = match *self {
             LookupRequest::Kmer(code) => {
                 w.put_u64(code);
                 TAG_KMER_REQ
@@ -125,20 +118,14 @@ impl LookupRequest {
                 w.put_u128(code);
                 TAG_TILE_REQ
             }
-        }
+        };
+        (tag, w.finish())
     }
 
     /// Encode for universal mode: `(TAG_UNIVERSAL, payload)` with the
     /// kind byte after the seq header.
     pub fn encode_universal(&self, seq: u64) -> (u32, Vec<u8>) {
         let mut w = WireWriter::with_capacity(25);
-        let tag = self.encode_universal_into(seq, &mut w);
-        (tag, w.finish())
-    }
-
-    /// Encode for universal mode into a reusable scratch writer; returns
-    /// [`TAG_UNIVERSAL`].
-    pub fn encode_universal_into(&self, seq: u64, w: &mut WireWriter) -> u32 {
         w.put_u64(seq);
         match *self {
             LookupRequest::Kmer(code) => {
@@ -150,7 +137,7 @@ impl LookupRequest {
                 w.put_u128(code);
             }
         }
-        TAG_UNIVERSAL
+        (TAG_UNIVERSAL, w.finish())
     }
 
     /// Decode a request delivered with `tag`: `(seq, request)`.
@@ -186,14 +173,9 @@ impl LookupRequest {
 /// "nonexistent".
 pub fn encode_response(seq: u64, count: Option<u32>) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(RESPONSE_BYTES);
-    encode_response_into(seq, count, &mut w);
-    w.finish()
-}
-
-/// Encode a count response into a reusable scratch writer.
-pub fn encode_response_into(seq: u64, count: Option<u32>, w: &mut WireWriter) {
     w.put_u64(seq);
     w.put_i64(count_to_wire(count));
+    w.finish()
 }
 
 /// Decode a count response back to `(seq, Option<count>)`.
@@ -224,18 +206,14 @@ pub fn wire_to_count(v: i64) -> Option<u32> {
 
 /// Encode a batch request straight from borrowed key lists (the sender
 /// keeps its keys in reused buffers; [`BatchRequest`] is what the owner
-/// decodes); returns [`TAG_BATCH_REQ`].
-pub fn encode_batch_request_into(
-    seq: u64,
-    kmers: &[u64],
-    tiles: &[u128],
-    w: &mut WireWriter,
-) -> u32 {
+/// decodes): `(TAG_BATCH_REQ, payload)`.
+pub fn encode_batch_request(seq: u64, kmers: &[u64], tiles: &[u128]) -> (u32, Vec<u8>) {
     assert!(kmers.len() + tiles.len() <= MAX_BATCH_KEYS, "batch exceeds MAX_BATCH_KEYS; split it");
+    let mut w = WireWriter::with_capacity(16 + 8 * kmers.len() + 16 * tiles.len());
     w.put_u64(seq);
     w.put_u64s(kmers);
     w.put_u128s(tiles);
-    TAG_BATCH_REQ
+    (TAG_BATCH_REQ, w.finish())
 }
 
 /// Split one owner's share of a wave — `kmers` k-mer keys and `tiles`
@@ -306,19 +284,13 @@ pub struct BatchResponse {
 }
 
 impl BatchResponse {
-    /// Encode into a reusable scratch writer; returns [`TAG_BATCH_RESP`].
-    pub fn encode_into(&self, seq: u64, w: &mut WireWriter) -> u32 {
-        w.put_u64(seq);
-        w.put_i64s(&self.kmer_counts);
-        w.put_i64s(&self.tile_counts);
-        TAG_BATCH_RESP
-    }
-
     /// Encode to an owned payload: `(TAG_BATCH_RESP, payload)`.
     pub fn encode(&self, seq: u64) -> (u32, Vec<u8>) {
         let mut w = WireWriter::with_capacity(self.wire_bytes());
-        let tag = self.encode_into(seq, &mut w);
-        (tag, w.finish())
+        w.put_u64(seq);
+        w.put_i64s(&self.kmer_counts);
+        w.put_i64s(&self.tile_counts);
+        (TAG_BATCH_RESP, w.finish())
     }
 
     /// Decode a batch response payload: `(seq, response)`.
@@ -366,8 +338,9 @@ pub struct StealResponse {
 }
 
 impl StealResponse {
-    /// Encode into a reusable scratch writer; returns [`TAG_STEAL_RESP`].
-    pub fn encode_into(&self, seq: u64, w: &mut WireWriter) -> u32 {
+    /// Encode to an owned payload: `(TAG_STEAL_RESP, payload)`.
+    pub fn encode(&self, seq: u64) -> (u32, Vec<u8>) {
+        let mut w = WireWriter::with_capacity(self.wire_bytes());
         w.put_u64(seq);
         match &self.chunk {
             None => {
@@ -383,14 +356,7 @@ impl StealResponse {
                 }
             }
         }
-        TAG_STEAL_RESP
-    }
-
-    /// Encode to an owned payload: `(TAG_STEAL_RESP, payload)`.
-    pub fn encode(&self, seq: u64) -> (u32, Vec<u8>) {
-        let mut w = WireWriter::with_capacity(self.wire_bytes());
-        let tag = self.encode_into(seq, &mut w);
-        (tag, w.finish())
+        (TAG_STEAL_RESP, w.finish())
     }
 
     /// Decode a steal response payload: `(seq, response)`.
@@ -430,9 +396,7 @@ mod tests {
 
     /// What a sender puts on the wire for `req`: `(tag, payload)`.
     fn encode_batch(req: &BatchRequest, seq: u64) -> (u32, Vec<u8>) {
-        let mut w = WireWriter::with_capacity(req.wire_bytes());
-        let tag = encode_batch_request_into(seq, &req.kmers, &req.tiles, &mut w);
-        (tag, w.finish())
+        encode_batch_request(seq, &req.kmers, &req.tiles)
     }
 
     #[test]

@@ -5,18 +5,15 @@
 //! retry machinery can pair duplicated/reordered responses with their
 //! requests and discard stale ones.
 
-use mpisim::message::WireWriter;
 use proptest::prelude::*;
 use reptile_dist::protocol::{
-    decode_response, encode_batch_request_into, encode_response, BatchRequest, BatchResponse,
+    decode_response, encode_batch_request, encode_response, BatchRequest, BatchResponse,
     LookupRequest, MAX_BATCH_KEYS, TAG_BATCH_REQ, TAG_BATCH_RESP, TAG_UNIVERSAL,
 };
 
 /// What a sender puts on the wire for `req`: `(tag, payload)`.
 fn encode_batch(req: &BatchRequest, seq: u64) -> (u32, Vec<u8>) {
-    let mut w = WireWriter::with_capacity(req.wire_bytes());
-    let tag = encode_batch_request_into(seq, &req.kmers, &req.tiles, &mut w);
-    (tag, w.finish())
+    encode_batch_request(seq, &req.kmers, &req.tiles)
 }
 
 fn lookup_request() -> impl Strategy<Value = LookupRequest> {
