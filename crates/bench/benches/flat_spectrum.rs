@@ -1,6 +1,5 @@
 //! Race the flat open-addressing spectrum store against the `FxHashMap`
-//! it replaced and the read-only sorted/Eytzinger layouts from
-//! `reptile::layouts`, across the three access patterns the pipeline
+//! it replaced, across the three access patterns the pipeline
 //! actually exercises: insert-heavy construction (Step II), hit/miss
 //! point lookups (Step IV correction), and full-table sweeps (comm-thread
 //! batch serving). Byte-accurate footprints are measured separately by
@@ -8,8 +7,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dnaseq::{mix64, FxHashMap};
-use reptile::layouts::{EytzingerKmerSpectrum, SortedKmerSpectrum};
-use reptile::spectrum::{KmerSpectrum, Normalized};
 use reptile::FlatKmerTable;
 
 const N: usize = 100_000;
@@ -54,15 +51,10 @@ fn bench_lookups(c: &mut Criterion) {
     let ks = keys(N);
     let mut flat = FlatKmerTable::new();
     let mut fx: FxHashMap<u64, u32> = FxHashMap::default();
-    // non-canonical spectrum so layouts index the same raw keys
-    let mut spectrum = KmerSpectrum::new(dnaseq::KmerCodec::new(32), false);
     for &k in &ks {
         flat.add_count(k, 1);
         *fx.entry(k).or_insert(0) += 1;
-        spectrum.add_count(Normalized::assume(k), 1);
     }
-    let sorted = SortedKmerSpectrum::from_spectrum(&spectrum);
-    let eytzinger = EytzingerKmerSpectrum::from_spectrum(&spectrum);
 
     for (pattern, probes) in [("hit", ks.clone()), ("miss", absent(N))] {
         let name = format!("flat_spectrum_lookup_{pattern}");
@@ -82,24 +74,6 @@ fn bench_lookups(c: &mut Criterion) {
                 let mut acc = 0u64;
                 for &k in &probes {
                     acc += fx.get(&black_box(k)).copied().unwrap_or(0) as u64;
-                }
-                black_box(acc)
-            })
-        });
-        g.bench_function("sorted_binary_search", |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for &k in &probes {
-                    acc += sorted.count(black_box(k)) as u64;
-                }
-                black_box(acc)
-            })
-        });
-        g.bench_function("eytzinger_cache_aware", |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for &k in &probes {
-                    acc += eytzinger.count(black_box(k)) as u64;
                 }
                 black_box(acc)
             })

@@ -104,58 +104,5 @@ fn bench_collectives(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_spectrum_layouts(c: &mut Criterion) {
-    use reptile::layouts::{EytzingerKmerSpectrum, SortedKmerSpectrum};
-    let ds = smoke();
-    let p = smoke_params();
-    let spectra = LocalSpectra::build(&ds.reads, &p);
-    let hash = &spectra.kmers;
-    let sorted = SortedKmerSpectrum::from_spectrum(hash);
-    let eytzinger = EytzingerKmerSpectrum::from_spectrum(hash);
-    // probe stream: mix of present and absent codes, like correction
-    let kcodec = p.kmer_codec();
-    let probes: Vec<u64> = ds.reads[..300]
-        .iter()
-        .flat_map(|r| kcodec.kmers_of(&r.seq).map(|(_, c)| c).collect::<Vec<_>>())
-        .collect();
-    let mut g = c.benchmark_group("spectrum_layouts");
-    g.throughput(Throughput::Elements(probes.len() as u64));
-    g.bench_function("hash_table", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &code in &probes {
-                acc += hash.count(black_box(code)) as u64;
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("sorted_binary_search", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &code in &probes {
-                acc += sorted.count(black_box(code)) as u64;
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("eytzinger_cache_aware", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &code in &probes {
-                acc += eytzinger.count(black_box(code)) as u64;
-            }
-            black_box(acc)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_spectrum_build,
-    bench_shuffle,
-    bench_correction,
-    bench_collectives,
-    bench_spectrum_layouts
-);
+criterion_group!(benches, bench_spectrum_build, bench_shuffle, bench_correction, bench_collectives);
 criterion_main!(benches);

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod base;
-pub mod bloom;
 pub mod fused;
 pub mod hashing;
 pub mod kmer;
@@ -35,7 +34,6 @@ pub mod simd;
 pub mod tile;
 
 pub use base::Base;
-pub use bloom::BloomFilter;
 pub use fused::{FusedItem, FusedScan, FusedScratch};
 pub use hashing::{mix128, mix128_parts, mix64, owner_of, FxBuildHasher, FxHashMap, FxHashSet};
 pub use kmer::{KmerCode, KmerCodec};

@@ -242,14 +242,16 @@ pub(crate) fn run_rank(
             // keep_read_tables asks.
             let owners = OwnerMap::new(comm.size(), &cfg.params);
             let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
-                scan_nonowned_keys(&my_reads, &cfg.params, &owners, me)
+                (
+                    scan_nonowned_keys(&my_reads, cfg.params.kmer_codec(), &owners, me),
+                    scan_nonowned_keys(&my_reads, cfg.params.tile_codec(), &owners, me),
+                )
             } else {
                 (Vec::new(), Vec::new())
             };
             let (tables, stats) = derive_heuristic_tables(
                 comm,
                 owners,
-                &cfg.params,
                 &cfg.heuristics,
                 loaded.kmers,
                 loaded.tiles,
@@ -303,7 +305,7 @@ pub(crate) fn run_rank(
         // `hot` comes out of the same global histogram on every rank, so
         // this branch (and its collectives) is collectively uniform.
         if hot.iter().any(|&h| h) {
-            replicate_hot_shards(comm, &cfg.params, &mut tables, &hot, &mut build_stats);
+            replicate_hot_shards(comm, &mut tables, &hot, &mut build_stats);
         }
     }
     comm.barrier();
@@ -322,8 +324,8 @@ pub(crate) fn run_rank(
             dir,
             &cfg.params,
             cfg.parity,
-            &tables.hash_kmers,
-            &tables.hash_tiles,
+            &tables.kmers.owned,
+            &tables.tiles.owned,
         )?;
         snapshot_save_secs = t_save.elapsed().as_secs_f64();
         if let Some(t) = trace.as_mut() {
@@ -339,7 +341,7 @@ pub(crate) fn run_rank(
     // Fig 5 compares).
     let spectrum_bytes = tables.memory_bytes();
     // the worker owns (and `cache_remote` grows) the reads tables
-    let (reads_kmers, reads_tiles) = (tables.reads_kmers.take(), tables.reads_tiles.take());
+    let (reads_kmers, reads_tiles) = (tables.kmers.reads.take(), tables.tiles.reads.take());
     let mut corrected = my_reads;
     let mut correction = CorrectionStats::default();
     let mut lookups = LookupStats::default();
@@ -371,8 +373,8 @@ pub(crate) fn run_rank(
             s.spawn(|| {
                 comm_thread(
                     comm,
-                    &tables.hash_kmers,
-                    &tables.hash_tiles,
+                    &tables.kmers.owned,
+                    &tables.tiles.owned,
                     cfg.heuristics.universal,
                     steal_state.as_ref(),
                     &shutdown,
@@ -789,11 +791,18 @@ impl<'a> LookupRouter<'a, WireTransport<'a>> {
 mod tests {
     use super::*;
     use crate::heuristics::HeuristicConfig;
+    use crate::owner::Key;
+    use crate::spectrum::KindTables;
     use mpisim::FaultPlan;
     use reptile::{correct_dataset, ReptileParams};
 
     fn params() -> ReptileParams {
         ReptileParams { k: 6, tile_overlap: 3, ..ReptileParams::for_tests() }
+    }
+
+    /// The owner of an unnormalized k-mer code.
+    fn kmer_owner(owners: &OwnerMap, code: u64) -> usize {
+        u64::owner(code.normalize(owners), owners)
     }
 
     /// Deterministic small dataset with injected low-quality errors.
@@ -1055,7 +1064,7 @@ mod tests {
         let p = ReptileParams { k: 12, tile_overlap: 6, ..ReptileParams::for_tests() };
         let owners = OwnerMap::new(2, &p);
         let keys: Vec<u64> =
-            (0u64..).filter(|&c| owners.kmer_owner(c) == 1).take(MAX_BATCH_KEYS + 10).collect();
+            (0u64..).filter(|&c| kmer_owner(&owners, c) == 1).take(MAX_BATCH_KEYS + 10).collect();
         let count_of = |key: u64| (key % 7) as u32;
         let answer = |msg: &Message| {
             let (seq, req) = BatchRequest::decode(&msg.payload);
@@ -1113,16 +1122,8 @@ mod tests {
     fn bare_tables(owners: OwnerMap, p: &ReptileParams) -> RankTables {
         RankTables {
             owners,
-            hash_kmers: KmerSpectrum::new(p.kmer_codec(), p.canonical),
-            hash_tiles: TileSpectrum::new(p.tile_codec(), p.canonical),
-            reads_kmers: None,
-            reads_tiles: None,
-            replicated_kmers: None,
-            replicated_tiles: None,
-            group_kmers: None,
-            group_tiles: None,
-            hot_kmers: None,
-            hot_tiles: None,
+            kmers: KindTables::new(KmerSpectrum::new(p.kmer_codec(), p.canonical)),
+            tiles: KindTables::new(TileSpectrum::new(p.tile_codec(), p.canonical)),
             hot_owners: Vec::new(),
         }
     }
@@ -1141,7 +1142,7 @@ mod tests {
         let p = ReptileParams { k: 12, tile_overlap: 6, ..ReptileParams::for_tests() };
         let owners = OwnerMap::new(3, &p);
         let owned_by =
-            |r: usize, n: usize| (0u64..).filter(move |&c| owners.kmer_owner(c) == r).take(n);
+            |r: usize, n: usize| (0u64..).filter(move |&c| kmer_owner(&owners, c) == r).take(n);
         let mut keys: Vec<u64> = owned_by(1, 5).chain(owned_by(2, 3)).collect();
         keys.sort_unstable();
         let backlog: Vec<u64> = owned_by(1, REPLY_RUN + 1).collect();
@@ -1154,10 +1155,10 @@ mod tests {
             let mut tables = bare_tables(owners, &p);
             let held: Vec<(u64, u32)> = all
                 .iter()
-                .filter(|&&k| owners.kmer_owner(k) == me)
+                .filter(|&&k| kmer_owner(&owners, k) == me)
                 .map(|&k| (k, count_of(k)))
                 .collect();
-            tables.hash_kmers.insert_batch(&held);
+            tables.kmers.owned.insert_batch(&held);
             let shutdown = AtomicBool::new(false);
             let mut rounds = Vec::new();
             std::thread::scope(|s| {
@@ -1165,8 +1166,8 @@ mod tests {
                     s.spawn(|| {
                         comm_thread(
                             comm,
-                            &tables.hash_kmers,
-                            &tables.hash_tiles,
+                            &tables.kmers.owned,
+                            &tables.tiles.owned,
                             false,
                             None,
                             &shutdown,

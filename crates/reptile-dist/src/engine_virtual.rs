@@ -39,11 +39,11 @@ use crate::balance::{
     sum_histograms,
 };
 use crate::engine::{EngineConfig, EngineError, RunOutput};
-use crate::owner::OwnerMap;
+use crate::owner::{Key, OwnerMap};
 use crate::protocol::RESPONSE_BYTES;
 use crate::report::{RankReport, RunReport};
 use crate::router::{
-    owner_batch, owner_count, Key, KindTiers, LookupRouter, Reply, Request, RouterScratch, Tiers,
+    owner_batch, owner_count, KindTiers, LookupRouter, Reply, Request, RouterScratch, Tiers,
     Transport,
 };
 use crate::snapshot;

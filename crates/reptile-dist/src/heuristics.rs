@@ -126,7 +126,9 @@ impl HeuristicConfig {
 
     /// Every heuristic combination the construction-phase equivalence
     /// suite sweeps: one representative per switch (plus the pairings
-    /// the paper evaluates together). All entries satisfy [`validate`];
+    /// the paper evaluates together), each `replicate_*` flag also on its
+    /// own and partial replication at two group sizes, so a table built
+    /// from the other kind's flag shows. All entries satisfy [`validate`];
     /// the pipelined builder must be bit-identical to the serial
     /// reference under each of them.
     ///
@@ -140,7 +142,10 @@ impl HeuristicConfig {
             HeuristicConfig { keep_read_tables: true, ..base },
             HeuristicConfig { keep_read_tables: true, cache_remote: true, ..base },
             HeuristicConfig::replicate_both(),
+            HeuristicConfig { replicate_kmers: true, ..base },
+            HeuristicConfig { replicate_tiles: true, ..base },
             HeuristicConfig { partial_group: 2, ..base },
+            HeuristicConfig { partial_group: 3, ..base },
             HeuristicConfig { aggregate_lookups: true, ..base },
             HeuristicConfig::paper_production(),
         ]

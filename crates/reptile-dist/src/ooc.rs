@@ -70,7 +70,7 @@ use specstore::spill::{
 };
 
 use crate::counts::{direct_array_bytes, CountAcc};
-use crate::router::Key;
+use crate::owner::Key;
 use crate::spectrum::BuildStats;
 
 /// Entries per chunk of the merge→table stream (bounded scratch, small

@@ -5,10 +5,17 @@
 //! of ranks np) for which hashFunction(kmer) % np == p" (paper §III step
 //! II); reads are owned analogously for the load-balancing shuffle
 //! (§III-A). Ownership is computed on the *normalized* (strand-folded, if
-//! canonical) code, since that is the spectrum key.
+//! canonical) code, since that is the spectrum key. `Key` states the
+//! two key kinds' ownership once for the code written over either.
 
+use crate::ooc::OocBuild;
+use crate::protocol::LookupRequest;
+use crate::report::LookupStats;
+use crate::router::{KindCounters, KindTiers, Tiers};
+use crate::spectrum::{KindTables, RankTables};
 use dnaseq::Read;
-use reptile::{Normalized, PrefetchKeys, ReptileParams};
+use reptile::{Normalized, PrefetchKeys, ReptileParams, SpectrumKey};
+use std::path::PathBuf;
 
 /// Owner assignment for one universe size and one parameter set.
 #[derive(Clone, Copy, Debug)]
@@ -49,24 +56,12 @@ impl OwnerMap {
         Normalized::assume(if self.canonical { self.tcodec.canonical(code) } else { code })
     }
 
-    /// Owning rank of a k-mer (input may be unnormalized).
-    #[inline]
-    pub fn kmer_owner(&self, code: u64) -> usize {
-        dnaseq::owner_of(self.kmer_key(code).key(), self.np)
-    }
-
     /// Owning rank of a normalized k-mer key — skips the (idempotent)
     /// canonicalization on paths where the key came out of a spectrum
     /// table or [`kmer_key`](OwnerMap::kmer_key).
     #[inline]
     pub fn kmer_owner_at(&self, key: Normalized<u64>) -> usize {
         dnaseq::owner_of(key.key(), self.np)
-    }
-
-    /// Owning rank of a tile (input may be unnormalized).
-    #[inline]
-    pub fn tile_owner(&self, code: u128) -> usize {
-        dnaseq::hashing::owner_of_u128(self.tile_key(code).key(), self.np)
     }
 
     /// Owning rank of a normalized tile key.
@@ -94,6 +89,104 @@ impl OwnerMap {
     }
 }
 
+/// What the engines need of a key kind beyond what [`SpectrumKey`]
+/// states for the storage stack: ownership, the wire request, which
+/// tables and counters are the kind's, and its spill-run list.
+/// Everything written over the key kind — the build's Steps II–III, the
+/// lookup router, the out-of-core merge — reaches a kind through it.
+pub(crate) trait Key: SpectrumKey {
+    /// The spectrum key of a code.
+    fn normalize(self, owners: &OwnerMap) -> Normalized<Self>;
+    /// The rank that owns a key.
+    fn owner(key: Normalized<Self>, owners: &OwnerMap) -> usize;
+    /// The single-key request for a key.
+    fn request(key: Normalized<Self>) -> LookupRequest;
+    /// This kind's built tables on a rank.
+    fn tables(tables: &mut RankTables) -> &mut KindTables<Self>;
+    /// This kind's lookup tiers.
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, Self>;
+    /// This kind's counters.
+    fn counters(stats: &mut LookupStats) -> KindCounters<'_>;
+    /// This kind's spill runs in an out-of-core build.
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf>;
+}
+
+impl Key for u64 {
+    #[inline]
+    fn normalize(self, owners: &OwnerMap) -> Normalized<u64> {
+        owners.kmer_key(self)
+    }
+
+    #[inline]
+    fn owner(key: Normalized<u64>, owners: &OwnerMap) -> usize {
+        owners.kmer_owner_at(key)
+    }
+
+    fn request(key: Normalized<u64>) -> LookupRequest {
+        LookupRequest::Kmer(key.key())
+    }
+
+    fn tables(tables: &mut RankTables) -> &mut KindTables<u64> {
+        &mut tables.kmers
+    }
+
+    #[inline]
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u64> {
+        &mut tiers.kmers
+    }
+
+    #[inline]
+    fn counters(stats: &mut LookupStats) -> KindCounters<'_> {
+        KindCounters {
+            local: &mut stats.local_kmer_lookups,
+            remote: &mut stats.remote_kmer_lookups,
+            remote_misses: &mut stats.remote_kmer_misses,
+        }
+    }
+
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
+        &mut ooc.kmer_runs
+    }
+}
+
+impl Key for u128 {
+    #[inline]
+    fn normalize(self, owners: &OwnerMap) -> Normalized<u128> {
+        owners.tile_key(self)
+    }
+
+    #[inline]
+    fn owner(key: Normalized<u128>, owners: &OwnerMap) -> usize {
+        owners.tile_owner_at(key)
+    }
+
+    fn request(key: Normalized<u128>) -> LookupRequest {
+        LookupRequest::Tile(key.key())
+    }
+
+    fn tables(tables: &mut RankTables) -> &mut KindTables<u128> {
+        &mut tables.tiles
+    }
+
+    #[inline]
+    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u128> {
+        &mut tiers.tiles
+    }
+
+    #[inline]
+    fn counters(stats: &mut LookupStats) -> KindCounters<'_> {
+        KindCounters {
+            local: &mut stats.local_tile_lookups,
+            remote: &mut stats.remote_tile_lookups,
+            remote_misses: &mut stats.remote_tile_misses,
+        }
+    }
+
+    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
+        &mut ooc.tile_runs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,14 +195,19 @@ mod tests {
         OwnerMap::new(np, &ReptileParams::for_tests())
     }
 
+    /// The owner of an unnormalized code, the way generic code asks.
+    fn owner<K: Key>(m: &OwnerMap, code: K) -> usize {
+        K::owner(code.normalize(m), m)
+    }
+
     #[test]
     fn owners_in_range() {
         let m = map(7);
         for code in [0u64, 1, 99, u64::MAX] {
-            assert!(m.kmer_owner(code) < 7);
+            assert!(owner(&m, code) < 7);
         }
         for code in [0u128, 1, u128::MAX >> 1] {
-            assert!(m.tile_owner(code) < 7);
+            assert!(owner(&m, code) < 7);
         }
     }
 
@@ -120,23 +218,21 @@ mod tests {
         let kc = params.kmer_codec();
         let code = kc.encode(b"ACGTTGCA").unwrap();
         let rc = kc.reverse_complement(code);
-        assert_eq!(m.kmer_owner(code), m.kmer_owner(rc));
-        assert_eq!(m.kmer_key(code), m.kmer_key(rc));
+        assert_eq!(owner(&m, code), owner(&m, rc));
+        assert_eq!(code.normalize(&m), rc.normalize(&m));
     }
 
     #[test]
     fn non_canonical_uses_raw_code() {
         let m = map(16);
-        assert_eq!(m.kmer_key(12345).key(), 12345);
-        assert_eq!(m.tile_key(98765).key(), 98765);
-        assert_eq!(m.kmer_owner_at(m.kmer_key(12345)), m.kmer_owner(12345));
-        assert_eq!(m.tile_owner_at(m.tile_key(98765)), m.tile_owner(98765));
+        assert_eq!(12345u64.normalize(&m).key(), 12345);
+        assert_eq!(98765u128.normalize(&m).key(), 98765);
     }
 
     #[test]
     fn single_rank_owns_everything() {
         let m = map(1);
-        assert_eq!(m.kmer_owner(42), 0);
-        assert_eq!(m.tile_owner(42), 0);
+        assert_eq!(owner(&m, 42u64), 0);
+        assert_eq!(owner(&m, 42u128), 0);
     }
 }

@@ -85,8 +85,8 @@ pub fn run_prior_art(cfg: &PriorArtConfig, reads: &[Read]) -> crate::RunOutput {
         let (tables, build_stats) =
             build_distributed_serial(comm, &reads[lo..hi], cfg.chunk_size, &cfg.params, &heur);
         let mut spectra = LocalSpectra {
-            kmers: tables.replicated_kmers.expect("replication requested"),
-            tiles: tables.replicated_tiles.expect("replication requested"),
+            kmers: tables.kmers.replicated.expect("replication requested"),
+            tiles: tables.tiles.replicated.expect("replication requested"),
         };
         comm.barrier();
         let construct_secs = t0.elapsed().as_secs_f64();

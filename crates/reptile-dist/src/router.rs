@@ -37,11 +37,10 @@
 
 use crate::engine::EngineConfig;
 use crate::heuristics::HeuristicConfig;
-use crate::ooc::OocBuild;
-use crate::owner::OwnerMap;
+use crate::owner::{Key, OwnerMap};
 use crate::protocol::{batch_ranges, count_to_wire, wire_to_count, BatchResponse, LookupRequest};
 use crate::report::LookupStats;
-use crate::spectrum::RankTables;
+use crate::spectrum::{KindTables, RankTables};
 use dnaseq::{FxHashMap, Read};
 use reptile::spectrum::{KmerSpectrum, Spectrum, TileSpectrum};
 use reptile::{
@@ -49,7 +48,6 @@ use reptile::{
     WaveMode, WaveScratch, WaveSource,
 };
 use std::collections::hash_map::Entry;
-use std::path::PathBuf;
 
 /// One request of the Step IV service plane, before encoding.
 #[derive(Clone, Copy, Debug)]
@@ -162,113 +160,29 @@ impl<'a> Tiers<'a> {
             me,
             group: heur.partial_group,
             hot_owners: &tables.hot_owners,
-            kmers: KindTiers {
-                replicated: tables.replicated_kmers.as_ref(),
-                local: tables.group_kmers.as_ref().unwrap_or(&tables.hash_kmers),
-                hot: tables.hot_kmers.as_ref(),
-                reads: None,
-            },
-            tiles: KindTiers {
-                replicated: tables.replicated_tiles.as_ref(),
-                local: tables.group_tiles.as_ref().unwrap_or(&tables.hash_tiles),
-                hot: tables.hot_tiles.as_ref(),
-                reads: None,
-            },
+            kmers: KindTiers::of_tables(&tables.kmers),
+            tiles: KindTiers::of_tables(&tables.tiles),
+        }
+    }
+}
+
+impl<'a, K: SpectrumKey> KindTiers<'a, K> {
+    /// The tiers of one kind's built tables, without the reads table.
+    fn of_tables(tables: &'a KindTables<K>) -> Self {
+        KindTiers {
+            replicated: tables.replicated.as_ref(),
+            local: tables.group.as_ref().unwrap_or(&tables.owned),
+            hot: tables.hot.as_ref(),
+            reads: None,
         }
     }
 }
 
 /// One key kind's share of [`LookupStats`].
 pub(crate) struct KindCounters<'s> {
-    local: &'s mut u64,
-    remote: &'s mut u64,
-    remote_misses: &'s mut u64,
-}
-
-/// What the engines need of a key kind beyond what [`SpectrumKey`]
-/// states for the storage stack: ownership, the wire request, which
-/// tables and counters are the kind's, and its spill-run list.
-pub(crate) trait Key: SpectrumKey {
-    /// The spectrum key of a code.
-    fn normalize(self, owners: &OwnerMap) -> Normalized<Self>;
-    /// The rank that owns a key.
-    fn owner(key: Normalized<Self>, owners: &OwnerMap) -> usize;
-    /// The single-key request for a key.
-    fn request(key: Normalized<Self>) -> LookupRequest;
-    /// This kind's tables.
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, Self>;
-    /// This kind's counters.
-    fn counters(stats: &mut LookupStats) -> KindCounters<'_>;
-    /// This kind's spill runs in an out-of-core build.
-    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf>;
-}
-
-impl Key for u64 {
-    #[inline]
-    fn normalize(self, owners: &OwnerMap) -> Normalized<u64> {
-        owners.kmer_key(self)
-    }
-
-    #[inline]
-    fn owner(key: Normalized<u64>, owners: &OwnerMap) -> usize {
-        owners.kmer_owner_at(key)
-    }
-
-    fn request(key: Normalized<u64>) -> LookupRequest {
-        LookupRequest::Kmer(key.key())
-    }
-
-    #[inline]
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u64> {
-        &mut tiers.kmers
-    }
-
-    #[inline]
-    fn counters(stats: &mut LookupStats) -> KindCounters<'_> {
-        KindCounters {
-            local: &mut stats.local_kmer_lookups,
-            remote: &mut stats.remote_kmer_lookups,
-            remote_misses: &mut stats.remote_kmer_misses,
-        }
-    }
-
-    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
-        &mut ooc.kmer_runs
-    }
-}
-
-impl Key for u128 {
-    #[inline]
-    fn normalize(self, owners: &OwnerMap) -> Normalized<u128> {
-        owners.tile_key(self)
-    }
-
-    #[inline]
-    fn owner(key: Normalized<u128>, owners: &OwnerMap) -> usize {
-        owners.tile_owner_at(key)
-    }
-
-    fn request(key: Normalized<u128>) -> LookupRequest {
-        LookupRequest::Tile(key.key())
-    }
-
-    #[inline]
-    fn tiers<'t, 'a>(tiers: &'t mut Tiers<'a>) -> &'t mut KindTiers<'a, u128> {
-        &mut tiers.tiles
-    }
-
-    #[inline]
-    fn counters(stats: &mut LookupStats) -> KindCounters<'_> {
-        KindCounters {
-            local: &mut stats.local_tile_lookups,
-            remote: &mut stats.remote_tile_lookups,
-            remote_misses: &mut stats.remote_tile_misses,
-        }
-    }
-
-    fn runs(ooc: &mut OocBuild) -> &mut Vec<PathBuf> {
-        &mut ooc.tile_runs
-    }
+    pub(crate) local: &'s mut u64,
+    pub(crate) remote: &'s mut u64,
+    pub(crate) remote_misses: &'s mut u64,
 }
 
 /// One entry of a base-mode round, in ask order.

@@ -459,7 +459,6 @@ fn serve_rank(
             let (tables, _) = derive_heuristic_tables(
                 comm,
                 owners,
-                &cfg.params,
                 &cfg.heuristics,
                 loaded.kmers,
                 loaded.tiles,
@@ -505,8 +504,8 @@ fn serve_rank(
             s.spawn(|| {
                 comm_thread(
                     comm,
-                    &tables.hash_kmers,
-                    &tables.hash_tiles,
+                    &tables.kmers.owned,
+                    &tables.tiles.owned,
                     cfg.heuristics.universal,
                     None,
                     &shutdown,

@@ -36,8 +36,8 @@
 //! collective, and no rank ever sees garbage — every corruption class is
 //! detected (and under `Repair`, mended) before a table is adopted.
 
+use crate::owner::Key;
 use crate::owner::OwnerMap;
-use crate::router::Key;
 use crate::spectrum::{exchange_counts, BuildStats};
 use mpisim::Comm;
 use reptile::spectrum::{KmerSpectrum, Normalized, Spectrum, TileSpectrum};
@@ -273,7 +273,8 @@ pub fn load_snapshot(
     let mut kmers = KmerSpectrum::new(params.kmer_codec(), params.canonical);
     let mut tiles = TileSpectrum::new(params.tile_codec(), params.canonical);
     let mut stats = BuildStats::default();
-    exchange_counts(comm, &owners, staged_k, staged_t, &mut kmers, &mut tiles, &mut stats);
+    exchange_counts(comm, &owners, staged_k, &mut kmers, &mut stats);
+    exchange_counts(comm, &owners, staged_t, &mut tiles, &mut stats);
     Ok(LoadedSpectra { kmers, tiles, bytes_read, resharded: true, repair })
 }
 
@@ -413,7 +414,7 @@ mod tests {
             .collect();
         let (tables, _) =
             build_distributed(comm, &mine, 1000, &params(), &HeuristicConfig::base(), 1);
-        save_snapshot(comm, dir, &params(), parity, &tables.hash_kmers, &tables.hash_tiles)
+        save_snapshot(comm, dir, &params(), parity, &tables.kmers.owned, &tables.tiles.owned)
             .expect("save");
         tables
     }
@@ -435,13 +436,13 @@ mod tests {
             assert!(!l.resharded);
             assert!(l.bytes_read > 0);
             assert_eq!(l.repair, RepairStats::default());
-            let mut a: Vec<_> = tables.hash_kmers.iter().collect();
+            let mut a: Vec<_> = tables.kmers.owned.iter().collect();
             let mut b: Vec<_> = l.kmers.iter().collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "kmer tables must roundtrip");
-            assert_eq!(tables.hash_kmers.memory_bytes(), l.kmers.memory_bytes());
-            let mut at: Vec<_> = tables.hash_tiles.iter().collect();
+            assert_eq!(tables.kmers.owned.memory_bytes(), l.kmers.memory_bytes());
+            let mut at: Vec<_> = tables.tiles.owned.iter().collect();
             let mut bt: Vec<_> = l.tiles.iter().collect();
             at.sort_unstable();
             bt.sort_unstable();
@@ -530,7 +531,7 @@ mod tests {
             load_snapshot(comm, dir_ref, &params(), policy, chop).expect("repairing load")
         });
         for (rank, (tables, l)) in built.iter().zip(&loaded).enumerate() {
-            let mut a: Vec<_> = tables.hash_kmers.iter().collect();
+            let mut a: Vec<_> = tables.kmers.owned.iter().collect();
             let mut b: Vec<_> = l.kmers.iter().collect();
             a.sort_unstable();
             b.sort_unstable();

@@ -8,6 +8,15 @@
 //! exchange each code lives **only** at its owner with its true global
 //! count, and entries below the frequency threshold are pruned.
 //!
+//! The two kinds are built the same way ("same for tiles"), so the code
+//! is written once: every Steps II–III helper below — owner bucketing,
+//! the count exchange, the absorb of received parts, the reads-table
+//! resolution, the replicate / group / hot gathers, the serial tally —
+//! is generic over the key kind (`owner::Key`) and called once for
+//! k-mers and once for tiles, and a rank ends up with one [`KindTables`]
+//! per kind in its [`RankTables`]. Only the fused extraction scan yields
+//! both kinds at once, from a single pass over each read.
+//!
 //! In *batch reads table* mode the exchange runs after every chunk and
 //! the reads tables are cleared, bounding their size; an
 //! `allreduce(max)` on the batch count keeps every rank participating in
@@ -74,7 +83,7 @@
 use crate::counts::{aggregate_occurrences, CountAcc};
 use crate::heuristics::HeuristicConfig;
 use crate::ooc::OocBuild;
-use crate::owner::OwnerMap;
+use crate::owner::{Key, OwnerMap};
 use dnaseq::{FusedScratch, Read, TileCodec};
 use mpisim::{Comm, PendingAlltoallv};
 use reptile::spectrum::{KmerSpectrum, Normalized, Spectrum, TileSpectrum};
@@ -83,39 +92,73 @@ use specstore::spill::SpillError;
 use std::sync::mpsc;
 use std::time::Instant;
 
+/// One key kind's spectrum tables on one rank after construction.
+pub struct KindTables<K: SpectrumKey> {
+    /// Owned keys with global counts (pruned): `hashKmer` / `hashTile`.
+    pub owned: Spectrum<K>,
+    /// With `keep_read_tables`: non-owned keys from this rank's reads,
+    /// with **global** counts (0 = known absent). Counts here are
+    /// post-prune global counts, so lookups hit without messaging.
+    pub reads: Option<Spectrum<K>>,
+    /// With `replicate_kmers` / `replicate_tiles`: the full pruned
+    /// spectrum of the kind.
+    pub replicated: Option<Spectrum<K>>,
+    /// With `partial_group > 1`: the merged owned tables of this rank's
+    /// whole group (the §V partial-replication proposal). Includes this
+    /// rank's own entries, so in-group lookups go here first.
+    pub group: Option<Spectrum<K>>,
+    /// With `hot_shard_k > 0`: replicas of the *hot* owners' pruned
+    /// tables (adaptive balancing; exact copies, global counts).
+    pub hot: Option<Spectrum<K>>,
+}
+
+impl<K: SpectrumKey> KindTables<K> {
+    /// The owned table alone, before any heuristic table is derived.
+    pub(crate) fn new(owned: Spectrum<K>) -> KindTables<K> {
+        KindTables { owned, reads: None, replicated: None, group: None, hot: None }
+    }
+
+    /// Entries of this kind resident on the rank (memory model input).
+    /// A group table subsumes the rank's own entries, so when present it
+    /// replaces `owned` in the tally rather than double-counting.
+    pub fn resident_entries(&self) -> u64 {
+        let own = self.group.as_ref().unwrap_or(&self.owned);
+        let others = [&self.reads, &self.replicated, &self.hot];
+        let optional: usize = others.into_iter().flatten().map(Spectrum::len).sum();
+        (own.len() + optional) as u64
+    }
+
+    /// Measured bytes of **every** table of this kind resident on the
+    /// rank. Unlike the entry tally, a group table does not replace the
+    /// owned one here, because both really are in memory. Exact:
+    /// flat-table slot arrays plus headers.
+    pub fn memory_bytes(&self) -> u64 {
+        let others = [&self.reads, &self.replicated, &self.group, &self.hot];
+        let optional: usize = others.into_iter().flatten().map(Spectrum::memory_bytes).sum();
+        (self.owned.memory_bytes() + optional) as u64
+    }
+}
+
 /// The per-rank spectrum tables after construction.
 pub struct RankTables {
     /// Owner map used throughout the run.
     pub owners: OwnerMap,
-    /// Owned k-mers with global counts (pruned).
-    pub hash_kmers: KmerSpectrum,
-    /// Owned tiles with global counts (pruned).
-    pub hash_tiles: TileSpectrum,
-    /// With `keep_read_tables`: non-owned k-mers from this rank's reads,
-    /// with **global** counts (0 = known absent). Counts here are
-    /// post-prune global counts, so lookups hit without messaging.
-    pub reads_kmers: Option<KmerSpectrum>,
-    /// With `keep_read_tables`: non-owned tiles from this rank's reads.
-    pub reads_tiles: Option<TileSpectrum>,
-    /// With `replicate_kmers`: the full pruned k-mer spectrum.
-    pub replicated_kmers: Option<KmerSpectrum>,
-    /// With `replicate_tiles`: the full pruned tile spectrum.
-    pub replicated_tiles: Option<TileSpectrum>,
-    /// With `partial_group > 1`: the merged owned k-mers of this rank's
-    /// whole group (the §V partial-replication proposal). Includes this
-    /// rank's own entries, so in-group lookups go here first.
-    pub group_kmers: Option<KmerSpectrum>,
-    /// With `partial_group > 1`: the group's merged owned tiles.
-    pub group_tiles: Option<TileSpectrum>,
-    /// With `hot_shard_k > 0`: replicas of the *hot* owners' pruned
-    /// k-mer spectra (adaptive balancing; exact copies, global counts).
-    pub hot_kmers: Option<KmerSpectrum>,
-    /// With `hot_shard_k > 0`: replicas of the hot owners' tiles.
-    pub hot_tiles: Option<TileSpectrum>,
+    /// The k-mer tables.
+    pub kmers: KindTables<u64>,
+    /// The tile tables.
+    pub tiles: KindTables<u128>,
     /// Which owner ranks are replicated in the hot tables (length `np`;
     /// empty when hot-shard replication is off or found no skew). All
     /// ranks agree on this vector — it routes lookups to the replica.
     pub hot_owners: Vec<bool>,
+}
+
+impl RankTables {
+    /// Measured bytes of every spectrum table resident on this rank,
+    /// both kinds ([`KindTables::memory_bytes`]).
+    pub fn memory_bytes(&self) -> u64 {
+        self.kmers.memory_bytes() + self.tiles.memory_bytes()
+    }
 }
 
 /// Counters from the construction phase (feeds the reports/cost model).
@@ -292,27 +335,18 @@ pub(crate) fn build_distributed_spillable(
             // The own buckets never cross the wire: tally their raw
             // occurrences straight into the accumulators (this is the
             // pipeline's compute side, like the extraction itself).
-            // Budgeted builds absorb in bounded sub-chunks with a spill
-            // check after each — without direct arrays every own key
-            // lands in the raw buffers, so a whole batch of unchecked
-            // pushes can blow past the trigger (same discipline as
-            // drain_exchange).
+            // Without direct arrays every own key lands in the raw
+            // buffers, so a budgeted build checks for a spill per
+            // sub-chunk here too ([`absorb_chunk`]).
+            let chunk = absorb_chunk(&ooc);
             for w in &raw {
-                match ooc.as_deref_mut() {
-                    Some(o) => {
-                        for sub in w.kmers[me].chunks(crate::ooc::ABSORB_CHUNK_ENTRIES) {
-                            acc_kmers.push_keys(sub);
-                            o.maybe_spill(&mut acc_kmers, &mut acc_tiles);
-                        }
-                        for sub in w.tiles[me].chunks(crate::ooc::ABSORB_CHUNK_ENTRIES) {
-                            acc_tiles.push_keys(sub);
-                            o.maybe_spill(&mut acc_kmers, &mut acc_tiles);
-                        }
-                    }
-                    None => {
-                        acc_kmers.push_keys(&w.kmers[me]);
-                        acc_tiles.push_keys(&w.tiles[me]);
-                    }
+                for sub in w.kmers[me].chunks(chunk) {
+                    acc_kmers.push_keys(sub);
+                    spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
+                }
+                for sub in w.tiles[me].chunks(chunk) {
+                    acc_tiles.push_keys(sub);
+                    spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
                 }
             }
 
@@ -365,9 +399,7 @@ pub(crate) fn build_distributed_spillable(
             // exchange drain already checks per absorbed sub-chunk;
             // spill failures are deferred either way — the loop's
             // collective schedule must stay uniform across ranks).
-            if let Some(o) = ooc.as_deref_mut() {
-                o.maybe_spill(&mut acc_kmers, &mut acc_tiles);
-            }
+            spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
         }
         if let Some(p) = pending.take() {
             drain_exchange(
@@ -431,7 +463,7 @@ pub(crate) fn build_distributed_spillable(
         // the final geometry (and `memory_bytes`) matches the serial
         // path exactly.
         let t_build = Instant::now();
-        let (hash_kmers, hash_tiles) = match ooc {
+        let (kmers, tiles) = match ooc {
             Some(o) => {
                 // Budgeted materialization: spill the tails, k-way-merge
                 // the runs straight into the tables (crate::ooc docs).
@@ -455,37 +487,26 @@ pub(crate) fn build_distributed_spillable(
                     Ok(spectra) => spectra,
                 }
             }
-            None => {
-                let mut kmer_entries = acc_kmers.finalize();
-                kmer_entries.retain(|&(_, c)| c >= params.kmer_threshold);
-                let mut tile_entries = acc_tiles.finalize();
-                tile_entries.retain(|&(_, c)| c >= params.tile_threshold);
-                let mut hash_kmers = KmerSpectrum::new(kcodec, params.canonical);
-                hash_kmers.reserve(kmer_entries.len());
-                hash_kmers.merge_sorted(&kmer_entries);
-                drop(kmer_entries);
-                let mut hash_tiles = TileSpectrum::new(tcodec, params.canonical);
-                hash_tiles.reserve(tile_entries.len());
-                hash_tiles.merge_sorted(&tile_entries);
-                drop(tile_entries);
-                (hash_kmers, hash_tiles)
-            }
+            None => (
+                materialize(&mut acc_kmers, params.kmer_threshold, kcodec, params.canonical),
+                materialize(&mut acc_tiles, params.tile_threshold, tcodec, params.canonical),
+            ),
         };
         stats.extract_ns += elapsed_ns(t_build);
 
         // Already pruned above — go straight to the heuristic tables.
-        Ok(derive_heuristic_tables(
-            comm, owners, params, heur, hash_kmers, hash_tiles, kmer_keys, tile_keys, stats,
-        ))
+        Ok(derive_heuristic_tables(comm, owners, heur, kmers, tiles, kmer_keys, tile_keys, stats))
         // The pool's job senders drop here, ending every worker's recv
         // loop before the scope joins them.
     })
 }
 
 /// The serial reference build: one thread, one hash insert per
-/// occurrence, blocking exchanges. Kept verbatim as the semantic
-/// baseline the pipelined [`build_distributed`] is proptested against
-/// (and as the faithful model of the original Reptile program).
+/// occurrence into `hashKmer`/`readsKmer` (and the tile pair), blocking
+/// exchanges — the original Reptile program's loop, as one per-kind
+/// tally called for k-mers and for tiles. The pipelined
+/// [`build_distributed`] is proptested bit-identical against it, and
+/// `figures -- perf-floor` races it.
 pub fn build_distributed_serial(
     comm: &Comm,
     reads: &[Read],
@@ -496,15 +517,9 @@ pub fn build_distributed_serial(
     params.assert_valid();
     heur.validate().expect("invalid heuristic combination");
     assert!(chunk_size > 0);
-    let np = comm.size();
-    let owners = OwnerMap::new(np, params);
-    let kcodec = params.kmer_codec();
-    let tcodec = params.tile_codec();
-
-    let mut hash_kmers = KmerSpectrum::new(kcodec, params.canonical);
-    let mut hash_tiles = TileSpectrum::new(tcodec, params.canonical);
-    let mut reads_kmers = KmerSpectrum::new(kcodec, params.canonical);
-    let mut reads_tiles = TileSpectrum::new(tcodec, params.canonical);
+    let owners = OwnerMap::new(comm.size(), params);
+    let mut kmers = SerialTables::<u64>::new(params.kmer_codec(), params.canonical);
+    let mut tiles = SerialTables::<u128>::new(params.tile_codec(), params.canonical);
     let mut stats = BuildStats::default();
 
     // Every rank must join the same number of collective rounds (§III-B).
@@ -520,72 +535,99 @@ pub fn build_distributed_serial(
         let t_extract = Instant::now();
         for read in &reads[lo..hi] {
             stats.bases_processed += read.len() as u64;
-            for (_, code) in kcodec.kmers_of(&read.seq) {
-                stats.kmers_extracted += 1;
-                let key = owners.kmer_key(code);
-                if owners.kmer_owner_at(key) == me {
-                    hash_kmers.add_count(key, 1);
-                } else {
-                    stats.exchange_occurrences += 1;
-                    reads_kmers.add_count(key, 1);
-                }
-            }
-            for (_, code) in tcodec.tiles_of(&read.seq) {
-                stats.tiles_extracted += 1;
-                let key = owners.tile_key(code);
-                if owners.tile_owner_at(key) == me {
-                    hash_tiles.add_count(key, 1);
-                } else {
-                    stats.exchange_occurrences += 1;
-                    reads_tiles.add_count(key, 1);
-                }
-            }
+            stats.kmers_extracted += kmers.tally(&read.seq, &owners, me, &mut stats);
+            stats.tiles_extracted += tiles.tally(&read.seq, &owners, me, &mut stats);
             // True high-water sampling: inside the loop, per read.
-            stats.peak_reads_kmers = stats.peak_reads_kmers.max(reads_kmers.len() as u64);
-            stats.peak_reads_tiles = stats.peak_reads_tiles.max(reads_tiles.len() as u64);
+            stats.peak_reads_kmers = stats.peak_reads_kmers.max(kmers.reads.len() as u64);
+            stats.peak_reads_tiles = stats.peak_reads_tiles.max(tiles.reads.len() as u64);
         }
         stats.extract_ns += elapsed_ns(t_extract);
         if heur.batch_reads {
             let t_ex = Instant::now();
-            exchange_counts(
-                comm,
-                &owners,
-                std::mem::replace(&mut reads_kmers, KmerSpectrum::new(kcodec, params.canonical)),
-                std::mem::replace(&mut reads_tiles, TileSpectrum::new(tcodec, params.canonical)),
-                &mut hash_kmers,
-                &mut hash_tiles,
-                &mut stats,
-            );
+            kmers.exchange(comm, &owners, &mut stats);
+            tiles.exchange(comm, &owners, &mut stats);
             stats.exchange_ns += elapsed_ns(t_ex);
         }
     }
 
     // Record the rank's own-reads key sets before the final exchange
     // consumes the tables (needed by keep_read_tables).
-    let (kmer_keys, tile_keys) = if heur.keep_read_tables {
-        (
-            reads_kmers.iter().map(|(k, _)| k).collect::<Vec<u64>>(),
-            reads_tiles.iter().map(|(t, _)| t).collect::<Vec<u128>>(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
+    let kmer_keys = kmers.read_keys(heur.keep_read_tables);
+    let tile_keys = tiles.read_keys(heur.keep_read_tables);
 
     if !heur.batch_reads {
         let t_ex = Instant::now();
-        exchange_counts(
-            comm,
-            &owners,
-            reads_kmers,
-            reads_tiles,
-            &mut hash_kmers,
-            &mut hash_tiles,
-            &mut stats,
-        );
+        kmers.exchange(comm, &owners, &mut stats);
+        tiles.exchange(comm, &owners, &mut stats);
         stats.exchange_ns += elapsed_ns(t_ex);
     }
 
-    finish_build(comm, owners, params, heur, hash_kmers, hash_tiles, kmer_keys, tile_keys, stats)
+    // Threshold prune at the owner (Step III).
+    kmers.owned.prune(params.kmer_threshold);
+    tiles.owned.prune(params.tile_threshold);
+    derive_heuristic_tables(
+        comm,
+        owners,
+        heur,
+        kmers.owned,
+        tiles.owned,
+        kmer_keys,
+        tile_keys,
+        stats,
+    )
+}
+
+/// One key kind's tables in the serial reference build: `hashKmer` for
+/// the keys this rank owns, `readsKmer` for the rest (or the tile pair).
+struct SerialTables<K: SpectrumKey> {
+    owned: Spectrum<K>,
+    reads: Spectrum<K>,
+}
+
+impl<K: Key> SerialTables<K> {
+    fn new(codec: K::Codec, canonical: bool) -> SerialTables<K> {
+        SerialTables {
+            owned: Spectrum::new(codec, canonical),
+            reads: Spectrum::new(codec, canonical),
+        }
+    }
+
+    /// Tally one read's occurrences of this kind, one hash insert each;
+    /// returns how many there were. Forced inline, with
+    /// `SpectrumKey::codes_of` marked `#[inline]`: as out-of-line calls
+    /// the reference build ran 10–15% slower per key (2-core x86-64).
+    #[inline(always)]
+    fn tally(&mut self, seq: &[u8], owners: &OwnerMap, me: usize, stats: &mut BuildStats) -> u64 {
+        let mut occurrences = 0;
+        for code in K::codes_of(self.owned.codec(), seq) {
+            occurrences += 1;
+            let key = code.normalize(owners);
+            if K::owner(key, owners) == me {
+                self.owned.add_count(key, 1);
+            } else {
+                stats.exchange_occurrences += 1;
+                self.reads.add_count(key, 1);
+            }
+        }
+        occurrences
+    }
+
+    /// The reads table's keys, when `keep_read_tables` needs them.
+    fn read_keys(&self, keep: bool) -> Vec<K> {
+        if keep {
+            self.reads.iter().map(|(key, _)| key).collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Ship the reads table to the owners ([`exchange_counts`]) and start
+    /// an empty one.
+    fn exchange(&mut self, comm: &Comm, owners: &OwnerMap, stats: &mut BuildStats) {
+        let empty = Spectrum::new(self.owned.codec(), self.owned.canonical());
+        let reads = std::mem::replace(&mut self.reads, empty);
+        exchange_counts(comm, owners, reads, &mut self.owned, stats);
+    }
 }
 
 #[inline]
@@ -593,11 +635,39 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
-/// Wire-tuple bytes of a count-exchange payload (what the collective
-/// layer charges: `len × size_of::<T>()`).
-fn exchange_payload_bytes(kmer_pairs: usize, tile_pairs: usize) -> u64 {
-    (kmer_pairs * std::mem::size_of::<(u64, u32)>()
-        + tile_pairs * std::mem::size_of::<(u128, u32)>()) as u64
+/// Add one kind's outgoing `(key, count)` buckets to the exchange
+/// volume, in wire-tuple bytes (what the collective layer charges:
+/// `len × size_of::<T>()`).
+fn count_exchange<K: SpectrumKey>(out: &[Vec<(K, u32)>], stats: &mut BuildStats) {
+    let pairs: usize = out.iter().map(Vec::len).sum();
+    stats.exchange_entries += pairs as u64;
+    stats.exchange_bytes += (pairs * std::mem::size_of::<(K, u32)>()) as u64;
+}
+
+/// Sub-chunk length for tallying into the accumulators. A budgeted build
+/// absorbs in bounded sub-chunks with a spill check after each, so
+/// pending bytes never outrun the trigger by more than one chunk — a
+/// whole batch or exchange part can be far larger than the budget
+/// headroom at the floor (crate::ooc trigger arithmetic). An unbudgeted
+/// build takes every slice whole.
+fn absorb_chunk(ooc: &Option<&mut OocBuild>) -> usize {
+    if ooc.is_some() {
+        crate::ooc::ABSORB_CHUNK_ENTRIES
+    } else {
+        usize::MAX
+    }
+}
+
+/// A budgeted build's spill check over both accumulators (a no-op
+/// without a budget).
+fn spill_check(
+    ooc: &mut Option<&mut OocBuild>,
+    kmers: &mut CountAcc<u64>,
+    tiles: &mut CountAcc<u128>,
+) {
+    if let Some(o) = ooc {
+        o.maybe_spill(kmers, tiles);
+    }
 }
 
 /// One batch's extraction output: per-owner, locally pre-aggregated
@@ -812,10 +882,8 @@ fn start_exchange<'c>(
     agg: BatchAggregate,
     stats: &mut BuildStats,
 ) -> PendingExchange<'c> {
-    let kmer_pairs: usize = agg.kmers.iter().map(Vec::len).sum();
-    let tile_pairs: usize = agg.tiles.iter().map(Vec::len).sum();
-    stats.exchange_entries += (kmer_pairs + tile_pairs) as u64;
-    stats.exchange_bytes += exchange_payload_bytes(kmer_pairs, tile_pairs);
+    count_exchange(&agg.kmers, stats);
+    count_exchange(&agg.tiles, stats);
     let kmers = comm.start_alltoallv(agg.kmers);
     let tiles = comm.start_alltoallv(agg.tiles);
     PendingExchange { kmers, tiles, started: Instant::now() }
@@ -834,94 +902,79 @@ fn drain_exchange(
 ) {
     stats.overlap_ns += elapsed_ns(p.started);
     let t_wait = Instant::now();
-    // Budgeted builds absorb in bounded sub-chunks with a spill check
-    // after each, so pending bytes never outrun the trigger by more
-    // than one chunk — a whole exchange part can be far larger than the
-    // budget headroom at the floor (crate::ooc trigger arithmetic).
-    for part in p.kmers.wait() {
-        debug_assert!(part
-            .iter()
-            .all(|&(code, _)| owners.kmer_owner_at(Normalized::assume(code)) == me));
-        match ooc.as_deref_mut() {
-            Some(o) => {
-                for sub in part.chunks(crate::ooc::ABSORB_CHUNK_ENTRIES) {
-                    acc_kmers.push_run(sub);
-                    o.maybe_spill(acc_kmers, acc_tiles);
-                }
-            }
-            None => acc_kmers.push_run(&part),
-        }
-    }
-    for part in p.tiles.wait() {
-        debug_assert!(part
-            .iter()
-            .all(|&(code, _)| owners.tile_owner_at(Normalized::assume(code)) == me));
-        match ooc.as_deref_mut() {
-            Some(o) => {
-                for sub in part.chunks(crate::ooc::ABSORB_CHUNK_ENTRIES) {
-                    acc_tiles.push_run(sub);
-                    o.maybe_spill(acc_kmers, acc_tiles);
-                }
-            }
-            None => acc_tiles.push_run(&part),
-        }
-    }
+    let chunk = absorb_chunk(&ooc);
+    absorb_parts(p.kmers.wait(), owners, me, acc_kmers, chunk, |kmers| {
+        spill_check(&mut ooc, kmers, acc_tiles)
+    });
+    absorb_parts(p.tiles.wait(), owners, me, acc_tiles, chunk, |tiles| {
+        spill_check(&mut ooc, acc_kmers, tiles)
+    });
     stats.exchange_ns += elapsed_ns(t_wait);
 }
 
-/// The Step III exchange: ship `reads_*` entries to their owners and merge
-/// into the owners' hash tables (blocking, serial reference path). Also
-/// reused verbatim by the snapshot re-shard load: entries from an
-/// old-`np` snapshot are disjoint across shards, so routing them through
-/// this exchange re-owns every key with its exact global count.
-pub(crate) fn exchange_counts(
+/// Merge one kind's received count parts into its owner tally, `chunk`
+/// entries at a time, calling `after_chunk` after each.
+fn absorb_parts<K: Key>(
+    parts: Vec<Vec<(K, u32)>>,
+    owners: &OwnerMap,
+    me: usize,
+    acc: &mut CountAcc<K>,
+    chunk: usize,
+    mut after_chunk: impl FnMut(&mut CountAcc<K>),
+) {
+    for part in parts {
+        debug_assert!(part.iter().all(|&(key, _)| K::owner(Normalized::assume(key), owners) == me));
+        for sub in part.chunks(chunk) {
+            acc.push_run(sub);
+            after_chunk(acc);
+        }
+    }
+}
+
+/// Split `items` by the owner of their key, each per-owner bucket
+/// allocated once at its exact final size (a counting pass over
+/// `items()` first) instead of growing by push-reallocation. The keys
+/// come out of a spectrum table or a finalized run, so they are
+/// normalized by construction.
+fn bucket_by_owner<K: Key, T, I: Iterator<Item = T>>(
+    owners: &OwnerMap,
+    items: impl Fn() -> I,
+    key: impl Fn(&T) -> K,
+) -> Vec<Vec<T>> {
+    let owner = |item: &T| K::owner(Normalized::assume(key(item)), owners);
+    let mut sizes = vec![0usize; owners.np()];
+    for item in items() {
+        sizes[owner(&item)] += 1;
+    }
+    let mut out: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for item in items() {
+        out[owner(&item)].push(item);
+    }
+    out
+}
+
+/// The Step III exchange of one kind: ship the `reads` entries to their
+/// owners and merge them into the owner's table (blocking; the serial
+/// reference path). Also reused by the snapshot re-shard load: entries
+/// from an old-`np` snapshot are disjoint across shards, so routing them
+/// through this exchange re-owns every key with its exact global count.
+pub(crate) fn exchange_counts<K: Key>(
     comm: &Comm,
     owners: &OwnerMap,
-    reads_kmers: KmerSpectrum,
-    reads_tiles: TileSpectrum,
-    hash_kmers: &mut KmerSpectrum,
-    hash_tiles: &mut TileSpectrum,
+    reads: Spectrum<K>,
+    owned: &mut Spectrum<K>,
     stats: &mut BuildStats,
 ) {
-    let np = comm.size();
-    // Counting pass first, so every per-owner bucket is allocated once at
-    // its exact final size instead of growing by push-reallocation.
-    let mut kmer_sizes = vec![0usize; np];
-    for (code, _) in reads_kmers.iter() {
-        kmer_sizes[owners.kmer_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut kmer_out: Vec<Vec<(u64, u32)>> =
-        kmer_sizes.into_iter().map(Vec::with_capacity).collect();
-    for (code, count) in reads_kmers.into_entries() {
-        kmer_out[owners.kmer_owner_at(Normalized::assume(code))].push((code, count));
-    }
-    let kmer_pairs: usize = kmer_out.iter().map(Vec::len).sum();
-    for part in comm.alltoallv(kmer_out) {
-        for (code, count) in part {
-            let key = Normalized::assume(code);
-            debug_assert_eq!(owners.kmer_owner_at(key), comm.rank());
-            hash_kmers.add_count(key, count);
+    let out = bucket_by_owner(owners, || reads.iter(), |&(key, _)| key);
+    drop(reads);
+    count_exchange(&out, stats);
+    for part in comm.alltoallv(out) {
+        for (key, count) in part {
+            let key = Normalized::assume(key);
+            debug_assert_eq!(K::owner(key, owners), comm.rank());
+            owned.add_count(key, count);
         }
     }
-    let mut tile_sizes = vec![0usize; np];
-    for (code, _) in reads_tiles.iter() {
-        tile_sizes[owners.tile_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut tile_out: Vec<Vec<(u128, u32)>> =
-        tile_sizes.into_iter().map(Vec::with_capacity).collect();
-    for (code, count) in reads_tiles.into_entries() {
-        tile_out[owners.tile_owner_at(Normalized::assume(code))].push((code, count));
-    }
-    let tile_pairs: usize = tile_out.iter().map(Vec::len).sum();
-    for part in comm.alltoallv(tile_out) {
-        for (code, count) in part {
-            let key = Normalized::assume(code);
-            debug_assert_eq!(owners.tile_owner_at(key), comm.rank());
-            hash_tiles.add_count(key, count);
-        }
-    }
-    stats.exchange_entries += (kmer_pairs + tile_pairs) as u64;
-    stats.exchange_bytes += exchange_payload_bytes(kmer_pairs, tile_pairs);
 }
 
 /// The pipelined path's final (non-batch) exchange: same volume as
@@ -938,170 +991,113 @@ fn exchange_counts_overlapped(
     acc_tiles: &mut CountAcc<u128>,
     stats: &mut BuildStats,
 ) {
-    let np = comm.size();
-    let mut kmer_sizes = vec![0usize; np];
-    for &(code, _) in &reads_kmers {
-        kmer_sizes[owners.kmer_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut kmer_out: Vec<Vec<(u64, u32)>> =
-        kmer_sizes.into_iter().map(Vec::with_capacity).collect();
-    for (code, count) in reads_kmers {
-        kmer_out[owners.kmer_owner_at(Normalized::assume(code))].push((code, count));
-    }
-    let kmer_pairs: usize = kmer_out.iter().map(Vec::len).sum();
-    let pending_k = comm.start_alltoallv(kmer_out);
-    let overlap_start = Instant::now();
-
+    let pending_k = start_counts(comm, owners, reads_kmers, stats);
     // Tile bucketing overlaps the in-flight k-mer round.
-    let mut tile_sizes = vec![0usize; np];
-    for &(code, _) in &reads_tiles {
-        tile_sizes[owners.tile_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut tile_out: Vec<Vec<(u128, u32)>> =
-        tile_sizes.into_iter().map(Vec::with_capacity).collect();
-    for (code, count) in reads_tiles {
-        tile_out[owners.tile_owner_at(Normalized::assume(code))].push((code, count));
-    }
-    let tile_pairs: usize = tile_out.iter().map(Vec::len).sum();
-    let pending_t = comm.start_alltoallv(tile_out);
+    let overlap_start = Instant::now();
+    let pending_t = start_counts(comm, owners, reads_tiles, stats);
     stats.overlap_ns += elapsed_ns(overlap_start);
 
     let t_wait = Instant::now();
-    for part in pending_k.wait() {
-        debug_assert!(part
-            .iter()
-            .all(|&(code, _)| owners.kmer_owner_at(Normalized::assume(code)) == comm.rank()));
-        acc_kmers.push_run(&part);
-    }
-    for part in pending_t.wait() {
-        debug_assert!(part
-            .iter()
-            .all(|&(code, _)| owners.tile_owner_at(Normalized::assume(code)) == comm.rank()));
-        acc_tiles.push_run(&part);
-    }
+    absorb_parts(pending_k.wait(), owners, comm.rank(), acc_kmers, usize::MAX, |_| {});
+    absorb_parts(pending_t.wait(), owners, comm.rank(), acc_tiles, usize::MAX, |_| {});
     stats.exchange_ns += elapsed_ns(t_wait);
-    stats.exchange_entries += (kmer_pairs + tile_pairs) as u64;
-    stats.exchange_bytes += exchange_payload_bytes(kmer_pairs, tile_pairs);
 }
 
-/// Everything after the count exchange on the serial reference path:
-/// threshold prune of the full tables, then the heuristic-table
-/// derivation. (The pipelined path prunes its entry runs before any
-/// table exists and calls [`derive_heuristic_tables`] directly.)
-#[allow(clippy::too_many_arguments)]
-fn finish_build(
-    comm: &Comm,
-    owners: OwnerMap,
-    params: &ReptileParams,
-    heur: &HeuristicConfig,
-    mut hash_kmers: KmerSpectrum,
-    mut hash_tiles: TileSpectrum,
-    kmer_keys: Vec<u64>,
-    tile_keys: Vec<u128>,
-    stats: BuildStats,
-) -> (RankTables, BuildStats) {
-    // Threshold prune at the owner (Step III).
-    hash_kmers.prune(params.kmer_threshold);
-    hash_tiles.prune(params.tile_threshold);
-    derive_heuristic_tables(
-        comm, owners, params, heur, hash_kmers, hash_tiles, kmer_keys, tile_keys, stats,
-    )
+/// Bucket one kind's finalized reads runs by owner and post them
+/// through the non-blocking exchange.
+fn start_counts<'c, K: Key>(
+    comm: &'c Comm,
+    owners: &OwnerMap,
+    entries: Vec<(K, u32)>,
+    stats: &mut BuildStats,
+) -> PendingAlltoallv<'c, (K, u32)> {
+    let out = bucket_by_owner(owners, || entries.iter().copied(), |&(key, _)| key);
+    drop(entries);
+    count_exchange(&out, stats);
+    comm.start_alltoallv(out)
+}
+
+/// An in-memory build's final table of one kind: Step III's threshold
+/// prune as a sweep over the finalized entry runs, then the survivors
+/// bulk-loaded with an exact reserve.
+fn materialize<K: SpectrumKey>(
+    acc: &mut CountAcc<K>,
+    threshold: u32,
+    codec: K::Codec,
+    canonical: bool,
+) -> Spectrum<K> {
+    let mut entries = acc.finalize();
+    entries.retain(|&(_, c)| c >= threshold);
+    let mut table = Spectrum::new(codec, canonical);
+    table.reserve(entries.len());
+    table.merge_sorted(&entries);
+    table
 }
 
 /// The collective tail of construction: keep_read_tables resolution,
-/// replication / partial replication, and the final stats. Split from
-/// [`finish_build`] so the snapshot load path — whose owned tables come
-/// off disk already pruned — can derive the heuristic tables without
-/// repeating Steps II–III. Every rank must call this together: it runs
+/// replication / partial replication, and the final stats, one kind at
+/// a time ([`derive_kind`]). The snapshot load path — whose owned tables
+/// come off disk already pruned — calls it directly, without repeating
+/// Steps II–III. Every rank must call this together: it runs
 /// alltoallv/allgatherv rounds for the heuristics that need them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn derive_heuristic_tables(
     comm: &Comm,
     owners: OwnerMap,
-    params: &ReptileParams,
     heur: &HeuristicConfig,
-    hash_kmers: KmerSpectrum,
-    hash_tiles: TileSpectrum,
+    kmers: KmerSpectrum,
+    tiles: TileSpectrum,
     kmer_keys: Vec<u64>,
     tile_keys: Vec<u128>,
     mut stats: BuildStats,
 ) -> (RankTables, BuildStats) {
-    stats.owned_kmers = hash_kmers.len() as u64;
-    stats.owned_tiles = hash_tiles.len() as u64;
-
-    // --- keep_read_tables: resolve global counts for own-reads keys ---
-    let (final_reads_kmers, final_reads_tiles) = if heur.keep_read_tables {
-        let (rk, rt) = resolve_read_tables(
-            comm,
-            &owners,
-            params,
-            kmer_keys,
-            tile_keys,
-            &hash_kmers,
-            &hash_tiles,
-        );
-        stats.reads_table_entries = (rk.len() + rt.len()) as u64;
-        (Some(rk), Some(rt))
-    } else {
-        (None, None)
-    };
-
-    // --- replication heuristics: allgather the pruned spectra ---
-    let replicated_kmers = if heur.replicate_kmers {
-        let entries: Vec<(u64, u32)> = hash_kmers.iter().collect();
-        let mut full = KmerSpectrum::new(params.kmer_codec(), params.canonical);
-        merge_gathered_parts(&mut full, comm.allgatherv(entries), |_| true);
-        stats.replicated_entries += full.len() as u64;
-        Some(full)
-    } else {
-        None
-    };
-    let replicated_tiles = if heur.replicate_tiles {
-        let entries: Vec<(u128, u32)> = hash_tiles.iter().collect();
-        let mut full = TileSpectrum::new(params.tile_codec(), params.canonical);
-        merge_gathered_parts(&mut full, comm.allgatherv(entries), |_| true);
-        stats.replicated_entries += full.len() as u64;
-        Some(full)
-    } else {
-        None
-    };
-
-    // --- partial replication (§V): gather the group's owned spectra ---
-    let (group_kmers, group_tiles) = if heur.partial_group > 1 {
-        let g = heur.partial_group;
-        let my_group = comm.rank() / g;
-        let k_entries: Vec<(u64, u32)> = hash_kmers.iter().collect();
-        let mut gk = KmerSpectrum::new(params.kmer_codec(), params.canonical);
-        merge_gathered_parts(&mut gk, comm.allgatherv(k_entries), |code| {
-            owners.kmer_owner_at(Normalized::assume(code)) / g == my_group
-        });
-        let t_entries: Vec<(u128, u32)> = hash_tiles.iter().collect();
-        let mut gt = TileSpectrum::new(params.tile_codec(), params.canonical);
-        merge_gathered_parts(&mut gt, comm.allgatherv(t_entries), |code| {
-            owners.tile_owner_at(Normalized::assume(code)) / g == my_group
-        });
-        stats.group_entries = (gk.len() + gt.len()) as u64;
-        (Some(gk), Some(gt))
-    } else {
-        (None, None)
-    };
-
-    let tables = RankTables {
+    stats.owned_kmers = kmers.len() as u64;
+    stats.owned_tiles = tiles.len() as u64;
+    let mut tables = RankTables {
         owners,
-        hash_kmers,
-        hash_tiles,
-        reads_kmers: final_reads_kmers,
-        reads_tiles: final_reads_tiles,
-        replicated_kmers,
-        replicated_tiles,
-        group_kmers,
-        group_tiles,
-        hot_kmers: None,
-        hot_tiles: None,
+        kmers: KindTables::new(kmers),
+        tiles: KindTables::new(tiles),
         hot_owners: Vec::new(),
     };
+    derive_kind(comm, &mut tables, heur, heur.replicate_kmers, kmer_keys, &mut stats);
+    derive_kind(comm, &mut tables, heur, heur.replicate_tiles, tile_keys, &mut stats);
     stats.table_bytes = tables.memory_bytes();
     (tables, stats)
+}
+
+/// One kind's heuristic tables, from its pruned owned table: the reads
+/// table of `keys` under keep_read_tables, the whole spectrum when
+/// `replicate` (this kind's `replicate_*` flag), and the group's merged
+/// owned tables under partial replication (§V).
+fn derive_kind<K: Key>(
+    comm: &Comm,
+    tables: &mut RankTables,
+    heur: &HeuristicConfig,
+    replicate: bool,
+    keys: Vec<K>,
+    stats: &mut BuildStats,
+) {
+    let owners = tables.owners;
+    let kind = K::tables(tables);
+    if heur.keep_read_tables {
+        let reads = resolve_read_table(comm, &owners, keys, &kind.owned);
+        stats.reads_table_entries += reads.len() as u64;
+        kind.reads = Some(reads);
+    }
+    if replicate {
+        let full = gather(comm, &kind.owned, true, |_| true);
+        stats.replicated_entries += full.len() as u64;
+        kind.replicated = Some(full);
+    }
+    if heur.partial_group > 1 {
+        let g = heur.partial_group;
+        let my_group = comm.rank() / g;
+        let group = gather(comm, &kind.owned, true, |key| {
+            K::owner(Normalized::assume(key), &owners) / g == my_group
+        });
+        stats.group_entries += group.len() as u64;
+        kind.group = Some(group);
+    }
 }
 
 /// Adaptive balancing: replicate the **hot** owners' pruned spectra to
@@ -1117,37 +1113,43 @@ pub(crate) fn derive_heuristic_tables(
 /// records the copied entry count in `stats.hot_entries`.
 pub(crate) fn replicate_hot_shards(
     comm: &Comm,
-    params: &ReptileParams,
     tables: &mut RankTables,
     hot: &[bool],
     stats: &mut BuildStats,
 ) {
     let i_am_hot = hot[comm.rank()];
-    let k_entries: Vec<(u64, u32)> =
-        if i_am_hot { tables.hash_kmers.iter().collect() } else { Vec::new() };
-    let mut hk = KmerSpectrum::new(params.kmer_codec(), params.canonical);
-    merge_gathered_parts(&mut hk, comm.allgatherv(k_entries), |_| true);
-    let t_entries: Vec<(u128, u32)> =
-        if i_am_hot { tables.hash_tiles.iter().collect() } else { Vec::new() };
-    let mut ht = TileSpectrum::new(params.tile_codec(), params.canonical);
-    merge_gathered_parts(&mut ht, comm.allgatherv(t_entries), |_| true);
-    stats.hot_entries = (hk.len() + ht.len()) as u64;
-    tables.hot_kmers = Some(hk);
-    tables.hot_tiles = Some(ht);
+    let kmers = gather(comm, &tables.kmers.owned, i_am_hot, |_| true);
+    let tiles = gather(comm, &tables.tiles.owned, i_am_hot, |_| true);
+    stats.hot_entries = (kmers.len() + tiles.len()) as u64;
+    tables.kmers.hot = Some(kmers);
+    tables.tiles.hot = Some(tiles);
     tables.hot_owners = hot.to_vec();
     stats.table_bytes = tables.memory_bytes();
 }
 
-/// Merge allgathered per-owner spectrum parts into `spec`, keeping only
-/// entries matching `keep`. Owners hold disjoint key sets, so the
+/// Allgather every rank's `owned` table (or nothing, where `!share`) into
+/// one table of the entries matching `keep`.
+fn gather<K: SpectrumKey>(
+    comm: &Comm,
+    owned: &Spectrum<K>,
+    share: bool,
+    keep: impl Fn(K) -> bool,
+) -> Spectrum<K> {
+    let entries: Vec<(K, u32)> = if share { owned.iter().collect() } else { Vec::new() };
+    merge_gathered_parts(owned, comm.allgatherv(entries), keep)
+}
+
+/// A table of `like`'s kind holding the entries of the gathered per-owner
+/// `parts` that match `keep`. Owners hold disjoint key sets, so the
 /// filtered part lengths sum to the exact final entry count — the table
 /// is pre-sized once instead of growing through every `add_count`, and
 /// the final geometry still matches `bytes_for_entries`.
 fn merge_gathered_parts<K: SpectrumKey>(
-    spec: &mut Spectrum<K>,
+    like: &Spectrum<K>,
     parts: Vec<Vec<(K, u32)>>,
     keep: impl Fn(K) -> bool,
-) {
+) -> Spectrum<K> {
+    let mut spec = Spectrum::new(like.codec(), like.canonical());
     let matching = parts.iter().flatten().filter(|&&(key, _)| keep(key)).count();
     spec.reserve(matching);
     for (key, count) in parts.into_iter().flatten() {
@@ -1155,142 +1157,56 @@ fn merge_gathered_parts<K: SpectrumKey>(
             spec.add_count(Normalized::assume(key), count);
         }
     }
+    spec
 }
 
-/// The extra alltoallv round of the *read k-mers/tiles* heuristic: ask
-/// each owner for the global (post-prune) counts of the keys this rank
-/// saw in its own reads, and build local tables from the answers. A count
-/// of 0 is stored too — "known absent" avoids a pointless future message.
-fn resolve_read_tables(
+/// The extra alltoallv round of the *read k-mers/tiles* heuristic, for
+/// one kind: ask each owner for the global (post-prune) counts of the
+/// keys this rank saw in its own reads, and build a local table from the
+/// answers. A count of 0 is stored too — "known absent" avoids a
+/// pointless future message.
+fn resolve_read_table<K: Key>(
     comm: &Comm,
     owners: &OwnerMap,
-    params: &ReptileParams,
-    kmer_keys: Vec<u64>,
-    tile_keys: Vec<u128>,
-    hash_kmers: &KmerSpectrum,
-    hash_tiles: &TileSpectrum,
-) -> (KmerSpectrum, TileSpectrum) {
-    let np = comm.size();
-    // k-mers: request codes, answer (code, count) pairs. The keys came
-    // out of the reads tables, so they are normalized by construction —
-    // raw owner/count lookups skip re-canonicalizing every one, and a
-    // counting pass sizes each per-owner bucket exactly once.
-    let mut ask_sizes = vec![0usize; np];
-    for &code in &kmer_keys {
-        ask_sizes[owners.kmer_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut ask: Vec<Vec<u64>> = ask_sizes.into_iter().map(Vec::with_capacity).collect();
-    for code in kmer_keys {
-        ask[owners.kmer_owner_at(Normalized::assume(code))].push(code);
-    }
-    let questions = comm.alltoallv(ask);
-    let answers: Vec<Vec<(u64, u32)>> = questions
+    keys: Vec<K>,
+    owned: &Spectrum<K>,
+) -> Spectrum<K> {
+    let ask = bucket_by_owner(owners, || keys.iter().copied(), |&key| key);
+    drop(keys);
+    let answers: Vec<Vec<(K, u32)>> = comm
+        .alltoallv(ask)
         .into_iter()
-        .map(|codes| {
-            codes.into_iter().map(|c| (c, hash_kmers.count_at(Normalized::assume(c)))).collect()
+        .map(|asked| {
+            asked.into_iter().map(|key| (key, owned.count_at(Normalized::assume(key)))).collect()
         })
         .collect();
-    let mut rk = KmerSpectrum::new(params.kmer_codec(), params.canonical);
     // Answer parts are disjoint (each key was asked of exactly one
     // owner), so their lengths sum to the exact final entry count.
-    merge_gathered_parts(&mut rk, comm.alltoallv(answers), |_| true);
-    // tiles
-    let mut ask_sizes_t = vec![0usize; np];
-    for &code in &tile_keys {
-        ask_sizes_t[owners.tile_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut ask_t: Vec<Vec<u128>> = ask_sizes_t.into_iter().map(Vec::with_capacity).collect();
-    for code in tile_keys {
-        ask_t[owners.tile_owner_at(Normalized::assume(code))].push(code);
-    }
-    let questions_t = comm.alltoallv(ask_t);
-    let answers_t: Vec<Vec<(u128, u32)>> = questions_t
-        .into_iter()
-        .map(|codes| {
-            codes.into_iter().map(|c| (c, hash_tiles.count_at(Normalized::assume(c)))).collect()
-        })
-        .collect();
-    let mut rt = TileSpectrum::new(params.tile_codec(), params.canonical);
-    merge_gathered_parts(&mut rt, comm.alltoallv(answers_t), |_| true);
-    (rk, rt)
+    merge_gathered_parts(owned, comm.alltoallv(answers), |_| true)
 }
 
 /// One local pass over `reads` collecting the distinct non-owned
-/// normalized keys — what the build path's reads tables would have held.
-/// The snapshot load path needs these for `keep_read_tables` (the build
-/// that would have recorded them was skipped), and a plain scan is far
-/// cheaper than replaying the count exchange: counts are already global
-/// in the loaded tables, only the key *sets* are missing.
-pub(crate) fn scan_nonowned_keys(
+/// normalized keys of one kind — what the build path's reads table would
+/// have held. The snapshot load path needs these for `keep_read_tables`
+/// (the build that would have recorded them was skipped), and a plain
+/// scan is far cheaper than replaying the count exchange: counts are
+/// already global in the loaded tables, only the key *sets* are missing.
+pub(crate) fn scan_nonowned_keys<K: Key>(
     reads: &[Read],
-    params: &ReptileParams,
+    codec: K::Codec,
     owners: &OwnerMap,
     me: usize,
-) -> (Vec<u64>, Vec<u128>) {
-    let kcodec = params.kmer_codec();
-    let tcodec = params.tile_codec();
-    let mut kmers: dnaseq::FxHashSet<u64> = dnaseq::FxHashSet::default();
-    let mut tiles: dnaseq::FxHashSet<u128> = dnaseq::FxHashSet::default();
+) -> Vec<K> {
+    let mut keys: dnaseq::FxHashSet<K> = dnaseq::FxHashSet::default();
     for read in reads {
-        for (_, code) in kcodec.kmers_of(&read.seq) {
-            let key = owners.kmer_key(code);
-            if owners.kmer_owner_at(key) != me {
-                kmers.insert(key.key());
-            }
-        }
-        for (_, code) in tcodec.tiles_of(&read.seq) {
-            let key = owners.tile_key(code);
-            if owners.tile_owner_at(key) != me {
-                tiles.insert(key.key());
+        for code in K::codes_of(codec, &read.seq) {
+            let key = code.normalize(owners);
+            if K::owner(key, owners) != me {
+                keys.insert(key.key());
             }
         }
     }
-    (kmers.into_iter().collect(), tiles.into_iter().collect())
-}
-
-impl RankTables {
-    /// Total spectrum entries resident on this rank (memory model input).
-    /// Group tables subsume the rank's own entries, so when present they
-    /// replace `hash_kmers` in the tally rather than double-counting.
-    pub fn resident_kmer_entries(&self) -> u64 {
-        let own = match &self.group_kmers {
-            Some(g) => g.len() as u64,
-            None => self.hash_kmers.len() as u64,
-        };
-        own + self.reads_kmers.as_ref().map_or(0, |s| s.len() as u64)
-            + self.replicated_kmers.as_ref().map_or(0, |s| s.len() as u64)
-            + self.hot_kmers.as_ref().map_or(0, |s| s.len() as u64)
-    }
-
-    /// Total tile entries resident on this rank.
-    pub fn resident_tile_entries(&self) -> u64 {
-        let own = match &self.group_tiles {
-            Some(g) => g.len() as u64,
-            None => self.hash_tiles.len() as u64,
-        };
-        own + self.reads_tiles.as_ref().map_or(0, |s| s.len() as u64)
-            + self.replicated_tiles.as_ref().map_or(0, |s| s.len() as u64)
-            + self.hot_tiles.as_ref().map_or(0, |s| s.len() as u64)
-    }
-
-    /// Measured bytes of **every** spectrum table resident on this rank
-    /// (owned, reads, replicated, and group — unlike the entry tallies
-    /// above, group tables do not replace the owned ones here, because
-    /// both really are in memory). Exact: flat-table slot arrays plus
-    /// headers.
-    pub fn memory_bytes(&self) -> u64 {
-        let k = self.hash_kmers.memory_bytes()
-            + self.reads_kmers.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.replicated_kmers.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.group_kmers.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.hot_kmers.as_ref().map_or(0, |s| s.memory_bytes());
-        let t = self.hash_tiles.memory_bytes()
-            + self.reads_tiles.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.replicated_tiles.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.group_tiles.as_ref().map_or(0, |s| s.memory_bytes())
-            + self.hot_tiles.as_ref().map_or(0, |s| s.memory_bytes());
-        (k + t) as u64
-    }
+    keys.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1338,11 +1254,12 @@ mod tests {
         let mut union_k = dnaseq::FxHashMap::default();
         let mut union_t = dnaseq::FxHashMap::default();
         for (tables, _) in &results {
-            for (code, count) in tables.hash_kmers.iter() {
-                assert_eq!(tables.owners.kmer_owner(code), tables_rank(&results, tables));
+            for (code, count) in tables.kmers.owned.iter() {
+                let owner = u64::owner(code.normalize(&tables.owners), &tables.owners);
+                assert_eq!(owner, tables_rank(&results, tables));
                 assert!(union_k.insert(code, count).is_none(), "kmer at two owners");
             }
-            for (code, count) in tables.hash_tiles.iter() {
+            for (code, count) in tables.tiles.owned.iter() {
                 assert!(union_t.insert(code, count).is_none(), "tile at two owners");
             }
         }
@@ -1520,11 +1437,11 @@ mod tests {
                         "stats diverge: threads={threads} heur={}",
                         heur.label()
                     );
-                    let sk: Vec<_> = sorted(ts.hash_kmers.iter());
-                    let pk: Vec<_> = sorted(tp.hash_kmers.iter());
+                    let sk: Vec<_> = sorted(ts.kmers.owned.iter());
+                    let pk: Vec<_> = sorted(tp.kmers.owned.iter());
                     assert_eq!(sk, pk, "kmer tables diverge");
-                    let st: Vec<_> = sorted(ts.hash_tiles.iter());
-                    let pt: Vec<_> = sorted(tp.hash_tiles.iter());
+                    let st: Vec<_> = sorted(ts.tiles.owned.iter());
+                    let pt: Vec<_> = sorted(tp.tiles.owned.iter());
                     assert_eq!(st, pt, "tile tables diverge");
                     assert_eq!(ts.memory_bytes(), tp.memory_bytes(), "table geometry diverges");
                 }
@@ -1607,12 +1524,12 @@ mod tests {
             build_distributed(comm, &mine, 1000, &p, &heur, 2)
         });
         for (tables, stats) in &results {
-            let rk = tables.reads_kmers.as_ref().expect("reads table kept");
+            let rk = tables.kmers.reads.as_ref().expect("reads table kept");
             assert!(stats.reads_table_entries > 0 || rk.is_empty());
             for (code, count) in rk.iter() {
                 assert_eq!(count, seq.kmers.count(code), "global count mismatch for {code}");
             }
-            let rt = tables.reads_tiles.as_ref().expect("tile reads table kept");
+            let rt = tables.tiles.reads.as_ref().expect("tile reads table kept");
             for (code, count) in rt.iter() {
                 assert_eq!(count, seq.tiles.count(code));
             }
@@ -1632,8 +1549,8 @@ mod tests {
             build_distributed(comm, &mine, 1000, &p, &heur, 2)
         });
         for (tables, _) in &results {
-            let rep_k = tables.replicated_kmers.as_ref().unwrap();
-            let rep_t = tables.replicated_tiles.as_ref().unwrap();
+            let rep_k = tables.kmers.replicated.as_ref().unwrap();
+            let rep_t = tables.tiles.replicated.as_ref().unwrap();
             assert_eq!(rep_k.len(), seq.kmers.len());
             assert_eq!(rep_t.len(), seq.tiles.len());
             for (code, count) in seq.kmers.iter() {
@@ -1645,6 +1562,29 @@ mod tests {
                 rep_k.memory_bytes(),
                 reptile::spectrum::KmerSpectrum::bytes_for_entries(rep_k.len())
             );
+        }
+    }
+
+    #[test]
+    fn group_replaces_owned_in_the_entry_tally_only() {
+        let p = params();
+        let reads = make_reads(40, 18);
+        let reads_ref = &reads;
+        let np = 4;
+        let heur =
+            HeuristicConfig { partial_group: 2, keep_read_tables: true, ..Default::default() };
+        let results = Universe::new(np).run(move |comm| {
+            let mine = partition(reads_ref, np, comm.rank());
+            build_distributed(comm, &mine, 1000, &p, &heur, 1).0
+        });
+        for tables in &results {
+            let k = &tables.kmers;
+            let (group, reads) = (k.group.as_ref().unwrap(), k.reads.as_ref().unwrap());
+            assert!(group.len() > k.owned.len());
+            assert_eq!(k.resident_entries(), (group.len() + reads.len()) as u64);
+            let bytes = k.owned.memory_bytes() + group.memory_bytes() + reads.memory_bytes();
+            assert_eq!(k.memory_bytes(), bytes as u64);
+            assert_eq!(tables.memory_bytes(), k.memory_bytes() + tables.tiles.memory_bytes());
         }
     }
 

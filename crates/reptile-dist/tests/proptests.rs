@@ -4,9 +4,11 @@
 
 use mpisim::Universe;
 use proptest::prelude::*;
-use reptile::{correct_dataset, KmerSpectrum, ReptileParams, TileSpectrum};
+use reptile::{correct_dataset, ReptileParams, Spectrum, SpectrumKey};
 use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::spectrum::{build_distributed, build_distributed_serial, BuildStats, RankTables};
+use reptile_dist::spectrum::{
+    build_distributed, build_distributed_serial, BuildStats, KindTables, RankTables,
+};
 use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
 
 fn params() -> ReptileParams {
@@ -49,45 +51,77 @@ fn read_pool() -> impl Strategy<Value = Vec<dnaseq::Read>> {
     })
 }
 
-fn kmer_entries(s: &KmerSpectrum) -> Vec<(u64, u32)> {
+fn entries<K: SpectrumKey>(s: &Spectrum<K>) -> Vec<(K, u32)> {
     let mut v: Vec<_> = s.iter().collect();
     v.sort_unstable();
     v
 }
 
-fn tile_entries(s: &TileSpectrum) -> Vec<(u128, u32)> {
-    let mut v: Vec<_> = s.iter().collect();
-    v.sort_unstable();
-    v
+/// Everything bit-identity covers of one key kind: every table (owned,
+/// reads, replicated, group, hot) as a sorted entry list, plus the
+/// byte-accurate memory accounting.
+#[derive(Debug, PartialEq)]
+struct KindFingerprint<K> {
+    owned: Vec<(K, u32)>,
+    reads: Option<Vec<(K, u32)>>,
+    replicated: Option<Vec<(K, u32)>>,
+    group: Option<Vec<(K, u32)>>,
+    hot: Option<Vec<(K, u32)>>,
+    bytes: u64,
 }
 
-/// Everything bit-identity covers: every table (owned, reads,
-/// replicated, group) as a sorted entry list, plus the byte-accurate
-/// memory accounting.
-type TableFingerprint = (
-    Vec<(u64, u32)>,
-    Vec<(u128, u32)>,
-    Option<Vec<(u64, u32)>>,
-    Option<Vec<(u128, u32)>>,
-    Option<Vec<(u64, u32)>>,
-    Option<Vec<(u128, u32)>>,
-    Option<Vec<(u64, u32)>>,
-    Option<Vec<(u128, u32)>>,
-    u64,
-);
+fn kind_fingerprint<K: SpectrumKey>(t: &KindTables<K>) -> KindFingerprint<K> {
+    KindFingerprint {
+        owned: entries(&t.owned),
+        reads: t.reads.as_ref().map(entries),
+        replicated: t.replicated.as_ref().map(entries),
+        group: t.group.as_ref().map(entries),
+        hot: t.hot.as_ref().map(entries),
+        bytes: t.memory_bytes(),
+    }
+}
+
+/// Both kinds of one rank's tables.
+type TableFingerprint = (KindFingerprint<u64>, KindFingerprint<u128>);
 
 fn fingerprint(t: &RankTables) -> TableFingerprint {
-    (
-        kmer_entries(&t.hash_kmers),
-        tile_entries(&t.hash_tiles),
-        t.reads_kmers.as_ref().map(kmer_entries),
-        t.reads_tiles.as_ref().map(tile_entries),
-        t.replicated_kmers.as_ref().map(kmer_entries),
-        t.replicated_tiles.as_ref().map(tile_entries),
-        t.group_kmers.as_ref().map(kmer_entries),
-        t.group_tiles.as_ref().map(tile_entries),
-        t.memory_bytes(),
-    )
+    (kind_fingerprint(&t.kmers), kind_fingerprint(&t.tiles))
+}
+
+/// One kind's heuristic tables on every rank against what the flags ask
+/// for: the replicated table is the union of all ranks' owned tables iff
+/// `replicate` (this kind's flag), the group table the union over the
+/// rank's group iff partial replication is on, a reads table exists iff
+/// `keep_read_tables`, and the build makes no hot replica. Serial and
+/// pipelined builds share this derivation, so only a check against the
+/// flags catches a helper that fills one kind from the other's.
+fn check_heuristic_tables<K: SpectrumKey>(
+    ranks: &[&KindFingerprint<K>],
+    heur: &HeuristicConfig,
+    replicate: bool,
+) -> Result<(), TestCaseError> {
+    let union = |ranks: &[&KindFingerprint<K>]| {
+        let mut v: Vec<(K, u32)> = ranks.iter().flat_map(|r| r.owned.iter().copied()).collect();
+        v.sort_unstable();
+        v
+    };
+    let all = union(ranks);
+    let g = heur.partial_group;
+    for (rank, r) in ranks.iter().enumerate() {
+        let group_ranks = rank / g * g..((rank / g + 1) * g).min(ranks.len());
+        let group = (g > 1).then(|| union(&ranks[group_ranks]));
+        prop_assert_eq!(
+            r.replicated.as_ref(),
+            replicate.then_some(&all),
+            "{} rank {}",
+            K::NAME,
+            rank
+        );
+        prop_assert_eq!(&r.group, &group, "{} rank {}", K::NAME, rank);
+        prop_assert_eq!(r.reads.is_some(), heur.keep_read_tables, "{} rank {}", K::NAME, rank);
+        prop_assert!(r.hot.is_none());
+    }
+    Ok(())
 }
 
 /// Zero the wall-clock fields: timings legitimately differ between the
@@ -168,7 +202,9 @@ proptest! {
     /// to the serial reference: same tables (all of them, including the
     /// optional reads/replicated/group spectra), same byte accounting,
     /// same deterministic counters — across thread counts, chunk sizes,
-    /// rank counts and every heuristic combination in the matrix.
+    /// rank counts and every heuristic combination in the matrix. Each
+    /// kind's heuristic tables must also be the ones its own flags ask
+    /// for.
     #[test]
     fn pipelined_build_bit_identical_to_serial(
         reads in read_pool(),
@@ -181,6 +217,10 @@ proptest! {
         prop_assume!(heur.validate().is_ok());
         let serial = build_fingerprints(&reads, np, chunk, heur, None);
         let piped = build_fingerprints(&reads, np, chunk, heur, Some(threads));
+        let kmers: Vec<_> = serial.iter().map(|((k, _), _)| k).collect();
+        check_heuristic_tables(&kmers, &heur, heur.replicate_kmers)?;
+        let tiles: Vec<_> = serial.iter().map(|((_, t), _)| t).collect();
+        check_heuristic_tables(&tiles, &heur, heur.replicate_tiles)?;
         prop_assert_eq!(serial, piped, "heur={} np={} threads={} chunk={}",
                         heur.label(), np, threads, chunk);
     }

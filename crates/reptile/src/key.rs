@@ -129,6 +129,7 @@ impl SpectrumKey for u64 {
         codec.canonical(code)
     }
 
+    #[inline]
     fn codes_of(codec: KmerCodec, seq: &[u8]) -> impl Iterator<Item = u64> + '_ {
         codec.kmers_of(seq).map(|(_, code)| code)
     }
@@ -166,6 +167,7 @@ impl SpectrumKey for u128 {
         codec.canonical(code)
     }
 
+    #[inline]
     fn codes_of(codec: TileCodec, seq: &[u8]) -> impl Iterator<Item = u128> + '_ {
         codec.tiles_of(seq).map(|(_, code)| code)
     }

@@ -20,32 +20,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bloom_build;
 pub mod corrector;
 pub mod eval;
 pub mod flat;
-pub mod histogram;
 pub mod key;
 pub mod kmer_corrector;
-pub mod layouts;
 pub mod params;
-pub mod pipeline;
 pub mod prefetch;
 pub mod radix;
 pub mod spectrum;
 
-pub use bloom_build::{build_with_bloom, BloomBuildStats};
 pub use corrector::{
     correct_dataset, correct_read, correct_read_with, CorrectionStats, ReadOutcome, SpectrumAccess,
     WalkScratch,
 };
 pub use eval::AccuracyReport;
 pub use flat::{FlatKmerTable, FlatTable, FlatTileTable, TableParts, HASH_SEED};
-pub use histogram::CountHistogram;
 pub use key::SpectrumKey;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;
-pub use pipeline::{Pipeline, PipelineResult};
 pub use prefetch::{
     correct_in_waves, enumerate_read_keys, PrefetchKeys, WaveCache, WaveMode, WaveScratch,
     WaveSource, WaveStats,

@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-paper extensions: partial
-//! replication, the prior-art engine, Bloom construction, the k-mer-only
-//! baseline and sharded output — all exercised through the public API
+//! replication, the prior-art engine, the k-mer-only baseline and
+//! sharded output — all exercised through the public API
 //! against the same ground-truth dataset.
 
 use genio::dataset::DatasetProfile;
@@ -83,27 +83,6 @@ fn prior_art_engine_agrees_with_paper_engine() {
 }
 
 #[test]
-fn bloom_spectra_drive_identical_correction() {
-    let ds = dataset(54);
-    let p = params();
-    let (exact_out, _) = correct_dataset(&ds.reads, &p);
-    let occurrences: usize = ds.reads.iter().map(|r| r.len().saturating_sub(p.k - 1)).sum();
-    let (mut bloomed, stats) = reptile::build_with_bloom(&ds.reads, &p, occurrences, 0.0001);
-    assert!(stats.kmer_singletons_filtered > 0);
-    let mut corrected = Vec::with_capacity(ds.reads.len());
-    let mut stats_acc = reptile::CorrectionStats::default();
-    for r in &ds.reads {
-        let mut read = r.clone();
-        let o = reptile::correct_read(&mut read, &mut bloomed, &p);
-        stats_acc.absorb(&o);
-        corrected.push(read);
-    }
-    // identical up to Bloom false positives; at fp=1e-4 demand exactness
-    assert_eq!(corrected, exact_out);
-    assert!(stats_acc.errors_corrected > 100);
-}
-
-#[test]
 fn tile_corrector_beats_kmer_baseline_on_ground_truth() {
     // The tile advantage (§II-A) holds in the paper's coverage regime
     // (47–197X): tiles are sampled once per stride, so at low coverage
@@ -164,22 +143,4 @@ fn sharded_output_reconstructs_dataset() {
     let first_seq = lines.next().unwrap();
     assert_eq!(first_seq.as_bytes(), &out.corrected[0].seq[..]);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn histogram_threshold_is_usable_end_to_end() {
-    // derive thresholds from the histogram, then correct with them
-    let ds = dataset(57);
-    let mut p = params();
-    let unpruned = reptile::spectrum::LocalSpectra::build_unpruned(&ds.reads, &p);
-    let hist = reptile::CountHistogram::of_kmers(&unpruned.kmers);
-    if let Some(t) = hist.suggest_threshold() {
-        assert!(t >= 2, "valley threshold {t}");
-        p.kmer_threshold = t;
-        p.tile_threshold = (t / 2).max(2);
-    }
-    let (corrected, stats) = correct_dataset(&ds.reads, &p);
-    let rep = AccuracyReport::score_dataset(&ds.reads, &corrected, &ds.truth);
-    assert!(stats.errors_corrected > 100);
-    assert!(rep.gain() > 0.3, "gain {:.3} with derived thresholds", rep.gain());
 }
