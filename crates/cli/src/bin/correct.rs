@@ -10,8 +10,9 @@
 //!   --batch-reads        per-chunk spectrum exchange (§III-B)
 //!   --read-tables        keep readsKmer/readsTile with global counts
 //!   --cache-remote       cache remote answers (needs --read-tables)
-//!   --aggregate          correct each chunk in fetch waves: one batched
-//!                        request per owner per wave, no per-key round trip
+//!   --aggregate          batch each lockstep round: one request per owner
+//!                        per round (after one for the chunk's first wave),
+//!                        no per-key round trip
 //!   --replicate X        kmers | tiles | both (allgather heuristics)
 //!   --partial-group G    §V partial replication group size
 //!   --no-load-balance    disable the static shuffle (§III-A)

@@ -664,7 +664,7 @@ pub(crate) struct WireTransport<'a> {
     /// Replies taken by the last drain, decoded in place.
     inbox: Vec<Message>,
     /// Replies that arrived while an earlier sequence number was awaited
-    /// — a later request of the same round or wave to the same owner,
+    /// — a later request of the same round or fetch to the same owner,
     /// drained with it or reordered ahead — parked until their own await
     /// comes around. Every request in flight is awaited, so a round
     /// leaves this empty.
@@ -944,6 +944,14 @@ mod tests {
         );
         assert!(sum(&|l| l.prefetch_hits, &agg) > 0);
         assert!(sum(&|l| l.batched_keys, &agg) > 0);
+        // no over-fetch: the keys shipped in batches are at most the
+        // lookups base mode sends one by one on the same reads
+        let (agg_keys, base_lookups) =
+            (sum(&|l| l.batched_keys, &agg), sum(&|l| l.remote_total(), &base));
+        assert!(
+            agg_keys <= base_lookups,
+            "aggregation shipped {agg_keys} keys where base mode asked {base_lookups}"
+        );
         assert_eq!(sum(&|l| l.batches_sent, &base), 0, "base mode must not batch");
         // in base mode every remote lookup is exactly one request message
         assert_eq!(base_msgs, sum(&|l| l.remote_total(), &base));
@@ -1049,9 +1057,9 @@ mod tests {
     }
 
     /// The wire transport against a scripted owner: two batches of one
-    /// wave in flight to the same owner answered in reverse order, the
-    /// early one twice; then a late duplicate of the first wave ahead of
-    /// the second wave's answer; then a base-mode round of four
+    /// fetch in flight to the same owner answered in reverse order, the
+    /// early one twice; then a late duplicate of the first fetch ahead of
+    /// the second fetch's answer; then a base-mode round of four
     /// single-key requests answered out of order, with a duplicate of a
     /// later reply and a late duplicate of an earlier one. Every key gets
     /// its own request's count, nothing retries, nothing degrades, and
@@ -1060,7 +1068,7 @@ mod tests {
     fn wire_transport_matches_reordered_and_duplicated_batches_by_seq() {
         use crate::protocol::MAX_BATCH_KEYS;
         use mpisim::Message;
-        use reptile::{PrefetchKeys, WaveCache, WaveSource};
+        use reptile::{PrefetchKeys, WaveSource};
         let p = ReptileParams { k: 12, tile_overlap: 6, ..ReptileParams::for_tests() };
         let owners = OwnerMap::new(2, &p);
         let keys: Vec<u64> =
@@ -1093,15 +1101,14 @@ mod tests {
             }
             let tables = bare_tables(owners, &p);
             let mut router = LookupRouter::over_wire(comm, &tables, &cfg);
-            let mut cache = WaveCache::default();
             let (wave1, wave2) = keys.split_at(MAX_BATCH_KEYS + 5);
             for wave in [wave1, wave2] {
-                let missing = PrefetchKeys { kmers: wave.to_vec(), tiles: Vec::new() };
-                router.fetch(&missing, &mut cache);
-                assert!(router.transport.stash.is_empty(), "a wave empties the stash");
-            }
-            for &key in &keys {
-                assert_eq!(cache.kmer(key), Some(count_of(key)), "key {key}");
+                router.fetch(&mut PrefetchKeys { kmers: wave.to_vec(), tiles: Vec::new() });
+                assert!(router.transport.stash.is_empty(), "a fetch empties the stash");
+                for &key in wave {
+                    let got = router.fetched(1, LookupRequest::Kmer(key));
+                    assert_eq!(got, Some(count_of(key)), "key {key}");
+                }
             }
             for &key in &keys[..4] {
                 assert_eq!(router.ask_kmer(key), None, "owned by rank 1: a request");

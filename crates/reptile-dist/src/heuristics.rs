@@ -45,12 +45,13 @@ pub struct HeuristicConfig {
     /// ranks, besides the k-mers and the tiles the rank owns."
     pub partial_group: usize,
     /// *Aggregate lookups* (extension beyond the paper, after diBELLA's
-    /// per-destination request aggregation): correct each chunk of
-    /// reads in waves (`reptile::prefetch`). The corrector's own window
-    /// walk names the keys it finds missing, each wave fetches them with
-    /// **one** vectorized `TAG_BATCH_REQ` round trip per owning rank, and
-    /// the walk resumes on the fetched counts — no synchronous round
-    /// trip per key is ever made; output stays bit-identical.
+    /// per-destination request aggregation): each chunk of reads is
+    /// corrected by base mode's lockstep rounds (`reptile::prefetch`);
+    /// only their transport differs. The chunk's count-free keys (every
+    /// window's tile and k-mers) are fetched first, then each round's
+    /// asks travel deduplicated as **one** vectorized `TAG_BATCH_REQ`
+    /// round trip per owning rank — no single-key request is ever sent;
+    /// output stays bit-identical.
     pub aggregate_lookups: bool,
     /// *Top-K hot-shard replication* (adaptive balancing, beyond the
     /// paper): after the build, ranks allgather per-owner lookup-volume

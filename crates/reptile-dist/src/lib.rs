@@ -20,7 +20,7 @@
 //!   validating [`EngineConfig`] builder, [`RunOutput`];
 //! * `router` (crate-private) — Step IV's lookup rule, stated once: the
 //!   routing order over a rank's tables, the sequence-stamped
-//!   deadline/retry/degrade driver and the per-owner wave fetch, generic
+//!   deadline/retry/degrade driver and the per-owner batched fetch, generic
 //!   over a transport; both engines and the serve plane run it;
 //! * [`engine_mt`] — Step IV on the threaded [`mpisim`] runtime: a worker
 //!   thread correcting reads + a communication thread serving lookups,

@@ -22,10 +22,10 @@
 //!
 //! Beyond the paper, the `aggregate_lookups` heuristic adds a
 //! **batched** encoding ([`BatchRequest`]/[`BatchResponse`]): all keys a
-//! chunk of reads can touch at one owner travel in a single vectorized
-//! message (`n × u64` k-mer keys + `n × u128` tile keys), and the owner
-//! answers with one message of `n × i64` counts in key order, keeping
-//! the `-1` sentinel per key. This is the request-aggregation idiom of
+//! chunk's first wave, or one of its rounds, needs from one owner travel
+//! in a single vectorized message (`n × u64` k-mer keys + `n × u128` tile
+//! keys), and the owner answers with one message of `n × i64` counts in
+//! key order, keeping the `-1` sentinel per key. This is the request-aggregation idiom of
 //! diBELLA / Extreme-Scale Metagenome Assembly (PAPERS.md) applied to
 //! the Reptile step IV.
 //!
@@ -216,7 +216,7 @@ pub fn encode_batch_request(seq: u64, kmers: &[u64], tiles: &[u128]) -> (u32, Ve
     (TAG_BATCH_REQ, w.finish())
 }
 
-/// Split one owner's share of a wave — `kmers` k-mer keys and `tiles`
+/// Split one owner's share of a fetch — `kmers` k-mer keys and `tiles`
 /// tile keys — into batches of at most [`MAX_BATCH_KEYS`] keys, k-mers
 /// first: the `(k-mer range, tile range)` of each batch. Both engines
 /// peel with this, so their batch counts and per-edge message indices
@@ -238,8 +238,9 @@ pub fn batch_ranges(
     })
 }
 
-/// A batched key request: the keys one wave of a chunk of reads needs
-/// from a single owning rank, in one message.
+/// A batched key request: the keys one fetch of a chunk of reads (its
+/// first wave, or one round) needs from a single owning rank, in one
+/// message.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchRequest {
     /// Normalized k-mer keys (the sender keeps them deduplicated).

@@ -41,9 +41,10 @@ pub struct LookupStats {
     pub batches_sent: u64,
     /// Keys shipped inside those batches.
     pub batched_keys: u64,
-    /// Lookups answered from the counts the fetch waves brought in
-    /// (counted as local, not remote). A key probed again on a later
-    /// pass of the walk counts again.
+    /// Aggregate mode: lookups answered from the chunk's first wave
+    /// (counted as local, not remote), once per ask. A lookup a round's
+    /// batch answers is counted in `batched_keys` only, once per distinct
+    /// key of the round.
     pub prefetch_hits: u64,
     /// Batched requests this rank's comm thread answered for others.
     pub batches_served: u64,
@@ -75,16 +76,6 @@ impl LookupStats {
             return 0.0;
         }
         self.batched_keys as f64 / self.batches_sent as f64
-    }
-
-    /// Count the lookups one `correct_in_waves` call answered from
-    /// fetched counts: local, and prefetch hits. Re-probes on later
-    /// passes are included: they are hash probes the rank really makes
-    /// (the virtual engine charges `hash_lookup_ns` for each).
-    pub(crate) fn add_wave_hits(&mut self, waves: &reptile::WaveStats) {
-        self.local_kmer_lookups += waves.kmer_hits;
-        self.local_tile_lookups += waves.tile_hits;
-        self.prefetch_hits += waves.kmer_hits + waves.tile_hits;
     }
 
     /// Merge counters (worker + server sides of one rank).

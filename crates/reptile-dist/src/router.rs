@@ -17,12 +17,14 @@
 //!   deadline is counted, each resend is counted, and a request that
 //!   outlives the budget degrades to count 0. Single-key lookups, batch
 //!   awaits and steal round trips all go through it;
-//! * the **wave fetch** of aggregate mode: one wave's missing keys split
-//!   by owner, every batch of the wave sent before the first reply is
-//!   awaited, the fetched counts stored in the [`WaveCache`];
-//! * the **round exchange** of base mode: one single-key request per
-//!   non-resident lookup of the sequential walk, the whole round sent
-//!   before the first reply is awaited;
+//! * the **round exchange**: base mode sends one single-key request per
+//!   non-resident lookup of the sequential walk, aggregate mode the
+//!   round's keys deduplicated into one batch per owner; either way the
+//!   whole round is sent before the first reply is awaited;
+//! * the **first wave** of aggregate mode: a chunk's count-free keys
+//!   ([`enumerate_read_keys`]) fetched in batches before its first round
+//!   and held for that chunk only, by the same batched fetch the rounds
+//!   use;
 //! * [`LookupRouter::correct_chunk`], the entry point of the threaded
 //!   engine, the virtual engine and the serve plane.
 //!
@@ -44,8 +46,8 @@ use crate::spectrum::{KindTables, RankTables};
 use dnaseq::{FxHashMap, Read};
 use reptile::spectrum::{KmerSpectrum, Spectrum, TileSpectrum};
 use reptile::{
-    correct_in_waves, Normalized, PrefetchKeys, ReadOutcome, ReptileParams, SpectrumKey, WaveCache,
-    WaveMode, WaveScratch, WaveSource,
+    correct_in_waves, enumerate_read_keys, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
+    SpectrumKey, WaveScratch, WaveSource,
 };
 use std::collections::hash_map::Entry;
 
@@ -54,7 +56,7 @@ use std::collections::hash_map::Entry;
 pub(crate) enum Request<'a> {
     /// The count of one normalized key.
     Key(LookupRequest),
-    /// The counts of one owner's share of a wave, in key order.
+    /// The counts of one owner's share of a fetch, in key order.
     Batch {
         /// Normalized k-mer keys.
         kmers: &'a [u64],
@@ -185,14 +187,42 @@ pub(crate) struct KindCounters<'s> {
     pub(crate) remote_misses: &'s mut u64,
 }
 
-/// One entry of a base-mode round, in ask order.
+/// One entry of a round, in ask order.
 #[derive(Clone, Copy, Debug)]
 enum Posted {
-    /// A single-key request to `owner`.
+    /// A request to `owner`: a single-key one in base mode, a key of the
+    /// round's batch to `owner` in aggregate mode.
     Key { owner: usize, req: LookupRequest },
-    /// `cache_remote`: a key this round already requested, at the given
-    /// entry — the reads-table hit the sequential walk would have had.
+    /// Base mode under `cache_remote`: a key this round already
+    /// requested, at the given entry — the reads-table hit the sequential
+    /// walk would have had.
     Again(usize),
+    /// Aggregate mode: a first-wave key whose batch degraded; it is not
+    /// sent again within the chunk and answers degraded.
+    Degraded,
+}
+
+/// Where the lookup chain answers a key on this rank.
+#[derive(Clone, Copy)]
+enum Tier {
+    /// The replicated, group or owned table.
+    Table,
+    /// A hot owner's replica (`hot_shard_hits`).
+    Hot,
+    /// The reads table (`cache_hits`).
+    Reads,
+    /// The chunk's first wave (`prefetch_hits`).
+    FirstWave,
+}
+
+/// Where the lookup chain ends for one key on this rank.
+enum Route {
+    /// A count this rank holds.
+    Local(u32, Tier),
+    /// A first-wave key whose batch degraded.
+    Degraded,
+    /// Not on this rank: ask the owner.
+    Remote(usize),
 }
 
 /// Everything a router allocates while correcting, so that a caller
@@ -200,12 +230,17 @@ enum Posted {
 /// ranks) can hand the same buffers from one to the next.
 #[derive(Default)]
 pub(crate) struct RouterScratch {
-    /// The wave driver's state, its fetched-count cache included, reused
-    /// chunk after chunk.
+    /// The wave driver's state, reused chunk after chunk.
     wave: WaveScratch,
-    /// Aggregate mode: one wave's missing keys split by owning rank.
-    wave_keys: Vec<PrefetchKeys>,
-    /// Base mode: the round being asked for.
+    /// Aggregate mode: the keys of one fetch.
+    keys: PrefetchKeys,
+    /// Aggregate mode: the last fetch's keys by owning rank, in key order.
+    fetched_keys: Vec<PrefetchKeys>,
+    /// Aggregate mode: their answers, k-mers first (`None` = degraded).
+    fetched: Vec<Vec<Option<u32>>>,
+    /// Aggregate mode: the chunk's first wave.
+    first_wave: FxHashMap<LookupRequest, Option<u32>>,
+    /// The round being asked for.
     round: Vec<Posted>,
     /// Base mode under `cache_remote`: the round's entry for each key
     /// requested in it.
@@ -216,7 +251,7 @@ pub(crate) struct RouterScratch {
 pub(crate) struct LookupRouter<'a, T> {
     pub(crate) tiers: Tiers<'a>,
     pub(crate) transport: T,
-    /// Correct chunks in fetch waves instead of key by key.
+    /// Batch each round per owner, after a first-wave fetch per chunk.
     aggregate: bool,
     /// Add every remote answer to the reads table.
     cache_remote: bool,
@@ -257,50 +292,67 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         seq
     }
 
-    /// The lookup chain up to the point where it would leave the rank.
-    /// `Err` names the key and the owner to ask.
-    fn local<K: Key>(&mut self, code: K) -> Result<u32, (Normalized<K>, usize)> {
+    /// The lookup chain up to the point where it would leave the rank,
+    /// counting nothing.
+    fn route<K: Key>(&mut self, key: Normalized<K>) -> Route {
         let Tiers { owners, me, group, hot_owners, .. } = self.tiers;
-        let key = code.normalize(owners);
         let tiers = K::tiers(&mut self.tiers);
-        let stats = &mut self.stats;
         if let Some(replicated) = tiers.replicated {
-            *K::counters(stats).local += 1;
-            return Ok(replicated.count_at(key));
+            return Route::Local(replicated.count_at(key), Tier::Table);
         }
         let owner = K::owner(key, owners);
         let in_group = if group > 1 { owner / group == me / group } else { owner == me };
         if in_group {
-            *K::counters(stats).local += 1;
-            return Ok(tiers.local.count_at(key));
+            return Route::Local(tiers.local.count_at(key), Tier::Table);
         }
         if let (Some(hot), Some(&true)) = (tiers.hot, hot_owners.get(owner)) {
             // exact copy of the hot owner's pruned table: the same count
             // a remote request would return
-            *K::counters(stats).local += 1;
-            stats.hot_shard_hits += 1;
-            return Ok(hot.count_at(key));
+            return Route::Local(hot.count_at(key), Tier::Hot);
         }
         if let Some(count) = tiers.reads.as_ref().and_then(|reads| reads.get_at(key)) {
-            *K::counters(stats).local += 1;
-            stats.cache_hits += 1;
-            return Ok(count);
+            return Route::Local(count, Tier::Reads);
         }
-        Err((key, owner))
+        match self.scratch.first_wave.get(&K::request(key)) {
+            Some(&Some(count)) => Route::Local(count, Tier::FirstWave),
+            Some(None) => Route::Degraded,
+            None => Route::Remote(owner),
+        }
     }
 
-    /// One lookup of base mode: the local tiers, else one single-key
-    /// request to the owner queued for the round (`None`). Under
-    /// `cache_remote` a key already requested this round is the
-    /// reads-table hit it would be had the first request been answered
-    /// before it was asked again, as the sequential walk does.
+    /// One lookup of a round: the local tiers, else a request to the
+    /// owner queued for the round (`None`). Base mode counts it as one
+    /// single-key request; under `cache_remote` a key already requested
+    /// this round is the reads-table hit it would be had the first
+    /// request been answered before it was asked again, as the sequential
+    /// walk does. Aggregate mode counts nothing until the round's batches
+    /// go out.
     fn ask<K: Key>(&mut self, code: K) -> Option<u32> {
-        let (key, owner) = match self.local(code) {
-            Ok(count) => return Some(count),
-            Err(remote) => remote,
+        let key = code.normalize(self.tiers.owners);
+        let owner = match self.route(key) {
+            Route::Local(count, tier) => {
+                let stats = &mut self.stats;
+                *K::counters(stats).local += 1;
+                match tier {
+                    Tier::Table => {}
+                    Tier::Hot => stats.hot_shard_hits += 1,
+                    Tier::Reads => stats.cache_hits += 1,
+                    Tier::FirstWave => stats.prefetch_hits += 1,
+                }
+                return Some(count);
+            }
+            Route::Degraded => {
+                self.scratch.round.push(Posted::Degraded);
+                return None;
+            }
+            Route::Remote(owner) => owner,
         };
         let req = K::request(key);
         let round = &mut self.scratch.round;
+        if self.aggregate {
+            round.push(Posted::Key { owner, req });
+            return None;
+        }
         if self.cache_remote && K::tiers(&mut self.tiers).reads.is_some() {
             match self.scratch.requested.entry(req) {
                 Entry::Occupied(first) => {
@@ -358,8 +410,8 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
     /// `seq`, resend under the same `seq` on every missed deadline (the
     /// transport backs the deadline off per attempt), and once the budget
     /// is spent give up — the request's `keys` degrade to "absent
-    /// everywhere". `posted` says attempt 0 is already on its way (a wave
-    /// sends all its batches before it awaits any).
+    /// everywhere". `posted` says attempt 0 is already on its way (a
+    /// round sends all its requests before it awaits any).
     fn round_trip(
         &mut self,
         to: usize,
@@ -403,58 +455,74 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
 
     /// Correct a chunk of reads in place, calling `done(index, outcome,
     /// degraded)` once per read, as soon as it is finished. The wave
-    /// driver walks every read of the chunk in rounds. Base mode asks
-    /// what the sequential walk asks, each non-resident lookup one
-    /// single-key request, and sends a round's requests all before it
-    /// awaits the first ([`WaveSource::exchange`]); aggregate mode learns
-    /// from the walk which counts to fetch and gets them through
-    /// [`WaveSource::fetch`] — no single-key request is ever sent.
-    ///
-    /// `degraded` says whether a count the read's walk saw may have been
-    /// a degraded one: in base mode, one of its own lookups degraded; in
-    /// aggregate mode, a key of the chunk had degraded by the time the
-    /// read finished (a walk sees nothing fetched later).
+    /// driver walks every read of the chunk in lockstep rounds, asking
+    /// what the sequential walk asks ([`WaveSource::exchange`]). Base
+    /// mode sends each non-resident lookup as one single-key request;
+    /// aggregate mode first fetches the chunk's first wave, then sends
+    /// each round's keys as one batch per owner — no single-key request
+    /// is ever sent. `degraded` says one of the read's own answers
+    /// degraded.
     pub(crate) fn correct_chunk(
         &mut self,
         reads: &mut [Read],
         params: &ReptileParams,
-        mut done: impl FnMut(usize, ReadOutcome, bool),
+        done: impl FnMut(usize, ReadOutcome, bool),
     ) {
-        let aggregate = self.aggregate;
-        let mode = if aggregate { WaveMode::Aggregate } else { WaveMode::Lockstep };
+        if self.aggregate {
+            self.fetch_first_wave(reads, params);
+        }
         let mut wave = std::mem::take(&mut self.scratch.wave);
-        let before = self.stats.keys_degraded;
-        let waves = correct_in_waves(reads, params, mode, &mut wave, self, |router, i, o, own| {
-            done(i, o, own || aggregate && router.stats.keys_degraded > before)
-        });
+        correct_in_waves(reads, params, &mut wave, self, done);
         self.scratch.wave = wave;
-        self.stats.add_wave_hits(&waves);
-    }
-}
-
-impl<T: Transport> WaveSource for LookupRouter<'_, T> {
-    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
-        self.local(key).ok()
+        self.scratch.first_wave.clear();
     }
 
-    fn resident_tile(&mut self, key: u128) -> Option<u32> {
-        self.local(key).ok()
+    /// Aggregate mode: fetch the counts of the chunk's first wave — every
+    /// window's tile and k-mer keys that no local tier holds — and hold
+    /// them for the chunk. A key whose batch degraded is held as
+    /// degraded, so it is not sent again within the chunk.
+    fn fetch_first_wave(&mut self, reads: &[Read], params: &ReptileParams) {
+        let mut keys = std::mem::take(&mut self.scratch.keys);
+        keys.clear();
+        for read in reads {
+            enumerate_read_keys(read, params, &mut keys);
+        }
+        keys.finish();
+        let remote = |route| matches!(route, Route::Remote(_));
+        keys.kmers.retain(|&k| remote(self.route(Normalized::assume(k))));
+        keys.tiles.retain(|&t| remote(self.route(Normalized::assume(t))));
+        self.fetch(&mut keys);
+        self.scratch.keys = keys;
+        let RouterScratch { fetched_keys, fetched, first_wave, .. } = &mut self.scratch;
+        for (keys, counts) in fetched_keys.iter().zip(fetched.iter()) {
+            let kmers = keys.kmers.iter().map(|&k| LookupRequest::Kmer(k));
+            let tiles = keys.tiles.iter().map(|&t| LookupRequest::Tile(t));
+            first_wave.extend(kmers.chain(tiles).zip(counts.iter().copied()));
+        }
     }
 
-    /// One wave: split the missing keys by owning rank and fetch each
-    /// owner's share with one vectorized round trip (more only past
+    /// Aggregate mode's one batched fetch: `keys` deduplicated, split by
+    /// owning rank, one vectorized round trip per owner (more only past
     /// `MAX_BATCH_KEYS`, see [`batch_ranges`]). All batches go out before
     /// any reply is awaited: sends are buffered and owners always answer,
-    /// so this cannot deadlock, and the owners work on the wave at once.
+    /// so this cannot deadlock, and the owners work on the fetch at once.
     /// Replies are matched by sequence number, so arrival order does not
-    /// matter. A batch that exhausts its retry budget stores count 0 for
-    /// every one of its keys — the paper's degradation semantics.
-    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
-        let mut per_owner = std::mem::take(&mut self.scratch.wave_keys);
-        per_owner.resize_with(self.tiers.owners.np(), PrefetchKeys::default);
-        self.tiers.owners.split_by_owner(missing, &mut per_owner);
+    /// matter. Leaves each owner's keys in `scratch.fetched_keys`, in key
+    /// order, and their counts in `scratch.fetched` (absent at the owner
+    /// reads 0); a batch that exhausts its retry budget leaves `None` for
+    /// every one of its keys — the paper's degradation.
+    pub(crate) fn fetch(&mut self, keys: &mut PrefetchKeys) {
+        keys.finish();
+        let np = self.tiers.owners.np();
+        let mut per_owner = std::mem::take(&mut self.scratch.fetched_keys);
+        let mut counts = std::mem::take(&mut self.scratch.fetched);
+        per_owner.resize_with(np, PrefetchKeys::default);
+        counts.resize_with(np, Vec::new);
+        self.tiers.owners.split_by_owner(keys, &mut per_owner);
         let mut sent = Vec::new();
         for (owner, keys) in per_owner.iter().enumerate() {
+            counts[owner].clear();
+            counts[owner].resize(keys.len(), None);
             for (k, tl) in batch_ranges(keys.kmers.len(), keys.tiles.len()) {
                 let seq = self.stamp();
                 let batch = Request::Batch {
@@ -469,56 +537,40 @@ impl<T: Transport> WaveSource for LookupRouter<'_, T> {
             }
         }
         for (owner, k, tl, seq) in sent {
-            let (kmers, tiles) = (&per_owner[owner].kmers[k], &per_owner[owner].tiles[tl]);
-            let keys = (kmers.len() + tiles.len()) as u64;
-            match self.round_trip(owner, seq, Request::Batch { kmers, tiles }, true, keys) {
-                // counts normalized like the single-key path (key not
-                // held by its owner → 0)
+            let keys = &per_owner[owner];
+            let batch =
+                Request::Batch { kmers: &keys.kmers[k.clone()], tiles: &keys.tiles[tl.clone()] };
+            match self.round_trip(owner, seq, batch, true, (k.len() + tl.len()) as u64) {
                 Some(Reply::Batch(resp)) => {
-                    debug_assert_eq!(resp.kmer_counts.len(), kmers.len());
-                    debug_assert_eq!(resp.tile_counts.len(), tiles.len());
-                    for (&key, &c) in kmers.iter().zip(&resp.kmer_counts) {
-                        cache.put_kmer(key, wire_to_count(c).unwrap_or(0));
-                    }
-                    for (&key, &c) in tiles.iter().zip(&resp.tile_counts) {
-                        cache.put_tile(key, wire_to_count(c).unwrap_or(0));
+                    debug_assert_eq!(resp.kmer_counts.len(), k.len());
+                    debug_assert_eq!(resp.tile_counts.len(), tl.len());
+                    let (kmer_slots, tile_slots) = counts[owner].split_at_mut(keys.kmers.len());
+                    let kmer_answers = kmer_slots[k].iter_mut().zip(&resp.kmer_counts);
+                    let tile_answers = tile_slots[tl].iter_mut().zip(&resp.tile_counts);
+                    for (slot, &c) in kmer_answers.chain(tile_answers) {
+                        *slot = Some(wire_to_count(c).unwrap_or(0));
                     }
                 }
-                None => {
-                    kmers.iter().for_each(|&key| cache.put_kmer(key, 0));
-                    tiles.iter().for_each(|&key| cache.put_tile(key, 0));
-                }
+                None => {}
                 Some(other) => unreachable!("{other:?} in reply to a batch request"),
             }
         }
-        self.scratch.wave_keys = per_owner;
+        self.scratch.fetched_keys = per_owner;
+        self.scratch.fetched = counts;
     }
 
-    fn ask_kmer(&mut self, key: u64) -> Option<u32> {
-        self.ask(key)
-    }
-
-    fn ask_tile(&mut self, key: u128) -> Option<u32> {
-        self.ask(key)
-    }
-
-    /// One base-mode round: every queued request goes out, then each is
-    /// awaited in turn, in queue order, under the retry protocol. Sends
-    /// are buffered and owners always answer, so a round cannot deadlock
-    /// however many requests it carries; replies are matched by sequence
-    /// number, so arrival order does not matter.
-    fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
-        let mut round = std::mem::take(&mut self.scratch.round);
+    /// One base-mode round: one single-key request per ask.
+    fn exchange_keys(&mut self, round: &[Posted], answers: &mut Vec<Option<u32>>) {
         self.scratch.requested.clear();
         let mut seqs = self.next_seq..;
-        for posted in &round {
+        for posted in round {
             if let Posted::Key { owner, req } = *posted {
                 let seq = self.stamp();
                 self.transport.send(owner, seq, Request::Key(req), 0);
             }
         }
         let start = answers.len();
-        for posted in &round {
+        for posted in round {
             let answer = match *posted {
                 Posted::Key { owner, req } => {
                     let seq = seqs.next().expect("a sequence number per request");
@@ -533,8 +585,66 @@ impl<T: Transport> WaveSource for LookupRouter<'_, T> {
                 }
                 // not this read's own lookup: a cache hit never degrades
                 Posted::Again(first) => Some(answers[start + first].unwrap_or(0)),
+                Posted::Degraded => unreachable!("base mode fetches no first wave"),
             };
             answers.push(answer);
+        }
+    }
+
+    /// One aggregate-mode round: the round's keys fetched as one batch
+    /// per owner, each ask answered from its key's count.
+    fn exchange_batched(&mut self, round: &[Posted], answers: &mut Vec<Option<u32>>) {
+        let mut keys = std::mem::take(&mut self.scratch.keys);
+        keys.clear();
+        for posted in round {
+            match *posted {
+                Posted::Key { req: LookupRequest::Kmer(k), .. } => keys.kmers.push(k),
+                Posted::Key { req: LookupRequest::Tile(t), .. } => keys.tiles.push(t),
+                _ => {}
+            }
+        }
+        self.fetch(&mut keys);
+        self.scratch.keys = keys;
+        answers.extend(round.iter().map(|posted| match *posted {
+            Posted::Key { owner, req } => self.fetched(owner, req),
+            Posted::Degraded => None,
+            Posted::Again(_) => unreachable!("aggregate mode deduplicates in the batch"),
+        }));
+    }
+
+    /// The answer the last [`fetch`](Self::fetch) got for `req`, owned by
+    /// `owner`; `None` = its batch degraded.
+    pub(crate) fn fetched(&self, owner: usize, req: LookupRequest) -> Option<u32> {
+        let keys = &self.scratch.fetched_keys[owner];
+        let at = match req {
+            LookupRequest::Kmer(k) => keys.kmers.binary_search(&k),
+            LookupRequest::Tile(t) => keys.tiles.binary_search(&t).map(|i| keys.kmers.len() + i),
+        };
+        self.scratch.fetched[owner][at.expect("a key of the last fetch")]
+    }
+}
+
+impl<T: Transport> WaveSource for LookupRouter<'_, T> {
+    fn ask_kmer(&mut self, key: u64) -> Option<u32> {
+        self.ask(key)
+    }
+
+    fn ask_tile(&mut self, key: u128) -> Option<u32> {
+        self.ask(key)
+    }
+
+    /// One round: every queued request goes out, then each is awaited in
+    /// turn, in send order, under the retry protocol — base mode's
+    /// single-key requests, or aggregate mode's batches. Sends are
+    /// buffered and owners always answer, so a round cannot deadlock
+    /// however many requests it carries; replies are matched by sequence
+    /// number, so arrival order does not matter.
+    fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
+        let mut round = std::mem::take(&mut self.scratch.round);
+        if self.aggregate {
+            self.exchange_batched(&round, answers);
+        } else {
+            self.exchange_keys(&round, answers);
         }
         round.clear();
         self.scratch.round = round;
@@ -587,11 +697,36 @@ mod tests {
         lose: u32,
         chunk: Option<Vec<Read>>,
         log: Vec<Event>,
+        /// The keys of every batch sent, by sequence number.
+        batches: FxHashMap<u64, PrefetchKeys>,
+        /// Single-key requests sent (attempt 0).
+        key_requests: u64,
+    }
+
+    /// A transport that answers from `kmers`/`tiles` and loses nothing.
+    fn scripted<'a>(kmers: &'a KmerSpectrum, tiles: &'a TileSpectrum) -> Scripted<'a> {
+        Scripted {
+            kmers,
+            tiles,
+            lose: 0,
+            chunk: None,
+            log: Vec::new(),
+            batches: FxHashMap::default(),
+            key_requests: 0,
+        }
     }
 
     impl Transport for Scripted<'_> {
-        fn send(&mut self, to: usize, seq: u64, _req: Request<'_>, attempt: u32) {
+        fn send(&mut self, to: usize, seq: u64, req: Request<'_>, attempt: u32) {
             self.log.push(Event::Send { to, seq, attempt });
+            match req {
+                Request::Key(_) if attempt == 0 => self.key_requests += 1,
+                Request::Batch { kmers, tiles } if attempt == 0 => {
+                    let keys = PrefetchKeys { kmers: kmers.to_vec(), tiles: tiles.to_vec() };
+                    self.batches.insert(seq, keys);
+                }
+                _ => {}
+            }
         }
 
         fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
@@ -652,13 +787,8 @@ mod tests {
         for lose in [0, 1, BUDGET, BUDGET + 1, 9] {
             let answered = lose <= BUDGET;
             for path in ["key", "batch", "steal"] {
-                let transport = Scripted {
-                    kmers: &remote.0,
-                    tiles: &remote.1,
-                    lose,
-                    chunk: Some(chunk.clone()),
-                    log: Vec::new(),
-                };
+                let transport =
+                    Scripted { lose, chunk: Some(chunk.clone()), ..scripted(&remote.0, &remote.1) };
                 let cfg = EngineConfig { retry_budget: BUDGET, ..EngineConfig::new(2, params()) };
                 let tiers = bare_tiers(&owners, 0, &empty);
                 let mut router =
@@ -670,15 +800,15 @@ mod tests {
                         1
                     }
                     "batch" => {
-                        let missing = PrefetchKeys { kmers: kmers.clone(), tiles: tiles.clone() };
-                        let mut cache = WaveCache::default();
-                        router.fetch(&missing, &mut cache);
-                        let want = |c| Some(if answered { c } else { 0 });
-                        assert_eq!(cache.kmer(kmers[0]), want(7), "{path} lose={lose}");
-                        assert_eq!(cache.kmer(kmers[1]), want(9), "{path} lose={lose}");
-                        assert_eq!(cache.kmer(kmers[2]), Some(0), "absent at the owner");
-                        assert_eq!(cache.tile(tiles[0]), want(5), "{path} lose={lose}");
-                        assert_eq!(cache.tile(tiles[1]), Some(0), "absent at the owner");
+                        let mut keys = PrefetchKeys { kmers: kmers.clone(), tiles: tiles.clone() };
+                        router.fetch(&mut keys);
+                        // absent at the owner reads 0; a degraded batch, None
+                        let want = |c| answered.then_some(c);
+                        let kmer = |i| router.fetched(1, LookupRequest::Kmer(kmers[i]));
+                        let tile = |i| router.fetched(1, LookupRequest::Tile(tiles[i]));
+                        let got = [kmer(0), kmer(1), kmer(2), tile(0), tile(1)];
+                        let want = [want(7), want(9), want(0), want(5), want(0)];
+                        assert_eq!(got, want, "{path} lose={lose}");
                         5
                     }
                     _ => {
@@ -703,23 +833,22 @@ mod tests {
         }
     }
 
-    /// A wave posts one batch per owner, all of them before it awaits the
-    /// first reply, and counts them once.
+    /// A fetch deduplicates its keys, posts one batch per owner, all of
+    /// them before it awaits the first reply, and counts them once.
     #[test]
     fn a_wave_sends_every_batch_before_the_first_await() {
         let owners = OwnerMap::new(3, &params());
-        let mut missing = PrefetchKeys::default();
-        for owner in [1, 2] {
-            missing.kmers.extend(owned_by::<u64>(&owners, owner, 4));
-            missing.tiles.extend(owned_by::<u128>(&owners, owner, 2));
+        let mut keys = PrefetchKeys::default();
+        for owner in [1, 2, 1] {
+            keys.kmers.extend(owned_by::<u64>(&owners, owner, 4));
+            keys.tiles.extend(owned_by::<u128>(&owners, owner, 2));
         }
         let empty = tables(&[], &[]);
-        let transport =
-            Scripted { kmers: &empty.0, tiles: &empty.1, lose: 0, chunk: None, log: Vec::new() };
         let cfg = EngineConfig::new(3, params());
         let tiers = bare_tiers(&owners, 0, &empty);
+        let transport = scripted(&empty.0, &empty.1);
         let mut router = LookupRouter::new(tiers, transport, &cfg, RouterScratch::default());
-        router.fetch(&missing, &mut WaveCache::default());
+        router.fetch(&mut keys);
         assert_eq!(
             router.transport.log,
             [
@@ -731,7 +860,9 @@ mod tests {
         );
         let s = router.stats;
         assert_eq!((s.batches_sent, s.remote_messages, s.batched_keys), (2, 2, 12));
-        assert_eq!(s.remote_total(), 0, "a wave sends no single-key request");
+        assert_eq!(s.remote_total(), 0, "a fetch sends no single-key request");
+        let batch = |seq| router.transport.batches[&seq].len();
+        assert_eq!((batch(1), batch(2)), (6, 6), "each key once");
     }
 
     /// One lookup of `key` on rank 0 of 4 against tiers that each store a
@@ -853,13 +984,7 @@ mod tests {
                 hot: case.hot.then_some(&hot),
                 reads: case.reads.cloned(),
             };
-            let transport = Scripted {
-                kmers: &remote.0,
-                tiles: &remote.1,
-                lose: 0,
-                chunk: None,
-                log: Vec::new(),
-            };
+            let transport = scripted(&remote.0, &remote.1);
             let mut router = LookupRouter::new(tiers, transport, &cfg, RouterScratch::default());
             assert_eq!((count_of(&mut router, case.key), router.stats), case.want, "{}", case.tier);
             if case.cache_remote {
@@ -991,11 +1116,83 @@ mod tests {
         }
     }
 
-    /// One exactness case: for every rank of `np`, lockstep
-    /// `correct_chunk` over random chunks of the rank's reads against the
-    /// sequential reference — `correct_read_with` over the router itself,
-    /// read after read — gives the same bytes, the same `ReadOutcome`s and
-    /// the same `LookupStats`, whole.
+    /// `mine` corrected by `router` in chunks of growing, seed-drawn
+    /// sizes: the bytes, and each read's outcome.
+    fn correct_in_chunks(
+        router: &mut LookupRouter<Scripted>,
+        mine: &[Read],
+        seed: u64,
+        p: &ReptileParams,
+    ) -> (Vec<Read>, Vec<ReadOutcome>) {
+        let mut got = mine.to_vec();
+        let mut outcomes = vec![None; got.len()];
+        let mut at = 0;
+        let mut chunk_len = 1 + seed as usize % 23;
+        while at < got.len() {
+            let end = (at + chunk_len).min(got.len());
+            router.correct_chunk(&mut got[at..end], p, |i, outcome, degraded| {
+                assert!(!degraded, "fault-free");
+                assert!(outcomes[at + i].replace(outcome).is_none(), "read finished twice");
+            });
+            at = end;
+            chunk_len = chunk_len * 2 + 1;
+        }
+        (got, outcomes.into_iter().map(Option::unwrap).collect())
+    }
+
+    /// Aggregate mode on the wire, fetch by fetch (a run of sends before
+    /// the first await — the first wave, then each round): no single-key
+    /// request, at most one batch per owner (more only past
+    /// `MAX_BATCH_KEYS`, every one but the last full) and no key twice.
+    fn batched_fetches(transport: &Scripted) -> Result<(), String> {
+        use crate::protocol::MAX_BATCH_KEYS;
+        if transport.key_requests > 0 {
+            return Err(format!("{} single-key requests", transport.key_requests));
+        }
+        let (log, mut at) = (&transport.log, 0);
+        while at < log.len() {
+            let fetch: Vec<u64> = log[at..]
+                .iter()
+                .map_while(|e| match *e {
+                    Event::Send { seq, attempt: 0, .. } => Some(seq),
+                    _ => None,
+                })
+                .collect();
+            at += fetch.len();
+            at += log[at..].iter().take_while(|e| matches!(e, Event::Recv { .. })).count();
+            let mut batch_sizes: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+            let mut keys = PrefetchKeys::default();
+            for seq in fetch {
+                let Some(Event::Send { to, .. }) =
+                    log.iter().find(|e| matches!(e, Event::Send { seq: s, .. } if *s == seq))
+                else {
+                    unreachable!("a logged send")
+                };
+                let batch = &transport.batches[&seq];
+                batch_sizes.entry(*to).or_default().push(batch.len());
+                keys.kmers.extend(&batch.kmers);
+                keys.tiles.extend(&batch.tiles);
+            }
+            for (owner, sizes) in batch_sizes {
+                if sizes[..sizes.len() - 1].iter().any(|&n| n != MAX_BATCH_KEYS) {
+                    return Err(format!("{} batches to owner {owner} in one fetch", sizes.len()));
+                }
+            }
+            let sent = keys.len();
+            keys.finish();
+            if keys.len() != sent {
+                return Err(format!("{} keys sent twice in one fetch", sent - keys.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// One exactness case: for every rank of `np`, `correct_chunk` over
+    /// random chunks of the rank's reads against the sequential reference
+    /// — `correct_read_with` over the router itself, read after read. In
+    /// base mode the rounds give the same bytes, the same `ReadOutcome`s
+    /// and the same `LookupStats`, whole; in aggregate mode the same bytes
+    /// and `ReadOutcome`s, over batched fetches only.
     fn lockstep_case(
         seed: u64,
         np: usize,
@@ -1006,23 +1203,21 @@ mod tests {
         let global = LocalSpectra::build(&reads, &p);
         let owners = OwnerMap::new(np, &p);
         let cfg = EngineConfig { heuristics: heur, ..EngineConfig::new(np, p) };
+        let aggregate = EngineConfig {
+            heuristics: HeuristicConfig { aggregate_lookups: true, ..heur },
+            ..cfg.clone()
+        };
         for me in 0..np {
             let mine: Vec<Read> = reads.iter().skip(me).step_by(np).cloned().collect();
             // hot shards: one other owner's keys come from a replica
             let hot_owners: Vec<bool> =
                 (0..np).map(|o| name == "hot" && o == (me + 1) % np).collect();
-            let router = |tiers| {
-                let transport = Scripted {
-                    kmers: &global.kmers,
-                    tiles: &global.tiles,
-                    lose: 0,
-                    chunk: None,
-                    log: Vec::new(),
-                };
-                LookupRouter::new(tiers, transport, &cfg, RouterScratch::default())
+            let router = |cfg| {
+                let tiers = tiers_over(&owners, me, &heur, &hot_owners, &global, &mine, &p);
+                let transport = scripted(&global.kmers, &global.tiles);
+                LookupRouter::new(tiers, transport, cfg, RouterScratch::default())
             };
-            let tiers = || tiers_over(&owners, me, &heur, &hot_owners, &global, &mine, &p);
-            let mut sequential = router(tiers());
+            let mut sequential = router(&cfg);
             let mut want = mine.clone();
             let mut scratch = reptile::WalkScratch::default();
             let want_outcomes: Vec<ReadOutcome> = want
@@ -1030,26 +1225,17 @@ mod tests {
                 .map(|read| correct_read_with(read, &mut sequential, &p, &mut scratch))
                 .collect();
 
-            let mut lockstep = router(tiers());
-            let mut got = mine.clone();
-            let mut outcomes = vec![None; got.len()];
-            let mut at = 0;
-            let mut chunk_len = 1 + seed as usize % 23;
-            while at < got.len() {
-                let end = (at + chunk_len).min(got.len());
-                lockstep.correct_chunk(&mut got[at..end], &p, |i, outcome, degraded| {
-                    assert!(!degraded, "fault-free");
-                    assert!(outcomes[at + i].replace(outcome).is_none(), "read finished twice");
-                });
-                at = end;
-                chunk_len = chunk_len * 2 + 1;
-            }
             let label = format!("seed {seed:#x} np {np} {name} rank {me}");
-            if got != want {
-                return Err(format!("{label}: corrected bytes differ"));
-            }
-            if outcomes.into_iter().map(Option::unwrap).ne(want_outcomes) {
-                return Err(format!("{label}: outcomes differ"));
+            let mut lockstep = router(&cfg);
+            let mut batched = router(&aggregate);
+            for (mode, router) in [("lockstep", &mut lockstep), ("aggregate", &mut batched)] {
+                let (got, outcomes) = correct_in_chunks(router, &mine, seed, &p);
+                if got != want {
+                    return Err(format!("{label} {mode}: corrected bytes differ"));
+                }
+                if outcomes != want_outcomes {
+                    return Err(format!("{label} {mode}: outcomes differ"));
+                }
             }
             if lockstep.stats != sequential.stats {
                 return Err(format!(
@@ -1057,13 +1243,19 @@ mod tests {
                     lockstep.stats, sequential.stats
                 ));
             }
+            batched_fetches(&batched.transport).map_err(|e| format!("{label} aggregate: {e}"))?;
+            if batched.stats.remote_total() != 0 {
+                return Err(format!("{label} aggregate: {:?}", batched.stats));
+            }
         }
         Ok(())
     }
 
     /// Lockstep base mode asks exactly what the sequential walk asks:
     /// identical bytes, outcomes and per-rank `LookupStats` over random
-    /// reads × np × every heuristic set that shapes the routing order.
+    /// reads × np × every heuristic set that shapes the routing order;
+    /// aggregate mode over the same cases corrects identically with one
+    /// deduplicated batch per owner per fetch.
     #[test]
     fn lockstep_rounds_equal_the_sequential_walk() {
         let base = HeuristicConfig::base();
@@ -1102,13 +1294,7 @@ mod tests {
         let owners = OwnerMap::new(3, &p);
         let cfg = EngineConfig::new(3, p);
         let tiers = tiers_over(&owners, 0, &cfg.heuristics, &[], &global, &reads, &p);
-        let transport = Scripted {
-            kmers: &global.kmers,
-            tiles: &global.tiles,
-            lose: 0,
-            chunk: None,
-            log: Vec::new(),
-        };
+        let transport = scripted(&global.kmers, &global.tiles);
         let mut router = LookupRouter::new(tiers, transport, &cfg, RouterScratch::default());
         let mut chunk = reads.clone();
         router.correct_chunk(&mut chunk, &p, |_, _, _| {});

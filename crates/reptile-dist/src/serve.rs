@@ -5,13 +5,13 @@
 //! up `np` rank threads exactly once, loads the specstore snapshot (or
 //! builds the spectrum from seed reads) exactly once, and keeps every
 //! piece of Step-IV state — comm threads, owner maps, heuristic side
-//! tables, wave caches, wire buffers — warm for the engine's whole
+//! tables, round buffers, wire buffers — warm for the engine's whole
 //! lifetime. Individual reads are then corrected as *requests* through
 //! a bounded multi-producer admission queue:
 //!
 //! ```text
 //!  submit() ──► [admission queue] ──► rank workers (micro-batches)
-//!     │              │ high-water        │ correct (in fetch waves)
+//!     │              │ high-water        │ correct (in lockstep rounds)
 //!     ▼              ▼                   ▼
 //!  Backpressure   bounded depth     [completion buffer] ──► drain()
 //!  (retry-after)
@@ -26,11 +26,13 @@
 //!
 //! **Adaptive micro-batching.** Each rank worker takes *everything*
 //! queued up to `ServeConfig::max_batch` in one lock acquisition, then
-//! corrects the whole micro-batch in aggregate-lookups waves. Under
-//! light load batches degenerate to single requests (lowest latency);
-//! as load grows the batch size grows with the queue, so the per-owner
-//! round trips of each wave amortize over more and more requests — the
-//! same messages serve a bigger batch.
+//! corrects the whole micro-batch as one chunk: under aggregate lookups,
+//! one first-wave fetch of its count-free keys, then lockstep rounds of
+//! one batch per owner. Under light load batches degenerate to single
+//! requests (lowest latency); as load grows the batch size grows with
+//! the queue, so the per-owner round trips of the first wave and of each
+//! round amortize over more and more requests — the same messages serve
+//! a bigger batch.
 //!
 //! **Faults.** The worker loop contains no collectives, so a killed or
 //! stalled rank can never wedge the queue: its own requests degrade
@@ -63,7 +65,7 @@ pub struct ServeConfig {
     /// with backpressure once this many requests are waiting.
     pub queue_depth: usize,
     /// Most requests a worker coalesces into one micro-batch (one
-    /// owner-batched round trip per fetch wave).
+    /// owner-batched round trip per fetch under aggregate lookups).
     pub max_batch: usize,
 }
 
@@ -115,7 +117,7 @@ pub struct ServeResponse {
     /// Time spent waiting in the admission queue (enqueue → dequeue).
     pub queue: Duration,
     /// Time from dequeue to this request's correction finishing
-    /// (includes the fetch waves of its micro-batch up to the one that
+    /// (includes the rounds of its micro-batch up to the one that
     /// completed it, and the requests corrected before it).
     pub service: Duration,
     /// Size of the micro-batch this request rode in.
@@ -514,7 +516,7 @@ fn serve_rank(
         });
         // Hoisted per-run scratch (the old per-job serve loop rebuilt
         // all of this for every batch file): the lookup router with its
-        // wave cache and wire buffers, plus the micro-batch staging
+        // round and wire buffers, plus the micro-batch staging
         // vectors, all reused for the engine's lifetime.
         let mut router = LookupRouter::over_wire(comm, &tables, cfg);
         let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(shared.max_batch);
@@ -544,8 +546,8 @@ fn serve_rank(
             let dequeued = Instant::now();
             let n = reads.len();
             stamps.resize(n, (Duration::ZERO, false));
-            // aggregate mode finishes the reads of a micro-batch in wave
-            // order, not queue order: each is stamped as it completes
+            // the rounds finish the reads of a micro-batch in round order,
+            // not queue order: each is stamped as it completes
             router.correct_chunk(&mut reads, &cfg.params, |i, outcome, degraded| {
                 done.correction.absorb(&outcome);
                 stamps[i] = (dequeued.elapsed(), degraded);

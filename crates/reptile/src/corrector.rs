@@ -27,13 +27,15 @@
 //!
 //! All spectrum access goes through [`SpectrumAccess`], which the
 //! distributed engine implements with the paper's
-//! `hashKmer → readsKmer → remote request` chain. The walk itself is
+//! `hashKmer → readsKmer → remote request` chain. The window logic is
 //! written once, against [`PartialAccess`], whose lookups may answer
-//! "not resident": [`correct_read`] is its always-resident instance, and
-//! [`crate::prefetch`] drives the same walk over a chunk of reads in
-//! rounds, fetching what each round found missing.
+//! "not resident": [`correct_read`] walks the windows over an access that
+//! always answers, and [`crate::prefetch`] walks a chunk of reads in
+//! lockstep rounds, each read stopping at its first window that waits
+//! and replaying that window's answers once the round has brought them.
 
 use crate::params::ReptileParams;
+use crate::prefetch::PrefetchKeys;
 use crate::spectrum::LocalSpectra;
 use dnaseq::neighbors::visit_neighbors;
 use dnaseq::quality::Phred;
@@ -151,9 +153,9 @@ impl CorrectionStats {
 /// walk is written against.
 ///
 /// `None` means the count is not available on this rank right now; the
-/// access has noted the key as wanted, and the window that asked is
-/// deferred until a later pass finds it resident. [`correct_read`] runs
-/// the walk over an access that is always resident.
+/// access has queued the key for the round, and the window that asked
+/// waits for a later pass. [`correct_read`] runs the walk over an access
+/// that is always resident.
 pub trait PartialAccess {
     /// Count of a normalized k-mer key, or `None` when not resident.
     fn kmer(&mut self, key: u64) -> Option<u32>;
@@ -191,10 +193,10 @@ pub struct WalkScratch {
 pub(crate) struct WalkProgress {
     next: usize,
     pub(crate) outcome: ReadOutcome,
-    /// Lockstep walk: the answers window `next` has had, in ask order;
-    /// `None` = asked, answer not in yet.
+    /// The answers window `next` has had, in ask order; `None` = asked,
+    /// answer not in yet.
     pub(crate) answers: Vec<Option<u32>>,
-    /// Lockstep walk: one of this read's own answers was degraded.
+    /// One of this read's own answers was degraded.
     pub(crate) degraded: bool,
 }
 
@@ -212,9 +214,6 @@ pub(crate) struct Walk<'a> {
     params: &'a ReptileParams,
     tcodec: dnaseq::TileCodec,
     kcodec: dnaseq::KmerCodec,
-    /// Ask only what the sequential walk asks: a missing tile does not
-    /// pull its k-mers forward ([`Walk::pass_lockstep`]).
-    lockstep: bool,
 }
 
 /// The lockstep walk's view of an access: the asks of a window first
@@ -266,13 +265,7 @@ enum Verdict {
 
 impl<'a> Walk<'a> {
     pub(crate) fn new(params: &'a ReptileParams) -> Walk<'a> {
-        Walk { params, tcodec: params.tile_codec(), kcodec: params.kmer_codec(), lockstep: false }
-    }
-
-    /// The walk that asks for a key only where the sequential walk does,
-    /// in its order, once: see [`Walk::pass_lockstep`].
-    pub(crate) fn lockstep(params: &'a ReptileParams) -> Walk<'a> {
-        Walk { lockstep: true, ..Walk::new(params) }
+        Walk { params, tcodec: params.tile_codec(), kcodec: params.kmer_codec() }
     }
 
     /// Tile windows of a read of `read_len` bases: one per stride, plus
@@ -288,71 +281,38 @@ impl<'a> Walk<'a> {
         (w * self.tcodec.stride()).min(read_len - self.tcodec.len())
     }
 
-    /// Ask `access` for the keys of every window of `read` that can be
-    /// named without knowing a count: what [`Walk::pass`] asks for when
-    /// nothing is resident.
-    pub(crate) fn name_keys(&self, read: &Read, access: &mut impl PartialAccess) {
-        let mut scratch = WalkScratch::default();
+    /// The k-mer keys of a tile's two constituent k-mers.
+    #[inline]
+    fn kmer_keys(&self, raw_tile: TileCode) -> (u64, u64) {
+        let (first, second) = self.tcodec.to_kmers(raw_tile);
+        let canonical = self.params.canonical;
+        (kmer_key(&self.kcodec, first, canonical), kmer_key(&self.kcodec, second, canonical))
+    }
+
+    /// Append the keys of every window of `read` that can be named
+    /// without knowing a count: each window's tile key and its two k-mer
+    /// keys, window by window; none for a window with an `N`.
+    pub(crate) fn name_keys(&self, read: &Read, keys: &mut PrefetchKeys) {
+        let tile_len = self.tcodec.len();
         for w in 0..self.windows(read.len()) {
-            self.evaluate(read, self.start(w, read.len()), access, &mut scratch, false);
+            let start = self.start(w, read.len());
+            let Some(raw_tile) = self.tcodec.encode(&read.seq[start..start + tile_len]) else {
+                continue;
+            };
+            keys.tiles.push(tile_key(&self.tcodec, raw_tile, self.params.canonical));
+            let (first, second) = self.kmer_keys(raw_tile);
+            keys.kmers.extend([first, second]);
         }
     }
 
     /// One left-to-right pass over the windows of `read` that are not
-    /// final yet. Returns whether the read is finished.
-    ///
-    /// A window that finds a key not resident is *deferred*: its verdict,
-    /// and so the bases inside it, are unknown until a later pass. From
-    /// there on nothing is final, but the pass keeps going to name the
-    /// keys the next one will need: a window that overlaps a deferred one
-    /// would probably see other bases, so it asks only for the keys that
-    /// do not depend on counts and waits; a window clear of every deferred
-    /// one reads the bases it will most likely be evaluated on (a commit
-    /// rewrites bases inside its own window only) and is evaluated in
-    /// full, neighbour search included. A pass that defers nothing has
-    /// made every verdict on final bases, in order: it is the sequential
-    /// correction.
-    pub(crate) fn pass(
-        &self,
-        read: &mut Read,
-        progress: &mut WalkProgress,
-        access: &mut impl PartialAccess,
-        scratch: &mut WalkScratch,
-    ) -> bool {
-        let tile_len = self.tcodec.len();
-        let windows = self.windows(read.len());
-        // no window so far was deferred: verdicts are final
-        let mut settled = true;
-        // end of the rightmost window whose bases may yet be rewritten
-        let mut unsettled_end = 0usize;
-        for w in progress.next..windows {
-            let start = self.start(w, read.len());
-            let waiting = start < unsettled_end;
-            let verdict = self.evaluate(read, start, access, scratch, !waiting);
-            match verdict {
-                Some(verdict) if settled => {
-                    self.settle(read, start, verdict, &mut progress.outcome);
-                    progress.next = w + 1;
-                }
-                None | Some(Verdict::Fix { .. }) if !waiting => {
-                    settled = false;
-                    unsettled_end = start + tile_len;
-                }
-                // not final, and no likelier to rewrite bases than not
-                _ => {}
-            }
-        }
-        settled
-    }
-
-    /// The lockstep walk's pass: none of [`Walk::pass`]'s looking ahead.
-    /// It stops at the first window that waits, having asked for exactly
-    /// the keys the sequential walk asks next (a window asks in at most
-    /// three groups — its tile, its two k-mers, its neighbour tiles — and
-    /// every member of a group is named before any of its answers is
-    /// needed). The next pass replays that window's answers from
-    /// `progress.answers` instead of asking again. Returns whether the
-    /// read is finished.
+    /// final yet. It stops at the first window that waits, having asked
+    /// for exactly the keys the sequential walk asks next (a window asks
+    /// in at most three groups — its tile, its two k-mers, its neighbour
+    /// tiles — and every member of a group is named before any of its
+    /// answers is needed). The next pass replays that window's answers
+    /// from `progress.answers` instead of asking again. Returns whether
+    /// the read is finished.
     pub(crate) fn pass_lockstep(
         &self,
         read: &mut Read,
@@ -360,12 +320,11 @@ impl<'a> Walk<'a> {
         access: &mut impl PartialAccess,
         scratch: &mut WalkScratch,
     ) -> bool {
-        debug_assert!(self.lockstep, "a lockstep pass of a speculative walk");
         for w in progress.next..self.windows(read.len()) {
             let start = self.start(w, read.len());
             let answers = &mut progress.answers;
             let mut replay = Replay { answers, asked: 0, access: &mut *access };
-            let Some(verdict) = self.evaluate(read, start, &mut replay, scratch, true) else {
+            let Some(verdict) = self.evaluate(read, start, &mut replay, scratch) else {
                 return false;
             };
             progress.answers.clear();
@@ -376,9 +335,8 @@ impl<'a> Walk<'a> {
     }
 
     /// Decide one window from the bases as they stand, or return `None`
-    /// when a key it needs is not resident (every such key has then been
-    /// asked for). With `search` off the window stops short of the
-    /// neighbour search, asking only for its tile and k-mer keys.
+    /// when a key it needs is not resident (every key of the group that
+    /// waits has then been asked for).
     #[inline]
     fn evaluate(
         &self,
@@ -386,27 +344,13 @@ impl<'a> Walk<'a> {
         start: usize,
         access: &mut impl PartialAccess,
         scratch: &mut WalkScratch,
-        search: bool,
     ) -> Option<Verdict> {
         let (params, tcodec, kcodec) = (self.params, &self.tcodec, &self.kcodec);
         let tile_len = tcodec.len();
         let Some(raw_tile) = tcodec.encode(&read.seq[start..start + tile_len]) else {
             return Some(Verdict::Skipped);
         };
-        let kmer_keys = || {
-            let (first, second) = tcodec.to_kmers(raw_tile);
-            (kmer_key(kcodec, first, params.canonical), kmer_key(kcodec, second, params.canonical))
-        };
-        let Some(tile_count) = access.tile(tile_key(tcodec, raw_tile, params.canonical)) else {
-            // the k-mers are wanted unless the tile turns out solid; the
-            // speculative walk asks now rather than spend a pass finding out
-            if !self.lockstep {
-                let (first_key, second_key) = kmer_keys();
-                access.kmer(first_key);
-                access.kmer(second_key);
-            }
-            return None;
-        };
+        let tile_count = access.tile(tile_key(tcodec, raw_tile, params.canonical))?;
         if tile_count >= params.tile_threshold {
             return Some(Verdict::Solid);
         }
@@ -418,13 +362,10 @@ impl<'a> Walk<'a> {
             return Some(Verdict::Uncorrectable);
         }
         // --- k-mer prescreen: restrict to the weak half when unambiguous ---
-        let (first_key, second_key) = kmer_keys();
+        let (first_key, second_key) = self.kmer_keys(raw_tile);
         let (first_count, second_count) = (access.kmer(first_key), access.kmer(second_key));
         let first_solid = first_count? >= params.kmer_threshold;
         let second_solid = second_count? >= params.kmer_threshold;
-        if !search {
-            return None;
-        }
         if first_solid && !second_solid {
             // error likely in the second k-mer's exclusive tail
             positions.retain(|&p| p >= kcodec.k());
@@ -512,10 +453,17 @@ pub fn correct_read_with(
     params: &ReptileParams,
     scratch: &mut WalkScratch,
 ) -> ReadOutcome {
-    let mut progress = WalkProgress::default();
-    let finished = Walk::new(params).pass(read, &mut progress, &mut Resident(access), scratch);
-    debug_assert!(finished, "an always-resident access defers nothing");
-    progress.outcome
+    let walk = Walk::new(params);
+    let mut outcome = ReadOutcome::default();
+    let mut resident = Resident(access);
+    for w in 0..walk.windows(read.len()) {
+        let start = walk.start(w, read.len());
+        let Some(verdict) = walk.evaluate(read, start, &mut resident, scratch) else {
+            unreachable!("an always-resident access defers nothing")
+        };
+        walk.settle(read, start, verdict, &mut outcome);
+    }
+    outcome
 }
 
 /// Candidate positions within a window: strictly-below-threshold

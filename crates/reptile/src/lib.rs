@@ -40,7 +40,6 @@ pub use key::SpectrumKey;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;
 pub use prefetch::{
-    correct_in_waves, enumerate_read_keys, PrefetchKeys, WaveCache, WaveMode, WaveScratch,
-    WaveSource, WaveStats,
+    correct_in_waves, enumerate_read_keys, PrefetchKeys, WaveScratch, WaveSource, WaveStats,
 };
 pub use spectrum::{KmerSpectrum, LocalSpectra, Normalized, Spectrum, TileSpectrum};

@@ -6,38 +6,28 @@
 //! Metagenome Assembly work) keep many requests in flight, and ask for
 //! the lookups a pass has *shown* it needs, not every lookup it could
 //! conceivably make. [`correct_in_waves`] does that with the corrector's
-//! own window walk ([`crate::corrector`]): it walks every unfinished read
-//! of a chunk against the counts resident so far, a window that finds a
-//! key missing names it and waits, the whole chunk's missing keys go out
-//! in one round, and the walk resumes. A read whose pass waits for
-//! nothing is corrected: that pass is [`correct_read`](crate::correct_read).
-//! Two modes ([`WaveMode`]):
-//!
-//! * **Aggregate** — the chunk's missing keys are deduplicated and
-//!   fetched as one vectorized batch per owner ([`WaveSource::fetch`]).
-//!   The walk looks ahead to fill each wave: a missing tile pulls its
-//!   k-mers along, and windows past a waiting one are evaluated on the
-//!   bases they will most likely see.
-//! * **Lockstep** — the paper's one request per lookup, latency hidden
-//!   instead of paid. Each read asks exactly what the sequential walk
-//!   asks, in its order, each key once ([`WaveSource::ask_kmer`]): its
-//!   pass stops at the first window that waits, and the next pass replays
-//!   that window's answers. The round's single-key requests are all sent
-//!   before the first reply is awaited ([`WaveSource::exchange`]), so the
-//!   message count is the sequential one and only the waiting overlaps.
+//! own window walk ([`crate::corrector`]), in lockstep rounds: each
+//! unfinished read of a chunk walks to its first window that waits,
+//! having asked exactly what the sequential walk asks next, in its order,
+//! each lookup once ([`WaveSource::ask_kmer`]); the round's requests all
+//! go out before the first reply is awaited ([`WaveSource::exchange`]);
+//! the next pass replays the waiting window's answers and walks on. A
+//! read whose pass waits for nothing is corrected: that pass is
+//! [`correct_read`](crate::correct_read). How a round travels is the
+//! source's business — one single-key request per ask, or the round's
+//! asks deduplicated into one batch per owner — and so is anything it
+//! fetched before the first round: [`enumerate_read_keys`] names the keys
+//! a chunk needs before any count is known.
 //!
 //! Termination is structural, not a cap: a window is evaluated on final
 //! bases once every window before it is final, and from then on it can
-//! wait at most twice in aggregate mode (its tile and k-mer keys, then its
-//! neighbours) and three times in lockstep mode (tile, k-mers,
-//! neighbours), because every key it names is answered by the next pass.
-//! A chunk whose longest read has `w` windows therefore needs at most
-//! `2w` or `3w` rounds.
+//! wait at most three times (tile, k-mers, neighbours), because every key
+//! it names is answered by the next pass. A chunk whose longest read has
+//! `w` windows therefore needs at most `3w` rounds.
 
 use crate::corrector::{PartialAccess, ReadOutcome, Walk, WalkProgress, WalkScratch};
 use crate::params::ReptileParams;
-use dnaseq::{FxHashMap, Read};
-use std::collections::hash_map::Entry;
+use dnaseq::Read;
 
 /// Spectrum keys to fetch, normalized exactly like the corrector's own
 /// lookups (canonical when `params.canonical`).
@@ -75,124 +65,51 @@ impl PrefetchKeys {
     }
 }
 
-/// Append the first wave of `read` to `out`: what [`correct_in_waves`]
-/// asks for when nothing is resident, which is every window's tile key
-/// and its two k-mer keys — the keys that can be named without knowing a
-/// count. Neighbour keys are asked for in later waves, once the counts
-/// say which windows need them. Keys are appended raw — call
-/// [`PrefetchKeys::finish`] afterwards to dedup.
+/// Append the first wave of `read` to `out`: every window's tile key and
+/// its two k-mer keys, window by window — the keys that can be named
+/// without knowing a count. Neighbour keys depend on counts and are asked
+/// for in the rounds, once the counts say which windows need them. Keys
+/// are appended raw — call [`PrefetchKeys::finish`] afterwards to dedup.
 pub fn enumerate_read_keys(read: &Read, params: &ReptileParams, out: &mut PrefetchKeys) {
-    struct NothingResident<'a>(&'a mut PrefetchKeys);
-
-    impl PartialAccess for NothingResident<'_> {
-        fn kmer(&mut self, key: u64) -> Option<u32> {
-            self.0.kmers.push(key);
-            None
-        }
-
-        fn tile(&mut self, key: u128) -> Option<u32> {
-            self.0.tiles.push(key);
-            None
-        }
-    }
-
-    Walk::new(params).name_keys(read, &mut NothingResident(out));
-}
-
-/// How [`correct_in_waves`] gets the counts a chunk is missing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaveMode {
-    /// Deduplicated keys, one batch per owner and wave, looked ahead for.
-    Aggregate,
-    /// One single-key request per lookup of the sequential walk, a whole
-    /// round in flight at once.
-    Lockstep,
+    Walk::new(params).name_keys(read, out);
 }
 
 /// What [`correct_in_waves`] needs from an engine: the counts it can
-/// answer without communication, and a way to get the rest.
+/// answer without communication, and a way to get the rest in rounds.
 pub trait WaveSource {
-    /// Aggregate mode: count of a normalized k-mer key if this rank
-    /// holds it. Asked again on every pass that needs the key.
-    fn resident_kmer(&mut self, key: u64) -> Option<u32>;
-    /// Aggregate mode: count of a normalized tile key if this rank holds
-    /// it.
-    fn resident_tile(&mut self, key: u128) -> Option<u32>;
-    /// Aggregate mode: fetch one wave — store the count of every key of
-    /// `missing` (no duplicates, none resident, none fetched before) into
-    /// `cache`. A key that cannot be fetched is stored as 0, the paper's
-    /// "absent everywhere" answer.
-    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache);
-    /// Lockstep mode: one lookup of the sequential walk, asked once. The
-    /// count if this rank can answer it; otherwise `None`, with one
-    /// request for the key queued for the round.
+    /// One lookup of the sequential walk, asked once. The count if this
+    /// rank can answer it; otherwise `None`, with a request for the key
+    /// queued for the round.
     fn ask_kmer(&mut self, key: u64) -> Option<u32>;
-    /// Lockstep mode: [`ask_kmer`](WaveSource::ask_kmer) for a tile key.
+    /// [`ask_kmer`](WaveSource::ask_kmer) for a tile key.
     fn ask_tile(&mut self, key: u128) -> Option<u32>;
-    /// Lockstep mode: send every request queued since the last call, all
-    /// of them before the first reply is awaited, and append one answer
-    /// per request to `answers`, in queue order. `None` = the request
-    /// degraded; the walk reads it as 0, the paper's "absent everywhere".
+    /// Send every request queued since the last call, all of them before
+    /// the first reply is awaited, and append one answer per queued ask
+    /// to `answers`, in queue order. `None` = the answer degraded; the
+    /// walk reads it as 0, the paper's "absent everywhere".
     fn exchange(&mut self, answers: &mut Vec<Option<u32>>);
-}
-
-/// The counts fetched so far for one chunk. `None` marks a key that has
-/// been asked for in the current wave and not answered yet, so that no
-/// key is asked for twice.
-#[derive(Debug, Default)]
-pub struct WaveCache {
-    kmers: FxHashMap<u64, Option<u32>>,
-    tiles: FxHashMap<u128, Option<u32>>,
-}
-
-impl WaveCache {
-    /// Store the fetched count of a k-mer key.
-    pub fn put_kmer(&mut self, key: u64, count: u32) {
-        self.kmers.insert(key, Some(count));
-    }
-
-    /// Store the fetched count of a tile key.
-    pub fn put_tile(&mut self, key: u128, count: u32) {
-        self.tiles.insert(key, Some(count));
-    }
-
-    /// The fetched count of a k-mer key, `None` until it is answered.
-    pub fn kmer(&self, key: u64) -> Option<u32> {
-        self.kmers.get(&key).copied().flatten()
-    }
-
-    /// The fetched count of a tile key, `None` until it is answered.
-    pub fn tile(&self, key: u128) -> Option<u32> {
-        self.tiles.get(&key).copied().flatten()
-    }
 }
 
 /// Everything [`correct_in_waves`] allocates, held by the caller so that
 /// successive chunks reuse it.
 #[derive(Debug, Default)]
 pub struct WaveScratch {
-    cache: WaveCache,
-    missing: PrefetchKeys,
     progress: Vec<WalkProgress>,
     /// Indices of the reads not finished yet.
     active: Vec<usize>,
     walk: WalkScratch,
-    /// Lockstep mode: one round's answers, in request order.
+    /// One round's answers, in request order.
     answers: Vec<Option<u32>>,
 }
 
 /// What one [`correct_in_waves`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WaveStats {
-    /// Fetch rounds.
+    /// Rounds exchanged.
     pub waves: u32,
-    /// Aggregate mode: k-mer lookups answered from fetched counts.
-    pub kmer_hits: u64,
-    /// Aggregate mode: tile lookups answered from fetched counts.
-    pub tile_hits: u64,
 }
 
-/// The lockstep walk's access: every new ask goes to the source.
+/// The walk's access: every new ask goes to the source.
 struct Ask<'a, S>(&'a mut S);
 
 impl<S: WaveSource> PartialAccess for Ask<'_, S> {
@@ -205,141 +122,65 @@ impl<S: WaveSource> PartialAccess for Ask<'_, S> {
     }
 }
 
-/// The walk's view of one wave: resident counts first, then fetched
-/// ones; anything else is noted in `missing`, once.
-struct WaveLookup<'a, S> {
-    source: &'a mut S,
-    cache: &'a mut WaveCache,
-    missing: &'a mut PrefetchKeys,
-    stats: &'a mut WaveStats,
-}
-
-/// Look `key` up among the fetched counts; a key seen for the first time
-/// is marked as asked for and appended to `missing`.
-fn fetched<K: Copy + Eq + std::hash::Hash>(
-    cache: &mut FxHashMap<K, Option<u32>>,
-    missing: &mut Vec<K>,
-    hits: &mut u64,
-    key: K,
-) -> Option<u32> {
-    match cache.entry(key) {
-        Entry::Occupied(e) => {
-            *hits += u64::from(e.get().is_some());
-            *e.get()
-        }
-        Entry::Vacant(e) => {
-            e.insert(None);
-            missing.push(key);
-            None
-        }
-    }
-}
-
-impl<S: WaveSource> PartialAccess for WaveLookup<'_, S> {
-    fn kmer(&mut self, key: u64) -> Option<u32> {
-        self.source.resident_kmer(key).or_else(|| {
-            fetched(&mut self.cache.kmers, &mut self.missing.kmers, &mut self.stats.kmer_hits, key)
-        })
-    }
-
-    fn tile(&mut self, key: u128) -> Option<u32> {
-        self.source.resident_tile(key).or_else(|| {
-            fetched(&mut self.cache.tiles, &mut self.missing.tiles, &mut self.stats.tile_hits, key)
-        })
-    }
-}
-
 /// Correct a chunk of reads in place against a spectrum that is only
 /// partly resident, getting the rest in rounds (see the module docs).
-/// `done(source, index, outcome, degraded)` is called once per read, as
-/// soon as it is finished, with the source as it stands then: the read has
-/// seen nothing fetched later. `degraded` says one of the read's own
-/// lockstep answers degraded (always false in aggregate mode). Bytes and
-/// [`ReadOutcome`] equal what [`correct_read`](crate::correct_read)
-/// produces over the full spectrum.
+/// `done(index, outcome, degraded)` is called once per read, as soon as
+/// it is finished; `degraded` says one of the read's own answers
+/// degraded. Bytes and [`ReadOutcome`] equal what
+/// [`correct_read`](crate::correct_read) produces over the full spectrum
+/// whenever nothing degraded.
 pub fn correct_in_waves<S: WaveSource>(
     reads: &mut [Read],
     params: &ReptileParams,
-    mode: WaveMode,
     scratch: &mut WaveScratch,
     source: &mut S,
-    mut done: impl FnMut(&S, usize, ReadOutcome, bool),
+    mut done: impl FnMut(usize, ReadOutcome, bool),
 ) -> WaveStats {
-    let lockstep = mode == WaveMode::Lockstep;
-    let walk = if lockstep { Walk::lockstep(params) } else { Walk::new(params) };
-    let WaveScratch { cache, missing, progress, active, walk: buffers, answers } = scratch;
-    cache.kmers.clear();
-    cache.tiles.clear();
-    missing.clear();
+    let walk = Walk::new(params);
+    let WaveScratch { progress, active, walk: buffers, answers } = scratch;
     progress.truncate(reads.len());
     progress.iter_mut().for_each(WalkProgress::reset);
     progress.resize_with(reads.len(), WalkProgress::default);
     active.clear();
     active.extend(0..reads.len());
     let most_windows = reads.iter().map(|r| walk.windows(r.len())).max().unwrap_or(0);
-    let max_waits = if lockstep { 3 } else { 2 };
     let mut stats = WaveStats::default();
     loop {
         // one pass over every unfinished read; a finished one is handed
-        // back with the source as its walk left it
-        let mut finish = |source: &S, i: usize, progress: &mut WalkProgress| {
-            let outcome = std::mem::take(&mut progress.outcome);
-            done(source, i, outcome, std::mem::take(&mut progress.degraded));
-        };
-        if lockstep {
-            let mut ask = Ask(&mut *source);
-            active.retain(|&i| {
-                let finished =
-                    walk.pass_lockstep(&mut reads[i], &mut progress[i], &mut ask, buffers);
-                if finished {
-                    finish(ask.0, i, &mut progress[i]);
-                }
-                !finished
-            });
-        } else {
-            let mut lookup = WaveLookup {
-                source: &mut *source,
-                cache: &mut *cache,
-                missing: &mut *missing,
-                stats: &mut stats,
-            };
-            active.retain(|&i| {
-                let finished = walk.pass(&mut reads[i], &mut progress[i], &mut lookup, buffers);
-                if finished {
-                    finish(lookup.source, i, &mut progress[i]);
-                }
-                !finished
-            });
-        }
+        // back at once
+        let mut ask = Ask(&mut *source);
+        active.retain(|&i| {
+            let read = &mut progress[i];
+            let finished = walk.pass_lockstep(&mut reads[i], read, &mut ask, buffers);
+            if finished {
+                done(i, std::mem::take(&mut read.outcome), std::mem::take(&mut read.degraded));
+            }
+            !finished
+        });
         if active.is_empty() {
             return stats;
         }
         stats.waves += 1;
         assert!(
-            stats.waves as usize <= max_waits * most_windows,
+            stats.waves as usize <= 3 * most_windows,
             "round {} over a chunk of at most {most_windows} windows per read: \
-             a fetch left a requested key unanswered",
+             an exchange left a requested key unanswered",
             stats.waves
         );
-        if lockstep {
-            // every unfinished read waits on requests of this round: its
-            // unanswered asks, in the order they were queued
-            answers.clear();
-            source.exchange(answers);
-            let mut replies = answers.iter();
-            for &i in active.iter() {
-                let read = &mut progress[i];
-                for answer in read.answers.iter_mut().filter(|a| a.is_none()) {
-                    let reply = *replies.next().expect("one answer per queued request");
-                    read.degraded |= reply.is_none();
-                    *answer = Some(reply.unwrap_or(0));
-                }
+        // every unfinished read waits on requests of this round: its
+        // unanswered asks, in the order they were queued
+        answers.clear();
+        source.exchange(answers);
+        let mut replies = answers.iter();
+        for &i in active.iter() {
+            let read = &mut progress[i];
+            for answer in read.answers.iter_mut().filter(|a| a.is_none()) {
+                let reply = *replies.next().expect("one answer per queued request");
+                read.degraded |= reply.is_none();
+                *answer = Some(reply.unwrap_or(0));
             }
-            debug_assert!(replies.next().is_none(), "an answer for no queued request");
-        } else {
-            source.fetch(missing, cache);
-            missing.clear();
         }
+        debug_assert!(replies.next().is_none(), "an answer for no queued request");
     }
 }
 
@@ -382,16 +223,15 @@ mod tests {
             .collect()
     }
 
-    /// Nothing resident; every fetch is answered from the full spectra
-    /// and logged, and so is every lockstep round.
+    /// Nothing resident; every round is answered from the full spectra
+    /// and logged.
     struct Remote<'a> {
         spectra: &'a LocalSpectra,
-        waves: Vec<PrefetchKeys>,
-        /// Lockstep: the requests queued for the round in flight.
+        /// The requests queued for the round in flight.
         queued: PrefetchKeys,
-        /// Lockstep: the order of `queued` (false = k-mer).
+        /// The order of `queued` (false = k-mer).
         queued_tile: Vec<bool>,
-        /// Lockstep: every request, round by round.
+        /// Every request, round by round.
         rounds: Vec<PrefetchKeys>,
     }
 
@@ -399,7 +239,6 @@ mod tests {
         fn new(spectra: &'a LocalSpectra) -> Self {
             Remote {
                 spectra,
-                waves: Vec::new(),
                 queued: PrefetchKeys::default(),
                 queued_tile: Vec::new(),
                 rounds: Vec::new(),
@@ -408,24 +247,6 @@ mod tests {
     }
 
     impl WaveSource for Remote<'_> {
-        fn resident_kmer(&mut self, _: u64) -> Option<u32> {
-            None
-        }
-
-        fn resident_tile(&mut self, _: u128) -> Option<u32> {
-            None
-        }
-
-        fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
-            for &k in &missing.kmers {
-                cache.put_kmer(k, self.spectra.kmers.count_at(Normalized::assume(k)));
-            }
-            for &t in &missing.tiles {
-                cache.put_tile(t, self.spectra.tiles.count_at(Normalized::assume(t)));
-            }
-            self.waves.push(missing.clone());
-        }
-
         fn ask_kmer(&mut self, key: u64) -> Option<u32> {
             self.queued.kmers.push(key);
             self.queued_tile.push(false);
@@ -489,10 +310,9 @@ mod tests {
             let stats = correct_in_waves(
                 &mut chunk,
                 &p,
-                WaveMode::Lockstep,
                 &mut WaveScratch::default(),
                 &mut source,
-                |_, i, o, degraded| {
+                |i, o, degraded| {
                     assert!(!degraded);
                     assert!(got[i].replace(o).is_none(), "read {i} finished twice");
                 },
@@ -500,7 +320,7 @@ mod tests {
             assert_eq!(chunk, expected);
             assert_eq!(got.into_iter().map(Option::unwrap).collect::<Vec<_>>(), outcomes);
             assert_eq!(stats.waves as usize, source.rounds.len());
-            assert!(source.rounds.len() > 1 && source.waves.is_empty());
+            assert!(source.rounds.len() > 1);
             assert!(source.rounds[0].len() >= reads.len(), "round 1 asks every read's first tile");
             let mut rounds = PrefetchKeys::default();
             for round in &source.rounds {
@@ -512,45 +332,6 @@ mod tests {
                 keys.tiles.sort_unstable();
             }
             assert_eq!(rounds, asked, "canonical={canonical}");
-        }
-    }
-
-    #[test]
-    fn waves_reproduce_correct_read_and_the_first_wave_is_the_enumeration() {
-        for canonical in [false, true] {
-            let p = ReptileParams { canonical, ..params() };
-            let reads = dataset();
-            let mut spectra = LocalSpectra::build(&reads, &p);
-            let mut expected = reads.clone();
-            let outcomes: Vec<ReadOutcome> =
-                expected.iter_mut().map(|r| correct_read(r, &mut spectra, &p)).collect();
-            assert!(outcomes.iter().any(ReadOutcome::corrected), "dataset must exercise commits");
-
-            let mut chunk = reads.clone();
-            let mut source = Remote::new(&spectra);
-            let mut got = vec![None; reads.len()];
-            let stats = correct_in_waves(
-                &mut chunk,
-                &p,
-                WaveMode::Aggregate,
-                &mut WaveScratch::default(),
-                &mut source,
-                |_, i, o, _| {
-                    assert!(got[i].replace(o).is_none(), "read {i} finished twice");
-                },
-            );
-            assert_eq!(chunk, expected);
-            assert_eq!(got.into_iter().map(Option::unwrap).collect::<Vec<_>>(), outcomes);
-            assert_eq!(stats.waves as usize, source.waves.len());
-            assert!(stats.kmer_hits + stats.tile_hits > 0);
-
-            let mut first = PrefetchKeys::default();
-            for r in &reads {
-                enumerate_read_keys(r, &p, &mut first);
-            }
-            first.finish();
-            source.waves[0].finish();
-            assert_eq!(source.waves[0], first);
         }
     }
 

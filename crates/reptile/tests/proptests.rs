@@ -1,11 +1,11 @@
 //! Property tests for the Reptile corrector and spectra.
 
-use dnaseq::{mix64, FxHashSet, Read};
+use dnaseq::{mix64, Read};
 use proptest::prelude::*;
 use reptile::spectrum::LocalSpectra;
 use reptile::{
     correct_in_waves, correct_read, Normalized, PrefetchKeys, ReadOutcome, ReptileParams,
-    SpectrumAccess, WaveCache, WaveMode, WaveScratch, WaveSource,
+    SpectrumAccess, WaveScratch, WaveSource,
 };
 
 fn params() -> ReptileParams {
@@ -60,48 +60,20 @@ impl Residency {
     }
 }
 
-/// A spectrum of which only part is resident; the rest must be fetched,
-/// and a fetch reveals exactly the keys it is asked for.
+/// A spectrum of which only part is resident; the rest is answered in
+/// rounds, and every ask is logged.
 struct SplitSpectrum<'a> {
     spectra: &'a LocalSpectra,
     resident: Residency,
-    requested_kmers: FxHashSet<u64>,
-    requested_tiles: FxHashSet<u128>,
-    /// Lockstep: every ask, resident or not.
+    /// Every ask, resident or not.
     asked: PrefetchKeys,
-    /// Lockstep: the answers to the round's queued requests.
+    /// The answers to the round's queued requests.
     queued: Vec<u32>,
-    /// First rule a fetch broke, if any.
+    /// First rule a round broke, if any.
     violation: Option<String>,
 }
 
 impl WaveSource for SplitSpectrum<'_> {
-    fn resident_kmer(&mut self, key: u64) -> Option<u32> {
-        self.resident.kmer(key).then(|| self.spectra.kmers.count_at(Normalized::assume(key)))
-    }
-
-    fn resident_tile(&mut self, key: u128) -> Option<u32> {
-        self.resident.tile(key).then(|| self.spectra.tiles.count_at(Normalized::assume(key)))
-    }
-
-    fn fetch(&mut self, missing: &PrefetchKeys, cache: &mut WaveCache) {
-        if missing.is_empty() {
-            self.violation.get_or_insert("a fetch with no keys".into());
-        }
-        for &k in &missing.kmers {
-            if self.resident.kmer(k) || !self.requested_kmers.insert(k) {
-                self.violation.get_or_insert(format!("k-mer {k:#x} resident or requested twice"));
-            }
-            cache.put_kmer(k, self.spectra.kmers.count_at(Normalized::assume(k)));
-        }
-        for &t in &missing.tiles {
-            if self.resident.tile(t) || !self.requested_tiles.insert(t) {
-                self.violation.get_or_insert(format!("tile {t:#x} resident or requested twice"));
-            }
-            cache.put_tile(t, self.spectra.tiles.count_at(Normalized::assume(t)));
-        }
-    }
-
     fn ask_kmer(&mut self, key: u64) -> Option<u32> {
         self.asked.kmers.push(key);
         let count = self.spectra.kmers.count_at(Normalized::assume(key));
@@ -128,23 +100,19 @@ impl WaveSource for SplitSpectrum<'_> {
     }
 }
 
-/// Records every key `correct_read` probes, and every probe.
+/// Records every probe `correct_read` makes.
 struct Probed<'a> {
     spectra: &'a mut LocalSpectra,
-    kmers: FxHashSet<u64>,
-    tiles: FxHashSet<u128>,
     every: &'a mut PrefetchKeys,
 }
 
 impl SpectrumAccess for Probed<'_> {
     fn kmer_count(&mut self, code: u64) -> u32 {
-        self.kmers.insert(code);
         self.every.kmers.push(code);
         self.spectra.kmer_count(code)
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
-        self.tiles.insert(code);
         self.every.tiles.push(code);
         self.spectra.tile_count(code)
     }
@@ -153,9 +121,9 @@ impl SpectrumAccess for Probed<'_> {
 /// One wave-driver case, everything drawn from `seed` (call this with a
 /// failing seed to replay it): reads with `N`s, reads shorter than a
 /// tile, lengths the stride does not divide, either strand handling,
-/// strict or relaxed quality, any share of the spectrum resident, and
-/// either mode. In lockstep mode the asks are, key for key and as many
-/// times, the lookups of the sequential walk.
+/// strict or relaxed quality, and any share of the spectrum resident (a
+/// prefetched first wave is one such share). The asks are, key for key
+/// and as many times, the lookups of the sequential walk.
 fn wave_case(seed: u64) -> Result<(), String> {
     let mut state = seed;
     let mut draw = |n: u64| {
@@ -186,27 +154,18 @@ fn wave_case(seed: u64) -> Result<(), String> {
 
     let mut chunk = reads.clone();
     let resident = Residency { salt: draw(u64::MAX), pct: [0, 30, 70, 95][draw(4) as usize] };
-    let mode = [WaveMode::Aggregate, WaveMode::Lockstep][draw(2) as usize];
     let mut source = SplitSpectrum {
         spectra: &spectra,
         resident,
-        requested_kmers: FxHashSet::default(),
-        requested_tiles: FxHashSet::default(),
         asked: PrefetchKeys::default(),
         queued: Vec::new(),
         violation: None,
     };
     let mut outcomes: Vec<Option<ReadOutcome>> = vec![None; reads.len()];
-    let stats = correct_in_waves(
-        &mut chunk,
-        &p,
-        mode,
-        &mut WaveScratch::default(),
-        &mut source,
-        |_, i, outcome, _| {
-            outcomes[i] = Some(outcome);
-        },
-    );
+    let stats =
+        correct_in_waves(&mut chunk, &p, &mut WaveScratch::default(), &mut source, |i, o, _| {
+            outcomes[i] = Some(o);
+        });
     if let Some(violation) = source.violation {
         return Err(violation);
     }
@@ -216,54 +175,32 @@ fn wave_case(seed: u64) -> Result<(), String> {
         .map(|r| (r.len() - p.tile_len()).div_ceil(3) + 1)
         .max()
         .unwrap_or(0);
-    // the pass that finishes the last read follows the last fetch
-    let max_waits = if mode == WaveMode::Lockstep { 3 } else { 2 };
-    if stats.waves as usize > max_waits * most_windows {
-        return Err(format!("{mode:?}: {} rounds for at most {most_windows} windows", stats.waves));
+    // the pass that finishes the last read follows the last round
+    if stats.waves as usize > 3 * most_windows {
+        return Err(format!("{} rounds for at most {most_windows} windows", stats.waves));
     }
-    let (requested_kmers, requested_tiles) = (source.requested_kmers, source.requested_tiles);
     let mut asked = source.asked;
     let mut every = PrefetchKeys::default();
     for ((original, got), outcome) in reads.iter().zip(&chunk).zip(outcomes) {
-        let mut probed = Probed {
-            spectra: &mut spectra,
-            kmers: FxHashSet::default(),
-            tiles: FxHashSet::default(),
-            every: &mut every,
-        };
+        let mut probed = Probed { spectra: &mut spectra, every: &mut every };
         let mut want = original.clone();
         let want_outcome = correct_read(&mut want, &mut probed, &p);
         if *got != want || outcome.as_ref() != Some(&want_outcome) {
             return Err(format!("read {} differs: {got:?} {outcome:?} vs {want:?}", want.id));
         }
-        if mode == WaveMode::Lockstep {
-            continue; // checked against every probe below
-        }
-        if let Some(k) =
-            probed.kmers.iter().find(|&&k| !resident.kmer(k) && !requested_kmers.contains(&k))
-        {
-            return Err(format!("read {}: k-mer {k:#x} probed, never resident", want.id));
-        }
-        if let Some(t) =
-            probed.tiles.iter().find(|&&t| !resident.tile(t) && !requested_tiles.contains(&t))
-        {
-            return Err(format!("read {}: tile {t:#x} probed, never resident", want.id));
-        }
     }
-    if mode == WaveMode::Lockstep {
-        for keys in [&mut asked, &mut every] {
-            keys.kmers.sort_unstable();
-            keys.tiles.sort_unstable();
-        }
-        if asked != every {
-            return Err(format!(
-                "lockstep asked {} k-mers and {} tiles, the sequential walk {} and {}",
-                asked.kmers.len(),
-                asked.tiles.len(),
-                every.kmers.len(),
-                every.tiles.len()
-            ));
-        }
+    for keys in [&mut asked, &mut every] {
+        keys.kmers.sort_unstable();
+        keys.tiles.sort_unstable();
+    }
+    if asked != every {
+        return Err(format!(
+            "the rounds asked {} k-mers and {} tiles, the sequential walk {} and {}",
+            asked.kmers.len(),
+            asked.tiles.len(),
+            every.kmers.len(),
+            every.tiles.len()
+        ));
     }
     Ok(())
 }
@@ -272,10 +209,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The wave driver over a partly resident spectrum is `correct_read`
-    /// over the full one: same bytes, same `ReadOutcome`; in aggregate
-    /// mode every key the corrector probes was resident or fetched and no
-    /// key is fetched twice or needlessly, in lockstep mode the asks are
-    /// the sequential probes; the round count respects the structural
+    /// over the full one: same bytes, same `ReadOutcome`, the asks are the
+    /// sequential probes, and the round count respects the structural
     /// bound. A failure (a panic included) reports the seed to replay.
     #[test]
     fn waves_equal_correct_read(seed in any::<u64>()) {

@@ -187,10 +187,11 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
         }
     }
 
-    // --- the aggregate columns: every chunk is corrected in several
-    // fetch waves, each one batch per owner under the same retry
-    // protocol. Lossy and slow waves are masked; a dead owner degrades,
-    // never hangs (each wave waits out at most deadline x budget) ---
+    // --- the aggregate columns: every chunk is corrected by a first-wave
+    // fetch and several lockstep rounds, each one batch per owner under
+    // the same retry protocol. Lossy and slow batches are masked; a dead
+    // owner degrades, never hangs (each fetch waits out at most
+    // deadline x budget) ---
     for engine_name in ["mt", "virtual"] {
         let engine = engine_by_name(engine_name).unwrap();
         let np = 3;
@@ -212,7 +213,7 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
             let chunks = r.reads_processed.div_ceil(120);
             assert!(
                 r.lookups.batches_sent > chunks * (np as u64 - 1),
-                "{engine_name}: rank {} must need more than one wave per chunk",
+                "{engine_name}: rank {} must need more than one fetch per chunk",
                 r.rank
             );
         }

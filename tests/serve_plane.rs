@@ -247,7 +247,7 @@ fn stalled_rank_slows_but_does_not_wedge_the_queue() {
 ///
 /// Both "some lookup degrades" and "some request stays clean" are
 /// outcomes of the seeded plan, so the parameters are chosen to make
-/// each fail with probability below 1e-9, computed from the plan (every
+/// each fail with probability below 1e-4, computed from the plan (every
 /// message on an edge draws its own drop decision, independent across
 /// messages):
 ///
@@ -257,10 +257,11 @@ fn stalled_rank_slows_but_does_not_wedge_the_queue() {
 ///   `p = 0.9568`;
 /// * `max_batch = 1` makes every read its own micro-batch, so a read is
 ///   clean when all of its own batches survive. A 60-base read has 10
-///   tile windows, the wave driver needs at most `2 × 10` waves, and a
-///   wave sends at most one batch to each of the 3 other owners: at most
-///   60 batches, clean with probability ≥ `p^60 = 0.0706`. No clean read
-///   among 600: ≤ `(1 − 0.0706)^600 = e^-43.9 ≈ 8e-20`;
+///   tile windows; its first wave and each of its at most `3 × 10`
+///   rounds send at most one batch to each of the 3 other owners: at
+///   most 93 batches, clean with probability ≥ `p^93 = 0.0165` (the
+///   worst case; a read whose windows are all solid needs no round). No
+///   clean read among 600: ≤ `(1 − 0.0165)^600 = e^-9.96 ≈ 5e-5`;
 /// * every read's 51 k-mers hash over 4 owners, so it sends at least
 ///   one batch (all local: `(1/4)^51 < 1e-30`). No degraded key in ≥ 600
 ///   batches: ≤ `p^600 = e^-26.5 ≈ 3e-12`.
