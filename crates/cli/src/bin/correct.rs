@@ -66,11 +66,6 @@
 //!                        threads kept warm, requests micro-batched);
 //!                        the virtual engine falls back to one run per
 //!                        job
-//!   --open-loop RATE     (with --serve, mt engine) pace submissions as
-//!                        a Poisson arrival process at RATE requests/s
-//!                        instead of submitting as fast as backpressure
-//!                        allows, and print queue/service latency
-//!                        percentiles per job
 //!   --queue-depth N      (with --serve) admission-queue high-water
 //!                        mark: submissions past it are rejected with
 //!                        retry-after backpressure (default 4096)
@@ -242,9 +237,7 @@ fn write_corrected(reads: &[Read], path: &Path) -> Result<(), Box<dyn std::error
 /// Stream every serve-batch job through one persistent [`ServeEngine`]:
 /// the snapshot is loaded once, comm threads stay warm, and each job's
 /// reads flow through the bounded admission queue (micro-batched per
-/// rank). With `--open-loop RATE` the submissions are paced on a seeded
-/// Poisson schedule instead of closed-loop, and per-job latency
-/// percentiles are printed.
+/// rank), each submitted as fast as backpressure allows.
 fn serve_jobs(
     args: &ArgParser,
     cfg: EngineConfig,
@@ -253,16 +246,6 @@ fn serve_jobs(
     let serve_cfg = ServeConfig {
         queue_depth: args.int("queue-depth", ServeConfig::default().queue_depth)?,
         max_batch: args.int("serve-batch", ServeConfig::default().max_batch)?,
-    };
-    let open_rate = match args.value("open-loop") {
-        Some(v) => {
-            let rate: f64 = v.parse().map_err(|_| format!("--open-loop: '{v}' is not a number"))?;
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err(format!("--open-loop: rate must be positive, got {v}").into());
-            }
-            Some(rate)
-        }
-        None => None,
     };
     let want_report = args.has("report");
 
@@ -279,35 +262,10 @@ fn serve_jobs(
     for (i, batch) in batches.iter().enumerate() {
         let reads = genio::qual::load_dataset(&batch.fasta, &batch.qual)?;
         let total = reads.len();
-        // Open-loop pacing: a deterministic Poisson schedule of arrival
-        // offsets, one per read (the reads themselves come from the job
-        // file, so only the schedule is drawn from the generator).
-        let schedule: Option<Vec<f64>> = open_rate.map(|rate| {
-            let mix = genio::RequestMix::uniform(vec![Read::new(0, vec![b'A'], vec![30])]);
-            let mut gen = genio::OpenLoopGen::new(mix, rate, 0x5EED_0008 + i as u64);
-            (0..total).map(|_| gen.next_arrival().at_secs).collect()
-        });
-
         let job_start = Instant::now();
         let mut responses: Vec<ServeResponse> = Vec::with_capacity(total);
         let mut retries: u64 = 0;
         for (j, read) in reads.into_iter().enumerate() {
-            if let Some(sched) = &schedule {
-                // Pace against the wall clock; drain completions while
-                // waiting so the response buffer never balloons.
-                let target = job_start + Duration::from_secs_f64(sched[j]);
-                loop {
-                    let now = Instant::now();
-                    if now >= target {
-                        break;
-                    }
-                    responses.append(&mut engine.drain());
-                    let left = target - Instant::now();
-                    if left > Duration::from_micros(200) {
-                        std::thread::sleep(left.min(Duration::from_millis(1)));
-                    }
-                }
-            }
             let trace_id = read.id;
             let mut pending = read;
             loop {
@@ -338,9 +296,6 @@ fn serve_jobs(
         }
         let elapsed = job_start.elapsed().as_secs_f64();
 
-        let mut total_ms: Vec<f64> =
-            responses.iter().map(|r| (r.queue + r.service).as_secs_f64() * 1e3).collect();
-        total_ms.sort_by(|a, b| a.total_cmp(b));
         responses.sort_unstable_by_key(|r| r.read.id);
         let corrected: Vec<Read> = responses.drain(..).map(|r| r.read).collect();
         write_corrected(&corrected, &batch.output)?;
@@ -355,14 +310,6 @@ fn serve_jobs(
             total as f64 / elapsed.max(1e-9),
             retries,
         );
-        if open_rate.is_some() {
-            println!(
-                "        queue+service latency: p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms",
-                percentile(&total_ms, 50.0),
-                percentile(&total_ms, 95.0),
-                percentile(&total_ms, 99.0),
-            );
-        }
     }
 
     let report = engine.shutdown()?;

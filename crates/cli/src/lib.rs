@@ -58,7 +58,6 @@ const VALUED: &[&str] = &[
     "parity",
     "repair-policy",
     "serve",
-    "open-loop",
     "queue-depth",
     "serve-batch",
 ];
@@ -498,18 +497,7 @@ mod tests {
 
     #[test]
     fn serve_tuning_flags_take_values() {
-        let a = parse(&[
-            "c",
-            "--serve",
-            "b.txt",
-            "--open-loop",
-            "50000",
-            "--queue-depth",
-            "1024",
-            "--serve-batch",
-            "128",
-        ]);
-        assert_eq!(a.value("open-loop"), Some("50000"));
+        let a = parse(&["c", "--serve", "b.txt", "--queue-depth", "1024", "--serve-batch", "128"]);
         assert_eq!(a.int("queue-depth", 4096).unwrap(), 1024);
         assert_eq!(a.int("serve-batch", 256).unwrap(), 128);
     }

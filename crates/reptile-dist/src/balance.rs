@@ -23,7 +23,6 @@
 use crate::owner::OwnerMap;
 use dnaseq::Read;
 use mpisim::Comm;
-use reptile::ReptileParams;
 
 /// Reusable per-owner bucket scratch for the shuffle. The `alltoallv`
 /// hands bucket ownership to the peers, so the vectors themselves cannot
@@ -139,22 +138,11 @@ pub const HISTOGRAM_SAMPLE_READS: usize = 4096;
 /// elementwise sum across ranks ([`sum_histograms`]) every rank — and
 /// both engines — agree on the same global histogram and therefore the
 /// same hot-owner set.
-pub fn owner_volume_histogram(
-    reads: &[Read],
-    params: &ReptileParams,
-    owners: &OwnerMap,
-) -> Vec<u64> {
+pub fn owner_volume_histogram(reads: &[Read], owners: &OwnerMap) -> Vec<u64> {
     let mut hist = vec![0u64; owners.np()];
-    let sample = &reads[..reads.len().min(HISTOGRAM_SAMPLE_READS)];
-    let kcodec = params.kmer_codec();
-    let tcodec = params.tile_codec();
-    for read in sample {
-        for (_, code) in kcodec.kmers_of(&read.seq) {
-            hist[owners.kmer_owner_at(owners.kmer_key(code))] += 1;
-        }
-        for (_, code) in tcodec.tiles_of(&read.seq) {
-            hist[owners.tile_owner_at(owners.tile_key(code))] += 1;
-        }
+    for read in &reads[..reads.len().min(HISTOGRAM_SAMPLE_READS)] {
+        owners.keys_of::<u64>(&read.seq).for_each(|(_, owner)| hist[owner] += 1);
+        owners.keys_of::<u128>(&read.seq).for_each(|(_, owner)| hist[owner] += 1);
     }
     hist
 }
@@ -225,6 +213,7 @@ pub fn steal_worth_it(chunk_loads: &[u64]) -> bool {
 mod tests {
     use super::*;
     use mpisim::Universe;
+    use reptile::ReptileParams;
 
     fn make_reads(n: usize) -> Vec<Read> {
         (0..n)
@@ -388,13 +377,13 @@ mod tests {
         let params = detect_params();
         let owners = OwnerMap::new(4, &params);
         let reads = repeat_reads(200);
-        let a = owner_volume_histogram(&reads, &params, &owners);
-        let b = owner_volume_histogram(&reads, &params, &owners);
+        let a = owner_volume_histogram(&reads, &owners);
+        let b = owner_volume_histogram(&reads, &owners);
         assert_eq!(a, b);
         assert_eq!(a.len(), 4);
         assert!(a.iter().sum::<u64>() > 0);
         // doubling the reads (within the sample cap) doubles the volume
-        let twice = owner_volume_histogram(&repeat_reads(400), &params, &owners);
+        let twice = owner_volume_histogram(&repeat_reads(400), &owners);
         assert_eq!(twice.iter().sum::<u64>(), 2 * a.iter().sum::<u64>());
     }
 
@@ -402,7 +391,7 @@ mod tests {
     fn repeat_heavy_reads_trip_the_skew_gate() {
         let params = detect_params();
         let owners = OwnerMap::new(8, &params);
-        let hist = owner_volume_histogram(&repeat_reads(300), &params, &owners);
+        let hist = owner_volume_histogram(&repeat_reads(300), &owners);
         // the homopolymer repeat funnels 3/4 of all key occurrences to
         // the owner(s) of a single k-mer/tile — far above fair share
         let hot = select_hot_owners(&hist, 8);

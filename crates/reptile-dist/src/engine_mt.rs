@@ -243,8 +243,8 @@ pub(crate) fn run_rank(
             let owners = OwnerMap::new(comm.size(), &cfg.params);
             let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
                 (
-                    scan_nonowned_keys(&my_reads, cfg.params.kmer_codec(), &owners, me),
-                    scan_nonowned_keys(&my_reads, cfg.params.tile_codec(), &owners, me),
+                    scan_nonowned_keys(&my_reads, &owners, me),
+                    scan_nonowned_keys(&my_reads, &owners, me),
                 )
             } else {
                 (Vec::new(), Vec::new())
@@ -299,7 +299,7 @@ pub(crate) fn run_rank(
 
     // --- adaptive balancing: detect skew and replicate the hot shards ---
     if cfg.heuristics.hot_shard_k > 0 && comm.size() > 1 {
-        let hist = owner_volume_histogram(&my_reads, &cfg.params, &tables.owners);
+        let hist = owner_volume_histogram(&my_reads, &tables.owners);
         let global = sum_histograms(&comm.allgatherv(hist));
         let hot = select_hot_owners(&global, cfg.heuristics.hot_shard_k);
         // `hot` comes out of the same global histogram on every rank, so

@@ -30,6 +30,14 @@
 //! severs the rank's p2p plane both directions, so every lookup it owns
 //! (and every lookup it issues) degrades — exactly the threaded semantics.
 //!
+//! Steps II–III are replayed rather than executed, once per key kind:
+//! `KindModel` splits the global spectrum into per-rank owned entries
+//! and the hot replica, prices the kind's tables and hands the router
+//! its tiers; `ReadsTally` walks each rank's reads with the build's own
+//! occurrence walk (`OwnerMap::keys_of`) for the extraction, exchange
+//! and reads-table counters. Every `BuildStats` counter the threaded
+//! build reports comes out equal, rank by rank (cross-engine tested).
+//!
 //! `scale` linearly extrapolates modeled times from a scaled-down dataset
 //! to paper-scale counts (per-rank work and traffic are linear in reads
 //! per rank; see DESIGN.md §2).
@@ -39,6 +47,7 @@ use crate::balance::{
     sum_histograms,
 };
 use crate::engine::{EngineConfig, EngineError, RunOutput};
+use crate::heuristics::HeuristicConfig;
 use crate::owner::{Key, OwnerMap};
 use crate::protocol::RESPONSE_BYTES;
 use crate::report::{RankReport, RunReport};
@@ -50,8 +59,8 @@ use crate::snapshot;
 use crate::spectrum::BuildStats;
 use dnaseq::{FxHashSet, Read};
 use mpisim::{CostModel, FaultPlan, TraceLog};
-use reptile::spectrum::{KmerSpectrum, LocalSpectra, Spectrum, TileSpectrum};
-use reptile::{CorrectionStats, Normalized};
+use reptile::spectrum::{LocalSpectra, Spectrum};
+use reptile::{CorrectionStats, Normalized, SpectrumKey};
 
 /// Execute the distributed algorithm on `cfg.np` logical ranks.
 pub fn run_virtual(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
@@ -70,6 +79,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     cfg.validate()?;
     cfg.params.assert_valid();
     let np = cfg.np;
+    let heur = &cfg.heuristics;
     let owners = OwnerMap::new(np, &cfg.params);
     let cost = &cfg.cost;
     let smt = cost.smt_factor(cfg.topology.threads_per_node(np));
@@ -84,7 +94,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             reads[lo..hi].to_vec()
         })
         .collect();
-    let (rank_reads, shuffle_bytes) = if cfg.heuristics.load_balance {
+    let (rank_reads, shuffle_bytes) = if heur.load_balance {
         shuffle_reads_virtual(slices, np)
     } else {
         (slices, vec![0u64; np])
@@ -93,12 +103,10 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     // --- adaptive balancing: the same skew detection the threaded engine
     // runs, over the identically shuffled reads, so both engines agree on
     // the hot-owner set. Empty = no replication (nothing tripped the gate).
-    let hot_owners: Vec<bool> = if cfg.heuristics.hot_shard_k > 0 && np > 1 {
-        let per_rank: Vec<Vec<u64>> = rank_reads
-            .iter()
-            .map(|reads| owner_volume_histogram(reads, &cfg.params, &owners))
-            .collect();
-        let hot = select_hot_owners(&sum_histograms(&per_rank), cfg.heuristics.hot_shard_k);
+    let hot_owners: Vec<bool> = if heur.hot_shard_k > 0 && np > 1 {
+        let per_rank: Vec<Vec<u64>> =
+            rank_reads.iter().map(|reads| owner_volume_histogram(reads, &owners)).collect();
+        let hot = select_hot_owners(&sum_histograms(&per_rank), heur.hot_shard_k);
         if hot.iter().any(|&h| h) {
             hot
         } else {
@@ -133,34 +141,19 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     };
     let snapshotting = load_info.is_some() || saved_bytes.is_some();
 
-    // owned-entry counts per rank, in one pass over the spectra
-    let mut owned_kmers = vec![0u64; np];
-    for (code, _) in spectra.kmers.iter() {
-        owned_kmers[owners.kmer_owner_at(Normalized::assume(code))] += 1;
-    }
-    let mut owned_tiles = vec![0u64; np];
-    for (code, _) in spectra.tiles.iter() {
-        owned_tiles[owners.tile_owner_at(Normalized::assume(code))] += 1;
-    }
-
-    // hot-shard replica size: ownership is disjoint, so the merged
-    // replica every rank holds is exactly the sum of the hot owners'
-    // pruned tables (mirrors `spectrum::replicate_hot_shards`)
-    let hot_kmer_entries: u64 =
-        hot_owners.iter().zip(&owned_kmers).filter(|&(&h, _)| h).map(|(_, &n)| n).sum();
-    let hot_tile_entries: u64 =
-        hot_owners.iter().zip(&owned_tiles).filter(|&(&h, _)| h).map(|(_, &n)| n).sum();
+    // each kind's owned entries per rank and hot-shard replica size
+    let kmer_model = KindModel::new(&spectra.kmers, heur.replicate_kmers, &owners, &hot_owners);
+    let tile_model = KindModel::new(&spectra.tiles, heur.replicate_tiles, &owners, &hot_owners);
     // the replication collective: hot owners allgather their entries at
     // the count-exchange wire widths; every rank receives the union
-    let hot_allgather_ns = if hot_owners.is_empty() {
-        0.0
-    } else {
-        cost.allgatherv_ns(np, (hot_kmer_entries * 12 + hot_tile_entries * 20) as usize)
+    let hot_allgather_ns = match (kmer_model.hot, tile_model.hot) {
+        (Some(k), Some(t)) => {
+            cost.allgatherv_ns(np, (packed_bytes::<u64>(k) + packed_bytes::<u128>(t)) as usize)
+        }
+        _ => 0.0,
     };
 
     // --- per-rank construction accounting + correction ---
-    let kcodec = cfg.params.kmer_codec();
-    let tcodec = cfg.params.tile_codec();
     let max_batches = rank_reads
         .iter()
         .map(|r| r.len().div_ceil(cfg.chunk_size).max(1) as u64)
@@ -172,115 +165,71 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     let mut rank_bases = Vec::with_capacity(np);
     let mut corrected_all = Vec::with_capacity(reads.len());
     for (me, mine) in rank_reads.into_iter().enumerate() {
-        // construction counters
-        let mut build = BuildStats {
-            batches: if cfg.heuristics.batch_reads { max_batches } else { 1 },
-            ..Default::default()
-        };
-        let mut nonowned_kmers: FxHashSet<u64> = FxHashSet::default();
-        let mut nonowned_tiles: FxHashSet<u128> = FxHashSet::default();
-        let mut chunk_start = 0usize;
-        while chunk_start < mine.len() || chunk_start == 0 {
-            let chunk_end = (chunk_start + cfg.chunk_size).min(mine.len());
-            for read in &mine[chunk_start..chunk_end] {
-                build.bases_processed += read.len() as u64;
-                for (_, code) in kcodec.kmers_of(&read.seq) {
-                    build.kmers_extracted += 1;
-                    let key = owners.kmer_key(code);
-                    if owners.kmer_owner_at(key) != me {
-                        build.exchange_occurrences += 1;
-                        nonowned_kmers.insert(key.key());
-                    }
-                }
-                for (_, code) in tcodec.tiles_of(&read.seq) {
-                    build.tiles_extracted += 1;
-                    let key = owners.tile_key(code);
-                    if owners.tile_owner_at(key) != me {
-                        build.exchange_occurrences += 1;
-                        nonowned_tiles.insert(key.key());
-                    }
-                }
-                // True high-water sampling: inside the loop, per read —
-                // matching the real engines (a chunk-boundary-only sample
-                // can never under-report, but keep the semantics aligned).
-                build.peak_reads_kmers = build.peak_reads_kmers.max(nonowned_kmers.len() as u64);
-                build.peak_reads_tiles = build.peak_reads_tiles.max(nonowned_tiles.len() as u64);
+        // construction counters: the build's occurrence walk, replayed
+        // per kind over the rank's chunks
+        let mut kmer_reads = ReadsTally::<u64>::default();
+        let mut tile_reads = ReadsTally::<u128>::default();
+        let mut bases = 0u64;
+        for chunk in mine.chunks(cfg.chunk_size.max(1)) {
+            for read in chunk {
+                bases += read.len() as u64;
+                kmer_reads.read(&read.seq, &owners, me);
+                tile_reads.read(&read.seq, &owners, me);
             }
-            if cfg.heuristics.batch_reads {
+            if heur.batch_reads {
                 // tables shipped + cleared by the per-batch exchange
-                count_exchange_volume(&mut build, &nonowned_kmers, &nonowned_tiles);
-                nonowned_kmers.clear();
-                nonowned_tiles.clear();
+                kmer_reads.exchange(true);
+                tile_reads.exchange(true);
             }
-            if chunk_end >= mine.len() {
-                break;
-            }
-            chunk_start = chunk_end;
         }
-        if !cfg.heuristics.batch_reads {
+        if !heur.batch_reads {
             // single end-of-build exchange ships the whole reads tables
-            count_exchange_volume(&mut build, &nonowned_kmers, &nonowned_tiles);
+            kmer_reads.exchange(false);
+            tile_reads.exchange(false);
         }
-        if load_info.is_some() {
-            // Steps II–III never ran: the scan above only recovered the
-            // reads-table key sets (needed for keep_read_tables), so its
-            // extraction/exchange counters describe work that was skipped.
-            build = BuildStats::default();
-        }
-        build.owned_kmers = owned_kmers[me];
-        build.owned_tiles = owned_tiles[me];
-        build.hot_entries = hot_kmer_entries + hot_tile_entries;
-        let reads_table_entries = if cfg.heuristics.keep_read_tables {
-            (nonowned_kmers.len() + nonowned_tiles.len()) as u64
+        // After a snapshot load Steps II–III never ran: the scan above
+        // only recovered the reads-table key sets (needed for
+        // keep_read_tables), so its extraction/exchange counters
+        // describe work that was skipped.
+        let mut build = if load_info.is_some() {
+            BuildStats::default()
         } else {
-            0
+            BuildStats {
+                kmers_extracted: kmer_reads.extracted,
+                tiles_extracted: tile_reads.extracted,
+                bases_processed: bases,
+                batches: if heur.batch_reads { max_batches } else { 1 },
+                peak_reads_kmers: kmer_reads.peak,
+                peak_reads_tiles: tile_reads.peak,
+                exchange_entries: kmer_reads.entries + tile_reads.entries,
+                exchange_occurrences: kmer_reads.occurrences + tile_reads.occurrences,
+                exchange_bytes: kmer_reads.bytes + tile_reads.bytes,
+                ..Default::default()
+            }
         };
-        build.reads_table_entries = reads_table_entries;
-        if cfg.heuristics.replicate_kmers {
-            build.replicated_entries += spectra.kmers.len() as u64;
+        build.owned_kmers = kmer_model.owned[me];
+        build.owned_tiles = tile_model.owned[me];
+        build.hot_entries = kmer_model.hot.unwrap_or(0) + tile_model.hot.unwrap_or(0);
+        if heur.keep_read_tables {
+            build.reads_table_entries = (kmer_reads.keys.len() + tile_reads.keys.len()) as u64;
         }
-        if cfg.heuristics.replicate_tiles {
-            build.replicated_entries += spectra.tiles.len() as u64;
+        build.replicated_entries = kmer_model.replicated.map_or(0, |s| s.len() as u64)
+            + tile_model.replicated.map_or(0, |s| s.len() as u64);
+        if heur.partial_group > 1 {
+            build.group_entries =
+                kmer_model.group(me, heur.partial_group) + tile_model.group(me, heur.partial_group);
         }
-        let (group_kmer_entries, group_tile_entries) = if cfg.heuristics.partial_group > 1 {
-            let g = cfg.heuristics.partial_group;
-            let lo = (me / g) * g;
-            let hi = (lo + g).min(np);
-            let gk: u64 = owned_kmers[lo..hi].iter().sum();
-            let gt: u64 = owned_tiles[lo..hi].iter().sum();
-            build.group_entries = gk + gt;
-            (gk, gt)
-        } else {
-            (owned_kmers[me], owned_tiles[me])
-        };
 
         // --- correction (the real corrector, counted lookups): the same
         // router the threaded engine runs, over the global spectrum ---
-        let heur = &cfg.heuristics;
-        let hot = !hot_owners.is_empty();
+        let keep = heur.keep_read_tables;
         let tiers = Tiers {
             owners: &owners,
             me,
             group: heur.partial_group,
             hot_owners: &hot_owners,
-            kmers: KindTiers {
-                replicated: heur.replicate_kmers.then_some(&spectra.kmers),
-                local: &spectra.kmers,
-                hot: hot.then_some(&spectra.kmers),
-                reads: heur.keep_read_tables.then(|| {
-                    let empty = KmerSpectrum::new(kcodec, cfg.params.canonical);
-                    reads_table(empty, &nonowned_kmers, &spectra.kmers)
-                }),
-            },
-            tiles: KindTiers {
-                replicated: heur.replicate_tiles.then_some(&spectra.tiles),
-                local: &spectra.tiles,
-                hot: hot.then_some(&spectra.tiles),
-                reads: heur.keep_read_tables.then(|| {
-                    let empty = TileSpectrum::new(tcodec, cfg.params.canonical);
-                    reads_table(empty, &nonowned_tiles, &spectra.tiles)
-                }),
-            },
+            kmers: kmer_model.tiers(keep.then_some(&kmer_reads.keys)),
+            tiles: tile_model.tiers(keep.then_some(&tile_reads.keys)),
         };
         let transport = ModelTransport {
             spectra: &spectra,
@@ -334,8 +283,9 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
                 / cfg.build_threads.max(1) as f64;
             // exchanges: each batch round ships the reads tables; bytes
             // approximated by entry counts × wire width
-            let exchange_bytes =
-                (build.peak_reads_kmers * 12 + build.peak_reads_tiles * 20).max(shuffle_bytes[me]);
+            let exchange_bytes = (packed_bytes::<u64>(build.peak_reads_kmers)
+                + packed_bytes::<u128>(build.peak_reads_tiles))
+            .max(shuffle_bytes[me]);
             let comm_round = cost.alltoallv_ns(np, exchange_bytes as usize);
             let rounds = build.batches.max(1);
             let total = cost.overlapped_rounds_ns(rounds, compute / rounds as f64, comm_round);
@@ -352,7 +302,8 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             let spill_ns = if let Some(budget) = cfg.memory_budget {
                 let fixed = crate::ooc::fixed_floor(&cfg.params);
                 let trigger = budget.saturating_sub(fixed).max(2) / 2;
-                let body = owned_kmers[me] * 12 + owned_tiles[me] * 20;
+                let body = packed_bytes::<u64>(kmer_model.owned[me])
+                    + packed_bytes::<u128>(tile_model.owned[me]);
                 let waves = body.div_ceil(trigger).max(1);
                 let runs = 2 * waves;
                 let bytes = body + runs * specstore::spill::RUN_HEADER_BYTES as u64;
@@ -371,47 +322,19 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         rank_bases.push(rank_base_count);
         let compute_ns =
             local_lookups as f64 * cost.hash_lookup_ns + rank_base_count as f64 * cost.per_base_ns;
-        // seq-stamped wire sizes: 8-byte header on every request/response
-        let kmer_req_bytes = if cfg.heuristics.universal { 17 } else { 16 };
-        let tile_req_bytes = if cfg.heuristics.universal { 25 } else { 24 };
-        let comm_ns = lookups.remote_kmer_lookups as f64
-            * (cost.avg_lookup_roundtrip_ns(kmer_req_bytes, RESPONSE_BYTES, np, rpn) + probe_extra)
-            + lookups.remote_tile_lookups as f64
-                * (cost.avg_lookup_roundtrip_ns(tile_req_bytes, RESPONSE_BYTES, np, rpn)
-                    + probe_extra)
+        let single_key = |n: u64, req_bytes: usize| {
+            n as f64
+                * (cost.avg_lookup_roundtrip_ns(req_bytes, RESPONSE_BYTES, np, rpn) + probe_extra)
+        };
+        let comm_ns = single_key(lookups.remote_kmer_lookups, request_bytes::<u64>(heur))
+            + single_key(lookups.remote_tile_lookups, request_bytes::<u128>(heur))
             + batch_comm_ns
             + retry_wait_ns;
         let correct_ns = (compute_ns + comm_ns) * smt;
 
-        // Per-table byte model mirroring `RankTables::memory_bytes`: each
-        // resident table is priced by the flat-store geometry (smallest
-        // power-of-two capacity holding its entries) at its paper-scale
-        // entry count. Entry counts scale linearly with dataset size, so
-        // paper-scale memory applies the same divisor as the time model
-        // *before* the (step-wise) geometry.
-        let kmer_bytes =
-            |n: u64| KmerSpectrum::bytes_for_entries((n as f64 * cfg.scale) as usize) as u64;
-        let tile_bytes =
-            |n: u64| TileSpectrum::bytes_for_entries((n as f64 * cfg.scale) as usize) as u64;
-        let mut spectrum_bytes = kmer_bytes(owned_kmers[me]) + tile_bytes(owned_tiles[me]);
-        if cfg.heuristics.partial_group > 1 {
-            // group tables coexist with the owned ones (the comm thread
-            // still serves out-of-group requests from hash_kmers)
-            spectrum_bytes += kmer_bytes(group_kmer_entries) + tile_bytes(group_tile_entries);
-        }
-        if cfg.heuristics.keep_read_tables {
-            spectrum_bytes += kmer_bytes(reads_kmer_entries) + tile_bytes(reads_tile_entries);
-        }
-        if cfg.heuristics.replicate_kmers {
-            spectrum_bytes += kmer_bytes(spectra.kmers.len() as u64);
-        }
-        if cfg.heuristics.replicate_tiles {
-            spectrum_bytes += tile_bytes(spectra.tiles.len() as u64);
-        }
-        if !hot_owners.is_empty() {
-            // every rank holds the merged hot-shard replica
-            spectrum_bytes += kmer_bytes(hot_kmer_entries) + tile_bytes(hot_tile_entries);
-        }
+        // per-table byte model mirroring `RankTables::memory_bytes`
+        let spectrum_bytes = kmer_model.table_bytes(me, reads_kmer_entries, heur, cfg.scale)
+            + tile_model.table_bytes(me, reads_tile_entries, heur, cfg.scale);
         let memory = cost.rank_memory_bytes_measured(spectrum_bytes);
 
         // snapshot accounting: modeled per-rank I/O time over real bytes,
@@ -476,7 +399,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     // --- adaptive balancing: read-chunk stealing, modeled ---
     // Same gate as the threaded engine: stealing switches on only when
     // the shuffled chunk loads are imbalanced enough to pay for it.
-    if cfg.heuristics.steal_chunks && np > 1 {
+    if heur.steal_chunks && np > 1 {
         let chunk_unit = cfg.chunk_size.max(1);
         let loads: Vec<u64> = ranks
             .iter()
@@ -499,17 +422,129 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
     })
 }
 
-/// Tally one count exchange's shipped volume: the reads tables' distinct
-/// entries at the wire-tuple widths the real engines charge.
-fn count_exchange_volume(
-    build: &mut BuildStats,
-    nonowned_kmers: &FxHashSet<u64>,
-    nonowned_tiles: &FxHashSet<u128>,
-) {
-    build.exchange_entries += (nonowned_kmers.len() + nonowned_tiles.len()) as u64;
-    build.exchange_bytes += (nonowned_kmers.len() * std::mem::size_of::<(u64, u32)>()
-        + nonowned_tiles.len() * std::mem::size_of::<(u128, u32)>())
-        as u64;
+/// One key kind's share of the global spectra, for the replay.
+struct KindModel<'s, K: SpectrumKey> {
+    /// The global spectrum of the kind (every owner's table at once).
+    spectrum: &'s Spectrum<K>,
+    /// The same spectrum when every rank replicates it (`replicate_*`).
+    replicated: Option<&'s Spectrum<K>>,
+    /// Owned entries per rank.
+    owned: Vec<u64>,
+    /// Entries of the merged hot-shard replica every rank holds (`None`
+    /// without one). Ownership is disjoint, so it is exactly the sum of
+    /// the hot owners' pruned tables (mirrors
+    /// `spectrum::replicate_hot_shards`).
+    hot: Option<u64>,
+}
+
+impl<'s, K: Key> KindModel<'s, K> {
+    fn new(
+        spectrum: &'s Spectrum<K>,
+        replicate: bool,
+        owners: &OwnerMap,
+        hot_owners: &[bool],
+    ) -> KindModel<'s, K> {
+        let mut owned = vec![0u64; owners.np()];
+        for (key, _) in spectrum.iter() {
+            owned[K::owner(Normalized::assume(key), owners)] += 1;
+        }
+        let hot = (!hot_owners.is_empty())
+            .then(|| hot_owners.iter().zip(&owned).filter(|&(&h, _)| h).map(|(_, &n)| n).sum());
+        KindModel { spectrum, replicated: replicate.then_some(spectrum), owned, hot }
+    }
+
+    /// Entries of rank `me`'s group table under partial replication in
+    /// groups of `g`.
+    fn group(&self, me: usize, g: usize) -> u64 {
+        let lo = (me / g) * g;
+        let hi = (lo + g).min(self.owned.len());
+        self.owned[lo..hi].iter().sum()
+    }
+
+    /// A rank's lookup tiers of this kind, over the global spectrum,
+    /// with the reads table of the non-owned `reads_keys` when kept.
+    fn tiers(&self, reads_keys: Option<&FxHashSet<K>>) -> KindTiers<'s, K> {
+        KindTiers {
+            replicated: self.replicated,
+            local: self.spectrum,
+            hot: self.hot.map(|_| self.spectrum),
+            reads: reads_keys.map(|keys| reads_table(keys, self.spectrum)),
+        }
+    }
+
+    /// Per-table byte model mirroring `KindTables::memory_bytes`: each
+    /// table resident on rank `me` is priced by the flat-store geometry
+    /// (smallest power-of-two capacity holding its entries) at its
+    /// paper-scale entry count. Entry counts scale linearly with dataset
+    /// size, so paper-scale memory applies the same divisor as the time
+    /// model *before* the (step-wise) geometry. `reads` is the reads
+    /// table's final size (`cache_remote` grows it). A group table
+    /// coexists with the owned one (the comm thread still serves
+    /// out-of-group requests from the owned table).
+    fn table_bytes(&self, me: usize, reads: u64, heur: &HeuristicConfig, scale: f64) -> u64 {
+        let bytes = |n: u64| Spectrum::<K>::bytes_for_entries((n as f64 * scale) as usize) as u64;
+        let group = (heur.partial_group > 1).then(|| self.group(me, heur.partial_group));
+        let reads = heur.keep_read_tables.then_some(reads);
+        let replicated = self.replicated.map(|s| s.len() as u64);
+        let tables = [Some(self.owned[me]), group, reads, replicated, self.hot];
+        tables.into_iter().flatten().map(bytes).sum()
+    }
+}
+
+/// One key kind's replay of a rank's Steps II–III occurrence walk: the
+/// counters the build reports, and the distinct non-owned keys its
+/// reads table holds.
+#[derive(Default)]
+struct ReadsTally<K> {
+    /// Occurrences extracted.
+    extracted: u64,
+    /// Occurrences owned elsewhere.
+    occurrences: u64,
+    /// Distinct non-owned keys since the last batch exchange.
+    keys: FxHashSet<K>,
+    /// High-water mark of `keys`, sampled per read.
+    peak: u64,
+    /// Entries shipped through count exchanges.
+    entries: u64,
+    /// Bytes shipped, at the wire-tuple width the real engines charge.
+    bytes: u64,
+}
+
+impl<K: Key> ReadsTally<K> {
+    /// Walk one read's occurrences. The peak is sampled inside the loop,
+    /// per read, matching the real engines.
+    fn read(&mut self, seq: &[u8], owners: &OwnerMap, me: usize) {
+        for (key, owner) in owners.keys_of::<K>(seq) {
+            self.extracted += 1;
+            if owner != me {
+                self.occurrences += 1;
+                self.keys.insert(key.key());
+            }
+        }
+        self.peak = self.peak.max(self.keys.len() as u64);
+    }
+
+    /// One count exchange ships the distinct keys; a batch exchange also
+    /// clears them.
+    fn exchange(&mut self, clear: bool) {
+        self.entries += self.keys.len() as u64;
+        self.bytes += (self.keys.len() * std::mem::size_of::<(K, u32)>()) as u64;
+        if clear {
+            self.keys.clear();
+        }
+    }
+}
+
+/// Bytes of `entries` `(key, count)` pairs packed for the wire or a run
+/// file: 12 B per k-mer, 20 B per tile.
+fn packed_bytes<K: SpectrumKey>(entries: u64) -> u64 {
+    entries * (K::BYTES as u64 + 4)
+}
+
+/// A single-key request's modeled wire size: the 8-byte sequence-stamp
+/// header, the key, and the universal struct's kind byte.
+fn request_bytes<K: SpectrumKey>(heur: &HeuristicConfig) -> usize {
+    8 + std::mem::size_of::<K>() + heur.universal as usize
 }
 
 /// Analytic twin of the threaded engine's read-chunk stealing: level the
@@ -634,11 +669,8 @@ fn distribute_service_counts(ranks: &mut [RankReport], fault: &FaultPlan) {
 /// The reads table the build's `keep_read_tables` exchange would have
 /// resolved: the global count of every non-owned key of the rank's reads
 /// (0 = known absent).
-fn reads_table<K: Key>(
-    mut table: Spectrum<K>,
-    keys: &FxHashSet<K>,
-    global: &Spectrum<K>,
-) -> Spectrum<K> {
+fn reads_table<K: Key>(keys: &FxHashSet<K>, global: &Spectrum<K>) -> Spectrum<K> {
+    let mut table = Spectrum::new(global.codec(), global.canonical());
     table.reserve(keys.len());
     for &key in keys {
         let key = Normalized::assume(key);

@@ -78,7 +78,7 @@ pub use engine_mt::{
 };
 pub use engine_virtual::{run_virtual, try_run_virtual};
 pub use heuristics::HeuristicConfig;
-pub use prior_art::{run_prior_art, run_prior_art_virtual, PriorArtConfig};
+pub use prior_art::{run_prior_art_virtual, PriorArtConfig};
 pub use report::{LookupStats, RankReport, RunReport};
 pub use serve::{ServeConfig, ServeEngine, ServeReport, ServeResponse, SubmitError};
 pub use snapshot::{LoadedSpectra, SerialLoad};

@@ -82,6 +82,22 @@ impl OwnerMap {
         }
     }
 
+    /// Every code of kind `K` in `seq`, left to right, as its spectrum
+    /// key with the rank that owns it: the one occurrence walk of the
+    /// serial build, the virtual engine's replay, the snapshot key scan
+    /// and the balance histogram.
+    #[inline]
+    pub(crate) fn keys_of<'s, K: Key>(
+        &self,
+        seq: &'s [u8],
+    ) -> impl Iterator<Item = (Normalized<K>, usize)> + 's {
+        let owners = *self;
+        K::codes_of(K::codec(&owners), seq).map(move |code| {
+            let key = code.normalize(&owners);
+            (key, K::owner(key, &owners))
+        })
+    }
+
     /// Owning rank of a read under the load-balancing policy.
     #[inline]
     pub fn read_owner(&self, read: &Read) -> usize {
@@ -95,8 +111,15 @@ impl OwnerMap {
 /// Everything written over the key kind — the build's Steps II–III, the
 /// lookup router, the out-of-core merge — reaches a kind through it.
 pub(crate) trait Key: SpectrumKey {
+    /// This kind's codec.
+    fn codec(owners: &OwnerMap) -> Self::Codec;
     /// The spectrum key of a code.
-    fn normalize(self, owners: &OwnerMap) -> Normalized<Self>;
+    #[inline]
+    fn normalize(self, owners: &OwnerMap) -> Normalized<Self> {
+        let code =
+            if owners.canonical { Self::canonical(&Self::codec(owners), self) } else { self };
+        Normalized::assume(code)
+    }
     /// The rank that owns a key.
     fn owner(key: Normalized<Self>, owners: &OwnerMap) -> usize;
     /// The single-key request for a key.
@@ -113,8 +136,8 @@ pub(crate) trait Key: SpectrumKey {
 
 impl Key for u64 {
     #[inline]
-    fn normalize(self, owners: &OwnerMap) -> Normalized<u64> {
-        owners.kmer_key(self)
+    fn codec(owners: &OwnerMap) -> dnaseq::KmerCodec {
+        owners.kcodec
     }
 
     #[inline]
@@ -151,8 +174,8 @@ impl Key for u64 {
 
 impl Key for u128 {
     #[inline]
-    fn normalize(self, owners: &OwnerMap) -> Normalized<u128> {
-        owners.tile_key(self)
+    fn codec(owners: &OwnerMap) -> dnaseq::TileCodec {
+        owners.tcodec
     }
 
     #[inline]

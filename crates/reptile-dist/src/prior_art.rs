@@ -9,38 +9,23 @@
 //! correction is performed by worker threads ... who fetch chunks of
 //! sequences from the work-queue."
 //!
-//! Two realizations:
+//! The prior art is reproduced as a model only:
+//! [`run_prior_art_virtual`] measures per-chunk costs by running the
+//! real corrector against the full spectra (every lookup local, so no
+//! correction-phase message), then list-schedules the chunks greedily
+//! onto `np` ranks (what dynamic self-scheduling converges to) with a
+//! master round trip charged per chunk, and prices every rank at the
+//! full-spectrum memory footprint the paper set out to eliminate.
 //!
-//! * [`run_prior_art`] — on the threaded runtime: every rank holds the
-//!   full spectra (allgathered); rank 0 runs a master thread handing out
-//!   chunk indices on demand; workers request, correct, repeat. No
-//!   correction-phase spectrum messages (everything is local), but the
-//!   full-spectrum memory footprint the paper set out to eliminate.
-//! * [`run_prior_art_virtual`] — the modeled counterpart: per-chunk
-//!   costs measured by running the real corrector, then greedy
-//!   list-scheduling onto `np` ranks (what dynamic self-scheduling
-//!   converges to), plus a master round-trip charge per chunk.
-//!
-//! Comparing these against the paper's engine (`figures -- prior-art`)
+//! Comparing it against the paper's engine (`figures -- prior-art`)
 //! reproduces the motivation table: the prior art wins on time at small
 //! scale and loses the memory war as datasets grow.
 
-use crate::heuristics::HeuristicConfig;
 use crate::report::{LookupStats, RankReport, RunReport};
-use crate::spectrum::build_distributed_serial;
 use dnaseq::Read;
-use mpisim::message::{WireReader, WireWriter};
-use mpisim::{CostModel, Source, TagSel, Topology, Universe};
+use mpisim::{CostModel, Topology};
 use reptile::spectrum::LocalSpectra;
 use reptile::{correct_read, CorrectionStats, ReptileParams, SpectrumAccess};
-use std::time::Instant;
-
-/// Tag: worker asks the global master for a chunk.
-const TAG_WORK_REQ: u32 = 0x20;
-/// Tag: master's reply (chunk index, or the NONE sentinel).
-const TAG_WORK_ASSIGN: u32 = 0x21;
-/// Sentinel meaning "queue drained, stop".
-const WORK_NONE: u64 = u64::MAX;
 
 /// Configuration for a prior-art run.
 #[derive(Clone, Copy, Debug)]
@@ -59,119 +44,6 @@ impl PriorArtConfig {
     /// Defaults mirroring [`crate::EngineConfig::new`].
     pub fn new(np: usize, params: ReptileParams) -> PriorArtConfig {
         PriorArtConfig { np, topology: Topology::single_node(), chunk_size: 200, params }
-    }
-}
-
-/// Run the replicated + dynamic-master pipeline on real threads.
-pub fn run_prior_art(cfg: &PriorArtConfig, reads: &[Read]) -> crate::RunOutput {
-    cfg.params.assert_valid();
-    let np = cfg.np;
-    let n_chunks = reads.len().div_ceil(cfg.chunk_size);
-    let universe = Universe::with_topology(np, cfg.topology);
-    let per_rank: Vec<(Vec<Read>, RankReport)> = universe.run(|comm| {
-        let me = comm.rank();
-        let t0 = Instant::now();
-        // --- replicate the spectra on every rank (allgather) ---
-        let lo = reads.len() * me / np;
-        let hi = reads.len() * (me + 1) / np;
-        let heur = HeuristicConfig {
-            replicate_kmers: true,
-            replicate_tiles: true,
-            load_balance: false,
-            ..HeuristicConfig::default()
-        };
-        // Prior art keeps the faithful serial build (it models the
-        // original Reptile program, not this paper's pipeline).
-        let (tables, build_stats) =
-            build_distributed_serial(comm, &reads[lo..hi], cfg.chunk_size, &cfg.params, &heur);
-        let mut spectra = LocalSpectra {
-            kmers: tables.kmers.replicated.expect("replication requested"),
-            tiles: tables.tiles.replicated.expect("replication requested"),
-        };
-        comm.barrier();
-        let construct_secs = t0.elapsed().as_secs_f64();
-
-        // --- dynamic correction: master thread on rank 0 ---
-        let t1 = Instant::now();
-        let mut corrected: Vec<Read> = Vec::new();
-        let mut correction = CorrectionStats::default();
-        let mut lookups = LookupStats::default();
-        std::thread::scope(|s| {
-            let master = if me == 0 {
-                Some(s.spawn(|| {
-                    let mut next = 0u64;
-                    let mut stopped = 0usize;
-                    while stopped < np {
-                        let req = comm.recv(Source::Any, TagSel::Tag(TAG_WORK_REQ));
-                        let assignment = if next < n_chunks as u64 {
-                            let a = next;
-                            next += 1;
-                            a
-                        } else {
-                            stopped += 1;
-                            WORK_NONE
-                        };
-                        let mut w = WireWriter::with_capacity(8);
-                        w.put_u64(assignment);
-                        comm.send(req.src, TAG_WORK_ASSIGN, w.finish());
-                    }
-                }))
-            } else {
-                None
-            };
-            // worker loop (every rank, including the master's rank)
-            loop {
-                comm.send(0, TAG_WORK_REQ, Vec::new());
-                let resp = comm.recv(Source::Rank(0), TagSel::Tag(TAG_WORK_ASSIGN));
-                let chunk = WireReader::new(&resp.payload).get_u64();
-                if chunk == WORK_NONE {
-                    break;
-                }
-                let lo = chunk as usize * cfg.chunk_size;
-                let hi = (lo + cfg.chunk_size).min(reads.len());
-                for read in &reads[lo..hi] {
-                    let mut read = read.clone();
-                    let outcome = correct_read(
-                        &mut read,
-                        &mut CountingLocal { spectra: &mut spectra, lookups: &mut lookups },
-                        &cfg.params,
-                    );
-                    correction.absorb(&outcome);
-                    corrected.push(read);
-                }
-            }
-            if let Some(m) = master {
-                m.join().expect("master thread panicked");
-            }
-        });
-        let correct_secs = t1.elapsed().as_secs_f64();
-        comm.barrier();
-        let cost = CostModel::bgq();
-        let report = RankReport {
-            rank: me,
-            reads_processed: corrected.len() as u64,
-            build: build_stats,
-            correction,
-            lookups,
-            construct_secs,
-            correct_secs,
-            comm_secs: 0.0,
-            memory_bytes: cost
-                .rank_memory_bytes(spectra.kmers.len() as u64, spectra.tiles.len() as u64),
-            ..Default::default()
-        };
-        (corrected, report)
-    });
-    let mut corrected = Vec::new();
-    let mut ranks = Vec::with_capacity(np);
-    for (mine, report) in per_rank {
-        corrected.extend(mine);
-        ranks.push(report);
-    }
-    corrected.sort_by_key(|r| r.id);
-    crate::RunOutput {
-        corrected,
-        report: RunReport { ranks, topology: cfg.topology, cost: CostModel::bgq() },
     }
 }
 
@@ -273,7 +145,6 @@ pub fn run_prior_art_virtual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reptile::correct_dataset;
 
     fn params() -> ReptileParams {
         ReptileParams {
@@ -307,35 +178,6 @@ mod tests {
             reads.push(Read::new(i as u64 + 1, seq, qual));
         }
         reads
-    }
-
-    #[test]
-    fn prior_art_matches_sequential() {
-        let reads = dataset(120);
-        let p = params();
-        let (seq, seq_stats) = correct_dataset(&reads, &p);
-        for np in [1usize, 2, 4] {
-            let mut cfg = PriorArtConfig::new(np, p);
-            cfg.chunk_size = 7;
-            let out = run_prior_art(&cfg, &reads);
-            assert_eq!(out.corrected, seq, "np={np}");
-            assert_eq!(out.report.errors_corrected(), seq_stats.errors_corrected);
-        }
-    }
-
-    #[test]
-    fn every_read_processed_exactly_once() {
-        let reads = dataset(101);
-        let mut cfg = PriorArtConfig::new(3, params());
-        cfg.chunk_size = 10;
-        let out = run_prior_art(&cfg, &reads);
-        assert_eq!(out.corrected.len(), reads.len());
-        let total: u64 = out.report.ranks.iter().map(|r| r.reads_processed).sum();
-        assert_eq!(total, reads.len() as u64);
-        // no spectrum messages in the replicated mode
-        for r in &out.report.ranks {
-            assert_eq!(r.lookups.remote_total(), 0);
-        }
     }
 
     #[test]
@@ -382,13 +224,5 @@ mod tests {
             pa.correct_secs(),
             dist.report.correct_secs()
         );
-    }
-
-    #[test]
-    fn single_rank_prior_art() {
-        let reads = dataset(30);
-        let cfg = PriorArtConfig::new(1, params());
-        let out = run_prior_art(&cfg, &reads);
-        assert_eq!(out.corrected.len(), 30);
     }
 }

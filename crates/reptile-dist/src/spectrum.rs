@@ -9,13 +9,18 @@
 //! count, and entries below the frequency threshold are pruned.
 //!
 //! The two kinds are built the same way ("same for tiles"), so the code
-//! is written once: every Steps II–III helper below — owner bucketing,
-//! the count exchange, the absorb of received parts, the reads-table
-//! resolution, the replicate / group / hot gathers, the serial tally —
-//! is generic over the key kind (`owner::Key`) and called once for
-//! k-mers and once for tiles, and a rank ends up with one [`KindTables`]
-//! per kind in its [`RankTables`]. Only the fused extraction scan yields
-//! both kinds at once, from a single pass over each read.
+//! is written once: every Steps II–III step below — a worker's
+//! per-owner buckets (`KindBatch`), the running tallies with their
+//! absorbs, pre-aggregation and exchange post/drain (`KindTally`), the
+//! serial tally (`SerialTables`), owner bucketing, the count exchange,
+//! the reads-table resolution, the replicate / group / hot gathers — is
+//! generic over the key kind (`owner::Key`) and called once for k-mers
+//! and once for tiles, and a rank ends up with one [`KindTables`] per
+//! kind in its [`RankTables`]. Two places still name both kinds, on
+//! purpose: the fused extraction scan yields both from one pass over a
+//! read (each base is classified and rolled into both codes once), and the
+//! out-of-core spill check takes both accumulators, because its memory
+//! budget spans both kinds (`crate::ooc`).
 //!
 //! In *batch reads table* mode the exchange runs after every chunk and
 //! the reads tables are cleared, bounding their size; an
@@ -170,7 +175,8 @@ pub struct BuildStats {
     pub tiles_extracted: u64,
     /// Bases scanned.
     pub bases_processed: u64,
-    /// Chunk iterations executed (== global max batches).
+    /// Count-exchange rounds: the global max batch count under
+    /// `batch_reads` (every rank joins every round), else 1.
     pub batches: u64,
     /// High-water mark of distinct non-owned k-mers buffered before an
     /// exchange, sampled inside the extraction loop (per read in the
@@ -305,17 +311,14 @@ pub(crate) fn build_distributed_spillable(
         }
         let mut pool =
             ExtractPool { job_txs, res_rx, free: Vec::new(), scratch: FusedScratch::default() };
-        let kbits = 2 * kcodec.k() as u32;
-        let tbits = 2 * tcodec.len() as u32;
 
-        // Running global tallies as width-adaptive count accumulators
-        // (module docs step 3): raw own occurrences and exchanged runs
-        // accumulate without a per-key hash probe; the flat tables are
-        // materialized once, after the loop, from the finalized runs.
-        let mut acc_kmers: CountAcc<u64> = CountAcc::new(kbits);
-        let mut acc_tiles: CountAcc<u128> = CountAcc::new(tbits);
-        let mut acc_reads_kmers: CountAcc<u64> = CountAcc::new(kbits);
-        let mut acc_reads_tiles: CountAcc<u128> = CountAcc::new(tbits);
+        // Running global tallies, one per kind, as width-adaptive count
+        // accumulators (module docs step 3): raw own occurrences and
+        // exchanged runs accumulate without a per-key hash probe; the
+        // flat tables are materialized once, after the loop, from the
+        // finalized runs.
+        let mut kmers: KindTally<'_, u64> = KindTally::new(2 * kcodec.k() as u32);
+        let mut tiles: KindTally<'_, u128> = KindTally::new(2 * tcodec.len() as u32);
         let mut stats = BuildStats::default();
 
         // Every rank must join the same number of collective rounds
@@ -323,9 +326,10 @@ pub(crate) fn build_distributed_spillable(
         let my_batches = reads.len().div_ceil(chunk_size).max(1) as u64;
         let max_batches =
             if heur.batch_reads { comm.allreduce_max_u64(my_batches) } else { my_batches };
-        stats.batches = max_batches;
+        stats.batches = if heur.batch_reads { max_batches } else { 1 };
 
-        let mut pending: Option<PendingExchange<'_>> = None;
+        // When the batch exchange in flight was posted.
+        let mut in_flight: Option<Instant> = None;
         for batch in 0..max_batches {
             let lo = (batch as usize * chunk_size).min(reads.len());
             let hi = ((batch as usize + 1) * chunk_size).min(reads.len());
@@ -340,57 +344,40 @@ pub(crate) fn build_distributed_spillable(
             // sub-chunk here too ([`absorb_chunk`]).
             let chunk = absorb_chunk(&ooc);
             for w in &raw {
-                for sub in w.kmers[me].chunks(chunk) {
-                    acc_kmers.push_keys(sub);
-                    spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
-                }
-                for sub in w.tiles[me].chunks(chunk) {
-                    acc_tiles.push_keys(sub);
-                    spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
-                }
+                kmers.absorb_own(&w.kmers, me, chunk, |k| {
+                    spill_check(&mut ooc, k, &mut tiles.owned)
+                });
+                tiles.absorb_own(&w.tiles, me, chunk, |t| {
+                    spill_check(&mut ooc, &mut kmers.owned, t)
+                });
             }
 
             if heur.batch_reads {
                 // Pre-aggregate this batch's non-owned buckets for the
                 // wire (each distinct key ships once, module docs
                 // step 2).
-                let agg = aggregate_nonown(&raw, me, kbits, tbits);
+                let kmer_parts = kmers.aggregate_nonown(raw.iter().map(|w| &w.kmers), me);
+                let tile_parts = tiles.aggregate_nonown(raw.iter().map(|w| &w.tiles), me);
                 pool.recycle(raw);
                 stats.extract_ns += elapsed_ns(t_extract);
-                let nonown_kmers: u64 = agg.kmers.iter().map(|b| b.len() as u64).sum();
-                let nonown_tiles: u64 = agg.tiles.iter().map(|b| b.len() as u64).sum();
-                stats.peak_reads_kmers = stats.peak_reads_kmers.max(nonown_kmers);
-                stats.peak_reads_tiles = stats.peak_reads_tiles.max(nonown_tiles);
+                stats.peak_reads_kmers = stats.peak_reads_kmers.max(entries(&kmer_parts));
+                stats.peak_reads_tiles = stats.peak_reads_tiles.max(entries(&tile_parts));
                 // Drain batch B-1's exchange only now, after batch B's
                 // extraction ran under it — the double buffering.
-                if let Some(p) = pending.take() {
-                    drain_exchange(
-                        p,
-                        &owners,
-                        me,
-                        &mut acc_kmers,
-                        &mut acc_tiles,
-                        &mut stats,
-                        ooc.as_deref_mut(),
-                    );
+                if let Some(started) = in_flight.take() {
+                    drain_exchange(started, &mut kmers, &mut tiles, &mut stats, ooc.as_deref_mut());
                 }
-                pending = Some(start_exchange(comm, agg, &mut stats));
+                kmers.post(comm, &owners, kmer_parts, &mut stats);
+                tiles.post(comm, &owners, tile_parts, &mut stats);
+                in_flight = Some(Instant::now());
             } else {
                 // Non-batch mode: tally the raw non-owned occurrences in
                 // the reads accumulators (they also feed
                 // keep_read_tables) and exchange once after the last
                 // chunk.
                 for w in &raw {
-                    for (d, bucket) in w.kmers.iter().enumerate() {
-                        if d != me {
-                            acc_reads_kmers.push_keys(bucket);
-                        }
-                    }
-                    for (d, bucket) in w.tiles.iter().enumerate() {
-                        if d != me {
-                            acc_reads_tiles.push_keys(bucket);
-                        }
-                    }
+                    kmers.absorb_reads(&w.kmers, me);
+                    tiles.absorb_reads(&w.tiles, me);
                 }
                 pool.recycle(raw);
                 stats.extract_ns += elapsed_ns(t_extract);
@@ -399,59 +386,44 @@ pub(crate) fn build_distributed_spillable(
             // exchange drain already checks per absorbed sub-chunk;
             // spill failures are deferred either way — the loop's
             // collective schedule must stay uniform across ranks).
-            spill_check(&mut ooc, &mut acc_kmers, &mut acc_tiles);
+            spill_check(&mut ooc, &mut kmers.owned, &mut tiles.owned);
         }
-        if let Some(p) = pending.take() {
-            drain_exchange(
-                p,
-                &owners,
-                me,
-                &mut acc_kmers,
-                &mut acc_tiles,
-                &mut stats,
-                ooc.as_deref_mut(),
-            );
+        if let Some(started) = in_flight.take() {
+            drain_exchange(started, &mut kmers, &mut tiles, &mut stats, ooc.as_deref_mut());
         }
 
-        // Finalize the reads tallies (non-batch mode only — batch mode
-        // never feeds them). The serial reads tables only ever grow
-        // between exchanges, so their true high-water mark *is* the
-        // final distinct count — assigning the peak here samples exactly
-        // what the serial path's per-read max converged to.
-        let (reads_kmer_entries, reads_tile_entries) = if heur.batch_reads {
+        // Non-batch mode: finalize the reads tallies (batch mode never
+        // feeds them), record the rank's own-reads key sets before the
+        // exchange consumes the runs (needed by keep_read_tables), and
+        // ship the runs to their owners. The serial reads tables only
+        // ever grow between exchanges, so their true high-water mark
+        // *is* the final distinct count — assigning the peak here
+        // samples exactly what the serial path's per-read max converged
+        // to.
+        let (kmer_keys, tile_keys) = if heur.batch_reads {
             (Vec::new(), Vec::new())
         } else {
             let t_fin = Instant::now();
-            let rk = acc_reads_kmers.finalize();
-            let rt = acc_reads_tiles.finalize();
+            let (kmer_runs, kmer_keys) = kmers.finalize_reads(heur.keep_read_tables);
+            let (tile_runs, tile_keys) = tiles.finalize_reads(heur.keep_read_tables);
             stats.extract_ns += elapsed_ns(t_fin);
-            stats.peak_reads_kmers = rk.len() as u64;
-            stats.peak_reads_tiles = rt.len() as u64;
-            (rk, rt)
-        };
+            stats.peak_reads_kmers = kmer_runs.len() as u64;
+            stats.peak_reads_tiles = tile_runs.len() as u64;
 
-        // Record the rank's own-reads key sets before the final exchange
-        // consumes the runs (needed by keep_read_tables).
-        let (kmer_keys, tile_keys) = if heur.keep_read_tables {
-            (
-                reads_kmer_entries.iter().map(|&(k, _)| k).collect::<Vec<u64>>(),
-                reads_tile_entries.iter().map(|&(t, _)| t).collect::<Vec<u128>>(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
+            // The final exchange: same volume as [`exchange_counts`],
+            // but received parts fold into the owner accumulators
+            // instead of hash-probing per key, and the k-mer round goes
+            // out non-blocking so the tile bucketing runs under it.
+            kmers.post(comm, &owners, bucket_runs(&owners, kmer_runs), &mut stats);
+            let overlap_start = Instant::now();
+            tiles.post(comm, &owners, bucket_runs(&owners, tile_runs), &mut stats);
+            stats.overlap_ns += elapsed_ns(overlap_start);
+            let t_wait = Instant::now();
+            kmers.absorb_exchange(usize::MAX, |_| {});
+            tiles.absorb_exchange(usize::MAX, |_| {});
+            stats.exchange_ns += elapsed_ns(t_wait);
+            (kmer_keys, tile_keys)
         };
-
-        if !heur.batch_reads {
-            exchange_counts_overlapped(
-                comm,
-                &owners,
-                reads_kmer_entries,
-                reads_tile_entries,
-                &mut acc_kmers,
-                &mut acc_tiles,
-                &mut stats,
-            );
-        }
 
         // Step III's threshold prune runs on the *entry runs*, before
         // any table exists: a sweep over the finalized vector keeps the
@@ -463,7 +435,7 @@ pub(crate) fn build_distributed_spillable(
         // the final geometry (and `memory_bytes`) matches the serial
         // path exactly.
         let t_build = Instant::now();
-        let (kmers, tiles) = match ooc {
+        let (kmer_table, tile_table) = match ooc {
             Some(o) => {
                 // Budgeted materialization: spill the tails, k-way-merge
                 // the runs straight into the tables (crate::ooc docs).
@@ -473,7 +445,8 @@ pub(crate) fn build_distributed_spillable(
                 // must abort *with* its peers, not deadlock them in
                 // `derive_heuristic_tables` (same discipline as the
                 // snapshot layer's gather_failures).
-                let local = o.finish_spectra(&mut acc_kmers, &mut acc_tiles, params, &mut stats);
+                let local =
+                    o.finish_spectra(&mut kmers.owned, &mut tiles.owned, params, &mut stats);
                 let failed: u64 = comm
                     .allgatherv(vec![local.is_err() as u64])
                     .iter()
@@ -488,14 +461,16 @@ pub(crate) fn build_distributed_spillable(
                 }
             }
             None => (
-                materialize(&mut acc_kmers, params.kmer_threshold, kcodec, params.canonical),
-                materialize(&mut acc_tiles, params.tile_threshold, tcodec, params.canonical),
+                materialize(&mut kmers.owned, params.kmer_threshold, kcodec, params.canonical),
+                materialize(&mut tiles.owned, params.tile_threshold, tcodec, params.canonical),
             ),
         };
         stats.extract_ns += elapsed_ns(t_build);
 
         // Already pruned above — go straight to the heuristic tables.
-        Ok(derive_heuristic_tables(comm, owners, heur, kmers, tiles, kmer_keys, tile_keys, stats))
+        Ok(derive_heuristic_tables(
+            comm, owners, heur, kmer_table, tile_table, kmer_keys, tile_keys, stats,
+        ))
         // The pool's job senders drop here, ending every worker's recv
         // loop before the scope joins them.
     })
@@ -526,7 +501,7 @@ pub fn build_distributed_serial(
     let my_batches = reads.len().div_ceil(chunk_size).max(1) as u64;
     let max_batches =
         if heur.batch_reads { comm.allreduce_max_u64(my_batches) } else { my_batches };
-    stats.batches = max_batches;
+    stats.batches = if heur.batch_reads { max_batches } else { 1 };
 
     let me = comm.rank();
     for batch in 0..max_batches {
@@ -599,10 +574,9 @@ impl<K: Key> SerialTables<K> {
     #[inline(always)]
     fn tally(&mut self, seq: &[u8], owners: &OwnerMap, me: usize, stats: &mut BuildStats) -> u64 {
         let mut occurrences = 0;
-        for code in K::codes_of(self.owned.codec(), seq) {
+        for (key, owner) in owners.keys_of::<K>(seq) {
             occurrences += 1;
-            let key = code.normalize(owners);
-            if K::owner(key, owners) == me {
+            if owner == me {
                 self.owned.add_count(key, 1);
             } else {
                 stats.exchange_occurrences += 1;
@@ -639,9 +613,14 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// volume, in wire-tuple bytes (what the collective layer charges:
 /// `len × size_of::<T>()`).
 fn count_exchange<K: SpectrumKey>(out: &[Vec<(K, u32)>], stats: &mut BuildStats) {
-    let pairs: usize = out.iter().map(Vec::len).sum();
-    stats.exchange_entries += pairs as u64;
-    stats.exchange_bytes += (pairs * std::mem::size_of::<(K, u32)>()) as u64;
+    let pairs = entries(out);
+    stats.exchange_entries += pairs;
+    stats.exchange_bytes += pairs * std::mem::size_of::<(K, u32)>() as u64;
+}
+
+/// Entries over every per-owner part.
+fn entries<T>(parts: &[Vec<T>]) -> u64 {
+    parts.iter().map(Vec::len).sum::<usize>() as u64
 }
 
 /// Sub-chunk length for tallying into the accumulators. A budgeted build
@@ -670,46 +649,50 @@ fn spill_check(
     }
 }
 
-/// One batch's extraction output: per-owner, locally pre-aggregated
-/// (sorted, distinct) key/count runs.
-struct BatchAggregate {
-    kmers: Vec<Vec<(u64, u32)>>,
-    tiles: Vec<Vec<(u128, u32)>>,
+/// One key kind's share of a worker's raw output: per-owner occurrence
+/// buckets plus how many occurrences the worker extracted.
+struct KindBatch<K> {
+    buckets: Vec<Vec<K>>,
+    extracted: u64,
 }
 
-/// Per-worker raw output: per-owner occurrence buckets plus counters.
-/// Recycled through the pool's free list, so bucket capacity is paid
-/// once and reused batch after batch.
-struct WorkerOut {
-    kmers: Vec<Vec<u64>>,
-    tiles: Vec<Vec<u128>>,
-    bases: u64,
-    kmers_extracted: u64,
-    tiles_extracted: u64,
-}
-
-impl WorkerOut {
-    fn new(np: usize) -> WorkerOut {
-        WorkerOut {
-            kmers: vec![Vec::new(); np],
-            tiles: vec![Vec::new(); np],
-            bases: 0,
-            kmers_extracted: 0,
-            tiles_extracted: 0,
-        }
+impl<K: Key> KindBatch<K> {
+    fn new(np: usize) -> KindBatch<K> {
+        KindBatch { buckets: vec![Vec::new(); np], extracted: 0 }
     }
 
     /// Reset for reuse, keeping every bucket's allocation.
     fn clear(&mut self) {
-        for b in &mut self.kmers {
-            b.clear();
-        }
-        for b in &mut self.tiles {
-            b.clear();
-        }
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.extracted = 0;
+    }
+
+    /// Occurrences bound for ranks other than `me`.
+    fn nonown(&self, me: usize) -> u64 {
+        let all: usize = self.buckets.iter().map(Vec::len).sum();
+        (all - self.buckets[me].len()) as u64
+    }
+}
+
+/// Per-worker raw output: both kinds' buckets plus the bases scanned.
+/// Recycled through the pool's free list, so bucket capacity is paid
+/// once and reused batch after batch.
+struct WorkerOut {
+    kmers: KindBatch<u64>,
+    tiles: KindBatch<u128>,
+    bases: u64,
+}
+
+impl WorkerOut {
+    fn new(np: usize) -> WorkerOut {
+        WorkerOut { kmers: KindBatch::new(np), tiles: KindBatch::new(np), bases: 0 }
+    }
+
+    /// Reset for reuse, keeping every bucket's allocation.
+    fn clear(&mut self) {
+        self.kmers.clear();
+        self.tiles.clear();
         self.bases = 0;
-        self.kmers_extracted = 0;
-        self.tiles_extracted = 0;
     }
 }
 
@@ -736,8 +719,8 @@ fn extract_worker(
     let mut kmers_extracted = 0u64;
     let mut tiles_extracted = 0u64;
     if owners.np() == 1 {
-        let kb = &mut out.kmers[0];
-        let tb = &mut out.tiles[0];
+        let kb = &mut out.kmers.buckets[0];
+        let tb = &mut out.tiles.buckets[0];
         for read in reads {
             bases += read.len() as u64;
             tcodec.fused_scan_into(&read.seq, scratch, |item| {
@@ -755,37 +738,18 @@ fn extract_worker(
             tcodec.fused_scan_into(&read.seq, scratch, |item| {
                 kmers_extracted += 1;
                 let key = owners.kmer_key(item.kmer);
-                out.kmers[owners.kmer_owner_at(key)].push(key.key());
+                out.kmers.buckets[owners.kmer_owner_at(key)].push(key.key());
                 if let Some((_, tile)) = item.tile {
                     tiles_extracted += 1;
                     let tkey = owners.tile_key(tile);
-                    out.tiles[owners.tile_owner_at(tkey)].push(tkey.key());
+                    out.tiles.buckets[owners.tile_owner_at(tkey)].push(tkey.key());
                 }
             });
         }
     }
     out.bases += bases;
-    out.kmers_extracted += kmers_extracted;
-    out.tiles_extracted += tiles_extracted;
-}
-
-/// Pre-aggregate one batch's non-owned occurrence buckets into sorted
-/// distinct per-owner runs for the wire (`me`'s bucket stays empty —
-/// own occurrences were tallied straight into the accumulators).
-fn aggregate_nonown(raw: &[WorkerOut], me: usize, kbits: u32, tbits: u32) -> BatchAggregate {
-    let np = raw.first().map_or(1, |w| w.kmers.len());
-    let mut kmers = Vec::with_capacity(np);
-    let mut tiles = Vec::with_capacity(np);
-    for d in 0..np {
-        if d == me {
-            kmers.push(Vec::new());
-            tiles.push(Vec::new());
-            continue;
-        }
-        kmers.push(aggregate_occurrences(raw.iter().map(|w| &w.kmers[d]), kbits));
-        tiles.push(aggregate_occurrences(raw.iter().map(|w| &w.tiles[d]), tbits));
-    }
-    BatchAggregate { kmers, tiles }
+    out.kmers.extracted += kmers_extracted;
+    out.tiles.extracted += tiles_extracted;
 }
 
 /// The persistent extraction pool: job/result channels to the workers
@@ -842,18 +806,9 @@ impl<'r> ExtractPool<'r> {
 
         for w in &raw {
             stats.bases_processed += w.bases;
-            stats.kmers_extracted += w.kmers_extracted;
-            stats.tiles_extracted += w.tiles_extracted;
-            for (d, bucket) in w.kmers.iter().enumerate() {
-                if d != me {
-                    stats.exchange_occurrences += bucket.len() as u64;
-                }
-            }
-            for (d, bucket) in w.tiles.iter().enumerate() {
-                if d != me {
-                    stats.exchange_occurrences += bucket.len() as u64;
-                }
-            }
+            stats.kmers_extracted += w.kmers.extracted;
+            stats.tiles_extracted += w.tiles.extracted;
+            stats.exchange_occurrences += w.kmers.nonown(me) + w.tiles.nonown(me);
         }
         raw
     }
@@ -868,67 +823,127 @@ impl<'r> ExtractPool<'r> {
     }
 }
 
-/// An in-flight batch exchange (both spectra) plus its start time, from
-/// which the overlap window is measured at drain.
-struct PendingExchange<'c> {
-    kmers: PendingAlltoallv<'c, (u64, u32)>,
-    tiles: PendingAlltoallv<'c, (u128, u32)>,
-    started: Instant,
+/// One key kind's running tallies in the pipelined build: the owned
+/// keys' global counts, this rank's non-owned occurrences awaiting the
+/// non-batch exchange (the reads table's role), and the kind's count
+/// exchange in flight.
+struct KindTally<'c, K> {
+    /// Key width in bits (picks the accumulators' strategy).
+    bits: u32,
+    owned: CountAcc<K>,
+    reads: CountAcc<K>,
+    in_flight: Option<PendingAlltoallv<'c, (K, u32)>>,
 }
 
-/// Post one batch's non-owned buckets through the non-blocking exchange.
-fn start_exchange<'c>(
-    comm: &'c Comm,
-    agg: BatchAggregate,
-    stats: &mut BuildStats,
-) -> PendingExchange<'c> {
-    count_exchange(&agg.kmers, stats);
-    count_exchange(&agg.tiles, stats);
-    let kmers = comm.start_alltoallv(agg.kmers);
-    let tiles = comm.start_alltoallv(agg.tiles);
-    PendingExchange { kmers, tiles, started: Instant::now() }
+impl<'c, K: Key> KindTally<'c, K> {
+    fn new(bits: u32) -> KindTally<'c, K> {
+        KindTally { bits, owned: CountAcc::new(bits), reads: CountAcc::new(bits), in_flight: None }
+    }
+
+    /// Tally a worker's own-bucket occurrences, `chunk` keys at a time,
+    /// calling `after_chunk` after each.
+    fn absorb_own(
+        &mut self,
+        batch: &KindBatch<K>,
+        me: usize,
+        chunk: usize,
+        mut after_chunk: impl FnMut(&mut CountAcc<K>),
+    ) {
+        for sub in batch.buckets[me].chunks(chunk) {
+            self.owned.push_keys(sub);
+            after_chunk(&mut self.owned);
+        }
+    }
+
+    /// Non-batch mode: tally a worker's non-owned occurrences for the
+    /// one exchange after the last chunk.
+    fn absorb_reads(&mut self, batch: &KindBatch<K>, me: usize) {
+        for (d, bucket) in batch.buckets.iter().enumerate() {
+            if d != me {
+                self.reads.push_keys(bucket);
+            }
+        }
+    }
+
+    /// Batch mode: pre-aggregate one batch's non-owned buckets, over
+    /// every worker, into sorted distinct per-owner runs for the wire
+    /// (`me`'s run stays empty — own occurrences were tallied straight
+    /// into the accumulators).
+    fn aggregate_nonown<'w>(
+        &self,
+        batches: impl Iterator<Item = &'w KindBatch<K>> + Clone,
+        me: usize,
+    ) -> Vec<Vec<(K, u32)>> {
+        let np = batches.clone().next().map_or(1, |b| b.buckets.len());
+        (0..np)
+            .map(|d| {
+                if d == me {
+                    Vec::new()
+                } else {
+                    aggregate_occurrences(batches.clone().map(|b| &b.buckets[d]), self.bits)
+                }
+            })
+            .collect()
+    }
+
+    /// Finalize the reads tally into sorted distinct runs, plus their
+    /// keys when `keep_read_tables` needs them.
+    fn finalize_reads(&mut self, keep: bool) -> (Vec<(K, u32)>, Vec<K>) {
+        let runs = self.reads.finalize();
+        let keys = if keep { runs.iter().map(|&(key, _)| key).collect() } else { Vec::new() };
+        (runs, keys)
+    }
+
+    /// Post per-owner `(key, count)` parts through the non-blocking
+    /// exchange: part `d` goes to rank `d`, which owns its keys.
+    fn post(
+        &mut self,
+        comm: &'c Comm,
+        owners: &OwnerMap,
+        parts: Vec<Vec<(K, u32)>>,
+        stats: &mut BuildStats,
+    ) {
+        debug_assert!(parts.iter().enumerate().all(|(d, part)| {
+            part.iter().all(|&(key, _)| K::owner(Normalized::assume(key), owners) == d)
+        }));
+        count_exchange(&parts, stats);
+        self.in_flight = Some(comm.start_alltoallv(parts));
+    }
+
+    /// Wait out the exchange in flight and merge the received parts
+    /// into the owned tally, `chunk` entries at a time, calling
+    /// `after_chunk` after each.
+    fn absorb_exchange(&mut self, chunk: usize, mut after_chunk: impl FnMut(&mut CountAcc<K>)) {
+        let parts = self.in_flight.take().map_or_else(Vec::new, PendingAlltoallv::wait);
+        for part in parts {
+            for sub in part.chunks(chunk) {
+                self.owned.push_run(sub);
+                after_chunk(&mut self.owned);
+            }
+        }
+    }
 }
 
-/// Wait out an in-flight exchange and merge the received runs into the
-/// owner tallies.
+/// Wait out both kinds' in-flight batch exchange, posted at `started`,
+/// and merge the received runs into the owner tallies.
 fn drain_exchange(
-    p: PendingExchange<'_>,
-    owners: &OwnerMap,
-    me: usize,
-    acc_kmers: &mut CountAcc<u64>,
-    acc_tiles: &mut CountAcc<u128>,
+    started: Instant,
+    kmers: &mut KindTally<'_, u64>,
+    tiles: &mut KindTally<'_, u128>,
     stats: &mut BuildStats,
     mut ooc: Option<&mut OocBuild>,
 ) {
-    stats.overlap_ns += elapsed_ns(p.started);
+    stats.overlap_ns += elapsed_ns(started);
     let t_wait = Instant::now();
     let chunk = absorb_chunk(&ooc);
-    absorb_parts(p.kmers.wait(), owners, me, acc_kmers, chunk, |kmers| {
-        spill_check(&mut ooc, kmers, acc_tiles)
-    });
-    absorb_parts(p.tiles.wait(), owners, me, acc_tiles, chunk, |tiles| {
-        spill_check(&mut ooc, acc_kmers, tiles)
-    });
+    kmers.absorb_exchange(chunk, |k| spill_check(&mut ooc, k, &mut tiles.owned));
+    tiles.absorb_exchange(chunk, |t| spill_check(&mut ooc, &mut kmers.owned, t));
     stats.exchange_ns += elapsed_ns(t_wait);
 }
 
-/// Merge one kind's received count parts into its owner tally, `chunk`
-/// entries at a time, calling `after_chunk` after each.
-fn absorb_parts<K: Key>(
-    parts: Vec<Vec<(K, u32)>>,
-    owners: &OwnerMap,
-    me: usize,
-    acc: &mut CountAcc<K>,
-    chunk: usize,
-    mut after_chunk: impl FnMut(&mut CountAcc<K>),
-) {
-    for part in parts {
-        debug_assert!(part.iter().all(|&(key, _)| K::owner(Normalized::assume(key), owners) == me));
-        for sub in part.chunks(chunk) {
-            acc.push_run(sub);
-            after_chunk(acc);
-        }
-    }
+/// One kind's finalized reads runs split by owner.
+fn bucket_runs<K: Key>(owners: &OwnerMap, runs: Vec<(K, u32)>) -> Vec<Vec<(K, u32)>> {
+    bucket_by_owner(owners, || runs.iter().copied(), |&(key, _)| key)
 }
 
 /// Split `items` by the owner of their key, each per-owner bucket
@@ -975,46 +990,6 @@ pub(crate) fn exchange_counts<K: Key>(
             owned.add_count(key, count);
         }
     }
-}
-
-/// The pipelined path's final (non-batch) exchange: same volume as
-/// [`exchange_counts`], but operating on the finalized reads runs —
-/// received parts fold into the owner accumulators instead of
-/// hash-probing per key — and the k-mer round goes out non-blocking so
-/// the tile bucketing runs under it.
-fn exchange_counts_overlapped(
-    comm: &Comm,
-    owners: &OwnerMap,
-    reads_kmers: Vec<(u64, u32)>,
-    reads_tiles: Vec<(u128, u32)>,
-    acc_kmers: &mut CountAcc<u64>,
-    acc_tiles: &mut CountAcc<u128>,
-    stats: &mut BuildStats,
-) {
-    let pending_k = start_counts(comm, owners, reads_kmers, stats);
-    // Tile bucketing overlaps the in-flight k-mer round.
-    let overlap_start = Instant::now();
-    let pending_t = start_counts(comm, owners, reads_tiles, stats);
-    stats.overlap_ns += elapsed_ns(overlap_start);
-
-    let t_wait = Instant::now();
-    absorb_parts(pending_k.wait(), owners, comm.rank(), acc_kmers, usize::MAX, |_| {});
-    absorb_parts(pending_t.wait(), owners, comm.rank(), acc_tiles, usize::MAX, |_| {});
-    stats.exchange_ns += elapsed_ns(t_wait);
-}
-
-/// Bucket one kind's finalized reads runs by owner and post them
-/// through the non-blocking exchange.
-fn start_counts<'c, K: Key>(
-    comm: &'c Comm,
-    owners: &OwnerMap,
-    entries: Vec<(K, u32)>,
-    stats: &mut BuildStats,
-) -> PendingAlltoallv<'c, (K, u32)> {
-    let out = bucket_by_owner(owners, || entries.iter().copied(), |&(key, _)| key);
-    drop(entries);
-    count_exchange(&out, stats);
-    comm.start_alltoallv(out)
 }
 
 /// An in-memory build's final table of one kind: Step III's threshold
@@ -1191,17 +1166,11 @@ fn resolve_read_table<K: Key>(
 /// (the build that would have recorded them was skipped), and a plain
 /// scan is far cheaper than replaying the count exchange: counts are
 /// already global in the loaded tables, only the key *sets* are missing.
-pub(crate) fn scan_nonowned_keys<K: Key>(
-    reads: &[Read],
-    codec: K::Codec,
-    owners: &OwnerMap,
-    me: usize,
-) -> Vec<K> {
+pub(crate) fn scan_nonowned_keys<K: Key>(reads: &[Read], owners: &OwnerMap, me: usize) -> Vec<K> {
     let mut keys: dnaseq::FxHashSet<K> = dnaseq::FxHashSet::default();
     for read in reads {
-        for code in K::codes_of(codec, &read.seq) {
-            let key = code.normalize(owners);
-            if K::owner(key, owners) != me {
+        for (key, owner) in owners.keys_of::<K>(&read.seq) {
+            if owner != me {
                 keys.insert(key.key());
             }
         }
@@ -1288,24 +1257,23 @@ mod tests {
         let mut a = WorkerOut::new(np);
         let mut b = WorkerOut::new(np);
         for i in 0..500u64 {
-            a.kmers[(i % 3) as usize].push(dnaseq::mix64(i % 91) & 0xF_FFFF);
-            b.kmers[(i % 3) as usize].push(dnaseq::mix64(i % 77) & 0xF_FFFF);
-            a.tiles[((i + 1) % 3) as usize].push((dnaseq::mix64(i % 53) & 0x3FFF_FFFF) as u128);
+            a.kmers.buckets[(i % 3) as usize].push(dnaseq::mix64(i % 91) & 0xF_FFFF);
+            b.kmers.buckets[(i % 3) as usize].push(dnaseq::mix64(i % 77) & 0xF_FFFF);
+            a.tiles.buckets[((i + 1) % 3) as usize]
+                .push((dnaseq::mix64(i % 53) & 0x3FFF_FFFF) as u128);
         }
         let raw = [a, b];
-        let raw_nonown: u64 = raw
-            .iter()
-            .flat_map(|w| w.kmers.iter().enumerate())
-            .filter(|&(d, _)| d != 1)
-            .map(|(_, bk)| bk.len() as u64)
-            .sum();
-        let agg = aggregate_nonown(&raw, 1, 20, 30);
-        assert!(agg.kmers[1].is_empty() && agg.tiles[1].is_empty());
+        let raw_nonown: u64 = raw.iter().map(|w| w.kmers.nonown(1)).sum();
+        let kmers: KindTally<'_, u64> = KindTally::new(20);
+        let tiles: KindTally<'_, u128> = KindTally::new(30);
+        let kmer_parts = kmers.aggregate_nonown(raw.iter().map(|w| &w.kmers), 1);
+        let tile_parts = tiles.aggregate_nonown(raw.iter().map(|w| &w.tiles), 1);
+        assert!(kmer_parts[1].is_empty() && tile_parts[1].is_empty());
         for d in [0usize, 2] {
-            assert!(!agg.kmers[d].is_empty());
-            assert!(agg.kmers[d].windows(2).all(|w| w[0].0 < w[1].0), "owner {d} not sorted");
+            assert!(!kmer_parts[d].is_empty());
+            assert!(kmer_parts[d].windows(2).all(|w| w[0].0 < w[1].0), "owner {d} not sorted");
         }
-        let shipped: u64 = agg.kmers.iter().flatten().map(|&(_, c)| c as u64).sum();
+        let shipped: u64 = kmer_parts.iter().flatten().map(|&(_, c)| c as u64).sum();
         assert_eq!(shipped, raw_nonown, "aggregation must preserve total occurrence counts");
     }
 
@@ -1350,10 +1318,10 @@ mod tests {
                 let t0 = Instant::now();
                 extract_worker(c, &owners, &tcodec, &mut out, &mut scratch);
                 t_extract += elapsed_ns(t0);
-                keys += out.kmers[0].len() as u64 + out.tiles[0].len() as u64;
+                keys += out.kmers.buckets[0].len() as u64 + out.tiles.buckets[0].len() as u64;
                 let t1 = Instant::now();
-                acc_k.push_keys(&out.kmers[0]);
-                acc_t.push_keys(&out.tiles[0]);
+                acc_k.push_keys(&out.kmers.buckets[0]);
+                acc_t.push_keys(&out.tiles.buckets[0]);
                 t_tally += elapsed_ns(t1);
                 out.clear();
             }

@@ -5,6 +5,7 @@
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, ReptileParams};
 use reptile_dist::engine_virtual::run_virtual;
+use reptile_dist::spectrum::BuildStats;
 use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig, LookupStats};
 
 fn dataset(seed: u64, both_strands: bool) -> genio::dataset::SyntheticDataset {
@@ -98,6 +99,27 @@ fn virtual_and_threaded_agree_under_heuristics() {
             assert_eq!(
                 routed(&m.lookups),
                 routed(&v.lookups),
+                "heur={} rank {}",
+                heur.label(),
+                m.rank
+            );
+            // the virtual engine replays the build's occurrence walk, so
+            // every construction counter agrees too. Excluded: measured
+            // table bytes, wall-clock, and the spill plane (no budget).
+            let counters = |b: &BuildStats| BuildStats {
+                table_bytes: 0,
+                extract_ns: 0,
+                exchange_ns: 0,
+                overlap_ns: 0,
+                merge_ns: 0,
+                spill_runs: 0,
+                spill_bytes: 0,
+                ooc_peak_bytes: 0,
+                ..*b
+            };
+            assert_eq!(
+                counters(&m.build),
+                counters(&v.build),
                 "heur={} rank {}",
                 heur.label(),
                 m.rank

@@ -1,12 +1,12 @@
 //! Integration tests for the beyond-paper extensions: partial
-//! replication, the prior-art engine, the k-mer-only baseline and
-//! sharded output — all exercised through the public API
-//! against the same ground-truth dataset.
+//! replication, the k-mer-only baseline and sharded output — all
+//! exercised through the public API against the same ground-truth
+//! dataset.
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, AccuracyReport, ReptileParams};
 use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::{run_distributed, run_prior_art, EngineConfig, HeuristicConfig, PriorArtConfig};
+use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
 
 fn dataset(seed: u64) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -69,17 +69,6 @@ fn partial_replication_reduces_messages_threaded() {
         remote(&partial),
         remote(&base)
     );
-}
-
-#[test]
-fn prior_art_engine_agrees_with_paper_engine() {
-    let ds = dataset(53);
-    let p = params();
-    let paper = run_distributed(&EngineConfig::new(4, p), &ds.reads);
-    let prior = run_prior_art(&PriorArtConfig::new(4, p), &ds.reads);
-    assert_eq!(paper.corrected, prior.corrected);
-    // and the prior art never messages during correction
-    assert!(prior.report.ranks.iter().all(|r| r.lookups.remote_total() == 0));
 }
 
 #[test]
