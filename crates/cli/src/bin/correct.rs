@@ -72,7 +72,9 @@
 //!   --serve-batch N      (with --serve) micro-batch cap: most requests
 //!                        a rank coalesces into one owner-batched
 //!                        lookup round trip (default 256)
-//!   --report             print the per-rank report table
+//!   --report             print the per-rank report table, then the
+//!                        process's peak RSS beside the ranks' summed
+//!                        accounted memory
 //! ```
 //!
 //! The config file supplies the input/output paths and the algorithm
@@ -367,6 +369,15 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// This process's peak resident set (`VmHWM`) in MiB, if the platform
+/// exposes `/proc/self/status`.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 fn print_report(report: &RunReport) {
     println!(
         "{:>5} {:>8} {:>10} {:>10} {:>10} {:>12} {:>8} {:>8} {:>8} {:>10}",
@@ -402,6 +413,12 @@ fn print_report(report: &RunReport) {
         report.construct_secs(),
         report.correct_secs(),
         report.imbalance_ratio()
+    );
+    let accounted: f64 = report.ranks.iter().map(|r| r.memory_bytes).sum();
+    println!(
+        "memory: peak RSS {} MiB measured (VmHWM), {:.1} MiB accounted (sum of mem_MiB)",
+        peak_rss_mib().map_or_else(|| "n/a".to_string(), |m| format!("{m:.1}")),
+        accounted / (1024.0 * 1024.0)
     );
     if report.ooc_peak_bytes() > 0 {
         println!(

@@ -46,11 +46,13 @@ impl QualityEncoding {
         }
     }
 
-    /// Decode a file record into quality scores. Returns `None` on any
+    /// Decode a file record into quality scores, allocated at exactly
+    /// one byte per score (a decimal line is ~3 bytes per score, and the
+    /// vector lives as long as its read). Returns `None` on any
     /// malformed token / out-of-range character.
     pub fn decode(self, bytes: &[u8]) -> Option<Vec<Phred>> {
         let mut out = Vec::with_capacity(bytes.len());
-        self.decode_into(bytes, &mut out).then_some(out)
+        self.decode_into(bytes, &mut out).then(|| out.as_slice().to_vec())
     }
 
     /// Decode into a caller-owned buffer (cleared first), so a streaming
@@ -160,6 +162,15 @@ mod tests {
         assert_eq!(QualityEncoding::DecimalText.decode(b"300"), None);
         assert_eq!(QualityEncoding::SangerAscii.decode(&[10u8]), None);
         assert_eq!(QualityEncoding::SangerAscii.decode(&[200u8]), None);
+    }
+
+    #[test]
+    fn decimal_decode_allocates_one_byte_per_score() {
+        let quals: Vec<Phred> = (0..100).map(|i| (i % 41) as Phred).collect();
+        let line = QualityEncoding::DecimalText.encode(&quals);
+        let got = QualityEncoding::DecimalText.decode(&line).unwrap();
+        assert_eq!(got, quals);
+        assert_eq!(got.capacity(), got.len(), "a {}-byte line", line.len());
     }
 
     #[test]

@@ -347,6 +347,18 @@ mod tests {
     }
 
     #[test]
+    fn reads_hold_their_qualities_at_exact_length() {
+        let (fpath, qpath, _) = make_dataset(60);
+        let mut part = PartitionedReader::open(&fpath, &qpath, 1, 0).unwrap();
+        let reads = part.read_all().unwrap();
+        assert_eq!(reads.len(), 60);
+        for r in &reads {
+            assert_eq!(r.qual.capacity(), r.qual.len(), "read {}", r.id);
+        }
+        std::fs::remove_dir_all(fpath.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn more_ranks_than_reads_is_fine() {
         let (fpath, qpath, reads) = make_dataset(5);
         let np = 16;

@@ -25,7 +25,10 @@
 //! Raw buffering is bounded: past [`COMPACT_RAW`] occurrences the
 //! buffer is folded into distinct runs in place, so accumulator memory
 //! scales with *distinct* keys (like the serial hash tables), not with
-//! total occurrences.
+//! total occurrences. [`CountAcc::finalize`] hands every buffer back to
+//! the allocator and drops sub-threshold entries inside its merge, so
+//! the build holds neither dead tally capacity nor the unpruned entry
+//! vector while the tables are bulk-loaded.
 
 use reptile::radix::lsd_sort_by;
 use reptile::SpectrumKey;
@@ -81,7 +84,8 @@ fn strategy_for(bits: u32) -> Strategy {
 ///
 /// Feed it raw occurrences ([`push_keys`]) and pre-counted runs from
 /// exchanges ([`push_run`]); [`finalize`] returns the sorted distinct
-/// `(key, count)` entries with saturating counts.
+/// `(key, count)` entries whose saturating count reaches its
+/// `min_count`.
 ///
 /// [`push_keys`]: CountAcc::push_keys
 /// [`push_run`]: CountAcc::push_run
@@ -174,10 +178,11 @@ impl<K: SpectrumKey> CountAcc<K> {
         }
     }
 
-    /// Fold buffered raw occurrences into `runs`, freeing the raw
-    /// buffer — called automatically past [`COMPACT_RAW`].
+    /// Fold buffered raw occurrences into `runs`, emptying the raw
+    /// buffer (its capacity stays for the pushes that follow) — called
+    /// automatically past [`COMPACT_RAW`].
     fn compact(&mut self) {
-        let entries = self.aggregate_raw();
+        let entries = self.aggregate_raw(true);
         self.runs.extend(entries);
         // Keep `runs` itself bounded across many compactions.
         if self.runs.len() >= COMPACT_RAW / 2 {
@@ -189,13 +194,10 @@ impl<K: SpectrumKey> CountAcc<K> {
     /// the direct-count array plus the raw occurrence buffers plus the
     /// compacted entry runs, all at allocated capacity. This is the
     /// number the out-of-core build's memory budget charges between
-    /// batches to decide when to spill; [`finalize`] (which a spill
-    /// calls) returns the direct array and the run list to the
-    /// allocator but keeps the raw occurrence buffers allocated for the
-    /// next batch — [`release_buffers`] drops those too.
+    /// batches to decide when to spill. 0 after [`finalize`] (which a
+    /// spill calls): it returns every buffer to the allocator.
     ///
     /// [`finalize`]: CountAcc::finalize
-    /// [`release_buffers`]: CountAcc::release_buffers
     pub(crate) fn memory_bytes(&self) -> usize {
         self.counts.capacity() * 4
             + self.raw32.capacity() * 4
@@ -247,23 +249,13 @@ impl<K: SpectrumKey> CountAcc<K> {
             .map(|(k, &c)| (K::from_u128(k as u128), c))
     }
 
-    /// Drop the retained buffer capacities. [`finalize`] hands the raw
-    /// occurrence buffers back empty-but-allocated so the next batch
-    /// reuses them; the out-of-core finish calls this after the *final*
-    /// drain, when no next batch is coming, so the merge's budget room
-    /// is not consumed by dead capacity.
-    ///
-    /// [`finalize`]: CountAcc::finalize
-    pub(crate) fn release_buffers(&mut self) {
-        self.raw32 = Vec::new();
-        self.raw64 = Vec::new();
-        self.raw128 = Vec::new();
-        self.runs = Vec::new();
-    }
-
     /// Drain everything into sorted distinct entries (ascending keys,
-    /// saturating counts), leaving the accumulator empty.
-    pub(crate) fn finalize(&mut self) -> Vec<(K, u32)> {
+    /// saturating counts) whose count is at least `min_count`, leaving
+    /// the accumulator empty with every buffer freed (`memory_bytes()
+    /// == 0`). The threshold applies to the folded totals inside the
+    /// final merge, so a prune never allocates for the entries it
+    /// drops; 0 keeps every entry.
+    pub(crate) fn finalize(&mut self, min_count: u32) -> Vec<(K, u32)> {
         if self.strategy == Strategy::Direct {
             let counts = std::mem::take(&mut self.counts);
             let distinct = std::mem::take(&mut self.occupied);
@@ -276,58 +268,44 @@ impl<K: SpectrumKey> CountAcc<K> {
             // dummy writes) — no per-slot branch for ~25%-dense counters
             // to mispredict, and no sizing pre-pass (pushes counted
             // 0→non-zero transitions as they happened).
+            let min = min_count.max(1);
             let mut out: Vec<(K, u32)> = vec![(K::from_u128(0), 0); distinct + 1];
             let mut j = 0usize;
             for (k, &c) in counts.iter().enumerate() {
                 out[j] = (K::from_u128(k as u128), c);
-                j += (c != 0) as usize;
+                j += (c >= min) as usize;
             }
-            out.truncate(distinct);
+            out.truncate(j);
             return out;
         }
-        let entries = self.aggregate_raw();
-        if self.runs.is_empty() {
-            return entries;
-        }
+        let entries = self.aggregate_raw(false);
         let mut runs = std::mem::take(&mut self.runs);
         fold_sorted(&mut runs);
-        merge_entry_runs(entries, runs)
+        merge_entry_runs(entries, runs, min_count)
     }
 
     /// Aggregate the raw occurrence buffer into sorted distinct entries
-    /// via the width-selected strategy, clearing the buffer.
-    fn aggregate_raw(&mut self) -> Vec<(K, u32)> {
-        match self.strategy {
+    /// via the width-selected strategy, emptying the buffer; `keep`
+    /// retains its capacity for further pushes, otherwise it is freed.
+    fn aggregate_raw(&mut self, keep: bool) -> Vec<(K, u32)> {
+        let bits = self.bits;
+        let out = match self.strategy {
             Strategy::Direct => unreachable!("direct strategy buffers no raw keys"),
-            Strategy::Part32 => {
-                let mut raw = std::mem::take(&mut self.raw32);
-                let out = partition_count(&mut raw, self.bits);
-                self.raw32 = raw;
-                self.raw32.clear();
-                out
-            }
-            Strategy::Part64 => {
-                let mut raw = std::mem::take(&mut self.raw64);
-                let out = partition_count(&mut raw, self.bits);
-                self.raw64 = raw;
-                self.raw64.clear();
-                out
-            }
-            Strategy::Sort64 => {
-                let mut raw = std::mem::take(&mut self.raw64);
-                let out = sort_rle(&mut raw, self.bits);
-                self.raw64 = raw;
-                self.raw64.clear();
-                out
-            }
-            Strategy::Sort128 => {
-                let mut raw = std::mem::take(&mut self.raw128);
-                let out = sort_rle(&mut raw, self.bits);
-                self.raw128 = raw;
-                self.raw128.clear();
-                out
-            }
+            Strategy::Part32 => partition_count(&mut self.raw32, bits),
+            Strategy::Part64 => partition_count(&mut self.raw64, bits),
+            Strategy::Sort64 => sort_rle(&mut self.raw64, bits),
+            Strategy::Sort128 => sort_rle(&mut self.raw128, bits),
+        };
+        if keep {
+            self.raw32.clear();
+            self.raw64.clear();
+            self.raw128.clear();
+        } else {
+            self.raw32 = Vec::new();
+            self.raw64 = Vec::new();
+            self.raw128 = Vec::new();
         }
+        out
     }
 }
 
@@ -344,35 +322,45 @@ fn fold_sorted<K: SpectrumKey>(runs: &mut Vec<(K, u32)>) {
     });
 }
 
-/// Two-pointer merge of two sorted distinct entry lists (saturating).
-fn merge_entry_runs<K: SpectrumKey>(a: Vec<(K, u32)>, b: Vec<(K, u32)>) -> Vec<(K, u32)> {
-    if a.is_empty() {
-        return b;
+/// Two-pointer merge of two sorted distinct entry lists (saturating),
+/// keeping the merged entries whose count is at least `min`. An
+/// unpruned merge (`min == 0`) is sized up front; a pruning one grows
+/// with its survivors only, so the distinct entries it drops never
+/// share the heap with the table built from the result.
+fn merge_entry_runs<K: SpectrumKey>(a: Vec<(K, u32)>, b: Vec<(K, u32)>, min: u32) -> Vec<(K, u32)> {
+    if min == 0 {
+        if a.is_empty() {
+            return b;
+        }
+        if b.is_empty() {
+            return a;
+        }
     }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out: Vec<(K, u32)> = Vec::with_capacity(a.len() + b.len());
+    let mut out: Vec<(K, u32)> = Vec::with_capacity(if min == 0 { a.len() + b.len() } else { 0 });
+    let mut emit = |e: (K, u32)| {
+        if e.1 >= min {
+            out.push(e);
+        }
+    };
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].0.cmp(&b[j].0) {
             std::cmp::Ordering::Less => {
-                out.push(a[i]);
+                emit(a[i]);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j]);
+                emit(b[j]);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                emit((a[i].0, a[i].1.saturating_add(b[j].1)));
                 i += 1;
                 j += 1;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    a[i..].iter().chain(&b[j..]).for_each(|&e| emit(e));
     out
 }
 
@@ -507,7 +495,7 @@ pub(crate) fn aggregate_occurrences<'p, K: SpectrumKey + 'p>(
     for part in parts {
         acc.push_keys(part);
     }
-    acc.finalize()
+    acc.finalize(0)
 }
 
 #[cfg(test)]
@@ -529,6 +517,43 @@ mod tests {
         v
     }
 
+    /// Tally `keys` and `runs` interleaved — raw pushes, runs and an
+    /// explicit compaction between them (the automatic trigger needs
+    /// millions of keys) — and finalize at `min`, which must leave
+    /// every buffer freed.
+    fn tally<K: SpectrumKey>(bits: u32, keys: &[K], runs: &[(K, u32)], min: u32) -> Vec<(K, u32)> {
+        let mut acc: CountAcc<K> = CountAcc::new(bits);
+        let (kh, rh) = (keys.len() / 2, runs.len() / 2);
+        acc.push_keys(&keys[..kh]);
+        acc.push_run(&runs[..rh]);
+        if !acc.is_direct() {
+            acc.compact();
+        }
+        acc.push_keys(&keys[kh..]);
+        acc.push_run(&runs[rh..]);
+        let got = acc.finalize(min);
+        assert_eq!(acc.memory_bytes(), 0, "bits={bits}: finalize left buffers allocated");
+        got
+    }
+
+    /// `finalize(0)` against the hash reference, and `finalize(min)`
+    /// against `finalize(0)` followed by `retain`, at thresholds that
+    /// each drop the rarest keys and keep the commonest.
+    fn check_tally<K: SpectrumKey>(bits: u32, keys: &[K], runs: &[(K, u32)]) {
+        let all = tally(bits, keys, runs, 0);
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "bits={bits}: not ascending");
+        assert_eq!(all, reference(keys, runs), "bits={bits}");
+        let lo = all.iter().map(|e| e.1).min().unwrap();
+        let hi = all.iter().map(|e| e.1).max().unwrap();
+        assert!(lo < hi, "bits={bits}: uniform counts prune all or nothing");
+        for min in [lo + 1, (lo + hi) / 2 + 1, hi] {
+            let mut kept = all.clone();
+            kept.retain(|&(_, c)| c >= min);
+            assert!(!kept.is_empty() && kept.len() < all.len(), "bits={bits} min={min}: no prune");
+            assert_eq!(tally(bits, keys, runs, min), kept, "bits={bits} min={min}");
+        }
+    }
+
     fn keys_u64(n: usize, bits: u32, seed: u64) -> Vec<u64> {
         let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
         (0..n as u64).map(|i| dnaseq::mix64(seed ^ (i % 700)) & mask).collect()
@@ -540,15 +565,7 @@ mod tests {
             let keys = keys_u64(5000, bits, 11);
             let runs: Vec<(u64, u32)> =
                 keys_u64(300, bits, 99).into_iter().map(|k| (k, 1 + (k % 5) as u32)).collect();
-            let mut acc: CountAcc<u64> = CountAcc::new(bits);
-            // interleave raw pushes and runs to exercise ordering
-            acc.push_keys(&keys[..keys.len() / 2]);
-            acc.push_run(&runs[..runs.len() / 2]);
-            acc.push_keys(&keys[keys.len() / 2..]);
-            acc.push_run(&runs[runs.len() / 2..]);
-            let got = acc.finalize();
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "bits={bits}: not ascending");
-            assert_eq!(got, reference(&keys, &runs), "bits={bits}");
+            check_tally(bits, &keys, &runs);
         }
     }
 
@@ -564,12 +581,7 @@ mod tests {
                 })
                 .collect();
             let runs: Vec<(u128, u32)> = keys.iter().step_by(9).map(|&k| (k, 3)).collect();
-            let mut acc: CountAcc<u128> = CountAcc::new(bits);
-            acc.push_run(&runs);
-            acc.push_keys(&keys);
-            let got = acc.finalize();
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "bits={bits}: not ascending");
-            assert_eq!(got, reference(&keys, &runs), "bits={bits}");
+            check_tally(bits, &keys, &runs);
         }
     }
 
@@ -585,7 +597,7 @@ mod tests {
             acc.push_keys(&keys[1000..]);
             acc.compact();
             acc.compact(); // idempotent on an empty raw buffer
-            let got = acc.finalize();
+            let got = acc.finalize(0);
             assert_eq!(got, reference(&keys, &[]), "bits={bits}");
         }
     }
@@ -597,7 +609,7 @@ mod tests {
             acc.push_run(&[(7, u32::MAX - 1)]);
             acc.push_keys(&[7, 7, 7]);
             acc.push_run(&[(7, u32::MAX)]);
-            assert_eq!(acc.finalize(), vec![(7u64, u32::MAX)], "bits={bits}");
+            assert_eq!(acc.finalize(0), vec![(7u64, u32::MAX)], "bits={bits}");
         }
     }
 
@@ -605,11 +617,11 @@ mod tests {
     fn empty_and_untouched_accumulators_are_free() {
         let mut acc: CountAcc<u64> = CountAcc::new(20);
         assert!(acc.counts.is_empty(), "direct counters must allocate lazily");
-        assert!(acc.finalize().is_empty());
+        assert!(acc.finalize(0).is_empty());
         let mut acc: CountAcc<u128> = CountAcc::new(100);
         acc.push_keys(&[]);
         acc.push_run(&[]);
-        assert!(acc.finalize().is_empty());
+        assert!(acc.finalize(0).is_empty());
     }
 
     #[test]

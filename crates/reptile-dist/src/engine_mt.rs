@@ -209,15 +209,15 @@ pub(crate) fn run_rank(
     let mut trace =
         (cfg.save_spectrum.is_some() || cfg.load_spectrum.is_some()).then(|| TraceLog::new(me));
 
-    // --- load balancing shuffle (per chunk, §III-A) ---
+    // --- load balancing shuffle (per chunk, §III-A); the chunks move
+    // through it, so the rank never holds a read twice ---
     let my_reads: Vec<Read> = if cfg.heuristics.load_balance {
         let mut mine = Vec::new();
         let n_chunks = initial_reads.len().div_ceil(cfg.chunk_size).max(1) as u64;
         let max_chunks = comm.allreduce_max_u64(n_chunks);
-        for c in 0..max_chunks as usize {
-            let lo = (c * cfg.chunk_size).min(initial_reads.len());
-            let hi = ((c + 1) * cfg.chunk_size).min(initial_reads.len());
-            mine.extend(shuffle_reads(comm, initial_reads[lo..hi].to_vec()));
+        let mut chunks = into_chunks(initial_reads, cfg.chunk_size);
+        for _ in 0..max_chunks {
+            mine.extend(shuffle_reads(comm, chunks.next().unwrap_or_default()));
         }
         mine.sort_unstable_by_key(|r| r.id);
         mine
@@ -490,8 +490,7 @@ pub(crate) struct StealState {
 
 impl StealState {
     fn new(reads: Vec<Read>, chunk_size: usize) -> StealState {
-        let chunks: Vec<Option<Vec<Read>>> =
-            reads.chunks(chunk_size.max(1)).map(|c| Some(c.to_vec())).collect();
+        let chunks: Vec<Option<Vec<Read>>> = into_chunks(reads, chunk_size).map(Some).collect();
         let end = chunks.len();
         StealState { chunks, next: 0, end, handed_out: Vec::new(), served: FxHashMap::default() }
     }
@@ -514,6 +513,16 @@ impl StealState {
         self.end -= 1;
         self.chunks[self.end].take()
     }
+}
+
+/// Split `reads` into consecutive chunks of `chunk_size` (at least 1),
+/// moving every read into its chunk rather than copying it.
+fn into_chunks(reads: Vec<Read>, chunk_size: usize) -> impl Iterator<Item = Vec<Read>> {
+    let mut reads = reads.into_iter();
+    std::iter::from_fn(move || {
+        let chunk: Vec<Read> = reads.by_ref().take(chunk_size.max(1)).collect();
+        (!chunk.is_empty()).then_some(chunk)
+    })
 }
 
 /// Serve counters returned by [`comm_thread`].

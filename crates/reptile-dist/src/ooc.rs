@@ -46,9 +46,9 @@
 //! room guarantees by construction. The merge is budget-scaled the
 //! same way: the per-run reader buffers share at most a quarter of the
 //! headroom (clamped to the run format's 4 KiB floor), the bulk-load
-//! stream chunk takes at most another quarter, and the final drains
-//! release the accumulators' retained raw-buffer capacities first —
-//! half the headroom is left for the tables being built.
+//! stream chunk takes at most another quarter, and every drain hands
+//! the accumulator's buffers back to the allocator — half the headroom
+//! is left for the tables being built.
 //!
 //! Direct-strategy kinds are exempt from all of it: their fixed-size
 //! count array (inside [`fixed_floor`]) *is* the aggregation, so
@@ -260,15 +260,16 @@ impl OocBuild {
         other_resident: u64,
     ) -> Result<(), SpillError> {
         let before = acc.memory_bytes() as u64;
-        let entries = acc.finalize();
+        let entries = acc.finalize(0);
         if entries.is_empty() {
             return Ok(());
         }
-        // The drain's transient peak: retained raw-buffer capacity plus
-        // the drained vector plus the writer's bounded buffer, on top
-        // of whatever the sibling accumulator is holding.
+        // The drain's transient peak: the buffers it drained (freed only
+        // once the drained vector exists) plus that vector plus the
+        // writer's bounded buffer, on top of whatever the sibling
+        // accumulator is holding.
         let entry_bytes = (entries.len() * std::mem::size_of::<(K, u32)>()) as u64;
-        self.charge(other_resident + before.max(acc.memory_bytes() as u64 + entry_bytes));
+        self.charge(other_resident + before + entry_bytes);
         let seq = K::runs(self).len();
         let path = self.dir.join(format!("rank{:05}.{}{seq:04}.run", self.rank, K::NAME));
         let meta = write_run(&path, &entries, DEFAULT_SPILL_BUF_BYTES)?;
@@ -298,13 +299,9 @@ impl OocBuild {
         // one last run so the merge sees every count.
         if !self.kmer_runs.is_empty() {
             self.spill_kind(acc_kmers, acc_tiles.memory_bytes() as u64)?;
-            // No next batch is coming: return the drain buffers so the
-            // merge's headroom is not eaten by dead capacity.
-            acc_kmers.release_buffers();
         }
         if !self.tile_runs.is_empty() {
             self.spill_kind(acc_tiles, acc_kmers.memory_bytes() as u64)?;
-            acc_tiles.release_buffers();
         }
         // Fault composition: the `chop=` plan truncates this rank's
         // first run file — k-mer if one exists, tile otherwise (the
@@ -372,8 +369,7 @@ impl OocBuild {
             );
             self.charge((chunk * entry) as u64 + t.memory_bytes() as u64 + other_resident);
         } else if K::runs(self).is_empty() {
-            let mut entries = acc.finalize();
-            acc.release_buffers();
+            let mut entries = acc.finalize(0);
             entries.retain(|&(_, c)| c >= threshold);
             self.charge(
                 (entries.len() * entry) as u64

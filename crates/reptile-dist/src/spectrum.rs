@@ -426,8 +426,8 @@ pub(crate) fn build_distributed_spillable(
         };
 
         // Step III's threshold prune runs on the *entry runs*, before
-        // any table exists: a sweep over the finalized vector keeps the
-        // same survivor set the serial path's build-then-prune keeps,
+        // any table exists: the tally's final merge keeps the same
+        // survivor set the serial path's build-then-prune keeps,
         // and the flat tables are then materialized once, survivors
         // only, with an exact reserve and one monotone bulk load — no
         // full-size table, no prune rebuild, no incremental growth
@@ -460,10 +460,23 @@ pub(crate) fn build_distributed_spillable(
                     Ok(spectra) => spectra,
                 }
             }
-            None => (
-                materialize(&mut kmers.owned, params.kmer_threshold, kcodec, params.canonical),
-                materialize(&mut tiles.owned, params.tile_threshold, tcodec, params.canonical),
-            ),
+            None => {
+                let spectra = (
+                    materialize(&mut kmers.owned, params.kmer_threshold, kcodec, params.canonical),
+                    materialize(&mut tiles.owned, params.tile_threshold, tcodec, params.canonical),
+                );
+                // Both tallies of both kinds are spent: the tables and
+                // heuristic tables that follow share the heap with no
+                // count-phase buffer.
+                debug_assert_eq!(
+                    kmers.owned.memory_bytes()
+                        + kmers.reads.memory_bytes()
+                        + tiles.owned.memory_bytes()
+                        + tiles.reads.memory_bytes(),
+                    0
+                );
+                spectra
+            }
         };
         stats.extract_ns += elapsed_ns(t_build);
 
@@ -889,7 +902,7 @@ impl<'c, K: Key> KindTally<'c, K> {
     /// Finalize the reads tally into sorted distinct runs, plus their
     /// keys when `keep_read_tables` needs them.
     fn finalize_reads(&mut self, keep: bool) -> (Vec<(K, u32)>, Vec<K>) {
-        let runs = self.reads.finalize();
+        let runs = self.reads.finalize(0);
         let keys = if keep { runs.iter().map(|&(key, _)| key).collect() } else { Vec::new() };
         (runs, keys)
     }
@@ -993,7 +1006,7 @@ pub(crate) fn exchange_counts<K: Key>(
 }
 
 /// An in-memory build's final table of one kind: Step III's threshold
-/// prune as a sweep over the finalized entry runs, then the survivors
+/// prune inside the tally's final merge, then the survivors
 /// bulk-loaded with an exact reserve.
 fn materialize<K: SpectrumKey>(
     acc: &mut CountAcc<K>,
@@ -1001,8 +1014,7 @@ fn materialize<K: SpectrumKey>(
     codec: K::Codec,
     canonical: bool,
 ) -> Spectrum<K> {
-    let mut entries = acc.finalize();
-    entries.retain(|&(_, c)| c >= threshold);
+    let entries = acc.finalize(threshold);
     let mut table = Spectrum::new(codec, canonical);
     table.reserve(entries.len());
     table.merge_sorted(&entries);
@@ -1326,8 +1338,8 @@ mod tests {
                 out.clear();
             }
             let t2 = Instant::now();
-            let mut ke = acc_k.finalize();
-            let mut te = acc_t.finalize();
+            let mut ke = acc_k.finalize(0);
+            let mut te = acc_t.finalize(0);
             let t_finalize = elapsed_ns(t2);
             let t3 = Instant::now();
             ke.retain(|&(_, c)| c >= p.kmer_threshold);
