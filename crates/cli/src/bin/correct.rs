@@ -73,8 +73,9 @@
 //!                        a rank coalesces into one owner-batched
 //!                        lookup round trip (default 256)
 //!   --report             print the per-rank report table, then the
-//!                        process's peak RSS beside the ranks' summed
-//!                        accounted memory
+//!                        process's peak RSS beside the memory the
+//!                        ranks account for (one process base plus
+//!                        each rank's tables)
 //! ```
 //!
 //! The config file supplies the input/output paths and the algorithm
@@ -378,6 +379,14 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+/// The bytes the ranks account for as one process: they are threads of
+/// it, so the cost model's process base counts once, plus each rank's
+/// `memory_bytes` above that base.
+fn accounted_process_bytes(report: &RunReport) -> f64 {
+    let base = report.cost.process_base_bytes;
+    base + report.ranks.iter().map(|r| r.memory_bytes - base).sum::<f64>()
+}
+
 fn print_report(report: &RunReport) {
     println!(
         "{:>5} {:>8} {:>10} {:>10} {:>10} {:>12} {:>8} {:>8} {:>8} {:>10}",
@@ -414,11 +423,11 @@ fn print_report(report: &RunReport) {
         report.correct_secs(),
         report.imbalance_ratio()
     );
-    let accounted: f64 = report.ranks.iter().map(|r| r.memory_bytes).sum();
     println!(
-        "memory: peak RSS {} MiB measured (VmHWM), {:.1} MiB accounted (sum of mem_MiB)",
+        "memory: peak RSS {} MiB measured (VmHWM), {:.1} MiB accounted \
+         (one process base + each rank's mem_MiB above it)",
         peak_rss_mib().map_or_else(|| "n/a".to_string(), |m| format!("{m:.1}")),
-        accounted / (1024.0 * 1024.0)
+        accounted_process_bytes(report) / (1024.0 * 1024.0)
     );
     if report.ooc_peak_bytes() > 0 {
         println!(
@@ -432,5 +441,37 @@ fn print_report(report: &RunReport) {
     let degraded: u64 = report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
     if degraded > 0 {
         println!("WARNING: {degraded} lookups degraded to absent (fault plan active)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpisim::{CostModel, Topology};
+    use reptile_dist::RankReport;
+
+    /// A run whose rank `r` accounts for the process base plus
+    /// `tables[r]` bytes.
+    fn run_with_tables(tables: &[f64]) -> RunReport {
+        let cost = CostModel::bgq();
+        let ranks = tables
+            .iter()
+            .enumerate()
+            .map(|(rank, &t)| RankReport {
+                rank,
+                memory_bytes: cost.process_base_bytes + t,
+                ..Default::default()
+            })
+            .collect();
+        RunReport { ranks, topology: Topology::single_node(), cost }
+    }
+
+    #[test]
+    fn accounted_memory_charges_the_process_base_once() {
+        let base = CostModel::bgq().process_base_bytes;
+        let one = run_with_tables(&[5e6]);
+        assert_eq!(accounted_process_bytes(&one), one.ranks[0].memory_bytes);
+        let four = run_with_tables(&[1e6, 2e6, 3e6, 4e6]);
+        assert_eq!(accounted_process_bytes(&four), base + 10e6);
     }
 }

@@ -36,7 +36,7 @@ pub(crate) struct CollectiveState {
     barrier: Barrier,
     /// np×np alltoall slots, row-major: `matrix[src*np + dst]`.
     matrix: Vec<Slot>,
-    /// np gather/reduce slots.
+    /// np allgather/allreduce slots.
     row: Vec<Slot>,
     /// Per-rank issue counters for non-blocking rounds. All ranks must
     /// start non-blocking collectives in the same order (MPI's matching
@@ -215,80 +215,6 @@ impl crate::comm::Comm {
     pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
         self.allreduce(value, |a, b| a + b)
     }
-
-    /// `MPI_Gatherv` to `root`: root receives every rank's contribution
-    /// (indexed by rank); other ranks receive an empty vector.
-    pub fn gatherv<T: Send + 'static>(&self, root: usize, mine: Vec<T>) -> Vec<Vec<T>> {
-        let cs = &self.shared().collectives;
-        let me = self.rank();
-        self.shared().stats[me].count_collective(mine.len() * std::mem::size_of::<T>());
-        self.shared().stall_tick(me);
-        *cs.row[me].lock() = Some(Box::new(mine));
-        cs.barrier.wait();
-        let out = if me == root {
-            (0..cs.np)
-                .map(|src| {
-                    let boxed = cs.row[src].lock().take().expect("deposited before barrier");
-                    *boxed.downcast::<Vec<T>>().expect("uniform gatherv element type")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        cs.barrier.wait();
-        out
-    }
-
-    /// `MPI_Scatterv` from `root`: the root supplies one vector per rank
-    /// (`Some(parts)`, `parts.len() == np`); every rank receives its part.
-    pub fn scatterv<T: Send + 'static>(&self, root: usize, parts: Option<Vec<Vec<T>>>) -> Vec<T> {
-        let cs = &self.shared().collectives;
-        let np = cs.np;
-        let me = self.rank();
-        if me == root {
-            let parts = parts.expect("root must supply the scatter parts");
-            assert_eq!(parts.len(), np, "scatterv needs one part per rank");
-            let bytes: usize = parts.iter().map(|p| p.len() * std::mem::size_of::<T>()).sum();
-            self.shared().stats[me].count_collective(bytes);
-            self.shared().stall_tick(me);
-            for (dst, part) in parts.into_iter().enumerate() {
-                *cs.matrix[root * np + dst].lock() = Some(Box::new(part));
-            }
-        } else {
-            assert!(parts.is_none(), "non-root ranks must pass None");
-        }
-        cs.barrier.wait();
-        let boxed = cs.matrix[root * np + me].lock().take().expect("root deposited");
-        let mine = *boxed.downcast::<Vec<T>>().expect("uniform scatterv element type");
-        cs.barrier.wait();
-        mine
-    }
-
-    /// `MPI_Bcast` from `root`: `value` must be `Some` exactly on the root.
-    pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        let cs = &self.shared().collectives;
-        let me = self.rank();
-        if me == root {
-            let v = value.expect("root must supply the broadcast value");
-            self.shared().stats[me].count_collective(std::mem::size_of::<T>());
-            self.shared().stall_tick(me);
-            *cs.row[root].lock() = Some(Box::new(v));
-        } else {
-            assert!(value.is_none(), "non-root ranks must pass None");
-        }
-        cs.barrier.wait();
-        let out = {
-            let guard = cs.row[root].lock();
-            guard
-                .as_ref()
-                .expect("root deposited before barrier")
-                .downcast_ref::<T>()
-                .expect("uniform bcast element type")
-                .clone()
-        };
-        cs.barrier.wait();
-        out
-    }
 }
 
 impl<T: Send + 'static> PendingAlltoallv<'_, T> {
@@ -412,64 +338,6 @@ mod tests {
         for folded in results {
             assert_eq!(folded, vec![0, 1, 2, 3]);
         }
-    }
-
-    #[test]
-    fn gatherv_collects_at_root_only() {
-        let np = 4;
-        let results = Universe::new(np).run(|comm| {
-            let me = comm.rank();
-            comm.gatherv(1, vec![me as u32; me])
-        });
-        for (me, got) in results.into_iter().enumerate() {
-            if me == 1 {
-                for (src, part) in got.into_iter().enumerate() {
-                    assert_eq!(part, vec![src as u32; src]);
-                }
-            } else {
-                assert!(got.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn scatterv_delivers_parts() {
-        let np = 3;
-        let results = Universe::new(np).run(|comm| {
-            let parts = if comm.rank() == 0 {
-                Some((0..np).map(|d| vec![d as u8 * 10; d + 1]).collect())
-            } else {
-                None
-            };
-            comm.scatterv(0, parts)
-        });
-        for (me, part) in results.into_iter().enumerate() {
-            assert_eq!(part, vec![me as u8 * 10; me + 1]);
-        }
-    }
-
-    #[test]
-    fn gather_then_scatter_round_trips() {
-        let np = 4;
-        let results = Universe::new(np).run(|comm| {
-            let me = comm.rank();
-            let gathered = comm.gatherv(0, vec![me * 7]);
-            let parts = if me == 0 { Some(gathered) } else { None };
-            comm.scatterv(0, parts)
-        });
-        for (me, part) in results.into_iter().enumerate() {
-            assert_eq!(part, vec![me * 7]);
-        }
-    }
-
-    #[test]
-    fn bcast_from_nonzero_root() {
-        let np = 3;
-        let results = Universe::new(np).run(|comm| {
-            let v = if comm.rank() == 2 { Some("hello".to_string()) } else { None };
-            comm.bcast(2, v)
-        });
-        assert!(results.iter().all(|s| s == "hello"));
     }
 
     #[test]

@@ -3,14 +3,11 @@
 //! Semantics follow MPI:
 //!
 //! * messages between a fixed (src, dst) pair are delivered in send order;
-//! * `recv`/`probe` match on `(Source, TagSel)` selectors, where either
+//! * `recv`/`iprobe` match on `(Source, TagSel)` selectors, where either
 //!   side may be a wildcard (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`); a wildcard
 //!   takes the earliest-arrived matching message;
-//! * [`Comm::probe`] blocks until a matching message is pending and
-//!   returns its envelope without consuming it — what the paper's
-//!   communication thread does ("the communication thread of each rank
-//!   probes any incoming messages – based on the probe, it first finds
-//!   out the nature of the request", §III step IV);
+//! * [`Comm::iprobe`] returns a pending message's envelope without
+//!   consuming it;
 //! * a [`Comm`] may be used from several threads of its rank concurrently
 //!   (the worker + communication thread pair of step IV).
 //!
@@ -407,12 +404,6 @@ impl Comm {
         self.shared.mailboxes.len()
     }
 
-    /// The node/rank layout this universe was configured with.
-    #[inline]
-    pub fn topology(&self) -> Topology {
-        self.shared.topology
-    }
-
     /// Send `payload` to `dst` with `tag`. Buffered & non-blocking, like a
     /// small-message `MPI_Send` in practice. A [`send_many`] of one frame.
     ///
@@ -543,28 +534,6 @@ impl Comm {
         taken
     }
 
-    /// Non-blocking receive (`MPI_Irecv` + immediate test).
-    pub fn try_recv(&self, src: Source, tag: TagSel) -> Option<Message> {
-        let sel = Selector { src, tags: tag.tags() };
-        let msg = {
-            let mut slots = self.mailbox().slots.lock();
-            slots.find(sel).map(|at| slots.take(at))
-        };
-        let bytes = msg.as_ref().map_or(0, |m| m.payload.len());
-        self.shared.stats[self.rank].count_recv(usize::from(msg.is_some()), bytes, 1);
-        msg
-    }
-
-    /// Blocking probe (`MPI_Probe`): wait until a matching message is
-    /// pending and describe it without consuming it.
-    pub fn probe(&self, src: Source, tag: TagSel) -> MessageInfo {
-        let sel = Selector { src, tags: tag.tags() };
-        let (info, locks) =
-            self.mailbox().wait(sel, Duration::MAX, |slots, at| info(slots.head(at)));
-        self.shared.stats[self.rank].count_recv(0, 0, locks);
-        info.expect("no deadline")
-    }
-
     /// Non-blocking probe (`MPI_Iprobe`).
     pub fn iprobe(&self, src: Source, tag: TagSel) -> Option<MessageInfo> {
         let found = {
@@ -573,12 +542,6 @@ impl Comm {
         };
         self.shared.stats[self.rank].count_recv(0, 0, 1);
         found
-    }
-
-    /// The fault plan this universe runs under ([`FaultPlan::none`] by
-    /// default).
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.shared.fault
     }
 
     /// Snapshot this rank's traffic counters.
@@ -600,6 +563,16 @@ mod tests {
     use super::*;
     use crate::stats::RankStatsSnapshot;
     use crate::universe::Universe;
+
+    /// Every message pending at `comm`, earliest arrival first, taken
+    /// without waiting.
+    fn take_pending(comm: &Comm) -> Vec<Message> {
+        std::iter::from_fn(|| {
+            let at = comm.iprobe(Source::Any, TagSel::Any)?;
+            Some(comm.recv(Source::Rank(at.src), TagSel::Tag(at.tag)))
+        })
+        .collect()
+    }
 
     #[test]
     fn ring_pass() {
@@ -650,32 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_then_recv() {
-        let results = Universe::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, vec![1, 2, 3, 4]);
-                0
-            } else {
-                let info = comm.probe(Source::Any, TagSel::Any);
-                assert_eq!(info.src, 0);
-                assert_eq!(info.tag, 3);
-                assert_eq!(info.len, 4);
-                // message still pending after probe
-                let msg = comm.recv(Source::Rank(info.src), TagSel::Tag(info.tag));
-                msg.payload.len()
-            }
-        });
-        assert_eq!(results[1], 4);
-    }
-
-    #[test]
-    fn iprobe_and_try_recv_nonblocking() {
+    fn iprobe_is_nonblocking() {
         Universe::new(2).run(|comm| {
             if comm.rank() == 1 {
                 // nothing can be in flight before the barrier below, so
-                // the non-blocking calls must report empty
+                // the probe must report empty
                 assert!(comm.iprobe(Source::Any, TagSel::Any).is_none());
-                assert!(comm.try_recv(Source::Any, TagSel::Any).is_none());
                 comm.barrier();
                 let info = loop {
                     if let Some(i) = comm.iprobe(Source::Rank(0), TagSel::Tag(5)) {
@@ -684,7 +637,7 @@ mod tests {
                     std::thread::yield_now();
                 };
                 assert_eq!(info.len, 1);
-                assert!(comm.try_recv(Source::Rank(0), TagSel::Tag(5)).is_some());
+                assert_eq!(comm.recv(Source::Rank(0), TagSel::Tag(5)).payload, vec![9]);
             } else {
                 // send only after rank 1 has performed its empty checks
                 comm.barrier();
@@ -797,9 +750,7 @@ mod tests {
                 assert_eq!(comm.drain_tags_deadline(Source::Any, &[4, 9], ms10, &mut got), 3);
                 let got: Vec<_> = got.into_iter().map(|m| (m.src, m.tag, m.payload[0])).collect();
                 assert_eq!(got, vec![(0, 9, 1), (0, 4, 3), (0, 9, 4)]);
-                let rest: Vec<_> = std::iter::from_fn(|| comm.try_recv(Source::Any, TagSel::Any))
-                    .map(|m| (m.src, m.tag))
-                    .collect();
+                let rest: Vec<_> = take_pending(comm).into_iter().map(|m| (m.src, m.tag)).collect();
                 assert_eq!(rest, vec![(0, 7), (2, 9)], "other tags and senders left pending");
             } else {
                 // rank 0's first tag-9 message arrives before rank 2's
@@ -830,7 +781,7 @@ mod tests {
                 }
             }
             comm.barrier();
-            (comm.try_recv(Source::Any, TagSel::Any).is_none(), comm.stats())
+            (take_pending(comm).is_empty(), comm.stats())
         });
         assert!(results[1].0, "all messages dropped");
         assert_eq!(results[0].1.faults_dropped, 10);
@@ -847,10 +798,7 @@ mod tests {
                 comm.send(1, 0, vec![5]);
             }
             comm.barrier();
-            let mut got = Vec::new();
-            while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
-                got.push(m.payload[0]);
-            }
+            let got: Vec<u8> = take_pending(comm).into_iter().map(|m| m.payload[0]).collect();
             (got, comm.stats())
         });
         assert_eq!(results[1].0, vec![5, 5]);
@@ -868,10 +816,7 @@ mod tests {
                 comm.send(1, 0, vec![3]);
             }
             comm.barrier();
-            let mut got = Vec::new();
-            while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
-                got.push(m.payload[0]);
-            }
+            let got: Vec<u8> = take_pending(comm).into_iter().map(|m| m.payload[0]).collect();
             got
         });
         // every enqueue after the first jumps ahead of the previous
@@ -893,10 +838,7 @@ mod tests {
                 comm.send(1, 0, vec![2]);
             }
             comm.barrier();
-            let mut got = Vec::new();
-            while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
-                got.push(m.payload[0]);
-            }
+            let got: Vec<u8> = take_pending(comm).into_iter().map(|m| m.payload[0]).collect();
             (got, comm.stats().faults_reordered)
         });
         // 2 overtook 1 and took its place in arrival order; 10 had no
@@ -929,9 +871,7 @@ mod tests {
         });
         assert_eq!(noise_wakes, 0, "woken by tag 2 traffic");
         assert_eq!(wakes(), 1, "one wake-up, for the tag-1 message");
-        let noise: Vec<u8> = std::iter::from_fn(|| receiver.try_recv(Source::Any, TagSel::Any))
-            .map(|m| m.payload[0])
-            .collect();
+        let noise: Vec<u8> = take_pending(&receiver).into_iter().map(|m| m.payload[0]).collect();
         assert_eq!(noise, (0..NOISE).collect::<Vec<_>>());
     }
 
@@ -973,7 +913,7 @@ mod tests {
                 let want = hit.map(|i| reference[i]);
                 let got = |m: Option<Message>| m.map(|m| (m.src, m.tag, m.payload[0]));
                 let label = format!("seed {seed} step {step}: {src:?} {tag:?} set {set:?}");
-                match rng.gen_range(0..8) {
+                match rng.gen_range(0..6) {
                     0 | 1 => {
                         let s = rng.gen_range(0..NP);
                         let mut frames = Vec::new();
@@ -1009,18 +949,10 @@ mod tests {
                     4 if want.is_some() && !use_set => {
                         assert_eq!(got(Some(me.recv(src, tag))), want, "{label}: recv");
                     }
-                    5 if want.is_some() && !use_set => {
-                        let info = me.probe(src, tag);
-                        assert_eq!(Some((info.src, info.tag)), want.map(|w| (w.0, w.1)), "{label}");
-                        continue;
-                    }
-                    6 if !use_set => {
+                    5 if !use_set => {
                         let info = me.iprobe(src, tag).map(|i| (i.src, i.tag));
                         assert_eq!(info, want.map(|w| (w.0, w.1)), "{label}: iprobe");
                         continue;
-                    }
-                    _ if !use_set => {
-                        assert_eq!(got(me.try_recv(src, tag)), want, "{label}: try_recv");
                     }
                     _ => continue,
                 }
@@ -1074,11 +1006,7 @@ mod tests {
             }
             let arrived: Vec<Vec<(u32, Vec<u8>)>> = comms
                 .iter()
-                .map(|c| {
-                    std::iter::from_fn(|| c.try_recv(Source::Any, TagSel::Any))
-                        .map(|m| (m.tag, m.payload))
-                        .collect()
-                })
+                .map(|c| take_pending(c).into_iter().map(|m| (m.tag, m.payload)).collect())
                 .collect();
             let stats = RankStatsSnapshot { mailbox_send_locks: 0, ..comms[0].stats() };
             (arrived, stats, comms[0].stats().mailbox_send_locks)
@@ -1105,10 +1033,7 @@ mod tests {
                 }
             }
             comm.barrier();
-            let mut got = Vec::new();
-            while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
-                got.push(m.payload[0]);
-            }
+            let mut got: Vec<u8> = take_pending(comm).into_iter().map(|m| m.payload[0]).collect();
             got.sort_unstable();
             got
         });
@@ -1129,10 +1054,7 @@ mod tests {
                     }
                 }
                 comm.barrier();
-                let mut got = Vec::new();
-                while let Some(m) = comm.try_recv(Source::Any, TagSel::Any) {
-                    got.push(m.payload[0]);
-                }
+                let got: Vec<u8> = take_pending(comm).into_iter().map(|m| m.payload[0]).collect();
                 got
             })
         };

@@ -4,7 +4,7 @@
 //! crate provides the message-passing substrate the reproduction runs on:
 //! ranks are OS threads inside one process, connected by mailboxes that
 //! implement MPI's point-to-point semantics (tags, `ANY_SOURCE` /
-//! `ANY_TAG`, `MPI_Probe` / `MPI_Iprobe`, per-pair FIFO ordering) and the
+//! `ANY_TAG`, `MPI_Iprobe`, per-pair FIFO ordering) and the
 //! collectives the paper uses (`MPI_Barrier`, `MPI_Alltoallv`,
 //! `MPI_Allgatherv`, `MPI_Allreduce` — the paper's `MPI_Reduce(MAX)` on
 //! batch counts is an allreduce here since every rank needs the result).
@@ -33,7 +33,6 @@ pub mod fault;
 pub mod message;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 pub mod universe;
 
 pub use collectives::PendingAlltoallv;
@@ -43,5 +42,4 @@ pub use fault::{chop_file, parse_duration, FaultPlan, KillSpec, SnapshotChopSpec
 pub use message::{Message, MessageInfo};
 pub use stats::RankStatsSnapshot;
 pub use topology::Topology;
-pub use trace::{render_timeline, TraceLog};
 pub use universe::Universe;

@@ -86,13 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_visible_to_ranks() {
-        let t = Topology::new(4);
-        let nodes = Universe::with_topology(8, t).run(|comm| comm.topology().node_of(comm.rank()));
-        assert_eq!(nodes, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-    }
-
-    #[test]
     fn large_universe_runs() {
         // 128 ranks of trivial work: ensures thread spawning scales to the
         // rank counts the integration tests use.

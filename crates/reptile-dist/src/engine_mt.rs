@@ -7,6 +7,13 @@
 //! step, each rank shuts down its communication threads and outputs the
 //! reads it has corrected" (paper §III step IV).
 //!
+//! Lifecycle: one copy serves batch runs and the serve plane alike.
+//! `obtain_tables` loads a snapshot or builds the spectrum;
+//! `with_service_plane` forks the communication thread, hands a job
+//! source a lookup router, and runs the termination protocol below when
+//! the job returns. The job sources are a batch rank's fixed chunks,
+//! its chunk-steal queue, and the serve plane's admission queue.
+//!
 //! Termination: when a rank's worker drains its reads it enters a
 //! barrier with every other worker; once the barrier completes no rank
 //! can issue another first-hand lookup, so each worker raises a shutdown
@@ -47,7 +54,7 @@ use crate::spectrum::{
     scan_nonowned_keys, BuildStats, RankTables,
 };
 use dnaseq::{FxHashMap, Read};
-use mpisim::{Comm, Message, Source, TraceLog, Universe};
+use mpisim::{Comm, Message, Source, Universe};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
 use reptile::CorrectionStats;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,17 +92,64 @@ pub fn run_distributed(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
 /// Fallible twin of [`run_distributed`]: snapshot save/load failures (and
 /// invalid configs) surface as typed [`EngineError`]s instead of panics.
 pub fn try_run_distributed(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
+    run_universe(cfg, |comm| {
+        // Step I analog: contiguous slice of the file.
+        let (me, np) = (comm.rank(), comm.size());
+        Ok(reads[reads.len() * me / np..reads.len() * (me + 1) / np].to_vec())
+    })
+}
+
+/// Run the distributed pipeline against (fasta, qual) files on disk, each
+/// rank reading its own byte-offset slice — the paper's Step I. Returns
+/// the corrected reads; write them out with
+/// [`genio::fasta::write_record`] or [`genio::qual::write_dataset`].
+pub fn run_distributed_files(
+    cfg: &EngineConfig,
+    fasta: &std::path::Path,
+    qual: &std::path::Path,
+) -> genio::Result<RunOutput> {
+    match try_run_distributed_files(cfg, fasta, qual) {
+        Ok(out) => Ok(out),
+        Err(EngineError::Io(e)) => Err(e),
+        Err(e) => panic!("engine run failed: {e}"),
+    }
+}
+
+/// Fallible twin of [`run_distributed_files`]: input *and* snapshot
+/// failures surface as typed [`EngineError`]s.
+pub fn try_run_distributed_files(
+    cfg: &EngineConfig,
+    fasta: &std::path::Path,
+    qual: &std::path::Path,
+) -> Result<RunOutput, EngineError> {
+    run_universe(cfg, |comm| {
+        // Read this rank's slice before any collective, so an IO failure
+        // on one rank can abort the whole universe without deadlocking
+        // peers inside a collective.
+        let mine = genio::PartitionedReader::open(fasta, qual, comm.size(), comm.rank())
+            .and_then(|mut part| part.read_all());
+        let failed = comm.allreduce_max_u64(mine.is_err() as u64);
+        match (failed, mine) {
+            (0, Ok(mine)) => Ok(mine),
+            (_, Err(e)) => Err(EngineError::Io(e)),
+            (_, Ok(_)) => Err(EngineError::Io(genio::IoError::Malformed(
+                "aborted: input error on another rank".into(),
+            ))),
+        }
+    })
+}
+
+/// Both batch entry points: a universe of `cfg.np` ranks, each running
+/// [`run_rank`] over the reads `reads_of` gives it, merged into one
+/// output. `reads_of` must fail on every rank or on none.
+fn run_universe(
+    cfg: &EngineConfig,
+    reads_of: impl Fn(&Comm) -> Result<Vec<Read>, EngineError> + Sync,
+) -> Result<RunOutput, EngineError> {
     cfg.validate()?;
     cfg.params.assert_valid();
-    let np = cfg.np;
-    let universe = Universe::with_topology(np, cfg.topology).with_fault_plan(cfg.fault);
-    let per_rank: Vec<Result<(Vec<Read>, RankReport), EngineError>> = universe.run(|comm| {
-        let me = comm.rank();
-        // Step I analog: contiguous slice of the file.
-        let lo = reads.len() * me / np;
-        let hi = reads.len() * (me + 1) / np;
-        run_rank(comm, reads[lo..hi].to_vec(), cfg)
-    });
+    let universe = Universe::with_topology(cfg.np, cfg.topology).with_fault_plan(cfg.fault);
+    let per_rank = universe.run(|comm| run_rank(comm, reads_of(comm)?, cfg));
     Ok(assemble_output(root_cause(per_rank)?, cfg))
 }
 
@@ -126,10 +180,7 @@ pub(crate) fn root_cause<T>(per_rank: Vec<Result<T, EngineError>>) -> Result<Vec
     Ok(per_rank.into_iter().map(|r| r.expect("checked no errors")).collect())
 }
 
-pub(crate) fn assemble_output(
-    per_rank: Vec<(Vec<Read>, RankReport)>,
-    cfg: &EngineConfig,
-) -> RunOutput {
+fn assemble_output(per_rank: Vec<(Vec<Read>, RankReport)>, cfg: &EngineConfig) -> RunOutput {
     let mut corrected = Vec::new();
     let mut ranks = Vec::with_capacity(per_rank.len());
     for (reads, report) in per_rank {
@@ -146,68 +197,20 @@ pub(crate) fn assemble_output(
     RunOutput { corrected, report: RunReport { ranks, topology: cfg.topology, cost: cfg.cost } }
 }
 
-/// Run the distributed pipeline against (fasta, qual) files on disk, each
-/// rank reading its own byte-offset slice — the paper's Step I. Returns
-/// the corrected reads; write them out with
-/// [`genio::fasta::write_record`] or [`genio::qual::write_dataset`].
-pub fn run_distributed_files(
-    cfg: &EngineConfig,
-    fasta: &std::path::Path,
-    qual: &std::path::Path,
-) -> genio::Result<RunOutput> {
-    match try_run_distributed_files(cfg, fasta, qual) {
-        Ok(out) => Ok(out),
-        Err(EngineError::Io(e)) => Err(e),
-        Err(e) => panic!("engine run failed: {e}"),
-    }
-}
-
-/// Fallible twin of [`run_distributed_files`]: input *and* snapshot
-/// failures surface as typed [`EngineError`]s.
-pub fn try_run_distributed_files(
-    cfg: &EngineConfig,
-    fasta: &std::path::Path,
-    qual: &std::path::Path,
-) -> Result<RunOutput, EngineError> {
-    cfg.validate()?;
-    cfg.params.assert_valid();
-    let np = cfg.np;
-    let universe = Universe::with_topology(np, cfg.topology).with_fault_plan(cfg.fault);
-    let per_rank: Vec<Result<(Vec<Read>, RankReport), EngineError>> = universe.run(|comm| {
-        // Read this rank's slice before any collective, so an IO failure
-        // on one rank can abort the whole universe without deadlocking
-        // peers inside a collective.
-        let mine = genio::PartitionedReader::open(fasta, qual, np, comm.rank())
-            .and_then(|mut part| part.read_all());
-        let failed = comm.allreduce_max_u64(mine.is_err() as u64);
-        match (failed, mine) {
-            (0, Ok(mine)) => run_rank(comm, mine, cfg),
-            (_, Err(e)) => Err(EngineError::Io(e)),
-            (_, Ok(_)) => Err(EngineError::Io(genio::IoError::Malformed(
-                "aborted: input error on another rank".into(),
-            ))),
-        }
-    });
-    Ok(assemble_output(root_cause(per_rank)?, cfg))
-}
-
-/// The per-rank pipeline, reusable by the file-backed front end.
+/// A batch rank's pipeline: shuffle, obtain the tables, replicate hot
+/// shards, save a snapshot, then correct its reads (fixed chunks, or the
+/// steal queue) inside the service plane.
 ///
-/// Fails only through the snapshot paths; a failure on any rank is
-/// collectively agreed inside [`snapshot::load_snapshot`] /
-/// [`snapshot::save_snapshot`], so every rank returns `Err` together and
-/// no rank is left stranded in a later collective.
-pub(crate) fn run_rank(
+/// Fails only through the snapshot and spill paths; a failure on any
+/// rank is collectively agreed inside them, so every rank returns `Err`
+/// together and no rank is left stranded in a later collective.
+fn run_rank(
     comm: &Comm,
     initial_reads: Vec<Read>,
     cfg: &EngineConfig,
 ) -> Result<(Vec<Read>, RankReport), EngineError> {
     let me = comm.rank();
     let t0 = Instant::now();
-    // Trace only snapshot-touching runs: the log is for the snapshot
-    // phase spans, and staying `None` otherwise keeps reports lean.
-    let mut trace =
-        (cfg.save_spectrum.is_some() || cfg.load_spectrum.is_some()).then(|| TraceLog::new(me));
 
     // --- load balancing shuffle (per chunk, §III-A); the chunks move
     // through it, so the rank never holds a read twice ---
@@ -225,77 +228,8 @@ pub(crate) fn run_rank(
         initial_reads
     };
 
-    // --- Steps II–III: distributed spectrum construction, or a snapshot
-    // load that skips them entirely ---
     let (mut tables, mut build_stats, snapshot_load_secs, snapshot_bytes_read, repair) =
-        if let Some(dir) = &cfg.load_spectrum {
-            if let Some(t) = trace.as_mut() {
-                t.phase_start("snapshot-load");
-            }
-            let t_load = Instant::now();
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
-            // The owned tables came off disk already pruned; only the
-            // heuristic-derived side tables remain to be built. The
-            // reads-table *key sets* were never persisted (their counts
-            // are global in the loaded tables), so rescan for them when
-            // keep_read_tables asks.
-            let owners = OwnerMap::new(comm.size(), &cfg.params);
-            let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
-                (
-                    scan_nonowned_keys(&my_reads, &owners, me),
-                    scan_nonowned_keys(&my_reads, &owners, me),
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let (tables, stats) = derive_heuristic_tables(
-                comm,
-                owners,
-                &cfg.heuristics,
-                loaded.kmers,
-                loaded.tiles,
-                kmer_keys,
-                tile_keys,
-                BuildStats::default(),
-            );
-            if let Some(t) = trace.as_mut() {
-                t.phase_end("snapshot-load");
-            }
-            (tables, stats, t_load.elapsed().as_secs_f64(), loaded.bytes_read, loaded.repair)
-        } else if let Some(budget) = cfg.memory_budget {
-            // Out-of-core build: run files live in a per-rank temp dir
-            // for the duration of the build. The `chop=` fault plan
-            // composes with the spill plane here — with no snapshot in
-            // play, the chopped file is this rank's first k-mer run.
-            let dir = ooc_spill_dir(me);
-            std::fs::create_dir_all(&dir)
-                .map_err(|source| specstore::SpillError::Io { path: dir.clone(), source })?;
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let mut ooc = OocBuild::new(budget, dir.clone(), me, chop, &cfg.params);
-            let built = build_distributed_spillable(
-                comm,
-                &my_reads,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-                Some(&mut ooc),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            let (tables, stats) = built?;
-            (tables, stats, 0.0, 0, Default::default())
-        } else {
-            let (tables, stats) = build_distributed(
-                comm,
-                &my_reads,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-            );
-            (tables, stats, 0.0, 0, Default::default())
-        };
+        obtain_tables(comm, cfg, &my_reads)?;
 
     // --- adaptive balancing: detect skew and replicate the hot shards ---
     if cfg.heuristics.hot_shard_k > 0 && comm.size() > 1 {
@@ -315,9 +249,6 @@ pub(crate) fn run_rank(
     let mut snapshot_save_secs = 0.0;
     let mut snapshot_bytes_written = 0u64;
     if let Some(dir) = &cfg.save_spectrum {
-        if let Some(t) = trace.as_mut() {
-            t.phase_start("snapshot-save");
-        }
         let t_save = Instant::now();
         snapshot_bytes_written = snapshot::save_snapshot(
             comm,
@@ -328,9 +259,6 @@ pub(crate) fn run_rank(
             &tables.tiles.owned,
         )?;
         snapshot_save_secs = t_save.elapsed().as_secs_f64();
-        if let Some(t) = trace.as_mut() {
-            t.phase_end("snapshot-save");
-        }
     }
 
     // --- Step IV: correction with a communication thread ---
@@ -341,16 +269,9 @@ pub(crate) fn run_rank(
     // Fig 5 compares).
     let spectrum_bytes = tables.memory_bytes();
     // the worker owns (and `cache_remote` grows) the reads tables
-    let (reads_kmers, reads_tiles) = (tables.kmers.reads.take(), tables.tiles.reads.take());
+    let reads_tables = (tables.kmers.reads.take(), tables.tiles.reads.take());
     let mut corrected = my_reads;
     let mut correction = CorrectionStats::default();
-    let mut lookups = LookupStats::default();
-    let mut comm_secs = 0.0;
-    let mut served = ServedCounts::default();
-    let shutdown = AtomicBool::new(false);
-    // Fully replicated (or whole-universe partial-group) runs never touch
-    // the p2p service plane; skip the comm thread entirely.
-    let service_plane = cfg.heuristics.needs_service_plane(comm.size());
     // --- chunk stealing setup: share the work queue with the comm
     // thread, and allgather initial loads so thieves target the most
     // loaded victims first ---
@@ -368,33 +289,26 @@ pub(crate) fn run_rank(
     let steal_mode = want_steal && crate::balance::steal_worth_it(&loads);
     let steal_state =
         steal_mode.then(|| Mutex::new(StealState::new(std::mem::take(&mut corrected), chunk_unit)));
-    std::thread::scope(|s| {
-        let server = service_plane.then(|| {
-            s.spawn(|| {
-                comm_thread(
-                    comm,
-                    &tables.kmers.owned,
-                    &tables.tiles.owned,
-                    cfg.heuristics.universal,
-                    steal_state.as_ref(),
-                    &shutdown,
-                )
-            })
-        });
-        let mut router = LookupRouter::over_wire(comm, &tables, cfg);
-        router.tiers.kmers.reads = reads_kmers;
-        router.tiers.tiles.reads = reads_tiles;
-        let mut correct_chunk = |router: &mut LookupRouter<WireTransport>, chunk: &mut [Read]| {
-            router.correct_chunk(chunk, &cfg.params, |_, outcome, _| correction.absorb(&outcome));
-        };
-        if let Some(state) = &steal_state {
+    let (lookups, comm_secs) =
+        with_service_plane(comm, &tables, cfg, steal_state.as_ref(), |router| {
+            (router.tiers.kmers.reads, router.tiers.tiles.reads) = reads_tables;
+            let mut correct = |router: &mut LookupRouter<WireTransport>, chunk: &mut [Read]| {
+                router.correct_chunk(chunk, &cfg.params, |_, o, _| correction.absorb(&o));
+            };
+            let Some(state) = &steal_state else {
+                // aggregate mode fetches per chunk; base mode does not care
+                for chunk in corrected.chunks_mut(chunk_unit) {
+                    correct(router, chunk);
+                }
+                return;
+            };
             // own queue first: pop chunks off the front while the comm
             // thread hands the back out to thieves. Never hold the lock
             // while correcting — the comm thread must stay responsive.
             loop {
                 let chunk = state.lock().expect("steal lock").pop_front();
                 let Some(mut chunk) = chunk else { break };
-                correct_chunk(&mut router, &mut chunk);
+                correct(router, &mut chunk);
                 corrected.extend(chunk);
             }
             // At-least-once under faults: a handed-out chunk whose ACK
@@ -407,7 +321,7 @@ pub(crate) fn run_rank(
                     st.handed_out.drain(..).map(|(_, _, c)| c).collect()
                 };
                 for mut chunk in adopted {
-                    correct_chunk(&mut router, &mut chunk);
+                    correct(router, &mut chunk);
                     corrected.extend(chunk);
                 }
             }
@@ -419,29 +333,11 @@ pub(crate) fn run_rank(
             victims.sort_by_key(|&r| (std::cmp::Reverse(loads[r]), r));
             for victim in victims {
                 while let Some(mut chunk) = router.steal_from(victim) {
-                    correct_chunk(&mut router, &mut chunk);
+                    correct(router, &mut chunk);
                     corrected.extend(chunk);
                 }
             }
-        } else {
-            // aggregate mode fetches per chunk; base mode does not care
-            for chunk in corrected.chunks_mut(chunk_unit) {
-                correct_chunk(&mut router, chunk);
-            }
-        }
-        // Once every worker has passed this barrier no rank can issue a
-        // new first-hand request; anything still in a mailbox (delayed
-        // duplicates) is drained by the servers before they exit.
-        comm.barrier();
-        shutdown.store(true, Ordering::Release);
-        lookups = router.stats;
-        comm_secs = router.transport.comm_secs;
-        if let Some(server) = server {
-            served = server.join().expect("comm thread panicked");
-        }
-    });
-    lookups.requests_served = served.keys;
-    lookups.batches_served = served.batches;
+        });
     let correct_secs = t1.elapsed().as_secs_f64();
 
     let report = RankReport {
@@ -459,9 +355,128 @@ pub(crate) fn run_rank(
         snapshot_load_secs,
         snapshot_save_secs,
         repair,
-        trace,
     };
     Ok((corrected, report))
+}
+
+/// Steps II–III of one rank, or the snapshot load that skips them:
+/// returns the tables, their build counters, the load's wall seconds,
+/// the snapshot bytes read and the repair it took (the last three zero
+/// on a build). `reads` feeds the build, and the reads-table key rescan
+/// of a snapshot load under `keep_read_tables`.
+pub(crate) fn obtain_tables(
+    comm: &Comm,
+    cfg: &EngineConfig,
+    reads: &[Read],
+) -> Result<(RankTables, BuildStats, f64, u64, specstore::RepairStats), EngineError> {
+    let me = comm.rank();
+    if let Some(dir) = &cfg.load_spectrum {
+        let t_load = Instant::now();
+        let chop = cfg.fault.snapshot_chop_for(me);
+        let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
+        // The owned tables came off disk already pruned; only the
+        // heuristic-derived side tables remain to be built. The
+        // reads-table *key sets* were never persisted (their counts
+        // are global in the loaded tables), so rescan for them when
+        // keep_read_tables asks.
+        let owners = OwnerMap::new(comm.size(), &cfg.params);
+        let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
+            (scan_nonowned_keys(reads, &owners, me), scan_nonowned_keys(reads, &owners, me))
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (tables, stats) = derive_heuristic_tables(
+            comm,
+            owners,
+            &cfg.heuristics,
+            loaded.kmers,
+            loaded.tiles,
+            kmer_keys,
+            tile_keys,
+            BuildStats::default(),
+        );
+        Ok((tables, stats, t_load.elapsed().as_secs_f64(), loaded.bytes_read, loaded.repair))
+    } else if let Some(budget) = cfg.memory_budget {
+        // Out-of-core build: run files live in a per-rank temp dir
+        // for the duration of the build. The `chop=` fault plan
+        // composes with the spill plane here — with no snapshot in
+        // play, the chopped file is this rank's first k-mer run.
+        let dir = ooc_spill_dir(me);
+        std::fs::create_dir_all(&dir)
+            .map_err(|source| specstore::SpillError::Io { path: dir.clone(), source })?;
+        let chop = cfg.fault.snapshot_chop_for(me);
+        let mut ooc = OocBuild::new(budget, dir.clone(), me, chop, &cfg.params);
+        let built = build_distributed_spillable(
+            comm,
+            reads,
+            cfg.chunk_size,
+            &cfg.params,
+            &cfg.heuristics,
+            cfg.build_threads.max(1),
+            Some(&mut ooc),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let (tables, stats) = built?;
+        Ok((tables, stats, 0.0, 0, Default::default()))
+    } else {
+        let (tables, stats) = build_distributed(
+            comm,
+            reads,
+            cfg.chunk_size,
+            &cfg.params,
+            &cfg.heuristics,
+            cfg.build_threads.max(1),
+        );
+        Ok((tables, stats, 0.0, 0, Default::default()))
+    }
+}
+
+/// Step IV's service plane around one job source. Spawns this rank's
+/// [`comm_thread`] (unless `needs_service_plane` rules the plane out),
+/// hands `job` a wire router over `tables`, and once the job returns
+/// runs the termination protocol: the end-of-correction barrier, then
+/// the shutdown flag, then the join. Returns the router's lookup
+/// counters with the comm thread's serve counts folded in, and the
+/// worker's wire seconds. `steal` is the queue the comm thread hands
+/// chunks out of under chunk stealing.
+pub(crate) fn with_service_plane<'a>(
+    comm: &'a Comm,
+    tables: &'a RankTables,
+    cfg: &EngineConfig,
+    steal: Option<&Mutex<StealState>>,
+    job: impl FnOnce(&mut LookupRouter<'a, WireTransport<'a>>),
+) -> (LookupStats, f64) {
+    let shutdown = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        // Fully replicated (or whole-universe partial-group) runs never
+        // touch the p2p service plane; they run no comm thread.
+        let server = cfg.heuristics.needs_service_plane(comm.size()).then(|| {
+            s.spawn(|| {
+                comm_thread(
+                    comm,
+                    &tables.kmers.owned,
+                    &tables.tiles.owned,
+                    cfg.heuristics.universal,
+                    steal,
+                    &shutdown,
+                )
+            })
+        });
+        let mut router = LookupRouter::over_wire(comm, tables, cfg);
+        job(&mut router);
+        // Once every worker has passed this barrier no rank can issue a
+        // new first-hand request; anything still in a mailbox (delayed
+        // duplicates) is drained by the servers before they exit.
+        comm.barrier();
+        shutdown.store(true, Ordering::Release);
+        let served = server.map_or_else(ServedCounts::default, |server| {
+            server.join().expect("comm thread panicked")
+        });
+        let mut lookups = router.stats;
+        lookups.requests_served = served.keys;
+        lookups.batches_served = served.batches;
+        (lookups, router.transport.comm_secs)
+    })
 }
 
 /// The shared work queue of chunk stealing: the rank's own worker pops
@@ -527,12 +542,12 @@ fn into_chunks(reads: Vec<Read>, chunk_size: usize) -> impl Iterator<Item = Vec<
 
 /// Serve counters returned by [`comm_thread`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ServedCounts {
+struct ServedCounts {
     /// Lookups answered, counted per key (singles plus every key inside
     /// a batch) so base and aggregate modes stay comparable.
-    pub(crate) keys: u64,
+    keys: u64,
     /// Batched requests answered.
-    pub(crate) batches: u64,
+    batches: u64,
 }
 
 /// How long the comm thread waits on an empty mailbox before re-checking
@@ -555,7 +570,7 @@ const REPLY_RUN: usize = 256;
 /// requester's whole backlog at a time and hands the answers back in
 /// sends of up to [`REPLY_RUN`] replies, so one requester's backlog never
 /// delays another's reply, and its first reply waits for one run only.
-pub(crate) fn comm_thread(
+fn comm_thread(
     comm: &Comm,
     hash_kmers: &KmerSpectrum,
     hash_tiles: &TileSpectrum,
@@ -1177,6 +1192,7 @@ mod tests {
             tables.kmers.owned.insert_batch(&held);
             let shutdown = AtomicBool::new(false);
             let mut rounds = Vec::new();
+            // Not `with_service_plane`: a rank-0 server's polls would add to the recv locks below
             std::thread::scope(|s| {
                 let server = (me != 0).then(|| {
                     s.spawn(|| {

@@ -58,7 +58,7 @@ use crate::router::{
 use crate::snapshot;
 use crate::spectrum::BuildStats;
 use dnaseq::{FxHashSet, Read};
-use mpisim::{CostModel, FaultPlan, TraceLog};
+use mpisim::{CostModel, FaultPlan};
 use reptile::spectrum::{LocalSpectra, Spectrum};
 use reptile::{CorrectionStats, Normalized, SpectrumKey};
 
@@ -139,7 +139,6 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         )?),
         None => None,
     };
-    let snapshotting = load_info.is_some() || saved_bytes.is_some();
 
     // each kind's owned entries per rank and hot-shard replica size
     let kmer_model = KindModel::new(&spectra.kmers, heur.replicate_kmers, &owners, &hot_owners);
@@ -337,8 +336,7 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             + tile_model.table_bytes(me, reads_tile_entries, heur, cfg.scale);
         let memory = cost.rank_memory_bytes_measured(spectrum_bytes);
 
-        // snapshot accounting: modeled per-rank I/O time over real bytes,
-        // with the same phase spans the threaded engine traces
+        // snapshot accounting: modeled per-rank I/O time over real bytes
         let snapshot_bytes_read = load_info.as_ref().map_or(0, |(b, _, _)| b[me]);
         let snapshot_bytes_written = saved_bytes.as_ref().map_or(0, |b| b[me]);
         // repair accounting: real reconstruction counters, modeled time
@@ -363,19 +361,6 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         } else {
             0.0
         };
-        let trace = snapshotting.then(|| {
-            let mut t = TraceLog::new(me);
-            if load_info.is_some() {
-                t.phase_start("snapshot-load");
-                t.phase_end("snapshot-load");
-            }
-            if saved_bytes.is_some() {
-                t.phase_start("snapshot-save");
-                t.phase_end("snapshot-save");
-            }
-            t
-        });
-
         ranks.push(RankReport {
             rank: me,
             reads_processed: corrected.len() as u64,
@@ -391,7 +376,6 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             snapshot_load_secs,
             snapshot_save_secs,
             repair,
-            trace,
         });
         corrected_all.extend(corrected);
     }

@@ -5,7 +5,7 @@
 //! per-rank lookup/traffic counts, errors corrected, memory footprints.
 
 use crate::spectrum::BuildStats;
-use mpisim::{CostModel, Topology, TraceLog};
+use mpisim::{CostModel, Topology};
 use reptile::CorrectionStats;
 use specstore::RepairStats;
 
@@ -145,9 +145,6 @@ pub struct RankReport {
     /// wall time in the threaded engine and modeled time in the
     /// virtual one.
     pub repair: RepairStats,
-    /// Phase-span trace (`snapshot-save` / `snapshot-load` brackets);
-    /// recorded only on snapshotting runs, `None` otherwise.
-    pub trace: Option<TraceLog>,
 }
 
 impl RankReport {
@@ -499,7 +496,6 @@ mod tests {
         assert_eq!(r.snapshot_bytes_written(), 300);
         assert_eq!(r.snapshot_load_secs(), 0.5);
         assert_eq!(r.snapshot_save_secs(), 0.1);
-        assert!(r.ranks[0].trace.is_none());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The serve plane: a long-lived correction service (DESIGN.md §13).
 //!
-//! PR-5 made the spectrum a build-once artifact; this module makes the
-//! *correction side* a build-once artifact too. A [`ServeEngine`] spins
-//! up `np` rank threads exactly once, loads the specstore snapshot (or
-//! builds the spectrum from seed reads) exactly once, and keeps every
-//! piece of Step-IV state — comm threads, owner maps, heuristic side
-//! tables, round buffers, wire buffers — warm for the engine's whole
-//! lifetime. Individual reads are then corrected as *requests* through
-//! a bounded multi-producer admission queue:
+//! A [`ServeEngine`] runs the same rank lifecycle as a batch run
+//! (`engine_mt::obtain_tables`, then `engine_mt::with_service_plane`),
+//! with one difference: its job source is an admission queue, not a
+//! fixed read set. It spins up `np` rank threads once, loads the
+//! specstore snapshot (or builds the spectrum from seed reads) once, and
+//! keeps every piece of Step-IV state — comm threads, owner maps,
+//! heuristic side tables, round buffers, wire buffers — warm for the
+//! engine's whole lifetime. Individual reads are then corrected as
+//! *requests* through a bounded multi-producer admission queue:
 //!
 //! ```text
 //!  submit() ──► [admission queue] ──► rank workers (micro-batches)
@@ -36,7 +37,7 @@
 //!
 //! **Faults.** The worker loop contains no collectives, so a killed or
 //! stalled rank can never wedge the queue: its own requests degrade
-//! through the PR-4 deadline/retry/degrade protocol (absent-everywhere
+//! through the lookup deadline/retry/degrade protocol (absent-everywhere
 //! answers), and the surviving ranks keep draining. The only
 //! collectives are at startup (snapshot load) and shutdown (one final
 //! barrier before the comm threads are released) — both are reliable
@@ -44,17 +45,13 @@
 //! delays them.
 
 use crate::engine::{ConfigError, EngineConfig, EngineError};
-use crate::engine_mt::{comm_thread, root_cause, ServedCounts};
-use crate::owner::OwnerMap;
+use crate::engine_mt::{obtain_tables, root_cause, with_service_plane};
 use crate::report::LookupStats;
-use crate::router::LookupRouter;
-use crate::snapshot;
-use crate::spectrum::{build_distributed, derive_heuristic_tables, BuildStats, RankTables};
 use dnaseq::Read;
 use mpisim::{Comm, Universe};
 use reptile::CorrectionStats;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -439,86 +436,32 @@ const WORKER_POLL: Duration = Duration::from_millis(50);
 /// EWMA weight (percent) of the newest micro-batch's per-request time.
 const EWMA_NEW_PCT: u64 = 20;
 
-/// The per-rank serve loop: load/build once, then pull micro-batches
-/// off the shared admission queue until the engine closes. Collective
-/// structure: snapshot load (or build) + one barrier at startup, one
-/// barrier at shutdown — nothing per request, so no rank can block
-/// another through the queue.
+/// The per-rank serve loop: obtain the tables once, then pull
+/// micro-batches off the shared admission queue inside the service
+/// plane until the engine closes. Collective structure: snapshot load
+/// (or build) + one barrier at startup, the service plane's barrier at
+/// shutdown — nothing per request, so no rank can block another through
+/// the queue.
 fn serve_rank(
     comm: &Comm,
     cfg: &EngineConfig,
     seed_reads: &[Read],
     shared: &Shared,
 ) -> Result<RankDone, EngineError> {
-    let me = comm.rank();
-    let np = comm.size();
-    // --- build-once: snapshot load or distributed build ---
-    let (tables, snapshot_bytes_read, repair): (RankTables, u64, specstore::RepairStats) =
-        if let Some(dir) = &cfg.load_spectrum {
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
-            let owners = OwnerMap::new(np, &cfg.params);
-            let (tables, _) = derive_heuristic_tables(
-                comm,
-                owners,
-                &cfg.heuristics,
-                loaded.kmers,
-                loaded.tiles,
-                Vec::new(),
-                Vec::new(),
-                BuildStats::default(),
-            );
-            (tables, loaded.bytes_read, loaded.repair)
-        } else {
-            // Step-I analog for the seed corpus: contiguous slices.
-            let lo = seed_reads.len() * me / np;
-            let hi = seed_reads.len() * (me + 1) / np;
-            let mine = seed_reads[lo..hi].to_vec();
-            let (tables, _) = build_distributed(
-                comm,
-                &mine,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-            );
-            (tables, 0, Default::default())
-        };
+    let (me, np) = (comm.rank(), comm.size());
+    // Step-I analog for the seed corpus: contiguous slices.
+    let mine = &seed_reads[seed_reads.len() * me / np..seed_reads.len() * (me + 1) / np];
+    let (tables, _, _, snapshot_bytes_read, repair) = obtain_tables(comm, cfg, mine)?;
     comm.barrier();
     if me == 0 {
         shared.mark(Startup::Ready);
     }
 
-    // --- serve loop: the PR-4 service plane, kept warm ---
-    let mut done = RankDone {
-        lookups: LookupStats::default(),
-        correction: CorrectionStats::default(),
-        requests: 0,
-        batches: 0,
-        snapshot_bytes_read,
-        repair,
-    };
-    let shutdown = AtomicBool::new(false);
-    let service_plane = cfg.heuristics.needs_service_plane(np);
-    let mut served = ServedCounts::default();
-    std::thread::scope(|s| {
-        let server = service_plane.then(|| {
-            s.spawn(|| {
-                comm_thread(
-                    comm,
-                    &tables.kmers.owned,
-                    &tables.tiles.owned,
-                    cfg.heuristics.universal,
-                    None,
-                    &shutdown,
-                )
-            })
-        });
-        // Hoisted per-run scratch (the old per-job serve loop rebuilt
-        // all of this for every batch file): the lookup router with its
-        // round and wire buffers, plus the micro-batch staging
-        // vectors, all reused for the engine's lifetime.
-        let mut router = LookupRouter::over_wire(comm, &tables, cfg);
+    let mut correction = CorrectionStats::default();
+    let (mut requests, mut batches) = (0u64, 0u64);
+    let (lookups, _) = with_service_plane(comm, &tables, cfg, None, |router| {
+        // Staging vectors reused for the engine's lifetime, beside the
+        // router's own round and wire buffers.
         let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(shared.max_batch);
         let mut reads: Vec<Read> = Vec::with_capacity(shared.max_batch);
         let mut stamps: Vec<(Duration, bool)> = Vec::with_capacity(shared.max_batch);
@@ -549,7 +492,7 @@ fn serve_rank(
             // the rounds finish the reads of a micro-batch in round order,
             // not queue order: each is stamped as it completes
             router.correct_chunk(&mut reads, &cfg.params, |i, outcome, degraded| {
-                done.correction.absorb(&outcome);
+                correction.absorb(&outcome);
                 stamps[i] = (dequeued.elapsed(), degraded);
             });
             let per_req_ns = (dequeued.elapsed().as_nanos() as u64 / n as u64).max(1);
@@ -575,22 +518,11 @@ fn serve_rank(
                 }
             }
             shared.done.fetch_add(n as u64, Ordering::Relaxed);
-            done.requests += n as u64;
-            done.batches += 1;
-        }
-        // Same termination as run_rank: after the barrier no rank can
-        // issue another first-hand lookup, so the comm threads drain
-        // stragglers and exit on their first quiet poll.
-        comm.barrier();
-        shutdown.store(true, Ordering::Release);
-        done.lookups = std::mem::take(&mut router.stats);
-        if let Some(server) = server {
-            served = server.join().expect("serve comm thread panicked");
+            requests += n as u64;
+            batches += 1;
         }
     });
-    done.lookups.requests_served = served.keys;
-    done.lookups.batches_served = served.batches;
-    Ok(done)
+    Ok(RankDone { lookups, correction, requests, batches, snapshot_bytes_read, repair })
 }
 
 #[cfg(test)]
@@ -749,7 +681,8 @@ mod tests {
         assert_eq!(accepted + rejected, reads.len() as u64);
     }
 
-    /// Submitting after shutdown is a typed Closed error, not a hang.
+    /// A missing snapshot fails `start` itself with a typed snapshot
+    /// error, not the first submit.
     #[test]
     fn startup_failure_is_synchronous() {
         let dir =
@@ -762,20 +695,37 @@ mod tests {
         assert!(matches!(err, EngineError::Snapshot(_)), "got {err}");
     }
 
-    /// Serve-incompatible heuristics are rejected up front.
+    /// Serve-incompatible heuristics are rejected up front, each with a
+    /// heuristics error: the read-set heuristics, stealing, hot shards,
+    /// and a memory budget (valid only beside `batch_reads`).
     #[test]
     fn rejects_read_set_heuristics() {
-        for heur in [
-            HeuristicConfig { keep_read_tables: true, ..Default::default() },
-            HeuristicConfig { steal_chunks: true, ..Default::default() },
-            HeuristicConfig { batch_reads: true, ..Default::default() },
-            HeuristicConfig { hot_shard_k: 2, ..Default::default() },
+        let budget = Some(crate::ooc::min_budget(&params()));
+        for (heur, memory_budget) in [
+            (HeuristicConfig { keep_read_tables: true, ..Default::default() }, None),
+            (HeuristicConfig { cache_remote: true, ..Default::default() }, None),
+            (
+                HeuristicConfig {
+                    keep_read_tables: true,
+                    cache_remote: true,
+                    ..Default::default()
+                },
+                None,
+            ),
+            (HeuristicConfig { steal_chunks: true, ..Default::default() }, None),
+            (HeuristicConfig { batch_reads: true, ..Default::default() }, None),
+            (HeuristicConfig { batch_reads: true, ..Default::default() }, budget),
+            (HeuristicConfig { hot_shard_k: 2, ..Default::default() }, None),
         ] {
-            let cfg = EngineConfig { heuristics: heur, ..EngineConfig::new(2, params()) };
-            assert!(matches!(
-                ServeEngine::start(cfg, ServeConfig::default(), dataset(8)),
-                Err(EngineError::Config(ConfigError::Heuristics(_)))
-            ));
+            let cfg =
+                EngineConfig { heuristics: heur, memory_budget, ..EngineConfig::new(2, params()) };
+            let got = ServeEngine::start(cfg, ServeConfig::default(), dataset(8));
+            assert!(
+                matches!(got, Err(EngineError::Config(ConfigError::Heuristics(_)))),
+                "{} budget {memory_budget:?}: {:?}",
+                heur.label(),
+                got.err()
+            );
         }
         let cfg = EngineConfig::new(2, params());
         assert!(ServeEngine::start(cfg, ServeConfig { queue_depth: 0, max_batch: 1 }, dataset(8))

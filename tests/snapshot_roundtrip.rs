@@ -172,40 +172,33 @@ fn loaded_snapshot_composes_with_heuristics() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Both engines bracket snapshot I/O in `snapshot-save` / `snapshot-load`
-/// trace spans and surface per-rank timings in the report.
+/// Both engines time snapshot I/O per rank: every rank of a save run
+/// reports save seconds, every rank of a load run load seconds, and a
+/// plain run neither.
 #[test]
-fn snapshot_runs_carry_trace_spans_and_timings() {
+fn snapshot_runs_carry_timings() {
     let reads = dataset();
     for engine in ENGINES {
-        let dir = tempdir(&format!("trace-{engine}"));
+        let dir = tempdir(&format!("timings-{engine}"));
         let mut save_cfg = cfg_for(engine, 3);
         save_cfg.save_spectrum = Some(dir.clone());
         let saved = run_engine(engine, &save_cfg, &reads).unwrap();
         for r in &saved.report.ranks {
-            let trace = r.trace.as_ref().expect("snapshot runs must carry a trace");
-            assert!(
-                trace.phase_duration_us("snapshot-save").is_some(),
-                "{engine}: rank {} missing snapshot-save span",
-                r.rank
-            );
+            assert!(r.snapshot_save_secs > 0.0, "{engine}: rank {} has no save time", r.rank);
+            assert_eq!(r.snapshot_load_secs, 0.0, "{engine}: rank {} loaded nothing", r.rank);
         }
-        assert!(saved.report.snapshot_save_secs() >= 0.0);
 
         let mut load_cfg = cfg_for(engine, 3);
         load_cfg.load_spectrum = Some(dir.clone());
         let loaded = run_engine(engine, &load_cfg, &reads).unwrap();
         for r in &loaded.report.ranks {
-            let trace = r.trace.as_ref().expect("snapshot runs must carry a trace");
-            assert!(
-                trace.phase_duration_us("snapshot-load").is_some(),
-                "{engine}: rank {} missing snapshot-load span",
-                r.rank
-            );
+            assert!(r.snapshot_load_secs > 0.0, "{engine}: rank {} has no load time", r.rank);
+            assert_eq!(r.snapshot_save_secs, 0.0, "{engine}: rank {} saved nothing", r.rank);
         }
-        // fresh (non-snapshot) runs stay lean: no trace attached
         let plain = run_engine(engine, &cfg_for(engine, 3), &reads).unwrap();
-        assert!(plain.report.ranks.iter().all(|r| r.trace.is_none()), "{engine}");
+        for r in &plain.report.ranks {
+            assert_eq!((r.snapshot_save_secs, r.snapshot_load_secs), (0.0, 0.0), "{engine}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
