@@ -1,14 +1,16 @@
 //! Pipeline-level benchmarks: spectrum construction (sequential vs
-//! distributed), the load-balancing shuffle, full correction, and the
-//! message-passing runtime's collectives.
+//! distributed, and the batched multi-rank build with and without the
+//! double-buffered exchange overlap), the load-balancing shuffle, full
+//! correction, and the message-passing runtime's collectives.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mpisim::Universe;
 use reptile::correct_dataset;
 use reptile::spectrum::LocalSpectra;
+use reptile_bench::build_bench::build_workload;
 use reptile_bench::workloads::{smoke, smoke_params};
 use reptile_dist::balance::shuffle_reads;
-use reptile_dist::spectrum::build_distributed;
+use reptile_dist::spectrum::{build_distributed, build_distributed_serial};
 use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
 
 fn bench_spectrum_build(c: &mut Criterion) {
@@ -29,6 +31,37 @@ fn bench_spectrum_build(c: &mut Criterion) {
                     .map(|(_, r)| r.clone())
                     .collect();
                 build_distributed(comm, &mine, 2000, &p, &HeuristicConfig::base(), 2).1
+            })
+        })
+    });
+    g.finish();
+}
+
+fn bench_batched_overlap(c: &mut Criterion) {
+    let reads = build_workload(6_000, 60, 3);
+    let p = smoke_params();
+    let heur = HeuristicConfig { batch_reads: true, ..Default::default() };
+    let np = 4;
+    let mut g = c.benchmark_group("spectrum_build_np4_batched");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(reads.len() as u64));
+    g.bench_function("serial_blocking", |b| {
+        b.iter(|| {
+            let r = &reads;
+            Universe::new(np).run(|comm| {
+                let n = r.len();
+                let (lo, hi) = (comm.rank() * n / np, (comm.rank() + 1) * n / np);
+                black_box(build_distributed_serial(comm, &r[lo..hi], 500, &p, &heur).1)
+            })
+        })
+    });
+    g.bench_function("pipelined_overlapped_2t", |b| {
+        b.iter(|| {
+            let r = &reads;
+            Universe::new(np).run(|comm| {
+                let n = r.len();
+                let (lo, hi) = (comm.rank() * n / np, (comm.rank() + 1) * n / np);
+                black_box(build_distributed(comm, &r[lo..hi], 500, &p, &heur, 2).1)
             })
         })
     });
@@ -104,5 +137,12 @@ fn bench_collectives(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_spectrum_build, bench_shuffle, bench_correction, bench_collectives);
+criterion_group!(
+    benches,
+    bench_spectrum_build,
+    bench_batched_overlap,
+    bench_shuffle,
+    bench_correction,
+    bench_collectives
+);
 criterion_main!(benches);

@@ -9,8 +9,9 @@
 //! time) with the commodity-cluster cost model: the environment where
 //! remote lookups are dearest and skew hurts most.
 //!
-//! `render_json` emits `BENCH_balance.json`; CI's `balance-floor` step
-//! asserts the two floors:
+//! Its record is written to `BENCH_balance.json` by
+//! `figures -- bench-json`, whose `balance-floor` rows assert the two
+//! floors:
 //!
 //! * **skewed**: adaptive ≥ 1.5× faster than static;
 //! * **uniform**: adaptive within ±5% of static (both the hot-shard gate
@@ -21,6 +22,7 @@
 //! [`balance_pair`]: crate::workloads::balance_pair
 
 use crate::workloads::{balance_pair, smoke_params};
+use crate::{group, Metrics};
 use mpisim::CostModel;
 use reptile_dist::engine_virtual::run_virtual;
 use reptile_dist::{EngineConfig, HeuristicConfig, RunOutput};
@@ -33,7 +35,7 @@ pub const NP: usize = 8;
 pub const HOT_K: usize = 2;
 
 /// One policy × workload cell of the race.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BalanceCell {
     /// Modeled end-to-end makespan, seconds.
     pub makespan_secs: f64,
@@ -47,8 +49,9 @@ pub struct BalanceCell {
     pub straggler_spread: f64,
 }
 
-/// The full static-vs-adaptive race result, rendered by [`render_json`].
-#[derive(Clone, Copy, Debug)]
+/// The full static-vs-adaptive race result; [`BalanceBenchReport::metrics`]
+/// is its record.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BalanceBenchReport {
     /// Reads in each workload.
     pub reads: usize,
@@ -84,6 +87,41 @@ impl BalanceBenchReport {
             return 0.0;
         }
         1.0 - self.skewed_adaptive.remote_lookups as f64 / s as f64
+    }
+
+    /// The `BENCH_balance.json` record.
+    pub fn metrics(&self) -> Metrics {
+        let cell = |name: &str, c: &BalanceCell| {
+            group(
+                name,
+                &[
+                    ("makespan_secs", c.makespan_secs),
+                    ("remote_lookups", c.remote_lookups as f64),
+                    ("hot_shard_hits", c.hot_shard_hits as f64),
+                    ("chunks_stolen", c.chunks_stolen as f64),
+                    ("straggler_spread", c.straggler_spread),
+                ],
+            )
+        };
+        [
+            group(
+                "workload",
+                &[("reads", self.reads as f64), ("np", NP as f64), ("hot_k", HOT_K as f64)],
+            ),
+            cell("skewed.static", &self.skewed_static),
+            cell("skewed.adaptive", &self.skewed_adaptive),
+            cell("uniform.static", &self.uniform_static),
+            cell("uniform.adaptive", &self.uniform_adaptive),
+            group(
+                "ratios",
+                &[
+                    ("skewed_speedup", self.skewed_speedup()),
+                    ("uniform_ratio", self.uniform_ratio()),
+                    ("remote_reduction", self.remote_reduction()),
+                ],
+            ),
+        ]
+        .concat()
     }
 }
 
@@ -128,38 +166,6 @@ pub fn run() -> BalanceBenchReport {
     }
 }
 
-/// Render the `BENCH_balance.json` snapshot.
-pub fn render_json(r: &BalanceBenchReport) -> String {
-    let cell = |c: &BalanceCell| {
-        format!(
-            "{{\"makespan_secs\": {:.6}, \"remote_lookups\": {}, \"hot_shard_hits\": {}, \
-             \"chunks_stolen\": {}, \"straggler_spread\": {:.4}}}",
-            c.makespan_secs,
-            c.remote_lookups,
-            c.hot_shard_hits,
-            c.chunks_stolen,
-            c.straggler_spread
-        )
-    };
-    format!(
-        "{{\n  \"workload\": {{\"reads\": {}, \"np\": {}, \"hot_k\": {}}},\n  \
-         \"skewed\": {{\"static\": {}, \"adaptive\": {}}},\n  \
-         \"uniform\": {{\"static\": {}, \"adaptive\": {}}},\n  \
-         \"ratios\": {{\"skewed_speedup\": {:.3}, \"uniform_ratio\": {:.3}, \
-         \"remote_reduction\": {:.3}}}\n}}\n",
-        r.reads,
-        NP,
-        HOT_K,
-        cell(&r.skewed_static),
-        cell(&r.skewed_adaptive),
-        cell(&r.uniform_static),
-        cell(&r.uniform_adaptive),
-        r.skewed_speedup(),
-        r.uniform_ratio(),
-        r.remote_reduction()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,20 +179,17 @@ mod tests {
         let r = run();
         assert!(
             r.skewed_speedup() >= 1.5,
-            "adaptive speedup on skew {:.3}x below the 1.5x floor\n{}",
-            r.skewed_speedup(),
-            render_json(&r)
+            "adaptive speedup on skew {:.3}x below the 1.5x floor\n{r:?}",
+            r.skewed_speedup()
         );
         assert!(
             (0.95..=1.05).contains(&r.uniform_ratio()),
-            "adaptive makespan on uniform drifted {:.3}x from static\n{}",
-            r.uniform_ratio(),
-            render_json(&r)
+            "adaptive makespan on uniform drifted {:.3}x from static\n{r:?}",
+            r.uniform_ratio()
         );
         assert!(
             r.remote_reduction() > 0.0,
-            "hot-shard replication removed no remote lookups\n{}",
-            render_json(&r)
+            "hot-shard replication removed no remote lookups\n{r:?}"
         );
         // the mechanisms must both engage on the skewed workload…
         assert!(r.skewed_adaptive.hot_shard_hits > 0, "hot shards never hit");
@@ -196,16 +199,5 @@ mod tests {
         assert_eq!(r.uniform_adaptive.chunks_stolen, 0, "uniform workload tripped the steal gate");
         // stealing must level the stragglers, not merely shift them
         assert!(r.skewed_adaptive.straggler_spread < r.skewed_static.straggler_spread);
-    }
-
-    #[test]
-    fn json_snapshot_is_well_formed() {
-        let r = run();
-        let json = render_json(&r);
-        assert!(json.contains("\"skewed_speedup\""));
-        assert!(json.contains("\"uniform_ratio\""));
-        assert!(json.contains("\"remote_reduction\""));
-        assert!(json.contains("\"chunks_stolen\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -1,292 +1,83 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's tables and figures, or measure the floors.
 //!
 //! ```text
 //! cargo run -p reptile-bench --release --bin figures -- all
 //! cargo run -p reptile-bench --release --bin figures -- table1 fig4 fig6
+//! cargo run -p reptile-bench --release --bin figures -- bench-json
 //! ```
 //!
 //! Output: the same rows/series the paper reports, with modeled BG/Q
 //! times extrapolated to paper scale (see DESIGN.md §6; absolute numbers
-//! are calibrated loosely, shapes are the claim).
+//! are calibrated loosely, shapes are the claim). `bench-json` is not
+//! part of `all`: it runs the measured benches, writes their
+//! `BENCH_*.json` records to the working directory, checks every floor
+//! row against them and exits 1 naming each row that failed.
 
+use reptile::ReptileParams;
 use reptile_bench::figures::*;
 use reptile_bench::workloads::*;
+use reptile_bench::{check_floors, render_json, BENCHES};
+
+/// A paper table or figure: its item name and how to render it.
+type Figure = (&'static str, fn(ReptileParams) -> String);
+
+/// Every paper table and figure, in the order `all` prints them.
+const FIGURES: &[Figure] = &[
+    ("table1", |_| table1()),
+    ("fig2", |p| render_fig2(&fig2(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("fig3", |p| render_fig3(&fig3(&ecoli_scaled(), p))),
+    ("fig4", |p| render_fig4(&fig4(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("fig5", |p| render_fig5(&fig5(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("fig6", |p| render_scaling(&fig6(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("fig7", |p| render_scaling(&fig7(&drosophila_scaled(), p, DROSOPHILA_DIVISOR))),
+    ("fig8", |p| render_scaling(&fig8(&human_scaled(), p, HUMAN_DIVISOR))),
+    ("partial", |p| render_partial(&partial_sweep(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("ablation-chunk", |p| render_chunk(&ablation_chunk(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("ablation-q", |p| render_quality(&ablation_quality(&ecoli_scaled(), p))),
+    ("ablation-balance", |_| render_balance(&ablation_balance())),
+    ("baseline", |p| render_baseline(&baseline_comparison(&ecoli_scaled(), p))),
+    ("prior-art", |p| render_prior_art(&prior_art_comparison(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+    ("latency", |p| render_latency(&latency_sweep(&ecoli_scaled(), p, ECOLI_DIVISOR))),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "partial",
-            "ablation-chunk",
-            "ablation-q",
-            "ablation-balance",
-            "baseline",
-            "prior-art",
-            "latency",
-        ]
+        FIGURES.iter().map(|&(name, _)| name).collect()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
     let params = figure_params();
     for item in wanted {
-        match item {
-            "table1" => println!("{}", table1()),
-            "fig2" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_fig2(&fig2(&ds, params, ECOLI_DIVISOR)));
-            }
-            "fig3" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_fig3(&fig3(&ds, params)));
-            }
-            "fig4" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_fig4(&fig4(&ds, params, ECOLI_DIVISOR)));
-            }
-            "fig5" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_fig5(&fig5(&ds, params, ECOLI_DIVISOR)));
-            }
-            "fig6" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_scaling(&fig6(&ds, params, ECOLI_DIVISOR)));
-            }
-            "fig7" => {
-                let ds = drosophila_scaled();
-                println!("{}", render_scaling(&fig7(&ds, params, DROSOPHILA_DIVISOR)));
-            }
-            "fig8" => {
-                let ds = human_scaled();
-                println!("{}", render_scaling(&fig8(&ds, params, HUMAN_DIVISOR)));
-            }
-            "partial" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_partial(&partial_sweep(&ds, params, ECOLI_DIVISOR)));
-            }
-            "ablation-chunk" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_chunk(&ablation_chunk(&ds, params, ECOLI_DIVISOR)));
-            }
-            "ablation-q" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_quality(&ablation_quality(&ds, params)));
-            }
-            "ablation-balance" => println!("{}", render_balance(&ablation_balance())),
-            "baseline" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_baseline(&baseline_comparison(&ds, params)));
-            }
-            "prior-art" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_prior_art(&prior_art_comparison(&ds, params, ECOLI_DIVISOR)));
-            }
-            "latency" => {
-                let ds = ecoli_scaled();
-                println!("{}", render_latency(&latency_sweep(&ds, params, ECOLI_DIVISOR)));
-            }
-            // Not part of `all`: writes BENCH_spectrum.json,
-            // BENCH_build.json and BENCH_snapshot.json instead of
-            // printing a paper table (CI runs it explicitly).
-            "bench-json" => {
-                let report = reptile_bench::spectrum_bench::run(200_000);
-                let json = reptile_bench::spectrum_bench::render_json(&report);
-                std::fs::write("BENCH_spectrum.json", &json).expect("write BENCH_spectrum.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_spectrum.json");
-                let build = reptile_bench::build_bench::run(20_000);
-                let json = reptile_bench::build_bench::render_json(&build);
-                std::fs::write("BENCH_build.json", &json).expect("write BENCH_build.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_build.json");
-                let snap = reptile_bench::snapshot_bench::run(20_000);
-                let json = reptile_bench::snapshot_bench::render_json(&snap);
-                std::fs::write("BENCH_snapshot.json", &json).expect("write BENCH_snapshot.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_snapshot.json");
-                let bal = reptile_bench::balance_bench::run();
-                let json = reptile_bench::balance_bench::render_json(&bal);
-                std::fs::write("BENCH_balance.json", &json).expect("write BENCH_balance.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_balance.json");
-                let serve = reptile_bench::serve_bench::run(1_050_000, 24, 100);
-                let json = reptile_bench::serve_bench::render_json(&serve);
-                std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_serve.json");
-                let ooc = reptile_bench::ooc_bench::run(20_000);
-                let json = reptile_bench::ooc_bench::render_json(&ooc);
-                std::fs::write("BENCH_ooc.json", &json).expect("write BENCH_ooc.json");
-                print!("{json}");
-                eprintln!("wrote BENCH_ooc.json");
-            }
-            // Not part of `all`: gates CI on the measured perf floors
-            // recorded by `bench-json` (run that first in the same
-            // working directory).
-            "perf-floor" => {
-                let build = std::fs::read_to_string("BENCH_build.json")
-                    .expect("read BENCH_build.json (run `figures -- bench-json` first)");
-                let spectrum = std::fs::read_to_string("BENCH_spectrum.json")
-                    .expect("read BENCH_spectrum.json (run `figures -- bench-json` first)");
-                let speedup = scrape_number(&build, "speedup_4t_measured")
-                    .expect("speedup_4t_measured in BENCH_build.json");
-                // Both engines report bulk_ns_per_key; the floor is on
-                // the flat table's line only.
-                let flat_line = spectrum
-                    .lines()
-                    .find(|l| l.contains("\"flat\""))
-                    .expect("flat entry in BENCH_spectrum.json");
-                let bulk = scrape_number(flat_line, "bulk_ns_per_key")
-                    .expect("bulk_ns_per_key in BENCH_spectrum.json flat entry");
-                let mut ok = true;
-                println!("perf-floor: measured 4-worker build speedup {speedup:.2} (floor 3.00)");
-                ok &= speedup >= 3.0;
-                println!("perf-floor: flat-table bulk load {bulk:.1} ns/key (ceiling 30.0)");
-                ok &= bulk <= 30.0;
-                if !ok {
-                    eprintln!("perf-floor: FAILED");
-                    std::process::exit(1);
-                }
-                println!("perf-floor: OK");
-            }
-            // Not part of `all`: gates CI on the adaptive-balancing
-            // floors recorded by `bench-json` in BENCH_balance.json.
-            "balance-floor" => {
-                let bal = std::fs::read_to_string("BENCH_balance.json")
-                    .expect("read BENCH_balance.json (run `figures -- bench-json` first)");
-                let speedup = scrape_number(&bal, "skewed_speedup")
-                    .expect("skewed_speedup in BENCH_balance.json");
-                let ratio = scrape_number(&bal, "uniform_ratio")
-                    .expect("uniform_ratio in BENCH_balance.json");
-                let reduction = scrape_number(&bal, "remote_reduction")
-                    .expect("remote_reduction in BENCH_balance.json");
-                let mut ok = true;
-                println!("balance-floor: adaptive speedup on skew {speedup:.3}x (floor 1.50)");
-                ok &= speedup >= 1.5;
-                println!("balance-floor: uniform adaptive/static ratio {ratio:.3} (0.95..=1.05)");
-                ok &= (0.95..=1.05).contains(&ratio);
-                println!("balance-floor: remote-lookup reduction on skew {reduction:.3} (> 0)");
-                ok &= reduction > 0.0;
-                if !ok {
-                    eprintln!("balance-floor: FAILED");
-                    std::process::exit(1);
-                }
-                println!("balance-floor: OK");
-            }
-            // Not part of `all`: gates CI on the serve-plane floors
-            // recorded by `bench-json` in BENCH_serve.json.
-            "serve-floor" => {
-                let serve = std::fs::read_to_string("BENCH_serve.json")
-                    .expect("read BENCH_serve.json (run `figures -- bench-json` first)");
-                let speedup = scrape_number(&serve, "speedup_vs_batch")
-                    .expect("speedup_vs_batch in BENCH_serve.json");
-                let total = scrape_number(&serve, "requests_total")
-                    .expect("requests_total in BENCH_serve.json");
-                let mid_p99 =
-                    scrape_number(&serve, "mid_p99_ms").expect("mid_p99_ms in BENCH_serve.json");
-                let rejected = scrape_number(&serve, "overload_rejected")
-                    .expect("overload_rejected in BENCH_serve.json");
-                let mut ok = true;
-                println!("serve-floor: persistent-engine speedup {speedup:.3}x (floor 2.00)");
-                ok &= speedup >= 2.0;
-                println!("serve-floor: total requests {total:.0} (floor 1,000,000)");
-                ok &= total >= 1_000_000.0;
-                println!("serve-floor: mid-load p99 {mid_p99:.3} ms (ceiling 600.0)");
-                ok &= mid_p99 <= 600.0;
-                println!("serve-floor: overload rejections {rejected:.0} (> 0)");
-                ok &= rejected > 0.0;
-                if !ok {
-                    eprintln!("serve-floor: FAILED");
-                    std::process::exit(1);
-                }
-                println!("serve-floor: OK");
-            }
-            // Not part of `all`: gates CI on the erasure-coded snapshot
-            // floors recorded by `bench-json` in BENCH_snapshot.json —
-            // repairing a lost shard must stay well ahead of rebuilding
-            // the spectra from reads, and the parity bytes must stay a
-            // small tax on the snapshot.
-            "repair-floor" => {
-                let snap = std::fs::read_to_string("BENCH_snapshot.json")
-                    .expect("read BENCH_snapshot.json (run `figures -- bench-json` first)");
-                let speedup = scrape_number(&snap, "repair_speedup")
-                    .expect("repair_speedup in BENCH_snapshot.json");
-                let overhead = scrape_number(&snap, "parity_overhead")
-                    .expect("parity_overhead in BENCH_snapshot.json");
-                let repaired = scrape_number(&snap, "repaired_bytes")
-                    .expect("repaired_bytes in BENCH_snapshot.json");
-                let mut ok = true;
-                println!("repair-floor: repairing load vs rebuild {speedup:.2}x (floor 2.00)");
-                ok &= speedup >= 2.0;
-                println!("repair-floor: parity byte overhead {overhead:.4} (ceiling 0.15)");
-                ok &= overhead <= 0.15;
-                println!("repair-floor: bytes reconstructed {repaired:.0} (> 0)");
-                ok &= repaired > 0.0;
-                if !ok {
-                    eprintln!("repair-floor: FAILED");
-                    std::process::exit(1);
-                }
-                println!("repair-floor: OK");
-            }
-            // Not part of `all`: gates CI on the out-of-core build
-            // contract recorded by `bench-json` in BENCH_ooc.json — the
-            // accounted peak must honor the budget, the spilled build
-            // must match the in-memory output, and the time tax must
-            // stay bounded.
-            "ooc-floor" => {
-                let ooc = std::fs::read_to_string("BENCH_ooc.json")
-                    .expect("read BENCH_ooc.json (run `figures -- bench-json` first)");
-                let budget =
-                    scrape_number(&ooc, "budget_bytes").expect("budget_bytes in BENCH_ooc.json");
-                let peak = scrape_number(&ooc, "peak_accounted_bytes")
-                    .expect("peak_accounted_bytes in BENCH_ooc.json");
-                let slowdown =
-                    scrape_number(&ooc, "ooc_slowdown").expect("ooc_slowdown in BENCH_ooc.json");
-                let runs = scrape_number(&ooc, "runs").expect("spill runs in BENCH_ooc.json");
-                let identical = scrape_number(&ooc, "output_identical")
-                    .expect("output_identical in BENCH_ooc.json");
-                let mut ok = true;
-                println!("ooc-floor: peak accounted bytes {peak:.0} (budget {budget:.0})");
-                ok &= peak <= budget;
-                println!("ooc-floor: spill runs written {runs:.0} (> 0)");
-                ok &= runs > 0.0;
-                println!("ooc-floor: ooc/in-memory build time {slowdown:.3}x (ceiling 2.50)");
-                ok &= slowdown <= 2.5;
-                println!("ooc-floor: output identical {identical:.0} (must be 1)");
-                ok &= identical == 1.0;
-                if !ok {
-                    eprintln!("ooc-floor: FAILED");
-                    std::process::exit(1);
-                }
-                println!("ooc-floor: OK");
-            }
-            other => {
-                eprintln!(
-                    "unknown item '{other}' (expected table1, fig2..fig8, bench-json, \
-                     perf-floor, balance-floor, serve-floor, repair-floor, ooc-floor, all)"
-                );
-                std::process::exit(2);
-            }
+        if item == "bench-json" {
+            bench_json();
+        } else if let Some((_, figure)) = FIGURES.iter().find(|&&(name, _)| name == item) {
+            println!("{}", figure(params));
+        } else {
+            let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
+            eprintln!("unknown item '{item}' (expected {}, bench-json, all)", names.join(", "));
+            std::process::exit(2);
         }
     }
 }
 
-/// Pull the numeric value of `"key": <number>` out of hand-rendered
-/// JSON. The BENCH files are concatenations of small documents, so a
-/// full parser buys nothing over scanning for the field.
-fn scrape_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Measure every bench, write its `BENCH_*.json`, then check every
+/// floor row against the same records.
+fn bench_json() {
+    let mut records = Vec::new();
+    for &(file, measure) in BENCHES {
+        let record = measure();
+        let json = render_json(&record);
+        std::fs::write(file, &json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        print!("{json}");
+        eprintln!("wrote {file}");
+        records.push((file, record));
+    }
+    let (lines, failed) = check_floors(&records);
+    print!("{lines}");
+    if !failed.is_empty() {
+        eprintln!("bench-json: {} floor rows FAILED: {}", failed.len(), failed.join(", "));
+        std::process::exit(1);
+    }
+    println!("bench-json: all floor rows OK");
 }

@@ -1,10 +1,9 @@
 //! Spectrum-construction race: the serial reference builder vs the
 //! pipelined fused-scan builder, measured at the phase's real operating
-//! point and rendered to a `BENCH_build.json` snapshot
-//! (`figures -- bench-json`) tracked as a CI artifact next to
-//! `BENCH_spectrum.json`.
+//! point; its record is written to `BENCH_build.json` by
+//! `figures -- bench-json`.
 //!
-//! Two claims feed the snapshot:
+//! Two claims feed the record:
 //!
 //! 1. **single-rank build throughput** — the fused scan (one rolling
 //!    pass deriving each tile from its two k-mer codes) plus
@@ -12,15 +11,16 @@
 //!    table load replace the serial path's per-occurrence hash insert
 //!    and build-then-prune rebuild; keys/sec for the serial builder and
 //!    the pipelined builder at 1 and 4 extraction workers. The measured
-//!    4-worker speedup is a **CI floor** (release builds): ≥ 3× over
-//!    the serial reference on this workload, single-thread efficiency
-//!    alone — no core-count excuse.
+//!    4-worker speedup `ratios.speedup_4t_measured` is a **CI floor**
+//!    (the `perf-floor` row): ≥ 3× over the serial reference on this
+//!    workload, single-thread efficiency alone — no core-count excuse.
 //! 2. **exchanged bytes** — with pre-aggregation only *distinct*
 //!    `(key, count)` pairs cross the wire. The reduction vs shipping raw
 //!    occurrences is deterministic (a property of the workload, not the
 //!    clock), so it is asserted in CI unconditionally.
 
 use crate::workloads::{smoke_params, SEED};
+use crate::{group, time_ns_per_op, Metrics};
 use dnaseq::{mix64, Read};
 use mpisim::Universe;
 use reptile::ReptileParams;
@@ -28,10 +28,9 @@ use reptile_dist::engine_virtual::run_virtual;
 use reptile_dist::spectrum::{build_distributed, build_distributed_serial, BuildStats};
 use reptile_dist::EngineConfig;
 use reptile_dist::HeuristicConfig;
-use std::time::Instant;
 
 /// One builder's measurements at a fixed workload.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BuildNumbers {
     /// Wall ns per extracted key occurrence (k-mers + tiles).
     pub ns_per_key: f64,
@@ -39,8 +38,8 @@ pub struct BuildNumbers {
     pub keys_per_sec: f64,
 }
 
-/// The race result, rendered by [`render_json`].
-#[derive(Clone, Copy, Debug)]
+/// The race result; [`BuildBenchReport::metrics`] is its record.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BuildBenchReport {
     /// Reads in the workload.
     pub reads: usize,
@@ -78,6 +77,39 @@ impl BuildBenchReport {
     pub fn exchange_reduction(&self) -> f64 {
         self.exchange_occurrence_bytes as f64 / self.exchange_shipped_bytes.max(1) as f64
     }
+
+    /// The `BENCH_build.json` record.
+    pub fn metrics(&self) -> Metrics {
+        let builder = |name: &str, n: &BuildNumbers| {
+            group(name, &[("ns_per_key", n.ns_per_key), ("keys_per_sec", n.keys_per_sec)])
+        };
+        [
+            group(
+                "workload",
+                &[("reads", self.reads as f64), ("key_occurrences", self.key_occurrences as f64)],
+            ),
+            builder("serial", &self.serial),
+            builder("pipelined_1t", &self.pipelined_1t),
+            builder("pipelined_4t", &self.pipelined_4t),
+            group(
+                "exchange",
+                &[
+                    ("occurrence_bytes", self.exchange_occurrence_bytes as f64),
+                    ("shipped_bytes", self.exchange_shipped_bytes as f64),
+                    ("reduction", self.exchange_reduction()),
+                ],
+            ),
+            group("ratios", &[("speedup_4t_measured", self.speedup_4t())]),
+            group(
+                "modeled",
+                &[
+                    ("speedup_4t", self.modeled_speedup_4t),
+                    ("overlap_fraction_np4", self.modeled_overlap_fraction),
+                ],
+            ),
+        ]
+        .concat()
+    }
 }
 
 /// Deterministic spectrum-build workload: groups of `dup` copies of
@@ -94,17 +126,6 @@ pub fn build_workload(n_reads: usize, read_len: usize, dup: usize) -> Vec<Read> 
         reads.push(Read::new(i as u64 + 1, seq, vec![30; read_len]));
     }
     reads
-}
-
-/// Best-of-`reps` wall time of `f`, in ns per `ops` operations.
-fn time_ns_per_op<R>(reps: usize, ops: u64, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_nanos() as f64);
-    }
-    best / ops.max(1) as f64
 }
 
 fn single_rank_stats(
@@ -137,16 +158,14 @@ pub fn run(n_reads: usize) -> BuildBenchReport {
     // measure once
     let probe = single_rank_stats(&reads, chunk, &params, Some(1));
     let key_occurrences = probe.kmers_extracted + probe.tiles_extracted;
+    let ops = key_occurrences as usize;
 
     let reads_ref = &reads;
-    let serial_ns =
-        time_ns_per_op(3, key_occurrences, || single_rank_stats(reads_ref, chunk, &params, None));
-    let piped1_ns = time_ns_per_op(3, key_occurrences, || {
-        single_rank_stats(reads_ref, chunk, &params, Some(1))
-    });
-    let piped4_ns = time_ns_per_op(3, key_occurrences, || {
-        single_rank_stats(reads_ref, chunk, &params, Some(4))
-    });
+    let serial_ns = time_ns_per_op(3, ops, || single_rank_stats(reads_ref, chunk, &params, None));
+    let piped1_ns =
+        time_ns_per_op(3, ops, || single_rank_stats(reads_ref, chunk, &params, Some(1)));
+    let piped4_ns =
+        time_ns_per_op(3, ops, || single_rank_stats(reads_ref, chunk, &params, Some(4)));
 
     // --- exchange volume at np=4, batch mode (deterministic) ---
     // block partition: duplicate templates are adjacent, so keeping them
@@ -201,33 +220,6 @@ pub fn run(n_reads: usize) -> BuildBenchReport {
     }
 }
 
-fn numbers_json(n: &BuildNumbers) -> String {
-    format!("{{\"ns_per_key\": {:.2}, \"keys_per_sec\": {:.0}}}", n.ns_per_key, n.keys_per_sec)
-}
-
-/// Render the `BENCH_build.json` snapshot.
-pub fn render_json(r: &BuildBenchReport) -> String {
-    format!(
-        "{{\n  \"workload\": {{\"reads\": {}, \"key_occurrences\": {}}},\n  \
-         \"serial\": {},\n  \"pipelined_1t\": {},\n  \"pipelined_4t\": {},\n  \
-         \"exchange\": {{\"occurrence_bytes\": {}, \"shipped_bytes\": {}, \
-         \"reduction\": {:.2}}},\n  \
-         \"ratios\": {{\"speedup_4t_measured\": {:.2}}},\n  \
-         \"modeled\": {{\"speedup_4t\": {:.2}, \"overlap_fraction_np4\": {:.3}}}\n}}\n",
-        r.reads,
-        r.key_occurrences,
-        numbers_json(&r.serial),
-        numbers_json(&r.pipelined_1t),
-        numbers_json(&r.pipelined_4t),
-        r.exchange_occurrence_bytes,
-        r.exchange_shipped_bytes,
-        r.exchange_reduction(),
-        r.speedup_4t(),
-        r.modeled_speedup_4t,
-        r.modeled_overlap_fraction
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +227,8 @@ mod tests {
     /// The deterministic acceptance criterion: pre-aggregation must ship
     /// strictly fewer bytes than the raw occurrence stream would (the
     /// workload has 3x duplicate templates, so there is real dedup to
-    /// find). Latency ratios are reported in the JSON, not asserted —
-    /// same policy as `spectrum_bench`.
+    /// find). Latency ratios are held by the floor table, not asserted
+    /// here — same policy as `spectrum_bench`.
     #[test]
     fn preaggregation_reduces_exchanged_bytes() {
         let r = run(1_200);
@@ -251,9 +243,9 @@ mod tests {
         assert!(r.exchange_reduction() > 1.0);
     }
 
-    /// The modeled numbers stay in the snapshot (they project what real
-    /// cores deliver) and stay sane — but they are no longer the
-    /// headline assert; the measured floor below is.
+    /// The modeled numbers stay in the record (they project what real
+    /// cores deliver) and stay sane — but they are not the headline
+    /// assert; the measured `perf-floor` row is.
     #[test]
     fn modeled_four_workers_at_least_double_throughput() {
         let r = run(1_200);
@@ -264,38 +256,6 @@ mod tests {
         );
         assert!(r.modeled_overlap_fraction > 0.0);
         assert!(r.modeled_overlap_fraction < 1.0);
-    }
-
-    /// The measured acceptance floor: the pipelined 4-worker build must
-    /// beat the serial reference ≥ 3× on this host, wall-clock — the
-    /// ratio the JSON snapshot reports as `speedup_4t_measured`. The
-    /// gain comes from single-thread efficiency (adaptive counting, no
-    /// per-occurrence hash probe, survivors-only bulk load), so a
-    /// 1-core CI host can certify it. Release builds only: debug-build
-    /// timings measure the compiler, not the code.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn measured_four_worker_speedup_at_least_3x() {
-        let r = run(12_000);
-        assert!(
-            r.speedup_4t() >= 3.0,
-            "measured 4-worker speedup {:.2} < 3x (serial {:.1} ns/key, pipelined {:.1} ns/key)",
-            r.speedup_4t(),
-            r.serial.ns_per_key,
-            r.pipelined_4t.ns_per_key
-        );
-    }
-
-    #[test]
-    fn json_snapshot_is_well_formed() {
-        let r = run(600);
-        let json = render_json(&r);
-        assert!(json.contains("\"speedup_4t_measured\""));
-        assert!(json.contains("\"modeled\""));
-        assert!(json.contains("\"serial\""));
-        assert!(json.contains("\"pipelined_4t\""));
-        assert!(json.contains("\"reduction\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

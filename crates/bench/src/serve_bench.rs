@@ -20,10 +20,11 @@
 //! The request stream is a 75/25 mix of two read lengths drawn from the
 //! same genome the spectrum was built on (one snapshot serves both),
 //! which is what a correction service sees: one reference spectrum,
-//! heterogeneous incoming read batches. `figures -- bench-json` renders
-//! the result as `BENCH_serve.json`; `figures -- serve-floor` gates CI
-//! on the recorded floors.
+//! heterogeneous incoming read batches. `figures -- bench-json` writes
+//! the record to `BENCH_serve.json` and gates it with the `serve-floor`
+//! rows.
 
+use crate::{group, scratch_dir, Metrics};
 use dnaseq::Read;
 use genio::dataset::DatasetProfile;
 use genio::{MixComponent, OpenLoopGen, RequestMix};
@@ -33,7 +34,6 @@ use reptile_dist::{
     try_run_distributed, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse,
     SubmitError,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Rank count for every serve measurement (large enough that most
@@ -45,7 +45,7 @@ pub const NP: usize = 4;
 pub const SEED: u64 = 0x5EED_5E12;
 
 /// One offered-load point of the open-loop sweep.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LoadPoint {
     /// Offered load as a fraction of the calibrated capacity.
     pub fraction: f64,
@@ -73,8 +73,8 @@ pub struct LoadPoint {
     pub max_queue: usize,
 }
 
-/// The full benchmark result, rendered by [`render_json`].
-#[derive(Clone, Debug)]
+/// The full benchmark result; [`ServeBenchReport::metrics`] is its record.
+#[derive(Clone, Debug, Default)]
 pub struct ServeBenchReport {
     /// Ranks in the service.
     pub np: usize,
@@ -102,17 +102,67 @@ pub struct ServeBenchReport {
 }
 
 impl ServeBenchReport {
-    /// The point nearest the middle of the sweep (used for the CI p99
-    /// ceiling — below saturation, so the number is a service-time
-    /// statement, not a queue-depth one).
-    pub fn mid_point(&self) -> &LoadPoint {
-        &self.points[self.points.len() / 2]
-    }
-
     /// Rejections at the highest offered load (the backpressure-engages
     /// assertion: past saturation an open-loop source must see drops).
     pub fn overload_rejected(&self) -> u64 {
         self.points.last().map(|p| p.rejected).unwrap_or(0)
+    }
+
+    /// The `BENCH_serve.json` record. Each sweep point is named by its
+    /// fraction of capacity (`open_loop.0.50.p99_ms`); `floors.mid_p99_ms`
+    /// is the middle point's p99, below saturation, so the CI ceiling on
+    /// it is a service-time statement, not a queue-depth one.
+    pub fn metrics(&self) -> Metrics {
+        let mid_p99 = self.points.get(self.points.len() / 2).map_or(f64::NAN, |p| p.p99_ms);
+        let mut m = [
+            group(
+                "workload",
+                &[
+                    ("np", self.np as f64),
+                    ("spectrum_reads", self.spectrum_reads as f64),
+                    ("snapshot_bytes", self.snapshot_bytes as f64),
+                    ("jobs", self.jobs as f64),
+                    ("job_reads", self.job_reads as f64),
+                ],
+            ),
+            group(
+                "closed_loop",
+                &[
+                    ("batch_secs", self.batch_secs),
+                    ("serve_secs", self.serve_secs),
+                    ("capacity_rps", self.capacity_rps),
+                    ("speedup_vs_batch", self.speedup),
+                ],
+            ),
+        ]
+        .concat();
+        for p in &self.points {
+            m.extend(group(
+                &format!("open_loop.{:.2}", p.fraction),
+                &[
+                    ("offered_rps", p.offered_rps),
+                    ("submitted", p.submitted as f64),
+                    ("completed", p.completed as f64),
+                    ("rejected", p.rejected as f64),
+                    ("achieved_rps", p.achieved_rps),
+                    ("mean_batch", p.mean_batch),
+                    ("p50_ms", p.p50_ms),
+                    ("p95_ms", p.p95_ms),
+                    ("p99_ms", p.p99_ms),
+                    ("p999_ms", p.p999_ms),
+                    ("max_queue", p.max_queue as f64),
+                ],
+            ));
+        }
+        m.extend(group(
+            "floors",
+            &[
+                ("requests_total", self.total_requests as f64),
+                ("mid_p99_ms", mid_p99),
+                ("overload_rejected", self.overload_rejected() as f64),
+            ],
+        ));
+        m
     }
 }
 
@@ -159,15 +209,6 @@ fn request_mix(genome_len: usize, pool_reads: usize) -> RequestMix {
         MixComponent { weight: 3.0, reads: request_pool(pool_reads, genome_len, 60, 0.003) },
         MixComponent { weight: 1.0, reads: request_pool(pool_reads / 2, genome_len, 100, 0.008) },
     ])
-}
-
-fn scratch_dir() -> std::path::PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "reptile-serve-bench-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
 }
 
 fn engine_config(snapshot: &std::path::Path) -> EngineConfig {
@@ -343,7 +384,7 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
     // --- one spectrum, persisted once ---
     let spectrum = spectrum_profile(spectrum_reads, genome_len).generate(SEED).reads;
     let built = LocalSpectra::build(&spectrum, &p);
-    let dir = scratch_dir();
+    let dir = scratch_dir("serve-bench");
     let per_rank =
         save_snapshot_serial(&dir, &p, NP, 0, &built.kmers, &built.tiles).expect("save snapshot");
     let snapshot_bytes: u64 = per_rank.iter().sum();
@@ -427,57 +468,6 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
     }
 }
 
-/// Render the `BENCH_serve.json` snapshot.
-pub fn render_json(r: &ServeBenchReport) -> String {
-    let mut points = String::new();
-    for (i, p) in r.points.iter().enumerate() {
-        if i > 0 {
-            points.push_str(",\n");
-        }
-        points.push_str(&format!(
-            "    {{\"fraction\": {:.2}, \"offered_rps\": {:.0}, \"submitted\": {}, \
-             \"completed\": {}, \"rejected\": {}, \"achieved_rps\": {:.0}, \
-             \"mean_batch\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"max_queue\": {}}}",
-            p.fraction,
-            p.offered_rps,
-            p.submitted,
-            p.completed,
-            p.rejected,
-            p.achieved_rps,
-            p.mean_batch,
-            p.p50_ms,
-            p.p95_ms,
-            p.p99_ms,
-            p.p999_ms,
-            p.max_queue,
-        ));
-    }
-    let mid = r.mid_point();
-    format!(
-        "{{\n  \"workload\": {{\"np\": {}, \"spectrum_reads\": {}, \"snapshot_bytes\": {}, \
-         \"jobs\": {}, \"job_reads\": {}}},\n  \
-         \"closed_loop\": {{\"batch_secs\": {:.3}, \"serve_secs\": {:.3}, \
-         \"capacity_rps\": {:.0}, \"speedup_vs_batch\": {:.3}}},\n  \
-         \"open_loop\": [\n{}\n  ],\n  \
-         \"floors\": {{\"requests_total\": {}, \"mid_p99_ms\": {:.3}, \
-         \"overload_rejected\": {}}}\n}}\n",
-        r.np,
-        r.spectrum_reads,
-        r.snapshot_bytes,
-        r.jobs,
-        r.job_reads,
-        r.batch_secs,
-        r.serve_secs,
-        r.capacity_rps,
-        r.speedup,
-        points,
-        r.total_requests,
-        mid.p99_ms,
-        r.overload_rejected(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,7 +481,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "wait-heavy serve benchmark: run with --release")]
     fn serve_beats_batch_loop_and_backpressure_engages() {
         let r = run(9_000, 6, 150);
-        eprintln!("serve bench:\n{}", render_json(&r));
+        eprintln!("serve bench:\n{}", crate::render_json(&r.metrics()));
         assert!(
             r.speedup > 1.0,
             "persistent serve ({:.3}s) must beat the per-job batch loop ({:.3}s)",
@@ -510,18 +500,5 @@ mod tests {
             r.overload_rejected()
         );
         assert!(r.total_requests >= 9_000);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "wait-heavy serve benchmark: run with --release")]
-    fn json_snapshot_is_well_formed() {
-        let r = run(3_000, 3, 200);
-        let json = render_json(&r);
-        for key in
-            ["speedup_vs_batch", "capacity_rps", "p999_ms", "requests_total", "overload_rejected"]
-        {
-            assert!(json.contains(key), "missing key {key} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

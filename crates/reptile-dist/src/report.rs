@@ -351,7 +351,8 @@ impl RunReport {
 
     /// Largest per-rank high-water mark of the out-of-core accounted
     /// bytes (tables + accumulators + spill buffers; 0 on unbudgeted
-    /// runs). The `ooc-floor` CI gate checks this against the budget.
+    /// runs). The `ooc-floor` rows of `figures -- bench-json` check this
+    /// against the budget.
     pub fn ooc_peak_bytes(&self) -> u64 {
         self.ranks.iter().map(|r| r.build.ooc_peak_bytes).max().unwrap_or(0)
     }

@@ -494,7 +494,7 @@ pub(crate) fn build_distributed_spillable(
 /// exchanges — the original Reptile program's loop, as one per-kind
 /// tally called for k-mers and for tiles. The pipelined
 /// [`build_distributed`] is proptested bit-identical against it, and
-/// `figures -- perf-floor` races it.
+/// the `perf-floor` row of `figures -- bench-json` races it.
 pub fn build_distributed_serial(
     comm: &Comm,
     reads: &[Read],
