@@ -91,7 +91,8 @@ pub struct ServeBenchReport {
     /// Wall time of the same jobs through the persistent engine.
     pub serve_secs: f64,
     /// Calibrated capacity: requests/second sustained by a saturating
-    /// closed-loop burst (the sweep's fractions are relative to this).
+    /// closed-loop burst, the median of three equal bursts (the sweep's
+    /// fractions are relative to this).
     pub capacity_rps: f64,
     /// serve vs batch-loop speedup on identical jobs.
     pub speedup: f64,
@@ -423,7 +424,11 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
     // Job replay serializes at job boundaries (submit, drain, next), so
     // its rate underestimates what a continuously-fed queue sustains;
     // the sweep fractions must be relative to the latter or the
-    // "overload" point would not actually overload.
+    // "overload" point would not actually overload. One burst is one
+    // sample of a noisy rate on a shared host, and every sweep point
+    // scales with it, so the capacity is the median of three equal
+    // bursts.
+    const BURSTS: usize = 3;
     let burst_n = (open_loop_requests / 4).clamp(2_000, 40_000) as usize;
     let burst: Vec<Read> = OpenLoopGen::new(mix.clone(), 1.0, SEED ^ 0xCA11)
         .generate(burst_n)
@@ -431,11 +436,17 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
         .enumerate()
         .map(|(i, a)| Read { id: i as u64 + 1, ..a.read })
         .collect();
-    let t = Instant::now();
-    let served = serve_one_job(&engine, &burst);
-    let burst_secs = t.elapsed().as_secs_f64();
-    assert_eq!(served.len(), burst_n);
-    let capacity_rps = burst_n as f64 / burst_secs.max(1e-9);
+    let mut burst_rps: Vec<f64> = (0..BURSTS)
+        .map(|_| {
+            let t = Instant::now();
+            let served = serve_one_job(&engine, &burst);
+            let burst_secs = t.elapsed().as_secs_f64();
+            assert_eq!(served.len(), burst_n);
+            burst_n as f64 / burst_secs.max(1e-9)
+        })
+        .collect();
+    burst_rps.sort_by(f64::total_cmp);
+    let capacity_rps = burst_rps[BURSTS / 2];
 
     // --- open-loop sweep on the same warm engine ---
     // Below-saturation points run in ≈ n/rate wall seconds, so the
@@ -451,8 +462,9 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
     assert_eq!(report.lookups.keys_degraded, 0, "no faults injected, nothing may degrade");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let total_requests =
-        total_jobs_requests + burst_n as u64 + points.iter().map(|p| p.submitted).sum::<u64>();
+    let total_requests = total_jobs_requests
+        + (BURSTS * burst_n) as u64
+        + points.iter().map(|p| p.submitted).sum::<u64>();
     ServeBenchReport {
         np: NP,
         spectrum_reads,

@@ -328,8 +328,9 @@ pub enum EngineError {
     Io(genio::IoError),
     /// An out-of-core build's spill plane failed (run-file IO error or
     /// verification failure — a chopped/flipped run is surfaced here,
-    /// never folded into wrong counts).
-    Spill(specstore::SpillError),
+    /// never folded into wrong counts). The error type is the snapshot
+    /// layer's: runs and shards are verified by the same frame.
+    Spill(specstore::SnapshotError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -375,12 +376,6 @@ impl From<specstore::SnapshotError> for EngineError {
 impl From<genio::IoError> for EngineError {
     fn from(e: genio::IoError) -> EngineError {
         EngineError::Io(e)
-    }
-}
-
-impl From<specstore::SpillError> for EngineError {
-    fn from(e: specstore::SpillError) -> EngineError {
-        EngineError::Spill(e)
     }
 }
 

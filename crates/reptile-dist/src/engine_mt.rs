@@ -164,8 +164,8 @@ pub(crate) fn root_cause<T>(per_rank: Vec<Result<T, EngineError>>) -> Result<Vec
         for r in per_rank {
             if let Err(e) = r {
                 let sentinel = match &e {
-                    EngineError::Snapshot(specstore::SnapshotError::PeerFailure { .. }) => true,
-                    EngineError::Spill(specstore::SpillError::PeerFailure { .. }) => true,
+                    EngineError::Snapshot(specstore::SnapshotError::PeerFailure { .. })
+                    | EngineError::Spill(specstore::SnapshotError::PeerFailure { .. }) => true,
                     EngineError::Io(genio::IoError::Malformed(m)) => m.starts_with("aborted:"),
                     _ => false,
                 };
@@ -403,7 +403,7 @@ pub(crate) fn obtain_tables(
         // play, the chopped file is this rank's first k-mer run.
         let dir = ooc_spill_dir(me);
         std::fs::create_dir_all(&dir)
-            .map_err(|source| specstore::SpillError::Io { path: dir.clone(), source })?;
+            .map_err(|source| EngineError::Spill(specstore::SnapshotError::io(&dir, source)))?;
         let chop = cfg.fault.snapshot_chop_for(me);
         let mut ooc = OocBuild::new(budget, dir.clone(), me, chop, &cfg.params);
         let built = build_distributed_spillable(
@@ -416,7 +416,7 @@ pub(crate) fn obtain_tables(
             Some(&mut ooc),
         );
         let _ = std::fs::remove_dir_all(&dir);
-        let (tables, stats) = built?;
+        let (tables, stats) = built.map_err(EngineError::Spill)?;
         Ok((tables, stats, 0.0, 0, Default::default()))
     } else {
         let (tables, stats) = build_distributed(

@@ -65,9 +65,8 @@ use std::time::Instant;
 
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
 use reptile::{FlatTable, ReptileParams, SpectrumKey};
-use specstore::spill::{
-    write_run, RunMerger, RunReader, SpillError, DEFAULT_SPILL_BUF_BYTES, MIN_SPILL_BUF_BYTES,
-};
+use specstore::spill::{write_run, RunMerger, RunReader, MIN_SPILL_BUF_BYTES};
+use specstore::{SnapshotError, IO_CHUNK};
 
 use crate::counts::{direct_array_bytes, CountAcc};
 use crate::owner::Key;
@@ -107,7 +106,7 @@ const MIN_ACC_ROOM: u64 = 256 * 1024;
 pub fn fixed_floor(params: &ReptileParams) -> u64 {
     let kbits = 2 * params.kmer_codec().k() as u32;
     let tbits = 2 * params.tile_codec().len() as u32;
-    direct_array_bytes(kbits) + direct_array_bytes(tbits) + 2 * DEFAULT_SPILL_BUF_BYTES as u64
+    direct_array_bytes(kbits) + direct_array_bytes(tbits) + 2 * IO_CHUNK as u64
 }
 
 /// Smallest `memory_budget` the engine accepts for `params` — the
@@ -156,7 +155,7 @@ pub(crate) struct OocBuild {
     /// (one exchange per batch, uniform across ranks) must not be cut
     /// short by a local IO error, or the peers deadlock mid-collective.
     /// Once set, no further spills are attempted.
-    deferred: Option<SpillError>,
+    deferred: Option<SnapshotError>,
     /// Run files written.
     pub(crate) spill_runs: u64,
     /// Bytes of run files written (header + body).
@@ -176,7 +175,7 @@ impl OocBuild {
         params: &ReptileParams,
     ) -> OocBuild {
         let floor = fixed_floor(params);
-        let buf_overhead = 2 * DEFAULT_SPILL_BUF_BYTES as u64;
+        let buf_overhead = 2 * IO_CHUNK as u64;
         let headroom = budget.saturating_sub(floor).max(MIN_ACC_ROOM);
         OocBuild {
             dir,
@@ -258,7 +257,7 @@ impl OocBuild {
         &mut self,
         acc: &mut CountAcc<K>,
         other_resident: u64,
-    ) -> Result<(), SpillError> {
+    ) -> Result<(), SnapshotError> {
         let before = acc.memory_bytes() as u64;
         let entries = acc.finalize(0);
         if entries.is_empty() {
@@ -272,7 +271,7 @@ impl OocBuild {
         self.charge(other_resident + before + entry_bytes);
         let seq = K::runs(self).len();
         let path = self.dir.join(format!("rank{:05}.{}{seq:04}.run", self.rank, K::NAME));
-        let meta = write_run(&path, &entries, DEFAULT_SPILL_BUF_BYTES)?;
+        let meta = write_run(&path, &entries, IO_CHUNK)?;
         K::runs(self).push(path);
         self.spill_runs += 1;
         self.spill_bytes += meta.file_bytes;
@@ -289,7 +288,7 @@ impl OocBuild {
         acc_tiles: &mut CountAcc<u128>,
         params: &ReptileParams,
         stats: &mut BuildStats,
-    ) -> Result<(KmerSpectrum, TileSpectrum), SpillError> {
+    ) -> Result<(KmerSpectrum, TileSpectrum), SnapshotError> {
         // A failure deferred from the batch loop aborts here, before
         // any table is built.
         if let Some(e) = self.deferred.take() {
@@ -310,7 +309,7 @@ impl OocBuild {
         if let Some(keep) = self.chop {
             if let Some(first) = self.kmer_runs.first().or_else(|| self.tile_runs.first()) {
                 mpisim::chop_file(first, keep)
-                    .map_err(|source| SpillError::Io { path: first.clone(), source })?;
+                    .map_err(|source| SnapshotError::io(first, source))?;
             }
         }
 
@@ -351,7 +350,7 @@ impl OocBuild {
         acc: &mut CountAcc<K>,
         threshold: u32,
         other_resident: u64,
-    ) -> Result<FlatTable<K>, SpillError> {
+    ) -> Result<FlatTable<K>, SnapshotError> {
         let entry = std::mem::size_of::<(K, u32)>();
         let mut t = FlatTable::new();
         if acc.is_direct() {
@@ -400,8 +399,7 @@ impl OocBuild {
     /// merges with small buffers instead of blowing `k * 64 KiB` past
     /// the budget.
     fn reader_buf(&self, k: usize) -> usize {
-        ((self.headroom / 4) as usize / k.max(1))
-            .clamp(MIN_SPILL_BUF_BYTES, DEFAULT_SPILL_BUF_BYTES)
+        ((self.headroom / 4) as usize / k.max(1)).clamp(MIN_SPILL_BUF_BYTES, IO_CHUNK)
     }
 
     /// Streaming bulk-load chunk for a merge pass: at most a quarter of
@@ -430,7 +428,7 @@ impl OocBuild {
         runs: &[PathBuf],
         threshold: u32,
         resident: u64,
-    ) -> Result<usize, SpillError> {
+    ) -> Result<usize, SnapshotError> {
         let mut merger = self.open_merger::<K>(runs, threshold)?;
         let mut n = 0usize;
         while merger.next()?.is_some() {
@@ -445,7 +443,7 @@ impl OocBuild {
         &self,
         runs: &[PathBuf],
         threshold: u32,
-    ) -> Result<RunMerger<K>, SpillError> {
+    ) -> Result<RunMerger<K>, SnapshotError> {
         let buf = self.reader_buf(runs.len());
         let readers =
             runs.iter().map(|p| RunReader::open(p, buf)).collect::<Result<Vec<_>, _>>()?;

@@ -87,21 +87,22 @@ pub struct SerialLoad {
     pub resharded: bool,
 }
 
-/// Allgather everyone's error flag; returns how many ranks failed. This
-/// is the first collective of every snapshot operation — it runs before
-/// any rank acts on its local I/O result, so a failure anywhere aborts
-/// all ranks together instead of deadlocking the survivors in a later
-/// collective.
-fn gather_failures(comm: &Comm, my_failure: bool) -> u64 {
-    comm.allgatherv(vec![my_failure as u64])
+/// Agree on one rank's file-I/O outcome with the whole group: allgather
+/// everyone's error flag, then propagate the local error if there is one
+/// and blame the peers otherwise. Collective. It runs before any rank
+/// acts on its local result — after a snapshot save's or load's file
+/// I/O, and after a budgeted build's spill merge — so a failure anywhere
+/// aborts all ranks together instead of deadlocking the survivors in a
+/// later collective.
+pub(crate) fn agree_on_failure<T>(
+    comm: &Comm,
+    local: Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let failed_ranks: u64 = comm
+        .allgatherv(vec![local.is_err() as u64])
         .iter()
         .map(|flags| flags.first().copied().unwrap_or(0))
-        .sum()
-}
-
-/// Resolve one rank's outcome against the group's: propagate the local
-/// error if there is one, blame the peers otherwise.
-fn resolve<T>(local: Result<T, SnapshotError>, failed_ranks: u64) -> Result<T, SnapshotError> {
+        .sum();
     match local {
         Err(e) => Err(e),
         Ok(_) if failed_ranks > 0 => Err(SnapshotError::PeerFailure { failed_ranks }),
@@ -132,8 +133,7 @@ pub fn save_snapshot(
         let tr = w.write_shard(me, tiles.table())?;
         Ok((w, kr, tr))
     })();
-    let failed = gather_failures(comm, local.is_err());
-    let (writer, kr, tr) = resolve(local, failed)?;
+    let (writer, kr, tr) = agree_on_failure(comm, local)?;
     // Shard records cross the wire as fixed tuples (file names are
     // recomputed from rank and kind by the store), so the manifest lists
     // every rank's true byte counts and checksums, not recomputed
@@ -156,8 +156,7 @@ pub fn save_snapshot(
     } else {
         Ok(0)
     };
-    let failed = gather_failures(comm, finish_result.is_err());
-    let extra_bytes = resolve(finish_result, failed)?;
+    let extra_bytes = agree_on_failure(comm, finish_result)?;
     Ok(kr.bytes + tr.bytes + extra_bytes)
 }
 
@@ -245,8 +244,7 @@ pub fn load_snapshot(
         }
         Ok((loaded, old_np, reader.stats()))
     })();
-    let failed = gather_failures(comm, local.is_err());
-    let (loaded, old_np, repair) = resolve(local, failed)?;
+    let (loaded, old_np, repair) = agree_on_failure(comm, local)?;
     let bytes_read: u64 = loaded.iter().map(|(k, t)| k.bytes_read + t.bytes_read).sum();
 
     if old_np == np {

@@ -89,11 +89,12 @@ use crate::counts::{aggregate_occurrences, CountAcc};
 use crate::heuristics::HeuristicConfig;
 use crate::ooc::OocBuild;
 use crate::owner::{Key, OwnerMap};
+use crate::snapshot::agree_on_failure;
 use dnaseq::{FusedScratch, Read, TileCodec};
 use mpisim::{Comm, PendingAlltoallv};
 use reptile::spectrum::{KmerSpectrum, Normalized, Spectrum, TileSpectrum};
 use reptile::{ReptileParams, SpectrumKey};
-use specstore::spill::SpillError;
+use specstore::SnapshotError;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -277,7 +278,7 @@ pub(crate) fn build_distributed_spillable(
     heur: &HeuristicConfig,
     build_threads: usize,
     mut ooc: Option<&mut OocBuild>,
-) -> Result<(RankTables, BuildStats), SpillError> {
+) -> Result<(RankTables, BuildStats), SnapshotError> {
     params.assert_valid();
     heur.validate().expect("invalid heuristic combination");
     assert!(chunk_size > 0);
@@ -443,22 +444,10 @@ pub(crate) fn build_distributed_spillable(
                 // collective — a rank whose spill plane failed (deferred
                 // batch-loop IO error or a corrupt run at merge time)
                 // must abort *with* its peers, not deadlock them in
-                // `derive_heuristic_tables` (same discipline as the
-                // snapshot layer's gather_failures).
+                // `derive_heuristic_tables`.
                 let local =
                     o.finish_spectra(&mut kmers.owned, &mut tiles.owned, params, &mut stats);
-                let failed: u64 = comm
-                    .allgatherv(vec![local.is_err() as u64])
-                    .iter()
-                    .map(|flags| flags.first().copied().unwrap_or(0))
-                    .sum();
-                match local {
-                    Err(e) => return Err(e),
-                    Ok(_) if failed > 0 => {
-                        return Err(SpillError::PeerFailure { failed_ranks: failed })
-                    }
-                    Ok(spectra) => spectra,
-                }
+                agree_on_failure(comm, local)?
             }
             None => {
                 let spectra = (

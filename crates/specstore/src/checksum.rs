@@ -1,8 +1,8 @@
 //! Streaming FNV-1a 64 checksum.
 //!
-//! The shard writer hashes slot bytes as it streams them through its
-//! reused buffer, so the checksum costs one pass over data that is being
-//! written anyway. FNV-1a is not cryptographic — the threat model is
+//! Every file writer hashes its body as it streams it through the
+//! frame's bounded buffer, so the checksum costs one pass over data that
+//! is being written anyway. FNV-1a is not cryptographic — the threat model is
 //! bit-rot and truncated writes, not an adversary — but it detects every
 //! single-byte corruption (each input byte feeds a full 64-bit multiply),
 //! which the proptest suite verifies flip by flip.

@@ -1,4 +1,5 @@
-//! Shard header layout, config fingerprint, and the typed error set.
+//! Shard header layout, config fingerprint, and the crate's one typed
+//! error set.
 //!
 //! A shard file is a fixed-size header followed by a raw little-endian
 //! dump of the flat table's slot arrays:
@@ -222,8 +223,10 @@ impl ShardHeader {
         buf: &[u8; HEADER_BYTES],
         path: &std::path::Path,
     ) -> Result<ShardHeader, SnapshotError> {
-        let u32_at = |off: usize| u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-        let u64_at = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+        // Every field sits on a 4-byte boundary: read the header as words.
+        let words = buf.as_chunks::<4>().0;
+        let u32_at = |off: usize| u32::from_le_bytes(words[off / 4]);
+        let u64_at = |off: usize| u32_at(off) as u64 | (u32_at(off + 4) as u64) << 32;
         if buf[0..8] != MAGIC {
             return Err(SnapshotError::BadMagic { path: path.to_path_buf() });
         }
@@ -292,10 +295,11 @@ impl ShardHeader {
     }
 }
 
-/// Every way a snapshot can fail to load or save. Corruption never
-/// surfaces as garbage corrections — each class is a distinct variant so
-/// callers (and tests) can tell truncation from bit-rot from a
-/// configuration mismatch.
+/// Every way a file of this crate — a snapshot shard, its manifest or
+/// parity, or an out-of-core spill run — can fail to load or save.
+/// Corruption never surfaces as garbage corrections or wrong counts —
+/// each class is a distinct variant so callers (and tests) can tell
+/// truncation from bit-rot from a configuration mismatch.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Underlying filesystem error.
@@ -315,12 +319,13 @@ pub enum SnapshotError {
         /// Bytes actually present.
         actual: u64,
     },
-    /// Leading bytes are not the shard magic — not a shard file.
+    /// Leading bytes are not the format's magic — not a shard (or run)
+    /// file.
     BadMagic {
         /// File being read.
         path: PathBuf,
     },
-    /// Shard written by an incompatible format version.
+    /// File written by an incompatible format version.
     VersionSkew {
         /// File being read.
         path: PathBuf,
@@ -373,8 +378,9 @@ pub enum SnapshotError {
         /// The missing shard's path.
         path: PathBuf,
     },
-    /// A peer rank failed its snapshot I/O, so this rank aborted before
-    /// entering the collective exchange (distributed load/save only).
+    /// A peer rank failed its snapshot or spill I/O, so this rank
+    /// aborted with it before the next collective (distributed
+    /// load/save and budgeted builds only).
     PeerFailure {
         /// Number of ranks that reported failure.
         failed_ranks: u64,
@@ -397,21 +403,36 @@ pub enum SnapshotError {
         /// Shards the repair budget could have covered.
         budget: usize,
     },
+    /// A spill run's key width disagrees with the reader's key type.
+    KeyWidth {
+        /// The offending run file.
+        path: PathBuf,
+        /// Width recorded in the header.
+        found: u8,
+        /// Width the reader expects.
+        expected: u8,
+    },
+    /// A spill run's keys are not strictly ascending — a writer bug or a
+    /// checksum collision; either way the run cannot be merged.
+    OutOfOrder {
+        /// The offending run file.
+        path: PathBuf,
+        /// Zero-based index of the offending entry.
+        entry: u64,
+    },
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Io { path, source } => {
-                write!(f, "snapshot I/O error on {}: {source}", path.display())
+                write!(f, "I/O error on {}: {source}", path.display())
             }
-            SnapshotError::Truncated { path, expected, actual } => write!(
-                f,
-                "snapshot file {} truncated: need {expected} bytes, found {actual}",
-                path.display()
-            ),
+            SnapshotError::Truncated { path, expected, actual } => {
+                write!(f, "{} truncated: need {expected} bytes, found {actual}", path.display())
+            }
             SnapshotError::BadMagic { path } => {
-                write!(f, "{} is not a spectrum shard (bad magic)", path.display())
+                write!(f, "{} is not a file of the expected format (bad magic)", path.display())
             }
             SnapshotError::VersionSkew { path, found, expected } => write!(
                 f,
@@ -439,7 +460,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "manifest references missing shard {}", path.display())
             }
             SnapshotError::PeerFailure { failed_ranks } => {
-                write!(f, "{failed_ranks} peer rank(s) failed snapshot I/O; aborted")
+                write!(f, "{failed_ranks} peer rank(s) failed their file I/O; aborted")
             }
             SnapshotError::NoParity { dir } => write!(
                 f,
@@ -451,6 +472,14 @@ impl fmt::Display for SnapshotError {
                 "{} {kind} group: {lost} shard(s) unreadable, repair budget is {budget}",
                 dir.display()
             ),
+            SnapshotError::KeyWidth { path, found, expected } => write!(
+                f,
+                "{} holds {found}-byte keys, reader expects {expected}-byte keys",
+                path.display()
+            ),
+            SnapshotError::OutOfOrder { path, entry } => {
+                write!(f, "{} keys not strictly ascending at entry {entry}", path.display())
+            }
         }
     }
 }

@@ -34,12 +34,21 @@
 //! heal the snapshot in place. All snapshot I/O goes through the
 //! [`SnapshotWriter`] / [`SnapshotReader`] handles in [`store`]; the
 //! per-file read/write functions are crate-internal.
+//!
+//! The out-of-core build's sorted spill runs ([`spill`]) live here too.
+//! Shards, parity shards and runs are one kind of file to this crate: a
+//! fixed header with a checksum slot, then a body, written through one
+//! bounded streaming buffer of [`IO_CHUNK`] bytes, verified (exact
+//! length, then the digest) before a slot is adopted or an entry served,
+//! and failed as one [`SnapshotError`]. Each format's digest rule is
+//! written once, as a constant of its format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;
 pub mod format;
+pub(crate) mod frame;
 pub mod manifest;
 pub mod rs;
 pub(crate) mod shard;
@@ -51,11 +60,9 @@ pub use format::{
     ConfigFingerprint, ShardHeader, ShardKind, SnapshotError, FORMAT_VERSION, HEADER_BYTES, MAGIC,
     MIN_FORMAT_VERSION,
 };
+pub use frame::IO_CHUNK;
 pub use manifest::{Manifest, ParityRecord, ShardRecord, MANIFEST_NAME};
 pub use rs::{RsCode, RsError};
-pub use shard::{LoadedShard, IO_CHUNK};
-pub use spill::{
-    write_run, RunMerger, RunMeta, RunReader, RunWriter, SpillBuffer, SpillError,
-    DEFAULT_SPILL_BUF_BYTES,
-};
+pub use shard::LoadedShard;
+pub use spill::{write_run, RunMerger, RunMeta, RunReader};
 pub use store::{RecoveryPolicy, RepairStats, SnapshotReader, SnapshotWriter};

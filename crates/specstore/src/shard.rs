@@ -3,41 +3,33 @@
 //! verify-and-adopt path for both key kinds, the shard kind and the body
 //! order (key lanes, then counts) following from the key type.
 //!
-//! The write path never materializes an intermediate full-table copy:
-//! slot arrays stream through one reused `IO_CHUNK`-byte buffer (hashed
-//! as they go), and the checksum is patched into the header afterwards
-//! with a single seek. The read path decodes the body bytes into typed
-//! slot vectors exactly once, verifies the checksum *before* adopting
-//! anything, and then hands the arrays to `from_mapped_parts`, which
-//! re-validates the geometry — a corrupted-but-checksummed file cannot
-//! smuggle in an impossible table.
+//! Both paths run through the shard [`frame`](crate::frame): the write
+//! path never materializes an intermediate full-table copy (slot arrays
+//! stream through the frame's bounded buffer, hashed as they go, and the
+//! checksum is patched into the header afterwards with a single seek);
+//! the read path checks the length the header declares and the checksum
+//! *before* adopting anything, decodes the body bytes into typed slot
+//! vectors exactly once, and hands the arrays to `from_mapped_parts`,
+//! which re-validates the geometry — a corrupted-but-checksummed file
+//! cannot smuggle in an impossible table.
 //!
 //! Everything here is crate-internal: callers go through
 //! [`crate::store::SnapshotWriter`] / [`crate::store::SnapshotReader`],
-//! which own the directory layout, manifest, and repair pipeline. The
-//! adopt path takes bytes, not a file, so a Reed-Solomon-reconstructed
-//! shard (which exists only in memory until an optional rewrite) adopts
-//! through the same fully-verifying code as one read from disk.
+//! which own the directory layout, manifest, and repair pipeline. A
+//! Reed-Solomon-reconstructed shard (which exists only in memory until an
+//! optional rewrite) adopts through the same fully-verifying call as one
+//! read from disk.
 
-use std::fs::File;
-use std::io::{BufWriter, Seek, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
 use reptile::{FlatTable, SpectrumKey};
 
-use crate::checksum::Fnv1a;
 use crate::format::{
-    ConfigFingerprint, ShardHeader, ShardKind, SnapshotError, CHECKSUM_OFFSET, FORMAT_VERSION,
-    HEADER_BYTES,
+    ConfigFingerprint, ShardHeader, ShardKind, SnapshotError, FORMAT_VERSION, HEADER_BYTES,
 };
+use crate::frame::{self, FrameWriter, IO_CHUNK, SHARD};
 use crate::manifest::ShardRecord;
-
-/// Reused streaming-buffer size. Slot arrays are written and read in
-/// chunks of at most this many bytes; the save-path assertion that the
-/// buffer never grew past it is the "no intermediate full-table copy"
-/// guarantee.
-pub const IO_CHUNK: usize = 64 * 1024;
 
 /// Canonical shard file name for `(rank, kind)`.
 pub(crate) fn shard_file_name(rank: usize, kind: ShardKind) -> String {
@@ -49,59 +41,8 @@ pub(crate) fn parity_file_name(kind: ShardKind, index: usize) -> String {
     format!("{kind}.p{index:02}.parity")
 }
 
-/// Streaming shard body writer: fills the reused buffer with
-/// little-endian words, hashing and flushing whenever it reaches
-/// `IO_CHUNK`.
-struct BodyWriter<'a> {
-    out: &'a mut BufWriter<File>,
-    hash: &'a mut Fnv1a,
-    buf: Vec<u8>,
-    path: &'a Path,
-}
-
-impl<'a> BodyWriter<'a> {
-    fn new(out: &'a mut BufWriter<File>, hash: &'a mut Fnv1a, path: &'a Path) -> BodyWriter<'a> {
-        BodyWriter { out, hash, buf: Vec::with_capacity(IO_CHUNK), path }
-    }
-
-    fn flush_buf(&mut self) -> Result<(), SnapshotError> {
-        self.hash.update(&self.buf);
-        self.out.write_all(&self.buf).map_err(|e| SnapshotError::io(self.path, e))?;
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Append little-endian words, flushing at every `IO_CHUNK`.
-    fn put<const N: usize>(
-        &mut self,
-        words: impl Iterator<Item = [u8; N]>,
-    ) -> Result<(), SnapshotError> {
-        for w in words {
-            self.buf.extend_from_slice(&w);
-            if self.buf.len() >= IO_CHUNK {
-                self.flush_buf()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<(), SnapshotError> {
-        self.flush_buf()?;
-        // No per-shard Vec allocations: the streaming buffer is the only
-        // body-sized scratch space, and it never outgrows one chunk
-        // (plus the ≤8-byte spill of the word that crossed the mark).
-        debug_assert!(
-            self.buf.capacity() <= IO_CHUNK + 8,
-            "shard write must stream, not copy the table"
-        );
-        Ok(())
-    }
-}
-
-/// Dump `rank`'s table of key kind `K` as a shard at `path`: the
-/// checksum-zeroed header, then the body streamed lane by lane and the
-/// counts last, then the checksum patched into the header with a single
-/// seek.
+/// Dump `rank`'s table of key kind `K` as a shard at `path`: the header,
+/// then the body streamed lane by lane and the counts last.
 pub(crate) fn write_shard<K: SpectrumKey>(
     path: &Path,
     fingerprint: &ConfigFingerprint,
@@ -126,41 +67,22 @@ pub(crate) fn write_shard<K: SpectrumKey>(
         body_bytes: capacity * kind.slot_bytes(),
         checksum: 0,
     };
-    let io = |e| SnapshotError::io(path, e);
-    let mut out = BufWriter::new(File::create(path).map_err(io)?);
-    out.write_all(&header.encode()).map_err(io)?;
-    let mut hash = Fnv1a::new();
-    hash.update(&header.encode());
-    {
-        let mut w = BodyWriter::new(&mut out, &mut hash, path);
-        for lane in parts.lanes.as_ref() {
-            w.put(lane.iter().map(|k| k.to_le_bytes()))?;
+    let mut out = FrameWriter::create(SHARD, path, header.encode(), IO_CHUNK)?;
+    for lane in parts.lanes.as_ref() {
+        for key in lane.iter() {
+            out.put(&key.to_le_bytes())?;
         }
-        w.put(parts.counts.iter().map(|c| c.to_le_bytes()))?;
-        w.finish()?;
     }
-    let checksum = hash.finish();
-    out.seek(SeekFrom::Start(CHECKSUM_OFFSET as u64)).map_err(io)?;
-    out.write_all(&checksum.to_le_bytes()).map_err(io)?;
-    out.flush().map_err(io)?;
+    for count in parts.counts.iter() {
+        out.put(&count.to_le_bytes())?;
+    }
+    let (checksum, bytes) = out.finish()?;
     Ok(ShardRecord {
         rank,
         kind,
         file_name: path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default(),
-        bytes: HEADER_BYTES as u64 + header.body_bytes,
+        bytes,
         checksum,
-    })
-}
-
-/// Read a whole shard file. A missing file is the typed `MissingShard`,
-/// not a bare I/O error.
-pub(crate) fn read_shard_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
-    std::fs::read(path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            SnapshotError::MissingShard { path: path.to_path_buf() }
-        } else {
-            SnapshotError::io(path, e)
-        }
     })
 }
 
@@ -184,25 +106,31 @@ pub struct LoadedShard<T> {
     pub checksum: u64,
 }
 
-/// Fully verify a shard image of key kind `K` — magic, version,
-/// fingerprint, kind, declared sizes vs the actual length, and the
-/// checksum — and only then adopt its slot arrays (lanes in order, then
-/// the counts) as a mapped table, whose geometry `from_mapped_parts`
-/// validates once more. `path` only names errors: the bytes may have come
-/// from disk or from Reed-Solomon reconstruction, and both take this one
-/// path.
+/// Fully verify a shard of key kind `K` — magic, version, fingerprint,
+/// kind, declared sizes vs the actual length, and the checksum — and only
+/// then adopt its slot arrays (lanes in order, then the counts) as a
+/// mapped table, whose geometry `from_mapped_parts` validates once more.
+/// The image is `rebuilt` when Reed-Solomon reconstructed it, and the
+/// file at `path` otherwise; `path` names errors either way.
 pub(crate) fn adopt_shard<K: SpectrumKey>(
-    bytes: &[u8],
     path: &Path,
+    rebuilt: Option<&[u8]>,
     expect: &ConfigFingerprint,
 ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
+    let read;
+    let image = match rebuilt {
+        Some(image) => image,
+        None => {
+            read = frame::read(path)?;
+            &read
+        }
+    };
     let invalid = |reason: String| SnapshotError::InvalidTable { path: path.to_path_buf(), reason };
-    let file_len = bytes.len() as u64;
-    let Some((head, body)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+    let Some((head, body)) = image.split_first_chunk::<HEADER_BYTES>() else {
         return Err(SnapshotError::Truncated {
             path: path.to_path_buf(),
             expected: HEADER_BYTES as u64,
-            actual: file_len,
+            actual: image.len() as u64,
         });
     };
     let header = ShardHeader::decode(head, path)?;
@@ -220,34 +148,8 @@ pub(crate) fn adopt_shard<K: SpectrumKey>(
             kind.slot_bytes()
         )));
     }
-    let expected_len = (HEADER_BYTES as u64).saturating_add(header.body_bytes);
-    if file_len < expected_len {
-        return Err(SnapshotError::Truncated {
-            path: path.to_path_buf(),
-            expected: expected_len,
-            actual: file_len,
-        });
-    }
-    if file_len > expected_len {
-        return Err(invalid(format!(
-            "{} trailing bytes after the declared body",
-            file_len - expected_len
-        )));
-    }
-    // Hash the checksum-zeroed header, then the body.
-    let mut hash = Fnv1a::new();
-    let mut zeroed = *head;
-    zeroed[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
-    hash.update(&zeroed);
-    hash.update(body);
-    let computed = hash.finish();
-    if computed != header.checksum {
-        return Err(SnapshotError::Checksum {
-            path: path.to_path_buf(),
-            stored: header.checksum,
-            computed,
-        });
-    }
+    let file_bytes = (HEADER_BYTES as u64).saturating_add(header.body_bytes);
+    SHARD.check(image, path, file_bytes, header.checksum)?;
     let lane_bytes = header.capacity as usize * 8;
     let (lanes, counts) = body.split_at(K::LANES * lane_bytes);
     let table = FlatTable::from_mapped_parts(
@@ -269,7 +171,7 @@ pub(crate) fn adopt_shard<K: SpectrumKey>(
         table,
         rank: header.rank as usize,
         np: header.np as usize,
-        bytes_read: HEADER_BYTES as u64 + header.body_bytes,
+        bytes_read: file_bytes,
         checksum: header.checksum,
     })
 }
@@ -298,7 +200,7 @@ mod tests {
         path: &Path,
         expect: &ConfigFingerprint,
     ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
-        adopt_shard(&read_shard_file(path)?, path, expect)
+        adopt_shard(path, None, expect)
     }
 
     /// Keys spread across every lane of the kind, plus the sentinel.

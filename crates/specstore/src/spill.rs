@@ -8,17 +8,18 @@
 //!
 //! * a **run file** is one strictly-ascending RLE sequence of
 //!   `(key, count)` pairs — exactly the shape `CountAcc::finalize`
-//!   drains — behind a checksummed fixed-size header;
-//! * a [`RunWriter`] streams entries through a bounded [`SpillBuffer`]
+//!   drains — behind a checksummed fixed-size header: the crate's
+//!   verified-file frame, with the zeroed header's FNV-1a xor the
+//!   body's as its digest;
+//! * [`write_run`] streams entries through the frame's bounded buffer
 //!   (never materializing the encoded run), hashing as it goes and
-//!   patching the header checksum on `finish`, mirroring the snapshot
-//!   shard writer;
+//!   patching the header checksum at the end, exactly as shards are
+//!   written;
 //! * a [`RunReader`] *verifies before it serves*: `open` checks magic,
-//!   version, key width, exact length, and the full-body FNV-1a
-//!   checksum in one bounded streaming pass, then rewinds. A chopped or
-//!   bit-flipped run is a typed [`SpillError`] before the merge adopts a
-//!   single entry — corrupt spills can fail a build, never corrupt its
-//!   counts;
+//!   version, key width, exact length, and the full-body checksum in one
+//!   bounded streaming pass, then rewinds. A chopped or bit-flipped run
+//!   is a typed [`SnapshotError`] before the merge adopts a single entry
+//!   — corrupt spills can fail a build, never corrupt its counts;
 //! * a [`RunMerger`] runs a loser-tree k-way merge over open readers,
 //!   folding equal keys with the same saturating add the tables use and
 //!   pruning below-threshold keys *during* the merge, so the survivor
@@ -30,14 +31,14 @@
 //! the all-in-memory accumulator would have produced — the keystone of
 //! the out-of-core build's bit-identity guarantee.
 
-use std::fmt;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use reptile::SpectrumKey;
 
-use crate::checksum::Fnv1a;
+use crate::format::SnapshotError;
+use crate::frame::{FrameWriter, RUN};
 
 /// Run-file magic ("ReptiLe RUN v1" — distinct from the snapshot shard
 /// magic so a run can never be mistaken for a shard).
@@ -47,173 +48,13 @@ pub const RUN_VERSION: u16 = 1;
 /// Fixed header size: magic(8) + version(2) + key_bytes(1) + pad(5) +
 /// entries(8) + checksum(8).
 pub const RUN_HEADER_BYTES: usize = 32;
-/// Default bounded staging-buffer size for run IO. Matches the snapshot
-/// layer's `IO_CHUNK`: big enough to amortize syscalls, small enough
-/// that two in-flight buffers are noise next to any realistic memory
-/// budget.
-pub const DEFAULT_SPILL_BUF_BYTES: usize = 64 * 1024;
+/// Byte offset of the checksum slot within the run header.
+pub(crate) const RUN_CHECKSUM_OFFSET: usize = 24;
 /// Smallest accepted staging buffer — one 16-byte key + count plus
 /// header room, rounded well up so even adversarial configs stream.
 /// Public because budget-driven callers scale per-reader merge buffers
 /// down toward this floor when many runs must open at once.
 pub const MIN_SPILL_BUF_BYTES: usize = 4 * 1024;
-
-/// Typed failures of the spill plane. Mirrors the snapshot layer's
-/// `SnapshotError` taxonomy: IO is separated from format violations so
-/// callers (and the fault matrix) can assert *which* way a corrupt run
-/// failed — and that it failed before any count was adopted.
-#[derive(Debug)]
-pub enum SpillError {
-    /// Underlying filesystem error.
-    Io {
-        /// The run file involved.
-        path: PathBuf,
-        /// The OS error.
-        source: std::io::Error,
-    },
-    /// The file does not start with [`RUN_MAGIC`] — not a run file.
-    BadMagic {
-        /// The offending file.
-        path: PathBuf,
-    },
-    /// Run format version this build does not speak.
-    VersionSkew {
-        /// The offending file.
-        path: PathBuf,
-        /// Version found in the header.
-        found: u16,
-    },
-    /// Header key width disagrees with the reader's key type.
-    KeyWidth {
-        /// The offending file.
-        path: PathBuf,
-        /// Width recorded in the header.
-        found: u8,
-        /// Width the reader expects.
-        expected: u8,
-    },
-    /// File length disagrees with the header's entry count — an
-    /// interrupted write or a `chop=` injection.
-    Truncated {
-        /// The offending file.
-        path: PathBuf,
-        /// Bytes the header promises.
-        expected_bytes: u64,
-        /// Bytes actually on disk.
-        actual_bytes: u64,
-    },
-    /// Stored checksum disagrees with the recomputed one — bit rot or a
-    /// flipped byte.
-    Checksum {
-        /// The offending file.
-        path: PathBuf,
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum recomputed over the bytes on disk.
-        actual: u64,
-    },
-    /// Body keys are not strictly ascending — a writer bug or a
-    /// checksum collision; either way the run cannot be merged.
-    OutOfOrder {
-        /// The offending file.
-        path: PathBuf,
-        /// Zero-based index of the offending entry.
-        entry: u64,
-    },
-    /// This participant's spill plane is healthy, but peers' are not —
-    /// a distributed build aborts all ranks together (the failing ranks
-    /// carry the real error; everyone else carries this sentinel).
-    PeerFailure {
-        /// How many peers reported a spill failure.
-        failed_ranks: u64,
-    },
-}
-
-impl fmt::Display for SpillError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpillError::Io { path, source } => {
-                write!(f, "spill io error on {}: {source}", path.display())
-            }
-            SpillError::BadMagic { path } => {
-                write!(f, "{} is not a spill run (bad magic)", path.display())
-            }
-            SpillError::VersionSkew { path, found } => {
-                write!(
-                    f,
-                    "{} is run format v{found}, this build speaks v{RUN_VERSION}",
-                    path.display()
-                )
-            }
-            SpillError::KeyWidth { path, found, expected } => {
-                write!(
-                    f,
-                    "{} holds {found}-byte keys, reader expects {expected}-byte keys",
-                    path.display()
-                )
-            }
-            SpillError::Truncated { path, expected_bytes, actual_bytes } => {
-                write!(
-                    f,
-                    "{} truncated: header promises {expected_bytes} bytes, file has {actual_bytes}",
-                    path.display()
-                )
-            }
-            SpillError::Checksum { path, expected, actual } => {
-                write!(
-                    f,
-                    "{} checksum mismatch: header {expected:#018x}, recomputed {actual:#018x}",
-                    path.display()
-                )
-            }
-            SpillError::OutOfOrder { path, entry } => {
-                write!(f, "{} keys not strictly ascending at entry {entry}", path.display())
-            }
-            SpillError::PeerFailure { failed_ranks } => {
-                write!(f, "{failed_ranks} peer rank(s) failed in their spill plane")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpillError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SpillError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-/// Wrap an IO error with the path it struck.
-fn io_err(path: &Path, source: std::io::Error) -> SpillError {
-    SpillError::Io { path: path.to_path_buf(), source }
-}
-
-/// A bounded byte staging buffer: the only transient memory the spill
-/// plane owns. Writers encode entries into it and flush when full;
-/// readers refill it from disk. Its capacity is fixed at construction,
-/// so `capacity_bytes` is an exact accounting input for the build's
-/// memory budget.
-#[derive(Debug)]
-pub struct SpillBuffer {
-    data: Vec<u8>,
-    cap: usize,
-}
-
-impl SpillBuffer {
-    /// Buffer bounded at `cap` bytes (clamped up to a streamable
-    /// minimum).
-    pub fn new(cap: usize) -> SpillBuffer {
-        let cap = cap.max(MIN_SPILL_BUF_BYTES);
-        SpillBuffer { data: Vec::with_capacity(cap), cap }
-    }
-
-    /// The fixed bound — what a budget should charge for this buffer.
-    pub fn capacity_bytes(&self) -> usize {
-        self.cap
-    }
-}
 
 /// Summary of a finished run file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,132 +72,85 @@ fn entry_bytes<K: SpectrumKey>() -> usize {
     K::BYTES + 4
 }
 
-/// Compose the stored checksum from the two streamed digests. FNV-1a is
-/// strictly sequential, but the header is only final *after* the body
-/// has streamed, so the header and body are hashed separately and
-/// xor-combined; a single flipped byte in either region still changes
-/// the composite.
-fn compose_checksum(header_zeroed: &[u8], body_fnv: u64) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(header_zeroed);
-    h.finish() ^ body_fnv
-}
-
-/// Render the 32-byte header with the checksum field zeroed.
-fn header_bytes_zeroed(key_bytes: u8, entries: u64) -> [u8; RUN_HEADER_BYTES] {
+/// The 32-byte header of a run of `entries` keys of `key_bytes` each,
+/// checksum slot zeroed.
+fn run_header(key_bytes: u8, entries: u64) -> [u8; RUN_HEADER_BYTES] {
     let mut h = [0u8; RUN_HEADER_BYTES];
     h[0..8].copy_from_slice(&RUN_MAGIC);
     h[8..10].copy_from_slice(&RUN_VERSION.to_le_bytes());
     h[10] = key_bytes;
     // bytes 11..16 stay zero (reserved)
     h[16..24].copy_from_slice(&entries.to_le_bytes());
-    // bytes 24..32: checksum, zeroed here
+    // bytes 24..32: the checksum slot
     h
 }
 
-/// Streaming writer of one sorted run. Entries must arrive strictly
-/// ascending (the producer is `CountAcc::finalize`, which guarantees
-/// it); violations panic rather than writing an unmergeable file.
-#[derive(Debug)]
-pub struct RunWriter<K: SpectrumKey> {
-    file: File,
-    path: PathBuf,
-    buf: SpillBuffer,
-    body_hash: Fnv1a,
-    entries: u64,
-    bytes_written: u64,
-    last: Option<K>,
-}
-
-impl<K: SpectrumKey> RunWriter<K> {
-    /// Create `path` and write the placeholder header. `buf_cap` bounds
-    /// the staging buffer.
-    pub fn create(path: &Path, buf_cap: usize) -> Result<RunWriter<K>, SpillError> {
-        let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-        // Placeholder header; entry count and checksum are patched by
-        // `finish` once they are known.
-        let header = header_bytes_zeroed(K::BYTES as u8, 0);
-        file.write_all(&header).map_err(|e| io_err(path, e))?;
-        Ok(RunWriter {
-            file,
+/// Validate a run header for key type `K` (magic, version, key width)
+/// and return its entry count.
+fn run_entries<K: SpectrumKey>(
+    head: &[u8; RUN_HEADER_BYTES],
+    path: &Path,
+) -> Result<u64, SnapshotError> {
+    // Four words: magic | version, key width, pad | entries | checksum.
+    let words = head.as_chunks::<8>().0;
+    let (magic, shape, entries) = (words[0], words[1], words[2]);
+    if magic != RUN_MAGIC {
+        return Err(SnapshotError::BadMagic { path: path.to_path_buf() });
+    }
+    let version = u16::from_le_bytes([shape[0], shape[1]]);
+    if version != RUN_VERSION {
+        return Err(SnapshotError::VersionSkew {
             path: path.to_path_buf(),
-            buf: SpillBuffer::new(buf_cap),
-            body_hash: Fnv1a::new(),
-            entries: 0,
-            bytes_written: 0,
-            last: None,
-        })
+            found: version as u32,
+            expected: RUN_VERSION as u32,
+        });
     }
-
-    /// Append one `(key, count)` entry; keys must strictly ascend.
-    pub fn push(&mut self, key: K, count: u32) -> Result<(), SpillError> {
-        assert!(self.last.is_none_or(|prev| prev < key), "run entries must be strictly ascending");
-        self.last = Some(key);
-        if self.buf.data.len() + entry_bytes::<K>() > self.buf.cap {
-            self.flush()?;
-        }
-        let at = self.buf.data.len();
-        self.buf.data.resize(at + entry_bytes::<K>(), 0);
-        key.write_le(&mut self.buf.data[at..]);
-        self.buf.data[at + K::BYTES..at + K::BYTES + 4].copy_from_slice(&count.to_le_bytes());
-        self.entries += 1;
-        Ok(())
+    if shape[2] as usize != K::BYTES {
+        return Err(SnapshotError::KeyWidth {
+            path: path.to_path_buf(),
+            found: shape[2],
+            expected: K::BYTES as u8,
+        });
     }
-
-    /// Flush the staging buffer, hashing the bytes on the way out.
-    fn flush(&mut self) -> Result<(), SpillError> {
-        if self.buf.data.is_empty() {
-            return Ok(());
-        }
-        self.body_hash.update(&self.buf.data);
-        self.file.write_all(&self.buf.data).map_err(|e| io_err(&self.path, e))?;
-        self.bytes_written += self.buf.data.len() as u64;
-        self.buf.data.clear();
-        Ok(())
-    }
-
-    /// Flush the tail, patch the real header (entry count + composite
-    /// checksum), and return the run's metadata.
-    pub fn finish(mut self) -> Result<RunMeta, SpillError> {
-        self.flush()?;
-        let mut header = header_bytes_zeroed(K::BYTES as u8, self.entries);
-        let checksum = compose_checksum(&header, self.body_hash.finish());
-        header[24..32].copy_from_slice(&checksum.to_le_bytes());
-        self.file.seek(SeekFrom::Start(0)).map_err(|e| io_err(&self.path, e))?;
-        self.file.write_all(&header).map_err(|e| io_err(&self.path, e))?;
-        self.file.flush().map_err(|e| io_err(&self.path, e))?;
-        Ok(RunMeta {
-            entries: self.entries,
-            file_bytes: RUN_HEADER_BYTES as u64 + self.bytes_written,
-            checksum,
-        })
-    }
+    Ok(u64::from_le_bytes(entries))
 }
 
 /// Write `entries` (strictly ascending, as `CountAcc::finalize`
-/// produces) to `path` as one run file.
+/// produces — violations panic rather than writing an unmergeable file)
+/// to `path` as one run file, streamed through a buffer of `buf_cap`
+/// bytes (clamped up to [`MIN_SPILL_BUF_BYTES`]).
 pub fn write_run<K: SpectrumKey>(
     path: &Path,
     entries: &[(K, u32)],
     buf_cap: usize,
-) -> Result<RunMeta, SpillError> {
-    let mut w = RunWriter::create(path, buf_cap)?;
-    for &(k, c) in entries {
-        w.push(k, c)?;
+) -> Result<RunMeta, SnapshotError> {
+    assert!(entries.is_sorted_by(|a, b| a.0 < b.0), "run entries must be strictly ascending");
+    let head = run_header(K::BYTES as u8, entries.len() as u64);
+    let mut out = FrameWriter::create(RUN, path, head, buf_cap.max(MIN_SPILL_BUF_BYTES))?;
+    // Room for the widest entry: a 16-byte key and its count.
+    let mut entry = [0u8; 16 + 4];
+    let entry = &mut entry[..entry_bytes::<K>()];
+    for &(key, count) in entries {
+        key.write_le(entry);
+        entry[K::BYTES..].copy_from_slice(&count.to_le_bytes());
+        out.put(entry)?;
     }
-    w.finish()
+    let (checksum, file_bytes) = out.finish()?;
+    Ok(RunMeta { entries: entries.len() as u64, file_bytes, checksum })
 }
 
 /// Streaming reader of one run file. `open` fully verifies the file —
-/// header fields, exact length, and the composite checksum via one
-/// bounded streaming pass — before the first entry is served, so a
-/// merge over open readers can never adopt corrupt counts.
+/// header fields, exact length, and the checksum via one bounded
+/// streaming pass — before the first entry is served, so a merge over
+/// open readers can never adopt corrupt counts.
 #[derive(Debug)]
 pub struct RunReader<K: SpectrumKey> {
     file: File,
     path: PathBuf,
-    buf: SpillBuffer,
-    /// Consumed prefix of `buf.data`.
+    /// The bounded staging buffer; never longer than `cap`.
+    buf: Vec<u8>,
+    cap: usize,
+    /// Consumed prefix of `buf`.
     pos: usize,
     entries: u64,
     served: u64,
@@ -364,79 +158,26 @@ pub struct RunReader<K: SpectrumKey> {
 }
 
 impl<K: SpectrumKey> RunReader<K> {
-    /// Open and verify `path`. Every corruption mode is a typed error
-    /// here, before any entry is visible.
-    pub fn open(path: &Path, buf_cap: usize) -> Result<RunReader<K>, SpillError> {
-        let mut file = File::open(path).map_err(|e| io_err(path, e))?;
-        let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
-        let mut header = [0u8; RUN_HEADER_BYTES];
-        if file_len < RUN_HEADER_BYTES as u64 {
-            return Err(SpillError::Truncated {
-                path: path.to_path_buf(),
-                expected_bytes: RUN_HEADER_BYTES as u64,
-                actual_bytes: file_len,
-            });
-        }
-        file.read_exact(&mut header).map_err(|e| io_err(path, e))?;
-        if header[0..8] != RUN_MAGIC {
-            return Err(SpillError::BadMagic { path: path.to_path_buf() });
-        }
-        let version = u16::from_le_bytes(header[8..10].try_into().unwrap());
-        if version != RUN_VERSION {
-            return Err(SpillError::VersionSkew { path: path.to_path_buf(), found: version });
-        }
-        let key_bytes = header[10];
-        if key_bytes as usize != K::BYTES {
-            return Err(SpillError::KeyWidth {
-                path: path.to_path_buf(),
-                found: key_bytes,
-                expected: K::BYTES as u8,
-            });
-        }
-        let entries = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let stored = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        // A corrupted count can be astronomically large; checked math
-        // turns that into the same typed truncation a short file gets.
-        let expected_len = entries
-            .checked_mul(entry_bytes::<K>() as u64)
-            .and_then(|b| b.checked_add(RUN_HEADER_BYTES as u64))
-            .unwrap_or(u64::MAX);
-        if file_len != expected_len {
-            return Err(SpillError::Truncated {
-                path: path.to_path_buf(),
-                expected_bytes: expected_len,
-                actual_bytes: file_len,
-            });
-        }
-        let body_bytes = expected_len - RUN_HEADER_BYTES as u64;
-        // Full-body verification pass through the bounded buffer, then
-        // rewind to the body start for streaming decode.
-        let mut buf = SpillBuffer::new(buf_cap);
-        buf.data.resize(buf.cap, 0);
-        let mut body_hash = Fnv1a::new();
-        let mut remaining = body_bytes;
-        while remaining > 0 {
-            let want = (buf.cap as u64).min(remaining) as usize;
-            file.read_exact(&mut buf.data[..want]).map_err(|e| io_err(path, e))?;
-            body_hash.update(&buf.data[..want]);
-            remaining -= want as u64;
-        }
-        let mut zeroed = header;
-        zeroed[24..32].fill(0);
-        let actual = compose_checksum(&zeroed, body_hash.finish());
-        if actual != stored {
-            return Err(SpillError::Checksum {
-                path: path.to_path_buf(),
-                expected: stored,
-                actual,
-            });
-        }
-        file.seek(SeekFrom::Start(RUN_HEADER_BYTES as u64)).map_err(|e| io_err(path, e))?;
-        buf.data.clear();
+    /// Open and verify `path` with a staging buffer of `buf_cap` bytes
+    /// (clamped up to [`MIN_SPILL_BUF_BYTES`]). Every corruption mode is
+    /// a typed error here, before any entry is visible.
+    pub fn open(path: &Path, buf_cap: usize) -> Result<RunReader<K>, SnapshotError> {
+        let cap = buf_cap.max(MIN_SPILL_BUF_BYTES);
+        let mut buf = vec![0u8; cap];
+        let mut entries = 0;
+        let file = RUN.open(path, &mut buf, |head| {
+            entries = run_entries::<K>(head, path)?;
+            // A corrupted count can be astronomically large; saturating
+            // math turns that into the same typed truncation a short
+            // file gets.
+            Ok(entries.saturating_mul(entry_bytes::<K>() as u64))
+        })?;
+        buf.clear();
         Ok(RunReader {
             file,
             path: path.to_path_buf(),
             buf,
+            cap,
             pos: 0,
             entries,
             served: 0,
@@ -453,35 +194,39 @@ impl<K: SpectrumKey> RunReader<K> {
     /// not `Iterator`: every pull can fail typed, and `Result<Option>`
     /// keeps `?` at the call sites instead of `Option<Result>` unwraps.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<(K, u32)>, SpillError> {
+    pub fn next(&mut self) -> Result<Option<(K, u32)>, SnapshotError> {
         if self.served == self.entries {
             return Ok(None);
         }
         let need = entry_bytes::<K>();
-        if self.buf.data.len() - self.pos < need {
+        if self.buf.len() - self.pos < need {
             // Refill: keep the undecoded tail, then read up to capacity.
-            self.buf.data.drain(..self.pos);
+            self.buf.drain(..self.pos);
             self.pos = 0;
-            let have = self.buf.data.len();
+            let have = self.buf.len();
             let want_total = ((self.entries - self.served) as usize)
                 .saturating_mul(need)
-                .min(self.buf.cap)
+                .min(self.cap)
                 .max(need);
-            self.buf.data.resize(want_total, 0);
+            self.buf.resize(want_total, 0);
             self.file
-                .read_exact(&mut self.buf.data[have..want_total])
-                .map_err(|e| io_err(&self.path, e))?;
+                .read_exact(&mut self.buf[have..want_total])
+                .map_err(|e| SnapshotError::io(&self.path, e))?;
         }
-        let at = self.pos;
-        let key = K::read_le(&self.buf.data[at..]);
-        let count = u32::from_le_bytes(self.buf.data[at + K::BYTES..at + need].try_into().unwrap());
+        let entry = &self.buf[self.pos..self.pos + need];
+        let key = K::read_le(entry);
+        let mut count = [0u8; 4];
+        count.copy_from_slice(&entry[K::BYTES..]);
         self.pos += need;
         self.served += 1;
         if self.last.is_some_and(|prev| prev >= key) {
-            return Err(SpillError::OutOfOrder { path: self.path.clone(), entry: self.served - 1 });
+            return Err(SnapshotError::OutOfOrder {
+                path: self.path.clone(),
+                entry: self.served - 1,
+            });
         }
         self.last = Some(key);
-        Ok(Some((key, count)))
+        Ok(Some((key, u32::from_le_bytes(count))))
     }
 }
 
@@ -514,7 +259,10 @@ impl<K: SpectrumKey> RunMerger<K> {
     /// Build the tree over `readers` (already open, hence already
     /// verified); `threshold` is the Step-III prune bound applied
     /// during the merge.
-    pub fn new(mut readers: Vec<RunReader<K>>, threshold: u32) -> Result<RunMerger<K>, SpillError> {
+    pub fn new(
+        mut readers: Vec<RunReader<K>>,
+        threshold: u32,
+    ) -> Result<RunMerger<K>, SnapshotError> {
         let k = readers.len();
         let mut heads = Vec::with_capacity(k);
         for r in readers.iter_mut() {
@@ -585,7 +333,7 @@ impl<K: SpectrumKey> RunMerger<K> {
     }
 
     /// Pop the globally smallest head, advancing its reader.
-    fn pop_min(&mut self) -> Result<Option<(K, u32)>, SpillError> {
+    fn pop_min(&mut self) -> Result<Option<(K, u32)>, SnapshotError> {
         if self.heads.is_empty() {
             return Ok(None);
         }
@@ -600,7 +348,7 @@ impl<K: SpectrumKey> RunMerger<K> {
 
     /// Next merged `(key, count)` *before* pruning: equal keys across
     /// runs folded with a saturating add.
-    fn next_raw(&mut self) -> Result<Option<(K, u32)>, SpillError> {
+    fn next_raw(&mut self) -> Result<Option<(K, u32)>, SnapshotError> {
         let Some((key, mut count)) = self.pop_min()? else {
             return Ok(None);
         };
@@ -617,7 +365,7 @@ impl<K: SpectrumKey> RunMerger<K> {
     /// fallible-pull shape as [`RunReader::next`], same reason it is
     /// not `Iterator`.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<(K, u32)>, SpillError> {
+    pub fn next(&mut self) -> Result<Option<(K, u32)>, SnapshotError> {
         while let Some((key, count)) = self.next_raw()? {
             if count >= self.threshold {
                 self.keys_emitted += 1;
@@ -644,10 +392,10 @@ mod tests {
         dir: &Path,
         names: &[&str],
         threshold: u32,
-    ) -> Result<Vec<(K, u32)>, SpillError> {
+    ) -> Result<Vec<(K, u32)>, SnapshotError> {
         let readers = names
             .iter()
-            .map(|n| RunReader::open(&dir.join(n), DEFAULT_SPILL_BUF_BYTES))
+            .map(|n| RunReader::open(&dir.join(n), crate::IO_CHUNK))
             .collect::<Result<Vec<_>, _>>()?;
         let mut m = RunMerger::new(readers, threshold)?;
         let mut out = Vec::new();
@@ -675,9 +423,8 @@ mod tests {
 
         let wide: Vec<(u128, u32)> =
             (0..300u128).map(|i| (i << 70 | i, (i % 5 + 1) as u32)).collect();
-        write_run(&dir.join("w.run"), &wide, DEFAULT_SPILL_BUF_BYTES).unwrap();
-        let mut r: RunReader<u128> =
-            RunReader::open(&dir.join("w.run"), DEFAULT_SPILL_BUF_BYTES).unwrap();
+        write_run(&dir.join("w.run"), &wide, crate::IO_CHUNK).unwrap();
+        let mut r: RunReader<u128> = RunReader::open(&dir.join("w.run"), crate::IO_CHUNK).unwrap();
         let mut got = Vec::new();
         while let Some(e) = r.next().unwrap() {
             got.push(e);
@@ -691,7 +438,7 @@ mod tests {
         let dir = tmpdir("width");
         write_run::<u64>(&dir.join("a.run"), &[(1, 1)], MIN_SPILL_BUF_BYTES).unwrap();
         let err = RunReader::<u128>::open(&dir.join("a.run"), MIN_SPILL_BUF_BYTES).unwrap_err();
-        assert!(matches!(err, SpillError::KeyWidth { found: 8, expected: 16, .. }), "{err}");
+        assert!(matches!(err, SnapshotError::KeyWidth { found: 8, expected: 16, .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -774,7 +521,7 @@ mod tests {
             let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(keep).unwrap();
             let err = RunReader::<u64>::open(&path, MIN_SPILL_BUF_BYTES).unwrap_err();
-            assert!(matches!(err, SpillError::Truncated { .. }), "keep={keep}: {err}");
+            assert!(matches!(err, SnapshotError::Truncated { .. }), "keep={keep}: {err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -34,20 +34,17 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read as _, Write as _};
+use std::io::{BufReader, Read as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use reptile::{FlatKmerTable, FlatTable, FlatTileTable, SpectrumKey};
 
-use crate::checksum::{fnv1a, Fnv1a};
-use crate::format::{ConfigFingerprint, ShardKind, SnapshotError, CHECKSUM_OFFSET, HEADER_BYTES};
+use crate::format::{ConfigFingerprint, ShardKind, SnapshotError};
+use crate::frame::{self, FrameWriter, IO_CHUNK, PARITY, SHARD};
 use crate::manifest::{Manifest, ParityRecord, ShardRecord};
 use crate::rs::{RsCode, RsError};
-use crate::shard::{
-    adopt_shard, parity_file_name, read_shard_file, shard_file_name, write_shard, LoadedShard,
-    IO_CHUNK,
-};
+use crate::shard::{adopt_shard, parity_file_name, shard_file_name, write_shard, LoadedShard};
 
 /// What a loader does when a shard turns out to be corrupt.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -278,12 +275,11 @@ fn encode_parity(
         let file = File::open(&path).map_err(|e| SnapshotError::io(&path, e))?;
         readers.push((BufReader::new(file), rec.bytes));
     }
-    let mut writers: Vec<(BufWriter<File>, Fnv1a, PathBuf)> = Vec::with_capacity(m);
-    for index in 0..m {
-        let path = dir.join(parity_file_name(kind, index));
-        let file = File::create(&path).map_err(|e| SnapshotError::io(&path, e))?;
-        writers.push((BufWriter::new(file), Fnv1a::new(), path));
-    }
+    let mut writers = (0..m)
+        .map(|index| {
+            FrameWriter::create(PARITY, &dir.join(parity_file_name(kind, index)), [], IO_CHUNK)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut dbuf = vec![0u8; IO_CHUNK];
     let mut pbufs = vec![vec![0u8; IO_CHUNK]; m];
@@ -303,22 +299,21 @@ fn encode_parity(
             dbuf[want..len].fill(0);
             code.encode_acc(j, &dbuf[..len], &mut pbufs);
         }
-        for ((out, hash, path), p) in writers.iter_mut().zip(&pbufs) {
-            hash.update(&p[..len]);
-            out.write_all(&p[..len]).map_err(|e| SnapshotError::io(&*path, e))?;
+        for (out, p) in writers.iter_mut().zip(&pbufs) {
+            out.put(&p[..len])?;
         }
         done += len as u64;
     }
 
     let mut recs = Vec::with_capacity(m);
-    for (index, (mut out, hash, path)) in writers.into_iter().enumerate() {
-        out.flush().map_err(|e| SnapshotError::io(&path, e))?;
+    for (index, out) in writers.into_iter().enumerate() {
+        let (checksum, bytes) = out.finish()?;
         recs.push(ParityRecord {
             kind,
             index,
             file_name: parity_file_name(kind, index),
-            bytes: stripe,
-            checksum: hash.finish(),
+            bytes,
+            checksum,
         });
     }
     Ok((recs, stripe * m as u64))
@@ -402,18 +397,27 @@ impl SnapshotReader {
             })?
             .clone();
         let path = self.dir.join(&rec.file_name);
-        if self.rebuilt.contains_key(&(rank, kind.code())) {
-            return self.adopt_rebuilt(rank, &rec, &path);
-        }
-        let attempt = read_shard_file(&path)
-            .and_then(|bytes| adopt_shard(&bytes, &path, &self.expect))
+        // A rebuilt image adopts through the same verifying call as the
+        // file, then heals the file if the policy asks for it. Each shard
+        // is loaded by exactly one rank, so in-place healing never races
+        // across a fleet: a rank only rewrites what it loads.
+        let rebuilt = self.rebuilt.get(&(rank, kind.code()));
+        let attempt = adopt_shard(&path, rebuilt.map(Vec::as_slice), &self.expect)
             .and_then(|l| cross_check(l, &rec, rank, self.manifest.np, &path));
-        match attempt {
-            Ok(loaded) => Ok(loaded),
-            Err(e) if is_shard_corruption(&e) && self.policy.repairs() => {
+        match (attempt, rebuilt) {
+            (Ok(loaded), Some(image)) => {
+                if let RecoveryPolicy::Repair { rewrite: true, .. } = self.policy {
+                    let tmp = path.with_extension("repair.tmp");
+                    std::fs::write(&tmp, image).map_err(|e| SnapshotError::io(&tmp, e))?;
+                    std::fs::rename(&tmp, &path).map_err(|e| SnapshotError::io(&path, e))?;
+                    self.stats.shards_rewritten += 1;
+                }
+                Ok(loaded)
+            }
+            (Err(e), None) if is_shard_corruption(&e) && self.policy.repairs() => {
                 self.repair_group(kind)?;
                 if self.rebuilt.contains_key(&(rank, kind.code())) {
-                    self.adopt_rebuilt(rank, &rec, &path)
+                    self.load_shard(rank)
                 } else {
                     // The file verified raw against the manifest yet
                     // failed decode: the snapshot was *written*
@@ -421,25 +425,8 @@ impl SnapshotReader {
                     Err(e)
                 }
             }
-            Err(e) => Err(e),
+            (attempt, _) => attempt,
         }
-    }
-
-    /// Decode a cached rebuilt image through full verification, then
-    /// heal the on-disk file if the policy asks for it.
-    fn adopt_rebuilt<K: SpectrumKey>(
-        &mut self,
-        rank: usize,
-        rec: &ShardRecord,
-        path: &Path,
-    ) -> Result<LoadedShard<FlatTable<K>>, SnapshotError> {
-        let loaded = {
-            let bytes = self.rebuilt.get(&(rank, rec.kind.code())).expect("cached");
-            adopt_shard(bytes, path, &self.expect)?
-        };
-        let loaded = cross_check(loaded, rec, rank, self.manifest.np, path)?;
-        self.rewrite_if_requested(rec, path)?;
-        Ok(loaded)
     }
 
     /// Classify every member of `kind`'s group against the manifest,
@@ -469,12 +456,18 @@ impl SnapshotReader {
         let parity_recs: Vec<ParityRecord> = (0..m)
             .map(|i| self.manifest.parity_shard(kind, i).expect("parser-checked coverage").clone())
             .collect();
+        // A survivor feeds reconstruction byte for byte, so a data
+        // shard's checksum slot must match the manifest too: it is the
+        // one header region the digest itself cannot see.
         let mut shards: Vec<Option<Vec<u8>>> = std::thread::scope(|s| {
             let data_readers: Vec<_> = data_recs
                 .iter()
                 .map(|rec| {
                     let path = self.dir.join(&rec.file_name);
-                    s.spawn(move || read_raw_verified(&path, rec.bytes, rec.checksum, true))
+                    s.spawn(move || {
+                        let image = frame::read(&path).ok()?;
+                        SHARD.check(&image, &path, rec.bytes, rec.checksum).ok().map(|()| image)
+                    })
                 })
                 .collect();
             let parity_readers: Vec<_> = parity_recs
@@ -482,9 +475,8 @@ impl SnapshotReader {
                 .map(|prec| {
                     let path = self.dir.join(&prec.file_name);
                     s.spawn(move || {
-                        (prec.bytes == stripe)
-                            .then(|| read_raw_verified(&path, prec.bytes, prec.checksum, false))
-                            .flatten()
+                        let image = (prec.bytes == stripe).then(|| frame::read(&path).ok())??;
+                        PARITY.check(&image, &path, prec.bytes, prec.checksum).ok().map(|()| image)
                     })
                 })
                 .collect();
@@ -530,39 +522,13 @@ impl SnapshotReader {
             let rec = &data_recs[rank];
             let mut bytes = shards[rank].take().expect("reconstructed");
             bytes.truncate(rec.bytes as usize);
-            let computed = shard_image_checksum(&bytes);
-            if computed != rec.checksum {
-                return Err(SnapshotError::Checksum {
-                    path: self.dir.join(&rec.file_name),
-                    stored: rec.checksum,
-                    computed,
-                });
-            }
+            SHARD.check(&bytes, &self.dir.join(&rec.file_name), rec.bytes, rec.checksum)?;
             self.stats.shards_repaired += 1;
             self.stats.bytes_reconstructed += rec.bytes;
             self.rebuilt.insert((rank, kind.code()), bytes);
         }
         self.stats.survivor_bytes_read += survivor_bytes;
         self.stats.repair_ns += t0.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// Write a rebuilt shard back to disk when the policy asks for it.
-    /// Each shard is loaded by exactly one rank, so in-place healing
-    /// never races across a fleet: a rank only rewrites what it loads.
-    fn rewrite_if_requested(
-        &mut self,
-        rec: &ShardRecord,
-        path: &Path,
-    ) -> Result<(), SnapshotError> {
-        let RecoveryPolicy::Repair { rewrite: true, .. } = self.policy else {
-            return Ok(());
-        };
-        let bytes = self.rebuilt.get(&(rec.rank, rec.kind.code())).expect("cached");
-        let tmp = path.with_extension("repair.tmp");
-        std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::io(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| SnapshotError::io(path, e))?;
-        self.stats.shards_rewritten += 1;
         Ok(())
     }
 }
@@ -581,53 +547,6 @@ fn is_shard_corruption(e: &SnapshotError) -> bool {
             | SnapshotError::InvalidTable { .. }
             | SnapshotError::MissingShard { .. }
     )
-}
-
-/// The checksum a well-formed shard file carries: FNV-1a over the file
-/// with the header's checksum field zeroed.
-fn shard_image_checksum(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::new();
-    if bytes.len() >= HEADER_BYTES {
-        let mut head = [0u8; HEADER_BYTES];
-        head.copy_from_slice(&bytes[..HEADER_BYTES]);
-        head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
-        hash.update(&head);
-        hash.update(&bytes[HEADER_BYTES..]);
-    } else {
-        hash.update(bytes);
-    }
-    hash.finish()
-}
-
-/// Raw survivor check: the file must exist, have exactly the recorded
-/// length, and reproduce the recorded checksum (`zeroed_field` selects
-/// the data-shard digest, which zeroes the header's checksum slot, vs
-/// the plain whole-file digest parity shards use). For data shards the
-/// stored checksum field itself must match the manifest too — it is
-/// the one header region the zeroed digest cannot see, and a survivor
-/// feeds parity reconstruction byte-for-byte.
-fn read_raw_verified(
-    path: &Path,
-    want_bytes: u64,
-    want_checksum: u64,
-    zeroed_field: bool,
-) -> Option<Vec<u8>> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() as u64 != want_bytes {
-        return None;
-    }
-    let computed = if zeroed_field { shard_image_checksum(&bytes) } else { fnv1a(&bytes) };
-    if computed != want_checksum {
-        return None;
-    }
-    if zeroed_field && bytes.len() >= HEADER_BYTES {
-        let stored =
-            u64::from_le_bytes(bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].try_into().unwrap());
-        if stored != want_checksum {
-            return None;
-        }
-    }
-    Some(bytes)
 }
 
 fn cross_check<T>(
