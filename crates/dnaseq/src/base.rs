@@ -20,9 +20,6 @@ pub enum Base {
 }
 
 impl Base {
-    /// All four bases in code order. Handy for substitution enumeration.
-    pub const ALL: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
-
     /// Decode a 2-bit code (`0..=3`). Panics in debug builds on out-of-range
     /// input; release builds mask to the low two bits.
     #[inline]
@@ -74,22 +71,10 @@ impl Base {
     }
 }
 
-/// Complement a 2-bit base code without constructing a [`Base`].
-#[inline]
-pub fn complement_code(code: u8) -> u8 {
-    3 - (code & 3)
-}
-
 /// True if the ASCII character encodes one of `ACGT` (case-insensitive).
 #[inline]
 pub fn is_unambiguous(ch: u8) -> bool {
     Base::from_ascii(ch).is_some()
-}
-
-/// Encode an ASCII sequence into 2-bit codes, or `None` at the first
-/// ambiguous character.
-pub fn encode_ascii(seq: &[u8]) -> Option<Vec<u8>> {
-    seq.iter().map(|&c| Base::from_ascii(c).map(Base::code)).collect()
 }
 
 /// Reverse-complement an ASCII sequence in place. Ambiguous characters map
@@ -110,7 +95,7 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for b in Base::ALL {
+        for b in (0..4).map(Base::from_code) {
             assert_eq!(Base::from_code(b.code()), b);
             assert_eq!(Base::from_ascii(b.to_ascii()), Some(b));
             assert_eq!(Base::from_ascii(b.to_ascii().to_ascii_lowercase()), Some(b));
@@ -119,18 +104,11 @@ mod tests {
 
     #[test]
     fn complement_is_involution() {
-        for b in Base::ALL {
+        for b in (0..4).map(Base::from_code) {
             assert_eq!(b.complement().complement(), b);
         }
         assert_eq!(Base::A.complement(), Base::T);
         assert_eq!(Base::C.complement(), Base::G);
-    }
-
-    #[test]
-    fn complement_code_matches_base_complement() {
-        for b in Base::ALL {
-            assert_eq!(complement_code(b.code()), b.complement().code());
-        }
     }
 
     #[test]
@@ -139,13 +117,6 @@ mod tests {
             assert_eq!(Base::from_ascii(ch), None, "{}", ch as char);
             assert!(!is_unambiguous(ch));
         }
-    }
-
-    #[test]
-    fn encode_ascii_full_and_failing() {
-        assert_eq!(encode_ascii(b"ACGT"), Some(vec![0, 1, 2, 3]));
-        assert_eq!(encode_ascii(b"ACNT"), None);
-        assert_eq!(encode_ascii(b""), Some(vec![]));
     }
 
     #[test]

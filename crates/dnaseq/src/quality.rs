@@ -92,12 +92,6 @@ impl QualityEncoding {
     }
 }
 
-/// Error probability for a Phred score: `10^(−Q/10)`.
-#[inline]
-pub fn error_probability(q: Phred) -> f64 {
-    10f64.powf(-(q as f64) / 10.0)
-}
-
 /// Phred score for an error probability, clamped to `0..=MAX_PHRED`.
 #[inline]
 pub fn phred_from_probability(p: f64) -> Phred {
@@ -106,22 +100,6 @@ pub fn phred_from_probability(p: f64) -> Phred {
     }
     let q = -10.0 * p.log10();
     q.clamp(0.0, MAX_PHRED as f64).round() as Phred
-}
-
-/// Positions (within `quals[range]`, reported relative to `range.start`)
-/// whose quality is strictly below `threshold` — Reptile's candidate error
-/// positions for the window.
-pub fn low_quality_positions(
-    quals: &[Phred],
-    range: std::ops::Range<usize>,
-    threshold: Phred,
-) -> Vec<usize> {
-    quals[range.clone()]
-        .iter()
-        .enumerate()
-        .filter(|(_, &q)| q < threshold)
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]
@@ -182,20 +160,9 @@ mod tests {
 
     #[test]
     fn probability_conversions() {
-        assert!((error_probability(10) - 0.1).abs() < 1e-12);
-        assert!((error_probability(30) - 0.001).abs() < 1e-12);
         assert_eq!(phred_from_probability(0.1), 10);
         assert_eq!(phred_from_probability(0.001), 30);
         assert_eq!(phred_from_probability(0.0), MAX_PHRED);
         assert_eq!(phred_from_probability(1.0), 0);
-    }
-
-    #[test]
-    fn low_quality_positions_within_range() {
-        let quals = vec![40, 10, 40, 5, 40, 12, 40];
-        // window [1, 6): qualities 10, 40, 5, 40, 12 — below-20 at offsets 0, 2, 4
-        assert_eq!(low_quality_positions(&quals, 1..6, 20), vec![0, 2, 4]);
-        assert_eq!(low_quality_positions(&quals, 0..7, 5), vec![]);
-        assert_eq!(low_quality_positions(&quals, 2..2, 50), vec![]);
     }
 }

@@ -84,13 +84,6 @@ impl Read {
     pub fn owner(&self, np: usize) -> usize {
         (self.sequence_hash() % np as u64) as usize
     }
-
-    /// Count positions where this read and `other` differ. Panics if
-    /// lengths differ — substitution-only correction preserves length.
-    pub fn hamming_distance(&self, other: &Read) -> usize {
-        assert_eq!(self.len(), other.len(), "length-changing edit detected");
-        self.seq.iter().zip(&other.seq).filter(|(a, b)| a != b).count()
-    }
 }
 
 #[cfg(test)]
@@ -117,22 +110,6 @@ mod tests {
         // owner depends on sequence, not id
         let r2 = Read::new(9999, b"ACGTACGTACGT".to_vec(), vec![2; 12]);
         assert_eq!(r.owner(64), r2.owner(64));
-    }
-
-    #[test]
-    fn hamming_distance_counts_substitutions() {
-        let a = Read::new(1, b"ACGT".to_vec(), vec![30; 4]);
-        let b = Read::new(1, b"AGGA".to_vec(), vec![30; 4]);
-        assert_eq!(a.hamming_distance(&b), 2);
-        assert_eq!(a.hamming_distance(&a), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length-changing")]
-    fn hamming_distance_rejects_length_change() {
-        let a = Read::new(1, b"ACGT".to_vec(), vec![30; 4]);
-        let b = Read::new(1, b"ACG".to_vec(), vec![30; 3]);
-        let _ = a.hamming_distance(&b);
     }
 
     #[test]

@@ -128,14 +128,6 @@ impl<R: BufRead> RecordReader<R> {
     }
 }
 
-/// Write a whole sequence file (ids `1..=n` in order).
-pub fn write_sequences(out: &mut impl Write, seqs: &[Vec<u8>]) -> std::io::Result<()> {
-    for (i, s) in seqs.iter().enumerate() {
-        write_record(out, i as u64 + 1, s)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

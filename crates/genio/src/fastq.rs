@@ -12,7 +12,6 @@
 use crate::fasta::trim_eol;
 use crate::{IoError, Result};
 use dnaseq::quality::QualityEncoding;
-use dnaseq::Read;
 use std::io::{BufRead, Write};
 
 /// A parsed FASTQ record.
@@ -126,23 +125,6 @@ impl<R: BufRead> FastqReader<R> {
     }
 }
 
-/// Write one FASTQ record (Sanger qualities).
-pub fn write_fastq_record(
-    out: &mut impl Write,
-    name: &[u8],
-    seq: &[u8],
-    qual: &[u8],
-) -> std::io::Result<()> {
-    debug_assert_eq!(seq.len(), qual.len());
-    out.write_all(b"@")?;
-    out.write_all(name)?;
-    out.write_all(b"\n")?;
-    out.write_all(seq)?;
-    out.write_all(b"\n+\n")?;
-    out.write_all(&QualityEncoding::SangerAscii.encode(qual))?;
-    out.write_all(b"\n")
-}
-
 /// The Reptile preprocessing step: convert a FASTQ stream into the
 /// numbered FASTA + decimal-quality file pair, renaming reads to
 /// ascending sequence numbers starting at 1 (paper §III step I).
@@ -165,19 +147,6 @@ pub fn fastq_to_reptile_pair(
     Ok(id)
 }
 
-/// Load a FASTQ file directly into [`Read`]s (ids assigned 1..=n).
-pub fn load_fastq(path: &std::path::Path) -> Result<Vec<Read>> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = FastqReader::new(std::io::BufReader::new(file));
-    let mut reads = Vec::new();
-    let mut id = 0u64;
-    while let Some(rec) = reader.next_record()? {
-        id += 1;
-        reads.push(Read::new(id, rec.seq, rec.qual));
-    }
-    Ok(reads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,17 +164,6 @@ mod tests {
         assert_eq!(recs[0].qual, vec![40, 40, 20, 40]);
         assert_eq!(recs[1].name, b"r2");
         assert_eq!(recs[1].seq.len(), 5);
-    }
-
-    #[test]
-    fn writer_round_trips() {
-        let mut buf = Vec::new();
-        write_fastq_record(&mut buf, b"x", b"ACGT", &[30, 31, 32, 33]).unwrap();
-        let mut r = FastqReader::new(Cursor::new(buf));
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.name, b"x");
-        assert_eq!(rec.seq, b"ACGT");
-        assert_eq!(rec.qual, vec![30, 31, 32, 33]);
     }
 
     #[test]
@@ -266,12 +224,13 @@ mod tests {
     fn reusable_record_streams_without_regrowing() {
         // Stream many records through one record; after the first (largest)
         // record sizes the buffers, later records must not regrow them.
-        let mut data = Vec::new();
-        write_fastq_record(&mut data, b"widest-name", &[b'A'; 64], &[30; 64]).unwrap();
-        for i in 0..50u8 {
-            write_fastq_record(&mut data, b"r", &[b"ACGT"[i as usize % 4]; 16], &[30; 16]).unwrap();
+        // Sanger '?' is Q30
+        let mut data = format!("@widest-name\n{}\n+\n{}\n", "A".repeat(64), "?".repeat(64));
+        for i in 0..50 {
+            let base = ["A", "C", "G", "T"][i % 4];
+            data += &format!("@r\n{}\n+\n{}\n", base.repeat(16), "?".repeat(16));
         }
-        let mut r = FastqReader::new(Cursor::new(data));
+        let mut r = FastqReader::new(Cursor::new(data.into_bytes()));
         let mut rec = FastqRecord { name: Vec::new(), seq: Vec::new(), qual: Vec::new() };
         assert!(r.next_record_into(&mut rec).unwrap());
         let caps = (rec.name.capacity(), rec.seq.capacity(), rec.qual.capacity());

@@ -61,11 +61,6 @@ impl RequestMix {
     pub fn uniform(reads: Vec<Read>) -> RequestMix {
         RequestMix::new(vec![MixComponent { weight: 1.0, reads }])
     }
-
-    /// Number of components that survived filtering.
-    pub fn n_components(&self) -> usize {
-        self.components.len()
-    }
 }
 
 /// One generated request: when it arrives and what it asks to correct.
@@ -192,7 +187,7 @@ mod tests {
             MixComponent { weight: 3.0, reads: pool(20, 60, 0) },
             MixComponent { weight: 1.0, reads: pool(20, 100, 1) },
         ]);
-        assert_eq!(mix.n_components(), 2);
+        assert_eq!(mix.components.len(), 2);
         let arrivals = OpenLoopGen::new(mix, 100.0, 11).generate(40_000);
         let short = arrivals.iter().filter(|a| a.component == 0).count() as f64;
         let frac = short / arrivals.len() as f64;

@@ -1,7 +1,6 @@
 //! Dataset inventory statistics (paper Table I).
 
 use crate::dataset::DatasetProfile;
-use dnaseq::Read;
 
 /// The Table I row for a dataset: reads, read length, genome size and the
 /// derived coverage `(length × reads) / genome`.
@@ -26,17 +25,6 @@ impl DatasetStats {
             read_len: p.read_len,
             genome_size: p.genome_len as u64,
         }
-    }
-
-    /// Measure stats from generated reads plus the known genome size.
-    /// Uses the dominant (modal) read length, like the paper's table.
-    pub fn from_reads(name: &str, reads: &[Read], genome_size: u64) -> DatasetStats {
-        let mut len_counts = std::collections::HashMap::new();
-        for r in reads {
-            *len_counts.entry(r.len()).or_insert(0u64) += 1;
-        }
-        let read_len = len_counts.into_iter().max_by_key(|&(_, c)| c).map(|(l, _)| l).unwrap_or(0);
-        DatasetStats { name: name.to_string(), n_reads: reads.len() as u64, read_len, genome_size }
     }
 
     /// Read coverage, as defined under Table I.
@@ -90,19 +78,6 @@ mod tests {
             assert_eq!(s.genome_size, g);
             assert!((s.coverage() - cov).abs() < 3.0, "{} -> {}", s.name, s.coverage());
         }
-    }
-
-    #[test]
-    fn from_reads_measures_modal_length() {
-        let reads = vec![
-            Read::new(1, b"ACGT".to_vec(), vec![30; 4]),
-            Read::new(2, b"ACGTA".to_vec(), vec![30; 5]),
-            Read::new(3, b"TTTT".to_vec(), vec![30; 4]),
-        ];
-        let s = DatasetStats::from_reads("x", &reads, 100);
-        assert_eq!(s.read_len, 4);
-        assert_eq!(s.n_reads, 3);
-        assert!((s.coverage() - 0.12).abs() < 1e-9);
     }
 
     #[test]

@@ -210,11 +210,6 @@ impl crate::comm::Comm {
     pub fn allreduce_max_u64(&self, value: u64) -> u64 {
         self.allreduce(value, u64::max)
     }
-
-    /// `MPI_Allreduce(SUM)` on a `u64`.
-    pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
-        self.allreduce(value, |a, b| a + b)
-    }
 }
 
 impl<T: Send + 'static> PendingAlltoallv<'_, T> {
@@ -317,7 +312,7 @@ mod tests {
         let np = 6;
         let results = Universe::new(np).run(|comm| {
             let me = comm.rank() as u64;
-            (comm.allreduce_max_u64(me * 3), comm.allreduce_sum_u64(me))
+            (comm.allreduce_max_u64(me * 3), comm.allreduce(me, |a, b| a + b))
         });
         for (max, sum) in results {
             assert_eq!(max, 15);

@@ -55,12 +55,6 @@ impl Topology {
         self.node_of(a) == self.node_of(b)
     }
 
-    /// Number of nodes needed for `np` ranks.
-    #[inline]
-    pub fn nodes_for(&self, np: usize) -> usize {
-        np.div_ceil(self.ranks_per_node.min(np.max(1)))
-    }
-
     /// Total software threads per node during the correction phase.
     #[inline]
     pub fn threads_per_node(&self, np: usize) -> usize {
@@ -80,15 +74,12 @@ mod tests {
         assert_eq!(t.node_of(32), 1);
         assert!(t.same_node(0, 31));
         assert!(!t.same_node(31, 32));
-        assert_eq!(t.nodes_for(128), 4);
-        assert_eq!(t.nodes_for(129), 5);
     }
 
     #[test]
     fn single_node_groups_everything() {
         let t = Topology::single_node();
         assert!(t.same_node(0, 10_000));
-        assert_eq!(t.nodes_for(64), 1);
     }
 
     #[test]

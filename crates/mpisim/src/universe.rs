@@ -9,7 +9,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use mpisim::Universe;
-/// let sums = Universe::new(4).run(|comm| comm.allreduce_sum_u64(comm.rank() as u64));
+/// let sums = Universe::new(4).run(|comm| comm.allreduce(comm.rank() as u64, |a, b| a + b));
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
 /// ```
 pub struct Universe {
@@ -89,7 +89,7 @@ mod tests {
     fn large_universe_runs() {
         // 128 ranks of trivial work: ensures thread spawning scales to the
         // rank counts the integration tests use.
-        let sums = Universe::new(128).run(|comm| comm.allreduce_sum_u64(1));
+        let sums = Universe::new(128).run(|comm| comm.allreduce(1u64, |a, b| a + b));
         assert!(sums.into_iter().all(|s| s == 128));
     }
 }

@@ -189,11 +189,11 @@ fn collectives_and_p2p_interleave() {
     const NP: usize = 12;
     let results = Universe::with_topology(NP, Topology::new(4)).run(|comm| {
         let me = comm.rank() as u64;
-        let sum1 = comm.allreduce_sum_u64(me);
+        let sum1 = comm.allreduce(me, |a, b| a + b);
         comm.send((comm.rank() + 1) % NP, 9, vec![me as u8]);
         let from_prev = comm.recv(Source::Any, TagSel::Tag(9)).payload[0] as usize;
         let gathered = comm.allgatherv(vec![from_prev]);
-        let sum2 = comm.allreduce_sum_u64(me * 2);
+        let sum2 = comm.allreduce(me * 2, |a, b| a + b);
         (sum1, gathered, sum2)
     });
     let expect: u64 = (0..NP as u64).sum();

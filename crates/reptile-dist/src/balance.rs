@@ -61,11 +61,6 @@ impl ReadBuckets {
     }
 }
 
-/// Bucket reads by their owning rank (pure helper; used by both engines).
-pub fn bucket_reads_by_owner(reads: Vec<Read>, np: usize) -> Vec<Vec<Read>> {
-    ReadBuckets::new(np).bucket(reads)
-}
-
 /// Exchange one batch of reads so every rank ends up with exactly the
 /// reads it owns. Returns this rank's owned reads from the batch, sorted
 /// by sequence number (deterministic processing order regardless of which
@@ -229,7 +224,7 @@ mod tests {
     fn buckets_partition_reads() {
         let reads = make_reads(50);
         let np = 7;
-        let buckets = bucket_reads_by_owner(reads.clone(), np);
+        let buckets = ReadBuckets::new(np).bucket(reads.clone());
         assert_eq!(buckets.len(), np);
         let total: usize = buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 50);
@@ -247,7 +242,7 @@ mod tests {
         for round in 0..3 {
             let reads = make_reads(40 + round * 20);
             let reused = scratch.bucket(reads.clone());
-            let fresh = bucket_reads_by_owner(reads, np);
+            let fresh = ReadBuckets::new(np).bucket(reads);
             assert_eq!(reused, fresh);
             for (h, b) in scratch.hint.iter().zip(&reused) {
                 assert_eq!(*h, b.len(), "hints must track the last batch");

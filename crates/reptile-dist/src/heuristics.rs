@@ -125,33 +125,6 @@ impl HeuristicConfig {
         HeuristicConfig { hot_shard_k: k, steal_chunks: true, ..HeuristicConfig::default() }
     }
 
-    /// Every heuristic combination the construction-phase equivalence
-    /// suite sweeps: one representative per switch (plus the pairings
-    /// the paper evaluates together), each `replicate_*` flag also on its
-    /// own and partial replication at two group sizes, so a table built
-    /// from the other kind's flag shows. All entries satisfy [`validate`];
-    /// the pipelined builder must be bit-identical to the serial
-    /// reference under each of them.
-    ///
-    /// [`validate`]: HeuristicConfig::validate
-    pub fn construction_matrix() -> Vec<HeuristicConfig> {
-        let base = HeuristicConfig::default();
-        vec![
-            base,
-            HeuristicConfig { universal: true, ..base },
-            HeuristicConfig { batch_reads: true, ..base },
-            HeuristicConfig { keep_read_tables: true, ..base },
-            HeuristicConfig { keep_read_tables: true, cache_remote: true, ..base },
-            HeuristicConfig::replicate_both(),
-            HeuristicConfig { replicate_kmers: true, ..base },
-            HeuristicConfig { replicate_tiles: true, ..base },
-            HeuristicConfig { partial_group: 2, ..base },
-            HeuristicConfig { partial_group: 3, ..base },
-            HeuristicConfig { aggregate_lookups: true, ..base },
-            HeuristicConfig::paper_production(),
-        ]
-    }
-
     /// Validate the combination; returns a description of the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), String> {
@@ -330,19 +303,6 @@ mod tests {
         assert_eq!(imb.label(), "imbalanced");
         let agg = HeuristicConfig { aggregate_lookups: true, ..HeuristicConfig::default() };
         assert_eq!(agg.label(), "agg-lookups");
-    }
-
-    #[test]
-    fn construction_matrix_entries_are_valid_and_distinct() {
-        let matrix = HeuristicConfig::construction_matrix();
-        for h in &matrix {
-            h.validate().unwrap_or_else(|e| panic!("{}: {e}", h.label()));
-        }
-        for (i, a) in matrix.iter().enumerate() {
-            for b in &matrix[i + 1..] {
-                assert_ne!(a, b, "duplicate matrix entry {}", a.label());
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::protocol::LookupRequest;
 use crate::report::LookupStats;
 use crate::router::{KindCounters, KindTiers, Tiers};
 use crate::spectrum::{KindTables, RankTables};
-use dnaseq::Read;
 use reptile::{Normalized, PrefetchKeys, ReptileParams, SpectrumKey};
 use std::path::PathBuf;
 
@@ -96,12 +95,6 @@ impl OwnerMap {
             let key = code.normalize(&owners);
             (key, K::owner(key, &owners))
         })
-    }
-
-    /// Owning rank of a read under the load-balancing policy.
-    #[inline]
-    pub fn read_owner(&self, read: &Read) -> usize {
-        read.owner(self.np)
     }
 }
 

@@ -147,13 +147,6 @@ pub struct RankReport {
     pub repair: RepairStats,
 }
 
-impl RankReport {
-    /// Total rank time (construction + correction).
-    pub fn total_secs(&self) -> f64 {
-        self.construct_secs + self.correct_secs
-    }
-}
-
 /// A whole run: per-rank reports plus the layout that produced them.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -286,12 +279,6 @@ impl RunReport {
         self.ranks.iter().map(|r| r.lookups.remote_total()).sum()
     }
 
-    /// Parallel efficiency vs a reference run:
-    /// `(t_ref · np_ref) / (t_this · np_this)`.
-    pub fn efficiency_vs(&self, reference: &RunReport, np_ref: usize, np_this: usize) -> f64 {
-        (reference.makespan_secs() * np_ref as f64) / (self.makespan_secs() * np_this as f64)
-    }
-
     /// Total snapshot bytes read across ranks (0 on non-snapshot runs).
     pub fn snapshot_bytes_read(&self) -> u64 {
         self.ranks.iter().map(|r| r.snapshot_bytes_read).sum()
@@ -389,15 +376,6 @@ mod tests {
         assert_eq!(r.imbalance_ratio(), 4.0);
         let uniform = run(vec![rank(0.0, 5.0, 0.0), rank(0.0, 5.0, 0.0)]);
         assert_eq!(uniform.imbalance_ratio(), 1.0);
-    }
-
-    #[test]
-    fn efficiency_definition() {
-        let base = run(vec![rank(0.0, 100.0, 0.0)]);
-        let scaled = run(vec![rank(0.0, 15.0, 0.0)]);
-        // 8x ranks, 100/15 speedup -> efficiency 100/(15*8)
-        let eff = scaled.efficiency_vs(&base, 1, 8);
-        assert!((eff - 100.0 / 120.0).abs() < 1e-12);
     }
 
     #[test]

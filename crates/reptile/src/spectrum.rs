@@ -218,16 +218,10 @@ impl LocalSpectra {
     /// Build both spectra from a full read set, then prune by the
     /// parameter thresholds.
     pub fn build(reads: &[Read], params: &ReptileParams) -> LocalSpectra {
-        params.assert_valid();
-        let mut kmers = KmerSpectrum::new(params.kmer_codec(), params.canonical);
-        let mut tiles = TileSpectrum::new(params.tile_codec(), params.canonical);
-        for read in reads {
-            kmers.add_read(read);
-            tiles.add_read(read);
-        }
-        kmers.prune(params.kmer_threshold);
-        tiles.prune(params.tile_threshold);
-        LocalSpectra { kmers, tiles }
+        let mut built = LocalSpectra::build_unpruned(reads, params);
+        built.kmers.prune(params.kmer_threshold);
+        built.tiles.prune(params.tile_threshold);
+        built
     }
 
     /// Build without pruning (the distributed construction prunes only

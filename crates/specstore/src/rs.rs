@@ -173,19 +173,9 @@ impl RsCode {
         Ok(RsCode { k, m, rows })
     }
 
-    /// Data shard count.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
     /// Parity shard count.
     pub fn parity_shards(&self) -> usize {
         self.m
-    }
-
-    /// The encode coefficient for (parity row `i`, data shard `j`).
-    pub fn coefficient(&self, i: usize, j: usize) -> u8 {
-        self.rows[i][j]
     }
 
     /// Streaming encode step: XOR data shard `j`'s chunk into every
@@ -354,9 +344,7 @@ mod tests {
     #[test]
     fn row_zero_is_all_ones() {
         let code = RsCode::new(7, 3).unwrap();
-        for j in 0..7 {
-            assert_eq!(code.coefficient(0, j), 1);
-        }
+        assert_eq!(code.rows[0], vec![1; 7]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Integration tests for the beyond-paper extensions: partial
-//! replication, the k-mer-only baseline and sharded output — all
-//! exercised through the public API against the same ground-truth
-//! dataset.
+//! replication and the k-mer-only baseline, exercised through the
+//! public API.
+
+mod support;
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, AccuracyReport, ReptileParams};
-use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{run_distributed, EngineConfig};
 
 fn dataset(seed: u64) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -36,20 +36,10 @@ fn params() -> ReptileParams {
     }
 }
 
+/// A slice of the differential matrix in `support`.
 #[test]
 fn partial_replication_all_engines_agree() {
-    let ds = dataset(51);
-    let p = params();
-    let (seq, _) = correct_dataset(&ds.reads, &p);
-    for g in [2usize, 4] {
-        let heur = HeuristicConfig { partial_group: g, ..Default::default() };
-        let mt = EngineConfig { heuristics: heur, ..EngineConfig::new(4, p) };
-        let out = run_distributed(&mt, &ds.reads);
-        assert_eq!(out.corrected, seq, "threaded g={g}");
-        let v = EngineConfig { heuristics: heur, ..EngineConfig::virtual_cluster(64, p) };
-        let virt = run_virtual(&v, &ds.reads);
-        assert_eq!(virt.corrected, seq, "virtual g={g}");
-    }
+    support::check_grid(support::Grid::PartialReplication);
 }
 
 #[test]
@@ -104,32 +94,4 @@ fn tile_corrector_beats_kmer_baseline_on_ground_truth() {
         k.gain()
     );
     assert!(t.false_positives < k.false_positives + 50);
-}
-
-#[test]
-fn sharded_output_reconstructs_dataset() {
-    use reptile_dist::output::{merge_shards, write_all_shards};
-    let ds = dataset(56);
-    let p = params();
-    let np = 5;
-    let out = run_distributed(&EngineConfig::new(np, p), &ds.reads);
-    // shard by the rank that owns each read under load balancing
-    let mut per_rank: Vec<Vec<dnaseq::Read>> = vec![Vec::new(); np];
-    for r in &out.corrected {
-        per_rank[r.owner(np)].push(r.clone());
-    }
-    let dir = std::env::temp_dir().join(format!("reptile-ext-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    write_all_shards(&dir, "c", &per_rank).unwrap();
-    let merged = dir.join("c.fa");
-    let n = merge_shards(&dir, "c", np, &merged).unwrap();
-    assert_eq!(n, ds.reads.len() as u64);
-    // merged content equals the corrected output
-    let text = std::fs::read_to_string(&merged).unwrap();
-    let mut lines = text.lines();
-    let first_hdr = lines.next().unwrap();
-    assert_eq!(first_hdr, ">1");
-    let first_seq = lines.next().unwrap();
-    assert_eq!(first_seq.as_bytes(), &out.corrected[0].seq[..]);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

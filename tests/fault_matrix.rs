@@ -3,7 +3,8 @@
 //! masked bit-identically by the retry protocol, and a killed owner must
 //! degrade gracefully (its keys read as absent everywhere) instead of
 //! hanging the run. Writes `target/fault-matrix-report.json` with the
-//! degradation counters for the CI artifact.
+//! degradation counters for the CI artifact, rewritten after every cell
+//! and before that cell's asserts, so a failing cell leaves its row.
 
 use genio::dataset::DatasetProfile;
 use mpisim::FaultPlan;
@@ -162,8 +163,6 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
                 };
                 cfg.validate().unwrap();
                 let faulted = engine.run(&cfg, &ds.reads);
-                let label = format!("{engine_name} np={np} {name}");
-                assert_bit_identical(&label, &clean, &faulted);
                 let (retried, deadline_misses, keys_degraded) = counters(&faulted);
                 rows.push(MatrixRow {
                     engine: engine_name,
@@ -173,6 +172,8 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
                     deadline_misses,
                     keys_degraded,
                 });
+                write_report(&rows);
+                assert_bit_identical(&format!("{engine_name} np={np} {name}"), &clean, &faulted);
             }
         }
     }
@@ -208,6 +209,16 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
         let clean =
             engine.run(&EngineConfig { lookup_deadline: None, ..aggregate("", 0) }, &ds.reads);
         let faulted = engine.run(&aggregate("seed=12,drop=0.1,delay=0.2:200us", 10), &ds.reads);
+        let (retried, deadline_misses, keys_degraded) = counters(&faulted);
+        rows.push(MatrixRow {
+            engine: engine_name,
+            np,
+            fault: "aggregate drop+delay",
+            retried,
+            deadline_misses,
+            keys_degraded,
+        });
+        write_report(&rows);
         assert_bit_identical(&format!("{engine_name} aggregate drop+delay"), &clean, &faulted);
         for r in &faulted.report.ranks {
             let chunks = r.reads_processed.div_ceil(120);
@@ -217,37 +228,27 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
                 r.rank
             );
         }
-        let (retried, deadline_misses, keys_degraded) = counters(&faulted);
         assert!(retried > 0, "{engine_name}: aggregate drop run never retried");
+
+        let cfg = aggregate("seed=3,kill=1", 2);
+        let out = engine.run(&cfg, &ds.reads);
+        let (retried, deadline_misses, keys_degraded) = counters(&out);
         rows.push(MatrixRow {
             engine: engine_name,
             np,
-            fault: "aggregate drop+delay",
+            fault: "kill",
             retried,
             deadline_misses,
             keys_degraded,
         });
-
-        let cfg = aggregate("seed=3,kill=1", 2);
-        let out = engine.run(&cfg, &ds.reads);
+        write_report(&rows);
         assert_eq!(out.corrected.len(), ds.reads.len(), "{engine_name}: kill must not lose reads");
-        let (_, _, keys_degraded) = counters(&out);
         assert!(keys_degraded > 0, "{engine_name}: killed owner must degrade some keys");
         assert_eq!(
             out.report.ranks[1].lookups.requests_served, 0,
             "{engine_name}: the killed rank serves nothing"
         );
-        rows.push(MatrixRow {
-            engine: engine_name,
-            np,
-            fault: "kill",
-            retried: counters(&out).0,
-            deadline_misses: counters(&out).1,
-            keys_degraded,
-        });
     }
-
-    write_report(&rows);
 }
 
 /// Debug-build smoke slice of the matrix: one lossy cell and one kill

@@ -9,6 +9,8 @@
 //! completes within a progress deadline (degraded, not hung), and the
 //! fault-free slice of the responses is bit-identical to batch mode.
 
+mod support;
+
 use dnaseq::Read;
 use genio::dataset::DatasetProfile;
 use mpisim::FaultPlan;
@@ -16,11 +18,10 @@ use reptile::{LocalSpectra, ReptileParams};
 use reptile_dist::snapshot::save_snapshot_serial;
 use reptile_dist::{
     try_run_distributed, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse,
-    SubmitError,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const NP: usize = 4;
 
@@ -34,13 +35,15 @@ fn params() -> ReptileParams {
     }
 }
 
-fn spectrum_reads() -> Vec<Read> {
+/// `n` reads at `error_rate` over the one genome every read set here
+/// samples (same seed and genome length).
+fn reads(n: usize, error_rate: f64) -> Vec<Read> {
     DatasetProfile {
         name: "serve-plane".into(),
         genome_len: 2_500,
         read_len: 60,
-        n_reads: 2_000,
-        base_error_rate: 0.004,
+        n_reads: n,
+        base_error_rate: error_rate,
         hotspot_count: 2,
         hotspot_multiplier: 5.0,
         hotspot_fraction: 0.1,
@@ -53,24 +56,13 @@ fn spectrum_reads() -> Vec<Read> {
     .reads
 }
 
-/// Requests drawn over the same genome (same seed + genome length).
+fn spectrum_reads() -> Vec<Read> {
+    reads(2_000, 0.004)
+}
+
+/// Requests drawn over the same genome, numbered from 1.
 fn request_reads(n: usize) -> Vec<Read> {
-    let mut reads = DatasetProfile {
-        name: "serve-plane".into(),
-        genome_len: 2_500,
-        read_len: 60,
-        n_reads: n,
-        base_error_rate: 0.008,
-        hotspot_count: 2,
-        hotspot_multiplier: 5.0,
-        hotspot_fraction: 0.1,
-        both_strands: false,
-        n_rate: 0.0,
-        repeat_fraction: 0.0,
-        repeat_unit_len: 0,
-    }
-    .generate(83)
-    .reads;
+    let mut reads = reads(n, 0.008);
     for (i, r) in reads.iter_mut().enumerate() {
         r.id = i as u64 + 1;
     }
@@ -94,69 +86,6 @@ fn base_config(snapshot: &PathBuf) -> EngineConfig {
         .load_spectrum(snapshot)
         .build()
         .expect("serve plane config")
-}
-
-/// Submit every read (retrying on backpressure) and drain until all
-/// complete, asserting the queue never exceeds its high-water mark and
-/// that progress never stalls longer than `progress` — a wedged queue
-/// fails here instead of hanging the test runner.
-fn drive(
-    engine: &ServeEngine,
-    reads: &[Read],
-    depth: usize,
-    progress: Duration,
-) -> (Vec<ServeResponse>, u64, usize) {
-    let mut responses = Vec::with_capacity(reads.len());
-    let mut rejected = 0u64;
-    let mut max_queue = 0usize;
-    let mut last_progress = Instant::now();
-    for read in reads {
-        let mut pending = read.clone();
-        loop {
-            max_queue = max_queue.max(engine.queue_len());
-            match engine.submit(pending.id, pending) {
-                Ok(()) => {
-                    last_progress = Instant::now();
-                    break;
-                }
-                Err(SubmitError::Backpressure { read, retry_after, queue_len }) => {
-                    assert!(
-                        queue_len <= depth,
-                        "queue overflowed its high-water mark: {queue_len} > {depth}"
-                    );
-                    rejected += 1;
-                    let before = responses.len();
-                    responses.append(&mut engine.drain());
-                    if responses.len() > before {
-                        last_progress = Instant::now();
-                    }
-                    assert!(
-                        last_progress.elapsed() < progress,
-                        "no progress for {progress:?} with the queue full — serve plane wedged"
-                    );
-                    std::thread::sleep(retry_after.min(Duration::from_millis(20)));
-                    pending = read;
-                }
-                Err(SubmitError::Closed(_)) => panic!("engine closed mid-test"),
-            }
-        }
-    }
-    while responses.len() < reads.len() {
-        let before = responses.len();
-        responses.append(&mut engine.drain());
-        if responses.len() > before {
-            last_progress = Instant::now();
-        }
-        assert!(
-            last_progress.elapsed() < progress,
-            "drained {}/{} then no progress for {progress:?} — serve plane wedged",
-            responses.len(),
-            reads.len()
-        );
-        std::thread::sleep(Duration::from_micros(500));
-    }
-    responses.sort_unstable_by_key(|r| r.read.id);
-    (responses, rejected, max_queue)
 }
 
 /// Reference outputs from batch mode on the same snapshot, by read id.
@@ -190,7 +119,7 @@ fn dropped_and_delayed_messages_mask_bit_identically() {
     let serve = ServeConfig { queue_depth: 48, max_batch: 16 };
     let engine = ServeEngine::start(cfg, serve, Vec::new()).expect("engine start");
     let (responses, rejected, max_queue) =
-        drive(&engine, &reads, serve.queue_depth, Duration::from_secs(30));
+        support::drive(&engine, &reads, serve.queue_depth, Duration::from_secs(30));
     let report = engine.shutdown().expect("shutdown");
 
     assert!(max_queue <= serve.queue_depth, "queue unbounded: {max_queue}");
@@ -227,7 +156,7 @@ fn stalled_rank_slows_but_does_not_wedge_the_queue() {
     let serve = ServeConfig { queue_depth: 32, max_batch: 8 };
     let engine = ServeEngine::start(cfg, serve, Vec::new()).expect("engine start");
     let (responses, _rejected, max_queue) =
-        drive(&engine, &reads, serve.queue_depth, Duration::from_secs(60));
+        support::drive(&engine, &reads, serve.queue_depth, Duration::from_secs(60));
     let report = engine.shutdown().expect("shutdown");
 
     assert!(max_queue <= serve.queue_depth, "queue unbounded: {max_queue}");
@@ -284,7 +213,7 @@ fn exhausted_retries_degrade_requests_without_wedging() {
     let serve = ServeConfig { queue_depth: 64, max_batch: 1 };
     let engine = ServeEngine::start(cfg, serve, Vec::new()).expect("engine start");
     let (responses, _rejected, max_queue) =
-        drive(&engine, &reads, serve.queue_depth, Duration::from_secs(60));
+        support::drive(&engine, &reads, serve.queue_depth, Duration::from_secs(60));
     let report = engine.shutdown().expect("shutdown");
 
     assert!(max_queue <= serve.queue_depth, "queue unbounded: {max_queue}");
@@ -307,29 +236,10 @@ fn exhausted_retries_degrade_requests_without_wedging() {
 }
 
 /// Fault-free sanity at the integration level (runs in debug too): a
-/// snapshot-backed serve engine with a small queue matches batch mode
-/// exactly and reports sane accounting.
+/// snapshot-backed serve engine with a small queue matches the
+/// sequential corrector exactly and reports sane accounting — a slice of
+/// the differential matrix in `support`.
 #[test]
 fn fault_free_serve_matches_batch_mode() {
-    let dir = snapshot_dir("clean");
-    let cfg = base_config(&dir);
-    let reads = request_reads(200);
-    let reference = batch_reference(&cfg, &reads);
-
-    let serve = ServeConfig { queue_depth: 64, max_batch: 32 };
-    let engine = ServeEngine::start(cfg, serve, Vec::new()).expect("engine start");
-    let (responses, _rejected, max_queue) =
-        drive(&engine, &reads, serve.queue_depth, Duration::from_secs(60));
-    let report = engine.shutdown().expect("shutdown");
-
-    assert!(max_queue <= serve.queue_depth);
-    assert_eq!(responses.len(), reads.len());
-    assert_eq!(report.completed, reads.len() as u64);
-    assert_eq!(report.lookups.keys_degraded, 0);
-    assert!(report.batches >= 1 && report.mean_batch() >= 1.0);
-    for r in &responses {
-        assert!(!r.degraded);
-        assert_eq!(Some(&r.read), reference.get(&r.read.id), "read {} diverged", r.read.id);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    support::check_grid(support::Grid::Serve);
 }
