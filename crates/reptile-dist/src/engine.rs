@@ -609,11 +609,8 @@ pub fn engine_by_name(name: &str) -> Option<Box<dyn Engine>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::params;
     use mpisim::KillSpec;
-
-    fn params() -> ReptileParams {
-        ReptileParams { k: 6, tile_overlap: 3, ..ReptileParams::for_tests() }
-    }
 
     #[test]
     fn builder_accepts_defaults() {

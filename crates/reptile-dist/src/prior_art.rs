@@ -145,6 +145,7 @@ pub fn run_prior_art_virtual(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::mixed_reads as dataset;
 
     fn params() -> ReptileParams {
         ReptileParams {
@@ -154,30 +155,6 @@ mod tests {
             tile_threshold: 2,
             ..ReptileParams::default()
         }
-    }
-
-    fn dataset(n: usize) -> Vec<Read> {
-        let genome: Vec<u8> = (0..3000)
-            .map(|i| [b'A', b'C', b'G', b'T'][(dnaseq::mix64(i as u64) % 4) as usize])
-            .collect();
-        let mut reads = Vec::new();
-        for i in 0..n {
-            let start = (i * 13) % (genome.len() - 40);
-            let mut seq = genome[start..start + 40].to_vec();
-            let mut qual = vec![35u8; 40];
-            if i % 3 == 0 {
-                let pos = 5 + (i % 30);
-                seq[pos] = match seq[pos] {
-                    b'A' => b'C',
-                    b'C' => b'G',
-                    b'G' => b'T',
-                    _ => b'A',
-                };
-                qual[pos] = 6;
-            }
-            reads.push(Read::new(i as u64 + 1, seq, qual));
-        }
-        reads
     }
 
     #[test]

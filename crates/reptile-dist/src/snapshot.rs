@@ -370,26 +370,10 @@ mod tests {
     use super::*;
     use crate::heuristics::HeuristicConfig;
     use crate::spectrum::{build_distributed, RankTables};
+    use crate::test_data::{small_params as params, template_reads};
     use mpisim::Universe;
     use reptile::spectrum::LocalSpectra;
     use specstore::Manifest;
-
-    fn params() -> ReptileParams {
-        ReptileParams { k: 5, tile_overlap: 2, ..ReptileParams::for_tests() }
-    }
-
-    fn make_reads(n: usize) -> Vec<dnaseq::Read> {
-        let mut reads = Vec::new();
-        for i in 0..n {
-            let template = i / 3;
-            let seed = dnaseq::mix64(template as u64 + 1);
-            let seq: Vec<u8> = (0..20)
-                .map(|j| [b'A', b'C', b'G', b'T'][(dnaseq::mix64(seed ^ (j as u64)) % 4) as usize])
-                .collect();
-            reads.push(dnaseq::Read::new(i as u64 + 1, seq, vec![30; 20]));
-        }
-        reads
-    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("reptile-snap-{tag}-{}", std::process::id()));
@@ -421,7 +405,7 @@ mod tests {
     /// entry-identical and byte-accurately accounted.
     #[test]
     fn save_and_load_same_np_roundtrip() {
-        let reads = make_reads(40);
+        let reads = template_reads(40, 20);
         let reads_ref = &reads;
         let dir = tmpdir("same-np");
         let dir_ref = &dir;
@@ -454,7 +438,7 @@ mod tests {
     #[test]
     fn reshard_load_matches_fresh_ownership() {
         let p = params();
-        let reads = make_reads(40);
+        let reads = template_reads(40, 20);
         let seq = LocalSpectra::build(&reads, &p);
         let reads_ref = &reads;
         let dir = tmpdir("reshard");
@@ -490,7 +474,7 @@ mod tests {
     /// PeerFailure everywhere else under `Strict` — nobody deadlocks.
     #[test]
     fn chop_faults_are_typed_on_every_rank() {
-        let reads = make_reads(30);
+        let reads = template_reads(30, 20);
         let reads_ref = &reads;
         let dir = tmpdir("chop");
         let dir_ref = &dir;
@@ -517,7 +501,7 @@ mod tests {
     /// rank's load equals the clean-run tables bit for bit.
     #[test]
     fn chop_fault_is_repaired_with_parity() {
-        let reads = make_reads(30);
+        let reads = template_reads(30, 20);
         let reads_ref = &reads;
         let dir = tmpdir("chop-repair");
         let dir_ref = &dir;
@@ -549,7 +533,7 @@ mod tests {
     #[test]
     fn serial_roundtrip_and_byte_attribution() {
         let p = params();
-        let reads = make_reads(40);
+        let reads = template_reads(40, 20);
         let spectra = LocalSpectra::build(&reads, &p);
         let dir = tmpdir("serial");
         let per_rank =
@@ -580,7 +564,7 @@ mod tests {
     #[test]
     fn serial_repair_attribution_lands_on_the_chopped_rank() {
         let p = params();
-        let reads = make_reads(40);
+        let reads = template_reads(40, 20);
         let spectra = LocalSpectra::build(&reads, &p);
         let dir = tmpdir("serial-repair");
         save_snapshot_serial(&dir, &p, 4, 1, &spectra.kmers, &spectra.tiles).expect("save");
@@ -602,7 +586,7 @@ mod tests {
     #[test]
     fn serial_load_rejects_wrong_params() {
         let p = params();
-        let reads = make_reads(20);
+        let reads = template_reads(20, 20);
         let spectra = LocalSpectra::build(&reads, &p);
         let dir = tmpdir("wrong-params");
         save_snapshot_serial(&dir, &p, 2, 0, &spectra.kmers, &spectra.tiles).expect("save");
