@@ -36,7 +36,7 @@
 //!   --fault-plan SPEC    inject deterministic faults into the message
 //!                        plane, e.g. "seed=7,drop=0.1,dup=0.05,kill=2"
 //!                        (see mpisim::FaultPlan::parse for the grammar)
-//!   --lookup-deadline D  base per-request deadline for Step IV lookups
+//!   --lookup-deadline D  base deadline of a Step IV lookup round
 //!                        (e.g. 25ms); required for lossy fault plans
 //!   --retry-budget N     retries before a lookup degrades to "absent
 //!                        everywhere" (exponential backoff per attempt)

@@ -3,11 +3,9 @@
 //! Semantics follow MPI:
 //!
 //! * messages between a fixed (src, dst) pair are delivered in send order;
-//! * `recv`/`iprobe` match on `(Source, TagSel)` selectors, where either
-//!   side may be a wildcard (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`); a wildcard
+//! * `recv` matches on `(Source, TagSel)` selectors, where either side
+//!   may be a wildcard (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`); a wildcard
 //!   takes the earliest-arrived matching message;
-//! * [`Comm::iprobe`] returns a pending message's envelope without
-//!   consuming it;
 //! * a [`Comm`] may be used from several threads of its rank concurrently
 //!   (the worker + communication thread pair of step IV).
 //!
@@ -28,7 +26,7 @@
 
 use crate::collectives::CollectiveState;
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::message::{Message, MessageInfo};
+use crate::message::Message;
 use crate::stats::{RankStats, SendTally};
 use crate::topology::Topology;
 use parking_lot::{Mutex, MutexGuard};
@@ -38,7 +36,7 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// Source selector for receives and probes.
+/// Source selector for receives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
     /// Match any sender (`MPI_ANY_SOURCE`).
@@ -47,7 +45,7 @@ pub enum Source {
     Rank(usize),
 }
 
-/// Tag selector for receives and probes.
+/// Tag selector for receives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TagSel {
     /// Match any tag (`MPI_ANY_TAG`).
@@ -92,7 +90,7 @@ impl TagSel {
     }
 }
 
-/// What a receive or probe matches.
+/// What a receive matches.
 #[derive(Clone, Copy)]
 struct Selector<'a> {
     src: Source,
@@ -137,7 +135,7 @@ struct Slots {
     from: Vec<Vec<Bucket>>,
     /// Arrival number of the next message.
     arrivals: u64,
-    /// Receives and probes parked on this mailbox.
+    /// Receives parked on this mailbox.
     waiters: Vec<Waiter>,
     next_waiter: u64,
 }
@@ -161,10 +159,6 @@ impl Slots {
             }
         }
         best.map(|(_, src, b)| (src, b))
-    }
-
-    fn head(&self, (src, b): (usize, usize)) -> &Message {
-        &self.from[src][b].queue.front().expect("found bucket is non-empty").msg
     }
 
     fn take(&mut self, (src, b): (usize, usize)) -> Message {
@@ -534,16 +528,6 @@ impl Comm {
         taken
     }
 
-    /// Non-blocking probe (`MPI_Iprobe`).
-    pub fn iprobe(&self, src: Source, tag: TagSel) -> Option<MessageInfo> {
-        let found = {
-            let slots = self.mailbox().slots.lock();
-            slots.find(Selector { src, tags: tag.tags() }).map(|at| info(slots.head(at)))
-        };
-        self.shared.stats[self.rank].count_recv(0, 0, 1);
-        found
-    }
-
     /// Snapshot this rank's traffic counters.
     pub fn stats(&self) -> crate::stats::RankStatsSnapshot {
         self.shared.stats[self.rank].snapshot()
@@ -552,10 +536,6 @@ impl Comm {
     pub(crate) fn shared(&self) -> &Shared {
         &self.shared
     }
-}
-
-fn info(m: &Message) -> MessageInfo {
-    MessageInfo { src: m.src, tag: m.tag, len: m.payload.len() }
 }
 
 #[cfg(test)]
@@ -567,9 +547,14 @@ mod tests {
     /// Every message pending at `comm`, earliest arrival first, taken
     /// without waiting.
     fn take_pending(comm: &Comm) -> Vec<Message> {
+        let any = Selector { src: Source::Any, tags: Tags::Any };
         std::iter::from_fn(|| {
-            let at = comm.iprobe(Source::Any, TagSel::Any)?;
-            Some(comm.recv(Source::Rank(at.src), TagSel::Tag(at.tag)))
+            let (src, tag) = {
+                let slots = comm.mailbox().slots.lock();
+                let (src, b) = slots.find(any)?;
+                (src, slots.from[src][b].tag)
+            };
+            Some(comm.recv(Source::Rank(src), TagSel::Tag(tag)))
         })
         .collect()
     }
@@ -620,30 +605,6 @@ mod tests {
         });
         assert_eq!(results[1].0, b"nine");
         assert_eq!(results[1].1, b"seven");
-    }
-
-    #[test]
-    fn iprobe_is_nonblocking() {
-        Universe::new(2).run(|comm| {
-            if comm.rank() == 1 {
-                // nothing can be in flight before the barrier below, so
-                // the probe must report empty
-                assert!(comm.iprobe(Source::Any, TagSel::Any).is_none());
-                comm.barrier();
-                let info = loop {
-                    if let Some(i) = comm.iprobe(Source::Rank(0), TagSel::Tag(5)) {
-                        break i;
-                    }
-                    std::thread::yield_now();
-                };
-                assert_eq!(info.len, 1);
-                assert_eq!(comm.recv(Source::Rank(0), TagSel::Tag(5)).payload, vec![9]);
-            } else {
-                // send only after rank 1 has performed its empty checks
-                comm.barrier();
-                comm.send(1, 5, vec![9]);
-            }
-        });
     }
 
     #[test]
@@ -877,7 +838,7 @@ mod tests {
 
     /// The bucketed mailbox against the single-queue linear scan it
     /// replaced: random interleavings of sends and `send_many` runs from
-    /// three ranks and of every receive, drain and probe form, over every
+    /// three ranks and of every receive and drain form, over every
     /// selector form, return the same messages every time.
     #[test]
     fn buckets_match_like_a_linear_scan() {
@@ -913,7 +874,7 @@ mod tests {
                 let want = hit.map(|i| reference[i]);
                 let got = |m: Option<Message>| m.map(|m| (m.src, m.tag, m.payload[0]));
                 let label = format!("seed {seed} step {step}: {src:?} {tag:?} set {set:?}");
-                match rng.gen_range(0..6) {
+                match rng.gen_range(0..5) {
                     0 | 1 => {
                         let s = rng.gen_range(0..NP);
                         let mut frames = Vec::new();
@@ -948,11 +909,6 @@ mod tests {
                     }
                     4 if want.is_some() && !use_set => {
                         assert_eq!(got(Some(me.recv(src, tag))), want, "{label}: recv");
-                    }
-                    5 if !use_set => {
-                        let info = me.iprobe(src, tag).map(|i| (i.src, i.tag));
-                        assert_eq!(info, want.map(|w| (w.0, w.1)), "{label}: iprobe");
-                        continue;
                     }
                     _ => continue,
                 }

@@ -4,7 +4,7 @@
 //! crate provides the message-passing substrate the reproduction runs on:
 //! ranks are OS threads inside one process, connected by mailboxes that
 //! implement MPI's point-to-point semantics (tags, `ANY_SOURCE` /
-//! `ANY_TAG`, `MPI_Iprobe`, per-pair FIFO ordering) and the
+//! `ANY_TAG`, per-pair FIFO ordering) and the
 //! collectives the paper uses (`MPI_Barrier`, `MPI_Alltoallv`,
 //! `MPI_Allgatherv`, `MPI_Allreduce` — the paper's `MPI_Reduce(MAX)` on
 //! batch counts is an allreduce here since every rank needs the result).
@@ -39,7 +39,7 @@ pub use collectives::PendingAlltoallv;
 pub use comm::{Comm, Source, TagSel};
 pub use cost::CostModel;
 pub use fault::{chop_file, parse_duration, FaultPlan, KillSpec, SnapshotChopSpec, StallSpec};
-pub use message::{Message, MessageInfo};
+pub use message::Message;
 pub use stats::RankStatsSnapshot;
 pub use topology::Topology;
 pub use universe::Universe;

@@ -16,18 +16,6 @@ pub struct Message {
     pub payload: Vec<u8>,
 }
 
-/// Result of a (successful) probe: everything about a pending message
-/// except its payload (compare `MPI_Status` after `MPI_Probe`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MessageInfo {
-    /// Sending rank.
-    pub src: usize,
-    /// Application tag.
-    pub tag: u32,
-    /// Payload length in bytes (compare `MPI_Get_count`).
-    pub len: usize,
-}
-
 /// Incremental little-endian writer for wire payloads.
 #[derive(Default)]
 pub struct WireWriter {

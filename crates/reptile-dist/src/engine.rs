@@ -57,13 +57,16 @@ pub struct EngineConfig {
     /// Deterministic fault plan injected into the message plane
     /// (threaded engine) or replayed analytically (virtual engine).
     pub fault: FaultPlan,
-    /// Base per-request deadline for Step IV lookups. `None` disables
-    /// the retry protocol: receives block indefinitely (the fault-free
-    /// fast path).
+    /// Base deadline of one Step IV lookup round: a round's requests are
+    /// awaited together, once per attempt, so a dead owner costs a round
+    /// one deadline per attempt however many of its keys it asks for.
+    /// `None` disables the retry protocol: receives block indefinitely
+    /// (the fault-free fast path).
     pub lookup_deadline: Option<Duration>,
     /// Retries after the first missed deadline before a lookup degrades
-    /// to the paper's "absent everywhere" answer. Attempt `i` waits
-    /// `lookup_deadline * 2^i` (exponential backoff).
+    /// to the paper's "absent everywhere" answer. Attempt `i` of a round
+    /// waits `lookup_deadline * 2^i` (exponential backoff) and resends
+    /// only the requests still unanswered.
     pub retry_budget: u32,
     /// Save the pruned spectra into this snapshot directory after Step
     /// III (the build-once half of build-once / correct-many).
@@ -436,13 +439,15 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enable per-request deadlines for Step IV lookups.
+    /// Enable the per-round deadline of Step IV lookups (see
+    /// [`EngineConfig::lookup_deadline`]).
     pub fn lookup_deadline(mut self, deadline: Duration) -> Self {
         self.cfg.lookup_deadline = Some(deadline);
         self
     }
 
-    /// Set the retry budget (requires a deadline to validate).
+    /// Set the retry budget: how many times a round resends its
+    /// unanswered requests (requires a deadline to validate).
     pub fn retry_budget(mut self, retries: u32) -> Self {
         self.cfg.retry_budget = retries;
         self

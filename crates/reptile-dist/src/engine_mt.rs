@@ -25,14 +25,16 @@
 //! collectives stay reliable under every fault except a stall.
 //!
 //! Reliability: the worker's lookups go through the shared
-//! `LookupRouter` (`router.rs`), which stamps every request with a
-//! sequence number and drives the deadline/retry/degrade protocol; this
-//! module supplies its wire side, `WireTransport`. A retried request
-//! is resent under the *same* sequence number, which its response
-//! echoes, so duplicated requests are idempotent and stale or
-//! duplicated responses are recognized and discarded. With no faults
-//! injected the protocol is pure overhead-free bookkeeping: the output
-//! is bit-identical to a run without it.
+//! `LookupRouter` (`router.rs`), which stamps a round's requests with
+//! consecutive sequence numbers and drives the deadline/retry/degrade
+//! protocol, one await per round and attempt; this module supplies its
+//! wire side, `WireTransport`. A retried request is resent under the
+//! *same* sequence number, which its response echoes, so duplicated
+//! requests are idempotent and a reply is placed by its number alone:
+//! stale replies (outside the round) and duplicates (already answered)
+//! are discarded. With no faults injected the protocol is pure
+//! overhead-free bookkeeping: the output is bit-identical to a run
+//! without it.
 
 use crate::balance::{owner_volume_histogram, select_hot_owners, shuffle_reads, sum_histograms};
 use crate::engine::{EngineConfig, EngineError, RunOutput};
@@ -46,7 +48,8 @@ use crate::protocol::{
 };
 use crate::report::{LookupStats, RankReport, RunReport};
 use crate::router::{
-    owner_batch, owner_count, LookupRouter, Reply, Request, RouterScratch, Tiers, Transport,
+    owner_batch, owner_count, LookupRouter, Pending, Reply, Request, RouterScratch, Tiers,
+    Transport,
 };
 use crate::snapshot;
 use crate::spectrum::{
@@ -663,22 +666,18 @@ fn serve(
     }
 }
 
-/// Deadline for retry attempt `attempt` (0-based): the base deadline
-/// doubled per attempt, capped at `base * 2^16` so the shift cannot
-/// overflow on absurd budgets.
-fn attempt_deadline(base: Option<Duration>, attempt: u32) -> Option<Duration> {
-    base.map(|d| d.saturating_mul(1u32 << attempt.min(16)))
-}
+/// The reply tags a worker awaits: single-key, batch and steal replies.
+const REPLY_TAGS: [u32; 3] = [TAG_RESP, TAG_BATCH_RESP, TAG_STEAL_RESP];
 
 /// The wire side of the lookup router: requests encoded into
 /// per-destination outboxes, handed to the [`Comm`] one send per owner
-/// when the worker next waits; replies matched to the request by the
-/// sequence number they echo.
+/// when the worker next awaits its round; replies placed in the round by
+/// the sequence number they echo.
 pub(crate) struct WireTransport<'a> {
     comm: &'a Comm,
     /// Single-key requests travel in the self-describing encoding.
     universal: bool,
-    /// Base per-request deadline; `None` = block indefinitely (the
+    /// Base per-round deadline; `None` = block indefinitely (the
     /// fault-free fast path).
     lookup_deadline: Option<Duration>,
     /// Encoded requests not yet sent, per destination rank. Every router
@@ -687,81 +686,8 @@ pub(crate) struct WireTransport<'a> {
     outbox: Vec<Vec<(u32, Vec<u8>)>>,
     /// Replies taken by the last drain, decoded in place.
     inbox: Vec<Message>,
-    /// Replies that arrived while an earlier sequence number was awaited
-    /// — a later request of the same round or fetch to the same owner,
-    /// drained with it or reordered ahead — parked until their own await
-    /// comes around. Every request in flight is awaited, so a round
-    /// leaves this empty.
-    stash: FxHashMap<u64, Reply>,
     /// Seconds spent flushing and waiting for replies.
     pub(crate) comm_secs: f64,
-}
-
-impl WireTransport<'_> {
-    /// Hand every queued request to the mailbox, one send per owner.
-    fn flush(&mut self) {
-        for (to, frames) in self.outbox.iter_mut().enumerate() {
-            if !frames.is_empty() {
-                self.comm.send_many(to, frames);
-            }
-        }
-    }
-
-    /// Flush, then drain `from`'s replies on `req`'s reply tag until the
-    /// one stamped `seq` arrives or the attempt's deadline passes.
-    /// Requests are awaited in sequence order, so a reply to an earlier
-    /// number answers one this worker already resolved or gave up on
-    /// (duplicated, or late) and is dropped, and a reply to a *later*
-    /// number is parked. A response to an earlier steal round is safe to
-    /// drop too: the victim's resend cache answers a retry with the same
-    /// chunk.
-    fn await_reply(
-        &mut self,
-        from: usize,
-        seq: u64,
-        req: Request<'_>,
-        attempt: u32,
-    ) -> Option<Reply> {
-        let start = Instant::now();
-        self.flush();
-        let tag = match req {
-            Request::Key(_) => TAG_RESP,
-            Request::Batch { .. } => TAG_BATCH_RESP,
-            Request::Steal => TAG_STEAL_RESP,
-        };
-        let deadline = attempt_deadline(self.lookup_deadline, attempt);
-        let mut found = None;
-        while found.is_none() {
-            let left = deadline.map_or(Duration::MAX, |d| d.saturating_sub(start.elapsed()));
-            if self.comm.drain_tags_deadline(Source::Rank(from), &[tag], left, &mut self.inbox) == 0
-            {
-                break;
-            }
-            for msg in self.inbox.drain(..) {
-                let (rseq, reply) = match req {
-                    Request::Key(_) => {
-                        let (rseq, count) = decode_response(&msg.payload);
-                        (rseq, Reply::Count(count))
-                    }
-                    Request::Batch { .. } => {
-                        let (rseq, resp) = BatchResponse::decode(&msg.payload);
-                        (rseq, Reply::Batch(resp))
-                    }
-                    Request::Steal => {
-                        let (rseq, resp) = StealResponse::decode(&msg.payload);
-                        (rseq, Reply::Chunk(resp.chunk))
-                    }
-                };
-                if rseq == seq {
-                    found.get_or_insert(reply);
-                } else if rseq > seq {
-                    self.stash.insert(rseq, reply);
-                }
-            }
-        }
-        self.comm_secs += start.elapsed().as_secs_f64();
-        found
-    }
 }
 
 impl Transport for WireTransport<'_> {
@@ -776,17 +702,70 @@ impl Transport for WireTransport<'_> {
         self.outbox[to].push(frame);
     }
 
-    /// The reply stamped `seq`: from the stash if an earlier await parked
-    /// it there (no clock read, no lock), else by [`Self::await_reply`].
-    fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
-        let reply = match self.stash.remove(&seq) {
-            Some(parked) => Some(parked),
-            None => self.await_reply(from, seq, req, attempt),
-        };
-        if let Some(Reply::Chunk(_)) = reply {
-            self.comm.send(from, TAG_STEAL_ACK, encode_steal_ack(seq));
+    /// Hand every queued request to the mailbox, one send per owner, then
+    /// drain the reply tags from every owner until each pending request
+    /// is answered or the attempt's deadline passes with no reply to the
+    /// round: the deadline bounds the round's silence, not its length, so
+    /// replies still streaming back from a long round (or one slowed by
+    /// delays) are not resent, while a dead owner costs the round one
+    /// deadline. A reply outside the round (late, or to a request given
+    /// up on) or to a request already answered (a duplicate) is dropped;
+    /// so is a response to an earlier steal, since the victim's resend
+    /// cache answers a retry with the same chunk. A steal reply is
+    /// acknowledged as it is placed.
+    fn recv(
+        &mut self,
+        pending: &[Pending<'_>],
+        first: u64,
+        replies: &mut [Option<Reply>],
+        attempt: u32,
+    ) {
+        let start = Instant::now();
+        for (to, frames) in self.outbox.iter_mut().enumerate() {
+            if !frames.is_empty() {
+                self.comm.send_many(to, frames);
+            }
         }
-        reply
+        // the base deadline doubled per attempt, the shift capped so an
+        // absurd budget cannot overflow it
+        let deadline = self.lookup_deadline.map(|d| d.saturating_mul(1 << attempt.min(16)));
+        let mut missing = pending.len();
+        let mut last_reply = Instant::now();
+        while missing > 0 {
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_sub(last_reply.elapsed()));
+            if self.comm.drain_tags_deadline(Source::Any, &REPLY_TAGS, left, &mut self.inbox) == 0 {
+                break;
+            }
+            let before = missing;
+            for msg in self.inbox.drain(..) {
+                let (seq, reply) = match msg.tag {
+                    TAG_RESP => {
+                        let (seq, count) = decode_response(&msg.payload);
+                        (seq, Reply::Count(count))
+                    }
+                    TAG_BATCH_RESP => {
+                        let (seq, resp) = BatchResponse::decode(&msg.payload);
+                        (seq, Reply::Batch(resp))
+                    }
+                    _ => {
+                        let (seq, resp) = StealResponse::decode(&msg.payload);
+                        (seq, Reply::Chunk(resp.chunk))
+                    }
+                };
+                let slot = seq.checked_sub(first).and_then(|i| replies.get_mut(i as usize));
+                // outside the round, or answered already: dropped
+                let Some(slot) = slot.filter(|slot| slot.is_none()) else { continue };
+                if let Reply::Chunk(_) = reply {
+                    self.comm.send(msg.src, TAG_STEAL_ACK, encode_steal_ack(seq));
+                }
+                *slot = Some(reply);
+                missing -= 1;
+            }
+            if missing < before {
+                last_reply = Instant::now();
+            }
+        }
+        self.comm_secs += start.elapsed().as_secs_f64();
     }
 }
 
@@ -803,7 +782,6 @@ impl<'a> LookupRouter<'a, WireTransport<'a>> {
             lookup_deadline: cfg.lookup_deadline,
             outbox: vec![Vec::new(); comm.size()],
             inbox: Vec::new(),
-            stash: FxHashMap::default(),
             comm_secs: 0.0,
         };
         let tiers = Tiers::of_tables(tables, comm.rank(), &cfg.heuristics);
@@ -971,8 +949,8 @@ mod tests {
         assert_eq!(degraded, 0, "budget 10 must outlast drop=0.15");
     }
 
-    /// Reordered batches in aggregate mode resolve through the sequence
-    /// stash without changing the output.
+    /// Reordered batches in aggregate mode are placed by their sequence
+    /// numbers without changing the output.
     #[test]
     fn aggregate_mode_survives_reordering() {
         let reads = dataset(36);
@@ -998,8 +976,7 @@ mod tests {
     /// the second fetch's answer; then a base-mode round of four
     /// single-key requests answered out of order, with a duplicate of a
     /// later reply and a late duplicate of an earlier one. Every key gets
-    /// its own request's count, nothing retries, nothing degrades, and
-    /// the stash ends empty.
+    /// its own request's count, nothing retries and nothing degrades.
     #[test]
     fn wire_transport_matches_reordered_and_duplicated_batches_by_seq() {
         use crate::protocol::MAX_BATCH_KEYS;
@@ -1040,7 +1017,6 @@ mod tests {
             let (wave1, wave2) = keys.split_at(MAX_BATCH_KEYS + 5);
             for wave in [wave1, wave2] {
                 router.fetch(&mut PrefetchKeys { kmers: wave.to_vec(), tiles: Vec::new() });
-                assert!(router.transport.stash.is_empty(), "a fetch empties the stash");
                 for &key in wave {
                     let got = router.fetched(1, LookupRequest::Kmer(key));
                     assert_eq!(got, Some(count_of(key)), "key {key}");
@@ -1053,7 +1029,6 @@ mod tests {
             router.exchange(&mut answers);
             let want: Vec<Option<u32>> = keys[..4].iter().map(|&k| Some(count_of(k))).collect();
             assert_eq!(answers, want);
-            assert!(router.transport.stash.is_empty(), "a round empties the stash");
             let s = router.stats;
             assert_eq!((s.batches_sent, s.batched_keys), (3, keys.len() as u64));
             assert_eq!((s.remote_kmer_lookups, s.remote_messages), (4, 7));
@@ -1129,7 +1104,6 @@ mod tests {
                         router.exchange(&mut answers);
                         let want: Vec<_> = round.iter().map(|&k| Some(count_of(k))).collect();
                         assert_eq!(answers, want);
-                        assert!(router.transport.stash.is_empty(), "a round empties the stash");
                         let after = comm.stats();
                         rounds.push((
                             after.p2p_sent_msgs - before.p2p_sent_msgs,

@@ -23,9 +23,11 @@
 //! spectrum, with `ModelTransport` in place of the wire. Faults are
 //! replayed analytically: each attempt of a modeled request consults the
 //! same seeded per-edge [`FaultPlan`] decisions the threaded engine's
-//! message plane applies physically, the router walks its one
-//! retry/backoff state machine, the missed-deadline waits go on the
-//! modeled clock ([`CostModel::retry_wait_ns`]), and keys degrade to the
+//! message plane applies physically, in the order the wire sends them
+//! (a round's requests, then the resends of those it lost), the router
+//! walks its one retry/backoff state machine, each attempt in which a
+//! round lost a request puts one missed-deadline wait on the modeled
+//! clock ([`CostModel::retry_wait_ns`]), and keys degrade to the
 //! paper's "absent everywhere" answer when the budget runs out. A kill
 //! severs the rank's p2p plane both directions, so every lookup it owns
 //! (and every lookup it issues) degrades — exactly the threaded semantics.
@@ -52,8 +54,8 @@ use crate::owner::{Key, OwnerMap};
 use crate::protocol::RESPONSE_BYTES;
 use crate::report::{RankReport, RunReport};
 use crate::router::{
-    owner_batch, owner_count, KindTiers, LookupRouter, Reply, Request, RouterScratch, Tiers,
-    Transport,
+    owner_batch, owner_count, KindTiers, LookupRouter, Pending, Reply, Request, RouterScratch,
+    Tiers, Transport,
 };
 use crate::snapshot;
 use crate::spectrum::BuildStats;
@@ -703,36 +705,52 @@ impl Transport for ModelTransport<'_> {
         }
     }
 
-    /// One attempt of the modeled round trip: lost when the edge is
-    /// severed or the fault plan drops this edge's next message, which
-    /// costs the attempt's (doubling) deadline; answered otherwise. The
-    /// fault-free path costs one branch.
-    fn recv(&mut self, from: usize, _seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
-        if !self.fault.is_none() {
-            let lost = self.fault.severed(self.me, from) || {
-                let n = self.edge_req_seq[from];
-                self.edge_req_seq[from] += 1;
-                let d = self.fault.decide(self.me, from, n);
-                if d.delayed {
-                    self.retry_wait_ns += self.fault.delay.as_nanos() as f64;
-                }
-                d.dropped
-            };
-            if lost {
-                // `CostModel::retry_wait_ns` is the running total over
-                // the failed attempts; this miss adds its increment
-                self.retry_wait_ns += self.cost.retry_wait_ns(self.deadline_ns, attempt + 1)
-                    - self.cost.retry_wait_ns(self.deadline_ns, attempt);
-                return None;
+    /// One attempt of the modeled round: each pending request, in send
+    /// order, is lost when the edge is severed or the fault plan drops
+    /// this edge's next message, and answered otherwise. An attempt that
+    /// lost any request costs its (doubling) deadline once, as the wire
+    /// waits it out once for the whole round. The fault-free path costs
+    /// one branch per request.
+    fn recv(
+        &mut self,
+        pending: &[Pending<'_>],
+        first: u64,
+        replies: &mut [Option<Reply>],
+        attempt: u32,
+    ) {
+        let LocalSpectra { kmers: held_kmers, tiles: held_tiles } = self.spectra;
+        let mut lost_any = false;
+        for p in pending {
+            // lost when the edge is severed or the plan drops the edge's
+            // next message; a delay goes on the modeled clock
+            let lost = !self.fault.is_none()
+                && (self.fault.severed(self.me, p.to) || {
+                    let n = self.edge_req_seq[p.to];
+                    self.edge_req_seq[p.to] += 1;
+                    let d = self.fault.decide(self.me, p.to, n);
+                    if d.delayed {
+                        self.retry_wait_ns += self.fault.delay.as_nanos() as f64;
+                    }
+                    d.dropped
+                });
+            lost_any |= lost;
+            if !lost {
+                replies[(p.seq - first) as usize] = Some(match p.req {
+                    Request::Key(key) => Reply::Count(owner_count(key, held_kmers, held_tiles)),
+                    Request::Batch { kmers, tiles } => {
+                        Reply::Batch(owner_batch(kmers, tiles, held_kmers, held_tiles))
+                    }
+                    // chunk stealing is leveled analytically (`model_chunk_stealing`)
+                    Request::Steal => Reply::Chunk(None),
+                });
             }
         }
-        let LocalSpectra { kmers, tiles } = self.spectra;
-        Some(match req {
-            Request::Key(key) => Reply::Count(owner_count(key, kmers, tiles)),
-            Request::Batch { kmers: k, tiles: t } => Reply::Batch(owner_batch(k, t, kmers, tiles)),
-            // chunk stealing is leveled analytically (`model_chunk_stealing`)
-            Request::Steal => Reply::Chunk(None),
-        })
+        if lost_any {
+            // `CostModel::retry_wait_ns` is the running total over the
+            // failed attempts; this attempt adds its increment
+            self.retry_wait_ns += self.cost.retry_wait_ns(self.deadline_ns, attempt + 1)
+                - self.cost.retry_wait_ns(self.deadline_ns, attempt);
+        }
     }
 }
 

@@ -12,15 +12,18 @@
 //!   answers `cache_remote` adds → remote request — written over the
 //!   key kind ([`Key`]), so k-mers and tiles share one chain;
 //! * every routing counter of [`LookupStats`];
-//! * the **retry driver** ([`LookupRouter::round_trip`]): a request keeps
-//!   its sequence number across attempts `0..=retry_budget`, each missed
-//!   deadline is counted, each resend is counted, and a request that
-//!   outlives the budget degrades to count 0. Single-key lookups, batch
-//!   awaits and steal round trips all go through it;
+//! * the **retry driver** ([`LookupRouter::round_trip`]): a round's
+//!   requests are stamped with consecutive sequence numbers and sent
+//!   together, then the round is awaited once per attempt
+//!   `0..=retry_budget` under that attempt's deadline, and only the
+//!   requests still unanswered are resent, each under its own number.
+//!   Each missed deadline and each resend is counted per request, and a
+//!   request that outlives the budget degrades to count 0. Base-mode
+//!   rounds, batched fetches and steals (a round of one) all go through
+//!   it;
 //! * the **round exchange**: base mode sends one single-key request per
 //!   non-resident lookup of the sequential walk, aggregate mode the
-//!   round's keys deduplicated into one batch per owner; either way the
-//!   whole round is sent before the first reply is awaited;
+//!   round's keys deduplicated into one batch per owner;
 //! * the **first wave** of aggregate mode: a chunk's count-free keys
 //!   ([`enumerate_read_keys`]) fetched in batches before its first round
 //!   and held for that chunk only, by the same batched fetch the rounds
@@ -33,9 +36,9 @@
 //! tables, the virtual engine hands in the global spectrum for every tier
 //! its heuristics switch on (a remote lookup there is a pure query of an
 //! immutable table, so the owner's answer *is* the global one).
-//! [`Transport`] moves a request and its reply: over the wire
-//! (`engine_mt::WireTransport`) or through the cost model and the seeded
-//! fault plan (`engine_virtual::ModelTransport`).
+//! [`Transport`] moves a round's requests and awaits their replies: over
+//! the wire (`engine_mt::WireTransport`) or through the cost model and
+//! the seeded fault plan (`engine_virtual::ModelTransport`).
 
 use crate::engine::EngineConfig;
 use crate::heuristics::HeuristicConfig;
@@ -67,6 +70,27 @@ pub(crate) enum Request<'a> {
     Steal,
 }
 
+impl Request<'_> {
+    /// The keys the request asks for: what degrades when it goes
+    /// unanswered.
+    fn keys(&self) -> u64 {
+        match self {
+            Request::Key(_) => 1,
+            Request::Batch { kmers, tiles } => (kmers.len() + tiles.len()) as u64,
+            Request::Steal => 0,
+        }
+    }
+}
+
+/// One request of a round: the rank it goes to, its sequence number and
+/// what it asks.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pending<'a> {
+    pub(crate) to: usize,
+    pub(crate) seq: u64,
+    pub(crate) req: Request<'a>,
+}
+
 /// The reply to a [`Request`], of the request's kind.
 #[derive(Debug)]
 pub(crate) enum Reply {
@@ -78,17 +102,26 @@ pub(crate) enum Reply {
     Chunk(Option<Vec<Read>>),
 }
 
-/// What carries a request to its owner and the reply back. The router
-/// numbers the requests and drives the attempts; a transport only moves
-/// one attempt.
+/// What carries a round's requests to their owners and the replies
+/// back. The router numbers the requests and drives the attempts; a
+/// transport only moves one attempt of a round.
 pub(crate) trait Transport {
     /// Put attempt `attempt` of request `seq` on its way to rank `to`.
     fn send(&mut self, to: usize, seq: u64, req: Request<'_>, attempt: u32);
 
-    /// Wait out attempt `attempt`'s deadline for the reply to `seq` from
-    /// rank `from`. `None` = the deadline passed; replies to any other
-    /// sequence number are not this request's and never returned.
-    fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply>;
+    /// Wait out attempt `attempt`'s deadline for the replies to
+    /// `pending`, the requests of the round numbered from `first` that
+    /// are still unanswered, in send order. The reply to request `seq`
+    /// goes to `replies[seq - first]`; a reply outside the round, or to
+    /// a request already answered, is dropped. Returns once every
+    /// pending request is answered or the deadline has passed.
+    fn recv(
+        &mut self,
+        pending: &[Pending<'_>],
+        first: u64,
+        replies: &mut [Option<Reply>],
+        attempt: u32,
+    );
 }
 
 /// An owner's answer to a single-key request against its tables.
@@ -286,12 +319,6 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         }
     }
 
-    fn stamp(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
     /// The lookup chain up to the point where it would leave the rank,
     /// counting nothing.
     fn route<K: Key>(&mut self, key: Normalized<K>) -> Route {
@@ -372,11 +399,11 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         None
     }
 
-    /// The reply to single-key request `seq` (attempt 0 already sent),
-    /// counted and cached like the sequential chain does; `None` =
-    /// degraded. Absent at the owner reads 0.
-    fn answer<K: Key>(&mut self, owner: usize, seq: u64, key: Normalized<K>) -> Option<u32> {
-        let count = match self.round_trip(owner, seq, Request::Key(K::request(key)), true, 1) {
+    /// The reply to a single-key request for `key`, counted and cached
+    /// like the sequential chain does; `None` = degraded. Absent at the
+    /// owner reads 0.
+    fn answer<K: Key>(&mut self, key: Normalized<K>, reply: Option<Reply>) -> Option<u32> {
+        let count = match reply {
             Some(Reply::Count(Some(count))) => Some(count),
             Some(Reply::Count(None)) => {
                 *K::counters(&mut self.stats).remote_misses += 1;
@@ -406,36 +433,47 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         })
     }
 
-    /// The retry protocol for one request: send, await the reply stamped
-    /// `seq`, resend under the same `seq` on every missed deadline (the
-    /// transport backs the deadline off per attempt), and once the budget
-    /// is spent give up — the request's `keys` degrade to "absent
-    /// everywhere". `posted` says attempt 0 is already on its way (a
-    /// round sends all its requests before it awaits any).
-    fn round_trip(
+    /// The retry protocol for one round of `(owner, request)` pairs:
+    /// stamp them with consecutive sequence numbers, send attempt 0 of
+    /// every one, then await the whole round once per attempt under that
+    /// attempt's deadline (the transport backs it off per attempt) and
+    /// resend only the requests still unanswered, each under its own
+    /// number. Every request unanswered at a deadline counts one missed
+    /// deadline and every resend one retry; a request that outlives the
+    /// budget gives up — its keys degrade to "absent everywhere". Returns
+    /// one reply per request, in round order (`None` = degraded). Sends
+    /// are buffered and owners always answer, so a round cannot deadlock
+    /// however many requests it carries.
+    fn round_trip<'r>(
         &mut self,
-        to: usize,
-        seq: u64,
-        req: Request<'_>,
-        posted: bool,
-        keys: u64,
-    ) -> Option<Reply> {
+        round: impl IntoIterator<Item = (usize, Request<'r>)>,
+    ) -> Vec<Option<Reply>> {
+        let first = self.next_seq;
+        let mut pending: Vec<Pending<'r>> = round
+            .into_iter()
+            .zip(first..)
+            .map(|((to, req), seq)| Pending { to, seq, req })
+            .collect();
+        self.next_seq += pending.len() as u64;
+        let mut replies: Vec<Option<Reply>> = pending.iter().map(|_| None).collect();
         for attempt in 0..=self.retry_budget {
+            if pending.is_empty() {
+                break;
+            }
             if attempt > 0 {
-                self.stats.requests_retried += 1;
+                self.stats.requests_retried += pending.len() as u64;
             }
-            if attempt > 0 || !posted {
-                self.transport.send(to, seq, req, attempt);
+            for p in &pending {
+                self.transport.send(p.to, p.seq, p.req, attempt);
             }
-            match self.transport.recv(to, seq, req, attempt) {
-                Some(reply) => return Some(reply),
-                // only reachable with a configured deadline (or a modeled
-                // loss): without one the transport waits for the answer
-                None => self.stats.deadline_misses += 1,
-            }
+            self.transport.recv(&pending, first, &mut replies, attempt);
+            pending.retain(|p| replies[(p.seq - first) as usize].is_none());
+            // only nonzero with a configured deadline (or a modeled loss):
+            // without one the transport waits for every answer
+            self.stats.deadline_misses += pending.len() as u64;
         }
-        self.stats.keys_degraded += keys;
-        None
+        self.stats.keys_degraded += pending.iter().map(|p| p.req.keys()).sum::<u64>();
+        replies
     }
 
     /// One steal round trip: ask `victim` for a chunk off the back of
@@ -443,8 +481,7 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
     /// budget ran out, which a thief treats the same way: stop stealing
     /// from that victim.
     pub(crate) fn steal_from(&mut self, victim: usize) -> Option<Vec<Read>> {
-        let seq = self.stamp();
-        match self.round_trip(victim, seq, Request::Steal, false, 0)? {
+        match self.round_trip([(victim, Request::Steal)]).pop().flatten()? {
             Reply::Chunk(chunk) => {
                 self.stats.chunks_stolen += u64::from(chunk.is_some());
                 chunk
@@ -502,12 +539,11 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
     }
 
     /// Aggregate mode's one batched fetch: `keys` deduplicated, split by
-    /// owning rank, one vectorized round trip per owner (more only past
-    /// `MAX_BATCH_KEYS`, see [`batch_ranges`]). All batches go out before
-    /// any reply is awaited: sends are buffered and owners always answer,
-    /// so this cannot deadlock, and the owners work on the fetch at once.
-    /// Replies are matched by sequence number, so arrival order does not
-    /// matter. Leaves each owner's keys in `scratch.fetched_keys`, in key
+    /// owning rank, one vectorized request per owner (more only past
+    /// `MAX_BATCH_KEYS`, see [`batch_ranges`]), all of them one round of
+    /// the retry driver, so the owners work on the fetch at once. Replies
+    /// are matched by sequence number, so arrival order does not matter.
+    /// Leaves each owner's keys in `scratch.fetched_keys`, in key
     /// order, and their counts in `scratch.fetched` (absent at the owner
     /// reads 0); a batch that exhausts its retry budget leaves `None` for
     /// every one of its keys — the paper's degradation.
@@ -524,23 +560,23 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
             counts[owner].clear();
             counts[owner].resize(keys.len(), None);
             for (k, tl) in batch_ranges(keys.kmers.len(), keys.tiles.len()) {
-                let seq = self.stamp();
-                let batch = Request::Batch {
-                    kmers: &keys.kmers[k.clone()],
-                    tiles: &keys.tiles[tl.clone()],
-                };
-                self.transport.send(owner, seq, batch, 0);
                 self.stats.batches_sent += 1;
                 self.stats.batched_keys += (k.len() + tl.len()) as u64;
                 self.stats.remote_messages += 1;
-                sent.push((owner, k, tl, seq));
+                sent.push((owner, k, tl));
             }
         }
-        for (owner, k, tl, seq) in sent {
+        let batches = sent.iter().map(|(owner, k, tl)| {
+            let keys = &per_owner[*owner];
+            (
+                *owner,
+                Request::Batch { kmers: &keys.kmers[k.clone()], tiles: &keys.tiles[tl.clone()] },
+            )
+        });
+        let replies = self.round_trip(batches);
+        for ((owner, k, tl), reply) in sent.into_iter().zip(replies) {
             let keys = &per_owner[owner];
-            let batch =
-                Request::Batch { kmers: &keys.kmers[k.clone()], tiles: &keys.tiles[tl.clone()] };
-            match self.round_trip(owner, seq, batch, true, (k.len() + tl.len()) as u64) {
+            match reply {
                 Some(Reply::Batch(resp)) => {
                     debug_assert_eq!(resp.kmer_counts.len(), k.len());
                     debug_assert_eq!(resp.tile_counts.len(), tl.len());
@@ -559,28 +595,23 @@ impl<'a, T: Transport> LookupRouter<'a, T> {
         self.scratch.fetched = counts;
     }
 
-    /// One base-mode round: one single-key request per ask.
+    /// One base-mode round: one single-key request per ask, all of them
+    /// one round of the retry driver.
     fn exchange_keys(&mut self, round: &[Posted], answers: &mut Vec<Option<u32>>) {
         self.scratch.requested.clear();
-        let mut seqs = self.next_seq..;
-        for posted in round {
-            if let Posted::Key { owner, req } = *posted {
-                let seq = self.stamp();
-                self.transport.send(owner, seq, Request::Key(req), 0);
-            }
-        }
+        let requests = round.iter().filter_map(|posted| match *posted {
+            Posted::Key { owner, req } => Some((owner, Request::Key(req))),
+            _ => None,
+        });
+        let mut replies = self.round_trip(requests).into_iter();
         let start = answers.len();
         for posted in round {
             let answer = match *posted {
-                Posted::Key { owner, req } => {
-                    let seq = seqs.next().expect("a sequence number per request");
+                Posted::Key { req, .. } => {
+                    let reply = replies.next().expect("a reply per request");
                     match req {
-                        LookupRequest::Kmer(key) => {
-                            self.answer(owner, seq, Normalized::assume(key))
-                        }
-                        LookupRequest::Tile(key) => {
-                            self.answer(owner, seq, Normalized::assume(key))
-                        }
+                        LookupRequest::Kmer(key) => self.answer(Normalized::assume(key), reply),
+                        LookupRequest::Tile(key) => self.answer(Normalized::assume(key), reply),
                     }
                 }
                 // not this read's own lookup: a cache hit never degrades
@@ -633,12 +664,9 @@ impl<T: Transport> WaveSource for LookupRouter<'_, T> {
         self.ask(key)
     }
 
-    /// One round: every queued request goes out, then each is awaited in
-    /// turn, in send order, under the retry protocol — base mode's
-    /// single-key requests, or aggregate mode's batches. Sends are
-    /// buffered and owners always answer, so a round cannot deadlock
-    /// however many requests it carries; replies are matched by sequence
-    /// number, so arrival order does not matter.
+    /// One round: every queued request — base mode's single-key
+    /// requests, or aggregate mode's batches — goes out, and the round is
+    /// awaited under the retry protocol ([`LookupRouter::round_trip`]).
     fn exchange(&mut self, answers: &mut Vec<Option<u32>>) {
         let mut round = std::mem::take(&mut self.scratch.round);
         if self.aggregate {
@@ -684,8 +712,16 @@ mod tests {
 
     #[derive(Debug, PartialEq)]
     enum Event {
-        Send { to: usize, seq: u64, attempt: u32 },
-        Recv { from: usize, seq: u64, attempt: u32 },
+        Send {
+            to: usize,
+            seq: u64,
+            attempt: u32,
+        },
+        /// One await of a round's pending `(to, seq)` requests.
+        Await {
+            pending: Vec<(usize, u64)>,
+            attempt: u32,
+        },
     }
 
     /// A transport that answers like the owner of `kmers`/`tiles` would,
@@ -729,18 +765,27 @@ mod tests {
             }
         }
 
-        fn recv(&mut self, from: usize, seq: u64, req: Request<'_>, attempt: u32) -> Option<Reply> {
-            self.log.push(Event::Recv { from, seq, attempt });
+        fn recv(
+            &mut self,
+            pending: &[Pending<'_>],
+            first: u64,
+            replies: &mut [Option<Reply>],
+            attempt: u32,
+        ) {
+            let sent = pending.iter().map(|p| (p.to, p.seq)).collect();
+            self.log.push(Event::Await { pending: sent, attempt });
             if attempt < self.lose {
-                return None;
+                return;
             }
-            Some(match req {
-                Request::Key(key) => Reply::Count(owner_count(key, self.kmers, self.tiles)),
-                Request::Batch { kmers, tiles } => {
-                    Reply::Batch(owner_batch(kmers, tiles, self.kmers, self.tiles))
-                }
-                Request::Steal => Reply::Chunk(self.chunk.clone()),
-            })
+            for p in pending {
+                replies[(p.seq - first) as usize] = Some(match p.req {
+                    Request::Key(key) => Reply::Count(owner_count(key, self.kmers, self.tiles)),
+                    Request::Batch { kmers, tiles } => {
+                        Reply::Batch(owner_batch(kmers, tiles, self.kmers, self.tiles))
+                    }
+                    Request::Steal => Reply::Chunk(self.chunk.clone()),
+                });
+            }
         }
     }
 
@@ -834,7 +879,7 @@ mod tests {
     }
 
     /// A fetch deduplicates its keys, posts one batch per owner, all of
-    /// them before it awaits the first reply, and counts them once.
+    /// them before it awaits the round once, and counts them once.
     #[test]
     fn a_wave_sends_every_batch_before_the_first_await() {
         let owners = OwnerMap::new(3, &params());
@@ -854,8 +899,7 @@ mod tests {
             [
                 Event::Send { to: 1, seq: 1, attempt: 0 },
                 Event::Send { to: 2, seq: 2, attempt: 0 },
-                Event::Recv { from: 1, seq: 1, attempt: 0 },
-                Event::Recv { from: 2, seq: 2, attempt: 0 },
+                Event::Await { pending: vec![(1, 1), (2, 2)], attempt: 0 },
             ]
         );
         let s = router.stats;
@@ -863,6 +907,53 @@ mod tests {
         assert_eq!(s.remote_total(), 0, "a fetch sends no single-key request");
         let batch = |seq| router.transport.batches[&seq].len();
         assert_eq!((batch(1), batch(2)), (6, 6), "each key once");
+    }
+
+    /// A round that loses attempt 0 of every request waits once per
+    /// attempt, not once per request: a base round of eight single-key
+    /// requests to one owner, then a fetch of two batches, each take one
+    /// await at attempt 0 and one at attempt 1, resend every request once
+    /// and lose no answer.
+    #[test]
+    fn a_lossy_round_is_awaited_once_per_attempt() {
+        let owners = OwnerMap::new(3, &params());
+        let kmers: Vec<u64> = owned_by(&owners, 1, 8);
+        let tiles: Vec<u128> = owned_by(&owners, 2, 2);
+        let held: Vec<(u64, u32)> = (1..).zip(&kmers).map(|(c, &k)| (k, c)).collect();
+        let remote = tables(&held, &[(tiles[0], 9)]);
+        let empty = tables(&[], &[]);
+        let cfg = EngineConfig { retry_budget: 2, ..EngineConfig::new(3, params()) };
+        let tiers = bare_tiers(&owners, 0, &empty);
+        let transport = Scripted { lose: 1, ..scripted(&remote.0, &remote.1) };
+        let mut router = LookupRouter::new(tiers, transport, &cfg, RouterScratch::default());
+        for &key in &kmers {
+            assert_eq!(router.ask_kmer(key), None, "owned by rank 1: a request");
+        }
+        let mut answers = Vec::new();
+        router.exchange(&mut answers);
+        assert_eq!(answers, (1..=8).map(Some).collect::<Vec<_>>());
+        router.fetch(&mut PrefetchKeys { kmers: kmers.clone(), tiles: tiles.clone() });
+        let fetched: Vec<_> =
+            kmers.iter().map(|&k| router.fetched(1, LookupRequest::Kmer(k))).collect();
+        assert_eq!(fetched, answers, "the batch answers what the round did");
+        let tile = |i| router.fetched(2, LookupRequest::Tile(tiles[i]));
+        assert_eq!((tile(0), tile(1)), (Some(9), Some(0)));
+        let awaits: Vec<(usize, u32)> = router
+            .transport
+            .log
+            .iter()
+            .filter_map(|e| match e {
+                Event::Await { pending, attempt } => Some((pending.len(), *attempt)),
+                Event::Send { .. } => None,
+            })
+            .collect();
+        assert_eq!(awaits, [(8, 0), (8, 1), (2, 0), (2, 1)], "one await per attempt and round");
+        let s = router.stats;
+        let requests = 8 + 2;
+        assert_eq!(
+            (s.deadline_misses, s.requests_retried, s.keys_degraded),
+            (requests, requests, 0)
+        );
     }
 
     /// One lookup of `key` on rank 0 of 4 against tiers that each store a
@@ -1159,7 +1250,7 @@ mod tests {
                 })
                 .collect();
             at += fetch.len();
-            at += log[at..].iter().take_while(|e| matches!(e, Event::Recv { .. })).count();
+            at += log[at..].iter().take_while(|e| matches!(e, Event::Await { .. })).count();
             let mut batch_sizes: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
             let mut keys = PrefetchKeys::default();
             for seq in fetch {
@@ -1284,9 +1375,9 @@ mod tests {
         }
     }
 
-    /// Every send of a base-mode round precedes the round's first await,
-    /// each request is awaited once, in send order, and the round carries
-    /// more than one request: the round trips overlap.
+    /// Every send of a base-mode round precedes the round's one await,
+    /// which awaits every request of the round, in send order, and the
+    /// round carries more than one request: the round trips overlap.
     #[test]
     fn a_round_sends_every_request_before_the_first_await() {
         let (reads, p) = random_reads(7);
@@ -1309,19 +1400,15 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let awaits: Vec<_> = log[at + sends.len()..]
-                .iter()
-                .map_while(|e| match *e {
-                    Event::Recv { from, seq, attempt: 0 } => Some((from, seq)),
-                    _ => None,
-                })
-                .collect();
             assert!(!sends.is_empty(), "round {rounds}: an await before any send");
-            assert_eq!(sends, awaits, "round {rounds}: each send awaited once, in order");
-            at += sends.len() + awaits.len();
+            let Some(Event::Await { pending, attempt: 0 }) = log.get(at + sends.len()) else {
+                panic!("round {rounds}: no await after its sends");
+            };
+            assert_eq!(&sends, pending, "round {rounds}: each send awaited once, in order");
+            at += sends.len() + 1;
             rounds += 1;
         }
-        let sent = log.len() as u64 / 2;
+        let sent = log.len() as u64 - rounds;
         assert_eq!(sent, router.stats.remote_messages);
         assert_eq!(sent, router.stats.remote_total(), "one message per remote lookup");
         assert!(sent > 2 * rounds, "{sent} requests in {rounds} rounds: no overlap");

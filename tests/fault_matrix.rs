@@ -128,8 +128,9 @@ fn write_report(rows: &[MatrixRow]) {
 /// bit-identical to the fault-free reference.
 ///
 /// Deadline waits dominate the runtime (the drop cells pay a real 2 ms
-/// wait per lost round trip), so debug builds run the quick smoke test
-/// below instead; the CI `fault-matrix` job runs this grid in release.
+/// wait per round that loses a request, doubling per attempt), so debug
+/// builds run the quick smoke test below instead; the CI `fault-matrix`
+/// job runs this grid in release.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wait-dominated; run in release (CI fault-matrix job)")]
 fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
@@ -191,8 +192,8 @@ fn benign_fault_grid_is_bit_identical_and_kill_degrades() {
     // --- the aggregate columns: every chunk is corrected by a first-wave
     // fetch and several lockstep rounds, each one batch per owner under
     // the same retry protocol. Lossy and slow batches are masked; a dead
-    // owner degrades, never hangs (each fetch waits out at most
-    // deadline x budget) ---
+    // owner degrades, never hangs (each fetch or round waits out one
+    // deadline per attempt) ---
     for engine_name in ["mt", "virtual"] {
         let engine = engine_by_name(engine_name).unwrap();
         let np = 3;
