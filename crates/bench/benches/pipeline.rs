@@ -11,7 +11,7 @@ use reptile_bench::build_bench::build_workload;
 use reptile_bench::workloads::{smoke, smoke_params};
 use reptile_dist::balance::shuffle_reads;
 use reptile_dist::spectrum::{build_distributed, build_distributed_serial};
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, ThreadedEngine};
 
 fn bench_spectrum_build(c: &mut Criterion) {
     let ds = smoke();
@@ -95,12 +95,12 @@ fn bench_correction(c: &mut Criterion) {
     g.bench_function("sequential", |b| b.iter(|| black_box(correct_dataset(&ds.reads, &p))));
     g.bench_function("distributed_np4", |b| {
         let cfg = EngineConfig::new(4, p);
-        b.iter(|| black_box(run_distributed(&cfg, &ds.reads)))
+        b.iter(|| black_box(ThreadedEngine.run(&cfg, &ds.reads)))
     });
     g.bench_function("distributed_np4_replicated", |b| {
         let mut cfg = EngineConfig::new(4, p);
         cfg.heuristics = HeuristicConfig::replicate_both();
-        b.iter(|| black_box(run_distributed(&cfg, &ds.reads)))
+        b.iter(|| black_box(ThreadedEngine.run(&cfg, &ds.reads)))
     });
     g.finish();
 }

@@ -24,8 +24,7 @@
 use crate::workloads::{balance_pair, smoke_params};
 use crate::{group, Metrics};
 use mpisim::CostModel;
-use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::{EngineConfig, HeuristicConfig, RunOutput};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, RunOutput, VirtualEngine};
 
 /// Rank count for both races. Small enough that the smoke workloads keep
 /// hundreds of reads per rank, large enough that a hot owner's fair
@@ -144,8 +143,8 @@ fn race(
         chunk_size: 32,
         ..EngineConfig::virtual_cluster(NP, smoke_params())
     };
-    let stat = run_virtual(&cfg(HeuristicConfig::default()), reads);
-    let adap = run_virtual(&cfg(HeuristicConfig::adaptive(HOT_K)), reads);
+    let stat = VirtualEngine.run(&cfg(HeuristicConfig::default()), reads);
+    let adap = VirtualEngine.run(&cfg(HeuristicConfig::adaptive(HOT_K)), reads);
     (cell(&stat), cell(&adap), stat.corrected, adap.corrected)
 }
 

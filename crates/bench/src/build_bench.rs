@@ -24,10 +24,8 @@ use crate::{group, time_ns_per_op, Metrics};
 use dnaseq::{mix64, Read};
 use mpisim::Universe;
 use reptile::ReptileParams;
-use reptile_dist::engine_virtual::run_virtual;
 use reptile_dist::spectrum::{build_distributed, build_distributed_serial, BuildStats};
-use reptile_dist::EngineConfig;
-use reptile_dist::HeuristicConfig;
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, VirtualEngine};
 
 /// One builder's measurements at a fixed workload.
 #[derive(Clone, Copy, Debug, Default)]
@@ -194,7 +192,7 @@ pub fn run(n_reads: usize) -> BuildBenchReport {
     let modeled_construct = |threads: usize| {
         let cfg =
             EngineConfig { build_threads: threads, ..EngineConfig::virtual_cluster(1, params) };
-        run_virtual(&cfg, reads_ref).report.construct_secs()
+        VirtualEngine.run(&cfg, reads_ref).report.construct_secs()
     };
     let modeled_speedup_4t = modeled_construct(1) / modeled_construct(4).max(1e-12);
     let vcfg = EngineConfig {
@@ -205,7 +203,8 @@ pub fn run(n_reads: usize) -> BuildBenchReport {
         build_threads: 2,
         ..EngineConfig::virtual_cluster(np, params)
     };
-    let modeled_overlap_fraction = run_virtual(&vcfg, reads_ref).report.build_overlap_fraction();
+    let modeled_overlap_fraction =
+        VirtualEngine.run(&vcfg, reads_ref).report.build_overlap_fraction();
 
     BuildBenchReport {
         reads: n_reads,

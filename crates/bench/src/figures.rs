@@ -11,9 +11,7 @@ use genio::stats::DatasetStats;
 use genio::DatasetProfile;
 use mpisim::Topology;
 use reptile::ReptileParams;
-use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::EngineConfig;
-use reptile_dist::HeuristicConfig;
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, VirtualEngine};
 
 /// Mebibytes per byte, for memory rows.
 const MIB: f64 = 1024.0 * 1024.0;
@@ -79,7 +77,7 @@ pub fn fig2(ds: &SyntheticDataset, params: ReptileParams, scale: usize) -> Vec<F
         .into_iter()
         .map(|rpn| {
             let cfg = config(128, rpn, params, HeuristicConfig::default(), scale);
-            let run = run_virtual(&cfg, &ds.reads);
+            let run = VirtualEngine.run(&cfg, &ds.reads);
             Fig2Row {
                 ranks_per_node: rpn,
                 nodes: 128 / rpn,
@@ -122,7 +120,7 @@ pub struct Fig3 {
 /// Fig 3: distribution uniformity of the spectra across 128 ranks.
 pub fn fig3(ds: &SyntheticDataset, params: ReptileParams) -> Fig3 {
     let cfg = config(128, 32, params, HeuristicConfig::default(), 1);
-    let run = run_virtual(&cfg, &ds.reads);
+    let run = VirtualEngine.run(&cfg, &ds.reads);
     let per_rank: Vec<(u64, u64)> =
         run.report.ranks.iter().map(|r| (r.build.owned_kmers, r.build.owned_tiles)).collect();
     Fig3 {
@@ -192,7 +190,7 @@ pub struct Fig4 {
 pub fn fig4(ds: &SyntheticDataset, params: ReptileParams, scale: usize) -> Fig4 {
     let side = |balance: bool| {
         let heur = HeuristicConfig { load_balance: balance, ..Default::default() };
-        let run = run_virtual(&config(128, 32, params, heur, scale), &ds.reads);
+        let run = VirtualEngine.run(&config(128, 32, params, heur, scale), &ds.reads);
         let ranks = &run.report.ranks;
         Fig4Side {
             fastest_total: ranks.iter().map(|r| r.correct_secs).fold(f64::INFINITY, f64::min),
@@ -285,7 +283,7 @@ pub fn fig5(ds: &SyntheticDataset, params: ReptileParams, scale: usize) -> Vec<F
         .map(|(heur, np, rpn, tpr)| {
             let mut cfg = config(np, rpn, params, heur, scale);
             cfg.topology = Topology::with_threads(rpn, tpr);
-            let run = run_virtual(&cfg, &ds.reads);
+            let run = VirtualEngine.run(&cfg, &ds.reads);
             Fig5Row {
                 label: heur.label(),
                 np,
@@ -344,7 +342,7 @@ pub fn partial_sweep(
         .into_iter()
         .map(|g| {
             let heur = HeuristicConfig { partial_group: g, ..Default::default() };
-            let run = run_virtual(&config(np, 32, params, heur, scale), &ds.reads);
+            let run = VirtualEngine.run(&config(np, 32, params, heur, scale), &ds.reads);
             PartialRow {
                 group: g,
                 correct_secs: run.report.correct_secs(),
@@ -399,10 +397,10 @@ pub fn latency_sweep(
         .map(|lat_ns| {
             let mut dist_cfg = config(np, 32, params, HeuristicConfig::default(), scale);
             dist_cfg.cost = mpisim::CostModel::bgq_with_latency(lat_ns);
-            let dist = run_virtual(&dist_cfg, &ds.reads);
+            let dist = VirtualEngine.run(&dist_cfg, &ds.reads);
             let mut repl_cfg = config(np, 32, params, HeuristicConfig::replicate_both(), scale);
             repl_cfg.cost = mpisim::CostModel::bgq_with_latency(lat_ns);
-            let repl = run_virtual(&repl_cfg, &ds.reads);
+            let repl = VirtualEngine.run(&repl_cfg, &ds.reads);
             LatencyRow {
                 net_latency_us: lat_ns / 1000.0,
                 distributed_secs: dist.report.correct_secs(),
@@ -453,15 +451,12 @@ pub fn prior_art_comparison(
     params: ReptileParams,
     scale: usize,
 ) -> Vec<PriorArtRow> {
-    use reptile_dist::{run_prior_art_virtual, PriorArtConfig};
     let np = 1024;
-    let cost = mpisim::CostModel::bgq();
-    let mut pa_cfg = PriorArtConfig::new(np, params);
-    pa_cfg.topology = Topology::new(32);
-    pa_cfg.chunk_size = 2000;
-    let pa = run_prior_art_virtual(&pa_cfg, &ds.reads, &cost, scale as f64);
-    let dist = run_virtual(&config(np, 32, params, HeuristicConfig::default(), scale), &ds.reads);
-    let imb = run_virtual(
+    let base = config(np, 32, params, HeuristicConfig::default(), scale);
+    let pa =
+        reptile_dist::prior_art::run_prior_art_virtual(&base, &ds.reads).expect("prior-art run");
+    let dist = VirtualEngine.run(&base, &ds.reads);
+    let imb = VirtualEngine.run(
         &config(
             np,
             32,
@@ -598,7 +593,7 @@ pub fn ablation_chunk(ds: &SyntheticDataset, params: ReptileParams, scale: usize
                 scale,
             );
             cfg.chunk_size = chunk;
-            let run = run_virtual(&cfg, &ds.reads);
+            let run = VirtualEngine.run(&cfg, &ds.reads);
             ChunkRow {
                 chunk_size: chunk,
                 batches: run.report.ranks.iter().map(|r| r.build.batches).max().unwrap_or(0),
@@ -733,10 +728,10 @@ pub fn scaling_figure(
     let rows: Vec<ScalingRow> = rank_counts
         .iter()
         .map(|&np| {
-            let run = run_virtual(&config(np, 32, params, heur, scale), &ds.reads);
+            let run = VirtualEngine.run(&config(np, 32, params, heur, scale), &ds.reads);
             let imbalanced = if with_imbalanced {
                 let h = HeuristicConfig { load_balance: false, ..heur };
-                let r = run_virtual(&config(np, 32, params, h, scale), &ds.reads);
+                let r = VirtualEngine.run(&config(np, 32, params, h, scale), &ds.reads);
                 Some(r.report.correct_secs())
             } else {
                 None
@@ -874,7 +869,7 @@ pub fn ablation_balance() -> Vec<BalanceRow> {
                 chunk_size: 32,
                 ..EngineConfig::virtual_cluster(NP, smoke_params())
             };
-            let run = run_virtual(&cfg, &ds.reads);
+            let run = VirtualEngine.run(&cfg, &ds.reads);
             rows.push(BalanceRow {
                 workload,
                 policy,

@@ -23,8 +23,7 @@
 use crate::build_bench::build_workload;
 use crate::workloads::smoke_params;
 use crate::{group, Metrics};
-use reptile_dist::engine_mt::run_distributed;
-use reptile_dist::{ooc, EngineConfig, HeuristicConfig};
+use reptile_dist::{ooc, Engine, EngineConfig, HeuristicConfig, ThreadedEngine};
 
 /// Ranks the bench runs at — small enough for CI, parallel enough that
 /// the per-owner run files and the merge both exercise real fan-in.
@@ -105,9 +104,9 @@ pub fn run(n_reads: usize) -> OocBenchReport {
         b.build().expect("valid bench config")
     };
 
-    let baseline = run_distributed(&cfg(None), &reads);
+    let baseline = ThreadedEngine.run(&cfg(None), &reads);
     let budget = ooc::min_budget(&params);
-    let out = run_distributed(&cfg(Some(budget)), &reads);
+    let out = ThreadedEngine.run(&cfg(Some(budget)), &reads);
 
     OocBenchReport {
         reads: n_reads,

@@ -4,7 +4,7 @@
 //! Three measurements, one snapshot:
 //!
 //! 1. **Per-job batch loop** (the old serve mode): every job re-enters
-//!    `try_run_distributed` — universe spawn, snapshot load, shuffle,
+//!    `ThreadedEngine::try_run` — universe spawn, snapshot load, shuffle,
 //!    barriers — per job. This is the baseline the persistent engine
 //!    must beat.
 //! 2. **Closed-loop serve**: the same jobs stream through one
@@ -31,8 +31,8 @@ use genio::{MixComponent, OpenLoopGen, RequestMix};
 use reptile::{LocalSpectra, ReptileParams};
 use reptile_dist::snapshot::save_snapshot_serial;
 use reptile_dist::{
-    try_run_distributed, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse,
-    SubmitError,
+    Engine, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse, SubmitError,
+    ThreadedEngine,
 };
 use std::time::{Duration, Instant};
 
@@ -397,7 +397,7 @@ pub fn run(open_loop_requests: u64, jobs: usize, job_reads: usize) -> ServeBench
     let t = Instant::now();
     let batch_outputs: Vec<Vec<Read>> = job_sets
         .iter()
-        .map(|job| try_run_distributed(&cfg, job).expect("batch-loop job").corrected)
+        .map(|job| ThreadedEngine.try_run(&cfg, job).expect("batch-loop job").corrected)
         .collect();
     let batch_secs = t.elapsed().as_secs_f64();
 

@@ -119,29 +119,53 @@ pub fn neighbors_at_positions<C: NucCode>(
     out
 }
 
-/// Number of neighbours [`visit_neighbors`] will produce:
-/// `sum_{d=1..max_errors} C(p, d) * 3^d` for `p = positions`.
-pub fn neighbor_count(positions: usize, max_errors: usize) -> usize {
-    let mut total = 0usize;
-    for d in 1..=max_errors.min(positions) {
-        let mut comb = 1usize;
-        for i in 0..d {
-            comb = comb * (positions - i) / (i + 1);
-        }
-        total += comb * 3usize.pow(d as u32);
-    }
-    total
-}
-
-/// Hamming distance between two packed codes of length `len`.
-pub fn hamming<C: NucCode>(a: C, b: C, len: usize) -> usize {
-    (0..len).filter(|&p| a.get_base(len, p) != b.get_base(len, p)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kmer::KmerCodec;
+    use proptest::prelude::*;
+
+    /// Number of neighbours `visit_neighbors` will produce:
+    /// `sum_{d=1..max_errors} C(p, d) * 3^d` for `p = positions`.
+    fn neighbor_count(positions: usize, max_errors: usize) -> usize {
+        let mut total = 0usize;
+        for d in 1..=max_errors.min(positions) {
+            let mut comb = 1usize;
+            for i in 0..d {
+                comb = comb * (positions - i) / (i + 1);
+            }
+            total += comb * 3usize.pow(d as u32);
+        }
+        total
+    }
+
+    /// Hamming distance between two packed codes of length `len`.
+    fn hamming<C: NucCode>(a: C, b: C, len: usize) -> usize {
+        (0..len).filter(|&p| a.get_base(len, p) != b.get_base(len, p)).count()
+    }
+
+    proptest! {
+        #[test]
+        fn neighbor_set_properties(
+            code in any::<u64>(),
+            k in 6usize..=16,
+            maxe in 1usize..=2,
+            posmask in any::<u16>(),
+        ) {
+            let codec = KmerCodec::new(k);
+            let code = code & codec.mask();
+            let positions: Vec<usize> = (0..k).filter(|&p| p < 16 && posmask & (1 << p) != 0).collect();
+            prop_assume!(positions.len() <= 6);
+            let neigh = neighbors_at_positions(code, k, &positions, maxe);
+            prop_assert_eq!(neigh.len(), neighbor_count(positions.len(), maxe));
+            let mut seen = std::collections::HashSet::new();
+            for (n, d) in &neigh {
+                prop_assert!(seen.insert(*n), "duplicate neighbour");
+                prop_assert_eq!(hamming(code, *n, k), *d);
+                prop_assert!(*d >= 1 && *d <= maxe);
+            }
+        }
+    }
 
     #[test]
     fn single_position_yields_three_neighbors() {

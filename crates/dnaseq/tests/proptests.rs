@@ -1,6 +1,5 @@
 //! Property-based tests for the sequence primitives.
 
-use dnaseq::neighbors::{hamming, neighbor_count, neighbors_at_positions};
 use dnaseq::{KmerCodec, QualityEncoding, TileCodec};
 use proptest::prelude::*;
 
@@ -73,27 +72,6 @@ proptest! {
         let codec = TileCodec::new(k, ov);
         let code = code & ((1u128 << (2 * codec.len())).wrapping_sub(1));
         prop_assert_eq!(codec.reverse_complement(codec.reverse_complement(code)), code);
-    }
-
-    #[test]
-    fn neighbor_set_properties(
-        code in any::<u64>(),
-        k in 6usize..=16,
-        maxe in 1usize..=2,
-        posmask in any::<u16>(),
-    ) {
-        let codec = KmerCodec::new(k);
-        let code = code & codec.mask();
-        let positions: Vec<usize> = (0..k).filter(|&p| p < 16 && posmask & (1 << p) != 0).collect();
-        prop_assume!(positions.len() <= 6);
-        let neigh = neighbors_at_positions(code, k, &positions, maxe);
-        prop_assert_eq!(neigh.len(), neighbor_count(positions.len(), maxe));
-        let mut seen = std::collections::HashSet::new();
-        for (n, d) in &neigh {
-            prop_assert!(seen.insert(*n), "duplicate neighbour");
-            prop_assert_eq!(hamming(code, *n, k), *d);
-            prop_assert!(*d >= 1 && *d <= maxe);
-        }
     }
 
     #[test]

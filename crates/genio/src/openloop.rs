@@ -56,11 +56,6 @@ impl RequestMix {
             .collect();
         RequestMix { components, cumulative }
     }
-
-    /// A single-pool mix.
-    pub fn uniform(reads: Vec<Read>) -> RequestMix {
-        RequestMix::new(vec![MixComponent { weight: 1.0, reads }])
-    }
 }
 
 /// One generated request: when it arrives and what it asks to correct.
@@ -147,9 +142,14 @@ mod tests {
             .collect()
     }
 
+    /// A single-pool mix.
+    fn single(reads: Vec<Read>) -> RequestMix {
+        RequestMix::new(vec![MixComponent { weight: 1.0, reads }])
+    }
+
     #[test]
     fn deterministic_given_seed() {
-        let mix = || RequestMix::uniform(pool(50, 40, 0));
+        let mix = || single(pool(50, 40, 0));
         let a: Vec<Arrival> = OpenLoopGen::new(mix(), 1000.0, 42).generate(200);
         let b: Vec<Arrival> = OpenLoopGen::new(mix(), 1000.0, 42).generate(200);
         for (x, y) in a.iter().zip(&b) {
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_monotone_at_the_offered_rate() {
-        let mix = RequestMix::uniform(pool(10, 30, 1));
+        let mix = single(pool(10, 30, 1));
         let n = 20_000;
         let arrivals = OpenLoopGen::new(mix, 500.0, 7).generate(n);
         let mut last = 0.0;

@@ -1,9 +1,11 @@
 //! Per-rank traffic counters.
 //!
-//! Counters are the raw material of the BG/Q time model: the virtual
-//! engine multiplies them by [`crate::CostModel`] parameters to obtain the
-//! modeled communication time per rank. They are atomic because a rank's
-//! worker and communication threads share one [`crate::Comm`].
+//! What the threaded runtime did per rank: point-to-point and collective
+//! traffic, injected faults and mailbox lock traffic, read through
+//! [`crate::Comm::stats`] (today only by tests). The virtual engine does
+//! not use them: it counts its own work and prices it with
+//! [`crate::CostModel`]. They are atomic because a rank's worker and
+//! communication threads share one [`crate::Comm`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -24,56 +24,21 @@ use crate::owner::OwnerMap;
 use dnaseq::Read;
 use mpisim::Comm;
 
-/// Reusable per-owner bucket scratch for the shuffle. The `alltoallv`
-/// hands bucket ownership to the peers, so the vectors themselves cannot
-/// survive a batch — what *is* reusable is the sizing knowledge: each
-/// batch's per-owner counts become the next batch's pre-allocation
-/// hints, so steady-state batches fill their buckets without a single
-/// growth reallocation.
-pub struct ReadBuckets {
-    np: usize,
-    /// Per-owner bucket length of the previous batch.
-    hint: Vec<usize>,
-}
-
-impl ReadBuckets {
-    /// Scratch for `np` owner ranks.
-    pub fn new(np: usize) -> ReadBuckets {
-        ReadBuckets { np, hint: vec![0; np] }
-    }
-
-    /// Distribute `reads` into per-owner buckets. Buckets are pre-sized
-    /// to the larger of the previous batch's count and the fair share
-    /// (+25% hash-variance slack), so pushes don't reallocate.
-    pub fn bucket(&mut self, reads: Vec<Read>) -> Vec<Vec<Read>> {
-        let fair = reads.len() / self.np;
-        let default_cap = fair + fair / 4 + 1;
-        let mut buckets: Vec<Vec<Read>> =
-            self.hint.iter().map(|&h| Vec::with_capacity(h.max(default_cap))).collect();
-        for read in reads {
-            let owner = read.owner(self.np);
-            buckets[owner].push(read);
-        }
-        for (h, b) in self.hint.iter_mut().zip(&buckets) {
-            *h = b.len();
-        }
-        buckets
-    }
-}
-
 /// Exchange one batch of reads so every rank ends up with exactly the
 /// reads it owns. Returns this rank's owned reads from the batch, sorted
 /// by sequence number (deterministic processing order regardless of which
 /// rank read them from the file).
 pub fn shuffle_reads(comm: &Comm, batch: Vec<Read>) -> Vec<Read> {
-    shuffle_reads_with(comm, batch, &mut ReadBuckets::new(comm.size()))
-}
-
-/// [`shuffle_reads`] with caller-owned bucket scratch, for batch-mode
-/// loops that shuffle many chunks back to back.
-pub fn shuffle_reads_with(comm: &Comm, batch: Vec<Read>, scratch: &mut ReadBuckets) -> Vec<Read> {
-    let received = comm.alltoallv(scratch.bucket(batch));
-    let mut mine: Vec<Read> = received.into_iter().flatten().collect();
+    let np = comm.size();
+    // Buckets sized to the fair share plus 25% hash-variance slack, so
+    // pushes rarely reallocate.
+    let fair = batch.len() / np;
+    let mut buckets: Vec<Vec<Read>> =
+        (0..np).map(|_| Vec::with_capacity(fair + fair / 4 + 1)).collect();
+    for read in batch {
+        buckets[read.owner(np)].push(read);
+    }
+    let mut mine: Vec<Read> = comm.alltoallv(buckets).into_iter().flatten().collect();
     mine.sort_unstable_by_key(|r| r.id);
     mine
 }
@@ -224,28 +189,15 @@ mod tests {
     fn buckets_partition_reads() {
         let reads = make_reads(50);
         let np = 7;
-        let buckets = ReadBuckets::new(np).bucket(reads.clone());
-        assert_eq!(buckets.len(), np);
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 50);
-        for (rank, bucket) in buckets.iter().enumerate() {
-            for r in bucket {
+        let reads_ref = &reads;
+        let per_rank = Universe::new(np).run(move |comm| {
+            let (lo, hi) = (50 * comm.rank() / np, 50 * (comm.rank() + 1) / np);
+            shuffle_reads(comm, reads_ref[lo..hi].to_vec())
+        });
+        assert_eq!(per_rank.iter().map(Vec::len).sum::<usize>(), 50);
+        for (rank, mine) in per_rank.iter().enumerate() {
+            for r in mine {
                 assert_eq!(r.owner(np), rank);
-            }
-        }
-    }
-
-    #[test]
-    fn reused_buckets_match_fresh_and_learn_sizes() {
-        let np = 5;
-        let mut scratch = ReadBuckets::new(np);
-        for round in 0..3 {
-            let reads = make_reads(40 + round * 20);
-            let reused = scratch.bucket(reads.clone());
-            let fresh = ReadBuckets::new(np).bucket(reads);
-            assert_eq!(reused, fresh);
-            for (h, b) in scratch.hint.iter().zip(&reused) {
-                assert_eq!(*h, b.len(), "hints must track the last batch");
             }
         }
     }
@@ -280,16 +232,14 @@ mod tests {
             shuffle_reads(comm, reads_ref[lo..lo + per].to_vec())
         });
         let layout_b = Universe::new(np).run(move |comm| {
-            // interleaved initial layout, reused scratch as the batch
-            // loops in the engines use it
-            let mut scratch = ReadBuckets::new(np);
+            // interleaved initial layout
             let mine: Vec<Read> = reads_ref
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % np == comm.rank())
                 .map(|(_, r)| r.clone())
                 .collect();
-            shuffle_reads_with(comm, mine, &mut scratch)
+            shuffle_reads(comm, mine)
         });
         assert_eq!(layout_a, layout_b);
     }

@@ -9,11 +9,12 @@
 //!   engines (the virtual engine simply ignores nothing: every field is
 //!   meaningful to at least one engine, and the cost-model fields are
 //!   carried by the threaded engine's reports too);
-//! * [`EngineConfig::builder`] — the validating constructor; invalid
-//!   combinations come back as a typed [`ConfigError`] instead of a
-//!   panic deep inside a rank thread;
-//! * [`Engine`] — the object-safe trait the CLI, benches and tests
-//!   dispatch through ([`ThreadedEngine`], [`VirtualEngine`],
+//! * [`EngineConfig::validate`] — the one check of a run's
+//!   configuration, corrector parameters included; the builder and
+//!   every engine call it, so invalid combinations come back as a typed
+//!   [`ConfigError`] instead of a panic deep inside a rank thread;
+//! * [`Engine`] — the object-safe trait, and the only way to start a
+//!   batch run ([`ThreadedEngine`], [`VirtualEngine`],
 //!   [`engine_by_name`]);
 //! * [`RunOutput`] — corrected reads plus the merged [`RunReport`],
 //!   identical across engines.
@@ -143,6 +144,8 @@ impl EngineConfig {
     /// bad config fails fast in the caller's thread rather than
     /// panicking inside a rank.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        // First: the memory-budget floor below builds codecs from them.
+        self.params.validate().map_err(ConfigError::Params)?;
         if self.np == 0 {
             return Err(ConfigError::ZeroRanks);
         }
@@ -207,6 +210,9 @@ impl EngineConfig {
 /// Why an [`EngineConfig`] was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
+    /// The corrector parameters are out of range (message from
+    /// [`ReptileParams::validate`]).
+    Params(String),
     /// `np == 0` — there is no rank to run.
     ZeroRanks,
     /// `chunk_size == 0` — Step I cannot make progress.
@@ -269,6 +275,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::Params(msg) => write!(f, "invalid params: {msg}"),
             ConfigError::ZeroRanks => write!(f, "np must be at least 1"),
             ConfigError::ZeroChunkSize => write!(f, "chunk_size must be at least 1"),
             ConfigError::ZeroBuildThreads => write!(f, "build_threads must be at least 1"),
@@ -538,44 +545,12 @@ pub trait Engine {
             Err(e) => panic!("engine run failed: {e}"),
         }
     }
-
-    /// Correct a FASTA + QUAL file pair.
-    ///
-    /// # Panics
-    /// On an invalid config or snapshot failure (input I/O problems
-    /// come back as `Err`) — use [`Engine::try_run_files`] for fully
-    /// typed errors.
-    fn run_files(&self, cfg: &EngineConfig, fasta: &Path, qual: &Path) -> genio::Result<RunOutput> {
-        match self.try_run_files(cfg, fasta, qual) {
-            Ok(out) => Ok(out),
-            Err(EngineError::Io(e)) => Err(e),
-            Err(e) => panic!("engine run failed: {e}"),
-        }
-    }
 }
 
-/// The real multi-threaded engine: ranks are OS threads over `mpisim`.
+/// The real multi-threaded engine: ranks are OS threads over `mpisim`
+/// (its [`Engine`] impl lives in [`crate::engine_mt`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadedEngine;
-
-impl Engine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "mt"
-    }
-
-    fn try_run(&self, cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
-        crate::engine_mt::try_run_distributed(cfg, reads)
-    }
-
-    fn try_run_files(
-        &self,
-        cfg: &EngineConfig,
-        fasta: &Path,
-        qual: &Path,
-    ) -> Result<RunOutput, EngineError> {
-        crate::engine_mt::try_run_distributed_files(cfg, fasta, qual)
-    }
-}
 
 /// The virtual engine: models `np` ranks analytically (memory and time
 /// from counted work), corrects with the same shared corrector.
@@ -588,7 +563,7 @@ impl Engine for VirtualEngine {
     }
 
     fn try_run(&self, cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
-        crate::engine_virtual::try_run_virtual(cfg, reads)
+        crate::engine_virtual::run(cfg, reads)
     }
 
     fn try_run_files(
@@ -598,7 +573,7 @@ impl Engine for VirtualEngine {
         qual: &Path,
     ) -> Result<RunOutput, EngineError> {
         let reads = genio::qual::load_dataset(fasta, qual)?;
-        crate::engine_virtual::try_run_virtual(cfg, &reads)
+        self.try_run(cfg, &reads)
     }
 }
 
@@ -760,6 +735,7 @@ mod tests {
     #[test]
     fn errors_render_messages() {
         for err in [
+            ConfigError::Params("x".into()),
             ConfigError::ZeroRanks,
             ConfigError::RetryWithoutDeadline,
             ConfigError::FaultNeedsDeadline,
@@ -772,6 +748,28 @@ mod tests {
             ConfigError::Heuristics("x".into()),
         ] {
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    /// Out-of-range corrector parameters are a typed config error from
+    /// the builder and from both engines, never a panic.
+    #[test]
+    fn bad_params_are_typed_errors() {
+        let reads = crate::test_data::template_reads(6, 20);
+        for bad in
+            [ReptileParams { k: 40, ..params() }, ReptileParams { tile_overlap: 6, ..params() }]
+        {
+            let err = EngineConfig::builder(2, bad).build().unwrap_err();
+            assert!(matches!(err, ConfigError::Params(_)), "{err:?}");
+            for engine in [&ThreadedEngine as &dyn Engine, &VirtualEngine] {
+                let got = engine.try_run(&EngineConfig::new(2, bad), &reads);
+                assert!(
+                    matches!(got, Err(EngineError::Config(ConfigError::Params(_)))),
+                    "{}: {:?}",
+                    engine.name(),
+                    got.err()
+                );
+            }
         }
     }
 

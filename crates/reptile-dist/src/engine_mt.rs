@@ -37,7 +37,7 @@
 //! without it.
 
 use crate::balance::{owner_volume_histogram, select_hot_owners, shuffle_reads, sum_histograms};
-use crate::engine::{EngineConfig, EngineError, RunOutput};
+use crate::engine::{Engine, EngineConfig, EngineError, RunOutput, ThreadedEngine};
 use crate::ooc::OocBuild;
 use crate::owner::OwnerMap;
 use crate::protocol::{
@@ -60,6 +60,7 @@ use dnaseq::{FxHashMap, Read};
 use mpisim::{Comm, Message, Source, Universe};
 use reptile::spectrum::{KmerSpectrum, TileSpectrum};
 use reptile::CorrectionStats;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -80,66 +81,44 @@ fn ooc_spill_dir(rank: usize) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("reptile-ooc-{}-{seq}-r{rank:05}", std::process::id()))
 }
 
-/// Run the full distributed pipeline (shuffle → build → correct) over an
-/// in-memory read set, on `cfg.np` real threads.
-///
-/// Reads are initially dealt to ranks in contiguous slices, mimicking the
-/// byte-offset file partitioning of Step I.
-pub fn run_distributed(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
-    match try_run_distributed(cfg, reads) {
-        Ok(out) => out,
-        Err(e) => panic!("engine run failed: {e}"),
+impl Engine for ThreadedEngine {
+    fn name(&self) -> &'static str {
+        "mt"
     }
-}
 
-/// Fallible twin of [`run_distributed`]: snapshot save/load failures (and
-/// invalid configs) surface as typed [`EngineError`]s instead of panics.
-pub fn try_run_distributed(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
-    run_universe(cfg, |comm| {
-        // Step I analog: contiguous slice of the file.
-        let (me, np) = (comm.rank(), comm.size());
-        Ok(reads[reads.len() * me / np..reads.len() * (me + 1) / np].to_vec())
-    })
-}
-
-/// Run the distributed pipeline against (fasta, qual) files on disk, each
-/// rank reading its own byte-offset slice — the paper's Step I. Returns
-/// the corrected reads; write them out with
-/// [`genio::fasta::write_record`] or [`genio::qual::write_dataset`].
-pub fn run_distributed_files(
-    cfg: &EngineConfig,
-    fasta: &std::path::Path,
-    qual: &std::path::Path,
-) -> genio::Result<RunOutput> {
-    match try_run_distributed_files(cfg, fasta, qual) {
-        Ok(out) => Ok(out),
-        Err(EngineError::Io(e)) => Err(e),
-        Err(e) => panic!("engine run failed: {e}"),
+    /// Reads are dealt to ranks in contiguous slices, mimicking the
+    /// byte-offset file partitioning of Step I.
+    fn try_run(&self, cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
+        run_universe(cfg, |comm| {
+            let (me, np) = (comm.rank(), comm.size());
+            Ok(reads[reads.len() * me / np..reads.len() * (me + 1) / np].to_vec())
+        })
     }
-}
 
-/// Fallible twin of [`run_distributed_files`]: input *and* snapshot
-/// failures surface as typed [`EngineError`]s.
-pub fn try_run_distributed_files(
-    cfg: &EngineConfig,
-    fasta: &std::path::Path,
-    qual: &std::path::Path,
-) -> Result<RunOutput, EngineError> {
-    run_universe(cfg, |comm| {
-        // Read this rank's slice before any collective, so an IO failure
-        // on one rank can abort the whole universe without deadlocking
-        // peers inside a collective.
-        let mine = genio::PartitionedReader::open(fasta, qual, comm.size(), comm.rank())
-            .and_then(|mut part| part.read_all());
-        let failed = comm.allreduce_max_u64(mine.is_err() as u64);
-        match (failed, mine) {
-            (0, Ok(mine)) => Ok(mine),
-            (_, Err(e)) => Err(EngineError::Io(e)),
-            (_, Ok(_)) => Err(EngineError::Io(genio::IoError::Malformed(
-                "aborted: input error on another rank".into(),
-            ))),
-        }
-    })
+    /// Each rank reads its own byte-offset slice of the files — the
+    /// paper's Step I.
+    fn try_run_files(
+        &self,
+        cfg: &EngineConfig,
+        fasta: &Path,
+        qual: &Path,
+    ) -> Result<RunOutput, EngineError> {
+        run_universe(cfg, |comm| {
+            // Read this rank's slice before any collective, so an IO
+            // failure on one rank can abort the whole universe without
+            // deadlocking peers inside a collective.
+            let mine = genio::PartitionedReader::open(fasta, qual, comm.size(), comm.rank())
+                .and_then(|mut part| part.read_all());
+            let failed = comm.allreduce_max_u64(mine.is_err() as u64);
+            match (failed, mine) {
+                (0, Ok(mine)) => Ok(mine),
+                (_, Err(e)) => Err(EngineError::Io(e)),
+                (_, Ok(_)) => Err(EngineError::Io(genio::IoError::Malformed(
+                    "aborted: input error on another rank".into(),
+                ))),
+            }
+        })
+    }
 }
 
 /// Both batch entry points: a universe of `cfg.np` ranks, each running
@@ -150,7 +129,6 @@ fn run_universe(
     reads_of: impl Fn(&Comm) -> Result<Vec<Read>, EngineError> + Sync,
 ) -> Result<RunOutput, EngineError> {
     cfg.validate()?;
-    cfg.params.assert_valid();
     let universe = Universe::with_topology(cfg.np, cfg.topology).with_fault_plan(cfg.fault);
     let per_rank = universe.run(|comm| run_rank(comm, reads_of(comm)?, cfg));
     Ok(assemble_output(root_cause(per_rank)?, cfg))
@@ -809,7 +787,7 @@ mod tests {
         let reads = dataset(40);
         let mut cfg = EngineConfig::new(3, params());
         cfg.heuristics = HeuristicConfig::replicate_both();
-        let out = run_distributed(&cfg, &reads);
+        let out = ThreadedEngine.run(&cfg, &reads);
         for r in &out.report.ranks {
             assert_eq!(r.lookups.remote_total(), 0, "rank {} messaged under replication", r.rank);
             assert_eq!(r.lookups.requests_served, 0);
@@ -820,7 +798,7 @@ mod tests {
     fn base_mode_does_message() {
         let reads = dataset(40);
         let cfg = EngineConfig::new(4, params());
-        let out = run_distributed(&cfg, &reads);
+        let out = ThreadedEngine.run(&cfg, &reads);
         let total_remote: u64 = out.report.ranks.iter().map(|r| r.lookups.remote_total()).sum();
         assert!(total_remote > 0, "distributed spectrum must trigger remote lookups");
         let total_served: u64 = out.report.ranks.iter().map(|r| r.lookups.requests_served).sum();
@@ -833,8 +811,8 @@ mod tests {
         let base_cfg = EngineConfig::new(4, params());
         let mut agg_cfg = EngineConfig::new(4, params());
         agg_cfg.heuristics.aggregate_lookups = true;
-        let base = run_distributed(&base_cfg, &reads);
-        let agg = run_distributed(&agg_cfg, &reads);
+        let base = ThreadedEngine.run(&base_cfg, &reads);
+        let agg = ThreadedEngine.run(&agg_cfg, &reads);
         let msgs = |out: &RunOutput| -> u64 {
             out.report.ranks.iter().map(|r| r.lookups.remote_messages).sum()
         };
@@ -890,8 +868,8 @@ mod tests {
             },
             ..base_cfg.clone()
         };
-        let base = run_distributed(&base_cfg, &reads);
-        let cached = run_distributed(&cache_cfg, &reads);
+        let base = ThreadedEngine.run(&base_cfg, &reads);
+        let cached = ThreadedEngine.run(&cache_cfg, &reads);
         let base_remote: u64 = base.report.ranks.iter().map(|r| r.lookups.remote_total()).sum();
         let cached_remote: u64 = cached.report.ranks.iter().map(|r| r.lookups.remote_total()).sum();
         assert!(cached_remote <= base_remote);
@@ -906,8 +884,8 @@ mod tests {
         let balanced = EngineConfig::new(4, params());
         let mut imbalanced = EngineConfig::new(4, params());
         imbalanced.heuristics.load_balance = false;
-        let out_b = run_distributed(&balanced, &reads);
-        let out_i = run_distributed(&imbalanced, &reads);
+        let out_b = ThreadedEngine.run(&balanced, &reads);
+        let out_i = ThreadedEngine.run(&imbalanced, &reads);
         assert_eq!(out_b.corrected, out_i.corrected, "output invariant to balancing");
         // balanced mode spreads reads by hash: processed counts differ
         // from the contiguous split for this np with high probability
@@ -918,11 +896,11 @@ mod tests {
     #[test]
     fn empty_and_tiny_datasets() {
         let cfg = EngineConfig::new(3, params());
-        let out = run_distributed(&cfg, &[]);
+        let out = ThreadedEngine.run(&cfg, &[]);
         assert!(out.corrected.is_empty());
         // fewer reads than ranks
         let reads = dataset(2);
-        let out = run_distributed(&cfg, &reads);
+        let out = ThreadedEngine.run(&cfg, &reads);
         assert_eq!(out.corrected.len(), 2);
     }
 
@@ -933,7 +911,7 @@ mod tests {
     fn retries_mask_message_faults_bit_identically() {
         let reads = dataset(36);
         let clean_cfg = EngineConfig::new(3, params());
-        let clean = run_distributed(&clean_cfg, &reads);
+        let clean = ThreadedEngine.run(&clean_cfg, &reads);
         let fault = FaultPlan::parse("seed=7,drop=0.15,dup=0.1,reorder=0.2").unwrap();
         let faulted_cfg = EngineConfig {
             fault,
@@ -941,7 +919,7 @@ mod tests {
             retry_budget: 10,
             ..EngineConfig::new(3, params())
         };
-        let faulted = run_distributed(&faulted_cfg, &reads);
+        let faulted = ThreadedEngine.run(&faulted_cfg, &reads);
         assert_eq!(faulted.corrected, clean.corrected, "retries must mask lossy faults");
         let retried: u64 = faulted.report.ranks.iter().map(|r| r.lookups.requests_retried).sum();
         let degraded: u64 = faulted.report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
@@ -957,14 +935,14 @@ mod tests {
         let mut clean_cfg = EngineConfig::new(3, params());
         clean_cfg.heuristics.aggregate_lookups = true;
         clean_cfg.chunk_size = 7;
-        let clean = run_distributed(&clean_cfg, &reads);
+        let clean = ThreadedEngine.run(&clean_cfg, &reads);
         let faulted_cfg = EngineConfig {
             fault: FaultPlan::parse("seed=11,drop=0.1,dup=0.15,reorder=0.4").unwrap(),
             lookup_deadline: Some(Duration::from_millis(25)),
             retry_budget: 10,
             ..clean_cfg
         };
-        let faulted = run_distributed(&faulted_cfg, &reads);
+        let faulted = ThreadedEngine.run(&faulted_cfg, &reads);
         assert_eq!(faulted.corrected, clean.corrected);
         let degraded: u64 = faulted.report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
         assert_eq!(degraded, 0);
@@ -1151,7 +1129,7 @@ mod tests {
             chunk_size: 9,
             ..EngineConfig::new(3, params())
         };
-        let out = run_distributed(&cfg, &reads);
+        let out = ThreadedEngine.run(&cfg, &reads);
         assert_eq!(out.corrected.len(), reads.len(), "kill must not lose reads");
         let degraded: u64 = out.report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
         assert!(degraded > 0, "lookups owned by the killed rank must degrade");

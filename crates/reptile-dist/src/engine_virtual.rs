@@ -64,22 +64,13 @@ use mpisim::{CostModel, FaultPlan};
 use reptile::spectrum::{LocalSpectra, Spectrum};
 use reptile::{CorrectionStats, Normalized, SpectrumKey};
 
-/// Execute the distributed algorithm on `cfg.np` logical ranks.
-pub fn run_virtual(cfg: &EngineConfig, reads: &[Read]) -> RunOutput {
-    match try_run_virtual(cfg, reads) {
-        Ok(out) => out,
-        Err(e) => panic!("engine run failed: {e}"),
-    }
-}
-
-/// Fallible twin of [`run_virtual`]: snapshot save/load failures (and
-/// invalid configs) surface as typed [`EngineError`]s instead of panics.
-/// Snapshot shards are real files even under this engine — the virtual
-/// cluster writes/reads them serially and charges each logical rank the
-/// modeled I/O time for its own shard pair.
-pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
+/// [`VirtualEngine`](crate::VirtualEngine)'s run: the distributed
+/// algorithm on `cfg.np` logical ranks. Snapshot shards are real files
+/// even under this engine — the virtual cluster writes/reads them
+/// serially and charges each logical rank the modeled I/O time for its
+/// own shard pair.
+pub(crate) fn run(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, EngineError> {
     cfg.validate()?;
-    cfg.params.assert_valid();
     let np = cfg.np;
     let heur = &cfg.heuristics;
     let owners = OwnerMap::new(np, &cfg.params);
@@ -757,6 +748,7 @@ impl Transport for ModelTransport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, VirtualEngine};
     use crate::heuristics::HeuristicConfig;
     use crate::test_data::{mixed_reads as dataset, params};
     use mpisim::Topology;
@@ -771,18 +763,18 @@ mod tests {
     fn more_ranks_less_time() {
         // stay in the strong-scaling regime: >= ~100 reads per rank
         let reads = dataset(2000);
-        let t_small = run_virtual(&cfg(4), &reads).report.makespan_secs();
-        let t_large = run_virtual(&cfg(16), &reads).report.makespan_secs();
+        let t_small = VirtualEngine.run(&cfg(4), &reads).report.makespan_secs();
+        let t_large = VirtualEngine.run(&cfg(16), &reads).report.makespan_secs();
         assert!(t_large < t_small, "strong scaling must reduce makespan: {t_small} -> {t_large}");
     }
 
     #[test]
     fn replication_trades_memory_for_time() {
         let reads = dataset(200);
-        let base = run_virtual(&cfg(16), &reads);
+        let base = VirtualEngine.run(&cfg(16), &reads);
         let mut c = cfg(16);
         c.heuristics = HeuristicConfig::replicate_both();
-        let repl = run_virtual(&c, &reads);
+        let repl = VirtualEngine.run(&c, &reads);
         assert!(repl.report.correct_secs() < base.report.correct_secs());
         assert!(repl.report.peak_memory_bytes() > base.report.peak_memory_bytes());
         assert_eq!(repl.report.ranks.iter().map(|r| r.lookups.remote_total()).sum::<u64>(), 0);
@@ -791,10 +783,10 @@ mod tests {
     #[test]
     fn universal_mode_is_faster() {
         let reads = dataset(200);
-        let base = run_virtual(&cfg(16), &reads);
+        let base = VirtualEngine.run(&cfg(16), &reads);
         let mut c = cfg(16);
         c.heuristics.universal = true;
-        let uni = run_virtual(&c, &reads);
+        let uni = VirtualEngine.run(&c, &reads);
         assert!(uni.report.correct_secs() < base.report.correct_secs());
         // same memory
         assert!((uni.report.peak_memory_bytes() - base.report.peak_memory_bytes()).abs() < 1.0);
@@ -803,10 +795,10 @@ mod tests {
     #[test]
     fn scale_multiplies_times_linearly() {
         let reads = dataset(100);
-        let one = run_virtual(&cfg(8), &reads);
+        let one = VirtualEngine.run(&cfg(8), &reads);
         let mut c = cfg(8);
         c.scale = 100.0;
-        let hundred = run_virtual(&c, &reads);
+        let hundred = VirtualEngine.run(&c, &reads);
         let ratio = hundred.report.makespan_secs() / one.report.makespan_secs();
         assert!((ratio - 100.0).abs() < 1e-6, "ratio {ratio}");
     }
@@ -818,8 +810,8 @@ mod tests {
         cfg8.topology = Topology::new(8);
         let mut cfg32 = cfg(128);
         cfg32.topology = Topology::new(32);
-        let t8 = run_virtual(&cfg8, &reads).report.makespan_secs();
-        let t32 = run_virtual(&cfg32, &reads).report.makespan_secs();
+        let t8 = VirtualEngine.run(&cfg8, &reads).report.makespan_secs();
+        let t32 = VirtualEngine.run(&cfg32, &reads).report.makespan_secs();
         assert!(t32 > t8, "Fig 2: 32 ranks/node slower than 8 ({t8} vs {t32})");
     }
 
@@ -831,7 +823,7 @@ mod tests {
         for g in [1usize, 2, 4, 8, 16] {
             let mut c = cfg(16);
             c.heuristics.partial_group = g;
-            let run = run_virtual(&c, &reads);
+            let run = VirtualEngine.run(&c, &reads);
             let remote: u64 = run.report.ranks.iter().map(|r| r.lookups.remote_total()).sum();
             let mem = run.report.peak_memory_bytes();
             assert!(remote <= prev_remote, "g={g}: remote lookups must not grow");
@@ -846,10 +838,10 @@ mod tests {
     #[test]
     fn aggregation_cuts_modeled_messages_and_comm_time() {
         let reads = dataset(200);
-        let base = run_virtual(&cfg(16), &reads);
+        let base = VirtualEngine.run(&cfg(16), &reads);
         let mut c = cfg(16);
         c.heuristics.aggregate_lookups = true;
-        let agg = run_virtual(&c, &reads);
+        let agg = VirtualEngine.run(&c, &reads);
         assert_eq!(agg.corrected, base.corrected, "aggregation must not change output");
         let msgs = |run: &RunOutput| -> u64 {
             run.report.ranks.iter().map(|r| r.lookups.remote_messages).sum()
@@ -881,7 +873,7 @@ mod tests {
         let mut batched = cfg(8);
         batched.chunk_size = 10;
         batched.heuristics.batch_reads = true;
-        let b = run_virtual(&batched, &reads);
+        let b = VirtualEngine.run(&batched, &reads);
         // the pipelined batch build must report a positive overlap window
         assert!(b.report.ranks.iter().any(|r| r.build.overlap_ns > 0));
         for r in &b.report.ranks {
@@ -893,7 +885,7 @@ mod tests {
         // quadrupling the build workers must cut modeled construction time
         let mut threaded = batched;
         threaded.build_threads = 4;
-        let t = run_virtual(&threaded, &reads);
+        let t = VirtualEngine.run(&threaded, &reads);
         let sum = |run: &RunOutput| run.report.ranks.iter().map(|r| r.construct_secs).sum::<f64>();
         assert!(sum(&t) < sum(&b), "more build threads must shrink modeled build time");
     }
@@ -905,8 +897,8 @@ mod tests {
         base.chunk_size = 10;
         let mut batch = base.clone();
         batch.heuristics.batch_reads = true;
-        let b = run_virtual(&batch, &reads);
-        let u = run_virtual(&base, &reads);
+        let b = VirtualEngine.run(&batch, &reads);
+        let u = VirtualEngine.run(&base, &reads);
         let peak_b: u64 = b.report.ranks.iter().map(|r| r.build.peak_reads_kmers).max().unwrap();
         let peak_u: u64 = u.report.ranks.iter().map(|r| r.build.peak_reads_kmers).max().unwrap();
         assert!(peak_b < peak_u, "batching must shrink the reads table ({peak_b} vs {peak_u})");
@@ -939,11 +931,11 @@ mod tests {
     fn hot_shard_replication_cuts_remote_lookups_not_output() {
         let reads = skewed_dataset(300);
         let (seq_out, _) = correct_dataset(&reads, &params());
-        let base = run_virtual(&cfg(8), &reads);
+        let base = VirtualEngine.run(&cfg(8), &reads);
         assert_eq!(base.corrected, seq_out);
         let mut c = cfg(8);
         c.heuristics.hot_shard_k = 2;
-        let adaptive = run_virtual(&c, &reads);
+        let adaptive = VirtualEngine.run(&c, &reads);
         assert_eq!(adaptive.corrected, seq_out, "replication must not change output");
         assert!(adaptive.report.hot_shard_hits() > 0, "hot replicas must serve lookups");
         assert!(
@@ -961,10 +953,10 @@ mod tests {
     #[test]
     fn uniform_workload_replicates_nothing() {
         let reads = dataset(200);
-        let base = run_virtual(&cfg(8), &reads);
+        let base = VirtualEngine.run(&cfg(8), &reads);
         let mut c = cfg(8);
         c.heuristics.hot_shard_k = 4;
-        let run = run_virtual(&c, &reads);
+        let run = VirtualEngine.run(&c, &reads);
         assert_eq!(run.corrected, base.corrected);
         assert_eq!(run.report.hot_shard_hits(), 0, "no owner should trip the 1.5x gate");
         assert!(
@@ -979,10 +971,10 @@ mod tests {
         let (seq_out, _) = correct_dataset(&reads, &params());
         let mut base = cfg(8);
         base.chunk_size = 10;
-        let b = run_virtual(&base, &reads);
+        let b = VirtualEngine.run(&base, &reads);
         let mut c = base.clone();
         c.heuristics.steal_chunks = true;
-        let s = run_virtual(&c, &reads);
+        let s = VirtualEngine.run(&c, &reads);
         assert_eq!(s.corrected, seq_out, "stealing must not change output");
         assert!(s.report.chunks_stolen() > 0, "the skewed assignment must trigger steals");
         assert!(
@@ -1002,10 +994,10 @@ mod tests {
     #[test]
     fn benign_faults_change_nothing() {
         let reads = dataset(80);
-        let clean = run_virtual(&cfg(8), &reads);
+        let clean = VirtualEngine.run(&cfg(8), &reads);
         let mut c = cfg(8);
         c.fault = FaultPlan::parse("seed=5,dup=0.3,reorder=0.4").unwrap();
-        let faulted = run_virtual(&c, &reads);
+        let faulted = VirtualEngine.run(&c, &reads);
         assert_eq!(faulted.corrected, clean.corrected);
         for (a, b) in faulted.report.ranks.iter().zip(&clean.report.ranks) {
             assert_eq!(a.lookups.keys_degraded, 0);
@@ -1018,12 +1010,12 @@ mod tests {
     #[test]
     fn retries_mask_drops_in_the_model() {
         let reads = dataset(80);
-        let clean = run_virtual(&cfg(8), &reads);
+        let clean = VirtualEngine.run(&cfg(8), &reads);
         let mut c = cfg(8);
         c.fault = FaultPlan::parse("seed=9,drop=0.2").unwrap();
         c.lookup_deadline = Some(Duration::from_micros(50));
         c.retry_budget = 30;
-        let faulted = run_virtual(&c, &reads);
+        let faulted = VirtualEngine.run(&c, &reads);
         assert_eq!(faulted.corrected, clean.corrected, "retries must mask drops");
         let retried: u64 = faulted.report.ranks.iter().map(|r| r.lookups.requests_retried).sum();
         let missed: u64 = faulted.report.ranks.iter().map(|r| r.lookups.deadline_misses).sum();
@@ -1043,7 +1035,7 @@ mod tests {
         c.fault = FaultPlan::parse("seed=1,kill=3").unwrap();
         c.lookup_deadline = Some(Duration::from_micros(50));
         c.retry_budget = 2;
-        let run = run_virtual(&c, &reads);
+        let run = VirtualEngine.run(&c, &reads);
         assert_eq!(run.corrected.len(), reads.len());
         let degraded: u64 = run.report.ranks.iter().map(|r| r.lookups.keys_degraded).sum();
         assert!(degraded > 0, "keys owned by the killed rank must degrade");

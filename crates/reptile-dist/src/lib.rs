@@ -71,13 +71,8 @@ pub use engine::{
     engine_by_name, ConfigError, Engine, EngineConfig, EngineConfigBuilder, EngineError, RunOutput,
     ThreadedEngine, VirtualEngine,
 };
-pub use engine_mt::{
-    default_build_threads, run_distributed, run_distributed_files, try_run_distributed,
-    try_run_distributed_files,
-};
-pub use engine_virtual::{run_virtual, try_run_virtual};
+pub use engine_mt::default_build_threads;
 pub use heuristics::HeuristicConfig;
-pub use prior_art::{run_prior_art_virtual, PriorArtConfig};
 pub use report::{LookupStats, RankReport, RunReport};
 pub use serve::{ServeConfig, ServeEngine, ServeReport, ServeResponse, SubmitError};
 pub use snapshot::{LoadedSpectra, SerialLoad};

@@ -21,31 +21,11 @@
 //! reproduces the motivation table: the prior art wins on time at small
 //! scale and loses the memory war as datasets grow.
 
+use crate::engine::{EngineConfig, EngineError};
 use crate::report::{LookupStats, RankReport, RunReport};
 use dnaseq::Read;
-use mpisim::{CostModel, Topology};
 use reptile::spectrum::LocalSpectra;
-use reptile::{correct_read, CorrectionStats, ReptileParams, SpectrumAccess};
-
-/// Configuration for a prior-art run.
-#[derive(Clone, Copy, Debug)]
-pub struct PriorArtConfig {
-    /// Number of ranks (each holding the full spectra).
-    pub np: usize,
-    /// Node layout.
-    pub topology: Topology,
-    /// Reads per work-queue chunk.
-    pub chunk_size: usize,
-    /// Corrector parameters.
-    pub params: ReptileParams,
-}
-
-impl PriorArtConfig {
-    /// Defaults mirroring [`crate::EngineConfig::new`].
-    pub fn new(np: usize, params: ReptileParams) -> PriorArtConfig {
-        PriorArtConfig { np, topology: Topology::single_node(), chunk_size: 200, params }
-    }
-}
+use reptile::{correct_read, CorrectionStats, SpectrumAccess};
 
 /// Local-lookup adapter that counts lookups into [`LookupStats`].
 struct CountingLocal<'a> {
@@ -68,14 +48,11 @@ impl SpectrumAccess for CountingLocal<'_> {
 /// Modeled prior-art run: per-chunk costs from the real corrector,
 /// greedy list scheduling (what a dynamic master converges to), zero
 /// lookup messages, full-spectrum memory, one master round-trip per
-/// chunk. `scale` as in [`crate::EngineConfig`].
-pub fn run_prior_art_virtual(
-    cfg: &PriorArtConfig,
-    reads: &[Read],
-    cost: &CostModel,
-    scale: f64,
-) -> RunReport {
-    cfg.params.assert_valid();
+/// chunk. Reads `np`, `topology`, `chunk_size` (one work-queue chunk),
+/// `params`, `cost` and `scale` from `cfg`, validated as the engines do.
+pub fn run_prior_art_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunReport, EngineError> {
+    cfg.validate()?;
+    let (cost, scale) = (&cfg.cost, cfg.scale);
     let np = cfg.np;
     let spectra = LocalSpectra::build(reads, &cfg.params);
     let smt = cost.smt_factor(cfg.topology.threads_per_node(np));
@@ -86,7 +63,7 @@ pub fn run_prior_art_virtual(
     let mut chunk_stats: Vec<(CorrectionStats, LookupStats)> =
         vec![(CorrectionStats::default(), LookupStats::default()); n_chunks.max(1)];
     let mut work = spectra.clone();
-    for (c, chunk) in reads.chunks(cfg.chunk_size.max(1)).enumerate() {
+    for (c, chunk) in reads.chunks(cfg.chunk_size).enumerate() {
         let mut lookups = LookupStats::default();
         let mut correction = CorrectionStats::default();
         let mut bases = 0u64;
@@ -139,13 +116,15 @@ pub fn run_prior_art_virtual(
             ..Default::default()
         })
         .collect();
-    RunReport { ranks, topology: cfg.topology, cost: *cost }
+    Ok(RunReport { ranks, topology: cfg.topology, cost: *cost })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ConfigError, Engine, VirtualEngine};
     use crate::test_data::mixed_reads as dataset;
+    use reptile::ReptileParams;
 
     fn params() -> ReptileParams {
         ReptileParams {
@@ -157,20 +136,25 @@ mod tests {
         }
     }
 
+    /// A single-node config with `chunk_size`-read work-queue chunks.
+    fn config(np: usize, chunk_size: usize) -> EngineConfig {
+        EngineConfig {
+            topology: mpisim::Topology::single_node(),
+            chunk_size,
+            ..EngineConfig::virtual_cluster(np, params())
+        }
+    }
+
     #[test]
     fn virtual_prior_art_is_balanced_and_memory_heavy() {
         let reads = dataset(400);
-        let p = params();
-        let cost = CostModel::bgq();
-        let cfg = PriorArtConfig { chunk_size: 10, ..PriorArtConfig::new(8, p) };
-        let report = run_prior_art_virtual(&cfg, &reads, &cost, 1.0);
+        let report = run_prior_art_virtual(&config(8, 10), &reads).unwrap();
         // greedy scheduling keeps ranks within one chunk of each other
         let max = report.correct_secs();
         let mean = report.correct_secs_mean();
         assert!(max <= mean * 1.5 + 1e-9, "dynamic scheduling balances: {max} vs {mean}");
         // memory equals the full spectra on every rank
-        let dist =
-            crate::engine_virtual::run_virtual(&crate::EngineConfig::virtual_cluster(8, p), &reads);
+        let dist = VirtualEngine.run(&EngineConfig::virtual_cluster(8, params()), &reads);
         assert!(
             report.peak_memory_bytes() >= dist.report.peak_memory_bytes(),
             "replication must cost at least as much memory"
@@ -182,24 +166,21 @@ mod tests {
     #[test]
     fn virtual_prior_art_faster_but_fatter_than_distributed() {
         let reads = dataset(600);
-        let p = params();
-        let cost = CostModel::bgq();
         let np = 16;
-        let pa = run_prior_art_virtual(
-            &PriorArtConfig { chunk_size: 20, ..PriorArtConfig::new(np, p) },
-            &reads,
-            &cost,
-            1.0,
-        );
-        let dist = crate::engine_virtual::run_virtual(
-            &crate::EngineConfig::virtual_cluster(np, p),
-            &reads,
-        );
+        let pa = run_prior_art_virtual(&config(np, 20), &reads).unwrap();
+        let dist = VirtualEngine.run(&EngineConfig::virtual_cluster(np, params()), &reads);
         assert!(
             pa.correct_secs() < dist.report.correct_secs(),
             "no lookup messages -> faster correction ({} vs {})",
             pa.correct_secs(),
             dist.report.correct_secs()
         );
+    }
+
+    #[test]
+    fn bad_configs_are_typed_errors() {
+        let bad = EngineConfig { params: ReptileParams { k: 40, ..params() }, ..config(4, 10) };
+        let err = run_prior_art_virtual(&bad, &dataset(40)).unwrap_err();
+        assert!(matches!(err, EngineError::Config(ConfigError::Params(_))), "{err}");
     }
 }

@@ -32,18 +32,18 @@
 //! ## Sequence numbers, retries, dedup
 //!
 //! Every request and response leads with a `u64` **sequence number**.
-//! The requesting worker stamps each request with a fresh per-rank seq;
-//! the server is stateless and idempotent (lookups are pure reads of an
-//! immutable table) and simply echoes the seq into its response. Under a
-//! fault plan the worker re-sends an unanswered request **with the same
-//! seq** after its deadline (exponential backoff). Requests are awaited
-//! in seq order, so a response to an earlier seq answers one already
-//! resolved or given up (duplicated, retried, late) and is discarded,
-//! and a response to a later seq is parked until its await comes round —
-//! the rule that dedups responses and survives reordering. The fault-free path uses the identical encoding
-//! (one protocol, no mode split); a run without deadline simply blocks
-//! on the first response, which always has the expected seq because the
-//! per-pair channel is FIFO and nothing is lost.
+//! The requesting worker stamps a lookup round's requests with
+//! consecutive per-rank seqs and sends them together; the server is
+//! stateless and idempotent (lookups are pure reads of an immutable
+//! table) and simply echoes the seq into its response. The worker awaits
+//! the whole round at once and places each response by its seq alone: a
+//! seq outside the round (a late reply to an earlier round) or one
+//! already answered (a duplicate) is discarded, so arrival order does not
+//! matter. Under a fault plan each await has a deadline (doubling per
+//! attempt), and only the requests still unanswered at it are re-sent,
+//! **each under its own seq**. The fault-free path uses the identical
+//! encoding (one protocol, no mode split); a run without a deadline
+//! simply blocks until the round is answered, since nothing is lost.
 //!
 //! Termination is a collective concern, not a p2p one: after its last
 //! read, each worker enters a barrier, then raises its rank's local

@@ -70,14 +70,6 @@ impl LookupStats {
         self.remote_kmer_lookups + self.remote_tile_lookups
     }
 
-    /// Mean keys per batch request (0 when no batches were sent).
-    pub fn keys_per_batch(&self) -> f64 {
-        if self.batches_sent == 0 {
-            return 0.0;
-        }
-        self.batched_keys as f64 / self.batches_sent as f64
-    }
-
     /// Merge counters (worker + server sides of one rank).
     pub fn merge(&mut self, o: &LookupStats) {
         self.local_kmer_lookups += o.local_kmer_lookups;
@@ -216,7 +208,7 @@ impl RunReport {
 
     /// Total distinct `(key, count)` pairs shipped through the build's
     /// count exchanges, all ranks.
-    pub fn exchanged_entries(&self) -> u64 {
+    fn exchanged_entries(&self) -> u64 {
         self.ranks.iter().map(|r| r.build.exchange_entries).sum()
     }
 
@@ -288,12 +280,6 @@ impl RunReport {
     /// manifest).
     pub fn snapshot_bytes_written(&self) -> u64 {
         self.ranks.iter().map(|r| r.snapshot_bytes_written).sum()
-    }
-
-    /// Slowest rank's snapshot load time — the barriered-phase cost a
-    /// loaded run pays instead of `construct_secs`.
-    pub fn snapshot_load_secs(&self) -> f64 {
-        self.ranks.iter().map(|r| r.snapshot_load_secs).fold(0.0, f64::max)
     }
 
     /// Slowest rank's snapshot save time.
@@ -465,16 +451,14 @@ mod tests {
         let mut a = rank(0.0, 0.0, 0.0);
         a.snapshot_bytes_read = 100;
         a.snapshot_bytes_written = 300;
-        a.snapshot_load_secs = 0.5;
         a.snapshot_save_secs = 0.1;
         let mut b = rank(0.0, 0.0, 0.0);
         b.snapshot_bytes_read = 50;
-        b.snapshot_load_secs = 0.2;
+        b.snapshot_save_secs = 0.3;
         let r = run(vec![a, b]);
         assert_eq!(r.snapshot_bytes_read(), 150);
         assert_eq!(r.snapshot_bytes_written(), 300);
-        assert_eq!(r.snapshot_load_secs(), 0.5);
-        assert_eq!(r.snapshot_save_secs(), 0.1);
+        assert_eq!(r.snapshot_save_secs(), 0.3, "barriered phase pays the straggler");
     }
 
     #[test]
@@ -500,12 +484,5 @@ mod tests {
         let clean = run(vec![rank(0.0, 0.0, 0.0)]);
         assert_eq!(clean.shards_repaired(), 0);
         assert_eq!(clean.repair_secs(), 0.0);
-    }
-
-    #[test]
-    fn batch_stat_derivations() {
-        let s = LookupStats { batches_sent: 4, batched_keys: 100, ..Default::default() };
-        assert_eq!(s.keys_per_batch(), 25.0);
-        assert_eq!(LookupStats::default().keys_per_batch(), 0.0);
     }
 }

@@ -262,7 +262,6 @@ impl ServeEngine {
         seed_reads: Vec<Read>,
     ) -> Result<ServeEngine, EngineError> {
         cfg.validate()?;
-        cfg.params.assert_valid();
         if serve.queue_depth == 0 {
             return Err(ConfigError::Heuristics("serve queue_depth must be at least 1".into()))?;
         }
@@ -523,9 +522,10 @@ fn serve_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine_mt::run_distributed;
+    use crate::engine::{Engine, ThreadedEngine};
     use crate::heuristics::HeuristicConfig;
     use crate::test_data::{params, periodic_reads as dataset};
+    use reptile::ReptileParams;
 
     /// Submit every read, tolerating backpressure, and drain until all
     /// are back; returns responses sorted by trace id.
@@ -574,7 +574,7 @@ mod tests {
                     build_threads: 2,
                     ..EngineConfig::new(np, params())
                 };
-                let batch = run_distributed(&cfg, &reads);
+                let batch = ThreadedEngine.run(&cfg, &reads);
                 let engine = ServeEngine::start(
                     cfg,
                     ServeConfig { queue_depth: 32, max_batch: 8 },
@@ -698,6 +698,23 @@ mod tests {
         let cfg = EngineConfig::new(2, params());
         assert!(ServeEngine::start(cfg, ServeConfig { queue_depth: 0, max_batch: 1 }, dataset(8))
             .is_err());
+    }
+
+    /// Out-of-range corrector parameters fail `start` with a typed
+    /// config error, not a panic.
+    #[test]
+    fn bad_params_are_typed_errors() {
+        for bad in
+            [ReptileParams { k: 40, ..params() }, ReptileParams { tile_overlap: 6, ..params() }]
+        {
+            let cfg = EngineConfig::new(2, bad);
+            let got = ServeEngine::start(cfg, ServeConfig::default(), dataset(8));
+            assert!(
+                matches!(got, Err(EngineError::Config(ConfigError::Params(_)))),
+                "{:?}",
+                got.err()
+            );
+        }
     }
 
     /// Dropping the engine without shutdown() must not hang or leak the

@@ -7,9 +7,8 @@
 use mpisim::{FaultPlan, SnapshotChopSpec};
 use proptest::prelude::*;
 use reptile::ReptileParams;
-use reptile_dist::engine_mt::{run_distributed, try_run_distributed};
-use reptile_dist::engine_virtual::run_virtual;
 use reptile_dist::{ooc, EngineConfig, EngineError, HeuristicConfig};
+use reptile_dist::{Engine, ThreadedEngine, VirtualEngine};
 
 // k = 8 / overlap 4 puts the k-mers in a direct-count array (16 bits,
 // never spills — the finish streams the array into the table) while the
@@ -120,18 +119,18 @@ proptest! {
     #[test]
     fn budgeted_build_bit_identical(reads in read_pool(), np in prop::sample::select(vec![1usize, 3, 4])) {
         let p = params();
-        let baseline = run_distributed(&cfg_with_budget(np, None), &reads);
+        let baseline = ThreadedEngine.run(&cfg_with_budget(np, None), &reads);
         let base_tables: Vec<u64> =
             baseline.report.ranks.iter().map(|r| r.build.table_bytes).collect();
-        let vbaseline = run_virtual(&cfg_with_budget(np, None), &reads);
+        let vbaseline = VirtualEngine.run(&cfg_with_budget(np, None), &reads);
         for budget in budgets(&p) {
-            let out = run_distributed(&cfg_with_budget(np, Some(budget)), &reads);
+            let out = ThreadedEngine.run(&cfg_with_budget(np, Some(budget)), &reads);
             prop_assert_eq!(&out.corrected, &baseline.corrected, "threaded, budget {}", budget);
             let tables: Vec<u64> = out.report.ranks.iter().map(|r| r.build.table_bytes).collect();
             prop_assert_eq!(&tables, &base_tables, "table geometry, budget {}", budget);
             prop_assert!(out.report.ooc_peak_bytes() <= budget, "peak over budget {}", budget);
 
-            let vout = run_virtual(&cfg_with_budget(np, Some(budget)), &reads);
+            let vout = VirtualEngine.run(&cfg_with_budget(np, Some(budget)), &reads);
             prop_assert_eq!(&vout.corrected, &vbaseline.corrected, "virtual, budget {}", budget);
         }
     }
@@ -146,8 +145,8 @@ fn floor_budget_spills_and_matches() {
     let reads = heavy_pool();
     let budget = ooc::min_budget(&p);
     for np in [1usize, 3] {
-        let baseline = run_distributed(&cfg_with_budget(np, None), &reads);
-        let out = run_distributed(&cfg_with_budget(np, Some(budget)), &reads);
+        let baseline = ThreadedEngine.run(&cfg_with_budget(np, None), &reads);
+        let out = ThreadedEngine.run(&cfg_with_budget(np, Some(budget)), &reads);
         assert!(out.report.spill_runs() > 0, "np {np}: floor budget never spilled");
         assert!(out.report.spill_bytes() > 0);
         assert!(out.report.ooc_peak_bytes() <= budget, "np {np}: peak over budget");
@@ -163,7 +162,7 @@ fn floor_budget_spills_and_matches() {
 /// zero-IO fast path is the in-memory finalize verbatim.
 #[test]
 fn unlimited_budget_never_spills() {
-    let out = run_distributed(&cfg_with_budget(3, Some(u64::MAX)), &heavy_pool());
+    let out = ThreadedEngine.run(&cfg_with_budget(3, Some(u64::MAX)), &heavy_pool());
     assert_eq!(out.report.spill_runs(), 0);
     assert_eq!(out.report.spill_bytes(), 0);
 }
@@ -187,7 +186,7 @@ fn chopped_run_file_is_a_typed_error() {
             })
             .build()
             .expect("valid config");
-        match try_run_distributed(&cfg, &heavy_pool()) {
+        match ThreadedEngine.try_run(&cfg, &heavy_pool()) {
             Err(EngineError::Spill(e)) => {
                 let msg = e.to_string();
                 assert!(!msg.is_empty());

@@ -5,11 +5,10 @@
 use mpisim::Universe;
 use proptest::prelude::*;
 use reptile::{correct_dataset, ReptileParams, Spectrum, SpectrumKey};
-use reptile_dist::engine_virtual::run_virtual;
 use reptile_dist::spectrum::{
     build_distributed, build_distributed_serial, BuildStats, KindTables, RankTables,
 };
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, ThreadedEngine, VirtualEngine};
 
 fn params() -> ReptileParams {
     ReptileParams {
@@ -183,7 +182,7 @@ proptest! {
     fn threaded_matches_sequential(reads in read_pool(), np in 1usize..6) {
         let p = params();
         let (seq, _) = correct_dataset(&reads, &p);
-        let out = run_distributed(&EngineConfig::new(np, p), &reads);
+        let out = ThreadedEngine.run(&EngineConfig::new(np, p), &reads);
         prop_assert_eq!(out.corrected, seq);
     }
 
@@ -191,7 +190,7 @@ proptest! {
     fn virtual_matches_sequential(reads in read_pool(), np in 1usize..200) {
         let p = params();
         let (seq, _) = correct_dataset(&reads, &p);
-        let run = run_virtual(&EngineConfig::virtual_cluster(np, p), &reads);
+        let run = VirtualEngine.run(&EngineConfig::virtual_cluster(np, p), &reads);
         prop_assert_eq!(run.corrected, seq);
     }
 
@@ -216,7 +215,7 @@ proptest! {
         let mut cfg = EngineConfig::new(3, p);
         cfg.heuristics = heur;
         cfg.chunk_size = 4;
-        let out = run_distributed(&cfg, &reads);
+        let out = ThreadedEngine.run(&cfg, &reads);
         prop_assert_eq!(out.corrected, seq);
     }
 
@@ -252,7 +251,7 @@ proptest! {
     #[test]
     fn reads_conserved(reads in read_pool(), np in 1usize..5) {
         let p = params();
-        let out = run_distributed(&EngineConfig::new(np, p), &reads);
+        let out = ThreadedEngine.run(&EngineConfig::new(np, p), &reads);
         prop_assert_eq!(out.corrected.len(), reads.len());
         for (a, b) in out.corrected.iter().zip(&reads) {
             prop_assert_eq!(a.id, b.id);

@@ -63,19 +63,35 @@ impl Default for ReptileParams {
 }
 
 impl ReptileParams {
-    /// Validate invariants; panics with a description on violation.
+    /// Check the invariants: `k` in `1..=32`, `tile_overlap` in `1..k`,
+    /// a tile of at most 64 bases, and at least one error, candidate and
+    /// unit of dominance per tile.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=32).contains(&self.k) {
+            return Err(format!("k out of range: {}", self.k));
+        }
+        if self.tile_overlap < 1 || self.tile_overlap >= self.k {
+            return Err(format!("tile_overlap out of range: {} (k={})", self.tile_overlap, self.k));
+        }
+        if self.tile_len() > 64 {
+            return Err("tile too long".into());
+        }
+        if self.max_errors_per_tile < 1 {
+            return Err("max_errors_per_tile must be at least 1".into());
+        }
+        if self.max_candidates < 1 {
+            return Err("max_candidates must be at least 1".into());
+        }
+        if self.dominance < 1 {
+            return Err("dominance must be at least 1".into());
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for callers handed parameters an
+    /// engine config already checked; panics with the violation.
     pub fn assert_valid(&self) {
-        assert!((1..=32).contains(&self.k), "k out of range: {}", self.k);
-        assert!(
-            self.tile_overlap >= 1 && self.tile_overlap < self.k,
-            "tile_overlap out of range: {} (k={})",
-            self.tile_overlap,
-            self.k
-        );
-        assert!(2 * self.k - self.tile_overlap <= 64, "tile too long");
-        assert!(self.max_errors_per_tile >= 1);
-        assert!(self.max_candidates >= 1);
-        assert!(self.dominance >= 1);
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The k-mer codec these parameters imply.
@@ -128,5 +144,15 @@ mod tests {
     #[should_panic(expected = "tile_overlap")]
     fn invalid_overlap_panics() {
         ReptileParams { tile_overlap: 12, k: 12, ..Default::default() }.assert_valid();
+    }
+
+    #[test]
+    fn validate_names_the_violation() {
+        let k = ReptileParams { k: 40, ..Default::default() }.validate().unwrap_err();
+        assert_eq!(k, "k out of range: 40");
+        let overlap = ReptileParams { tile_overlap: 0, ..Default::default() };
+        assert!(overlap.validate().unwrap_err().starts_with("tile_overlap"));
+        let dominance = ReptileParams { dominance: 0, ..Default::default() };
+        assert!(dominance.validate().is_err());
     }
 }

@@ -71,7 +71,7 @@ fn snapshot_files_keep_their_bytes() {
 }
 
 #[test]
-fn run_files_keep_their_bytes() {
+fn spill_runs_keep_their_bytes() {
     let dir = tmpdir("runs");
     let narrow: Vec<(u64, u32)> = (0..700u64).map(|i| (i * 97 + 5, (i % 11 + 1) as u32)).collect();
     let wide: Vec<(u128, u32)> =

@@ -12,7 +12,7 @@
 use genio::dataset::DatasetProfile;
 use genio::{fasta, RunConfig};
 use reptile::ReptileParams;
-use reptile_dist::{run_distributed_files, EngineConfig, HeuristicConfig};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, ThreadedEngine};
 use std::io::Write;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         heuristics: HeuristicConfig::paper_production(),
         ..EngineConfig::new(6, params)
     };
-    let out = run_distributed_files(&cfg, &config.fasta_file, &config.qual_file)?;
+    let out = ThreadedEngine.try_run_files(&cfg, &config.fasta_file, &config.qual_file)?;
     println!(
         "corrected {} errors across {} ranks (construct {:.3}s, correct {:.3}s wall)",
         out.report.errors_corrected(),

@@ -12,7 +12,7 @@
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, ReptileParams};
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, ThreadedEngine};
 
 fn main() {
     let dataset = DatasetProfile::ecoli_like().scaled(4000).generate(11);
@@ -50,7 +50,7 @@ fn main() {
             heuristics: heur,
             ..EngineConfig::new(8, params)
         };
-        let out = run_distributed(&cfg, &dataset.reads);
+        let out = ThreadedEngine.run(&cfg, &dataset.reads);
         assert_eq!(out.corrected, baseline, "mode {} altered the output", heur.label());
         let rk: u64 = out.report.ranks.iter().map(|r| r.lookups.remote_kmer_lookups).sum();
         let rt: u64 = out.report.ranks.iter().map(|r| r.lookups.remote_tile_lookups).sum();

@@ -13,7 +13,7 @@
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, AccuracyReport, ReptileParams};
-use reptile_dist::{run_distributed, EngineConfig};
+use reptile_dist::{Engine, EngineConfig, ThreadedEngine};
 
 fn main() {
     // A 1/2000-scale E.coli-like dataset: ~23 kbp genome, ~4.4 k reads.
@@ -45,7 +45,7 @@ fn main() {
 
     // --- distributed (8 ranks, real threads, real messages) ---
     let cfg = EngineConfig::new(8, params);
-    let out = run_distributed(&cfg, &dataset.reads);
+    let out = ThreadedEngine.run(&cfg, &dataset.reads);
     let remote: u64 = out.report.ranks.iter().map(|r| r.lookups.remote_total()).sum();
     println!(
         "distributed: 8 ranks, {} remote lookups, {} errors corrected",

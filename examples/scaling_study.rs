@@ -16,9 +16,7 @@
 use genio::dataset::DatasetProfile;
 use mpisim::Topology;
 use reptile::ReptileParams;
-use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::EngineConfig;
-use reptile_dist::HeuristicConfig;
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, VirtualEngine};
 
 fn main() {
     let dataset = DatasetProfile::ecoli_like().scaled(1000).generate(3);
@@ -45,12 +43,12 @@ fn main() {
             topology: Topology::new(32),
             ..EngineConfig::virtual_cluster(np, params)
         };
-        let balanced = run_virtual(&cfg, &dataset.reads);
+        let balanced = VirtualEngine.run(&cfg, &dataset.reads);
         let imb_cfg = EngineConfig {
             heuristics: HeuristicConfig { load_balance: false, ..Default::default() },
             ..cfg
         };
-        let imbalanced = run_virtual(&imb_cfg, &dataset.reads);
+        let imbalanced = VirtualEngine.run(&imb_cfg, &dataset.reads);
 
         let total = balanced.report.makespan_secs();
         let comm_max = balanced.report.ranks.iter().map(|r| r.comm_secs).fold(0.0, f64::max);
@@ -85,7 +83,7 @@ fn main() {
         save_spectrum: Some(snap.clone()),
         ..EngineConfig::virtual_cluster(256, params)
     };
-    let saved = run_virtual(&save_cfg, &dataset.reads);
+    let saved = VirtualEngine.run(&save_cfg, &dataset.reads);
     println!(
         "\nsnapshot: {} B of pruned spectra persisted at np=256",
         saved.report.snapshot_bytes_written()
@@ -96,9 +94,9 @@ fn main() {
             topology: Topology::new(32),
             ..EngineConfig::virtual_cluster(np, params)
         };
-        let rebuilt = run_virtual(&cfg, &dataset.reads);
+        let rebuilt = VirtualEngine.run(&cfg, &dataset.reads);
         let load_cfg = EngineConfig { load_spectrum: Some(snap.clone()), ..cfg };
-        let loaded = run_virtual(&load_cfg, &dataset.reads);
+        let loaded = VirtualEngine.run(&load_cfg, &dataset.reads);
         assert_eq!(
             loaded.corrected, rebuilt.corrected,
             "snapshot-loaded correction must be bit-identical (np={np})"

@@ -4,9 +4,7 @@
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, AccuracyReport, ReptileParams};
-use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::EngineConfig;
-use reptile_dist::HeuristicConfig;
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, VirtualEngine};
 
 fn well_covered_dataset(seed: u64) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -82,8 +80,8 @@ fn hotspots_cause_imbalance_and_balancing_fixes_it() {
         ..EngineConfig::virtual_cluster(np, p)
     };
     let bal_cfg = EngineConfig::virtual_cluster(np, p);
-    let imb = run_virtual(&imb_cfg, &ds.reads);
-    let bal = run_virtual(&bal_cfg, &ds.reads);
+    let imb = VirtualEngine.run(&imb_cfg, &ds.reads);
+    let bal = VirtualEngine.run(&bal_cfg, &ds.reads);
     // identical corrections, different schedules
     assert_eq!(imb.corrected, bal.corrected);
     let imb_ratio = imb.report.imbalance_ratio();
@@ -112,7 +110,7 @@ fn remote_tile_misses_dominate_comm_traffic() {
     // The paper observes most communication time is tile lookups,
     // especially for tiles absent from the spectrum (error tiles).
     let ds = well_covered_dataset(34);
-    let run = run_virtual(&EngineConfig::virtual_cluster(32, params()), &ds.reads);
+    let run = VirtualEngine.run(&EngineConfig::virtual_cluster(32, params()), &ds.reads);
     let rk: u64 = run.report.ranks.iter().map(|r| r.lookups.remote_kmer_lookups).sum();
     let rt: u64 = run.report.ranks.iter().map(|r| r.lookups.remote_tile_lookups).sum();
     let tile_misses: u64 = run.report.ranks.iter().map(|r| r.lookups.remote_tile_misses).sum();
@@ -132,7 +130,10 @@ fn memory_footprint_shrinks_with_rank_count() {
     let ds = well_covered_dataset(35);
     let p = params();
     let mem_at = |np: usize| {
-        run_virtual(&EngineConfig::virtual_cluster(np, p), &ds.reads).report.peak_memory_bytes()
+        VirtualEngine
+            .run(&EngineConfig::virtual_cluster(np, p), &ds.reads)
+            .report
+            .peak_memory_bytes()
     };
     let m16 = mem_at(16);
     let m256 = mem_at(256);

@@ -7,7 +7,7 @@
 mod support;
 
 use mpisim::FaultPlan;
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{Engine, EngineConfig, HeuristicConfig, ThreadedEngine};
 use std::time::Duration;
 use support::{check_grid, fixture, Grid, Set};
 
@@ -50,7 +50,7 @@ fn adaptive_composes_with_fault_plans() {
     let faults: &[(&str, &str, u64)] =
         &[("drop", "seed=7,drop=0.1", 2), ("delay", "seed=10,delay=0.2:200us", 25)];
     for np in [3usize, 4] {
-        let clean = run_distributed(&base(np), &reads);
+        let clean = ThreadedEngine.run(&base(np), &reads);
         for &(name, spec, deadline_ms) in faults {
             let cfg = EngineConfig {
                 fault: FaultPlan::parse(spec).unwrap(),
@@ -59,7 +59,7 @@ fn adaptive_composes_with_fault_plans() {
                 ..base(np)
             };
             cfg.validate().unwrap();
-            let faulted = run_distributed(&cfg, &reads);
+            let faulted = ThreadedEngine.run(&cfg, &reads);
             assert_eq!(
                 clean.corrected, faulted.corrected,
                 "np={np} {name}: faulted adaptive run diverged"

@@ -7,7 +7,7 @@ mod support;
 
 use genio::dataset::DatasetProfile;
 use reptile::ReptileParams;
-use reptile_dist::{run_distributed, EngineConfig};
+use reptile_dist::{Engine, EngineConfig, ThreadedEngine};
 use support::{check_grid, Grid};
 
 #[test]
@@ -63,9 +63,9 @@ fn distributed_correction_is_idempotent() {
         ..ReptileParams::default()
     };
     let cfg = EngineConfig::new(4, p);
-    let once = run_distributed(&cfg, &reads);
-    let twice = run_distributed(&cfg, &once.corrected);
-    let thrice = run_distributed(&cfg, &twice.corrected);
+    let once = ThreadedEngine.run(&cfg, &reads);
+    let twice = ThreadedEngine.run(&cfg, &once.corrected);
+    let thrice = ThreadedEngine.run(&cfg, &twice.corrected);
     // Repeated passes legitimately correct a little more (removing errors
     // sharpens the spectra), but the process must converge: each pass
     // changes no more reads than the previous one, and the volume is a

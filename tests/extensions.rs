@@ -6,7 +6,7 @@ mod support;
 
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, AccuracyReport, ReptileParams};
-use reptile_dist::{run_distributed, EngineConfig};
+use reptile_dist::{Engine, EngineConfig, ThreadedEngine};
 
 fn dataset(seed: u64) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -46,10 +46,10 @@ fn partial_replication_all_engines_agree() {
 fn partial_replication_reduces_messages_threaded() {
     let ds = dataset(52);
     let p = params();
-    let base = run_distributed(&EngineConfig::new(6, p), &ds.reads);
+    let base = ThreadedEngine.run(&EngineConfig::new(6, p), &ds.reads);
     let mut cfg = EngineConfig::new(6, p);
     cfg.heuristics.partial_group = 3;
-    let partial = run_distributed(&cfg, &ds.reads);
+    let partial = ThreadedEngine.run(&cfg, &ds.reads);
     let remote = |o: &reptile_dist::RunOutput| -> u64 {
         o.report.ranks.iter().map(|r| r.lookups.remote_total()).sum()
     };

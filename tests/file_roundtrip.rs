@@ -4,9 +4,7 @@
 use genio::dataset::DatasetProfile;
 use genio::{PartitionedReader, RunConfig};
 use reptile::ReptileParams;
-use reptile_dist::{
-    run_distributed, run_distributed_files, try_run_distributed_files, EngineConfig,
-};
+use reptile_dist::{Engine, EngineConfig, ThreadedEngine};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("reptile-it-{tag}-{}", std::process::id()));
@@ -47,8 +45,8 @@ fn file_run_matches_in_memory_run() {
     ds.write_files(&fasta, &qual).unwrap();
 
     let cfg = EngineConfig::new(5, params());
-    let from_files = run_distributed_files(&cfg, &fasta, &qual).unwrap();
-    let in_memory = run_distributed(&cfg, &ds.reads);
+    let from_files = ThreadedEngine.try_run_files(&cfg, &fasta, &qual).unwrap();
+    let in_memory = ThreadedEngine.run(&cfg, &ds.reads);
     assert_eq!(from_files.corrected, in_memory.corrected);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -82,14 +80,14 @@ fn file_runs_serve_from_a_saved_spectrum() {
 
     let save_cfg =
         EngineConfig { save_spectrum: Some(snap.clone()), ..EngineConfig::new(4, params()) };
-    let built = try_run_distributed_files(&save_cfg, &fasta, &qual).unwrap();
+    let built = ThreadedEngine.try_run_files(&save_cfg, &fasta, &qual).unwrap();
     assert!(built.report.snapshot_bytes_written() > 0);
     assert!(snap.join("MANIFEST.txt").is_file(), "save must leave a manifest behind");
 
     for np in [4usize, 3] {
         let load_cfg =
             EngineConfig { load_spectrum: Some(snap.clone()), ..EngineConfig::new(np, params()) };
-        let served = try_run_distributed_files(&load_cfg, &fasta, &qual).unwrap();
+        let served = ThreadedEngine.try_run_files(&load_cfg, &fasta, &qual).unwrap();
         assert_eq!(served.corrected, built.corrected, "np={np}");
         assert!(served.report.snapshot_bytes_read() > 0, "np={np}");
         assert_eq!(
@@ -144,7 +142,7 @@ fn truncated_quality_file_fails_cleanly() {
     std::fs::write(&qual, b">1\n30 30 30 30 30 30 30 30 30 30 30 30 30 30 30 30 30 30 30 30\n")
         .unwrap();
     let cfg = EngineConfig::new(2, params());
-    let err = match run_distributed_files(&cfg, &fasta, &qual) {
+    let err = match ThreadedEngine.try_run_files(&cfg, &fasta, &qual) {
         Err(e) => e,
         Ok(_) => panic!("truncated quality file must fail"),
     };
@@ -164,7 +162,7 @@ fn mismatched_lengths_fail_cleanly() {
     std::fs::write(&fasta, b">1\nACGT\n").unwrap();
     std::fs::write(&qual, b">1\n30 30 30\n").unwrap();
     let cfg = EngineConfig::new(1, params());
-    assert!(run_distributed_files(&cfg, &fasta, &qual).is_err());
+    assert!(ThreadedEngine.try_run_files(&cfg, &fasta, &qual).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -209,7 +207,7 @@ fn reads_shorter_than_a_tile_pass_through() {
     )
     .unwrap();
     let cfg = EngineConfig::new(2, params());
-    let out = run_distributed_files(&cfg, &fasta, &qual).unwrap();
+    let out = ThreadedEngine.try_run_files(&cfg, &fasta, &qual).unwrap();
     assert_eq!(out.corrected.len(), 2);
     assert_eq!(out.corrected[0].seq, b"ACGTACGT".to_vec(), "short read untouched");
     std::fs::remove_dir_all(&dir).unwrap();

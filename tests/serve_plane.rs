@@ -17,7 +17,7 @@ use mpisim::FaultPlan;
 use reptile::{LocalSpectra, ReptileParams};
 use reptile_dist::snapshot::save_snapshot_serial;
 use reptile_dist::{
-    try_run_distributed, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse,
+    Engine, EngineConfig, HeuristicConfig, ServeConfig, ServeEngine, ServeResponse, ThreadedEngine,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -91,7 +91,8 @@ fn base_config(snapshot: &PathBuf) -> EngineConfig {
 /// Reference outputs from batch mode on the same snapshot, by read id.
 fn batch_reference(cfg: &EngineConfig, reads: &[Read]) -> HashMap<u64, Read> {
     let clean = EngineConfig { fault: FaultPlan::default(), ..cfg.clone() };
-    try_run_distributed(&clean, reads)
+    ThreadedEngine
+        .try_run(&clean, reads)
         .expect("clean batch run")
         .corrected
         .into_iter()

@@ -29,9 +29,9 @@ use rand::{Rng, SeedableRng};
 use reptile::{correct_dataset, correct_read, CorrectionStats, LocalSpectra, ReptileParams};
 use reptile_dist::spectrum::BuildStats;
 use reptile_dist::{
-    ooc, try_run_distributed, try_run_virtual, EngineConfig, EngineError, HeuristicConfig,
-    LookupStats, RecoveryPolicy, RunOutput, RunReport, ServeConfig, ServeEngine, ServeResponse,
-    SubmitError,
+    ooc, Engine, EngineConfig, EngineError, HeuristicConfig, LookupStats, RecoveryPolicy,
+    RunOutput, RunReport, ServeConfig, ServeEngine, ServeResponse, SubmitError, ThreadedEngine,
+    VirtualEngine,
 };
 use specstore::{Manifest, ShardKind};
 use std::collections::HashMap;
@@ -143,7 +143,7 @@ pub fn fixture(set: Set) -> &'static Fixture {
                     chunk_size: 10,
                     ..EngineConfig::virtual_cluster(8, params)
                 };
-                let run = try_run_virtual(&cfg, &reads).expect("skew engagement run");
+                let run = VirtualEngine.try_run(&cfg, &reads).expect("skew engagement run");
                 assert!(run.report.hot_shard_hits() > 0, "hot replicas never hit");
                 assert!(run.report.chunks_stolen() > 0, "steal gate never opened");
             }
@@ -187,9 +187,9 @@ pub fn requests(set: Set) -> &'static (Vec<Read>, Vec<Read>) {
 /// Which engine runs a case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Eng {
-    /// The threaded engine (`run_distributed`).
+    /// The threaded engine ([`ThreadedEngine`]).
     Mt,
-    /// The virtual-cluster engine (`run_virtual`).
+    /// The virtual-cluster engine ([`VirtualEngine`]).
     Virtual,
 }
 
@@ -328,8 +328,8 @@ pub fn run_engine(
     reads: &[Read],
 ) -> Result<RunOutput, EngineError> {
     match engine {
-        Eng::Mt => try_run_distributed(cfg, reads),
-        Eng::Virtual => try_run_virtual(cfg, reads),
+        Eng::Mt => ThreadedEngine.try_run(cfg, reads),
+        Eng::Virtual => VirtualEngine.try_run(cfg, reads),
     }
 }
 
