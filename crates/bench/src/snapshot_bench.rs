@@ -5,8 +5,9 @@
 //! to many correction runs, so the number that matters is how much
 //! cheaper `load_spectrum` is than a rebuild:
 //!
-//! 1. **zero-copy load** — same rank count as the save: every shard maps
-//!    straight into a flat table with no re-hash and no exchange;
+//! 1. **zero-copy load** — same rank count as the save: every shard's
+//!    slot arrays are adopted by a flat table with no re-hash and no
+//!    exchange;
 //! 2. **re-sharded load** — a different rank count: shard groups are
 //!    unioned and re-owned, paying a merge on top of the raw I/O.
 //!

@@ -60,12 +60,10 @@
 //!   --serve FILE         build-once / correct-many: correct every job
 //!                        listed in FILE ("<fasta> <qual> <output>" per
 //!                        line) against one snapshot; requires
-//!                        --spectrum-in. On the threaded engine the
+//!                        --spectrum-in and the threaded engine. The
 //!                        jobs stream through one persistent
 //!                        ServeEngine (snapshot loaded once, comm
-//!                        threads kept warm, requests micro-batched);
-//!                        the virtual engine falls back to one run per
-//!                        job
+//!                        threads kept warm, requests micro-batched)
 //!   --queue-depth N      (with --serve) admission-queue high-water
 //!                        mark: submissions past it are rejected with
 //!                        retry-after backpressure (default 4096)
@@ -117,6 +115,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let engine_name = args.value("engine").unwrap_or("mt");
     let engine = engine_by_name(engine_name)
         .ok_or_else(|| format!("--engine: expected mt|virtual, got '{engine_name}'"))?;
+    if args.has("serve") && engine.name() != "mt" {
+        return Err("usage: --serve runs on the threaded engine (drop --engine virtual)".into());
+    }
 
     let mut builder = EngineConfig::builder(np, params);
     if engine.name() == "virtual" {
@@ -163,30 +164,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         let text = std::fs::read_to_string(batches_path)
             .map_err(|e| format!("--serve: cannot read '{batches_path}': {e}"))?;
-        let batches = parse_serve_batches(&text)?;
-        if engine.name() == "mt" {
-            return serve_jobs(&args, cfg, &batches);
-        }
-        // virtual engine: no real threads to keep warm — one modeled
-        // run per job, as before
-        let n = batches.len();
-        for (i, batch) in batches.iter().enumerate() {
-            let run = engine.try_run_files(&cfg, &batch.fasta, &batch.qual)?;
-            write_corrected(&run.corrected, &batch.output)?;
-            println!(
-                "[{}/{}] {} -> {} ({} errors corrected, snapshot: {} B loaded)",
-                i + 1,
-                n,
-                batch.fasta.display(),
-                batch.output.display(),
-                run.report.errors_corrected(),
-                run.report.snapshot_bytes_read(),
-            );
-            if args.has("report") {
-                print_report(&run.report);
-            }
-        }
-        return Ok(());
+        return serve_jobs(&args, cfg, &parse_serve_batches(&text)?);
     }
 
     let run = engine.try_run_files(&cfg, &config.fasta_file, &config.qual_file)?;

@@ -132,3 +132,27 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn serve_rejects_the_virtual_engine() {
+    let dir = tempdir("serve-virt");
+    let config = dir.join("run.config");
+    std::fs::write(
+        &config,
+        "fasta_file = reads.fa\nqual_file = reads.qual\noutput_file = out.fa\n\
+         k = 8\ntile_overlap = 4\nkmer_threshold = 3\ntile_threshold = 3\n",
+    )
+    .unwrap();
+    let batches = dir.join("batches.txt");
+    std::fs::write(&batches, "reads.fa reads.qual out1.fa\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_reptile-correct"))
+        .args([config.to_str().unwrap(), "--engine", "virtual", "--np", "4"])
+        .args(["--spectrum-in", dir.join("snap").to_str().unwrap()])
+        .args(["--serve", batches.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage") && stderr.contains("--serve"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -74,14 +74,6 @@ impl KmerCodec {
         ((code >> (2 * (self.k - 1 - pos))) & 3) as u8
     }
 
-    /// Replace the base at `pos` with the 2-bit code `base`.
-    #[inline]
-    pub fn with_base(&self, code: KmerCode, pos: usize, base: u8) -> KmerCode {
-        debug_assert!(pos < self.k && base < 4);
-        let shift = 2 * (self.k - 1 - pos);
-        (code & !(3u64 << shift)) | ((base as u64) << shift)
-    }
-
     /// Reverse complement of a packed k-mer.
     pub fn reverse_complement(&self, code: KmerCode) -> KmerCode {
         let mut rc = 0u64;
@@ -105,12 +97,6 @@ impl KmerCodec {
     /// rolling encoder restarts after the offending base.
     pub fn kmers_of<'a>(&self, seq: &'a [u8]) -> KmerIter<'a> {
         KmerIter { codec: *self, seq, pos: 0, filled: 0, code: 0 }
-    }
-
-    /// Number of k-mer windows a read of length `len` has (valid or not).
-    #[inline]
-    pub fn windows_in(&self, len: usize) -> usize {
-        len.saturating_sub(self.k - 1)
     }
 }
 
@@ -173,18 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn base_at_and_with_base() {
+    fn base_at_reads_each_position() {
         let codec = KmerCodec::new(5);
         let code = codec.encode(b"ACGTA").unwrap();
         assert_eq!(codec.base_at(code, 0), Base::A.code());
         assert_eq!(codec.base_at(code, 2), Base::G.code());
+        assert_eq!(codec.base_at(code, 3), Base::T.code());
         assert_eq!(codec.base_at(code, 4), Base::A.code());
-        let modified = codec.with_base(code, 2, Base::T.code());
-        assert_eq!(codec.decode(modified), b"ACTTA".to_vec());
-        // original untouched positions preserved
-        for pos in [0usize, 1, 3, 4] {
-            assert_eq!(codec.base_at(modified, pos), codec.base_at(code, pos));
-        }
     }
 
     #[test]
@@ -215,7 +196,7 @@ mod tests {
             .filter_map(|i| codec.encode(&seq[i..i + 4]).map(|c| (i, c)))
             .collect();
         assert_eq!(rolled, naive);
-        assert_eq!(rolled.len(), codec.windows_in(seq.len()));
+        assert_eq!(rolled.len(), seq.len() - 3, "every window is valid");
     }
 
     #[test]
@@ -239,7 +220,6 @@ mod tests {
         let codec = KmerCodec::new(8);
         assert_eq!(codec.kmers_of(b"ACGT").count(), 0);
         assert_eq!(codec.kmers_of(b"").count(), 0);
-        assert_eq!(codec.windows_in(4), 0);
     }
 
     #[test]

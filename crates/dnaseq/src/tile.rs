@@ -54,12 +54,6 @@ impl TileCodec {
         self.k
     }
 
-    /// Overlap between the two k-mers in bases.
-    #[inline]
-    pub fn overlap(&self) -> usize {
-        self.overlap
-    }
-
     /// Tile length in bases (`2k − overlap`).
     #[inline]
     pub fn len(&self) -> usize {
@@ -131,14 +125,6 @@ impl TileCodec {
         ((code >> (2 * (self.len - 1 - pos))) & 3) as u8
     }
 
-    /// Replace the base at `pos`.
-    #[inline]
-    pub fn with_base(&self, code: TileCode, pos: usize, base: u8) -> TileCode {
-        debug_assert!(pos < self.len && base < 4);
-        let shift = 2 * (self.len - 1 - pos);
-        (code & !(3u128 << shift)) | ((base as u128) << shift)
-    }
-
     /// Reverse complement of a packed tile.
     pub fn reverse_complement(&self, code: TileCode) -> TileCode {
         let mut rc = 0u128;
@@ -181,17 +167,6 @@ impl TileCodec {
             .chain(anchored)
             .filter_map(move |s| this.encode(&seq[s..s + this.len]).map(|c| (s, c)))
     }
-
-    /// Number of tile windows (valid or not) in a read of length `len`,
-    /// honouring the stride and the anchored final window.
-    pub fn windows_in(&self, read_len: usize) -> usize {
-        if read_len < self.len {
-            0
-        } else {
-            let span = read_len - self.len;
-            span / self.stride() + 1 + usize::from(!span.is_multiple_of(self.stride()))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,8 +204,6 @@ mod tests {
         for (i, &ch) in seq.iter().enumerate() {
             assert_eq!(codec.base_at(code, i), Base::from_ascii(ch).unwrap().code());
         }
-        let modified = codec.with_base(code, 7, Base::A.code());
-        assert_eq!(codec.decode(modified), b"AACCGGTA".to_vec());
     }
 
     #[test]
@@ -248,7 +221,6 @@ mod tests {
         let tiles: Vec<_> = codec.tiles_of(seq).collect();
         let expected_starts: Vec<usize> = vec![0, 2, 4, 6];
         assert_eq!(tiles.iter().map(|t| t.0).collect::<Vec<_>>(), expected_starts);
-        assert_eq!(codec.windows_in(seq.len()), 4);
         // With an N at position 3, tiles starting at 0 and 2 vanish.
         let seq_n = b"ACGNACGTACGT";
         let starts: Vec<usize> = codec.tiles_of(seq_n).map(|t| t.0).collect();

@@ -28,7 +28,6 @@ use crate::collectives::CollectiveState;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::message::Message;
 use crate::stats::{RankStats, SendTally};
-use crate::topology::Topology;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -331,7 +330,6 @@ pub(crate) struct Shared {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) collectives: CollectiveState,
     pub(crate) stats: Vec<RankStats>,
-    pub(crate) topology: Topology,
     pub(crate) fault: FaultPlan,
     /// Per-edge message counters (row-major `src*np + dst`) feeding the
     /// deterministic per-message fault decisions.
@@ -342,12 +340,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(np: usize, topology: Topology, fault: FaultPlan) -> Shared {
+    pub(crate) fn new(np: usize, fault: FaultPlan) -> Shared {
         Shared {
             mailboxes: (0..np).map(|_| Mailbox::new(np)).collect(),
             collectives: CollectiveState::new(np),
             stats: (0..np).map(|_| RankStats::default()).collect(),
-            topology,
             fault,
             edge_seq: (0..np * np).map(|_| AtomicU64::new(0)).collect(),
             op_seq: (0..np).map(|_| AtomicU64::new(0)).collect(),
@@ -438,7 +435,7 @@ impl Comm {
     ) {
         let shared = &*self.shared;
         let stats = &shared.stats[self.rank];
-        stats.count_send(msgs, bytes, shared.topology.same_node(self.rank, dst));
+        stats.count_send(msgs, bytes);
         let fault = &shared.fault;
         let mut hold = Hold::new(&shared.mailboxes[dst]);
         for (tag, payload) in frames {
@@ -813,7 +810,7 @@ mod tests {
     #[test]
     fn blocked_receiver_wakes_only_for_its_own_tag() {
         const NOISE: u8 = 200;
-        let shared = Arc::new(Shared::new(2, Topology::single_node(), FaultPlan::none()));
+        let shared = Arc::new(Shared::new(2, FaultPlan::none()));
         let (sender, receiver) = (Comm::new(0, shared.clone()), Comm::new(1, shared.clone()));
         let wakes = || sender.stats().mailbox_wakes;
         let noise_wakes = std::thread::scope(|s| {
@@ -847,7 +844,7 @@ mod tests {
         const TAGS: u32 = 4;
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let shared = Arc::new(Shared::new(NP, Topology::single_node(), FaultPlan::none()));
+            let shared = Arc::new(Shared::new(NP, FaultPlan::none()));
             let comms: Vec<Comm> = (0..NP).map(|r| Comm::new(r, shared.clone())).collect();
             let me = &comms[0];
             // (src, tag, id) in arrival order; first match wins
@@ -949,7 +946,7 @@ mod tests {
             })
             .collect();
         let outcome = |batched: bool| {
-            let shared = Arc::new(Shared::new(NP, Topology::new(2), plan));
+            let shared = Arc::new(Shared::new(NP, plan));
             let comms: Vec<Comm> = (0..NP).map(|r| Comm::new(r, shared.clone())).collect();
             for (dst, frames) in &runs {
                 if batched {

@@ -168,11 +168,6 @@ impl<'a> WireReader<'a> {
         let n = self.get_u32() as usize;
         (0..n).map(|_| self.get_i64()).collect()
     }
-
-    /// Bytes remaining past the cursor.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +187,7 @@ mod tests {
         assert_eq!(r.get_u128(), 1u128 << 100);
         assert_eq!(r.get_i64(), -42);
         assert_eq!(r.get_bytes(), b"hello");
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.pos, buf.len(), "fully consumed");
     }
 
     #[test]
@@ -225,6 +220,6 @@ mod tests {
         assert_eq!(r.get_u128s(), ts);
         assert_eq!(r.get_i64s(), cs);
         assert_eq!(r.get_u64s(), Vec::<u64>::new());
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.pos, buf.len(), "fully consumed");
     }
 }

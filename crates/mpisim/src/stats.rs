@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) struct RankStats {
     p2p_sent_msgs: AtomicU64,
     p2p_sent_bytes: AtomicU64,
-    p2p_sent_intra_node: AtomicU64,
     p2p_recv_msgs: AtomicU64,
     p2p_recv_bytes: AtomicU64,
     collective_ops: AtomicU64,
@@ -50,12 +49,9 @@ fn add(counter: &AtomicU64, n: u64) {
 }
 
 impl RankStats {
-    pub(crate) fn count_send(&self, msgs: usize, bytes: usize, intra: bool) {
+    pub(crate) fn count_send(&self, msgs: usize, bytes: usize) {
         add(&self.p2p_sent_msgs, msgs as u64);
         add(&self.p2p_sent_bytes, bytes as u64);
-        if intra {
-            add(&self.p2p_sent_intra_node, msgs as u64);
-        }
     }
 
     pub(crate) fn count_sent(&self, t: &SendTally) {
@@ -94,7 +90,6 @@ impl RankStats {
         RankStatsSnapshot {
             p2p_sent_msgs: self.p2p_sent_msgs.load(Ordering::Relaxed),
             p2p_sent_bytes: self.p2p_sent_bytes.load(Ordering::Relaxed),
-            p2p_sent_intra_node: self.p2p_sent_intra_node.load(Ordering::Relaxed),
             p2p_recv_msgs: self.p2p_recv_msgs.load(Ordering::Relaxed),
             p2p_recv_bytes: self.p2p_recv_bytes.load(Ordering::Relaxed),
             collective_ops: self.collective_ops.load(Ordering::Relaxed),
@@ -119,8 +114,6 @@ pub struct RankStatsSnapshot {
     pub p2p_sent_msgs: u64,
     /// Point-to-point bytes sent.
     pub p2p_sent_bytes: u64,
-    /// Of the sent messages, how many stayed on-node (shared memory path).
-    pub p2p_sent_intra_node: u64,
     /// Point-to-point messages received.
     pub p2p_recv_msgs: u64,
     /// Point-to-point bytes received.

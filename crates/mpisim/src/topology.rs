@@ -5,8 +5,10 @@
 //! shared memory while inter-node messages cross the 5-D torus (§IV:
 //! "using multiple ranks per node also gives us a benefit: it allows any
 //! communication between the ranks on the same node to use the shared
-//! memory on the node"). The topology tells the runtime and the cost
-//! model which pairs are on the same node.
+//! memory on the node"). The topology is the cost model's input: ranks
+//! per node blend the intra- and inter-node link costs and set the SMT
+//! pressure. The threaded runtime runs every rank in one process and
+//! does not read it.
 
 /// Rank-to-node assignment: `ranks_per_node` consecutive ranks per node
 /// (block mapping, BG/Q's default).
@@ -19,7 +21,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// All ranks on one node (the default for small test universes).
+    /// All ranks on one node (the threaded-engine configuration default).
     pub fn single_node() -> Topology {
         Topology { ranks_per_node: usize::MAX, threads_per_rank: 2 }
     }
@@ -43,18 +45,6 @@ impl Topology {
         self.ranks_per_node
     }
 
-    /// The node hosting `rank`.
-    #[inline]
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.ranks_per_node
-    }
-
-    /// Whether two ranks share a node (shared-memory messaging path).
-    #[inline]
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
     /// Total software threads per node during the correction phase.
     #[inline]
     pub fn threads_per_node(&self, np: usize) -> usize {
@@ -65,22 +55,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_mapping() {
-        let t = Topology::new(32);
-        assert_eq!(t.node_of(0), 0);
-        assert_eq!(t.node_of(31), 0);
-        assert_eq!(t.node_of(32), 1);
-        assert!(t.same_node(0, 31));
-        assert!(!t.same_node(31, 32));
-    }
-
-    #[test]
-    fn single_node_groups_everything() {
-        let t = Topology::single_node();
-        assert!(t.same_node(0, 10_000));
-    }
 
     #[test]
     fn threads_per_node_counts_both_threads() {

@@ -2,7 +2,6 @@
 
 use crate::comm::{Comm, Shared};
 use crate::fault::FaultPlan;
-use crate::topology::Topology;
 use std::sync::Arc;
 
 /// A fixed-size set of ranks executed on OS threads (compare `mpirun -np`).
@@ -14,21 +13,14 @@ use std::sync::Arc;
 /// ```
 pub struct Universe {
     np: usize,
-    topology: Topology,
     fault: FaultPlan,
 }
 
 impl Universe {
-    /// A universe of `np` ranks on a single node.
+    /// A universe of `np` ranks.
     pub fn new(np: usize) -> Universe {
         assert!(np > 0, "need at least one rank");
-        Universe { np, topology: Topology::single_node(), fault: FaultPlan::none() }
-    }
-
-    /// A universe of `np` ranks with an explicit node layout.
-    pub fn with_topology(np: usize, topology: Topology) -> Universe {
-        assert!(np > 0, "need at least one rank");
-        Universe { np, topology, fault: FaultPlan::none() }
+        Universe { np, fault: FaultPlan::none() }
     }
 
     /// Install a fault plan: every rank's [`Comm`] applies it to the
@@ -57,7 +49,7 @@ impl Universe {
         T: Send,
         F: Fn(&Comm) -> T + Sync,
     {
-        let shared = Arc::new(Shared::new(self.np, self.topology, self.fault));
+        let shared = Arc::new(Shared::new(self.np, self.fault));
         let comms: Vec<Comm> = (0..self.np).map(|r| Comm::new(r, Arc::clone(&shared))).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = comms

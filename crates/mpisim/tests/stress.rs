@@ -1,6 +1,6 @@
 //! Stress tests: many ranks, mixed traffic, no deadlocks, nothing lost.
 
-use mpisim::{Source, TagSel, Topology, Universe};
+use mpisim::{Source, TagSel, Universe};
 use std::time::Duration;
 
 /// How long a server waits on a quiet mailbox before looking again.
@@ -187,11 +187,11 @@ fn thousands_of_requests_in_flight_per_rank() {
     });
 }
 
-/// Collectives interleaved with p2p traffic across a multi-node topology.
+/// Collectives interleaved with p2p traffic.
 #[test]
 fn collectives_and_p2p_interleave() {
     const NP: usize = 12;
-    let results = Universe::with_topology(NP, Topology::new(4)).run(|comm| {
+    let results = Universe::new(NP).run(|comm| {
         let me = comm.rank() as u64;
         let sum1 = comm.allreduce(me, |a, b| a + b);
         comm.send((comm.rank() + 1) % NP, 9, vec![me as u8]);

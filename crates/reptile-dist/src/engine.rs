@@ -404,12 +404,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Set the node/rank topology.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
     /// Set the Step I chunk size.
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
         self.cfg.chunk_size = chunk_size;
@@ -425,12 +419,6 @@ impl EngineConfigBuilder {
     /// Set the per-rank extraction parallelism.
     pub fn build_threads(mut self, build_threads: usize) -> Self {
         self.cfg.build_threads = build_threads;
-        self
-    }
-
-    /// Set the analytic cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
         self
     }
 

@@ -129,7 +129,7 @@ fn run_universe(
     reads_of: impl Fn(&Comm) -> Result<Vec<Read>, EngineError> + Sync,
 ) -> Result<RunOutput, EngineError> {
     cfg.validate()?;
-    let universe = Universe::with_topology(cfg.np, cfg.topology).with_fault_plan(cfg.fault);
+    let universe = Universe::new(cfg.np).with_fault_plan(cfg.fault);
     let per_rank = universe.run(|comm| run_rank(comm, reads_of(comm)?, cfg));
     Ok(assemble_output(root_cause(per_rank)?, cfg))
 }
@@ -1054,7 +1054,7 @@ mod tests {
                 .filter(|&&k| kmer_owner(&owners, k) == me)
                 .map(|&k| (k, count_of(k)))
                 .collect();
-            tables.kmers.owned.insert_batch(&held);
+            tables.kmers.owned.merge_sorted(&held);
             let shutdown = AtomicBool::new(false);
             let mut rounds = Vec::new();
             // Not `with_service_plane`: a rank-0 server's polls would add to the recv locks below

@@ -153,6 +153,8 @@ pub(crate) fn run(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, Engin
         .unwrap_or(1);
     // correction scratch handed from each logical rank's router to the next
     let mut scratch = RouterScratch::default();
+    // (keys, batches) each owner answered, tallied as requests reach it
+    let mut served = vec![(0u64, 0u64); np];
     let mut ranks = Vec::with_capacity(np);
     let mut rank_bases = Vec::with_capacity(np);
     let mut corrected_all = Vec::with_capacity(reads.len());
@@ -234,6 +236,7 @@ pub(crate) fn run(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, Engin
             edge_req_seq: vec![0u64; np],
             retry_wait_ns: 0.0,
             batch_comm_ns: 0.0,
+            served: &mut served,
         };
         let mut router = LookupRouter::new(tiers, transport, cfg, std::mem::take(&mut scratch));
         let mut correction = CorrectionStats::default();
@@ -387,10 +390,10 @@ pub(crate) fn run(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, Engin
         }
     }
 
-    // service load: every remote lookup is served by its owner — attribute
-    // served counts by replaying the per-owner tallies
-    // (uniform hashing makes these near-uniform; Fig 3's premise)
-    distribute_service_counts(&mut ranks, &cfg.fault);
+    for (r, &(keys, batches)) in ranks.iter_mut().zip(&served) {
+        r.lookups.requests_served = keys;
+        r.lookups.batches_served = batches;
+    }
 
     corrected_all.sort_by_key(|r| r.id);
     Ok(RunOutput {
@@ -608,41 +611,6 @@ fn model_chunk_stealing(
     }
 }
 
-/// Spread `requests_served` over ranks proportionally to owned entries —
-/// the virtual engine does not track per-owner request targets (that
-/// would require per-lookup owner logging); uniform hashing makes the
-/// share proportional to spectrum ownership, which Fig 3 shows is uniform
-/// to within 1–2%. A killed rank's message plane is severed, so it
-/// serves nothing and degraded keys are excluded from the served total.
-fn distribute_service_counts(ranks: &mut [RankReport], fault: &FaultPlan) {
-    let total_keys: u64 = ranks
-        .iter()
-        .map(|r| {
-            (r.lookups.remote_total() + r.lookups.batched_keys)
-                .saturating_sub(r.lookups.keys_degraded)
-        })
-        .sum();
-    let total_batches: u64 = ranks.iter().map(|r| r.lookups.batches_sent).sum();
-    let total_owned: u64 = ranks
-        .iter()
-        .filter(|r| !fault.kills(r.rank))
-        .map(|r| r.build.owned_kmers + r.build.owned_tiles)
-        .sum();
-    if total_owned == 0 {
-        return;
-    }
-    for r in ranks.iter_mut() {
-        if fault.kills(r.rank) {
-            r.lookups.requests_served = 0;
-            r.lookups.batches_served = 0;
-            continue;
-        }
-        let share = (r.build.owned_kmers + r.build.owned_tiles) as f64 / total_owned as f64;
-        r.lookups.requests_served = (total_keys as f64 * share).round() as u64;
-        r.lookups.batches_served = (total_batches as f64 * share).round() as u64;
-    }
-}
-
 /// The reads table the build's `keep_read_tables` exchange would have
 /// resolved: the global count of every non-owned key of the rank's reads
 /// (0 = known absent).
@@ -679,6 +647,8 @@ struct ModelTransport<'a> {
     retry_wait_ns: f64,
     /// Modeled nanoseconds spent on batch round trips.
     batch_comm_ns: f64,
+    /// Run-wide `(keys, batches)` each owner has answered.
+    served: &'a mut [(u64, u64)],
 }
 
 impl Transport for ModelTransport<'_> {
@@ -698,7 +668,8 @@ impl Transport for ModelTransport<'_> {
 
     /// One attempt of the modeled round: each pending request, in send
     /// order, is lost when the edge is severed or the fault plan drops
-    /// this edge's next message, and answered otherwise. An attempt that
+    /// this edge's next message, and answered — and counted for its
+    /// owner, twice when the plan duplicates it — otherwise. An attempt that
     /// lost any request costs its (doubling) deadline once, as the wire
     /// waits it out once for the whole round. The fault-free path costs
     /// one branch per request.
@@ -714,6 +685,7 @@ impl Transport for ModelTransport<'_> {
         for p in pending {
             // lost when the edge is severed or the plan drops the edge's
             // next message; a delay goes on the modeled clock
+            let mut copies = 1;
             let lost = !self.fault.is_none()
                 && (self.fault.severed(self.me, p.to) || {
                     let n = self.edge_req_seq[p.to];
@@ -722,13 +694,20 @@ impl Transport for ModelTransport<'_> {
                     if d.delayed {
                         self.retry_wait_ns += self.fault.delay.as_nanos() as f64;
                     }
+                    copies += d.duplicated as u64;
                     d.dropped
                 });
             lost_any |= lost;
             if !lost {
+                let served = &mut self.served[p.to];
                 replies[(p.seq - first) as usize] = Some(match p.req {
-                    Request::Key(key) => Reply::Count(owner_count(key, held_kmers, held_tiles)),
+                    Request::Key(key) => {
+                        served.0 += copies;
+                        Reply::Count(owner_count(key, held_kmers, held_tiles))
+                    }
                     Request::Batch { kmers, tiles } => {
+                        served.0 += copies * (kmers.len() + tiles.len()) as u64;
+                        served.1 += copies;
                         Reply::Batch(owner_batch(kmers, tiles, held_kmers, held_tiles))
                     }
                     // chunk stealing is leveled analytically (`model_chunk_stealing`)
@@ -864,7 +843,7 @@ mod tests {
         let batches: u64 = agg.report.ranks.iter().map(|r| r.lookups.batches_sent).sum();
         let served: u64 = agg.report.ranks.iter().map(|r| r.lookups.batches_served).sum();
         assert!(batches > 0);
-        assert!(served > 0, "service shares must attribute batches to owners");
+        assert_eq!(served, batches, "every batch sent is served once, by its owner");
     }
 
     #[test]

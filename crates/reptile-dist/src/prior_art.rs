@@ -29,19 +29,19 @@ use reptile::{correct_read, CorrectionStats, SpectrumAccess};
 
 /// Local-lookup adapter that counts lookups into [`LookupStats`].
 struct CountingLocal<'a> {
-    spectra: &'a mut LocalSpectra,
+    spectra: &'a LocalSpectra,
     lookups: &'a mut LookupStats,
 }
 
 impl SpectrumAccess for CountingLocal<'_> {
     fn kmer_count(&mut self, code: u64) -> u32 {
         self.lookups.local_kmer_lookups += 1;
-        self.spectra.kmer_count(code)
+        self.spectra.kmers.count(code)
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
         self.lookups.local_tile_lookups += 1;
-        self.spectra.tile_count(code)
+        self.spectra.tiles.count(code)
     }
 }
 
@@ -62,7 +62,6 @@ pub fn run_prior_art_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunRe
     let mut chunk_cost_ns = vec![0f64; n_chunks.max(1)];
     let mut chunk_stats: Vec<(CorrectionStats, LookupStats)> =
         vec![(CorrectionStats::default(), LookupStats::default()); n_chunks.max(1)];
-    let mut work = spectra.clone();
     for (c, chunk) in reads.chunks(cfg.chunk_size).enumerate() {
         let mut lookups = LookupStats::default();
         let mut correction = CorrectionStats::default();
@@ -72,7 +71,7 @@ pub fn run_prior_art_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunRe
             let mut read = read.clone();
             let outcome = correct_read(
                 &mut read,
-                &mut CountingLocal { spectra: &mut work, lookups: &mut lookups },
+                &mut CountingLocal { spectra: &spectra, lookups: &mut lookups },
                 &cfg.params,
             );
             correction.absorb(&outcome);

@@ -303,8 +303,7 @@ impl ServeEngine {
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let universe =
-                    Universe::with_topology(cfg.np, cfg.topology).with_fault_plan(cfg.fault);
+                let universe = Universe::new(cfg.np).with_fault_plan(cfg.fault);
                 let per_rank: Vec<Result<RankDone, EngineError>> =
                     universe.run(|comm| serve_rank(comm, &cfg, &seed_reads, &shared));
                 let out = root_cause(per_rank);

@@ -10,8 +10,8 @@
 //! manifest) and loads it back:
 //!
 //! * **Same `np`** — each rank reads exactly its own two shards and
-//!   adopts the slot arrays verbatim (mapped storage, no rehash): the
-//!   tables probe identically to the freshly built ones.
+//!   adopts their slot arrays verbatim, no rehash: the tables probe
+//!   identically to the freshly built ones.
 //! * **Different `np`** — new rank `r` loads the shards of every old
 //!   rank `o` with `o % np == r` and streams the entries through the
 //!   build's own count exchange (`spectrum::exchange_counts`), which re-owns
@@ -52,8 +52,9 @@ use std::path::Path;
 /// carry.
 #[derive(Debug)]
 pub struct LoadedSpectra {
-    /// Owned k-mers with global counts (pruned) — mapped storage on a
-    /// same-`np` load, rebuilt through the exchange on a re-shard.
+    /// Owned k-mers with global counts (pruned) — adopted slot arrays, no
+    /// rehash, on a same-`np` load; rebuilt through the exchange on a
+    /// re-shard.
     pub kmers: KmerSpectrum,
     /// Owned tiles, same provenance.
     pub tiles: TileSpectrum,

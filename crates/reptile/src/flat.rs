@@ -30,9 +30,8 @@
 //!   marker, and a slot is vacant only when every lane is all-ones. The
 //!   sentinel is still a *legal* code (k=32 poly-T), so its count lives
 //!   in a side field instead of a slot;
-//! * growth doubles when an insert would push occupancy past the
-//!   configurable max load factor (default 3/4), giving amortized O(1)
-//!   inserts;
+//! * growth doubles when an insert would push occupancy past the one
+//!   max load factor, [`MAX_LOAD`] (3/4), giving amortized O(1) inserts;
 //! * `prune` is tombstone-free: survivors are rehashed into the
 //!   smallest capacity that fits them, so — unlike `retain` on a hash
 //!   map — pruning singletons actually returns their memory. This is
@@ -43,18 +42,17 @@
 //!   from an entry count alone, which is what lets the virtual engine
 //!   model per-table bytes without building tables.
 
-use std::sync::Arc;
-
 use crate::key::SpectrumKey;
 
 /// Smallest allocated capacity (power of two).
 const MIN_CAPACITY: usize = 16;
-/// Default max load factor numerator/denominator: 3/4. At 7/8 the
-/// post-prune table can sit at 0.76+ occupancy where linear-probing
+/// Max load factor numerator/denominator of every table: 3/4. At 7/8
+/// the post-prune table can sit at 0.76+ occupancy where linear-probing
 /// miss chains average ~9 slots; 3/4 keeps misses short while staying
 /// well under the hash map's bytes/entry (measured in
-/// `reptile-bench`'s `spectrum_bench`).
-const DEFAULT_LOAD: (usize, usize) = (3, 4);
+/// `reptile-bench`'s `spectrum_bench`). Snapshot headers record it, and
+/// a load rejects any other pair.
+pub const MAX_LOAD: (usize, usize) = (3, 4);
 
 /// Batch width of the `insert_batch` software-prefetch pipeline: while
 /// one group of keys inserts, the probe-start cache lines of the next
@@ -91,82 +89,10 @@ fn probe_start(h: u64, mask: usize) -> usize {
 /// exactly the point.
 pub const HASH_SEED: u64 = FIB_MUL ^ crate::key::TILE_FOLD_MUL;
 
-/// Slot-array backing: owned and mutable, or a shared slab adopted from a
-/// loaded snapshot. The mapped form is the borrowed half of the Cow-style
-/// split — probes read it in place (no rehash, no per-slot copy into a
-/// fresh allocation), and the first mutation copies it into owned storage.
-#[derive(Clone, Debug)]
-enum Slab<T: Copy> {
-    /// Private, growable storage (every table built in memory).
-    Owned(Vec<T>),
-    /// Shared immutable slab (snapshot-loaded tables; possibly aliased by
-    /// other tables of the same snapshot).
-    Mapped(Arc<[T]>),
-}
-
-impl<T: Copy> Slab<T> {
-    fn owned(v: Vec<T>) -> Slab<T> {
-        Slab::Owned(v)
-    }
-
-    fn is_mapped(&self) -> bool {
-        matches!(self, Slab::Mapped(_))
-    }
-
-    fn into_vec(self) -> Vec<T> {
-        match self {
-            Slab::Owned(v) => v,
-            Slab::Mapped(a) => a.to_vec(),
-        }
-    }
-
-    /// Copy a mapped slab into owned storage — once per table, so kept
-    /// out of line from the hot mutable accesses.
-    #[cold]
-    #[inline(never)]
-    fn detach(&mut self) {
-        if let Slab::Mapped(a) = self {
-            *self = Slab::Owned(a.to_vec());
-        }
-    }
-}
-
-impl<T: Copy> Default for Slab<T> {
-    fn default() -> Slab<T> {
-        Slab::Owned(Vec::new())
-    }
-}
-
-impl<T: Copy> std::ops::Deref for Slab<T> {
-    type Target = [T];
-    #[inline]
-    fn deref(&self) -> &[T] {
-        match self {
-            Slab::Owned(v) => v,
-            Slab::Mapped(a) => a,
-        }
-    }
-}
-
-impl<T: Copy> std::ops::DerefMut for Slab<T> {
-    /// Copy-on-write: mutable access to a mapped slab detaches it into
-    /// owned storage first.
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [T] {
-        if self.is_mapped() {
-            self.detach();
-        }
-        match self {
-            Slab::Owned(v) => v,
-            Slab::Mapped(_) => unreachable!("mapped slab detached above"),
-        }
-    }
-}
-
 /// The occupied `(key, count)` slots of raw slot arrays, in slot order:
 /// every slot whose lanes are not all all-ones.
-fn occupied<'a, K: SpectrumKey, L: std::ops::Deref<Target = [u64]>>(
-    lanes: &'a [L],
+fn occupied<'a, K: SpectrumKey>(
+    lanes: &'a [Vec<u64>],
     counts: &'a [u32],
 ) -> impl Iterator<Item = (K, u32)> + 'a {
     counts
@@ -176,13 +102,13 @@ fn occupied<'a, K: SpectrumKey, L: std::ops::Deref<Target = [u64]>>(
         .filter(|&(k, _)| k != K::SENTINEL)
 }
 
-/// Smallest power-of-two capacity holding `n` entries at load
-/// `num/den`, or 0 for an empty table.
-fn capacity_for(n: usize, num: usize, den: usize) -> usize {
+/// Smallest power-of-two capacity holding `n` entries at
+/// [`MAX_LOAD`], or 0 for an empty table.
+fn capacity_for(n: usize) -> usize {
     if n == 0 {
         return 0;
     }
-    let needed = (n * den).div_ceil(num);
+    let needed = (n * MAX_LOAD.1).div_ceil(MAX_LOAD.0);
     needed.next_power_of_two().max(MIN_CAPACITY)
 }
 
@@ -192,19 +118,15 @@ pub struct FlatTable<K: SpectrumKey> {
     /// Slot keys, one array per key lane (lane 0 = low 64 bits); a slot
     /// is vacant when every lane holds all-ones. Each array's length is
     /// the capacity (a power of two) or 0 before the first insert.
-    lanes: K::Lanes<Slab<u64>>,
+    lanes: K::Lanes<Vec<u64>>,
     /// Slot counts, parallel to the lanes.
-    counts: Slab<u32>,
+    counts: Vec<u32>,
     /// Occupied slots (excludes the sentinel key).
     len: usize,
     /// `capacity - 1`; 0 when unallocated.
     mask: usize,
     /// Count stored for the reserved all-ones key itself.
     sentinel_count: Option<u32>,
-    /// Max load factor numerator.
-    load_num: usize,
-    /// Max load factor denominator.
-    load_den: usize,
 }
 
 /// The k-mer count table: `u64` keys, 12 bytes per slot.
@@ -225,20 +147,12 @@ impl<K: SpectrumKey> FlatTable<K> {
 
     /// Empty table (no allocation until the first insert).
     pub fn new() -> FlatTable<K> {
-        FlatTable::with_max_load(DEFAULT_LOAD.0, DEFAULT_LOAD.1)
-    }
-
-    /// Empty table with max load factor `num/den` (e.g. 3, 4).
-    pub fn with_max_load(num: usize, den: usize) -> FlatTable<K> {
-        assert!(num > 0 && num < den, "load factor must be in (0, 1)");
         FlatTable {
-            lanes: K::lanes_from(|_| Slab::default()),
-            counts: Slab::default(),
+            lanes: K::lanes_from(|_| Vec::new()),
+            counts: Vec::new(),
             len: 0,
             mask: 0,
             sentinel_count: None,
-            load_num: num,
-            load_den: den,
         }
     }
 
@@ -262,14 +176,12 @@ impl<K: SpectrumKey> FlatTable<K> {
         std::mem::size_of::<FlatTable<K>>() + self.capacity() * Self::SLOT_BYTES
     }
 
-    /// Bytes a table holding `n` entries occupies at the default max
-    /// load — the same geometry (smallest fitting power-of-two capacity
-    /// × bytes/slot + header) `memory_bytes` reports after building or
-    /// pruning to `n` entries. The virtual engine's memory model is
+    /// Bytes a table holding `n` entries occupies — the same geometry
+    /// (smallest fitting power-of-two capacity × bytes/slot + header)
+    /// `memory_bytes` reports after building or pruning to `n` entries. The virtual engine's memory model is
     /// built on this.
     pub fn bytes_for_entries(n: usize) -> usize {
-        std::mem::size_of::<FlatTable<K>>()
-            + capacity_for(n, DEFAULT_LOAD.0, DEFAULT_LOAD.1) * Self::SLOT_BYTES
+        std::mem::size_of::<FlatTable<K>>() + capacity_for(n) * Self::SLOT_BYTES
     }
 
     /// What slot `idx` holds, for a key (never the sentinel) split into
@@ -347,7 +259,7 @@ impl<K: SpectrumKey> FlatTable<K> {
             return;
         }
         // Grow *before* inserting so occupancy never exceeds the bound.
-        if (self.len + 1) * self.load_den > self.capacity() * self.load_num {
+        if (self.len + 1) * MAX_LOAD.1 > self.capacity() * MAX_LOAD.0 {
             self.rehash(self.capacity() * 2, 0);
             idx = self.probe(key).0;
         }
@@ -362,7 +274,7 @@ impl<K: SpectrumKey> FlatTable<K> {
     /// disjoint owner parts of an allgathered spectrum) the final
     /// geometry still matches [`FlatTable::bytes_for_entries`].
     pub fn reserve(&mut self, additional: usize) {
-        let want = capacity_for(self.len + additional, self.load_num, self.load_den);
+        let want = capacity_for(self.len + additional);
         if want > self.capacity() {
             self.rehash(want, 0);
         }
@@ -431,11 +343,6 @@ impl<K: SpectrumKey> FlatTable<K> {
         crate::radix::lsd_sort_by(&mut order, &mut tmp, cap.trailing_zeros(), |&p| {
             (p >> 32) as u32
         });
-        // The freshly reserved slot arrays are owned; place into plain
-        // vectors so the sweep indexes them without a per-write
-        // copy-on-write check, then hand them back.
-        let mut lanes = K::lanes_from(|l| std::mem::take(&mut self.lanes.as_mut()[l]).into_vec());
-        let mut counts = std::mem::take(&mut self.counts).into_vec();
         let mut spill: Vec<u32> = Vec::new();
         let mut cursor = 0usize;
         // The placement gather (`entries[i]`) is the only random access
@@ -453,14 +360,9 @@ impl<K: SpectrumKey> FlatTable<K> {
                 continue;
             }
             let (key, count) = entries[i as usize];
-            for (l, lane) in lanes.as_mut().iter_mut().enumerate() {
-                lane[slot] = key.lane(l);
-            }
-            counts[slot] = count;
+            self.set_slot(slot, key, count);
             cursor = slot + 1;
         }
-        self.lanes = K::lanes_from(|l| Slab::owned(std::mem::take(&mut lanes.as_mut()[l])));
-        self.counts = Slab::owned(counts);
         // Spilled keys probe from their start, wrapping into the front
         // of the array; every slot they skip is occupied, preserving the
         // probe-path invariant for lookups.
@@ -481,7 +383,7 @@ impl<K: SpectrumKey> FlatTable<K> {
     /// Insertion order and growth schedule are exactly those of
     /// `add_count` per pair. Unlike [`FlatTable::merge_sorted`] this
     /// accepts arbitrary (unsorted, duplicated) pairs.
-    pub fn insert_batch(&mut self, entries: &[(K, u32)]) {
+    fn insert_batch(&mut self, entries: &[(K, u32)]) {
         let mut at = 0;
         while at < entries.len() {
             let next = (at + PREFETCH_GROUP).min(entries.len());
@@ -556,13 +458,11 @@ impl<K: SpectrumKey> FlatTable<K> {
     /// keeps every entry, prune knows its survivors.
     fn rehash(&mut self, new_cap: usize, threshold: u32) {
         let old_lanes = K::lanes_from(|l| {
-            let fresh = Slab::owned(vec![u64::MAX; new_cap]);
-            std::mem::replace(&mut self.lanes.as_mut()[l], fresh).into_vec()
+            std::mem::replace(&mut self.lanes.as_mut()[l], vec![u64::MAX; new_cap])
         });
-        let old_counts = std::mem::replace(&mut self.counts, Slab::owned(vec![0; new_cap]));
-        let old_counts = old_counts.into_vec();
+        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_cap]);
         self.mask = new_cap.saturating_sub(1);
-        for (key, count) in occupied::<K, _>(old_lanes.as_ref(), &old_counts) {
+        for (key, count) in occupied::<K>(old_lanes.as_ref(), &old_counts) {
             if count >= threshold {
                 let idx = self.probe(key).0;
                 self.set_slot(idx, key, count);
@@ -578,10 +478,10 @@ impl<K: SpectrumKey> FlatTable<K> {
         if self.sentinel_count.is_some_and(|c| c < threshold) {
             self.sentinel_count = None;
         }
-        let survivors = occupied::<K, _>(self.raw_parts().lanes.as_ref(), &self.counts)
+        let survivors = occupied::<K>(self.lanes.as_ref(), &self.counts)
             .filter(|&(_, c)| c >= threshold)
             .count();
-        self.rehash(capacity_for(survivors, self.load_num, self.load_den), threshold);
+        self.rehash(capacity_for(survivors), threshold);
         self.len = survivors;
     }
 
@@ -591,36 +491,15 @@ impl<K: SpectrumKey> FlatTable<K> {
             .chain(self.sentinel_count.map(|c| (K::SENTINEL, c)))
     }
 
-    /// Consume into `(key, count)` pairs.
-    pub fn into_entries(mut self) -> impl Iterator<Item = (K, u32)> {
-        let sentinel = self.sentinel_count.map(|c| (K::SENTINEL, c));
-        let lanes = K::lanes_from(|l| std::mem::take(&mut self.lanes.as_mut()[l]).into_vec());
-        self.counts
-            .into_vec()
-            .into_iter()
-            .enumerate()
-            .map(move |(i, c)| (K::from_lanes(|l| lanes.as_ref()[l][i]), c))
-            .filter(|&(k, _)| k != K::SENTINEL)
-            .chain(sentinel)
-    }
-
-    /// True when the slot arrays are snapshot-mapped (shared, not yet
-    /// detached by a mutation).
-    pub fn is_mapped(&self) -> bool {
-        self.lanes.as_ref().iter().any(Slab::is_mapped) || self.counts.is_mapped()
-    }
-
     /// Borrow the raw slot arrays and geometry — the exact bytes a
     /// snapshot shard persists. Probing a table rebuilt from these parts
-    /// via [`FlatTable::from_mapped_parts`] visits identical slots.
+    /// via [`FlatTable::from_parts`] visits identical slots.
     pub fn raw_parts(&self) -> TableParts<'_, K> {
         TableParts {
             lanes: K::lanes_from(|l| &*self.lanes.as_ref()[l]),
             counts: &self.counts,
             entries: self.len,
             sentinel_count: self.sentinel_count,
-            load_num: self.load_num,
-            load_den: self.load_den,
         }
     }
 
@@ -630,39 +509,27 @@ impl<K: SpectrumKey> FlatTable<K> {
     /// before trusting the layout). Validates geometry and recounts
     /// occupancy — a slot is occupied unless every lane is all-ones — so
     /// a corrupted-but-checksummed dump cannot fabricate an
-    /// out-of-bounds mask or an impossible load factor.
-    pub fn from_mapped_parts(
-        lanes: K::Lanes<Arc<[u64]>>,
-        counts: Arc<[u32]>,
+    /// out-of-bounds mask or an occupancy past [`MAX_LOAD`].
+    pub fn from_parts(
+        lanes: K::Lanes<Vec<u64>>,
+        counts: Vec<u32>,
         sentinel_count: Option<u32>,
-        load_num: usize,
-        load_den: usize,
     ) -> Result<FlatTable<K>, String> {
-        if load_num == 0 || load_num >= load_den {
-            return Err(format!("load factor {load_num}/{load_den} not in (0, 1)"));
-        }
         let cap = counts.len();
-        let lanes = lanes.as_ref();
-        if lanes.iter().any(|lane| lane.len() != cap) {
-            let lens: Vec<usize> = lanes.iter().map(|lane| lane.len()).collect();
+        let slots = lanes.as_ref();
+        if slots.iter().any(|lane| lane.len() != cap) {
+            let lens: Vec<usize> = slots.iter().map(Vec::len).collect();
             return Err(format!("slot arrays disagree: lanes of {lens:?} slots vs {cap} counts"));
         }
         if cap != 0 && (!cap.is_power_of_two() || cap < MIN_CAPACITY) {
             return Err(format!("capacity {cap} is not 0 or a power of two ≥ {MIN_CAPACITY}"));
         }
-        let len = (0..cap).filter(|&i| lanes.iter().any(|lane| lane[i] != u64::MAX)).count();
-        if len * load_den > cap * load_num {
-            return Err(format!("{len} entries exceed the {load_num}/{load_den} bound at {cap}"));
+        let len = (0..cap).filter(|&i| slots.iter().any(|lane| lane[i] != u64::MAX)).count();
+        let (num, den) = MAX_LOAD;
+        if len * den > cap * num {
+            return Err(format!("{len} entries exceed the {num}/{den} bound at {cap}"));
         }
-        Ok(FlatTable {
-            mask: cap.saturating_sub(1),
-            lanes: K::lanes_from(|l| Slab::Mapped(lanes[l].clone())),
-            counts: Slab::Mapped(counts),
-            len,
-            sentinel_count,
-            load_num,
-            load_den,
-        })
+        Ok(FlatTable { mask: cap.saturating_sub(1), lanes, counts, len, sentinel_count })
     }
 }
 
@@ -679,10 +546,6 @@ pub struct TableParts<'a, K: SpectrumKey> {
     pub entries: usize,
     /// Side-field count for the reserved all-ones key.
     pub sentinel_count: Option<u32>,
-    /// Max load factor numerator.
-    pub load_num: usize,
-    /// Max load factor denominator.
-    pub load_den: usize,
 }
 
 #[cfg(test)]
@@ -721,7 +584,7 @@ mod tests {
         #[cfg(target_pointer_width = "64")]
         assert_eq!(
             (FlatKmerTable::bytes_for_entries(0), FlatTileTable::bytes_for_entries(0)),
-            (88, 112)
+            (72, 96)
         );
         assert_eq!(
             FlatKmerTable::bytes_for_entries(1) - FlatKmerTable::bytes_for_entries(0),
@@ -1003,7 +866,7 @@ mod tests {
             );
         }
         // stage breakdown of the bulk path
-        let cap = capacity_for(entries.len(), DEFAULT_LOAD.0, DEFAULT_LOAD.1);
+        let cap = capacity_for(entries.len());
         let mask = cap - 1;
         for round in 0..3 {
             let t0 = std::time::Instant::now();
@@ -1075,57 +938,34 @@ mod tests {
         assert_eq!(remap(&t).get(half_high), Some(5));
         t.prune(2);
         assert_eq!((t.get(half_low), t.get(1)), (Some(4), None));
-        let entries = sorted(t.into_entries());
+        let entries = sorted(t.iter());
         assert_eq!(entries, vec![(half_low, 4), (1 << 64, 2), ((1 << 64) | 1, 3), (half_high, 5)]);
     }
 
-    fn iter_matches_into_entries<K: SpectrumKey>() {
-        let mut t = FlatTable::<K>::new();
-        for k in [key(5), key(9), K::SENTINEL, key(1 << 60), spread(3)] {
-            t.add_count(k, 2);
-        }
-        assert_eq!(sorted(t.iter()), sorted(t.into_entries()));
-    }
-
-    #[test]
-    fn iter_matches_into_entries_both_kinds() {
-        both_kinds!(iter_matches_into_entries);
-    }
-
-    #[test]
-    fn custom_load_factor_bounds_occupancy() {
-        let mut t = FlatKmerTable::with_max_load(1, 2);
-        for key in 0..100u64 {
-            t.add_count(key, 1);
-        }
-        assert!(t.len() * 2 <= t.capacity(), "load ≤ 1/2");
-        assert_eq!(t.capacity(), 256);
-    }
-
     /// Rebuild a table from its raw parts the way a snapshot load does:
-    /// copy the slot arrays into shared slabs and adopt them.
+    /// copy the slot arrays and adopt them.
     fn remap<K: SpectrumKey>(t: &FlatTable<K>) -> FlatTable<K> {
         let p = t.raw_parts();
-        FlatTable::from_mapped_parts(
-            K::lanes_from(|l| Arc::from(p.lanes.as_ref()[l])),
-            Arc::from(p.counts),
+        FlatTable::from_parts(
+            K::lanes_from(|l| p.lanes.as_ref()[l].to_vec()),
+            p.counts.to_vec(),
             p.sentinel_count,
-            p.load_num,
-            p.load_den,
         )
         .expect("valid parts")
     }
 
-    fn mapped_parts_roundtrip_probes_identically<K: SpectrumKey>() {
+    fn adopted_parts_probe_identically<K: SpectrumKey>() {
         let mut t = FlatTable::<K>::new();
         for i in 0..777u64 {
             t.add_count(spread(i), (i % 5 + 1) as u32);
         }
         t.add_count(K::SENTINEL, 9);
         let m = remap(&t);
-        assert!(m.is_mapped());
         assert_eq!(m.len(), t.len());
         assert_eq!(m.capacity(), t.capacity());
+        assert_eq!(m.memory_bytes(), t.memory_bytes());
+        let (mp, tp) = (m.raw_parts(), t.raw_parts());
+        assert_eq!((mp.lanes.as_ref(), mp.counts), (tp.lanes.as_ref(), tp.counts), "no rehash");
         for i in 0..777u64 {
             assert_eq!(m.get(spread(i)), t.get(spread(i)));
         }
@@ -1134,79 +974,57 @@ mod tests {
     }
 
     #[test]
-    fn mapped_parts_roundtrip_probes_identically_both_kinds() {
-        both_kinds!(mapped_parts_roundtrip_probes_identically);
+    fn adopted_parts_probe_identically_both_kinds() {
+        both_kinds!(adopted_parts_probe_identically);
     }
 
-    fn mapped_table_detaches_on_first_mutation<K: SpectrumKey>() {
+    fn adopted_table_grows_and_prunes<K: SpectrumKey>() {
         let mut t = FlatTable::<K>::new();
         for i in 0..100u64 {
             t.add_count(key(i), 1);
         }
         let mut m = remap(&t);
-        assert!(m.is_mapped());
-        m.add_count(key(7), 1); // existing key: count bump detaches counts
-        assert_eq!(m.get(key(7)), Some(2));
-        m.add_count(key(5000), 3); // new key: detaches the lanes too
-        assert!(!m.is_mapped());
-        assert_eq!(m.get(key(5000)), Some(3));
-        assert_eq!(t.get(key(7)), Some(1), "source table unaffected by CoW");
-        let mut m = remap(&t);
-        m.prune(3);
-        assert!(!m.is_mapped());
-        assert!(m.is_empty());
-        assert_eq!(t.get(key(11)), Some(1));
-    }
-
-    #[test]
-    fn mapped_table_detaches_on_first_mutation_both_kinds() {
-        both_kinds!(mapped_table_detaches_on_first_mutation);
-    }
-
-    fn mapped_memory_bytes_stays_exact<K: SpectrumKey>() {
-        let mut t = FlatTable::<K>::new();
-        for i in 0..200u64 {
-            t.add_count(key(i), 1);
+        m.add_count(key(7), 1);
+        for i in 1000..1200u64 {
+            m.add_count(key(i), 3);
         }
-        assert_eq!(remap(&t).memory_bytes(), t.memory_bytes());
+        assert_eq!((m.get(key(7)), m.get(key(1100))), (Some(2), Some(3)));
+        assert_eq!(m.memory_bytes(), FlatTable::<K>::bytes_for_entries(300));
+        m.prune(2);
+        assert_eq!(m.len(), 201);
+        assert_eq!(m.memory_bytes(), FlatTable::<K>::bytes_for_entries(201));
     }
 
     #[test]
-    fn mapped_memory_bytes_stays_exact_both_kinds() {
-        both_kinds!(mapped_memory_bytes_stays_exact);
+    fn adopted_table_grows_and_prunes_both_kinds() {
+        both_kinds!(adopted_table_grows_and_prunes);
     }
 
-    fn invalid_mapped_parts_are_rejected<K: SpectrumKey>() {
-        let slots = |n: usize| -> Arc<[u64]> { Arc::from(vec![u64::MAX; n].as_slice()) };
-        let counts = |n: usize| -> Arc<[u32]> { Arc::from(vec![0u32; n].as_slice()) };
-        let adopt = |lanes: K::Lanes<Arc<[u64]>>, counts, num, den| {
-            FlatTable::<K>::from_mapped_parts(lanes, counts, None, num, den)
+    fn invalid_parts_are_rejected<K: SpectrumKey>() {
+        let slots = |n: usize| vec![u64::MAX; n];
+        let adopt = |lanes: K::Lanes<Vec<u64>>, n: usize| {
+            FlatTable::<K>::from_parts(lanes, vec![0; n], None)
         };
         // mismatched lengths: counts vs lanes, and (for tiles) lane vs lane
-        assert!(adopt(K::lanes_from(|_| slots(16)), counts(8), 3, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(16)), 8).is_err());
         if K::LANES > 1 {
-            assert!(adopt(K::lanes_from(|l| slots(16 >> l)), counts(16), 3, 4).is_err());
+            assert!(adopt(K::lanes_from(|l| slots(16 >> l)), 16).is_err());
         }
         // non-power-of-two capacity
-        assert!(adopt(K::lanes_from(|_| slots(24)), counts(24), 3, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(24)), 24).is_err());
         // capacity below the minimum
-        assert!(adopt(K::lanes_from(|_| slots(8)), counts(8), 3, 4).is_err());
-        // bad load factor
-        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 4, 4).is_err());
-        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 0, 4).is_err());
+        assert!(adopt(K::lanes_from(|_| slots(8)), 8).is_err());
         // occupancy above the load bound: 16 slots all full at 3/4 —
         // a slot with any lane not all-ones counts as occupied
-        let full = |l: usize| -> Arc<[u64]> {
-            Arc::from((0..16u64).map(|i| if l == 0 { i } else { u64::MAX }).collect::<Vec<_>>())
-        };
-        assert!(adopt(K::lanes_from(full), counts(16), 3, 4).is_err());
+        let full = |l: usize| (0..16u64).map(|i| if l == 0 { i } else { u64::MAX }).collect();
+        assert!(adopt(K::lanes_from(full), 16).is_err());
         // the valid baseline does adopt
-        assert!(adopt(K::lanes_from(|_| slots(16)), counts(16), 3, 4).is_ok());
+        assert!(adopt(K::lanes_from(|_| slots(16)), 16).is_ok());
     }
 
     #[test]
-    fn invalid_mapped_parts_are_rejected_both_kinds() {
-        both_kinds!(invalid_mapped_parts_are_rejected);
+    fn invalid_parts_are_rejected_both_kinds() {
+        both_kinds!(invalid_parts_are_rejected);
     }
 
     fn empty_prune_and_get_are_safe<K: SpectrumKey>() {

@@ -35,7 +35,7 @@ pub use corrector::{
     WalkScratch,
 };
 pub use eval::AccuracyReport;
-pub use flat::{FlatKmerTable, FlatTable, FlatTileTable, TableParts, HASH_SEED};
+pub use flat::{FlatKmerTable, FlatTable, FlatTileTable, TableParts, HASH_SEED, MAX_LOAD};
 pub use key::SpectrumKey;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;

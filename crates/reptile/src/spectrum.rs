@@ -112,12 +112,6 @@ impl<K: SpectrumKey> Spectrum<K> {
         self.counts.merge_sorted(entries);
     }
 
-    /// Bulk add of arbitrary (normalized) `(code, count)` pairs through
-    /// the prefetch-pipelined batch path ([`FlatTable::insert_batch`]).
-    pub fn insert_batch(&mut self, entries: &[(K, u32)]) {
-        self.counts.insert_batch(entries);
-    }
-
     /// Count of a code (0 if absent). Normalizes internally.
     #[inline]
     pub fn count(&self, code: K) -> u32 {
@@ -169,18 +163,14 @@ impl<K: SpectrumKey> Spectrum<K> {
         self.counts.iter()
     }
 
-    /// Drain into `(code, count)` pairs.
-    pub fn into_entries(self) -> impl Iterator<Item = (K, u32)> {
-        self.counts.into_entries()
-    }
-
     /// Exact resident bytes of the backing table (slots + header).
     pub fn memory_bytes(&self) -> usize {
         self.counts.memory_bytes()
     }
 
     /// Bytes a spectrum holding `n` entries occupies (flat-table
-    /// geometry at default max load) — the virtual engine's memory model.
+    /// geometry at [`MAX_LOAD`](crate::MAX_LOAD)) — the virtual engine's
+    /// memory model.
     pub fn bytes_for_entries(n: usize) -> usize {
         FlatTable::<K>::bytes_for_entries(n)
     }

@@ -3,15 +3,13 @@
 //! interleaving of `add_count` / `prune` / `get` and of the bulk paths
 //! that rebuild it — `merge_sorted` into an empty table (the one-sweep
 //! bulk load), `bulk_load_sorted_stream`, and a `raw_parts` →
-//! `from_mapped_parts` remap — including growth boundaries (small key
+//! `from_parts` remap — including growth boundaries (small key
 //! pools force collisions and rehashes), count saturation at `u32::MAX`,
 //! the reserved empty-sentinel key (`u64::MAX` / `u128::MAX`, itself a
 //! legal code), and, for tiles, keys with exactly one all-ones lane.
 //!
 //! The table is one type over the key kind, so every property is written
 //! once and run for both kinds.
-
-use std::sync::Arc;
 
 use dnaseq::FxHashMap;
 use proptest::prelude::*;
@@ -28,7 +26,7 @@ enum Op<K> {
     BulkLoad,
     /// Rebuild through `bulk_load_sorted_stream` in chunks of this size.
     Stream(usize),
-    /// Dump the slot arrays and adopt them as a mapped table.
+    /// Dump the slot arrays and adopt them as a new table.
     Remap,
 }
 
@@ -118,15 +116,12 @@ fn matches_hashmap_model<K: SpectrumKey>(ops: Vec<Op<K>>) -> Result<(), TestCase
                     }
                     _ => {
                         let p = table.raw_parts();
-                        fresh = FlatTable::from_mapped_parts(
-                            K::lanes_from(|l| Arc::from(p.lanes.as_ref()[l])),
-                            Arc::from(p.counts),
+                        fresh = FlatTable::from_parts(
+                            K::lanes_from(|l| p.lanes.as_ref()[l].to_vec()),
+                            p.counts.to_vec(),
                             p.sentinel_count,
-                            p.load_num,
-                            p.load_den,
                         )
                         .map_err(TestCaseError::fail)?;
-                        prop_assert!(fresh.is_mapped() || fresh.capacity() == 0);
                         prop_assert_eq!(fresh.memory_bytes(), table.memory_bytes());
                     }
                 }
@@ -140,10 +135,8 @@ fn matches_hashmap_model<K: SpectrumKey>(ops: Vec<Op<K>>) -> Result<(), TestCase
         prop_assert_eq!(table.len(), model.len());
     }
     let got = sorted(table.iter());
-    let via_into = sorted(table.into_entries());
     let want = sorted(model.into_iter());
     prop_assert_eq!(&got, &want, "iter diverges from model");
-    prop_assert_eq!(&via_into, &want, "into_entries diverges from model");
     Ok(())
 }
 

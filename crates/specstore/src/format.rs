@@ -16,8 +16,8 @@
 //!     32    4 tile_threshold    ┘ configuration that produced it
 //!     36    4 rank              producing rank
 //!     40    4 np                producing rank count
-//!     44    4 load_num          ┐ max load factor the slot geometry
-//!     48    4 load_den          ┘ was built at
+//!     44    4 load_num          ┐ max load factor of the slot geometry:
+//!     48    4 load_den          ┘ always MAX_LOAD (3/4), else rejected
 //!     52    4 sentinel_present  0/1: all-ones key side-field occupied
 //!     56    4 sentinel_count    side-field count (0 when absent)
 //!     60    8 hash_seed         probe-family fingerprint (HASH_SEED)
@@ -164,7 +164,8 @@ pub struct ShardHeader {
     pub rank: u32,
     /// Producing rank count.
     pub np: u32,
-    /// Max load factor numerator of the dumped geometry.
+    /// Max load factor numerator of the dumped geometry; a shard loads
+    /// only when the pair is [`reptile::MAX_LOAD`].
     pub load_num: u32,
     /// Max load factor denominator.
     pub load_den: u32,

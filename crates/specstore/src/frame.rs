@@ -24,7 +24,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::checksum::Fnv1a;
+use crate::checksum::{fnv1a, Fnv1a};
 use crate::format::{SnapshotError, CHECKSUM_OFFSET, HEADER_BYTES};
 use crate::spill::{RUN_CHECKSUM_OFFSET, RUN_HEADER_BYTES};
 
@@ -99,11 +99,7 @@ impl<const H: usize> Frame<H> {
     fn seal(&self, head: &[u8; H], body: &Fnv1a) -> u64 {
         match self.digest {
             Digest::HeaderThenBody => body.finish(),
-            Digest::HeaderXorBody => {
-                let mut hash = Fnv1a::new();
-                hash.update(&self.zeroed(head));
-                hash.finish() ^ body.finish()
-            }
+            Digest::HeaderXorBody => fnv1a(&self.zeroed(head)) ^ body.finish(),
         }
     }
 

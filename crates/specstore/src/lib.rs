@@ -15,7 +15,7 @@
 //! [`format`](mod@format) for the byte layout), so loading at the same rank count is
 //! zero-copy in the only sense that matters for a hash table: the slot
 //! arrays are decoded once and adopted *probe-ready* — no rehash, no
-//! re-insertion — via `FlatTable::from_mapped_parts`. One codec writes
+//! re-insertion — via `FlatTable::from_parts`. One codec writes
 //! and adopts both key kinds, k-mer and tile. Loading at a
 //! different rank count re-owns entries through the caller's exchange
 //! path (`reptile-dist` wires this up).

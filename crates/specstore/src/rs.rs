@@ -173,11 +173,6 @@ impl RsCode {
         Ok(RsCode { k, m, rows })
     }
 
-    /// Parity shard count.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Streaming encode step: XOR data shard `j`'s chunk into every
     /// parity accumulator. Call once per (data shard, chunk); parity
     /// buffers must be zeroed at the start of each chunk.

@@ -1,5 +1,5 @@
 //! Shard file I/O: stream a flat table's slot arrays to disk and adopt
-//! them back as a ready-to-probe mapped table — one write path and one
+//! them back as a ready-to-probe table — one write path and one
 //! verify-and-adopt path for both key kinds, the shard kind and the body
 //! order (key lanes, then counts) following from the key type.
 //!
@@ -9,7 +9,7 @@
 //! checksum is patched into the header afterwards with a single seek);
 //! the read path checks the length the header declares and the checksum
 //! *before* adopting anything, decodes the body bytes into typed slot
-//! vectors exactly once, and hands the arrays to `from_mapped_parts`,
+//! vectors exactly once, and moves the arrays into `FlatTable::from_parts`,
 //! which re-validates the geometry — a corrupted-but-checksummed file
 //! cannot smuggle in an impossible table.
 //!
@@ -21,9 +21,8 @@
 //! read from disk.
 
 use std::path::Path;
-use std::sync::Arc;
 
-use reptile::{FlatTable, SpectrumKey};
+use reptile::{FlatTable, SpectrumKey, MAX_LOAD};
 
 use crate::format::{
     ConfigFingerprint, ShardHeader, ShardKind, SnapshotError, FORMAT_VERSION, HEADER_BYTES,
@@ -59,8 +58,8 @@ pub(crate) fn write_shard<K: SpectrumKey>(
         fingerprint: *fingerprint,
         rank: rank as u32,
         np: np as u32,
-        load_num: parts.load_num as u32,
-        load_den: parts.load_den as u32,
+        load_num: MAX_LOAD.0 as u32,
+        load_den: MAX_LOAD.1 as u32,
         sentinel_count: parts.sentinel_count,
         capacity,
         entries: parts.entries as u64,
@@ -86,14 +85,14 @@ pub(crate) fn write_shard<K: SpectrumKey>(
     })
 }
 
-/// Little-endian words of `bytes`, decoded once into a shared slab.
-fn decode_words<T, const N: usize>(bytes: &[u8], from_le: fn([u8; N]) -> T) -> Arc<[T]> {
+/// Little-endian words of `bytes`, decoded once.
+fn decode_words<T, const N: usize>(bytes: &[u8], from_le: fn([u8; N]) -> T) -> Vec<T> {
     bytes.as_chunks::<N>().0.iter().map(|&w| from_le(w)).collect()
 }
 
 /// A verified, adopted shard.
 pub struct LoadedShard<T> {
-    /// The ready-to-probe table (mapped storage, no rehash performed).
+    /// The ready-to-probe table (adopted slot arrays, no rehash).
     pub table: T,
     /// Rank that produced the shard.
     pub rank: usize,
@@ -109,7 +108,7 @@ pub struct LoadedShard<T> {
 /// Fully verify a shard of key kind `K` — magic, version, fingerprint,
 /// kind, declared sizes vs the actual length, and the checksum — and only
 /// then adopt its slot arrays (lanes in order, then the counts) as a
-/// mapped table, whose geometry `from_mapped_parts` validates once more.
+/// table, whose geometry `FlatTable::from_parts` validates once more.
 /// The image is `rebuilt` when Reed-Solomon reconstructed it, and the
 /// file at `path` otherwise; `path` names errors either way.
 pub(crate) fn adopt_shard<K: SpectrumKey>(
@@ -139,6 +138,13 @@ pub(crate) fn adopt_shard<K: SpectrumKey>(
     if header.kind != kind {
         return Err(invalid(format!("expected a {kind} shard, found {}", header.kind)));
     }
+    let load = (header.load_num as usize, header.load_den as usize);
+    if load != MAX_LOAD {
+        return Err(invalid(format!(
+            "max load {}/{} is not the tables' {}/{}",
+            load.0, load.1, MAX_LOAD.0, MAX_LOAD.1
+        )));
+    }
     // checked: a corrupted capacity field can be astronomically large
     if Some(header.body_bytes) != header.capacity.checked_mul(kind.slot_bytes()) {
         return Err(invalid(format!(
@@ -152,12 +158,10 @@ pub(crate) fn adopt_shard<K: SpectrumKey>(
     SHARD.check(image, path, file_bytes, header.checksum)?;
     let lane_bytes = header.capacity as usize * 8;
     let (lanes, counts) = body.split_at(K::LANES * lane_bytes);
-    let table = FlatTable::from_mapped_parts(
+    let table = FlatTable::from_parts(
         K::lanes_from(|l| decode_words(&lanes[l * lane_bytes..][..lane_bytes], u64::from_le_bytes)),
         decode_words(counts, u32::from_le_bytes),
         header.sentinel_count,
-        header.load_num as usize,
-        header.load_den as usize,
     )
     .map_err(invalid)?;
     let slots = table.len() - header.sentinel_count.is_some() as usize;
@@ -225,8 +229,10 @@ mod tests {
         let loaded = load::<K>(&path, &fp()).unwrap();
         assert_eq!((loaded.rank, loaded.np), (2, 4));
         assert_eq!(loaded.bytes_read, rec.bytes);
-        assert!(loaded.table.is_mapped());
         assert_eq!(loaded.table.len(), t.len());
+        assert_eq!(loaded.table.capacity(), t.capacity());
+        let (got, want) = (loaded.table.raw_parts(), t.raw_parts());
+        assert_eq!((got.lanes.as_ref(), got.counts), (want.lanes.as_ref(), want.counts));
         for (key, count) in t.iter() {
             assert_eq!(loaded.table.get(key), Some(count));
         }

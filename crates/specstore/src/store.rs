@@ -168,11 +168,6 @@ impl SnapshotWriter {
         })
     }
 
-    /// Snapshot directory this writer targets.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Parity shards per table kind this writer will encode.
     pub fn parity(&self) -> usize {
         self.parity

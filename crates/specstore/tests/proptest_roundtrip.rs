@@ -1,8 +1,9 @@
 //! Property tests for the shard format, through the store API.
 //!
 //! 1. `save → load → probe` is bit-identical for both key kinds across
-//!    entry counts, load factors, and the all-ones sentinel edge case
-//!    (the reserved empty marker that is still a legal k-mer/tile code).
+//!    entry counts and the all-ones sentinel edge case (the reserved
+//!    empty marker that is still a legal k-mer/tile code), and the
+//!    loaded slot arrays are the saved ones.
 //! 2. Every single-byte flip anywhere in a shard file — header or body —
 //!    is rejected with a typed error under `Strict`, never silently
 //!    loaded. FNV-1a guarantees this analytically (each absorption is a
@@ -14,13 +15,14 @@
 //! 4. A header field rewritten *and re-sealed* (the shard's checksum
 //!    recomputed, so the FNV check passes) reaches the field validation
 //!    behind the checksum: loading returns a typed error or a table that
-//!    probes identically, and never panics.
+//!    probes identically, and never panics. A max-load pair other than
+//!    `reptile::MAX_LOAD` is always `InvalidTable`.
 
 use proptest::prelude::*;
 use reptile::{FlatKmerTable, FlatTable, FlatTileTable, ReptileParams, SpectrumKey};
 use specstore::{
-    fnv1a, ConfigFingerprint, Manifest, RecoveryPolicy, ShardHeader, ShardKind, SnapshotReader,
-    SnapshotWriter, HEADER_BYTES,
+    fnv1a, ConfigFingerprint, Manifest, RecoveryPolicy, ShardHeader, ShardKind, SnapshotError,
+    SnapshotReader, SnapshotWriter, HEADER_BYTES,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,19 +82,10 @@ fn entries_strategy() -> impl Strategy<Value = (Vec<(u64, u32)>, bool)> {
     )
 }
 
-/// Load factors straddling the default: 1/2, 3/4, 5/8.
-fn load_strategy() -> impl Strategy<Value = (usize, usize)> {
-    prop::sample::select(vec![(1usize, 2usize), (3, 4), (5, 8)])
-}
-
 /// The generated table of kind `K`: each drawn `u64` spread across every
 /// lane of the key.
-fn table_of<K: SpectrumKey>(
-    entries: &[(u64, u32)],
-    sentinel: bool,
-    (num, den): (usize, usize),
-) -> FlatTable<K> {
-    let mut table = FlatTable::with_max_load(num, den);
+fn table_of<K: SpectrumKey>(entries: &[(u64, u32)], sentinel: bool) -> FlatTable<K> {
+    let mut table = FlatTable::new();
     for &(k, c) in entries {
         table.add_count(K::from_u128((k as u128) << 64 | k.rotate_left(17) as u128), c);
     }
@@ -127,8 +120,9 @@ fn shard_roundtrip_bit_identical<K: SpectrumKey>(table: FlatTable<K>) -> Result<
     let dir = snapshot_with(&table);
     let mut r = SnapshotReader::open(&dir, &fingerprint(), RecoveryPolicy::Strict).unwrap();
     let loaded = r.load_shard::<K>(0).unwrap().table;
-    prop_assert!(loaded.is_mapped() || loaded.capacity() == 0);
     prop_assert_eq!(loaded.capacity(), table.capacity());
+    let (got, want) = (loaded.raw_parts(), table.raw_parts());
+    prop_assert_eq!((got.lanes.as_ref(), got.counts), (want.lanes.as_ref(), want.counts));
     prop_assert_eq!(loaded.memory_bytes(), table.memory_bytes());
     probes_identically(&loaded, &table)?;
     std::fs::remove_dir_all(&dir).ok();
@@ -180,6 +174,21 @@ fn mutate(h: &mut ShardHeader, field: Field, d: u64) {
     }
 }
 
+/// Rewrite the header of `dir`'s `kind` shard with `edit` and re-seal
+/// the shard's own checksum.
+fn reseal(dir: &Path, kind: ShardKind, edit: impl FnOnce(&mut ShardHeader)) {
+    let path = shard_path(dir, kind);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let head: &[u8; HEADER_BYTES] = bytes[..HEADER_BYTES].try_into().unwrap();
+    let mut header = ShardHeader::decode(head, &path).unwrap();
+    edit(&mut header);
+    header.checksum = 0;
+    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
+    header.checksum = fnv1a(&bytes);
+    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
+    std::fs::write(&path, &bytes).unwrap();
+}
+
 /// Rewrite one header field of the `K` shard, re-seal the shard's own
 /// checksum, and load under `Strict`.
 fn resealed_header_mutation<K: SpectrumKey>(
@@ -188,16 +197,7 @@ fn resealed_header_mutation<K: SpectrumKey>(
     d: u64,
 ) -> Result<(), TestCaseError> {
     let dir = snapshot_with(&table);
-    let path = shard_path(&dir, ShardKind::of::<K>());
-    let mut bytes = std::fs::read(&path).unwrap();
-    let head: &[u8; HEADER_BYTES] = bytes[..HEADER_BYTES].try_into().unwrap();
-    let mut header = ShardHeader::decode(head, &path).unwrap();
-    mutate(&mut header, field, d);
-    header.checksum = 0;
-    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
-    header.checksum = fnv1a(&bytes);
-    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
-    std::fs::write(&path, &bytes).unwrap();
+    reseal(&dir, ShardKind::of::<K>(), |h| mutate(h, field, d));
     let mut r = SnapshotReader::open(&dir, &fingerprint(), RecoveryPolicy::Strict).unwrap();
     // a typed error is fine; a table is fine only if it is the same table
     if let Ok(loaded) = r.load_shard::<K>(0) {
@@ -228,13 +228,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn kmer_shard_roundtrip_bit_identical(spec in entries_strategy(), load in load_strategy()) {
-        shard_roundtrip_bit_identical::<u64>(table_of(&spec.0, spec.1, load))?;
+    fn kmer_shard_roundtrip_bit_identical(spec in entries_strategy()) {
+        shard_roundtrip_bit_identical::<u64>(table_of(&spec.0, spec.1))?;
     }
 
     #[test]
-    fn tile_shard_roundtrip_bit_identical(spec in entries_strategy(), load in load_strategy()) {
-        shard_roundtrip_bit_identical::<u128>(table_of(&spec.0, spec.1, load))?;
+    fn tile_shard_roundtrip_bit_identical(spec in entries_strategy()) {
+        shard_roundtrip_bit_identical::<u128>(table_of(&spec.0, spec.1))?;
     }
 }
 
@@ -246,14 +246,13 @@ proptest! {
     fn resealed_header_field_is_typed_error_or_identical(
         tile in any::<bool>(),
         spec in entries_strategy(),
-        load in load_strategy(),
         field in field_strategy(),
         d in prop_oneof![0u64..4, Just(u64::MAX), any::<u64>()],
     ) {
         if tile {
-            resealed_header_mutation::<u128>(table_of(&spec.0, spec.1, load), field, d)?;
+            resealed_header_mutation::<u128>(table_of(&spec.0, spec.1), field, d)?;
         } else {
-            resealed_header_mutation::<u64>(table_of(&spec.0, spec.1, load), field, d)?;
+            resealed_header_mutation::<u64>(table_of(&spec.0, spec.1), field, d)?;
         }
     }
 }
@@ -273,19 +272,34 @@ fn sample_kmer() -> FlatKmerTable {
 #[test]
 fn resealed_sentinel_rewrite_is_caught_by_the_manifest_checksum() {
     let dir = snapshot_with(&sample_kmer());
-    let path = shard_path(&dir, ShardKind::Kmer);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let head: &[u8; HEADER_BYTES] = bytes[..HEADER_BYTES].try_into().unwrap();
-    let mut header = ShardHeader::decode(head, &path).unwrap();
-    header.sentinel_count = Some(99);
-    header.checksum = 0;
-    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
-    header.checksum = fnv1a(&bytes);
-    bytes[..HEADER_BYTES].copy_from_slice(&header.encode());
-    std::fs::write(&path, &bytes).unwrap();
+    reseal(&dir, ShardKind::Kmer, |h| h.sentinel_count = Some(99));
     let mut r = SnapshotReader::open(&dir, &fingerprint(), RecoveryPolicy::Strict).unwrap();
-    assert!(matches!(r.load_kmer(0), Err(specstore::SnapshotError::Checksum { .. })));
+    assert!(matches!(r.load_kmer(0), Err(SnapshotError::Checksum { .. })));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every table is built at `reptile::MAX_LOAD`, so a shard header whose
+/// max-load pair says anything else — even re-sealed, so its own
+/// checksum passes — is rejected as `InvalidTable`, for both kinds.
+#[test]
+fn resealed_load_pair_other_than_max_load_is_invalid() {
+    assert_eq!(reptile::MAX_LOAD, (3, 4));
+    for kind in [ShardKind::Kmer, ShardKind::Tile] {
+        for (num, den) in [(1, 2), (5, 8), (7, 8), (6, 8), (3, 5), (4, 4), (0, 4), (3, 0)] {
+            let dir = snapshot_with(&sample_kmer());
+            reseal(&dir, kind, |h| (h.load_num, h.load_den) = (num, den));
+            let mut r = SnapshotReader::open(&dir, &fingerprint(), RecoveryPolicy::Strict).unwrap();
+            let got = match kind {
+                ShardKind::Kmer => r.load_kmer(0).map(|_| ()),
+                ShardKind::Tile => r.load_tile(0).map(|_| ()),
+            };
+            assert!(
+                matches!(got, Err(SnapshotError::InvalidTable { .. })),
+                "{kind} shard at load {num}/{den}: {got:?}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// Exhaustive corruption sweep: flip one byte at every offset of a shard

@@ -19,7 +19,8 @@
 #
 # usage: scripts/testonly_pub.sh
 #
-# Prints one `file:line: kind name` row per candidate and a count.
+# Prints one `file:line: kind name` row per candidate and a count, and
+# exits 1 when it lists any (CI runs it as a gate).
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -83,5 +84,6 @@ awk '
             if (!seen) { print items[i]; listed++ }
         }
         printf "%d public item(s) used only by tests\n", listed + 0
+        exit listed > 0
     }
 ' pass=1 "${defs[@]}" pass=2 "${corpus[@]}"

@@ -29,9 +29,8 @@ use rand::{Rng, SeedableRng};
 use reptile::{correct_dataset, correct_read, CorrectionStats, LocalSpectra, ReptileParams};
 use reptile_dist::spectrum::BuildStats;
 use reptile_dist::{
-    ooc, Engine, EngineConfig, EngineError, HeuristicConfig, LookupStats, RecoveryPolicy,
-    RunOutput, RunReport, ServeConfig, ServeEngine, ServeResponse, SubmitError, ThreadedEngine,
-    VirtualEngine,
+    ooc, Engine, EngineConfig, EngineError, HeuristicConfig, RecoveryPolicy, RunOutput, RunReport,
+    ServeConfig, ServeEngine, ServeResponse, SubmitError, ThreadedEngine, VirtualEngine,
 };
 use specstore::{Manifest, ShardKind};
 use std::collections::HashMap;
@@ -947,10 +946,6 @@ fn verify(case: &Case, out: &Outcome) -> Result<(), String> {
 /// the threaded engine's chunks move between ranks with timing, so only
 /// the build counters are compared.
 fn twin_columns(case: &Case, mt: &RunReport, virt: &RunReport) -> Result<(), String> {
-    // excluded: the owner-side serve counts. The threaded comm thread
-    // counts the requests it answered; the virtual engine has no
-    // per-owner request log and spreads the totals by owned-entry share.
-    let routed = |l: &LookupStats| LookupStats { requests_served: 0, batches_served: 0, ..*l };
     // excluded: measured table bytes, wall-clock, and the spill plane
     let counters = |b: &BuildStats| BuildStats {
         table_bytes: 0,
@@ -964,7 +959,7 @@ fn twin_columns(case: &Case, mt: &RunReport, virt: &RunReport) -> Result<(), Str
         ..*b
     };
     for (m, v) in mt.ranks.iter().zip(&virt.ranks) {
-        if !case.heur.steal_chunks && routed(&m.lookups) != routed(&v.lookups) {
+        if !case.heur.steal_chunks && m.lookups != v.lookups {
             return Err(format!(
                 "rank {} lookup stats differ:\n  mt      {:?}\n  virtual {:?}",
                 m.rank, m.lookups, v.lookups
