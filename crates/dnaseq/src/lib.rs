@@ -37,7 +37,7 @@ pub use base::Base;
 pub use fused::{FusedItem, FusedScan, FusedScratch};
 pub use hashing::{mix128, mix128_parts, mix64, owner_of, FxBuildHasher, FxHashMap, FxHashSet};
 pub use kmer::{KmerCode, KmerCodec};
-pub use neighbors::{neighbors_at_positions, NucCode};
+pub use neighbors::{hamming_neighbors, NucCode};
 pub use quality::{Phred, QualityEncoding};
 pub use read::Read;
 pub use tile::{TileCode, TileCodec};

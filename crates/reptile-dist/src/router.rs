@@ -664,6 +664,21 @@ impl<T: Transport> WaveSource for LookupRouter<'_, T> {
         self.ask(key)
     }
 
+    /// Under a replicated tile tier every key of the group is a local
+    /// table hit, answered by one batch probe and counted as that many
+    /// asks; otherwise the group is asked key by key, in order, so the
+    /// round's requests and every counter are the per-key asks' own.
+    fn ask_tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        match self.tiers.tiles.replicated {
+            Some(replicated) => {
+                self.stats.local_tile_lookups += keys.len() as u64;
+                // the walk's keys, normalized like every key it asks
+                replicated.counts_at(Normalized::assume(keys), out);
+            }
+            None => out.extend(keys.iter().map(|&key| self.ask(key))),
+        }
+    }
+
     /// One round: every queued request — base mode's single-key
     /// requests, or aggregate mode's batches — goes out, and the round is
     /// awaited under the retry protocol ([`LookupRouter::round_trip`]).
@@ -1114,6 +1129,80 @@ mod tests {
                 ..LookupStats::default()
             },
         );
+    }
+
+    /// Tile keys of every owner of 3, some held by their owner and some
+    /// absent, one asked twice: the group the router tests ask.
+    fn tile_group(owners: &OwnerMap) -> (Vec<u128>, TileSpectrum) {
+        let mut keys: Vec<u128> = (0..3).flat_map(|o| owned_by::<u128>(owners, o, 4)).collect();
+        keys.push(keys[5]);
+        let held: Vec<(u128, u32)> = keys.iter().step_by(2).map(|&k| (k, 6)).collect();
+        (keys, tables(&[], &held).1)
+    }
+
+    /// A router on rank 0 of 3 under `cfg`, with `replicated` as its
+    /// replicated tile tier or none, over owners holding `owner_tables`.
+    fn group_router<'a>(
+        owners: &'a OwnerMap,
+        cfg: &EngineConfig,
+        replicated: Option<&'a TileSpectrum>,
+        owner_tables: &'a (KmerSpectrum, TileSpectrum),
+    ) -> LookupRouter<'a, Scripted<'a>> {
+        let mut tiers = bare_tiers(owners, 0, owner_tables);
+        tiers.tiles.replicated = replicated;
+        if cfg.heuristics.cache_remote {
+            tiers.tiles.reads = Some(TileSpectrum::new(params().tile_codec(), params().canonical));
+        }
+        let transport = scripted(&owner_tables.0, &owner_tables.1);
+        LookupRouter::new(tiers, transport, cfg, RouterScratch::default())
+    }
+
+    /// Under a replicated tile tier a group is one batch probe that
+    /// answers and counts what the per-key asks do, and sends nothing.
+    #[test]
+    fn replicated_group_asks_equal_per_key_asks() {
+        let owners = OwnerMap::new(3, &params());
+        let (keys, held) = tile_group(&owners);
+        let owner_tables = (tables(&[], &[]).0, held.clone());
+        let cfg = EngineConfig::new(3, params());
+        let mut grouped = group_router(&owners, &cfg, Some(&held), &owner_tables);
+        let mut per_key = group_router(&owners, &cfg, Some(&held), &owner_tables);
+        let mut got = vec![Some(1)];
+        grouped.ask_tiles(&keys, &mut got);
+        let want: Vec<_> =
+            std::iter::once(Some(1)).chain(keys.iter().map(|&k| per_key.ask_tile(k))).collect();
+        assert_eq!(got, want);
+        assert!(got.contains(&Some(6)) && got.contains(&Some(0)), "held and absent keys");
+        assert_eq!(grouped.stats, per_key.stats);
+        assert_eq!(grouped.stats.local_tile_lookups, keys.len() as u64);
+        assert!(grouped.transport.log.is_empty() && per_key.transport.log.is_empty());
+    }
+
+    /// Without a replicated tile tier a base-mode group sends, answers
+    /// and counts exactly what the per-key asks do, with and without the
+    /// reads-table cache that turns a repeated key into a cache hit.
+    #[test]
+    fn base_mode_group_asks_send_what_per_key_asks_send() {
+        let owners = OwnerMap::new(3, &params());
+        let (keys, held) = tile_group(&owners);
+        let owner_tables = (tables(&[], &[]).0, held);
+        for cache_remote in [false, true] {
+            let mut cfg = EngineConfig::new(3, params());
+            cfg.heuristics.keep_read_tables = cache_remote;
+            cfg.heuristics.cache_remote = cache_remote;
+            let mut grouped = group_router(&owners, &cfg, None, &owner_tables);
+            let mut per_key = group_router(&owners, &cfg, None, &owner_tables);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            grouped.ask_tiles(&keys, &mut got);
+            want.extend(keys.iter().map(|&k| per_key.ask_tile(k)));
+            assert_eq!(got, want, "cache_remote={cache_remote}: immediate answers");
+            grouped.exchange(&mut got);
+            per_key.exchange(&mut want);
+            assert_eq!(got, want, "cache_remote={cache_remote}: round answers");
+            assert_eq!(grouped.transport.log, per_key.transport.log, "cache_remote={cache_remote}");
+            assert!(grouped.transport.key_requests >= 8, "the remote keys were sent");
+            assert_eq!(grouped.stats, per_key.stats, "cache_remote={cache_remote}");
+        }
     }
 
     /// Reads over a random genome, everything drawn from `seed`: low- and

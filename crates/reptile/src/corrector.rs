@@ -17,8 +17,8 @@
 //!    to that k-mer's exclusive span (this is how Reptile uses both
 //!    spectra);
 //! 4. enumerate Hamming neighbours at those positions (≤
-//!    `max_errors_per_tile` substitutions), keep those whose tile count
-//!    ≥ `tile_threshold`;
+//!    `max_errors_per_tile` substitutions), ask for their tile counts as
+//!    one group, keep those whose count ≥ `tile_threshold`;
 //! 5. commit the winner if it is unambiguous: at most `max_candidates`
 //!    survivors and the best count ≥ `dominance` × the runner-up
 //!    (deterministic tie-breaks: count desc, distance asc, code asc);
@@ -36,8 +36,8 @@
 
 use crate::params::ReptileParams;
 use crate::prefetch::PrefetchKeys;
-use crate::spectrum::LocalSpectra;
-use dnaseq::neighbors::visit_neighbors;
+use crate::spectrum::{LocalSpectra, Normalized};
+use dnaseq::neighbors::hamming_neighbors;
 use dnaseq::quality::Phred;
 use dnaseq::{Base, Read, TileCode};
 
@@ -53,6 +53,15 @@ pub trait SpectrumAccess {
     fn kmer_count(&mut self, code: u64) -> u32;
     /// Global count of a tile code (0 when absent from the spectrum).
     fn tile_count(&mut self, code: u128) -> u32;
+    /// The counts of a group of normalized tile keys: one `Some(count)`
+    /// per key, appended to `out` in key order (the answer form of
+    /// [`PartialAccess::tiles`]; a spectrum access always answers). The
+    /// default asks [`tile_count`](SpectrumAccess::tile_count) key by key
+    /// — normalizing a normalized key changes nothing — so an access that
+    /// counts its lookups counts each key once.
+    fn tile_counts(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        out.extend(keys.iter().map(|&key| Some(self.tile_count(key))));
+    }
 }
 
 impl SpectrumAccess for LocalSpectra {
@@ -64,6 +73,11 @@ impl SpectrumAccess for LocalSpectra {
     #[inline]
     fn tile_count(&mut self, code: u128) -> u32 {
         self.tiles.count(code)
+    }
+
+    /// The group without re-normalizing its keys.
+    fn tile_counts(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        self.tiles.counts_at(Normalized::assume(keys), out);
     }
 }
 
@@ -161,6 +175,10 @@ pub trait PartialAccess {
     fn kmer(&mut self, key: u64) -> Option<u32>;
     /// Count of a normalized tile key, or `None` when not resident.
     fn tile(&mut self, key: u128) -> Option<u32>;
+    /// [`tile`](PartialAccess::tile) for a group of normalized tile keys
+    /// (a window's neighbour candidates): one answer per key, appended to
+    /// `out` in key order.
+    fn tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>);
 }
 
 /// Every [`SpectrumAccess`] is a [`PartialAccess`] that never defers.
@@ -176,6 +194,10 @@ impl<A: SpectrumAccess> PartialAccess for Resident<'_, A> {
     fn tile(&mut self, key: u128) -> Option<u32> {
         Some(self.0.tile_count(key))
     }
+
+    fn tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        self.0.tile_counts(keys, out);
+    }
 }
 
 /// Buffers of the window walk, held by the caller so one allocation
@@ -183,6 +205,12 @@ impl<A: SpectrumAccess> PartialAccess for Resident<'_, A> {
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     positions: Vec<usize>,
+    /// `(code, distance)` of every Hamming neighbour of one window.
+    neighbors: Vec<(TileCode, usize)>,
+    /// Their tile keys, in the same order.
+    keys: Vec<u128>,
+    /// The answers to those keys.
+    counts: Vec<Option<u32>>,
     /// `(code, count, distance)` of the solid neighbours of one window.
     candidates: Vec<(TileCode, u32, usize)>,
 }
@@ -246,6 +274,18 @@ impl<A: PartialAccess> PartialAccess for Replay<'_, A> {
     #[inline]
     fn tile(&mut self, key: u128) -> Option<u32> {
         self.ask(|access| access.tile(key))
+    }
+
+    /// Replays the logged prefix of the group and asks the rest in one
+    /// call, logging its answers: the log ends up as the per-key asks
+    /// would leave it.
+    fn tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        let logged = (self.answers.len() - self.asked).min(keys.len());
+        if logged < keys.len() {
+            self.access.tiles(&keys[logged..], self.answers);
+        }
+        out.extend_from_slice(&self.answers[self.asked..self.asked + keys.len()]);
+        self.asked += keys.len();
     }
 }
 
@@ -355,7 +395,7 @@ impl<'a> Walk<'a> {
             return Some(Verdict::Solid);
         }
         // --- candidate positions ---
-        let WalkScratch { positions, candidates } = scratch;
+        let WalkScratch { positions, neighbors, keys, counts, candidates } = scratch;
         positions.clear();
         collect_positions(&read.qual[start..start + tile_len], params, positions);
         if positions.is_empty() {
@@ -376,22 +416,20 @@ impl<'a> Walk<'a> {
         if positions.is_empty() {
             return Some(Verdict::Uncorrectable);
         }
-        // --- neighbour search ---
+        // --- neighbour search: the whole candidate set, asked as one group ---
+        neighbors.clear();
+        hamming_neighbors(raw_tile, tile_len, positions, params.max_errors_per_tile, neighbors);
+        keys.clear();
+        keys.extend(neighbors.iter().map(|&(cand, _)| tile_key(tcodec, cand, params.canonical)));
+        counts.clear();
+        access.tiles(keys, counts);
         candidates.clear();
-        let mut resident = true;
-        visit_neighbors(
-            raw_tile,
-            tile_len,
-            positions,
-            params.max_errors_per_tile,
-            &mut |cand, d| match access.tile(tile_key(tcodec, cand, params.canonical)) {
+        for (&(cand, d), &count) in neighbors.iter().zip(counts.iter()) {
+            match count {
                 Some(count) if count >= params.tile_threshold => candidates.push((cand, count, d)),
                 Some(_) => {}
-                None => resident = false,
-            },
-        );
-        if !resident {
-            return None;
+                None => return None,
+            }
         }
         if candidates.is_empty() {
             return Some(Verdict::Uncorrectable);
@@ -466,12 +504,17 @@ pub fn correct_read_with(
     outcome
 }
 
-/// Candidate positions within a window: strictly-below-threshold
-/// qualities; optional relaxation to the lowest-quality bases; capped at
-/// `max_positions_per_tile` keeping the lowest qualities (ties: leftmost).
+/// Candidate positions within a window, ascending: strictly-below-
+/// threshold qualities; optional relaxation to the lowest-quality bases;
+/// capped at `max_positions_per_tile` keeping the lowest qualities (ties:
+/// leftmost). The tile and k-mer-only correctors share it.
 ///
 /// Depends only on qualities, which corrections never change.
-fn collect_positions(quals: &[Phred], params: &ReptileParams, positions: &mut Vec<usize>) {
+pub(crate) fn collect_positions(
+    quals: &[Phred],
+    params: &ReptileParams,
+    positions: &mut Vec<usize>,
+) {
     for (i, &q) in quals.iter().enumerate() {
         if q < params.q_threshold {
             positions.push(i);
@@ -481,9 +524,12 @@ fn collect_positions(quals: &[Phred], params: &ReptileParams, positions: &mut Ve
         // take every position; the cap below keeps the weakest ones
         positions.extend(0..quals.len());
     }
-    if positions.len() > params.max_positions_per_tile {
-        positions.sort_by_key(|&p| (quals[p], p));
-        positions.truncate(params.max_positions_per_tile);
+    let cap = params.max_positions_per_tile;
+    if positions.len() > cap {
+        // the `(quality, position)` keys are distinct, so the kept set is
+        // the one a full sort would keep
+        positions.select_nth_unstable_by_key(cap, |&p| (quals[p], p));
+        positions.truncate(cap);
         positions.sort_unstable();
     }
 }
@@ -570,6 +616,21 @@ mod tests {
             .map(|i| Read::new(i as u64 + 1, template.to_vec(), vec![35; template.len()]))
             .collect();
         LocalSpectra::build(&reads, p)
+    }
+
+    /// Over the cap, the kept positions are the lowest `(quality,
+    /// position)` keys, ascending — what a full sort keeps — whether they
+    /// come from the threshold or from relaxing it.
+    #[test]
+    fn capped_positions_are_the_weakest_ascending() {
+        let p = params();
+        let quals = [9, 3, 30, 9, 1, 12, 3, 15, 9, 3];
+        let mut positions = Vec::new();
+        collect_positions(&quals, &p, &mut positions);
+        assert_eq!(positions, [0, 1, 3, 4, 6, 9]);
+        positions.clear();
+        collect_positions(&[35, 40, 25, 35, 38, 25, 36, 39], &p, &mut positions);
+        assert_eq!(positions, [0, 2, 3, 4, 5, 6]);
     }
 
     #[test]

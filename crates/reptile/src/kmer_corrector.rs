@@ -14,10 +14,9 @@
 //! ground-truth datasets (`figures -- baseline`). It is not used by the
 //! distributed engines.
 
-use crate::corrector::{BaseFix, ReadOutcome, SpectrumAccess};
+use crate::corrector::{collect_positions, BaseFix, ReadOutcome, SpectrumAccess};
 use crate::params::ReptileParams;
-use dnaseq::neighbors::visit_neighbors;
-use dnaseq::quality::Phred;
+use dnaseq::neighbors::hamming_neighbors;
 use dnaseq::{Base, Read};
 
 /// Correct one read using only the k-mer spectrum. Window walk mirrors
@@ -37,19 +36,27 @@ pub fn correct_read_kmers_only(
         return out;
     }
     let last_start = read.len() - k;
-    let mut positions: Vec<usize> = Vec::with_capacity(params.max_positions_per_tile);
+    let mut scratch = KmerScratch::default();
     let mut start = 0usize;
     loop {
-        step_kmer_window(read, start, access, params, &kcodec, &mut positions, &mut out);
+        step_kmer_window(read, start, access, params, &kcodec, &mut scratch, &mut out);
         if start + stride > last_start {
             break;
         }
         start += stride;
     }
     if !last_start.is_multiple_of(stride) {
-        step_kmer_window(read, last_start, access, params, &kcodec, &mut positions, &mut out);
+        step_kmer_window(read, last_start, access, params, &kcodec, &mut scratch, &mut out);
     }
     out
+}
+
+/// Buffers of the k-mer window walk, reused across a read's windows.
+#[derive(Default)]
+struct KmerScratch {
+    positions: Vec<usize>,
+    /// `(code, distance)` of every Hamming neighbour of one window.
+    neighbors: Vec<(u64, usize)>,
 }
 
 fn step_kmer_window(
@@ -58,7 +65,7 @@ fn step_kmer_window(
     access: &mut impl SpectrumAccess,
     params: &ReptileParams,
     kcodec: &dnaseq::KmerCodec,
-    positions: &mut Vec<usize>,
+    scratch: &mut KmerScratch,
     out: &mut ReadOutcome,
 ) {
     let k = kcodec.k();
@@ -76,19 +83,22 @@ fn step_kmer_window(
         out.tiles_solid += 1;
         return;
     }
+    let KmerScratch { positions, neighbors } = scratch;
     positions.clear();
     collect_positions(&read.qual[start..start + k], params, positions);
     if positions.is_empty() {
         out.tiles_uncorrectable += 1;
         return;
     }
+    neighbors.clear();
+    hamming_neighbors(code, k, positions, params.max_errors_per_tile, neighbors);
     let mut candidates: Vec<(u64, u32, usize)> = Vec::new();
-    visit_neighbors(code, k, positions, params.max_errors_per_tile, &mut |cand, d| {
+    for &(cand, d) in neighbors.iter() {
         let count = access.kmer_count(key(cand));
         if count >= params.kmer_threshold {
             candidates.push((cand, count, d));
         }
-    });
+    }
     if candidates.is_empty() {
         out.tiles_uncorrectable += 1;
         return;
@@ -118,23 +128,6 @@ fn step_kmer_window(
         }
     }
     out.tiles_corrected += 1;
-}
-
-/// Same candidate-position policy as the tile corrector.
-fn collect_positions(quals: &[Phred], params: &ReptileParams, positions: &mut Vec<usize>) {
-    for (i, &q) in quals.iter().enumerate() {
-        if q < params.q_threshold {
-            positions.push(i);
-        }
-    }
-    if positions.is_empty() && params.relax_quality {
-        positions.extend(0..quals.len());
-    }
-    if positions.len() > params.max_positions_per_tile {
-        positions.sort_by_key(|&p| (quals[p], p));
-        positions.truncate(params.max_positions_per_tile);
-        positions.sort_unstable();
-    }
 }
 
 /// Correct a whole dataset with the k-mer-only baseline.
@@ -191,6 +184,25 @@ mod tests {
         let out = correct_read_kmers_only(&mut read, &mut spectra, &p);
         assert_eq!(read.seq, template.to_vec());
         assert!(out.corrected());
+    }
+
+    /// Two weak windows in one read: the second searches only its own
+    /// neighbours, not what the first left in the reused buffer.
+    #[test]
+    fn fixes_errors_in_two_windows() {
+        let p = params();
+        let template = b"ACGTACGGTTGCAACGT";
+        let mut spectra = spectra_from(template, 5, &p);
+        let mut seq = template.to_vec();
+        seq[1] = b'A';
+        seq[14] = b'T';
+        let mut qual = vec![35u8; seq.len()];
+        qual[1] = 5;
+        qual[14] = 5;
+        let mut read = Read::new(9, seq, qual);
+        let out = correct_read_kmers_only(&mut read, &mut spectra, &p);
+        assert_eq!(read.seq, template.to_vec());
+        assert_eq!(out.fixes.len(), 2);
     }
 
     #[test]

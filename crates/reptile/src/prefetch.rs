@@ -83,6 +83,13 @@ pub trait WaveSource {
     fn ask_kmer(&mut self, key: u64) -> Option<u32>;
     /// [`ask_kmer`](WaveSource::ask_kmer) for a tile key.
     fn ask_tile(&mut self, key: u128) -> Option<u32>;
+    /// [`ask_tile`](WaveSource::ask_tile) for a group of tile keys (a
+    /// window's neighbour candidates): one answer per key, appended to
+    /// `out` in key order, and as many asks as keys, in that order. The
+    /// default asks key by key.
+    fn ask_tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        out.extend(keys.iter().map(|&key| self.ask_tile(key)));
+    }
     /// Send every request queued since the last call, all of them before
     /// the first reply is awaited, and append one answer per queued ask
     /// to `answers`, in queue order. `None` = the answer degraded; the
@@ -119,6 +126,10 @@ impl<S: WaveSource> PartialAccess for Ask<'_, S> {
 
     fn tile(&mut self, key: u128) -> Option<u32> {
         self.0.ask_tile(key)
+    }
+
+    fn tiles(&mut self, keys: &[u128], out: &mut Vec<Option<u32>>) {
+        self.0.ask_tiles(keys, out);
     }
 }
 

@@ -128,6 +128,14 @@ impl<K: SpectrumKey> Spectrum<K> {
         self.counts.get(key.0).unwrap_or(0)
     }
 
+    /// [`count_at`](Spectrum::count_at) for a group of normalized keys:
+    /// one `Some(count)` per key, appended to `out` in key order — the
+    /// answer form of the corrector's group lookups, which a resident
+    /// table always gives.
+    pub fn counts_at(&self, keys: Normalized<&[K]>, out: &mut Vec<Option<u32>>) {
+        out.extend(keys.0.iter().map(|&key| Some(self.count_at(Normalized(key)))));
+    }
+
     /// Stored count of a code, `None` when absent — distinguishes "known
     /// count 0" entries (resolved reads tables) from missing entries.
     /// Normalizes internally.
